@@ -46,12 +46,20 @@ class StreamCipher:
                               .encode("utf-8")).digest()
 
     # ------------------------------------------------------------------
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
+    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR the keystream ``sha256(enc_key || nonce || ctr)``:
+        the shared prefix is hashed once and copied per block, and the XOR
+        runs on two big integers, not byte by byte."""
+        length = len(data)
+        prefix = hashlib.sha256(self._enc_key + nonce)
         blocks = []
         for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
-            blocks.append(hashlib.sha256(
-                self._enc_key + nonce + counter.to_bytes(8, "big")).digest())
-        return b"".join(blocks)[:length]
+            block = prefix.copy()
+            block.update(counter.to_bytes(8, "big"))
+            blocks.append(block.digest())
+        keystream = b"".join(blocks)[:length]
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(keystream, "big")).to_bytes(length, "big")
 
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
         """``nonce || ciphertext || tag``.
@@ -63,8 +71,7 @@ class StreamCipher:
             nonce = os.urandom(_NONCE_BYTES)
         if len(nonce) != _NONCE_BYTES:
             raise ValueError(f"nonce must be {_NONCE_BYTES} bytes")
-        body = bytes(p ^ k for p, k in
-                     zip(plaintext, self._keystream(nonce, len(plaintext))))
+        body = self._xor_keystream(nonce, plaintext)
         tag = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
         return nonce + body + tag
 
@@ -79,8 +86,7 @@ class StreamCipher:
                             hashlib.sha256).digest()
         if not hmac.compare_digest(tag, expected):
             raise AuthenticationError("MAC verification failed")
-        return bytes(c ^ k for c, k in
-                     zip(body, self._keystream(nonce, len(body))))
+        return self._xor_keystream(nonce, body)
 
     @staticmethod
     def overhead_bytes() -> int:

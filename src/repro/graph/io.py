@@ -11,11 +11,18 @@ Two formats:
 
 from __future__ import annotations
 
+import ast
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.graph.ball import Ball
 from repro.graph.labeled_graph import LabeledGraph
+
+
+class BallDecodeError(ValueError):
+    """A serialized graph or ball is malformed: bad JSON, wrong shapes, an
+    unparsable repr, or graph data :class:`LabeledGraph` rejects."""
 
 
 def dump_edge_list(graph: LabeledGraph, path: str | Path) -> None:
@@ -33,9 +40,7 @@ def load_edge_list(path: str | Path) -> LabeledGraph:
     Vertex ids and labels are parsed with ``ast.literal_eval`` so ints and
     strings round-trip exactly.
     """
-    import ast
-
-    graph = LabeledGraph()
+    labels: list[tuple[object, object]] = []
     edges: list[tuple[object, object]] = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -43,17 +48,15 @@ def load_edge_list(path: str | Path) -> LabeledGraph:
             continue
         if line.startswith("# vertex "):
             v_repr, label_repr = line[len("# vertex "):].split(" ", 1)
-            graph.add_vertex(ast.literal_eval(v_repr),
-                             ast.literal_eval(label_repr))
+            labels.append((ast.literal_eval(v_repr),
+                           ast.literal_eval(label_repr)))
         elif line.startswith("#"):
             continue
         else:
             u_repr, v_repr = line.split(" ", 1)
             edges.append((ast.literal_eval(u_repr),
                           ast.literal_eval(v_repr)))
-    for u, v in edges:
-        graph.add_edge(u, v)
-    return graph
+    return LabeledGraph.from_edges(labels, edges)
 
 
 def graph_to_json(graph: LabeledGraph) -> str:
@@ -68,30 +71,48 @@ def graph_to_json(graph: LabeledGraph) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+class _LiteralCache(dict):
+    """``repr`` text -> value, parsed once per distinct text: the edge
+    section repeats the vertex section's ids, so it is all dict hits."""
+
+    def __missing__(self, text):
+        value = self[text] = _parse_literal(text)
+        return value
+
+
+def _parse_literal(text):
+    """``ast.literal_eval(text)``, skipping the parser for canonical ints:
+    only text that is exactly the ``repr`` of its int takes the short cut,
+    anything else (``"007"``, ``"1_0"``, ``" 7"``, strings, tuples) gets
+    ``literal_eval``'s own value or error."""
+    try:
+        value = int(text)
+    except (ValueError, TypeError, OverflowError):  # not int text at all
+        return ast.literal_eval(text)
+    return value if repr(value) == text else ast.literal_eval(text)
+
+
+@contextmanager
+def _decoding(what: str):
+    """Turn whatever a malformed payload trips into one typed error."""
+    try:
+        yield
+    except BallDecodeError:
+        raise
+    except (ValueError, KeyError, TypeError, SyntaxError, RecursionError,
+            MemoryError) as exc:
+        raise BallDecodeError(f"malformed {what}: {exc!r}") from exc
+
+
 def graph_from_json(text: str) -> LabeledGraph:
-    import ast
-
-    payload = json.loads(text)
-    graph = LabeledGraph()
-    # Every edge endpoint also appears in the vertex section, so parsing a
-    # repr once per *distinct* value (instead of once per occurrence) cuts
-    # the ``literal_eval`` count from O(V + 2E) to O(V) -- the dominant
-    # cost when cold-loading ball packs.
-    seen: dict[str, object] = {}
-
-    def parse(value_repr: str):
-        try:
-            return seen[value_repr]
-        except KeyError:
-            value = ast.literal_eval(value_repr)
-            seen[value_repr] = value
-            return value
-
-    for v_repr, label_repr in payload["vertices"]:
-        graph.add_vertex(parse(v_repr), parse(label_repr))
-    for u_repr, v_repr in payload["edges"]:
-        graph.add_edge(parse(u_repr), parse(v_repr))
-    return graph
+    """Inverse of :func:`graph_to_json`; :class:`BallDecodeError` on any
+    malformed payload."""
+    with _decoding("graph payload"):
+        payload = json.loads(text)
+        parsed = _LiteralCache()
+        return LabeledGraph.from_edges(
+            [(parsed[v], parsed[label]) for v, label in payload["vertices"]],
+            [(parsed[u], parsed[v]) for u, v in payload["edges"]])
 
 
 def ball_to_bytes(ball: Ball) -> bytes:
@@ -106,10 +127,11 @@ def ball_to_bytes(ball: Ball) -> bytes:
 
 
 def ball_from_bytes(data: bytes) -> Ball:
-    import ast
-
-    payload = json.loads(data.decode("utf-8"))
-    return Ball(graph=graph_from_json(payload["graph"]),
-                center=ast.literal_eval(payload["center"]),
-                radius=payload["radius"],
-                ball_id=payload["ball_id"])
+    """Inverse of :func:`ball_to_bytes`; :class:`BallDecodeError` on any
+    malformed payload."""
+    with _decoding("ball payload"):
+        payload = json.loads(data.decode("utf-8"))
+        return Ball(graph=graph_from_json(payload["graph"]),
+                    center=_parse_literal(payload["center"]),
+                    radius=payload["radius"],
+                    ball_id=payload["ball_id"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 Vertex = Hashable
 Label = Hashable
@@ -128,15 +128,42 @@ class LabeledGraph:
     @classmethod
     def from_edges(
         cls,
-        labels: Mapping[Vertex, Label],
+        labels: Mapping[Vertex, Label] | Iterable[tuple[Vertex, Label]],
         edges: Iterable[tuple[Vertex, Vertex]],
     ) -> "LabeledGraph":
-        """Build a graph from a label mapping and an edge iterable."""
+        """Build a graph from vertex labels (a mapping or pairs) and edges.
+
+        The one bulk path (ball decode, extraction, ``copy``): same checks
+        in the same order as ``add_vertex`` then ``add_edge`` per element,
+        same resulting state including ``mutation_epoch``.
+        """
         graph = cls()
-        for v, label in labels.items():
-            graph.add_vertex(v, label)
+        vertex_labels, index = graph._labels, graph._label_index
+        succ, pred = graph._succ, graph._pred
+        for v, label in (labels.items() if isinstance(labels, Mapping)
+                         else labels):
+            if v in vertex_labels:
+                if vertex_labels[v] != label:
+                    raise ValueError(
+                        f"vertex {v!r} already exists with label "
+                        f"{vertex_labels[v]!r}, cannot relabel to {label!r}")
+                continue
+            vertex_labels[v] = label
+            succ[v] = set()
+            pred[v] = set()
+            index.setdefault(label, set()).add(v)
         for u, v in edges:
-            graph.add_edge(u, v)
+            if u == v:
+                raise ValueError(f"self loop on {u!r} is not supported")
+            try:
+                out, into = succ[u], pred[v]
+            except KeyError:
+                raise KeyError(
+                    f"unknown vertex {(v if u in succ else u)!r}") from None
+            out.add(v)  # sets collapse parallel edges
+            into.add(u)
+        graph._num_edges = sum(map(len, succ.values()))
+        graph._epoch = len(vertex_labels) + graph._num_edges
         return graph
 
     # ------------------------------------------------------------------
@@ -277,14 +304,10 @@ class LabeledGraph:
         missing = keep - self._labels.keys()
         if missing:
             raise KeyError(f"unknown vertices {sorted(map(repr, missing))}")
-        sub = LabeledGraph()
-        for v in keep:
-            sub.add_vertex(v, self._labels[v])
-        for u in keep:
-            for v in self._succ[u]:
-                if v in keep:
-                    sub.add_edge(u, v)
-        return sub
+        labels, succ = self._labels, self._succ
+        return LabeledGraph.from_edges(
+            ((v, labels[v]) for v in keep),
+            ((u, v) for u in keep for v in succ[u] if v in keep))
 
     def copy(self) -> "LabeledGraph":
         return self.induced_subgraph(self._labels)

@@ -452,6 +452,37 @@ class TestStoreFaults:
                    and e.action == FaultAction.DEGRADED
                    for e in report.events)
 
+    def test_json_preserving_ball_damage_is_quarantined(
+            self, dataset, config, query_of, store):
+        """Rot that keeps ``balls.pack`` entries valid JSON but breaks a
+        vertex repr (``literal_eval`` raises SyntaxError, not ValueError)
+        must take the same quarantine + recompute path as any other
+        damage -- it used to escape as a traceback."""
+        from repro.graph.io import BallDecodeError
+        from repro.storage import ArtifactStore
+
+        pack = bytearray((store.root / "balls.pack").read_bytes())
+        slices = dict(store._slices)
+        store.close()
+        marker = b'{\\"vertices\\":[[\\"'
+        for sl in slices.values():
+            at = pack.index(marker, sl.offset, sl.offset + sl.length)
+            pack[at + len(marker)] = ord("!")      # "12" -> "!2"
+        (store.root / "balls.pack").write_bytes(bytes(pack))
+
+        query = query_of()
+        cfg = self._config(config)
+        base = run_engine(dataset.graph, query, cfg, pruning=True)
+        with ArtifactStore.open(store.root) as damaged:
+            with pytest.raises(BallDecodeError, match="SyntaxError"):
+                damaged.load_ball(next(iter(slices)))
+            with PriloStar.setup(dataset.graph, cfg,
+                                 store=damaged) as engine:
+                result = engine.run(query)
+            assert "balls.pack" in damaged.quarantined
+        assert result.matches == base.matches
+        assert result.verified_ids == base.verified_ids
+
     def test_quarantine_disabled_raises(self, dataset, config, query_of,
                                         store):
         cfg = replace(

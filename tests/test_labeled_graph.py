@@ -179,3 +179,95 @@ class TestProperties:
         for u, v in sub.edges():
             assert g.has_edge(u, v)
         assert set(sub.vertices()) == set(keep)
+
+
+def build_per_element(pairs, edges) -> LabeledGraph:
+    """The differential oracle for the bulk builder: one checked call per
+    vertex and per edge, as every construction path once ran."""
+    g = LabeledGraph()
+    for v, label in pairs:
+        g.add_vertex(v, label)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+def outcome(build):
+    try:
+        return build()
+    except (ValueError, KeyError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_graph(bulk: LabeledGraph, ref: LabeledGraph) -> None:
+    assert bulk == ref
+    assert hash(bulk) == hash(ref)
+    assert bulk.num_edges == ref.num_edges
+    assert bulk.alphabet == ref.alphabet
+    assert bulk.mutation_epoch == ref.mutation_epoch
+    for label in ref.alphabet:
+        assert bulk.vertices_with_label(label) == \
+            ref.vertices_with_label(label)
+    for v in ref.vertices():
+        assert bulk.predecessors(v) == ref.predecessors(v)
+    # Insertion order decides set iteration order, which downstream
+    # enumeration walks: it must not move either.
+    assert list(bulk.vertices()) == list(ref.vertices())
+    assert list(bulk.edges()) == list(ref.edges())
+
+
+class TestBulkBuilder:
+    """``from_edges`` is the one construction path (decode, extraction,
+    copy); it must be indistinguishable from add_vertex/add_edge."""
+
+    # Small id and label pools so relabels, self loops, unknown endpoints
+    # and parallel edges all occur often.
+    ids = st.one_of(st.integers(-2, 6), st.sampled_from(["a", "b", (1, 2)]))
+
+    @given(st.lists(st.tuples(ids, st.sampled_from(["A", "B", 0])),
+                    max_size=10),
+           st.lists(st.tuples(ids, ids), max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_element_construction(self, pairs, edges):
+        bulk = outcome(lambda: LabeledGraph.from_edges(pairs, edges))
+        ref = outcome(lambda: build_per_element(pairs, edges))
+        if isinstance(ref, LabeledGraph):
+            assert_same_graph(bulk, ref)
+        else:
+            assert bulk == ref  # same exception type, same message
+
+    @given(random_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_subgraph_and_copy(self, g, data):
+        keep = data.draw(st.sets(st.sampled_from(sorted(g.vertices()))))
+        ref = build_per_element(
+            [(v, g.label(v)) for v in keep],
+            [(u, v) for u, v in g.edges() if u in keep and v in keep])
+        sub = g.induced_subgraph(keep)
+        assert sub == ref and sub.num_edges == ref.num_edges
+        assert sub.mutation_epoch == ref.mutation_epoch
+        assert_same_graph(g.copy(), build_per_element(
+            [(v, g.label(v)) for v in set(g.vertices())],
+            [(u, v) for u in set(g.vertices()) for v in g.successors(u)]))
+
+    def test_mapping_and_pairs_agree(self):
+        labels = {1: "A", 2: "B", 3: "A"}
+        edges = [(1, 2), (2, 3), (1, 2)]
+        assert_same_graph(LabeledGraph.from_edges(labels, edges),
+                          LabeledGraph.from_edges(list(labels.items()),
+                                                  iter(edges)))
+
+    @pytest.mark.parametrize("pairs, edges, error", [
+        ([(1, "A"), (1, "B")], [], ValueError),            # relabel
+        ([(1, "A")], [(1, 1)], ValueError),                # self loop
+        ([], [(9, 9)], ValueError),          # self loop wins over unknown
+        ([(1, "A")], [(1, 2)], KeyError),                  # unknown head
+        ([(1, "A")], [(2, 1)], KeyError),                  # unknown tail
+        ([(1, "A")], [(1, [2])], TypeError),               # unhashable
+    ])
+    def test_invalid_input(self, pairs, edges, error):
+        with pytest.raises(error) as bulk:
+            LabeledGraph.from_edges(pairs, edges)
+        with pytest.raises(error) as ref:
+            build_per_element(pairs, edges)
+        assert str(bulk.value) == str(ref.value)
