@@ -18,9 +18,18 @@ The dirty-ball fraction is reported alongside so a regression in the
 touched-vertex BFS (suddenly marking everything dirty) shows up as a
 coverage diff even when wall-clock noise hides the slowdown.
 
-Scale: slashdot at 0.05x the registry default -- pack creation is the
-expensive denominator and the numbers are relative costs of the
-maintenance layer, not paper figures.
+Scale: slashdot at 0.05x the registry default (400 radius-1 balls).
+Both sides of the ratio are dominated by the same per-ball step -- the
+Sec. 4.1 tree artifacts: enumerating each center's 2-label trees
+(``enumerate_center_tree_encodings``) and hashing them into the ball's
+bloom filter, ~2.0 M encodings over the 400 balls, ~170 K over the 31
+dirty ones -- not by encryption, extraction or the Merkle/catalog
+rebuild.  With the signature-grouped integer tree kernel and the bulk
+bloom insert a rebuild is ~7-9 s and an apply ~0.8-1.2 s on the 1-CPU
+bench host (151.6 s and 19.2 s before them); what is left of an apply
+is one SHA-256 per encoding, the kernel, and the whole-file JSON
+rewrite of ``trees.json`` / ``twiglets.json``.  The numbers are relative
+costs of the maintenance layer, not paper figures.
 """
 
 import time

@@ -91,6 +91,15 @@ class LabelCodec:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError("base must be at least 2")
+        # O(1) label -> code index behind ``code`` / ``in``.  Derived, not a
+        # field: equality, hash and repr see ``codes`` and ``base`` only.
+        # Reversed so the first of two equal labels wins, as a scan would.
+        object.__setattr__(self, "_index", dict(reversed(self.codes)))
+
+    def __reduce__(self):
+        """Pickle the two fields only; the index is rebuilt on arrival (the
+        codec crosses the process-executor boundary with every share)."""
+        return (type(self), (self.codes, self.base))
 
     @property
     def alphabet(self) -> tuple[Label, ...]:
@@ -100,13 +109,18 @@ class LabelCodec:
         return len(self.codes)
 
     def code(self, label: Label) -> int:
-        for candidate, code in self.codes:
-            if candidate == label:
-                return code
-        raise KeyError(f"label {label!r} not in codec alphabet")
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(
+                f"label {label!r} not in codec alphabet") from None
+
+    def get(self, label: Label) -> int | None:
+        """``code(label)``, or ``None`` for a label outside the alphabet."""
+        return self._index.get(label)
 
     def __contains__(self, label: Label) -> bool:
-        return any(candidate == label for candidate, _ in self.codes)
+        return label in self._index
 
     def encode_positions(self, labels: Sequence[Label]) -> int:
         """Positional encoding ``sum(code(l) * base^position)`` -- the exact

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from operator import mul
 from typing import Iterable, Iterator
 
 from repro.core.encoding import LabelCodec
@@ -182,8 +184,6 @@ def iter_center_trees(
 
 
 def _label_subsets(options: list[Label], k: int) -> Iterator[tuple[Label, ...]]:
-    from itertools import combinations
-
     if k == 0:
         yield ()
         return
@@ -197,17 +197,77 @@ def enumerate_center_tree_encodings(
     topologies: tuple[Topology, ...] = BF_TOPOLOGIES,
     max_trees: int | None = None,
 ) -> tuple[set[int], bool]:
-    """Deduplicated canonical encodings of all trees rooted at ``root``.
+    """Deduplicated canonical encodings of all trees rooted at ``root``:
+    ``{t.encode(codec) for t in iter_center_trees(...)}``, computed on
+    label codes alone.
 
-    Returns ``(encodings, truncated)``; ``truncated`` is set when
-    ``max_trees`` distinct encodings were reached and enumeration stopped
-    (the framework then treats the ball as unprunable-by-BF).
+    An encoding is a function of label codes only -- never of which
+    vertex carried a label -- so the usable children of ``root`` collapse
+    to their distinct *signatures* ``(label code, codes of the neighbor
+    labels)``, and trees are enumerated once per ordered signature pair
+    instead of once per vertex pair.  Grandchild groups are drawn with
+    ``combinations`` from descending code lists, and the symmetric
+    topology x only from pairs whose left code is the larger one, so
+    every tree comes out in footnote-4 canonical order and folds straight
+    into ``tag * base^6 + sum(code * base^position)``.
+
+    Returns ``(encodings, truncated)``.  ``truncated`` is set iff the
+    root has at least ``max_trees`` distinct encodings; ``encodings`` is
+    then some ``max_trees`` of them (the framework treats the ball as
+    unprunable-by-BF and keeps only the count).
     """
+    code_of = codec.get
+    label_of = graph.label
+    neighbors = graph.neighbors
+    root_label = label_of(root)
+    root_code = code_of(root_label)
+    signatures: set[tuple[int, frozenset[int]]] = set()
+    for child in neighbors(root):
+        label = label_of(child)
+        code = code_of(label)
+        if code is None or label == root_label:
+            continue
+        around = {code_of(label_of(n)) for n in neighbors(child)}
+        around -= {None, root_code, code}
+        signatures.add((code, frozenset(around)))
+    children = [(code, sorted(around, reverse=True))
+                for code, around in signatures]
+    base = codec.base
+    shapes = [(t.tag * base ** 6, t.left_grandchildren,
+               t.right_grandchildren,
+               [base ** (2 + i) for i in range(t.left_grandchildren)],
+               [base ** (2 + t.left_grandchildren + i)
+                for i in range(t.right_grandchildren)])
+              for t in topologies]
+    # The cut is only ever tested after an add, so max_trees < 1 acts as 1.
+    limit = None if max_trees is None else max(max_trees, 1)
     encodings: set[int] = set()
-    for tree in iter_center_trees(graph, root, codec, topologies):
-        encodings.add(tree.encode(codec))
-        if max_trees is not None and len(encodings) >= max_trees:
-            return encodings, True
+    for left, left_desc in children:
+        for right, right_desc in children:
+            if left == right:
+                continue
+            left_options = [c for c in left_desc if c != right]
+            right_options = [c for c in right_desc if c != left]
+            pair = left + right * base
+            for tagged, n_left, n_right, left_powers, right_powers in shapes:
+                if n_left == n_right and left < right:
+                    continue  # topology x: the larger child code goes left
+                for left_grand in combinations(left_options, n_left):
+                    partial = tagged + pair + sum(map(mul, left_grand,
+                                                      left_powers))
+                    if n_right:
+                        remaining = [c for c in right_options
+                                     if c not in left_grand]
+                        encodings.update(
+                            partial + sum(map(mul, right_grand, right_powers))
+                            for right_grand in combinations(remaining,
+                                                            n_right))
+                    else:
+                        encodings.add(partial)
+                    if limit is not None and len(encodings) >= limit:
+                        while len(encodings) > limit:
+                            encodings.pop()
+                        return encodings, True
     return encodings, False
 
 

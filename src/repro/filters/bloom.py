@@ -14,6 +14,14 @@ from __future__ import annotations
 import hashlib
 import math
 
+#: Upper bound on the hash count.  The optimal k is ``log2(1/p)``, so 64
+#: already means p = 2^-64; a serialized filter claiming more is hostile
+#: (its k drives the probe loop inside the enclave's ECALL).
+MAX_HASHES = 64
+
+_HEADER_BYTES = 20
+_LOW_128 = (1 << 128) - 1
+
 
 def required_bits(num_items: int, false_positive_rate: float) -> int:
     """Eq. 1: the bit count achieving ``false_positive_rate`` for
@@ -44,8 +52,8 @@ class BloomFilter:
     def __init__(self, num_bits: int, num_hashes: int) -> None:
         if num_bits < 1:
             raise ValueError("num_bits must be positive")
-        if num_hashes < 1:
-            raise ValueError("num_hashes must be positive")
+        if not 1 <= num_hashes <= MAX_HASHES:
+            raise ValueError(f"num_hashes must be in 1..{MAX_HASHES}")
         self._num_bits = num_bits
         self._num_hashes = num_hashes
         self._bits = bytearray((num_bits + 7) // 8)
@@ -91,12 +99,38 @@ class BloomFilter:
         self._count += 1
 
     def update(self, items) -> None:
+        """Insert every item: the bytes and ``count`` of repeated
+        :meth:`add`, in one pass without per-item calls.  All items are
+        checked first, so a negative one raises before any bit is set."""
+        items = list(items)
+        if any(item < 0 for item in items):
+            raise ValueError("items must be non-negative integers")
+        bits = self._bits
+        num_bits = self._num_bits
+        rounds = range(self._num_hashes)
+        sha256 = hashlib.sha256
+        from_bytes = int.from_bytes
         for item in items:
-            self.add(item)
+            digest = from_bytes(sha256(item.to_bytes(
+                (item.bit_length() + 8) // 8, "big")).digest(), "big")
+            # (h1 + i * h2) mod m, stepped: same positions as _positions.
+            pos = (digest >> 128) % num_bits
+            step = ((digest & _LOW_128) | 1) % num_bits
+            for _ in rounds:
+                bits[pos >> 3] |= 1 << (pos & 7)
+                pos += step
+                if pos >= num_bits:
+                    pos -= num_bits
+        self._count += len(items)
 
     def __contains__(self, item: int) -> bool:
-        return all(self._bits[pos // 8] & (1 << (pos % 8))
-                   for pos in self._positions(item))
+        """Probes all k positions whatever they hold: the number of bit
+        reads must not depend on which probe missed (Prop. 7 -- this runs
+        inside the enclave's :meth:`~repro.tee.enclave.Enclave.check_ball`)."""
+        hit = 1
+        for pos in self._positions(item):
+            hit &= self._bits[pos >> 3] >> (pos & 7)
+        return bool(hit)
 
     def expected_false_positive_rate(self) -> float:
         """``(1 - e^(-kn/m))^k`` for the current fill."""
@@ -116,15 +150,17 @@ class BloomFilter:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "BloomFilter":
-        if len(blob) < 20:
+        """Parse an untrusted blob (the enclave's ECALL input): the header
+        is checked against the blob's own length before anything is sized
+        from it, so every malformed blob is a ``ValueError``."""
+        if len(blob) < _HEADER_BYTES:
             raise ValueError("truncated bloom filter blob")
         num_bits = int.from_bytes(blob[:8], "big")
         num_hashes = int.from_bytes(blob[8:12], "big")
         count = int.from_bytes(blob[12:20], "big")
-        filt = cls(num_bits, num_hashes)
-        body = blob[20:]
-        if len(body) != len(filt._bits):
+        if (num_bits + 7) // 8 != len(blob) - _HEADER_BYTES:
             raise ValueError("bloom filter body length mismatch")
-        filt._bits = bytearray(body)
+        filt = cls(num_bits, num_hashes)
+        filt._bits = bytearray(blob[_HEADER_BYTES:])
         filt._count = count
         return filt

@@ -40,7 +40,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.bf_pruning import BFConfig, PAD_ENCODING
+from repro.core.bf_pruning import BFConfig, ball_filter_blob
 from repro.core.encoding import LabelCodec
 from repro.core.trees import (
     BF_TOPOLOGIES,
@@ -61,7 +61,6 @@ from repro.storage.authenticate import (
     leaf_digest,
     updated_auth_block,
 )
-from repro.filters.bloom import BloomFilter
 from repro.framework.faults import FaultAction, FaultInjector, FaultKind
 from repro.framework.messages import EncryptedBallBlob
 from repro.graph.ball import Ball, BallIndex, extract_ball
@@ -610,8 +609,11 @@ class ArtifactStore:
     def _tree_artifact(ball: Ball, codec: LabelCodec,
                        config: BFConfig) -> dict:
         """One ball's Sec. 4.1 offline view: canonical tree encodings and
-        the bloom bitset, under the graph-wide codec.  Mirrors the bypass
-        decisions of :func:`repro.core.bf_pruning.player_bf_prune`."""
+        the bloom bitset, under the graph-wide codec.  Takes the bypass
+        decisions of :func:`repro.core.bf_pruning.player_bf_prune` and
+        builds the filter with the function it uses.  The enumeration is
+        called through this module's own binding, which is the name the
+        benchmark ledger's ``store.tree_artifact`` span wraps."""
         if bf_threshold_exceeded(ball.graph, ball.center,
                                  config.threshold_t):
             return {"bypassed": True}
@@ -620,13 +622,9 @@ class ArtifactStore:
             max_trees=config.max_ball_trees)
         if truncated:
             return {"bypassed": True, "trees": len(encodings)}
-        ball_filter = BloomFilter(config.filter_bits(),
-                                  config.filter_hashes())
-        ball_filter.add(PAD_ENCODING)
-        ball_filter.update(sorted(encodings))
         return {"bypassed": False,
                 "trees": len(encodings),
-                "filter_hex": ball_filter.to_bytes().hex()}
+                "filter_hex": ball_filter_blob(encodings, config).hex()}
 
     # ------------------------------------------------------------------
     # opening

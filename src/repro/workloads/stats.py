@@ -26,7 +26,11 @@ def _quantile(ordered: list[float], q: float) -> float:
     low = int(position)
     high = min(low + 1, len(ordered) - 1)
     fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+    # Interpolate from the lower neighbour and clamp: the two-product form
+    # underflows to 0.0 between equal denormals, which put the median
+    # outside [q1, q3].
+    value = ordered[low] + (ordered[high] - ordered[low]) * fraction
+    return min(max(value, ordered[low]), ordered[high])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ output -- an engine served from it must answer exactly like an engine
 that recomputed everything.
 """
 
+import hashlib
 import shutil
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.twiglets import filter_twiglets, twiglets_from
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.prilo_star import PriloStar
 from repro.graph.ball import BallIndex
+from repro.graph.delta import random_delta
 from repro.graph.io import graph_from_json, graph_to_json
 from repro.storage import (
     ArtifactStore,
@@ -22,6 +24,7 @@ from repro.storage import (
     graph_digest,
     key_digest,
 )
+from repro.workloads.datasets import load_dataset
 
 RADII = (2,)
 SEED = 3  # matches test_config so store key == engine owner key
@@ -227,3 +230,70 @@ class TestServingEquivalence:
         assert backed.verified_ids == plain.verified_ids
         assert backed.match_ball_ids == plain.match_ball_ids
         assert backed.pm_per_method == plain.pm_per_method
+
+
+# sha256 of the three deterministic pack files, recorded by building the
+# same stores at the commit before the tree-enumeration kernel, the O(1)
+# label codec and the bulk bloom insert replaced their slower
+# predecessors (encrypted.pack and manifest.json carry random nonces and
+# differ between any two builds).
+GOLDEN_R1 = {
+    "balls.pack":
+        "4bbc961932f57e024904463c3cdf0c62e6cfcee1d39c98f563c711a514ef98c9",
+    "trees.json":
+        "5f8cdb867ca05ef8f9ffb2270597e4a6c73ad3da727a4e5688dab1d7c0f13e41",
+    "twiglets.json":
+        "634a99f33f0e76514a2866a4cdcfc0f582a998ba0e8eed32fe22549dbc95b3bf",
+}
+GOLDEN_R1_AFTER_TWO_DELTAS = {
+    "balls.pack":
+        "73fbb06e67d85f5a68fa9aded8e2957bcff2729518eaf23b38b2f072468c3d7c",
+    "trees.json":
+        "c5cd9ba83845f181515833dc626a9c20ea7eaa86546827e3fee77061fdcc0faf",
+    "twiglets.json":
+        "e0a975c8623c9f0ca4ec10dee94dcb493f0bf99364fabc9f8206feb11fd5da89",
+}
+GOLDEN_R2 = {
+    "balls.pack":
+        "34df8f2aa2feeee968f29e22e12c1b91c4fe545229a634198964a432ff245ca1",
+    "trees.json":
+        "90d3327c038b15824ed3570eeefc647031586eb97fbd93bdbf29dac714f32648",
+    "twiglets.json":
+        "af1584142dc778cceca0248d913db2545c4804eba821334b47995f9a841ac740",
+}
+
+
+def _pack_digests(root):
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+            for name in GOLDEN_R1}
+
+
+class TestGoldenPackBytes:
+    """dblp 0.03 under the CLI-default artifacts (``twiglet_h=3``,
+    ``BFConfig()``): what the offline step writes is pinned to the byte."""
+
+    @pytest.fixture(scope="class")
+    def dblp(self):
+        return load_dataset("dblp", scale=0.03).graph
+
+    def test_radius_1_before_and_after_two_deltas(self, tmp_path, dblp):
+        key = DataOwnerKey.generate(11)
+        store = ArtifactStore.create(tmp_path / "r1", dblp, (1,), key,
+                                     twiglet_h=3, bf_config=BFConfig())
+        try:
+            assert _pack_digests(tmp_path / "r1") == GOLDEN_R1
+            live = dblp.copy()
+            for seed in (5, 6):
+                delta = random_delta(
+                    live, edge_fraction=2.0 / live.num_edges, seed=seed)
+                assert store.apply_delta(delta, live, key).reencrypted > 0
+            assert (_pack_digests(tmp_path / "r1")
+                    == GOLDEN_R1_AFTER_TWO_DELTAS)
+        finally:
+            store.close()
+
+    def test_radius_2(self, tmp_path, dblp):
+        ArtifactStore.create(tmp_path / "r2", dblp, (2,),
+                             DataOwnerKey.generate(11), twiglet_h=3,
+                             bf_config=BFConfig()).close()
+        assert _pack_digests(tmp_path / "r2") == GOLDEN_R2

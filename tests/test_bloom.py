@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters.bloom import BloomFilter, optimal_num_hashes, required_bits
+from repro.filters.bloom import (
+    MAX_HASHES,
+    BloomFilter,
+    optimal_num_hashes,
+    required_bits,
+)
 
 
 class TestSizing:
@@ -59,6 +64,92 @@ class TestMembership:
         filt = BloomFilter(128, 3)
         filt.add(0)
         assert 0 in filt
+
+
+class _CountingBits(bytearray):
+    """A bit array that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestConstantProbes:
+    """Prop. 7: ``in`` runs inside the enclave, so the number of bit
+    probes may not depend on where the first miss is."""
+
+    def test_hit_and_first_position_miss_probe_alike(self):
+        filt = BloomFilter(4096, 5)
+        filt.add(7)
+        first, *rest = filt._positions(7)
+        assert first not in rest
+        filt._bits = _CountingBits(filt._bits)
+        assert 7 in filt
+        assert filt._bits.reads == 5
+        filt._bits[first // 8] &= ~(1 << (first % 8))  # clear probe 0 only
+        filt._bits.reads = 0
+        assert 7 not in filt
+        assert filt._bits.reads == 5
+
+    def test_miss_on_empty_filter_probes_all(self):
+        filt = BloomFilter(4096, 5)
+        filt._bits = _CountingBits(filt._bits)
+        assert 42 not in filt
+        assert filt._bits.reads == 5
+
+
+class TestBulkUpdate:
+    """``update`` is one pass over the items; ``add`` is its reference."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=2 ** 200),
+                    max_size=60),
+           st.integers(min_value=1, max_value=3000),
+           st.integers(min_value=1, max_value=9))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_repeated_add(self, items, num_bits, num_hashes):
+        one_by_one = BloomFilter(num_bits, num_hashes)
+        for item in items:
+            one_by_one.add(item)
+        bulk = BloomFilter(num_bits, num_hashes)
+        bulk.update(iter(items))
+        assert bulk.to_bytes() == one_by_one.to_bytes()
+        assert bulk.count == len(items)
+
+    def test_negative_item_raises_before_any_bit_is_set(self):
+        filt = BloomFilter(128, 3)
+        with pytest.raises(ValueError):
+            filt.update([5, 6, -1, 7])
+        assert filt.to_bytes() == BloomFilter(128, 3).to_bytes()
+
+
+def _blob(num_bits: int, num_hashes: int, body: bytes = b"\0" * 10) -> bytes:
+    return (num_bits.to_bytes(8, "big") + num_hashes.to_bytes(4, "big")
+            + (0).to_bytes(8, "big") + body)
+
+
+class TestUntrustedBlob:
+    """``from_bytes`` is the enclave's ECALL input parser: a hostile
+    header is a ``ValueError``, never an allocation or a long loop."""
+
+    @pytest.mark.parametrize("num_bits", [2 ** 33, 2 ** 40, 2 ** 63,
+                                          2 ** 64 - 1, 0, 72, 88])
+    def test_header_bits_must_match_body(self, num_bits):
+        with pytest.raises(ValueError):
+            BloomFilter.from_bytes(_blob(num_bits, 2))
+
+    @pytest.mark.parametrize("num_hashes", [0, MAX_HASHES + 1, 2 ** 32 - 1])
+    def test_hash_count_bounded(self, num_hashes):
+        with pytest.raises(ValueError):
+            BloomFilter.from_bytes(_blob(80, num_hashes))
+        with pytest.raises(ValueError):
+            BloomFilter(80, num_hashes)
+
+    def test_well_formed_blob_accepted(self):
+        for num_bits in (73, 80):
+            filt = BloomFilter.from_bytes(_blob(num_bits, MAX_HASHES))
+            assert (filt.num_bits, filt.num_hashes) == (num_bits, MAX_HASHES)
 
 
 class TestSerialization:

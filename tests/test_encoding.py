@@ -1,5 +1,9 @@
 """Tests for M_Qe encoding (Sec. 3.2) and the canonical label codec."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.encoding import (
@@ -84,6 +88,37 @@ class TestLabelCodec:
             codec.code("Z")
         assert "Z" not in codec
         assert "A" in codec
+
+    def test_unknown_label_message(self):
+        codec = LabelCodec.from_alphabet({"A"})
+        with pytest.raises(KeyError) as info:
+            codec.code("Z")
+        assert info.value.args == ("label 'Z' not in codec alphabet",)
+        assert info.value.__cause__ is None
+        assert codec.get("Z") is None and codec.get("A") == 1
+
+    def test_value_semantics_see_only_codes_and_base(self):
+        """The O(1) lookup index is derived state: equality, hash, repr
+        and the pickle that crosses the process-executor boundary are
+        those of the two fields."""
+        codec = LabelCodec.from_alphabet({"C", "A", 2})
+        twin = LabelCodec(codes=codec.codes, base=codec.base)
+        assert codec == twin and hash(codec) == hash(twin)
+        assert codec != LabelCodec(codes=codec.codes, base=codec.base + 1)
+        assert repr(codec) == (
+            "LabelCodec(codes=(('A', 1), ('C', 2), (2, 3)), base=4)")
+        for clone in (pickle.loads(pickle.dumps(codec)),
+                      copy.deepcopy(codec),
+                      dataclasses.replace(codec, base=9)):
+            assert clone.codes == codec.codes
+            assert [clone.code(label) for label in ("A", "C", 2)] == [1, 2, 3]
+            assert "B" not in clone
+        assert pickle.loads(pickle.dumps(codec)) == codec
+        assert b"_index" not in pickle.dumps(codec)
+
+    def test_first_of_equal_labels_wins(self):
+        codec = LabelCodec(codes=(("A", 1), ("A", 2)), base=3)
+        assert codec.code("A") == 1
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,23 @@ class TestBFChecking:
             enclave.load_query_encodings(
                 seal_encodings(channel, [["'A'", [1, 2]]], eta=3))
 
+    @pytest.mark.parametrize("num_bits, num_hashes", [
+        (2 ** 33, 2), (2 ** 40, 2), (2 ** 63, 2), (80, 2 ** 32 - 1)])
+    def test_hostile_filter_header_is_a_value_error(self, num_bits,
+                                                    num_hashes):
+        """The filter is built outside the enclave: a header that lies
+        about its size or hash count is rejected before it sizes an
+        allocation or a probe loop, and the ECALL's memory is released."""
+        enclave, channel = make_session()
+        enclave.load_query_encodings(
+            seal_encodings(channel, [["'A'", [11, 22, 0]]], eta=3))
+        before = enclave.metrics.current_memory
+        blob = (num_bits.to_bytes(8, "big") + num_hashes.to_bytes(4, "big")
+                + bytes(8) + bytes(10))
+        with pytest.raises(ValueError):
+            enclave.check_ball(blob, "'A'")
+        assert enclave.metrics.current_memory == before
+
 
 class TestMetering:
     def test_bytes_and_ecalls_counted(self):

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.encoding import LabelCodec
 from repro.core.trees import (
     BF_TOPOLOGIES,
+    Topology,
     TOPOLOGY_IX,
     TOPOLOGY_VII,
     TOPOLOGY_VIII,
@@ -135,14 +138,141 @@ class TestCanonicalization:
         assert len({t.encode(codec) for t in trees}) == 1
 
 
+def reference_encodings(graph, root, codec, topologies=BF_TOPOLOGIES,
+                        max_trees=None):
+    """The readable Alg. 4 path the kernel must agree with: one
+    ``LabeledTree`` per vertex-level subtree, encoded and deduplicated."""
+    encodings = set()
+    for tree in iter_center_trees(graph, root, codec, topologies):
+        encodings.add(tree.encode(codec))
+        if max_trees is not None and len(encodings) >= max_trees:
+            return encodings, True
+    return encodings, False
+
+
+def assert_kernel_matches_reference(graph, root, codec, topologies):
+    full, _ = reference_encodings(graph, root, codec, topologies)
+    assert enumerate_center_tree_encodings(
+        graph, root, codec, topologies) == (full, False)
+    n = len(full)
+    for max_trees in (1, n - 1, n, n + 1):
+        expected, expected_cut = reference_encodings(
+            graph, root, codec, topologies, max_trees)
+        got, cut = enumerate_center_tree_encodings(
+            graph, root, codec, topologies, max_trees=max_trees)
+        assert cut == expected_cut == (n > 0 and n >= max_trees)
+        assert len(got) == len(expected)
+        assert got <= full
+        if not cut:
+            assert got == full
+    return full
+
+
+#: "Y" and "Z" never enter a codec: labels outside Sigma_Q.
+_LABELS = "ABCDEFYZ"
+
+
+@st.composite
+def _rooted_graphs(draw):
+    """Vertex 0 with a few children, each with a few grandchildren, plus
+    random extra edges (child-child, shared grandchildren, back edges):
+    dense enough around the root that most draws have trees."""
+    labels = {0: draw(st.sampled_from(_LABELS))}
+    edges = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        child = len(labels)
+        labels[child] = draw(st.sampled_from(_LABELS))
+        edges.append((0, child))
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            labels[len(labels)] = draw(st.sampled_from(_LABELS))
+            edges.append((child, len(labels) - 1))
+    pairs = [(u, v) for u in labels for v in labels if u != v]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=8))
+    alphabet = draw(st.sets(st.sampled_from("ABCDEF"), min_size=3))
+    topologies = tuple(draw(st.sets(st.sampled_from(BF_TOPOLOGIES))))
+    return (LabeledGraph.from_edges(labels, edges),
+            LabelCodec.from_alphabet(alphabet,
+                                     paper_base=draw(st.booleans())),
+            topologies)
+
+
+class TestKernelMatchesReference:
+    """``enumerate_center_tree_encodings`` works on label-code signatures;
+    ``iter_center_trees`` + ``LabeledTree.encode`` is the specification."""
+
+    @given(_rooted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, case):
+        graph, codec, topologies = case
+        for root in graph.vertices():
+            assert_kernel_matches_reference(graph, root, codec, topologies)
+
+    def test_same_label_siblings_with_different_neighbourhoods(self):
+        """Two A-children are two signatures, not one: each contributes
+        its own grandchild labels, and the shared ones encode once."""
+        labels = {0: "B", 1: "A", 2: "A", 3: "E",
+                  4: "C", 5: "D", 6: "C", 7: "F"}
+        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7),
+                 (3, 4)]
+        g = LabeledGraph.from_edges(labels, edges)
+        codec = LabelCodec.from_alphabet("ABCDEF")
+        full = assert_kernel_matches_reference(g, 0, codec, BF_TOPOLOGIES)
+        grand = {codec.code(label) for label in "CDF"}
+        vii_under_a = {e for e in full
+                       if e // codec.base ** 6 == TOPOLOGY_VII.tag
+                       and e % codec.base == codec.code("A")
+                       and e // codec.base % codec.base == codec.code("E")}
+        assert {e // codec.base ** 2 % codec.base
+                for e in vii_under_a} == grand
+
+    def test_root_label_outside_codec(self):
+        labels = {0: "Z", 1: "A", 2: "B", 3: "C", 4: "Z"}
+        edges = [(0, 1), (0, 2), (1, 3), (1, 4), (0, 4)]
+        g = LabeledGraph.from_edges(labels, edges)
+        codec = LabelCodec.from_alphabet("ABC")
+        full = assert_kernel_matches_reference(g, 0, codec, BF_TOPOLOGIES)
+        assert len(full) == 1  # [Z](A)(B)(C under A); the Z child is out
+
+    def test_wider_topology_than_fig6(self):
+        """Positions are not capped at the four grandchildren of Fig. 6."""
+        wide = Topology("wide", 11, 3, 2)
+        labels = dict(enumerate("RABCDEFG"))
+        edges = [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5),
+                 (2, 3), (2, 6), (2, 7)]
+        g = LabeledGraph.from_edges(labels, edges)
+        codec = LabelCodec.from_alphabet("RABCDEFG")
+        full = assert_kernel_matches_reference(g, 0, codec, (wide,))
+        assert len(full) == 2
+
+    def test_on_generated_graph(self):
+        g = social_graph(150, 4, 0.3, 8, seed=6)
+        full_codec = LabelCodec.from_alphabet(g.alphabet)
+        partial_codec = LabelCodec.from_alphabet(sorted(g.alphabet)[:6])
+        trees = 0
+        for v in list(g.vertices())[:30]:
+            for codec in (full_codec, partial_codec):
+                trees += len(assert_kernel_matches_reference(
+                    g, v, codec, BF_TOPOLOGIES))
+        assert trees > 1000
+
+
 class TestEnumerationControls:
-    def test_max_trees_truncates(self, codec):
-        g = social_graph(150, 4, 0.3, 4, seed=6)
+    def test_max_trees_truncates(self):
+        """``truncated`` iff the root has at least ``max_trees`` distinct
+        trees, and then exactly ``max_trees`` of them come back."""
+        g = social_graph(150, 4, 0.3, 8, seed=6)
+        codec = LabelCodec.from_alphabet(g.alphabet)
         hub = max(g.vertices(), key=g.degree)
-        encodings, truncated = enumerate_center_tree_encodings(
-            g, hub, codec, max_trees=1)
-        if encodings:
-            assert len(encodings) <= 1 or truncated
+        full, truncated = enumerate_center_tree_encodings(g, hub, codec)
+        assert len(full) > 2 and not truncated
+        for max_trees, cut in ((1, True), (len(full) - 1, True),
+                               (len(full), True), (len(full) + 1, False)):
+            encodings, truncated = enumerate_center_tree_encodings(
+                g, hub, codec, max_trees=max_trees)
+            assert truncated is cut
+            assert len(encodings) == min(max_trees, len(full))
+            assert encodings <= full
 
     def test_labels_outside_codec_skipped(self):
         labels = {0: "B", 1: "A", 2: "Z", 3: "C", 4: "D"}
