@@ -268,6 +268,10 @@ def kernels_comparison() -> tuple[dict, list[str]]:
     speedup = naive_eval / batched_eval if batched_eval > 0 else 1.0
     naive_ops = naive.metrics.ops.totals()
     batched_ops = batched.metrics.ops.totals()
+    assert (batched.metrics.cmms_enumerated
+            == naive.metrics.cmms_enumerated)
+    assert (batched.metrics.sizes.ciphertext_results
+            == naive.metrics.sizes.ciphertext_results)
     assert 0 < batched_ops.modmul <= naive_ops.modmul, (
         f"batched path spent {batched_ops.modmul} modmuls vs the naive "
         f"path's {naive_ops.modmul} -- the kernels must never do more "
@@ -279,6 +283,10 @@ def kernels_comparison() -> tuple[dict, list[str]]:
             "eval_seconds": timings.evaluation,
             "run_elapsed_seconds": elapsed[label],
             "modmul": result.metrics.ops.totals().modmul,
+            # Result shape is decided in aggregate_items, not per kernel:
+            # both sides must enumerate and ship the same counts.
+            "cmms": result.metrics.cmms_enumerated,
+            "ciphertext_results": result.metrics.sizes.ciphertext_results,
             "modexp": result.metrics.ops.totals().modexp,
             "table_build": result.metrics.ops.totals().table_build,
             "ops_by_phase": {
@@ -306,6 +314,10 @@ def kernels_comparison() -> tuple[dict, list[str]]:
         ("modmul", naive_ops.modmul, batched_ops.modmul),
         ("modexp", naive_ops.modexp, batched_ops.modexp),
         ("table builds", naive_ops.table_build, batched_ops.table_build),
+        ("CMMs", naive.metrics.cmms_enumerated,
+         batched.metrics.cmms_enumerated),
+        ("result bytes", naive.metrics.sizes.ciphertext_results,
+         batched.metrics.sizes.ciphertext_results),
     ):
         lines.append(format_row((metric, a, b), widths))
     lines.append(f"verification-phase speedup: {speedup:.2f}x "

@@ -17,7 +17,16 @@ from repro.framework.prilo import QueryResult
 
 @dataclass(frozen=True)
 class LeakageProfile:
-    """The SP's complete observable view of one query run."""
+    """The SP's complete observable view of one query run.
+
+    ``result_ciphertexts`` is the bytes of ciphertext results the Players
+    ship: one ciphertext per ball in the summable layout; in the chunked
+    layout ``chunks_per_item`` per *distinct* projected pattern of the
+    ball's CMMs.  Which CMMs share a pattern is decided by the ball's
+    plaintext adjacency and the public label view alone, so the SP can
+    compute the figure before touching a ciphertext (SP-simulatable) and
+    it is equal across queries with equal public views.
+    """
 
     chosen_label_repr: str
     diameter: int

@@ -10,9 +10,11 @@ Summing is only well-formed when each item's product fits one ciphertext
 under the overflow budget (see :class:`repro.crypto.cgbe.AggregationBudget`).
 When it does not, products are split into equal-size *chunks* and forwarded
 per item; the user then accepts a ball iff some item has every chunk free of
-the factor ``q``.  Chunk counts depend only on public parameters and
-``|V_Q|`` / ``|Sigma_Q|``, so the layout choice leaks nothing about the
-query's edges.
+the factor ``q``.  That test is an ``any`` over items, so items with equal
+chunk lists (CMMs sharing one projected pattern) are forwarded once.  Chunk
+counts depend only on public parameters and ``|V_Q|`` / ``|Sigma_Q|``, and
+which items coincide only on the ball's plaintext and the public label
+view, so the layout leaks nothing about the query's edges.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ class BallCiphertextResult:
     Exactly one of the shapes is populated:
 
     * ``summed`` -- the paper's single aggregated ciphertext;
-    * ``per_item`` -- chunk lists per item (budget-constrained layout);
+    * ``per_item`` -- the *distinct* per-item chunk lists, in
+      first-appearance order (budget-constrained layout);
     * ``bypassed`` -- the ball skipped this computation (footnote 6);
     * ``empty`` -- there was nothing to aggregate (no CMM / no matching
       table), which itself proves the ball spurious.
@@ -126,14 +129,24 @@ class BallCiphertextResult:
 def aggregate_items(params: CGBEPublicParams, ball_id: int,
                     item_chunk_lists: list[list[CGBECiphertext]],
                     plan: ChunkPlan) -> BallCiphertextResult:
-    """Combine per-item chunk lists into the ball's result."""
+    """Combine per-item chunk lists into the ball's result.
+
+    The summable layout is the paper-literal sum over every item.  The
+    per-item layout keeps each distinct chunk list once: the only place
+    that shape is decided, so every path that feeds it (streaming,
+    prepared, naive, journal-replayed) ships the same result.
+    """
     if not item_chunk_lists:
         return BallCiphertextResult(ball_id=ball_id, empty=True)
     if plan.summable:
         terms = [chunks[0] for chunks in item_chunk_lists]
         return BallCiphertextResult(ball_id=ball_id,
                                     summed=CGBE.sum_(params, terms))
-    return BallCiphertextResult(ball_id=ball_id, per_item=item_chunk_lists)
+    distinct: dict[tuple, list[CGBECiphertext]] = {}
+    for chunks in item_chunk_lists:
+        distinct.setdefault(tuple(chunks), chunks)
+    return BallCiphertextResult(ball_id=ball_id,
+                                per_item=list(distinct.values()))
 
 
 def decide_positive(cgbe: CGBE, result: BallCiphertextResult) -> bool:

@@ -107,6 +107,72 @@ def iter_cmms(query: Query, ball: Ball,
     yield from extend(0, False)
 
 
+def iter_projected_masks(query: Query, ball: Ball, injective: bool = False,
+                         cv: dict[Vertex, list[Vertex]] | None = None,
+                         ) -> Iterator[int]:
+    """Alg. 1 fused with Alg. 2's projection: the packed ``M_p`` of every
+    CMM :func:`iter_cmms` yields, in the same order.
+
+    Bit layout is :func:`repro.crypto.kernels.mask_of_pattern`'s: position
+    ``pos(i, j) = i*(n-1) + (j if j < i else j - 1)`` holds ``M_p[i][j]``.
+    One DFS carries the partial mask down the tree: mapping row ``r`` adds
+    the bits ``pos(r, j)`` and ``pos(j, r)`` for ``j < r`` once per node,
+    shared by the node's whole subtree, so no CMM object and no per-leaf
+    re-projection is ever built.  ``cv`` hands down an already computed
+    :func:`candidate_vertices`.
+    """
+    if cv is None:
+        cv = candidate_vertices(query, ball)
+    rows = [cv[u] for u in query.vertex_order]
+    if not all(rows):
+        return
+    last = len(rows) - 1
+    center = ball.center
+    # A prefix that has not used the center is dead once no remaining row
+    # carries the center's label (iter_cmms's feasibility cut).
+    last_center_row = max((r for r, u in enumerate(query.vertex_order)
+                           if query.label(u) == ball.center_label),
+                          default=-1)
+    succ = {v: ball.graph.successors(v) for v in set().union(*rows)}
+    # pos(r, j) and pos(j, r) for j < r, as ready-made bits per row.
+    out_bits = [[1 << (r * last + j) for j in range(r)]
+                for r in range(last + 1)]
+    in_bits = [[1 << (j * last + r - 1) for j in range(r)]
+               for r in range(last + 1)]
+    chosen: list[Vertex] = [None] * (last + 1)
+    cursor = [0] * (last + 1)        # next candidate of each row to try
+    partial = [0] * (last + 2)       # mask bits among the rows above
+    centered = [False] * (last + 2)  # some row above maps to the center
+    row = 0
+    while row >= 0:
+        at = cursor[row]
+        if at == len(rows[row]) or not (centered[row]
+                                        or row <= last_center_row):
+            cursor[row] = 0
+            row -= 1
+            continue
+        cursor[row] = at + 1
+        v = rows[row][at]
+        above = chosen[:row]
+        has_center = centered[row] or v == center
+        if (injective and v in above) or (row == last and not has_center):
+            continue  # footnote 3 / Alg. 1 lines 11-12
+        mask = partial[row]
+        succ_v = succ[v]
+        for w, out_bit, in_bit in zip(above, out_bits[row], in_bits[row]):
+            if w in succ_v:
+                mask |= out_bit
+            if v in succ[w]:
+                mask |= in_bit
+        if row == last:
+            yield mask
+            continue
+        chosen[row] = v
+        row += 1
+        partial[row] = mask
+        centered[row] = has_center
+
+
 def enumerate_cmms(query: Query, ball: Ball,
                    limit: int | None = None,
                    injective: bool = False) -> CandidateEnumeration:
@@ -125,13 +191,18 @@ def enumerate_cmms(query: Query, ball: Ball,
     return result
 
 
-def count_cmm_upper_bound(query: Query, ball: Ball) -> int:
+def count_cmm_upper_bound(query: Query, ball: Ball,
+                          cv: dict[Vertex, list[Vertex]] | None = None,
+                          ) -> int:
     """The paper's complexity bound: the product of ``|CV(u)|`` sizes.
 
-    Used by the framework to decide bypassing *before* enumerating.
+    Used by the framework to decide bypassing *before* enumerating; ``cv``
+    hands down an already computed :func:`candidate_vertices`.
     """
+    if cv is None:
+        cv = candidate_vertices(query, ball)
     bound = 1
-    for candidates in candidate_vertices(query, ball).values():
+    for candidates in cv.values():
         bound *= len(candidates)
         if bound > 10 ** 18:
             return 10 ** 18

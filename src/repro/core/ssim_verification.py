@@ -66,16 +66,20 @@ class SsimBallVerdict:
 
 
 class _NeighborLabelCache:
-    """Per-ball successor/predecessor label sets, computed once per vertex.
+    """Per-ball successor/predecessor label sets -- and the selection mask
+    they induce on ``query`` -- computed once per vertex.
 
     A ball vertex is a candidate of every query row sharing its label, so
     the naive per-(row, v) recomputation rebuilds the same two label sets
+    (and the same :func:`_pair_mask`, which depends on ``v`` only)
     ``|rows with that label|`` times; memoizing is value-identical.
     """
 
-    def __init__(self, ball: Ball) -> None:
+    def __init__(self, ball: Ball, query: Query) -> None:
         self._graph = ball.graph
+        self._query = query
         self._cache: dict[Vertex, tuple[frozenset, frozenset]] = {}
+        self._masks: dict[Vertex, int] = {}
 
     def labels(self, v: Vertex) -> tuple[frozenset, frozenset]:
         cached = self._cache.get(v)
@@ -86,6 +90,13 @@ class _NeighborLabelCache:
                 frozenset(graph.label(w) for w in graph.predecessors(v)),
             )
             self._cache[v] = cached
+        return cached
+
+    def mask(self, v: Vertex) -> int:
+        cached = self._masks.get(v)
+        if cached is None:
+            cached = self._masks[v] = _pair_mask(self._query,
+                                                 *self.labels(v))
         return cached
 
 
@@ -172,7 +183,7 @@ def ssim_verify_ball(
     low-diversity balls -- collapse into memo hits.  Value-identical to
     the naive :func:`_pair_product` fold.
     """
-    neighbor_cache = _NeighborLabelCache(ball)
+    neighbor_cache = _NeighborLabelCache(ball, query)
     use_kernel = multiexp is not None and multiexp.enabled
     pad_cache = None if use_kernel else CiphertextPowerCache(params, c_one)
     per_vertex: list[BallCiphertextResult] = []
@@ -186,11 +197,8 @@ def ssim_verify_ball(
                 lambda row=row: ssim_multiexp(params, encrypted_matrix,
                                               c_one, query, row, plan,
                                               multiexp.config))
-            items = [
-                table.chunk_ciphertexts(
-                    _pair_mask(query, *neighbor_cache.labels(v)))
-                for v in candidates
-            ]
+            items = [table.chunk_ciphertexts(neighbor_cache.mask(v))
+                     for v in candidates]
         else:
             items = [
                 _pair_product(params, encrypted_matrix, c_one, query, ball,
@@ -203,8 +211,7 @@ def ssim_verify_ball(
         if query.label(u) == ball.center_label:
             if use_kernel:
                 center_items.append(table.chunk_ciphertexts(
-                    _pair_mask(query,
-                               *neighbor_cache.labels(ball.center))))
+                    neighbor_cache.mask(ball.center)))
             else:
                 center_items.append(
                     _pair_product(params, encrypted_matrix, c_one, query,

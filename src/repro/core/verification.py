@@ -38,9 +38,10 @@ from repro.crypto.kernels import (
     KernelConfig,
     MaskedProductTable,
     offdiagonal_bases,
+    pattern_of_mask,
 )
 from repro.graph.ball import Ball
-from repro.graph.matrix import CandidateMappingMatrix, ProjectionCache
+from repro.graph.matrix import CandidateMappingMatrix
 from repro.graph.query import Query
 
 
@@ -98,7 +99,6 @@ def verify_ciphertext(
     ball: Ball,
     cmm: CandidateMappingMatrix,
     plan: ChunkPlan,
-    projection_cache: ProjectionCache | None = None,
     pad_cache: CiphertextPowerCache | None = None,
 ) -> list[CGBECiphertext]:
     """Alg. 2 under CGBE: the SP-side product(s) for one CMM.
@@ -107,18 +107,12 @@ def verify_ciphertext(
     encrypted matrix is touched in the same order regardless of values
     (query-obliviousness, proven in App. A.2).
 
-    ``projection_cache`` / ``pad_cache`` are the per-ball fast-path state
-    shared across the CMMs of one ball (prefix-incremental projection and
-    memoized ``c_one`` powers); results are identical with or without them.
+    ``pad_cache`` is the memoized ``c_one`` powers shared across the CMMs
+    of one ball; results are identical with or without it.
     """
-    n = len(cmm)
-    if projection_cache is not None:
-        rows = cmm.project_rows(projection_cache)
-    else:
-        dense = cmm.project(ball.graph)
-        rows = [[int(dense[i, j]) for j in range(n)] for i in range(n)]
-    return verify_projected_rows(params, encrypted_matrix, c_one, rows,
-                                 plan, pad_cache=pad_cache)
+    return verify_projected_rows(params, encrypted_matrix, c_one,
+                                 cmm.project(ball.graph).tolist(), plan,
+                                 pad_cache=pad_cache)
 
 
 def verify_projected_rows(
@@ -169,11 +163,9 @@ def verify_ball(
     """
     if bypassed:
         return BallCiphertextResult(ball_id=ball.ball_id, bypassed=True)
-    projection_cache = ProjectionCache(ball.graph)
     pad_cache = CiphertextPowerCache(params, c_one)
     chunk_lists = [
         verify_ciphertext(params, encrypted_matrix, c_one, ball, cmm, plan,
-                          projection_cache=projection_cache,
                           pad_cache=pad_cache)
         for cmm in cmms
     ]
@@ -185,7 +177,7 @@ def verify_ball_streaming(
     encrypted_matrix: list[list[CGBECiphertext]],
     c_one: CGBECiphertext,
     ball: Ball,
-    cmms: Iterable[CandidateMappingMatrix],
+    masks: Iterable[int],
     plan: ChunkPlan,
     limit: int | None = None,
     pad_stats: "object | None" = None,
@@ -193,45 +185,47 @@ def verify_ball_streaming(
 ) -> tuple[BallCiphertextResult, int, bool]:
     """Alg. 1 + Alg. 2 fused: verify CMMs as they are enumerated.
 
-    Consumes a lazy CMM iterator (``repro.core.enumeration.iter_cmms``)
-    so truncation and verification share one pass -- the full CMM list is
-    never materialized.  ``limit`` is the footnote-6 bypass threshold:
-    producing a ``limit+1``-th CMM aborts the stream and the ball is
-    reported unpruned (``bypassed``), exactly as the two-pass pipeline
-    decides it.
+    Consumes the lazy stream of projected-pattern masks
+    (``repro.core.enumeration.iter_projected_masks``, one per CMM) so
+    truncation and verification share one pass -- neither the CMM list
+    nor a CMM object is ever materialized.  ``limit`` is the footnote-6
+    bypass threshold: producing a ``limit+1``-th CMM aborts the stream and
+    the ball is reported unpruned (``bypassed``), exactly as the two-pass
+    pipeline decides it.
 
     With ``multiexp`` (the query's shared
-    :func:`verification_multiexp` table), each CMM projects straight to a
-    packed selection mask and the chunk products come from the table --
-    repeated patterns (within this ball *and* across every ball sharing
-    the table) cost a memo lookup instead of a ciphertext fold.  The
-    chunk ciphertexts are value-identical to the naive path's.
+    :func:`verification_multiexp` table) the chunk products come from the
+    table, and in the per-item layout a mask this ball already produced
+    is skipped before any ciphertext object is built --
+    :func:`aggregate_items` would drop the repeat anyway.  Without it
+    every CMM is folded from its unpacked rows (the naive baseline).  The
+    chunk ciphertexts are value-identical either way.
 
     Returns ``(result, enumerated, truncated)`` where ``enumerated`` counts
-    the CMMs verified (capped at ``limit``) -- the same accounting the
-    two-pass :func:`repro.core.enumeration.enumerate_cmms` +
-    :func:`verify_ball` pipeline reports.
+    every CMM produced (capped at ``limit``), repeated patterns included
+    -- the same accounting the two-pass
+    :func:`repro.core.enumeration.enumerate_cmms` + :func:`verify_ball`
+    pipeline reports.
     """
-    projection_cache = ProjectionCache(ball.graph)
+    n = len(encrypted_matrix)
     pad_cache = CiphertextPowerCache(params, c_one, stats=pad_stats) \
         if multiexp is None else None
     chunk_lists: list[list[CGBECiphertext]] = []
+    seen: set[int] = set()
     enumerated = 0
-    for cmm in cmms:
+    for mask in masks:
         if limit is not None and enumerated >= limit:
             return (BallCiphertextResult(ball_id=ball.ball_id,
                                          bypassed=True),
                     enumerated, True)
-        if multiexp is not None:
-            mask = projection_cache.project_mask(cmm.assignment)
-            chunk_lists.append(multiexp.chunk_ciphertexts(mask))
-        else:
-            chunk_lists.append(
-                verify_ciphertext(params, encrypted_matrix, c_one, ball,
-                                  cmm, plan,
-                                  projection_cache=projection_cache,
-                                  pad_cache=pad_cache))
         enumerated += 1
+        if multiexp is None:
+            chunk_lists.append(verify_projected_rows(
+                params, encrypted_matrix, c_one, pattern_of_mask(mask, n),
+                plan, pad_cache=pad_cache))
+        elif plan.summable or mask not in seen:
+            seen.add(mask)
+            chunk_lists.append(multiexp.chunk_ciphertexts(mask))
     return (aggregate_items(params, ball.ball_id, chunk_lists, plan),
             enumerated, False)
 

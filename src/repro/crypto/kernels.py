@@ -233,6 +233,11 @@ class MaskedProductTable:
                  config: KernelConfig = DEFAULT_KERNELS,
                  max_memo: int = 1 << 16) -> None:
         bits_per_factor = params.budget.bits_per_factor
+        # Every chunk has chunk_factors equal-size factors, so its bit
+        # bound -- and whether it fits the modulus at all -- is fixed here;
+        # the refusal itself still happens per call (chunk_ciphertexts).
+        self._chunk_bits = plan.chunk_factors * bits_per_factor
+        self._overflows = self._chunk_bits >= params.modulus_bits
         for c in (*bases, pad):
             if c.power != 1 or c.value_bits != bits_per_factor:
                 raise ValueError(
@@ -374,15 +379,14 @@ class MaskedProductTable:
         base vector (the plan's padding tail) are implicitly pads.
         """
         plan = self.plan
-        params = self.params
-        bits = plan.chunk_factors * params.budget.bits_per_factor
-        if bits >= params.modulus_bits:
+        bits = self._chunk_bits
+        if self._overflows:
             # The naive fold raises on its first boundary-crossing
             # multiply; with equal-size factors that is exactly the
-            # "chunk does not fit" condition checked here.
+            # "chunk does not fit" condition.
             raise OverflowError_(
                 f"product would need {bits} bits but the modulus has "
-                f"{params.modulus_bits}; split the aggregation "
+                f"{self.params.modulus_bits}; split the aggregation "
                 f"(AggregationBudget.max_factors)")
         chunk_mask = (1 << plan.chunk_factors) - 1
         return [
@@ -492,6 +496,18 @@ def mask_of_pattern(pattern: Sequence[Sequence[int]]) -> int:
     return mask
 
 
+def pattern_of_mask(mask: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Inverse of :func:`mask_of_pattern`: the ``n x n`` projected 0/1
+    rows (diagonal 0) a selection mask stands for -- the naive
+    verification path's input."""
+    width = n - 1
+    return tuple(
+        tuple(0 if j == i
+              else (mask >> (i * width + (j if j < i else j - 1))) & 1
+              for j in range(n))
+        for i in range(n))
+
+
 def offdiagonal_bases(encrypted_matrix: Sequence[Sequence[CGBECiphertext]],
                       ) -> list[CGBECiphertext]:
     """The verification base vector: ``M[i][j]`` row-major, ``j != i`` --
@@ -516,4 +532,5 @@ __all__ = [
     "offdiagonal_bases",
     "pack_row",
     "pack_rows",
+    "pattern_of_mask",
 ]

@@ -139,9 +139,9 @@ class PreparedBall:
     ``patterns`` holds the *distinct* projected matrices ``M_p`` of the
     ball's CMMs (tuples of 0/1 rows); ``pattern_of_cmm`` maps each CMM, in
     enumeration order, to its pattern index.  Verification computes one
-    chunked product per distinct pattern and replicates it per CMM -- the
-    exact multiset of per-CMM products the streaming kernel emits, at a
-    fraction of the ciphertext multiplications.
+    chunked product per distinct pattern -- all the per-item layout
+    ships; only the summable layout's sum reads ``pattern_of_cmm``, for
+    each pattern's multiplicity.
     """
 
     ball_id: int
@@ -193,6 +193,18 @@ class PmShareOutcome:
 # ----------------------------------------------------------------------
 # module-level worker entry points (must be picklable by reference)
 # ----------------------------------------------------------------------
+def _share_caches(pad_stats: CacheStats,
+                  registry: MultiExpRegistry | None) -> dict[str, CacheStats]:
+    """A share's cache report.  The naive fold meters its
+    ``CiphertextPowerCache`` into ``pad_stats``; the batched kernels never
+    build one -- what saves them a fold is the registry's per-(chunk,
+    mask) product memo, so its hits and misses are the ``pad`` counters."""
+    if registry is not None:
+        pad_stats.hits += registry.memo_hits()
+        pad_stats.misses += registry.memo_misses()
+    return {"pad": pad_stats}
+
+
 def _evaluate_share(message: EncryptedQueryMessage,
                     share: EvaluationShare,
                     enumeration_limit: int,
@@ -219,7 +231,7 @@ def _evaluate_share(message: EncryptedQueryMessage,
     return ShareOutcome(player=share.player,
                         wall_seconds=time.perf_counter() - started,
                         results=results,
-                        caches={"pad": pad_stats},
+                        caches=_share_caches(pad_stats, registry),
                         ops=counter)
 
 
@@ -232,10 +244,10 @@ def verify_prepared_kernel(message: EncryptedQueryMessage,
     """Alg. 2 + Alg. 3 lines 6-7 for one ball from pre-enumerated pattern
     groups (the batch server's fast path).
 
-    One chunked product is computed per *distinct* projected pattern; the
-    chunk lists are then replicated per CMM in enumeration order before
-    aggregation.  Products over identical factor multisets in identical
-    chunk layouts are identical ciphertexts, so the aggregated verdict is
+    One chunked product is computed per *distinct* projected pattern, in
+    first-appearance order -- exactly the items the per-item layout ships.
+    Products over identical factor multisets in identical chunk layouts
+    are identical ciphertexts, so the aggregated verdict is
     value-identical to :func:`~repro.framework.roles.evaluate_ball_kernel`
     re-running enumeration + per-CMM verification from scratch.
 
@@ -273,8 +285,11 @@ def verify_prepared_kernel(message: EncryptedQueryMessage,
                                   pad_cache=pad_cache)
             for rows in prepared.patterns
         ]
-    chunk_lists = [distinct[index] for index in prepared.pattern_of_cmm]
-    verdict = aggregate_items(params, prepared.ball_id, chunk_lists, plan)
+    # The summable layout's sum has one term per CMM; the per-item layout
+    # ships each distinct pattern once.
+    items = ([distinct[index] for index in prepared.pattern_of_cmm]
+             if plan.summable else distinct)
+    verdict = aggregate_items(params, prepared.ball_id, items, plan)
     return EvaluationResult(
         ball_id=prepared.ball_id, verdict=verdict,
         cost_seconds=time.perf_counter() - started, player=player_id,
@@ -301,7 +316,7 @@ def _verify_share(message: EncryptedQueryMessage,
     return ShareOutcome(player=share.player,
                         wall_seconds=time.perf_counter() - started,
                         results=results,
-                        caches={"pad": pad_stats},
+                        caches=_share_caches(pad_stats, registry),
                         ops=counter)
 
 

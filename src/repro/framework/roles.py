@@ -25,7 +25,11 @@ from repro.core.bf_pruning import (
     user_prepare_encodings,
 )
 from repro.core.encoding import LabelCodec, encrypt_query_matrix
-from repro.core.enumeration import count_cmm_upper_bound, iter_cmms
+from repro.core.enumeration import (
+    candidate_vertices,
+    count_cmm_upper_bound,
+    iter_projected_masks,
+)
 from repro.core.neighbors import build_neighbor_tables, neighbor_features
 from repro.core.paths import build_path_tables, paths_from
 from repro.core.retrieval import PlayerSequence, rsg_sequences, ssg_sequences
@@ -427,14 +431,15 @@ def evaluate_ball_kernel(
         table = multiexp.table(("verify",), lambda: verification_multiexp(
             params, message.encrypted_matrix, message.c_one, plan,
             multiexp.config))
-    if count_cmm_upper_bound(view, ball) > cmm_bound_bypass:
+    cv = candidate_vertices(view, ball)
+    if count_cmm_upper_bound(view, ball, cv) > cmm_bound_bypass:
         verdict = BallCiphertextResult(ball_id=ball.ball_id, bypassed=True)
         enumerated = 0
     else:
         verdict, enumerated, _ = verify_ball_streaming(
             params, message.encrypted_matrix, message.c_one, ball,
-            iter_cmms(view, ball, injective=injective), plan,
-            limit=enumeration_limit, pad_stats=pad_stats,
+            iter_projected_masks(view, ball, injective=injective, cv=cv),
+            plan, limit=enumeration_limit, pad_stats=pad_stats,
             multiexp=table)
     cost = time.perf_counter() - started
     return EvaluationResult(

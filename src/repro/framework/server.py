@@ -25,10 +25,11 @@ view induce identical CMM sets on every ball.
 
 Correctness: a chunked product is a pure function of its factor multiset
 and the public chunk layout, and the factor list of Alg. 2 is a function
-of the projected pattern alone.  Replicating each pattern's chunk list
-per CMM in enumeration order therefore feeds ``aggregate_items`` the
-exact ciphertext multiset the streaming kernel produces -- batch results
-are *value-identical* to independent ``run`` calls (asserted by
+of the projected pattern alone.  The per-item result layout ships each
+distinct pattern's chunk list once (``aggregate_items``), the summable
+layout sums one term per CMM in enumeration order -- either way exactly
+what the streaming kernel produces, so batch results are
+*value-identical* to independent ``run`` calls (asserted by
 ``tests/test_server.py`` across semantics, pruning and backends).
 
 Obliviousness: the cache key and everything inside a prepared ball are
@@ -47,7 +48,12 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.enumeration import count_cmm_upper_bound, iter_cmms
+from repro.core.enumeration import (
+    candidate_vertices,
+    count_cmm_upper_bound,
+    iter_projected_masks,
+)
+from repro.crypto.kernels import pattern_of_mask
 from repro.framework.executor import PreparedBall
 from repro.crypto.ops import OpCounter
 from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
@@ -64,7 +70,6 @@ from repro.graph.delta import (
     dirty_ball_keys,
     touched_min_distances,
 )
-from repro.graph.matrix import ProjectionCache
 from repro.graph.query import Query, QueryLabelView, Semantics
 from repro.observability.spans import ROLE_SP
 from repro.storage.journal import (
@@ -125,46 +130,33 @@ def prepare_ball(view: QueryLabelView, ball: Ball, *,
     producing a ``limit+1``-th CMM truncates with ``enumerated == limit``
     -- so the prepared verdicts agree with the streaming kernel's.
 
-    CMMs are grouped by their packed off-diagonal selection mask
-    (:meth:`ProjectionCache.project_mask`) -- one int comparison per CMM
-    instead of a nested-tuple build.  The mask ignores the diagonal, but
-    projections keep the diagonal 0 by construction, so mask equality and
-    pattern equality coincide; the explicit row tuples (the naive
-    verification path's input) are materialized only once per distinct
-    pattern.
+    CMMs are grouped by their packed off-diagonal selection mask, which
+    the fused kernel (:func:`iter_projected_masks`) yields directly -- one
+    int lookup per CMM.  The mask ignores the diagonal, but projections
+    keep the diagonal 0 by construction, so mask equality and pattern
+    equality coincide; the explicit row tuples (the naive verification
+    path's input) are unpacked once per distinct pattern.
     """
-    if count_cmm_upper_bound(view, ball) > cmm_bound_bypass:
+    cv = candidate_vertices(view, ball)
+    if count_cmm_upper_bound(view, ball, cv) > cmm_bound_bypass:
         return PreparedBall(ball_id=ball.ball_id, enumerated=0,
                             truncated=False, bound_bypassed=True,
                             patterns=(), pattern_of_cmm=())
     injective = view.semantics is Semantics.SUB_ISO
-    projection_cache = ProjectionCache(ball.graph)
-    patterns: list[tuple[tuple[int, ...], ...]] = []
-    masks: list[int] = []
-    index_of: dict[int, int] = {}
+    index_of: dict[int, int] = {}  # mask -> pattern index, insertion order
     order: list[int] = []
-    enumerated = 0
-    for cmm in iter_cmms(view, ball, injective=injective):
-        if enumerated >= enumeration_limit:
-            return PreparedBall(ball_id=ball.ball_id, enumerated=enumerated,
+    for mask in iter_projected_masks(view, ball, injective=injective, cv=cv):
+        if len(order) >= enumeration_limit:
+            return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
                                 truncated=True, bound_bypassed=False,
                                 patterns=(), pattern_of_cmm=())
-        mask = projection_cache.project_mask(cmm.assignment)
-        index = index_of.get(mask)
-        if index is None:
-            rows = cmm.project_rows(projection_cache)
-            pattern = tuple(tuple(int(v) for v in row) for row in rows)
-            index = len(patterns)
-            index_of[mask] = index
-            patterns.append(pattern)
-            masks.append(mask)
-        order.append(index)
-        enumerated += 1
-    return PreparedBall(ball_id=ball.ball_id, enumerated=enumerated,
+        order.append(index_of.setdefault(mask, len(index_of)))
+    return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
                         truncated=False, bound_bypassed=False,
-                        patterns=tuple(patterns),
+                        patterns=tuple(pattern_of_mask(mask, view.size)
+                                       for mask in index_of),
                         pattern_of_cmm=tuple(order),
-                        masks=tuple(masks))
+                        masks=tuple(index_of))
 
 
 class CMMCache:

@@ -91,14 +91,6 @@ class CandidateMappingMatrix:
                     projected[i, j] = 1
         return projected
 
-    def project_rows(self, cache: "ProjectionCache") -> list[list[int]]:
-        """``M_p`` as plain nested lists via a shared :class:`ProjectionCache`.
-
-        Row-list form avoids per-element numpy scalar boxing on the hot
-        verification path; entries equal :meth:`project`'s exactly.
-        """
-        return cache.project(self.assignment)
-
     def project_dense(self, ball: LabeledGraph,
                       ball_order: Sequence[Vertex] | None = None) -> np.ndarray:
         """The literal matrix product of Alg. 2 line 2 (for validation)."""
@@ -113,107 +105,3 @@ class CandidateMappingMatrix:
 
     def __len__(self) -> int:
         return len(self.query_order)
-
-
-class ProjectionCache:
-    """Incremental ``M_p`` projection over one ball's adjacency.
-
-    Alg. 1 yields CMMs in depth-first order, so consecutive assignments
-    share a (usually long) prefix.  Entries ``M_p[i, j]`` with both rows
-    inside the shared prefix are unchanged between consecutive CMMs, so the
-    cache keeps the previous projection and recomputes only the rows and
-    columns from the first differing position on -- ``O(n * delta)`` edge
-    lookups per CMM instead of ``O(n^2)``.  Per-vertex successor sets are
-    materialized once per ball so each lookup is one set-membership test.
-
-    The returned row lists are reused across calls; callers must consume a
-    projection before requesting the next one (the verification loop does).
-    """
-
-    def __init__(self, ball: LabeledGraph) -> None:
-        self._ball = ball
-        self._succ: dict[Vertex, frozenset[Vertex]] = {}
-        self._rows: list[list[int]] | None = None
-        self._previous: tuple[Vertex, ...] = ()
-        self._mask: int | None = None
-        self._mask_previous: tuple[Vertex, ...] = ()
-
-    def _successors(self, v: Vertex) -> frozenset[Vertex]:
-        cached = self._succ.get(v)
-        if cached is None:
-            cached = frozenset(self._ball.successors(v))
-            self._succ[v] = cached
-        return cached
-
-    def project(self, assignment: tuple[Vertex, ...]) -> list[list[int]]:
-        """``M_p[i][j] = 1`` iff the ball has the edge between the images
-        of query rows ``i`` and ``j`` (diagonal kept 0, as in Alg. 2)."""
-        n = len(assignment)
-        rows = self._rows
-        previous = self._previous
-        if rows is None or len(previous) != n:
-            rows = [[0] * n for _ in range(n)]
-            self._rows = rows
-            prefix = 0
-        else:
-            prefix = 0
-            while prefix < n and assignment[prefix] == previous[prefix]:
-                prefix += 1
-        for i in range(n):
-            row = rows[i]
-            succ = self._successors(assignment[i])
-            if i < prefix:
-                # Row inside the shared prefix: only columns >= prefix moved.
-                for j in range(prefix, n):
-                    row[j] = 1 if i != j and assignment[j] in succ else 0
-            else:
-                for j in range(n):
-                    row[j] = 1 if i != j and assignment[j] in succ else 0
-        self._previous = assignment
-        return rows
-
-    def project_mask(self, assignment: tuple[Vertex, ...]) -> int:
-        """``M_p`` packed as an off-diagonal int bitmap.
-
-        Bit layout follows :func:`repro.crypto.kernels.mask_of_pattern`:
-        position ``i*(n-1) + (j if j < i else j - 1)`` holds
-        ``M_p[i][j]`` (the diagonal carries no bit).  Same prefix-
-        incremental update as :meth:`project`, against its own previous
-        state, so the two views may be used independently -- the kernel
-        path never materializes row lists at all.
-        """
-        n = len(assignment)
-        width = n - 1
-        mask = self._mask
-        previous = self._mask_previous
-        if mask is None or len(previous) != n:
-            mask = 0
-            prefix = 0
-        else:
-            prefix = 0
-            while prefix < n and assignment[prefix] == previous[prefix]:
-                prefix += 1
-        row_full = (1 << width) - 1
-        for i in range(n):
-            base = i * width
-            succ = self._successors(assignment[i])
-            if i < prefix:
-                # Row inside the shared prefix: only columns >= prefix
-                # moved, and since i < prefix <= j those occupy the
-                # contiguous bit range [base+prefix-1, base+n-1).
-                segment = 0
-                for j in range(prefix, n):
-                    if assignment[j] in succ:
-                        segment |= 1 << (j - prefix)
-                low = base + prefix - 1
-                mask = (mask & ~(((1 << (n - prefix)) - 1) << low)) \
-                    | (segment << low)
-            else:
-                segment = 0
-                for j in range(n):
-                    if j != i and assignment[j] in succ:
-                        segment |= 1 << (j if j < i else j - 1)
-                mask = (mask & ~(row_full << base)) | (segment << base)
-        self._mask = mask
-        self._mask_previous = assignment
-        return mask

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.aggregation import ChunkPlan, chunked_product
 from repro.core.bf_pruning import BFConfig
-from repro.core.enumeration import iter_cmms
+from repro.core.enumeration import iter_cmms, iter_projected_masks
 from repro.core.verification import (
     verification_plan,
     verify_ball,
@@ -203,8 +203,8 @@ class TestStreamingVerification:
         cmms = list(iter_cmms(query, fig3_ball))
         batch = verify_ball(params, matrix, c_one, fig3_ball, cmms, plan)
         streamed, enumerated, truncated = verify_ball_streaming(
-            params, matrix, c_one, fig3_ball, iter_cmms(query, fig3_ball),
-            plan)
+            params, matrix, c_one, fig3_ball,
+            iter_projected_masks(query, fig3_ball), plan)
         assert not truncated
         assert enumerated == len(cmms)
         assert _result_values(streamed) == _result_values(batch)
@@ -218,7 +218,7 @@ class TestStreamingVerification:
         assert total > 1
         result, enumerated, truncated = verify_ball_streaming(
             params, matrix, cgbe.encrypt_one(), fig3_ball,
-            iter_cmms(query, fig3_ball), plan, limit=total - 1)
+            iter_projected_masks(query, fig3_ball), plan, limit=total - 1)
         assert truncated
         assert result.bypassed
         assert enumerated == total - 1

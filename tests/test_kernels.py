@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.aggregation import ChunkPlan, chunked_product
 from repro.core.encoding import encrypt_query_matrix
-from repro.core.enumeration import enumerate_cmms
+from repro.core.enumeration import enumerate_cmms, iter_projected_masks
 from repro.core.verification import (
     verification_multiexp,
     verification_plan,
@@ -36,10 +36,10 @@ from repro.crypto.kernels import (
     offdiagonal_bases,
     pack_row,
     pack_rows,
+    pattern_of_mask,
 )
 from repro.framework.prilo import Prilo
 from repro.framework.prilo_star import PriloStar
-from repro.graph.matrix import ProjectionCache
 from repro.graph.query import Semantics
 from repro.semantics.ssim import (
     maximal_dual_simulation,
@@ -139,24 +139,24 @@ class TestMaskedProductTable:
                                         config):
         query, enc, plan, c_one, cmms = setup
         table = verification_multiexp(cgbe.params, enc, c_one, plan, config)
-        cache = ProjectionCache(fig3_ball.graph)
         for cmm in cmms:
             naive = verify_ciphertext(cgbe.params, enc, c_one, fig3_ball,
                                       cmm, plan)
-            mask = cache.project_mask(cmm.assignment)
+            mask = mask_of_pattern(cmm.project(fig3_ball.graph))
             batched = table.chunk_ciphertexts(mask)
             assert [c.value for c in batched] == [c.value for c in naive]
             assert [c.power for c in batched] == [c.power for c in naive]
             assert [c.value_bits for c in batched] == \
                 [c.value_bits for c in naive]
 
-    def test_project_mask_equals_mask_of_pattern(self, setup, fig3_ball):
+    def test_fused_masks_equal_mask_of_pattern(self, setup, fig3_ball):
         query, _enc, _plan, _c_one, cmms = setup
-        cache = ProjectionCache(fig3_ball.graph)
-        for cmm in cmms:
-            pattern = cmm.project_rows(cache)
-            assert cache.project_mask(cmm.assignment) == \
-                mask_of_pattern(pattern)
+        masks = list(iter_projected_masks(query, fig3_ball))
+        assert masks == [mask_of_pattern(cmm.project(fig3_ball.graph))
+                         for cmm in cmms]
+        assert [pattern_of_mask(mask, query.size) for mask in masks] == \
+            [tuple(map(tuple, cmm.project(fig3_ball.graph).tolist()))
+             for cmm in cmms]
 
     def test_memo_hits_on_repeated_masks(self, setup, cgbe):
         _query, enc, plan, c_one, _cmms = setup
@@ -190,11 +190,11 @@ class TestMaskedProductTable:
                 verify_ciphertext(cgbe.params, enc, c_one, fig3_ball, cmm,
                                   plan)
         table = verification_multiexp(cgbe.params, enc, c_one, plan)
-        cache = ProjectionCache(fig3_ball.graph)
         batched_counter = crypto_ops.OpCounter()
         with crypto_ops.counting(batched_counter, "evaluation", "user"):
             for cmm in cmms:
-                table.chunk_ciphertexts(cache.project_mask(cmm.assignment))
+                table.chunk_ciphertexts(
+                    mask_of_pattern(cmm.project(fig3_ball.graph)))
         naive = naive_counter.totals()
         batched = batched_counter.totals()
         assert 0 < batched.modmul <= naive.modmul
