@@ -67,16 +67,17 @@ from repro.framework.server import QueryBatchEngine, QueryStatus
 from repro.graph.query import Semantics
 from repro.storage import (
     ArtifactStore,
+    DeltaError,
     DeltaLog,
     JournalError,
     RunJournal,
     StaleDeltaError,
     StoreError,
-    TamperedDeltaError,
-    apply_delta_log,
+    StoreStale,
     delta_key,
     graph_digest,
     journal_key,
+    walk_delta_chain,
 )
 from repro.workloads.datasets import DATASET_SPECS, load_dataset
 from repro.workloads.experiments import (
@@ -443,43 +444,34 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
                         _finish_trace(args, tracer))
 
 
+def _delta_failure_exit(exc: Exception) -> int:
+    """Print why a delta replay stopped and return its exit code: 2 when
+    the log and the graph/store merely diverged (stale -- re-sync or
+    rebuild), 3 on anything tampered or damaged; tampered wins."""
+    stale = isinstance(exc, (StaleDeltaError, StoreStale))
+    print(f"{'STALE' if stale else 'FAILED'}: {exc}")
+    return EXIT_STALE if stale else EXIT_INTEGRITY
+
+
 def _serve_batch_deltas(args: argparse.Namespace, server) -> int:
     """Replay a delta log through the live batch engine (standing queries
     re-notify per delta).  Same exit split as ``store apply-delta``."""
     log = DeltaLog(args.apply_delta, delta_key(args.seed))
-    state = log.replay(truncate=False)
-    if state.tampered_records:
-        print(f"FAILED: {state.tampered_records} tampered delta record(s)")
-        return EXIT_INTEGRITY
-    engine = server.engine
-    current = graph_digest(engine.graph)
-    for record in state.records:
-        if record.result == current:
-            continue
-        if record.parent != current:
-            print(f"STALE: delta seq={record.seq} chains from "
-                  f"{record.parent[:12]} but the engine is at "
-                  f"{current[:12]}")
-            return EXIT_STALE
-        try:
-            application = server.apply_delta(record.delta)
-        except (StoreError, TamperedDeltaError) as exc:
-            print(f"FAILED: {exc}")
-            return EXIT_INTEGRITY
-        current = graph_digest(engine.graph)
-        if current != record.result:
-            print(f"FAILED: delta seq={record.seq} promised "
-                  f"{record.result[:12]} but produced {current[:12]}")
-            return EXIT_INTEGRITY
-        summary = application.as_dict()
-        print(f"delta seq={record.seq}: dirty={summary['dirty']} "
-              f"added={summary['added']} removed={summary['removed']} "
-              f"cache_invalidated={summary['cache_invalidated']} "
-              f"notified={summary['notified']}/{summary['standing']}")
-        for notice in application.notices:
-            flag = "CHANGED" if notice.changed else "unchanged"
-            print(f"  {notice.name}: {flag}, "
-                  f"{notice.num_matches} matches")
+    try:
+        for record, application in walk_delta_chain(
+                log.replay(truncate=False), server.engine.graph,
+                lambda record: server.apply_delta(record.delta)):
+            summary = application.as_dict()
+            print(f"delta seq={record.seq}: dirty={summary['dirty']} "
+                  f"added={summary['added']} removed={summary['removed']} "
+                  f"cache_invalidated={summary['cache_invalidated']} "
+                  f"notified={summary['notified']}/{summary['standing']}")
+            for notice in application.notices:
+                flag = "CHANGED" if notice.changed else "unchanged"
+                print(f"  {notice.name}: {flag}, "
+                      f"{notice.num_matches} matches")
+    except (DeltaError, StoreError) as exc:
+        return _delta_failure_exit(exc)
     return 0
 
 
@@ -653,9 +645,9 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
     stale."""
     log = DeltaLog(args.log, delta_key(args.seed))
     if args.inspect:
-        print(json.dumps(log.inspect(), indent=2))
-        return EXIT_INTEGRITY if log.replay(
-            truncate=False).tampered_records else 0
+        summary = log.inspect()
+        print(json.dumps(summary, indent=2))
+        return EXIT_INTEGRITY if summary["tampered_records"] else 0
     try:
         store = ArtifactStore.open(args.root)
     except StoreError as exc:
@@ -663,47 +655,34 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
         return EXIT_INTEGRITY
     dataset = load_dataset(args.dataset, scale=args.scale)
     graph = dataset.graph_for(Semantics(args.semantics))
+    key = DataOwnerKey.generate(args.seed)
+
+    def apply_one(record):
+        # A re-run loads the dataset at its build-time state while the
+        # store is already at the log's tip (or midway): until the graph
+        # (which the walk holds at ``record.parent``) catches up with the
+        # store's pinned digest a record moves the graph alone; from
+        # there on the store applies it.
+        if record.parent != store.manifest_graph_digest:
+            record.delta.apply(graph)
+            return None
+        return store.apply_delta(record.delta, graph, key)
+
     state = log.replay(truncate=False)
-    if state.tampered_records:
-        print(f"FAILED: {state.tampered_records} tampered delta record(s)")
-        return EXIT_INTEGRITY
-    # Fast-forward: a re-run loads the dataset at its build-time state
-    # while the store is already at the log's tip (or midway).  Walk the
-    # chain applying records to the *graph only* until it catches up with
-    # the store's pinned digest, then hand the remainder to the store.
-    current = graph_digest(graph)
-    position = 0
-    while (current != store.manifest_graph_digest
-           and position < len(state.records)):
-        record = state.records[position]
-        if record.parent != current:
-            break
-        record.delta.apply(graph)
-        current = graph_digest(graph)
-        position += 1
-    if current != store.manifest_graph_digest:
+    try:
+        reports = [report for _record, report
+                   in walk_delta_chain(state, graph, apply_one)
+                   if report is not None]
+    except (DeltaError, StoreError) as exc:
+        return _delta_failure_exit(exc)
+    if graph_digest(graph) != store.manifest_graph_digest:
         print(f"STALE: the delta log never reaches the store's graph "
               f"state {store.manifest_graph_digest[:12]}")
         return EXIT_STALE
-    remaining = type(state)(records=state.records[position:])
-    try:
-        reports = apply_delta_log(store, remaining, graph,
-                                  DataOwnerKey.generate(args.seed))
-    except TamperedDeltaError as exc:
-        print(f"FAILED: {exc}")
-        return EXIT_INTEGRITY
-    except StaleDeltaError as exc:
-        print(f"STALE: {exc}")
-        return EXIT_STALE
-    except StoreError as exc:
-        print(f"{'STALE' if 'stale' in str(exc).lower() else 'FAILED'}: "
-              f"{exc}")
-        return (EXIT_STALE if "stale" in str(exc).lower()
-                else EXIT_INTEGRITY)
     for report in reports:
         print(json.dumps(report.as_dict(), indent=2))
     print(f"ok: {len(reports)} delta(s) applied, "
-          f"{position + len(remaining.records) - len(reports)} already "
+          f"{len(state.records) - len(reports)} already "
           f"applied; store at {store.manifest_graph_digest[:12]}")
     return 0
 

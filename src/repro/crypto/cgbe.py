@@ -97,23 +97,6 @@ class OverflowError_(ArithmeticError):
     """
 
 
-#: Process-global Montgomery context for :meth:`CGBE.product`'s chain
-#: fold.  Installed/cleared by :func:`repro.crypto.kernels.kernel_scope`
-#: (the crypto layer cannot import kernels without a cycle, so the hook
-#: is a module global rather than a parameter threaded through every
-#: aggregation call site).  ``None`` means plain ``%`` arithmetic.
-_MONT: "object | None" = None
-
-
-def install_montgomery(context: "object | None") -> "object | None":
-    """Install (or clear, with ``None``) the product-fold Montgomery
-    context; returns the previous installation so scopes can restore it."""
-    global _MONT
-    previous = _MONT
-    _MONT = context
-    return previous
-
-
 class FixedBaseExp:
     """Windowed fixed-base modular exponentiation with a bounded memo.
 
@@ -134,8 +117,8 @@ class FixedBaseExp:
     """
 
     def __init__(self, base: int, modulus: int, window: int = 4,
-                 max_memo: int = 1024, stats: "object | None" = None,
-                 montgomery: "object | None" = None) -> None:
+                 max_memo: int = 1024,
+                 stats: "object | None" = None) -> None:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         if not 1 <= window <= 8:
@@ -147,23 +130,13 @@ class FixedBaseExp:
         self.window = window
         self.max_memo = max_memo
         self.stats = stats
-        # Optional repro.crypto.kernels.MontgomeryContext: table entries
-        # then live in the Montgomery domain (one REDC per table
-        # multiplication) and pow() converts back at its boundary.  The
-        # memo stores converted (plain-domain) results, so memo hits skip
-        # the conversion entirely.
-        self._mont = montgomery
-        base_value = self.base if montgomery is None \
-            else montgomery.to_mont(self.base)
         # _rows[i][j] = base^((j+1) * 2^(window*i)); filled lazily.
-        self._rows: list[list[int]] = [[base_value]]
+        self._rows: list[list[int]] = [[self.base]]
         self._memo: dict[int, int] = {}
         if stats is not None:
             stats.capacity = max(stats.capacity, max_memo)
 
     def _mul(self, a: int, b: int) -> int:
-        if self._mont is not None:
-            return self._mont.mul(a, b)
         ops.record_modmul()
         return (a * b) % self.modulus
 
@@ -208,8 +181,6 @@ class FixedBaseExp:
             remaining >>= self.window
             row += 1
         assert result is not None
-        if self._mont is not None:
-            result = self._mont.from_mont(result)
         if len(self._memo) >= self.max_memo:
             self._memo.pop(next(iter(self._memo)))
             if self.stats is not None:
@@ -563,26 +534,6 @@ class CGBE:
                 else:
                     term = CGBE.power(params, term, count)
             terms.append(term)
-        mont = _MONT
-        if mont is not None and len(terms) >= 3:
-            # Montgomery chain fold (kernel_scope installed a context):
-            # run the exact bits/power bookkeeping of the serial multiply
-            # fold -- raising at the first boundary crossing with
-            # multiply's message -- then compute the value in one
-            # convert-fold-convert pass.  Below 3 terms the two domain
-            # conversions cost more than they save.
-            bits = terms[0].value_bits
-            power = terms[0].power
-            for term in terms[1:]:
-                bits += term.value_bits
-                if bits >= params.modulus_bits:
-                    raise OverflowError_(
-                        f"product would need {bits} bits but the modulus "
-                        f"has {params.modulus_bits}; split the aggregation "
-                        f"(AggregationBudget.max_factors)")
-                power += term.power
-            return CGBECiphertext(value=mont.fold(t.value for t in terms),
-                                  power=power, value_bits=bits)
         acc: CGBECiphertext | None = None
         for term in terms:
             acc = term if acc is None else CGBE.multiply(params, acc, term)

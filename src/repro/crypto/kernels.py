@@ -1,6 +1,6 @@
 """Batched crypto kernels for the CGBE hot path.
 
-Three kernels, all value-identical to the naive fold they replace (same
+Two kernels, both value-identical to the naive fold they replace (same
 answers, same ``power`` / ``value_bits`` bookkeeping, same overflow
 behavior) and selectable per run through :class:`KernelConfig`:
 
@@ -19,15 +19,6 @@ behavior) and selectable per run through :class:`KernelConfig`:
   slashdot) -- and the whole table is shared across every ball of a
   share.
 
-* **Montgomery-form modular multiplication** (:class:`MontgomeryContext`).
-  REDC-based multiplication for product *chains*: operands convert into
-  the Montgomery domain once at the kernel boundary, fold there, and
-  convert back once.  Off by default: CPython's native big-int ``%`` is
-  a C-level division, and a pure-Python REDC (three big multiplications
-  per product step) does not beat it -- the context exists so the A/B
-  benchmark can measure that honestly, and so a future C/GMP backend has
-  a tested domain contract to slot into.
-
 * **Packed-bitset rows** (:func:`pack_row`, :func:`iter_bits`).
   CMM projections and the dual-simulation fixpoint carry set membership
   as int bitmaps, so per-entry dict lookups become word-parallel AND/OR.
@@ -42,11 +33,9 @@ Layering: this module sits inside ``repro.crypto`` and must not import
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.crypto import cgbe as _cgbe
 from repro.crypto import ops
 from repro.crypto.cgbe import (
     CGBECiphertext,
@@ -69,16 +58,13 @@ HAVE_NUMPY = _np is not None
 class KernelConfig:
     """Which kernels a run uses (``PriloConfig.kernels``).
 
-    The defaults are the fast, always-safe set: multi-exp and bitsets on,
-    Montgomery off (see module docstring).  ``window`` is the Straus
-    window width in bits; 4 keeps subset tables at <= 16 entries per
-    window, the sweet spot for the 30-60 factor products of this
-    codebase.
+    The default is the fast, always-safe path: multi-exp on.  ``window``
+    is the Straus window width in bits; 4 keeps subset tables at <= 16
+    entries per window, the sweet spot for the 30-60 factor products of
+    this codebase.
     """
 
     multiexp: bool = True
-    montgomery: bool = False
-    bitset: bool = True
     window: int = 4
 
     def __post_init__(self) -> None:
@@ -87,123 +73,25 @@ class KernelConfig:
 
     @classmethod
     def naive(cls) -> "KernelConfig":
-        """Every kernel off -- the PR1/PR2 baseline path, for A/B runs."""
-        return cls(multiexp=False, montgomery=False, bitset=False)
+        """Multi-exp off -- the PR1/PR2 baseline path, for A/B runs."""
+        return cls(multiexp=False)
 
     @property
     def label(self) -> str:
         """Public coordinate string for spans and benchmark payloads."""
-        return "naive" if not (self.multiexp or self.montgomery) else (
-            "batched+mont" if self.montgomery else "batched")
+        return "batched" if self.multiexp else "naive"
 
     def as_dict(self) -> dict:
-        return {"multiexp": self.multiexp, "montgomery": self.montgomery,
-                "bitset": self.bitset, "window": self.window}
+        return {"multiexp": self.multiexp, "window": self.window}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KernelConfig":
         return cls(multiexp=bool(payload.get("multiexp", True)),
-                   montgomery=bool(payload.get("montgomery", False)),
-                   bitset=bool(payload.get("bitset", True)),
                    window=int(payload.get("window", 4)))
 
 
 DEFAULT_KERNELS = KernelConfig()
 NAIVE_KERNELS = KernelConfig.naive()
-
-
-# ---------------------------------------------------------------------------
-# Montgomery arithmetic
-# ---------------------------------------------------------------------------
-class MontgomeryContext:
-    """REDC arithmetic modulo an odd ``n`` with ``R = 2**n.bit_length()``.
-
-    Domain rules (DESIGN.md Sec. 11): values enter through
-    :meth:`to_mont`, every in-domain product is one :meth:`mul` (a single
-    REDC), and results leave through :meth:`from_mont`.  Mixing domains
-    is the classic Montgomery bug; :meth:`fold` packages the safe
-    convert-fold-convert pattern for product chains so call sites never
-    touch raw domain values.
-    """
-
-    __slots__ = ("n", "k", "mask", "r2", "n_prime", "one")
-
-    def __init__(self, modulus: int) -> None:
-        if modulus < 3 or modulus % 2 == 0:
-            raise ValueError("Montgomery arithmetic needs an odd modulus >= 3")
-        self.n = modulus
-        self.k = modulus.bit_length()
-        self.mask = (1 << self.k) - 1
-        r = 1 << self.k
-        self.r2 = (r * r) % modulus
-        # n' = -n^-1 mod R, the REDC folding constant.
-        self.n_prime = (-pow(modulus, -1, r)) & self.mask
-        self.one = r % modulus  # to_mont(1)
-
-    def redc(self, t: int) -> int:
-        """Montgomery reduction: ``t * R^-1 mod n`` for ``t < n*R``."""
-        m = ((t & self.mask) * self.n_prime) & self.mask
-        reduced = (t + m * self.n) >> self.k
-        return reduced - self.n if reduced >= self.n else reduced
-
-    def to_mont(self, a: int) -> int:
-        ops.record_modmul()
-        return self.redc((a % self.n) * self.r2)
-
-    def from_mont(self, a_mont: int) -> int:
-        ops.record_modmul()
-        return self.redc(a_mont)
-
-    def mul(self, a_mont: int, b_mont: int) -> int:
-        """In-domain product: ``to_mont(a * b)`` from two domain values."""
-        ops.record_modmul()
-        return self.redc(a_mont * b_mont)
-
-    def fold(self, values: Iterable[int]) -> int:
-        """Plain-domain product of ``values`` folded through the domain."""
-        acc = self.one
-        count = 0
-        for value in values:
-            acc = self.mul(acc, self.to_mont(value))
-            count += 1
-        if count == 0:
-            raise ValueError("empty Montgomery fold")
-        return self.from_mont(acc)
-
-
-#: Contexts are pure functions of the modulus; share them per process.
-_MONT_CONTEXTS: dict[int, MontgomeryContext] = {}
-
-
-def montgomery_context(modulus: int) -> MontgomeryContext:
-    ctx = _MONT_CONTEXTS.get(modulus)
-    if ctx is None:
-        ctx = MontgomeryContext(modulus)
-        if len(_MONT_CONTEXTS) >= 8:
-            _MONT_CONTEXTS.pop(next(iter(_MONT_CONTEXTS)))
-        _MONT_CONTEXTS[modulus] = ctx
-    return ctx
-
-
-@contextmanager
-def kernel_scope(config: KernelConfig, params: CGBEPublicParams):
-    """Activate ``config``'s kernel choices for the enclosing computation.
-
-    Today that means one thing: when ``config.montgomery`` is on, install
-    the modulus's :class:`MontgomeryContext` into
-    :meth:`repro.crypto.cgbe.CGBE.product`'s chain fold (the crypto layer
-    cannot import this module, so the hook is a module global there).
-    The previous installation is restored on exit, so scopes nest and a
-    naive run inside a Montgomery run stays naive.
-    """
-    if not config.montgomery:
-        yield
-        return
-    previous = _cgbe.install_montgomery(montgomery_context(params.modulus))
-    try:
-        yield
-    finally:
-        _cgbe.install_montgomery(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +143,7 @@ class MaskedProductTable:
         self.hits = 0
         self.misses = 0
         modulus = params.modulus
-        self._mont = (montgomery_context(modulus)
-                      if config.montgomery else None)
-        if self._mont is not None:
-            self._base_values = [self._mont.to_mont(c.value) for c in bases]
-            self._identity = self._mont.one
-        else:
-            self._base_values = [c.value % modulus for c in bases]
-            self._identity = 1
+        self._base_values = [c.value % modulus for c in bases]
         self._pad_plain = pad.value % modulus
         # Window layout: windows tile each chunk's position range and
         # never cross a chunk boundary, so one chunk's product reads only
@@ -286,7 +167,7 @@ class MaskedProductTable:
         # Lazily-filled subset tables: _tables[w][submask] = product of
         # the window's bases at submask's set bits (identity at 0).
         self._tables: list[dict[int, int]] = [
-            {0: self._identity} for _ in self._windows]
+            {0: 1} for _ in self._windows]
         # Cached pad powers (c_one^k) and per-(chunk, mask) results.
         self._pad_pows: dict[int, int] = {0: 1, 1: self._pad_plain}
         self._memo: dict[tuple[int, int], int] = {}
@@ -302,11 +183,8 @@ class MaskedProductTable:
             offset, _width = self._windows[w]
             base = self._base_values[offset + low.bit_length() - 1]
             parent = self._window_entry(w, submask ^ low)
-            if self._mont is not None:
-                value = self._mont.mul(parent, base)
-            else:
-                ops.record_modmul()
-                value = (parent * base) % self.params.modulus
+            ops.record_modmul()
+            value = (parent * base) % self.params.modulus
             ops.record_table_build()
             table[submask] = value
         return value
@@ -337,26 +215,16 @@ class MaskedProductTable:
         ones = (selected & ((1 << real_width) - 1)).bit_count() + pad_extra
         include = ~selected & ((1 << real_width) - 1)
         acc: int | None = None
-        if self._mont is not None:
-            for w in self._chunk_windows[chunk]:
-                offset, width = self._windows[w]
-                sub = (include >> (offset - start)) & ((1 << width) - 1)
-                if sub:
-                    entry = self._window_entry(w, sub)
-                    acc = entry if acc is None else self._mont.mul(acc, entry)
-            if acc is not None:
-                acc = self._mont.from_mont(acc)
-        else:
-            for w in self._chunk_windows[chunk]:
-                offset, width = self._windows[w]
-                sub = (include >> (offset - start)) & ((1 << width) - 1)
-                if sub:
-                    entry = self._window_entry(w, sub)
-                    if acc is None:
-                        acc = entry
-                    else:
-                        ops.record_modmul()
-                        acc = (acc * entry) % modulus
+        for w in self._chunk_windows[chunk]:
+            offset, width = self._windows[w]
+            sub = (include >> (offset - start)) & ((1 << width) - 1)
+            if sub:
+                entry = self._window_entry(w, sub)
+                if acc is None:
+                    acc = entry
+                else:
+                    ops.record_modmul()
+                    acc = (acc * entry) % modulus
         if ones:
             pad = self._pad_pow(ones)
             if acc is None:
@@ -522,13 +390,10 @@ __all__ = [
     "HAVE_NUMPY",
     "KernelConfig",
     "MaskedProductTable",
-    "MontgomeryContext",
     "MultiExpRegistry",
     "NAIVE_KERNELS",
     "iter_bits",
-    "kernel_scope",
     "mask_of_pattern",
-    "montgomery_context",
     "offdiagonal_bases",
     "pack_row",
     "pack_rows",

@@ -63,8 +63,7 @@ from repro.crypto.kernels import (
     DEFAULT_KERNELS,
     KernelConfig,
     MultiExpRegistry,
-    kernel_scope,
-    mask_of_pattern,
+    pattern_of_mask,
 )
 from repro.framework.faults import (
     ChaosPolicy,
@@ -136,9 +135,11 @@ class ShareOutcome:
 class PreparedBall:
     """The verification work order for one ball under one signature.
 
-    ``patterns`` holds the *distinct* projected matrices ``M_p`` of the
-    ball's CMMs (tuples of 0/1 rows); ``pattern_of_cmm`` maps each CMM, in
-    enumeration order, to its pattern index.  Verification computes one
+    ``masks`` holds the *distinct* projected matrices ``M_p`` of the
+    ball's CMMs as packed off-diagonal selection masks
+    (:func:`repro.crypto.kernels.mask_of_pattern` layout), in
+    first-appearance order; ``pattern_of_cmm`` maps each CMM, in
+    enumeration order, to its index there.  Verification computes one
     chunked product per distinct pattern -- all the per-item layout
     ships; only the summable layout's sum reads ``pattern_of_cmm``, for
     each pattern's multiplicity.
@@ -148,13 +149,8 @@ class PreparedBall:
     enumerated: int
     truncated: bool
     bound_bypassed: bool
-    patterns: tuple[tuple[tuple[int, ...], ...], ...]
+    masks: tuple[int, ...]
     pattern_of_cmm: tuple[int, ...]
-    #: Packed off-diagonal selection masks, one per entry of ``patterns``
-    #: (:func:`repro.crypto.kernels.mask_of_pattern` layout).  Empty on
-    #: objects built before the kernel layer; consumers fall back to
-    #: deriving masks from ``patterns``.
-    masks: tuple[int, ...] = ()
 
     @property
     def bypassed(self) -> bool:
@@ -163,7 +159,7 @@ class PreparedBall:
     @property
     def weight(self) -> int:
         """Cache weight in CMM units (per-CMM index + distinct patterns)."""
-        return max(len(self.pattern_of_cmm) + len(self.patterns), 1)
+        return max(len(self.pattern_of_cmm) + len(self.masks), 1)
 
 
 @dataclass(frozen=True)
@@ -217,8 +213,7 @@ def _evaluate_share(message: EncryptedQueryMessage,
     # pattern memos) are shared across every ball this worker evaluates.
     registry = MultiExpRegistry(kernels) if kernels.multiexp else None
     role = f"player:{share.player}"
-    with kernel_scope(kernels, message.params), \
-            crypto_ops.counting(counter, "evaluation", role):
+    with crypto_ops.counting(counter, "evaluation", role):
         results = [
             evaluate_ball_kernel(message, ball,
                                  enumeration_limit=enumeration_limit,
@@ -273,17 +268,16 @@ def verify_prepared_kernel(message: EncryptedQueryMessage,
         table = multiexp.table(("verify",), lambda: verification_multiexp(
             params, message.encrypted_matrix, message.c_one, plan,
             multiexp.config))
-        masks = prepared.masks or tuple(
-            mask_of_pattern(pattern) for pattern in prepared.patterns)
-        distinct = [table.chunk_ciphertexts(mask) for mask in masks]
+        distinct = [table.chunk_ciphertexts(mask) for mask in prepared.masks]
     else:
         pad_cache = CiphertextPowerCache(params, message.c_one,
                                          stats=pad_stats)
         distinct = [
             verify_projected_rows(params, message.encrypted_matrix,
-                                  message.c_one, rows, plan,
+                                  message.c_one,
+                                  pattern_of_mask(mask, view.size), plan,
                                   pad_cache=pad_cache)
-            for rows in prepared.patterns
+            for mask in prepared.masks
         ]
     # The summable layout's sum has one term per CMM; the per-item layout
     # ships each distinct pattern once.
@@ -304,8 +298,7 @@ def _verify_share(message: EncryptedQueryMessage,
     counter = crypto_ops.OpCounter()
     registry = MultiExpRegistry(kernels) if kernels.multiexp else None
     role = f"player:{share.player}"
-    with kernel_scope(kernels, message.params), \
-            crypto_ops.counting(counter, "evaluation", role):
+    with crypto_ops.counting(counter, "evaluation", role):
         results = [
             verify_prepared_kernel(message, prepared,
                                    player_id=share.player,
@@ -332,9 +325,8 @@ def _compute_pm_share(enclave: Enclave,
                       ) -> PmShareOutcome:
     started = time.perf_counter()
     counter = crypto_ops.OpCounter()
-    with kernel_scope(kernels, message.params), \
-            crypto_ops.counting(counter, "pm_computation",
-                                f"player:{player}"):
+    with crypto_ops.counting(counter, "pm_computation",
+                             f"player:{player}"):
         pms, pm_costs, timings, fault_events = compute_pms_kernel(
             enclave, message, list(balls),
             bf_config=bf_config, twiglet_h=twiglet_h,

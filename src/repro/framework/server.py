@@ -53,7 +53,6 @@ from repro.core.enumeration import (
     count_cmm_upper_bound,
     iter_projected_masks,
 )
-from repro.crypto.kernels import pattern_of_mask
 from repro.framework.executor import PreparedBall
 from repro.crypto.ops import OpCounter
 from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
@@ -65,11 +64,7 @@ from repro.framework.prilo import (
     QueryResult,
 )
 from repro.graph.ball import Ball, BallIndex
-from repro.graph.delta import (
-    GraphDelta,
-    dirty_ball_keys,
-    touched_min_distances,
-)
+from repro.graph.delta import GraphDelta
 from repro.graph.query import Query, QueryLabelView, Semantics
 from repro.observability.spans import ROLE_SP
 from repro.storage.journal import (
@@ -80,7 +75,7 @@ from repro.storage.journal import (
     config_fingerprint,
     query_idempotency_key,
 )
-from repro.storage.store import graph_digest
+from repro.storage.store import graph_digest, plan_delta
 
 logger = logging.getLogger(__name__)
 
@@ -134,14 +129,13 @@ def prepare_ball(view: QueryLabelView, ball: Ball, *,
     the fused kernel (:func:`iter_projected_masks`) yields directly -- one
     int lookup per CMM.  The mask ignores the diagonal, but projections
     keep the diagonal 0 by construction, so mask equality and pattern
-    equality coincide; the explicit row tuples (the naive verification
-    path's input) are unpacked once per distinct pattern.
+    equality coincide.
     """
     cv = candidate_vertices(view, ball)
     if count_cmm_upper_bound(view, ball, cv) > cmm_bound_bypass:
         return PreparedBall(ball_id=ball.ball_id, enumerated=0,
                             truncated=False, bound_bypassed=True,
-                            patterns=(), pattern_of_cmm=())
+                            masks=(), pattern_of_cmm=())
     injective = view.semantics is Semantics.SUB_ISO
     index_of: dict[int, int] = {}  # mask -> pattern index, insertion order
     order: list[int] = []
@@ -149,14 +143,11 @@ def prepare_ball(view: QueryLabelView, ball: Ball, *,
         if len(order) >= enumeration_limit:
             return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
                                 truncated=True, bound_bypassed=False,
-                                patterns=(), pattern_of_cmm=())
+                                masks=(), pattern_of_cmm=())
         order.append(index_of.setdefault(mask, len(index_of)))
     return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
                         truncated=False, bound_bypassed=False,
-                        patterns=tuple(pattern_of_mask(mask, view.size)
-                                       for mask in index_of),
-                        pattern_of_cmm=tuple(order),
-                        masks=tuple(index_of))
+                        masks=tuple(index_of), pattern_of_cmm=tuple(order))
 
 
 class CMMCache:
@@ -734,39 +725,13 @@ class QueryBatchEngine:
             store_report = engine.store.apply_delta(delta, graph,
                                                     engine.owner.key)
             engine.refresh()
-            dirty = tuple(store_report.dirty_ball_ids)
-            added = tuple(store_report.added_ball_ids)
-            removed = tuple(store_report.removed_ball_ids)
+            dirty = store_report.dirty_ball_ids
+            added = store_report.added_ball_ids
+            removed = store_report.removed_ball_ids
         else:
-            old_ids = engine.index.id_map()
-            cutoff = max(radii)
-            touched = delta.touched_vertices()
-            # Distances on both the pre- and post-delta graph: a ball is
-            # dirty if a touched vertex is within reach before OR after.
-            dists = touched_min_distances(graph, touched, cutoff)
-            delta.apply(graph)
-            dists = touched_min_distances(graph, touched, cutoff,
-                                          into=dists)
-            removed_set = set(delta.removed_vertices)
-            added_centers = [v for v, _ in delta.added_vertices]
-            dirty_keys = dirty_ball_keys(
-                dists, radii, exclude=removed_set.union(added_centers))
-            removed = tuple(sorted(old_ids[(v, r)]
-                                   for v in removed_set for r in radii))
-            # Surviving balls keep their ids; new centers extend the id
-            # space past the historical maximum so ids never get reused.
-            new_ids = {k: i for k, i in old_ids.items()
-                       if k[0] not in removed_set}
-            next_id = max(old_ids.values(), default=-1) + 1
-            added_list = []
-            for v in added_centers:
-                for r in radii:
-                    new_ids[(v, r)] = next_id
-                    added_list.append(next_id)
-                    next_id += 1
-            added = tuple(added_list)
-            dirty = tuple(sorted(old_ids[k] for k in dirty_keys))
-            engine.refresh(index=BallIndex(graph, radii, ids=new_ids))
+            plan = plan_delta(delta, graph, radii, engine.index.id_map())
+            dirty, added, removed = plan.dirty, plan.added, plan.removed
+            engine.refresh(index=BallIndex(graph, radii, ids=plan.ids))
         affected = set(dirty) | set(added) | set(removed)
         invalidated = self.cache.invalidate_balls(affected)
         restrict = set(dirty) | set(added)

@@ -46,6 +46,7 @@ from repro.storage.delta import (
     TamperedDeltaError,
     apply_delta_log,
     delta_key,
+    walk_delta_chain,
 )
 from repro.storage.journal import (
     JournalError,
@@ -64,6 +65,7 @@ from repro.storage.store import (
     StoreEncryptedBalls,
     StoreError,
     StoreMiss,
+    StoreStale,
     VerifyReport,
     graph_digest,
     key_digest,
@@ -93,6 +95,7 @@ __all__ = [
     "TamperedDeltaError",
     "apply_delta_log",
     "delta_key",
+    "walk_delta_chain",
     "EncryptedBallArchive",
     "JournalError",
     "JournalState",
@@ -106,6 +109,7 @@ __all__ = [
     "StoreEncryptedBalls",
     "StoreError",
     "StoreMiss",
+    "StoreStale",
     "VerifyReport",
     "graph_digest",
     "key_digest",

@@ -2,8 +2,9 @@
 
 A dynamic graph's update stream gets the same durability discipline the
 run journal (PR 4) gives queries: every :class:`~repro.graph.delta.GraphDelta`
-is appended as one CRC-framed, fsync'd record riding the journal's frame
-layout, and every record carries a **keyed** sha256 digest binding the
+is appended as one CRC-framed, fsync'd record of a
+:class:`~repro.storage.journal.FramedLog` (which owns the frame layout,
+the writer and the parser), and every record carries a **keyed** sha256 digest binding the
 delta bytes to the graph digests it chains between::
 
     +----+------+---------+----------------------+-----------+
@@ -33,21 +34,11 @@ what the SP sees is the re-encrypted dirty packs.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
-import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.graph.delta import GraphDelta
-from repro.storage.journal import (
-    MAX_PAYLOAD_BYTES,
-    _CRC,
-    _HEADER,
-    _META_LEN,
-    _REC_MAGIC,
-)
+from repro.storage.journal import FramedLog
 
 #: Versioned scheme tag every record's meta carries.
 DELTA_SCHEME = "prilo-delta/1"
@@ -126,27 +117,13 @@ class DeltaLogState:
         }
 
 
-class DeltaLog:
-    """Append-only, fsync'd, CRC-framed, keyed-digest delta log."""
+class DeltaLog(FramedLog):
+    """The keyed-digest delta log over :class:`FramedLog`."""
 
-    def __init__(self, path: str | Path, key: bytes, *,
-                 fsync: bool = True) -> None:
-        if not isinstance(key, bytes) or not key:
-            raise DeltaError("delta log key must be non-empty bytes")
-        self.path = Path(path)
-        self.key = key
-        self.fsync = fsync
-        self._fh: io.BufferedWriter | None = None
-        self._next_seq: int | None = None
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
-    def _handle(self) -> io.BufferedWriter:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("ab")
-        return self._fh
+    RECORD_TYPES = {DELTA_RECORD: "delta"}
+    error = DeltaError
+    #: Sequence number of the next append; read off the file on first use.
+    _next_seq: int | None = None
 
     def append(self, delta: GraphDelta, *, parent: str,
                result: str) -> DeltaRecord:
@@ -157,110 +134,42 @@ class DeltaLog:
                               if state.records else 0)
         seq = self._next_seq
         blob = delta.to_bytes()
-        meta = {
+        self._write_frame(DELTA_RECORD, {
             "v": DELTA_SCHEME,
             "seq": seq,
             "parent": parent,
             "result": result,
             "digest": delta_digest(self.key, seq, parent, result, blob),
-        }
-        meta_bytes = json.dumps(meta, sort_keys=True,
-                                separators=(",", ":")).encode("utf-8")
-        payload = _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
-        header = _HEADER.pack(_REC_MAGIC, DELTA_RECORD, len(payload))
-        crc = zlib.crc32(header + payload) & 0xFFFFFFFF
-        fh = self._handle()
-        fh.write(header + payload + _CRC.pack(crc))
-        fh.flush()
-        if self.fsync:
-            os.fsync(fh.fileno())
+        }, blob)
         self._next_seq = seq + 1
         return DeltaRecord(seq=seq, parent=parent, result=result,
                            delta=delta)
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "DeltaLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # replay
-    # ------------------------------------------------------------------
     def replay(self, *, truncate: bool = True) -> DeltaLogState:
-        """Rebuild the record list from disk.
-
-        Framing mirrors the run journal: replay stops at the first torn
-        frame and (with ``truncate``) cuts the file back to the last
-        intact record.  Records that frame correctly but fail the keyed
-        digest -- or whose blob does not decode as a delta -- are hostile,
-        not torn: dropped and counted in ``tampered_records``.
+        """Rebuild the record list from disk (torn tail cut, see
+        :meth:`FramedLog._frames`).  Records that frame correctly but
+        fail the keyed digest -- or whose blob does not decode as a
+        delta -- are hostile, not torn: dropped and counted in
+        ``tampered_records``.
         """
         state = DeltaLogState()
-        if not self.path.is_file():
-            return state
-        data = self.path.read_bytes()
-        offset = 0
-        good_end = 0
-        while offset < len(data):
-            frame = self._read_frame(data, offset)
-            if frame is None:
-                break
-            payload, next_offset = frame
-            record = self._decode(payload, state)
-            if record is not None:
+        for _rtype, meta, blob in self._frames(state, truncate):
+            record = None if meta is None else self._decode(meta, blob)
+            if record is None:
+                state.tampered_records += 1
+            else:
                 state.records.append(record)
-            offset = good_end = next_offset
-        state.truncated_bytes = len(data) - good_end
-        if truncate and state.truncated_bytes:
-            self.close()
-            with self.path.open("r+b") as fh:
-                fh.truncate(good_end)
         return state
 
-    @staticmethod
-    def _read_frame(data: bytes, offset: int):
-        end = offset + _HEADER.size
-        if end > len(data):
-            return None
-        magic, rtype, length = _HEADER.unpack_from(data, offset)
-        if magic != _REC_MAGIC or rtype != DELTA_RECORD:
-            return None
-        if length > MAX_PAYLOAD_BYTES:
-            return None
-        payload_end = end + length
-        crc_end = payload_end + _CRC.size
-        if crc_end > len(data):
-            return None
-        expected = _CRC.unpack_from(data, payload_end)[0]
-        if zlib.crc32(data[offset:payload_end]) & 0xFFFFFFFF != expected:
-            return None
-        return data[end:payload_end], crc_end
-
-    def _decode(self, payload: bytes,
-                state: DeltaLogState) -> DeltaRecord | None:
-        try:
-            meta_len = _META_LEN.unpack_from(payload, 0)[0]
-            meta_end = _META_LEN.size + meta_len
-            meta = json.loads(payload[_META_LEN.size:meta_end]
-                              .decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError,
-                IndexError):
-            state.tampered_records += 1
-            return None
-        blob = payload[meta_end:]
-        seq = meta.get("seq", -1)
-        parent = meta.get("parent", "")
-        result = meta.get("result", "")
-        if (meta.get("v") != DELTA_SCHEME or not isinstance(seq, int)
+    def _decode(self, meta: dict, blob: bytes) -> DeltaRecord | None:
+        seq = meta.get("seq")
+        parent = meta.get("parent")
+        result = meta.get("result")
+        if (meta.get("v") != DELTA_SCHEME
+                or not isinstance(seq, int) or not 0 <= seq < 1 << 64
+                or not isinstance(parent, str) or not isinstance(result, str)
                 or meta.get("digest") != delta_digest(
                     self.key, seq, parent, result, blob)):
-            state.tampered_records += 1
             return None
         try:
             delta = GraphDelta.from_bytes(blob)
@@ -268,36 +177,28 @@ class DeltaLog:
                 SyntaxError):
             # An authenticated-yet-undecodable blob cannot happen under
             # an honest key; treat it as tamper, never as torn tail.
-            state.tampered_records += 1
             return None
         return DeltaRecord(seq=seq, parent=parent, result=result,
                            delta=delta)
 
-    # ------------------------------------------------------------------
-    # inspection (``repro store apply-delta --inspect`` style summaries)
-    # ------------------------------------------------------------------
     def inspect(self) -> dict:
         """Non-destructive summary (torn bytes left in place)."""
-        summary = self.replay(truncate=False).as_dict()
-        summary["path"] = str(self.path)
-        summary["file_bytes"] = (self.path.stat().st_size
-                                 if self.path.is_file() else 0)
-        return summary
+        return self._summary(self.replay(truncate=False))
 
 
-def apply_delta_log(store, state: DeltaLogState, graph, key) -> list:
-    """Chain every applicable record of ``state`` into ``store``/``graph``.
+def walk_delta_chain(state: DeltaLogState, graph, apply_one):
+    """THE walk over a replayed delta chain: yield ``(record,
+    apply_one(record))`` for every record ``graph`` has not incorporated.
 
-    Records whose ``result`` already equals the current graph digest are
-    skipped as applied (idempotent re-runs); a record whose ``parent``
-    matches is applied via :meth:`ArtifactStore.apply_delta`; anything
-    else means the log and the graph diverged -> :class:`StaleDeltaError`.
-    Any tampered record in the replayed state -- and any applied delta
-    that fails to reproduce its recorded result digest -- raises
-    :class:`TamperedDeltaError`; tampered wins over stale.
-
-    Returns the list of per-record
-    :class:`~repro.storage.store.DeltaApplyReport` objects.
+    ``apply_one`` is how one delta is applied (to a store, to a live
+    engine); it must mutate ``graph`` in place.  Any tampered record in
+    the replayed state refuses the whole log
+    (:class:`TamperedDeltaError`; tampered wins over stale); a record
+    whose ``result`` already equals the graph digest is skipped as
+    applied (idempotent re-runs); one whose ``parent`` does not means
+    the log and the graph diverged (:class:`StaleDeltaError`); and an
+    applied delta must reproduce its recorded ``result`` digest
+    (:class:`TamperedDeltaError`) before it is yielded.
     """
     from repro.storage.store import graph_digest
 
@@ -305,7 +206,6 @@ def apply_delta_log(store, state: DeltaLogState, graph, key) -> list:
         raise TamperedDeltaError(
             f"delta log carries {state.tampered_records} tampered "
             f"record(s); refusing to apply any of it")
-    reports = []
     current = graph_digest(graph)
     for record in state.records:
         if record.result == current:
@@ -315,14 +215,26 @@ def apply_delta_log(store, state: DeltaLogState, graph, key) -> list:
                 f"delta record seq={record.seq} chains from "
                 f"{record.parent[:12]} but the graph is at "
                 f"{current[:12]}; log and graph diverged")
-        reports.append(store.apply_delta(record.delta, graph, key))
+        outcome = apply_one(record)
         current = graph_digest(graph)
         if current != record.result:
             raise TamperedDeltaError(
                 f"delta record seq={record.seq} promised result "
                 f"{record.result[:12]} but applying it produced "
                 f"{current[:12]}")
-    return reports
+        yield record, outcome
+
+
+def apply_delta_log(store, state: DeltaLogState, graph, key) -> list:
+    """Chain every applicable record of ``state`` into ``store``/``graph``
+    (see :func:`walk_delta_chain` for the skip/stale/tampered rules).
+
+    Returns the list of per-record
+    :class:`~repro.storage.store.DeltaApplyReport` objects.
+    """
+    return [report for _record, report in walk_delta_chain(
+        state, graph,
+        lambda record: store.apply_delta(record.delta, graph, key))]
 
 
 __all__ = [
@@ -337,4 +249,5 @@ __all__ = [
     "apply_delta_log",
     "delta_digest",
     "delta_key",
+    "walk_delta_chain",
 ]

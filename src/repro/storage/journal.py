@@ -20,6 +20,11 @@ Record format (little-endian)::
 
     payload = meta_len:u32 | meta (canonical JSON) | blob (pickle)
 
+:class:`FramedLog` owns that layout -- the one writer, the one frame
+reader and the one meta decoder -- for this journal and for the delta
+log (:mod:`repro.storage.delta`); each log adds only its record
+vocabulary, its keyed digest and its replayed state.
+
 The CRC frames every record against *torn writes*: replay stops at the
 first record whose frame is incomplete or whose CRC mismatches and
 truncates the tail (a crash mid-``write`` must lose at most the record
@@ -232,117 +237,87 @@ class JournalState:
         }
 
 
-class RunJournal:
-    """An append-only, fsync'd, CRC-framed write-ahead journal.
+def _split_payload(payload: bytes) -> tuple[dict | None, bytes]:
+    """``(meta, blob)`` of one CRC-valid payload; ``meta`` is None unless
+    the payload really is ``meta_len | JSON object | blob``."""
+    if len(payload) < _META_LEN.size:
+        return None, b""
+    meta_end = _META_LEN.size + _META_LEN.unpack_from(payload)[0]
+    if meta_end > len(payload):
+        return None, b""
+    try:
+        meta = json.loads(payload[_META_LEN.size:meta_end].decode("utf-8"))
+    except (ValueError, RecursionError):    # not UTF-8, not JSON, too deep
+        return None, b""
+    return (meta if isinstance(meta, dict) else None), payload[meta_end:]
 
-    ``append`` is the durability point: when it returns, the record
-    survives ``kill -9`` (the file is opened with explicit ``fsync`` per
-    record; ``fsync=False`` trades durability for speed in benchmarks
-    that only measure steady-state overhead).
+
+class FramedLog:
+    """One append-only, fsync'd, CRC-framed record file -- THE place the
+    frame layout of the module docstring is written and parsed.
+
+    A subclass names the record types it accepts (``RECORD_TYPES``) and
+    the error it raises (``error``); its replayed state object carries
+    ``truncated_bytes`` and ``tampered_records``.
     """
+
+    #: record type byte -> name; any other type byte reads as a torn tail.
+    RECORD_TYPES: dict[int, str] = {}
+    error: type[Exception] = JournalError
 
     def __init__(self, path: str | Path, key: bytes, *,
                  fsync: bool = True) -> None:
         if not isinstance(key, bytes) or not key:
-            raise JournalError("journal key must be non-empty bytes")
+            raise self.error(
+                f"{type(self).__name__} key must be non-empty bytes")
         self.path = Path(path)
         self.key = key
         self.fsync = fsync
-        self.records_written = 0
         self._fh: io.BufferedWriter | None = None
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def _handle(self) -> io.BufferedWriter:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("ab")
-        return self._fh
-
-    def append(self, rtype: int, meta: dict, blob: bytes = b"") -> None:
-        """Durably append one record (framed, CRC'd, fsync'd)."""
-        if rtype not in _TYPE_NAMES:
-            raise JournalError(f"unknown record type {rtype!r}")
-        if blob:
-            meta = dict(meta)
-            meta["digest"] = keyed_digest(self.key, blob)
+    def _write_frame(self, rtype: int, meta: dict, blob: bytes) -> None:
+        """Durably append one record (framed, CRC'd, fsync'd): when this
+        returns, the record survives ``kill -9``."""
         meta_bytes = json.dumps(meta, sort_keys=True,
                                 separators=(",", ":")).encode("utf-8")
         payload = _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
         header = _HEADER.pack(_REC_MAGIC, rtype, len(payload))
         crc = zlib.crc32(header + payload) & 0xFFFFFFFF
-        fh = self._handle()
-        fh.write(header + payload + _CRC.pack(crc))
-        fh.flush()
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("ab")
+        self._fh.write(header + payload + _CRC.pack(crc))
+        self._fh.flush()
         if self.fsync:
-            os.fsync(fh.fileno())
-        self.records_written += 1
-
-    def append_share(self, query_key: str, share_key: str, outcome: object,
-                     events: list[dict] | None = None) -> None:
-        """Checkpoint one completed executor share."""
-        self.append(RecordType.SHARE_RESULT,
-                    {"query": query_key, "share": share_key,
-                     "events": events or []},
-                    pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "RunJournal":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     # ------------------------------------------------------------------
-    # replay
+    # reading
     # ------------------------------------------------------------------
-    def replay(self, *, truncate: bool = True) -> JournalState:
-        """Rebuild the durable state from disk.
-
-        Stops at the first torn record (incomplete frame or CRC mismatch)
-        and -- with ``truncate`` -- cuts the file back to the last intact
-        record, so a crash mid-write self-heals on restart.  Records with
-        a failing *keyed* digest are not torn but hostile: they are
-        dropped, counted in ``tampered_records``, and their shares are
-        re-evaluated instead of trusted.
-        """
-        state = JournalState()
-        if not self.path.is_file():
-            return state
-        data = self.path.read_bytes()
-        offset = 0
-        good_end = 0
-        while offset < len(data):
-            frame = self._read_frame(data, offset)
-            if frame is None:
-                break
-            rtype, payload, next_offset = frame
-            self._apply(state, rtype, payload)
-            state.records += 1
-            name = _TYPE_NAMES[rtype]
-            state.record_counts[name] = state.record_counts.get(name, 0) + 1
-            offset = good_end = next_offset
-        state.truncated_bytes = len(data) - good_end
-        if truncate and state.truncated_bytes:
-            self.close()
-            with self.path.open("r+b") as fh:
-                fh.truncate(good_end)
-        return state
-
-    @staticmethod
-    def _read_frame(data: bytes, offset: int):
-        """One framed record at ``offset``; None on any torn/corrupt
-        frame (replay treats everything from there on as lost tail)."""
+    @classmethod
+    def _read_frame(cls, data: bytes, offset: int):
+        """One framed record at ``offset`` as ``(type, payload, next
+        offset)``; None on any torn/corrupt frame (replay treats
+        everything from there on as lost tail)."""
         end = offset + _HEADER.size
         if end > len(data):
             return None
         magic, rtype, length = _HEADER.unpack_from(data, offset)
-        if magic != _REC_MAGIC or rtype not in _TYPE_NAMES:
+        if magic != _REC_MAGIC or rtype not in cls.RECORD_TYPES:
             return None
         if length > MAX_PAYLOAD_BYTES:
             return None
@@ -355,14 +330,107 @@ class RunJournal:
             return None
         return rtype, data[end:payload_end], crc_end
 
-    def _apply(self, state: JournalState, rtype: int,
-               payload: bytes) -> None:
-        meta_len = _META_LEN.unpack_from(payload, 0)[0]
-        meta_end = _META_LEN.size + meta_len
-        meta = json.loads(payload[_META_LEN.size:meta_end].decode("utf-8"))
-        blob = payload[meta_end:]
+    def _frames(self, state, truncate: bool):
+        """Yield ``(type, meta, blob)`` for every intact frame on disk.
+
+        Stops at the first torn frame (incomplete or CRC mismatch), sets
+        ``state.truncated_bytes`` and -- with ``truncate`` -- cuts the
+        file back to the last intact record, so a crash mid-write
+        self-heals on restart.  A frame whose CRC holds but whose payload
+        is not ``meta_len | JSON object | blob`` was not written by
+        :meth:`_write_frame`: it is hostile, not torn, and is yielded
+        with ``meta=None`` for the caller to count as tampered.
+        """
+        if not self.path.is_file():
+            return
+        data = self.path.read_bytes()
+        offset = 0
+        while (frame := self._read_frame(data, offset)) is not None:
+            rtype, payload, offset = frame
+            yield (rtype, *_split_payload(payload))
+        state.truncated_bytes = len(data) - offset
+        if truncate and state.truncated_bytes:
+            self.close()
+            with self.path.open("r+b") as fh:
+                fh.truncate(offset)
+
+    def _summary(self, state) -> dict:
+        """The ``inspect`` payload: the replayed state plus the file."""
+        summary = state.as_dict()
+        summary["path"] = str(self.path)
+        summary["file_bytes"] = (self.path.stat().st_size
+                                 if self.path.is_file() else 0)
+        return summary
+
+
+#: Meta keys that must be strings for a record to be applied at all
+#: (they address the query/share the record belongs to).
+_REQUIRED_META = {
+    RecordType.QUERY_BEGIN: ("query",),
+    RecordType.SHARE_RESULT: ("query", "share"),
+    RecordType.QUERY_COMMIT: ("query",),
+}
+
+
+class RunJournal(FramedLog):
+    """The write-ahead run journal over :class:`FramedLog`.
+
+    ``append`` is the durability point: when it returns, the record
+    survives ``kill -9`` (explicit ``fsync`` per record; ``fsync=False``
+    trades durability for speed in benchmarks that only measure
+    steady-state overhead).
+    """
+
+    RECORD_TYPES = _TYPE_NAMES
+    records_written = 0
+
+    def append(self, rtype: int, meta: dict, blob: bytes = b"") -> None:
+        """Durably append one record (framed, CRC'd, fsync'd)."""
+        if rtype not in _TYPE_NAMES:
+            raise JournalError(f"unknown record type {rtype!r}")
+        if blob:
+            meta = dict(meta)
+            meta["digest"] = keyed_digest(self.key, blob)
+        self._write_frame(rtype, meta, blob)
+        self.records_written += 1
+
+    def append_share(self, query_key: str, share_key: str, outcome: object,
+                     events: list[dict] | None = None) -> None:
+        """Checkpoint one completed executor share."""
+        self.append(RecordType.SHARE_RESULT,
+                    {"query": query_key, "share": share_key,
+                     "events": events or []},
+                    pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+
+    # ------------------------------------------------------------------
+    # replay
+    # ------------------------------------------------------------------
+    def replay(self, *, truncate: bool = True) -> JournalState:
+        """Rebuild the durable state from disk (torn tail cut, see
+        :meth:`FramedLog._frames`).  Records that frame correctly but
+        fail the *keyed* digest, do not unpickle, or lack the keys that
+        address them are hostile: dropped, counted in
+        ``tampered_records``, and their shares are re-evaluated instead
+        of trusted.
+        """
+        state = JournalState()
+        for rtype, meta, blob in self._frames(state, truncate):
+            state.records += 1
+            name = _TYPE_NAMES[rtype]
+            state.record_counts[name] = state.record_counts.get(name, 0) + 1
+            if meta is None or not self._apply(state, rtype, meta, blob):
+                state.tampered_records += 1
+        return state
+
+    def _apply(self, state: JournalState, rtype: int, meta: dict,
+               blob: bytes) -> bool:
+        """Fold one record into ``state``; False when it must not be
+        trusted."""
+        if not all(isinstance(meta.get(name), str)
+                   for name in _REQUIRED_META.get(rtype, ())):
+            return False
         if rtype == RecordType.BATCH_ADMIT:
-            fingerprint = meta.get("fingerprint", "")
+            fingerprint = str(meta.get("fingerprint", ""))
             if state.fingerprint and fingerprint != state.fingerprint:
                 raise JournalError(
                     f"journal {self.path} mixes config fingerprints "
@@ -375,15 +443,13 @@ class RunJournal:
             query.index = meta.get("index", -1)
         elif rtype == RecordType.SHARE_RESULT:
             if meta.get("digest") != keyed_digest(self.key, blob):
-                state.tampered_records += 1
-                return
+                return False
             try:
                 outcome = pickle.loads(blob)
             except _UNPICKLE_ERRORS:
                 # A digest collision cannot happen under an honest key;
                 # treat an unpicklable-yet-authenticated blob as tamper.
-                state.tampered_records += 1
-                return
+                return False
             state.query(meta["query"]).shares[meta["share"]] = (
                 JournaledShare(outcome=outcome,
                                events=meta.get("events", [])))
@@ -394,6 +460,7 @@ class RunJournal:
             query.fault_counts = meta.get("faults", {})
         elif rtype == RecordType.DRAIN:
             state.drained = True
+        return True
 
     # ------------------------------------------------------------------
     # inspection (``repro journal inspect``)
@@ -408,10 +475,7 @@ class RunJournal:
                 last = f"query_commit:{query.key[:12]}"
             elif query.shares:
                 last = f"share_result:{query.key[:12]}"
-        summary = state.as_dict()
-        summary["path"] = str(self.path)
-        summary["file_bytes"] = (self.path.stat().st_size
-                                 if self.path.is_file() else 0)
+        summary = self._summary(state)
         summary["last_checkpoint"] = last
         return summary
 
@@ -432,6 +496,7 @@ def answer_digest(key: bytes, verified_ids, match_ball_ids,
 
 
 __all__ = [
+    "FramedLog",
     "JournalError",
     "JournalState",
     "JournaledShare",

@@ -74,11 +74,19 @@ _BALLS_PACK = "balls.pack"
 _ENCRYPTED_PACK = "encrypted.pack"
 _TWIGLETS = "twiglets.json"
 _TREES = "trees.json"
+#: The files a manifest checksums, in the order a commit replaces them.
+_ARTIFACTS = (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS, _TREES)
 _VERSION = 1
 
 
 class StoreError(RuntimeError):
     """Store is missing, stale, malformed, or failed verification."""
+
+
+class StoreStale(StoreError):
+    """The store no longer matches the live graph, radii or owner key:
+    rebuildable, not damaged (CLI exit 2 where plain :class:`StoreError`
+    is exit 3)."""
 
 
 class StoreMiss(StoreError):
@@ -251,6 +259,204 @@ class _Pack:
         self._file = None
 
 
+def _bf_params(bf_config: BFConfig | None) -> dict | None:
+    if bf_config is None:
+        return None
+    return {"eta": bf_config.eta,
+            "expected_trees": bf_config.expected_trees,
+            "false_positive_rate": bf_config.false_positive_rate,
+            "threshold_t": bf_config.threshold_t,
+            "max_ball_trees": bf_config.max_ball_trees}
+
+
+def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
+    """The manifest's durable ``(center, radius) -> ball id`` table: an
+    incrementally maintained store keeps surviving balls' ids stable
+    instead of the positional renumbering of a rebuild."""
+    table: dict[str, dict[str, int]] = {}
+    for (center, radius), ball_id in ids.items():
+        table.setdefault(repr(center), {})[str(radius)] = ball_id
+    return table
+
+
+class _StoreWriter:
+    """THE place a store directory is laid out.
+
+    Ball records are appended to both packs with their offsets tracked;
+    :meth:`commit` then writes ``twiglets.json``, ``trees.json``, the
+    checksum set and -- last, as the commit point -- ``manifest.json``.
+    Every file goes through temp-file + rename, so a crash leaves either
+    the directory's previous state or the new one, never a hybrid.
+
+    ``twiglets`` / ``trees`` are the two artifact documents
+    (``{"h": ..., "balls": {...}}`` / ``{"bf": ..., "balls": {...}}``),
+    patched in place by :meth:`encrypt`.  Callers decide *which* balls go
+    in (:meth:`encrypt` a fresh one, :meth:`copy` a stored one verbatim)
+    and what the manifest says about them.  Used as a context manager
+    around the appends; ``commit`` follows the block.
+    """
+
+    def __init__(self, root: Path, twiglets: dict, trees: dict,
+                 key: DataOwnerKey | None = None,
+                 alphabet=None) -> None:
+        self._root = root
+        self.twiglets = twiglets
+        self.trees = trees
+        self.entries: list[dict] = []
+        #: Merkle leaves committed here: ball id -> leaf digest.
+        self.leaves: dict[int, str] = {}
+        self._offset = self._enc_offset = 0
+        if key is not None:
+            self._cipher = key.cipher()
+            self._vkey = auth_key(key)
+        bf = trees.get("bf")
+        self._bf_config = BFConfig(**bf) if bf else None
+        # Tree artifacts encode under the graph-wide codec.
+        self._codec = (LabelCodec.from_alphabet(alphabet)
+                       if bf and alphabet is not None else None)
+        self._plain = (root / (_BALLS_PACK + ".tmp")).open("wb")
+        self._enc = (root / (_ENCRYPTED_PACK + ".tmp")).open("wb")
+
+    def __enter__(self) -> "_StoreWriter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._plain.close()
+        self._enc.close()
+
+    def copy(self, entry: dict, payload: bytes, blob: bytes) -> None:
+        """Append one ball record verbatim.  ``entry`` carries ``ball_id``
+        / ``center`` / ``radius`` / ``vertices``; offsets are set here."""
+        self._plain.write(payload)
+        self._enc.write(blob)
+        self.entries.append({**entry,
+                             "offset": self._offset,
+                             "length": len(payload),
+                             "enc_offset": self._enc_offset,
+                             "enc_length": len(blob)})
+        self._offset += len(payload)
+        self._enc_offset += len(blob)
+
+    def commit_leaf(self, ball_id: int, blob: bytes) -> None:
+        self.leaves[ball_id] = leaf_digest(self._vkey, ball_id, blob)
+
+    def encrypt(self, ball: Ball) -> None:
+        """Put a freshly extracted ball in: serialize, encrypt, commit
+        its Merkle leaf, compute its twiglet and tree artifacts."""
+        payload = ball_to_bytes(ball)
+        blob = self._cipher.encrypt(payload)
+        self.commit_leaf(ball.ball_id, blob)
+        twiglet_h = self.twiglets.get("h")
+        if twiglet_h is not None:
+            features = twiglets_from(ball.graph, ball.center, twiglet_h)
+            self.twiglets["balls"][str(ball.ball_id)] = sorted(
+                twiglet_to_jsonable(t) for t in features)
+        self.retree(ball)
+        self.copy({"ball_id": ball.ball_id, "center": repr(ball.center),
+                   "radius": ball.radius, "vertices": ball.size},
+                  payload, blob)
+
+    def retree(self, ball: Ball) -> None:
+        """(Re)compute one ball's Sec. 4.1 offline view: canonical tree
+        encodings and the bloom bitset, under the graph-wide codec.
+        Takes the bypass decisions of
+        :func:`repro.core.bf_pruning.player_bf_prune` and builds the
+        filter with the function it uses.  The enumeration is called
+        through this module's own binding, which is the name the
+        benchmark ledger's ``store.tree_artifact`` span wraps."""
+        config = self._bf_config
+        if config is None:
+            return
+        if bf_threshold_exceeded(ball.graph, ball.center,
+                                 config.threshold_t):
+            artifact = {"bypassed": True}
+        else:
+            encodings, truncated = enumerate_center_tree_encodings(
+                ball.graph, ball.center, self._codec, BF_TOPOLOGIES,
+                max_trees=config.max_ball_trees)
+            if truncated:
+                artifact = {"bypassed": True, "trees": len(encodings)}
+            else:
+                artifact = {"bypassed": False,
+                            "trees": len(encodings),
+                            "filter_hex": ball_filter_blob(encodings,
+                                                           config).hex()}
+        self.trees["balls"][str(ball.ball_id)] = artifact
+
+    def commit(self, manifest: dict) -> dict:
+        """Turn the directory over: artifacts first, manifest last.
+        ``manifest`` holds every field but ``version`` / ``balls`` /
+        ``checksums``; returns the manifest as written."""
+        root = self._root
+        for name, doc in ((_TWIGLETS, self.twiglets), (_TREES, self.trees)):
+            (root / (name + ".tmp")).write_text(
+                json.dumps(doc, separators=(",", ":"), sort_keys=True),
+                encoding="utf-8")
+        for name in _ARTIFACTS:
+            os.replace(root / (name + ".tmp"), root / name)
+        manifest = {**manifest,
+                    "version": _VERSION,
+                    "balls": self.entries,
+                    "checksums": {name: _file_digest(root / name)
+                                  for name in _ARTIFACTS}}
+        tmp_manifest = root / (_MANIFEST + ".tmp")
+        tmp_manifest.write_text(
+            json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+        os.replace(tmp_manifest, root / _MANIFEST)
+        return manifest
+
+
+@dataclass(frozen=True)
+class DeltaPlan:
+    """Which balls one delta touches (ids are sorted unless noted)."""
+
+    #: Post-delta ``(center, radius) -> ball id``: survivors keep their
+    #: ids, added centers extend the id space past the historical
+    #: maximum so ids never get reused.
+    ids: dict[tuple, int]
+    dirty: tuple[int, ...]
+    #: In ``delta.added_vertices`` x radii order.
+    added: tuple[int, ...]
+    removed: tuple[int, ...]
+
+
+def plan_delta(delta: GraphDelta, graph: LabeledGraph,
+               radii: tuple[int, ...], ids: dict[tuple, int]) -> DeltaPlan:
+    """Apply ``delta`` to ``graph`` in place and decide -- once, for the
+    store and for in-memory engines alike -- which balls it touches.
+
+    The dirty set is the sound overapproximation of
+    :func:`~repro.graph.delta.dirty_ball_keys`: every surviving ball
+    whose center lies within its radius of a touched vertex, with
+    distances taken on both the pre- and the post-delta graph (a removal
+    is only visible before, an insertion only after).  ``ids`` is the
+    pre-delta ``(center, radius) -> ball id`` map.
+    """
+    cutoff = max(radii)
+    touched = delta.touched_vertices()
+    min_dists = touched_min_distances(graph, touched, cutoff)
+    delta.apply(graph)
+    touched_min_distances(graph, touched, cutoff, into=min_dists)
+    removed_set = set(delta.removed_vertices)
+    added_centers = [v for v, _ in delta.added_vertices]
+    dirty_keys = dirty_ball_keys(
+        min_dists, radii, exclude=removed_set.union(added_centers))
+    new_ids = {k: i for k, i in ids.items() if k[0] not in removed_set}
+    next_id = max(ids.values(), default=-1) + 1
+    added: list[int] = []
+    for v in added_centers:
+        for r in radii:
+            new_ids[(v, r)] = next_id
+            added.append(next_id)
+            next_id += 1
+    return DeltaPlan(
+        ids=new_ids,
+        dirty=tuple(sorted(ids[k] for k in dirty_keys)),
+        added=tuple(added),
+        removed=tuple(sorted(ids[(v, r)] for v in removed_set
+                             for r in radii)))
+
+
 class StoreBallIndex(BallIndex):
     """A :class:`BallIndex` whose balls load from the store's pack
     instead of re-running the extraction BFS.
@@ -415,15 +621,7 @@ class ArtifactStore:
 
     def __init__(self, root: Path, manifest: dict) -> None:
         self._root = root
-        self._manifest = manifest
-        self._slices: dict[int, PackSlice] = {
-            entry["ball_id"]: PackSlice(**entry)
-            for entry in manifest["balls"]
-        }
-        self._balls_pack = _Pack(root / _BALLS_PACK)
-        self._encrypted_pack = _Pack(root / _ENCRYPTED_PACK)
-        self._twiglets: dict[int, frozenset] | None = None
-        self._trees: dict | None = None
+        self._bind(manifest)
         #: The engine's per-run injector (inert by default).  Chaos may
         #: flip bytes in served payloads; detection happens downstream
         #: (parse failure, MAC failure) exactly like genuine rot.
@@ -435,6 +633,24 @@ class ArtifactStore:
         self.quarantine_enabled = True
         self._quarantined: dict[str, str] = {}
         self._load_attempts: dict[str, int] = {}
+
+    def _bind(self, manifest: dict) -> None:
+        """Point this object at the directory state ``manifest`` names."""
+        self._manifest = manifest
+        self._slices: dict[int, PackSlice] = {
+            entry["ball_id"]: PackSlice(**entry)
+            for entry in manifest["balls"]
+        }
+        self._balls_pack = _Pack(self._root / _BALLS_PACK)
+        self._encrypted_pack = _Pack(self._root / _ENCRYPTED_PACK)
+        self._twiglets: dict[int, frozenset] | None = None
+        self._trees: dict | None = None
+
+    def _record(self, ball_id: int) -> tuple[bytes, bytes]:
+        """One stored ball's raw ``(payload, blob)`` pack bytes."""
+        sl = self._slices[ball_id]
+        return (self._balls_pack.slice(sl.offset, sl.length),
+                self._encrypted_pack.slice(sl.enc_offset, sl.enc_length))
 
     # ------------------------------------------------------------------
     # fault injection / quarantine
@@ -519,112 +735,26 @@ class ArtifactStore:
             raise StoreError(f"refusing to overwrite non-empty {root}")
         root.mkdir(parents=True, exist_ok=True)
         index = BallIndex(graph, radii)
-        cipher = key.cipher()
-        vkey = auth_key(key)
-        entries: list[dict] = []
-        leaves: dict[int, str] = {}
         catalog_rows: list[tuple[int, int, object]] = []
-        twiglets: dict[str, list] = {}
-        trees: dict[str, dict] = {}
-        codec = LabelCodec.from_alphabet(graph.alphabet)
-        with (root / _BALLS_PACK).open("wb") as plain, \
-                (root / _ENCRYPTED_PACK).open("wb") as enc:
-            offset = enc_offset = 0
+        with _StoreWriter(root, {"h": twiglet_h, "balls": {}},
+                          {"bf": _bf_params(bf_config), "balls": {}},
+                          key, graph.alphabet) as writer:
             for center in graph.vertices():
                 for radius in index.radii:
                     ball = index.ball(center, radius)
-                    payload = ball_to_bytes(ball)
-                    blob = cipher.encrypt(payload)
-                    plain.write(payload)
-                    enc.write(blob)
-                    entries.append({
-                        "ball_id": ball.ball_id,
-                        "center": repr(center),
-                        "radius": radius,
-                        "vertices": ball.size,
-                        "offset": offset,
-                        "length": len(payload),
-                        "enc_offset": enc_offset,
-                        "enc_length": len(blob),
-                    })
-                    leaves[ball.ball_id] = leaf_digest(vkey, ball.ball_id,
-                                                       blob)
+                    writer.encrypt(ball)
                     catalog_rows.append((ball.ball_id, radius,
                                          graph.label(center)))
-                    offset += len(payload)
-                    enc_offset += len(blob)
-                    if twiglet_h is not None:
-                        features = twiglets_from(ball.graph, ball.center,
-                                                 twiglet_h)
-                        twiglets[str(ball.ball_id)] = sorted(
-                            (twiglet_to_jsonable(t) for t in features))
-                    if bf_config is not None:
-                        trees[str(ball.ball_id)] = cls._tree_artifact(
-                            ball, codec, bf_config)
-        (root / _TWIGLETS).write_text(
-            json.dumps({"h": twiglet_h, "balls": twiglets},
-                       separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
-        (root / _TREES).write_text(
-            json.dumps({"bf": cls._bf_params(bf_config), "balls": trees},
-                       separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
-        ball_ids: dict[str, dict[str, int]] = {}
-        for (center, radius), ball_id in index.id_map().items():
-            ball_ids.setdefault(repr(center), {})[str(radius)] = ball_id
-        manifest = {
-            "version": _VERSION,
+        return cls(root, writer.commit({
             "graph_digest": graph_digest(graph),
             "key_digest": key_digest(key),
             "radii": list(index.radii),
             "twiglet_h": twiglet_h,
-            "bf": cls._bf_params(bf_config),
-            "balls": entries,
-            # (center, radius) -> ball id, durable across deltas: an
-            # incrementally maintained store keeps surviving balls' ids
-            # stable instead of the positional renumbering of a rebuild.
-            "ball_ids": ball_ids,
-            "auth": build_auth_block(key, leaves,
+            "bf": _bf_params(bf_config),
+            "ball_ids": _ball_id_table(index.id_map()),
+            "auth": build_auth_block(key, writer.leaves,
                                      build_catalog(catalog_rows)),
-            "checksums": {
-                name: _file_digest(root / name)
-                for name in (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS, _TREES)
-            },
-        }
-        (root / _MANIFEST).write_text(
-            json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
-        return cls(root, manifest)
-
-    @staticmethod
-    def _bf_params(bf_config: BFConfig | None) -> dict | None:
-        if bf_config is None:
-            return None
-        return {"eta": bf_config.eta,
-                "expected_trees": bf_config.expected_trees,
-                "false_positive_rate": bf_config.false_positive_rate,
-                "threshold_t": bf_config.threshold_t,
-                "max_ball_trees": bf_config.max_ball_trees}
-
-    @staticmethod
-    def _tree_artifact(ball: Ball, codec: LabelCodec,
-                       config: BFConfig) -> dict:
-        """One ball's Sec. 4.1 offline view: canonical tree encodings and
-        the bloom bitset, under the graph-wide codec.  Takes the bypass
-        decisions of :func:`repro.core.bf_pruning.player_bf_prune` and
-        builds the filter with the function it uses.  The enumeration is
-        called through this module's own binding, which is the name the
-        benchmark ledger's ``store.tree_artifact`` span wraps."""
-        if bf_threshold_exceeded(ball.graph, ball.center,
-                                 config.threshold_t):
-            return {"bypassed": True}
-        encodings, truncated = enumerate_center_tree_encodings(
-            ball.graph, ball.center, codec, BF_TOPOLOGIES,
-            max_trees=config.max_ball_trees)
-        if truncated:
-            return {"bypassed": True, "trees": len(encodings)}
-        return {"bypassed": False,
-                "trees": len(encodings),
-                "filter_hex": ball_filter_blob(encodings, config).hex()}
+        }))
 
     # ------------------------------------------------------------------
     # opening
@@ -675,7 +805,7 @@ class ArtifactStore:
     def check(self, *, graph: LabeledGraph | None = None,
               radii: tuple[int, ...] | None = None,
               key: DataOwnerKey | None = None) -> None:
-        """Staleness detection: raise :class:`StoreError` when the live
+        """Staleness detection: raise :class:`StoreStale` when the live
         configuration no longer matches what the store was built from.
 
         Radii must match *exactly* (not merely be a subset): ball ids are
@@ -683,22 +813,25 @@ class ArtifactStore:
         configured with different radii would address different balls
         under the same ids.
         """
+        for reason in self._stale_reasons(graph, radii, key):
+            raise StoreStale(f"store is stale: {reason}")
+
+    def _stale_reasons(self, graph, radii, key):
+        """Why the live ``graph`` / ``radii`` / ``key`` (each optional)
+        no longer match the manifest, one reason per mismatch."""
         if graph is not None:
             live = graph_digest(graph)
             if live != self._manifest["graph_digest"]:
-                raise StoreError(
-                    f"store is stale: graph digest {live[:12]} != stored "
-                    f"{self._manifest['graph_digest'][:12]} (the data graph "
-                    f"changed since the store was built)")
+                yield (f"graph digest {live[:12]} != stored "
+                       f"{self._manifest['graph_digest'][:12]} (the data "
+                       f"graph changed since the store was built)")
         if radii is not None:
             wanted = tuple(sorted(set(radii)))
             if wanted != self.radii:
-                raise StoreError(
-                    f"store is stale: radii {wanted} != stored {self.radii} "
-                    f"(ball ids would not line up)")
+                yield (f"radii {wanted} != stored {self.radii} (ball ids "
+                       f"would not line up)")
         if key is not None and key_digest(key) != self._manifest["key_digest"]:
-            raise StoreError(
-                "store is stale: built under a different owner key")
+            yield "built under a different owner key"
 
     def verify(self, key: DataOwnerKey | None = None, *,
                graph: LabeledGraph | None = None,
@@ -732,26 +865,11 @@ class ArtifactStore:
                 report.packs.append(PackReport(name, "ok"))
         by_name = {p.name: p for p in report.packs}
 
+        report.packs.extend(
+            PackReport(_MANIFEST, "stale", reason)
+            for reason in self._stale_reasons(graph, radii, key))
         stale_key = (key is not None
                      and key_digest(key) != self._manifest["key_digest"])
-        if graph is not None:
-            live = graph_digest(graph)
-            if live != self._manifest["graph_digest"]:
-                report.packs.append(PackReport(
-                    _MANIFEST, "stale",
-                    f"graph digest {live[:12]} != stored "
-                    f"{self._manifest['graph_digest'][:12]} (the data "
-                    f"graph changed since the store was built)"))
-        if radii is not None:
-            wanted = tuple(sorted(set(radii)))
-            if wanted != self.radii:
-                report.packs.append(PackReport(
-                    _MANIFEST, "stale",
-                    f"radii {wanted} != stored {self.radii} (ball ids "
-                    f"would not line up)"))
-        if stale_key:
-            report.packs.append(PackReport(
-                _MANIFEST, "stale", "built under a different owner key"))
 
         sweepable = (key is not None and not stale_key
                      and by_name.get(_ENCRYPTED_PACK,
@@ -767,8 +885,7 @@ class ArtifactStore:
             bad = 0
             first = ""
             for sl in self._slices.values():
-                blob = self._encrypted_pack.slice(sl.enc_offset,
-                                                  sl.enc_length)
+                plain, blob = self._record(sl.ball_id)
                 if auth is not None:
                     committed = auth["leaves"].get(str(sl.ball_id))
                     if committed != leaf_digest(vkey, sl.ball_id, blob):
@@ -788,7 +905,7 @@ class ArtifactStore:
                     first = first or (f"ball {sl.ball_id} failed "
                                       f"authenticated decryption: {exc}")
                     continue
-                if payload != self._balls_pack.slice(sl.offset, sl.length):
+                if payload != plain:
                     bad += 1
                     first = first or (f"ball {sl.ball_id}: encrypted and "
                                       f"plaintext packs disagree")
@@ -831,7 +948,6 @@ class ArtifactStore:
         the child store, never a hybrid.
         """
         self.check(graph=graph, key=key)
-        radii = self.radii
         if delta.is_empty:
             auth = self.auth or {}
             n = len(self._slices)
@@ -843,207 +959,82 @@ class ArtifactStore:
 
         ids = self.ball_id_map(graph)
         if ids is None:
-            ids = BallIndex(graph, radii).id_map()
-        max_radius = max(radii)
+            ids = BallIndex(graph, self.radii).id_map()
         pre_alphabet = graph.alphabet
-        touched = delta.touched_vertices()
-        min_dists = touched_min_distances(graph, touched, max_radius)
-        delta.apply(graph)
-        touched_min_distances(graph, touched, max_radius, into=min_dists)
+        plan = plan_delta(delta, graph, self.radii, ids)
+        key_by_id = {ball_id: k for k, ball_id in plan.ids.items()}
+        dirty, removed = set(plan.dirty), set(plan.removed)
 
-        removed_set = set(delta.removed_vertices)
-        added_centers = [v for v, _ in delta.added_vertices]
-        dirty_keys = dirty_ball_keys(
-            min_dists, radii, exclude=removed_set | set(added_centers))
-        removed_ids = sorted(ids[(v, r)] for v in removed_set
-                             for r in radii)
-        removed_id_set = set(removed_ids)
-        next_id = max(ids.values(), default=-1) + 1
-        new_ids = {k: v for k, v in ids.items() if k[0] not in removed_set}
-        added_ball_ids: list[int] = []
-        for v in added_centers:
-            for r in radii:
-                new_ids[(v, r)] = next_id
-                added_ball_ids.append(next_id)
-                next_id += 1
-        key_by_id = {ball_id: k for k, ball_id in ids.items()}
-
-        cipher = key.cipher()
-        vkey = auth_key(key)
         old_auth = self.auth
-        twiglet_h = self.twiglet_h
-        bf_params = self._manifest.get("bf")
-        bf_config = BFConfig(**bf_params) if bf_params else None
-        codec = (LabelCodec.from_alphabet(graph.alphabet)
-                 if bf_config is not None else None)
+        twiglets = json.loads(
+            (self._root / _TWIGLETS).read_text(encoding="utf-8"))
+        trees = json.loads(
+            (self._root / _TREES).read_text(encoding="utf-8"))
         # The tree artifacts encode under the graph-wide codec; label
         # churn in the alphabet invalidates every encoding, so only then
         # are clean balls' trees recomputed (plaintext work -- their
         # ciphertext still copies verbatim).
-        recode_all_trees = (bf_config is not None
+        recode_all_trees = (trees.get("bf") is not None
                             and graph.alphabet != pre_alphabet)
 
-        twiglets_doc = json.loads(
-            (self._root / _TWIGLETS).read_text(encoding="utf-8"))
-        trees_doc = json.loads(
-            (self._root / _TREES).read_text(encoding="utf-8"))
-        twiglet_balls: dict[str, list] = dict(twiglets_doc.get("balls", {}))
-        tree_balls: dict[str, dict] = dict(trees_doc.get("balls", {}))
-
-        entries: list[dict] = []
         catalog_rows: list[tuple[int, int, object]] = []
-        replaced_leaves: dict[int, str] = {}
-        all_leaves: dict[int, str] = {}
-        dirty_ball_ids: list[int] = []
         reused = 0
-
-        def _refresh_artifacts(ball: Ball) -> None:
-            sid = str(ball.ball_id)
-            if twiglet_h is not None:
-                features = twiglets_from(ball.graph, ball.center, twiglet_h)
-                twiglet_balls[sid] = sorted(
-                    twiglet_to_jsonable(t) for t in features)
-            if bf_config is not None:
-                tree_balls[sid] = self._tree_artifact(ball, codec, bf_config)
-
-        tmp_plain = self._root / (_BALLS_PACK + ".tmp")
-        tmp_enc = self._root / (_ENCRYPTED_PACK + ".tmp")
-        with tmp_plain.open("wb") as plain, tmp_enc.open("wb") as enc:
-            offset = enc_offset = 0
-
-            def _emit(entry: dict, payload: bytes, blob: bytes) -> None:
-                nonlocal offset, enc_offset
-                plain.write(payload)
-                enc.write(blob)
-                entry["offset"] = offset
-                entry["length"] = len(payload)
-                entry["enc_offset"] = enc_offset
-                entry["enc_length"] = len(blob)
-                offset += len(payload)
-                enc_offset += len(blob)
-                entries.append(entry)
-
+        with _StoreWriter(self._root, twiglets, trees, key,
+                          graph.alphabet) as writer:
             for old in self._manifest["balls"]:
                 ball_id = old["ball_id"]
-                if ball_id in removed_id_set:
-                    twiglet_balls.pop(str(ball_id), None)
-                    tree_balls.pop(str(ball_id), None)
+                if ball_id in removed:
+                    twiglets["balls"].pop(str(ball_id), None)
+                    trees["balls"].pop(str(ball_id), None)
                     continue
                 center, radius = key_by_id[ball_id]
                 catalog_rows.append((ball_id, radius, graph.label(center)))
-                if (center, radius) in dirty_keys:
-                    ball = extract_ball(graph, center, radius,
-                                        ball_id=ball_id)
-                    payload = ball_to_bytes(ball)
-                    blob = cipher.encrypt(payload)
-                    leaf = leaf_digest(vkey, ball_id, blob)
-                    replaced_leaves[ball_id] = leaf
-                    all_leaves[ball_id] = leaf
-                    dirty_ball_ids.append(ball_id)
-                    _refresh_artifacts(ball)
-                    _emit({"ball_id": ball_id, "center": old["center"],
-                           "radius": radius, "vertices": ball.size},
-                          payload, blob)
-                else:
-                    sl = self._slices[ball_id]
-                    payload = self._balls_pack.slice(sl.offset, sl.length)
-                    blob = self._encrypted_pack.slice(sl.enc_offset,
-                                                      sl.enc_length)
-                    if old_auth is None:
-                        # Pre-auth store: no committed leaf table to
-                        # patch, so digest the (unchanged) blob afresh.
-                        all_leaves[ball_id] = leaf_digest(vkey, ball_id,
-                                                          blob)
-                    reused += 1
-                    if recode_all_trees:
-                        _ball = ball_from_bytes(payload)
-                        tree_balls[str(ball_id)] = self._tree_artifact(
-                            _ball, codec, bf_config)
-                    _emit(dict(old), payload, blob)
-            for center in added_centers:
-                for radius in radii:
-                    ball_id = new_ids[(center, radius)]
-                    ball = extract_ball(graph, center, radius,
-                                        ball_id=ball_id)
-                    payload = ball_to_bytes(ball)
-                    blob = cipher.encrypt(payload)
-                    leaf = leaf_digest(vkey, ball_id, blob)
-                    replaced_leaves[ball_id] = leaf
-                    all_leaves[ball_id] = leaf
-                    catalog_rows.append((ball_id, radius,
-                                         graph.label(center)))
-                    _refresh_artifacts(ball)
-                    _emit({"ball_id": ball_id, "center": repr(center),
-                           "radius": radius, "vertices": ball.size},
-                          payload, blob)
+                if ball_id in dirty:
+                    writer.encrypt(extract_ball(graph, center, radius,
+                                                ball_id=ball_id))
+                    continue
+                payload, blob = self._record(ball_id)
+                if old_auth is None:
+                    # Pre-auth store: no committed leaf table to patch,
+                    # so digest the (unchanged) blob afresh.
+                    writer.commit_leaf(ball_id, blob)
+                if recode_all_trees:
+                    writer.retree(ball_from_bytes(payload))
+                writer.copy(old, payload, blob)
+                reused += 1
+            for ball_id in plan.added:
+                center, radius = key_by_id[ball_id]
+                catalog_rows.append((ball_id, radius, graph.label(center)))
+                writer.encrypt(extract_ball(graph, center, radius,
+                                            ball_id=ball_id))
 
         catalog = build_catalog(catalog_rows)
         if old_auth is not None:
-            auth = updated_auth_block(key, old_auth,
-                                      replaced=replaced_leaves,
-                                      removed=removed_ids,
-                                      catalog=catalog)
+            auth = updated_auth_block(key, old_auth, replaced=writer.leaves,
+                                      removed=plan.removed, catalog=catalog)
         else:
-            auth = build_auth_block(key, all_leaves, catalog)
+            auth = build_auth_block(key, writer.leaves, catalog)
 
-        ball_ids_table: dict[str, dict[str, int]] = {}
-        for (center, radius), ball_id in new_ids.items():
-            ball_ids_table.setdefault(repr(center), {})[str(radius)] = ball_id
-
-        tmp_twiglets = self._root / (_TWIGLETS + ".tmp")
-        tmp_trees = self._root / (_TREES + ".tmp")
-        tmp_twiglets.write_text(
-            json.dumps({"h": twiglets_doc.get("h"), "balls": twiglet_balls},
-                       separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
-        tmp_trees.write_text(
-            json.dumps({"bf": trees_doc.get("bf"), "balls": tree_balls},
-                       separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
-
-        # Atomic turnover: packs/artifacts first, manifest (the commit
-        # point) last.  Close the mmaps before replacing their files.
-        self._balls_pack.close()
-        self._encrypted_pack.close()
-        os.replace(tmp_plain, self._root / _BALLS_PACK)
-        os.replace(tmp_enc, self._root / _ENCRYPTED_PACK)
-        os.replace(tmp_twiglets, self._root / _TWIGLETS)
-        os.replace(tmp_trees, self._root / _TREES)
-
-        manifest = dict(self._manifest)
-        manifest["graph_digest"] = graph_digest(graph)
-        manifest["balls"] = entries
-        manifest["ball_ids"] = ball_ids_table
-        manifest["auth"] = auth
-        manifest["checksums"] = {
-            name: _file_digest(self._root / name)
-            for name in (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS, _TREES)
-        }
-        tmp_manifest = self._root / (_MANIFEST + ".tmp")
-        tmp_manifest.write_text(
-            json.dumps(manifest, indent=1, sort_keys=True),
-            encoding="utf-8")
-        os.replace(tmp_manifest, self._root / _MANIFEST)
-
+        # Close the mmaps before their files are replaced.
         balls_before = len(self._slices)
-        self._manifest = manifest
-        self._slices = {entry["ball_id"]: PackSlice(**entry)
-                        for entry in entries}
-        self._balls_pack = _Pack(self._root / _BALLS_PACK)
-        self._encrypted_pack = _Pack(self._root / _ENCRYPTED_PACK)
-        self._twiglets = None
-        self._trees = None
+        self.close()
+        self._bind(writer.commit({
+            **self._manifest,
+            "graph_digest": graph_digest(graph),
+            "ball_ids": _ball_id_table(plan.ids),
+            "auth": auth,
+        }))
 
         report = DeltaApplyReport(
             balls_before=balls_before,
-            balls_after=len(entries),
+            balls_after=len(self._slices),
             reused=reused,
-            reencrypted=len(dirty_ball_ids) + len(added_ball_ids),
-            dirty_ball_ids=tuple(sorted(dirty_ball_ids)),
-            added_ball_ids=tuple(added_ball_ids),
-            removed_ball_ids=tuple(removed_ids),
+            reencrypted=len(plan.dirty) + len(plan.added),
+            dirty_ball_ids=plan.dirty,
+            added_ball_ids=plan.added,
+            removed_ball_ids=plan.removed,
             auth_root=auth["root"],
-            graph_digest=manifest["graph_digest"])
+            graph_digest=self._manifest["graph_digest"])
         if self._tracer.enabled:
             self._tracer.event("delta_apply", "sp",
                                balls=report.balls_after,
@@ -1085,7 +1076,7 @@ class ArtifactStore:
         for center_repr, per_radius in table.items():
             center = by_repr.get(center_repr)
             if center is None:
-                raise StoreError(
+                raise StoreStale(
                     f"store is stale: ball-id table names vertex "
                     f"{center_repr} which the live graph does not have")
             for radius, ball_id in per_radius.items():
@@ -1208,60 +1199,26 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
     for shard_id, entries in by_shard.items():
         shard_dir = out_root / f"shard-{shard_id}"
         shard_dir.mkdir()
-        shard_entries: list[dict] = []
-        with (shard_dir / _BALLS_PACK).open("wb") as plain, \
-                (shard_dir / _ENCRYPTED_PACK).open("wb") as enc:
-            offset = enc_offset = 0
-            for entry in entries:
-                sl = src._slices[entry["ball_id"]]
-                payload = src._balls_pack.slice(sl.offset, sl.length)
-                blob = src._encrypted_pack.slice(sl.enc_offset,
-                                                 sl.enc_length)
-                plain.write(payload)
-                enc.write(blob)
-                shard_entries.append({**entry, "offset": offset,
-                                      "enc_offset": enc_offset})
-                offset += sl.length
-                enc_offset += sl.enc_length
         owned = {str(e["ball_id"]) for e in entries}
-        (shard_dir / _TWIGLETS).write_text(
-            json.dumps({"h": twiglets.get("h"),
-                        "balls": {k: v
-                                  for k, v in twiglets["balls"].items()
-                                  if k in owned}},
-                       separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
-        (shard_dir / _TREES).write_text(
-            json.dumps({"bf": trees.get("bf"),
-                        "balls": {k: v for k, v in trees["balls"].items()
-                                  if k in owned}},
-                       separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
-        shard_manifest = {
-            "version": _VERSION,
-            "graph_digest": manifest["graph_digest"],
-            "key_digest": manifest["key_digest"],
-            "radii": manifest["radii"],
-            "twiglet_h": manifest.get("twiglet_h"),
-            "bf": manifest.get("bf"),
-            "balls": shard_entries,
-            # The *global* auth block, verbatim: a shard proves its
-            # slice against the owner's pack-wide root, and orphaned
-            # balls (served after a re-placement) still have committed
-            # leaves even though this shard's pack never held them.
-            "auth": manifest.get("auth"),
-            # Likewise the global ball-id table: shard engines keep
-            # global ids, including ids for balls outside their slice.
-            "ball_ids": manifest.get("ball_ids"),
-            "checksums": {
-                name: _file_digest(shard_dir / name)
-                for name in (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS,
-                             _TREES)
-            },
-        }
-        (shard_dir / _MANIFEST).write_text(
-            json.dumps(shard_manifest, indent=1, sort_keys=True),
-            encoding="utf-8")
+        with _StoreWriter(
+                shard_dir,
+                {"h": twiglets.get("h"),
+                 "balls": {k: v for k, v in twiglets["balls"].items()
+                           if k in owned}},
+                {"bf": trees.get("bf"),
+                 "balls": {k: v for k, v in trees["balls"].items()
+                           if k in owned}}) as writer:
+            for entry in entries:
+                writer.copy(entry, *src._record(entry["ball_id"]))
+        # ``auth`` is the *global* block, verbatim: a shard proves its
+        # slice against the owner's pack-wide root, and orphaned balls
+        # (served after a re-placement) still have committed leaves even
+        # though this shard's pack never held them.  Likewise the global
+        # ``ball_ids`` table: shard engines keep global ids, including
+        # ids for balls outside their slice.
+        writer.commit({name: manifest.get(name) for name in (
+            "graph_digest", "key_digest", "radii", "twiglet_h", "bf",
+            "auth", "ball_ids")})
         shard_dirs[shard_id] = shard_dir.name
         shard_balls[shard_id] = len(entries)
 
@@ -1283,14 +1240,17 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
 __all__ = [
     "ArtifactStore",
     "DeltaApplyReport",
+    "DeltaPlan",
     "PackReport",
     "PackSlice",
     "StoreBallIndex",
     "StoreEncryptedBalls",
     "StoreError",
     "StoreMiss",
+    "StoreStale",
     "VerifyReport",
     "graph_digest",
     "key_digest",
+    "plan_delta",
     "shard_split",
 ]

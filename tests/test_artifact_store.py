@@ -7,22 +7,26 @@ that recomputed everything.
 """
 
 import hashlib
+import itertools
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.bf_pruning import BFConfig
 from repro.core.twiglets import filter_twiglets, twiglets_from
+from repro.crypto import stream_cipher
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.prilo_star import PriloStar
 from repro.graph.ball import BallIndex
-from repro.graph.delta import random_delta
+from repro.graph.delta import GraphDelta, random_delta
 from repro.graph.io import graph_from_json, graph_to_json
 from repro.storage import (
     ArtifactStore,
     StoreError,
     graph_digest,
     key_digest,
+    shard_split,
 )
 from repro.workloads.datasets import load_dataset
 
@@ -232,14 +236,20 @@ class TestServingEquivalence:
         assert backed.pm_per_method == plain.pm_per_method
 
 
-# sha256 of the three deterministic pack files, recorded by building the
-# same stores at the commit before the tree-enumeration kernel, the O(1)
-# label codec and the bulk bloom insert replaced their slower
-# predecessors (encrypted.pack and manifest.json carry random nonces and
-# differ between any two builds).
+# sha256 of every file the store writes, recorded by running the same
+# steps at the commit before ``create`` / ``apply_delta`` / ``shard_split``
+# were moved onto one directory writer (balls.pack, trees.json and
+# twiglets.json were first recorded before the tree-enumeration kernel,
+# the O(1) label codec and the bulk bloom insert replaced their slower
+# predecessors, and have not moved since).  encrypted.pack and
+# manifest.json carry the cipher's nonces, so the tests pin those.
 GOLDEN_R1 = {
     "balls.pack":
         "4bbc961932f57e024904463c3cdf0c62e6cfcee1d39c98f563c711a514ef98c9",
+    "encrypted.pack":
+        "30642dbab3e4ec23b13650bef4ad0589f15b07b96f266b721837f62f6c86663c",
+    "manifest.json":
+        "57fb6ea123c087ec3881ed8fa7c566b3c6a21cd934c1f7c060588659753ba1c2",
     "trees.json":
         "5f8cdb867ca05ef8f9ffb2270597e4a6c73ad3da727a4e5688dab1d7c0f13e41",
     "twiglets.json":
@@ -248,14 +258,58 @@ GOLDEN_R1 = {
 GOLDEN_R1_AFTER_TWO_DELTAS = {
     "balls.pack":
         "73fbb06e67d85f5a68fa9aded8e2957bcff2729518eaf23b38b2f072468c3d7c",
+    "encrypted.pack":
+        "20f921195f1f7fa5647bbac9aca94271644d77bee908136f800010affcfe308a",
+    "manifest.json":
+        "2c536f640a321f2a6a003c01d285227fa690941c68b817dea5471e6d2700ad2e",
     "trees.json":
         "c5cd9ba83845f181515833dc626a9c20ea7eaa86546827e3fee77061fdcc0faf",
     "twiglets.json":
         "e0a975c8623c9f0ca4ec10dee94dcb493f0bf99364fabc9f8206feb11fd5da89",
 }
+GOLDEN_R1_AFTER_VERTEX_CHURN = {
+    "balls.pack":
+        "a8e51d20d66447e7e41c43fc45df49db8a67e5f67f34a27de7e813715cf4cc42",
+    "encrypted.pack":
+        "2e4c6c003847cc738e54fccb991a6dcf80614479b1b3ccb8be31e5ecd5d63e51",
+    "manifest.json":
+        "fbbc915c0160382fe8668403e9a54619f34e796a45a65ef441b7cfeab0f9ec6b",
+    "trees.json":
+        "f74d24b2fb458f54da958f1fce442e269fc0c245c0a757e9034a1ce351ea4660",
+    "twiglets.json":
+        "35fdb84e3722b0335ba94693e837991f494c13a8034403411834b519522aed0e",
+}
+GOLDEN_R1_SHARD_SPLIT = {
+    "placement.json":
+        "fe1c5ee7affc9eae18ea64df9617f02f547cda7562dbdf65489c6b144b57270a",
+    "shard-0/balls.pack":
+        "edfb7df035823ce8eabd085631be72d839900e9ff38b1d9cc06a78f1b94c4d9a",
+    "shard-0/encrypted.pack":
+        "78a27f67d3d9d8db6d65a91ec5f55a6e4842d53910baa72bd66a568c0d4e8224",
+    "shard-0/manifest.json":
+        "c4f8a0fb868dcb8a40d6783865d4ad7c91ca61b119e794bb9d827d8ab308cd6a",
+    "shard-0/trees.json":
+        "21cb5b11684d2d4e06cbdb63f20d5b96c74913e8d6315001e9c2bd638467ee84",
+    "shard-0/twiglets.json":
+        "cd6227c7466a46a3a2bef9634a2c5da6010144204ad8830339d25acff53b1497",
+    "shard-1/balls.pack":
+        "0cb3b8a7bb8e1170c791c613f315dd64a8006bbd47508fa5c5325cfb2b7040c0",
+    "shard-1/encrypted.pack":
+        "b3588995921a64c6a960bf99ebdded6012024fd77b34db123b2c92303c91600d",
+    "shard-1/manifest.json":
+        "814ddc6177109559978c8a92085cad376fad239761b33bf947f78b0dbbbe0e8c",
+    "shard-1/trees.json":
+        "6bd077b232aba65d2b12ff4c02fe62c33d800c9fa3af916f87a6ac209f181f1f",
+    "shard-1/twiglets.json":
+        "5789cc995d1a1862a0874dde5878e23b91efb6140a3a5dd6d69b39cecec424dc",
+}
 GOLDEN_R2 = {
     "balls.pack":
         "34df8f2aa2feeee968f29e22e12c1b91c4fe545229a634198964a432ff245ca1",
+    "encrypted.pack":
+        "e3e4ca3b23216785edfbc84cd045b6612c431940c54d19337bdfc1345a8c64ab",
+    "manifest.json":
+        "ca306fdb9ad4ea9088895f17560b776acf35611f7641f45cf05d99e68098f9c7",
     "trees.json":
         "90d3327c038b15824ed3570eeefc647031586eb97fbd93bdbf29dac714f32648",
     "twiglets.json":
@@ -263,9 +317,10 @@ GOLDEN_R2 = {
 }
 
 
-def _pack_digests(root):
-    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
-            for name in GOLDEN_R1}
+def _digests(root):
+    return {str(path.relative_to(root)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 class TestGoldenPackBytes:
@@ -276,24 +331,47 @@ class TestGoldenPackBytes:
     def dblp(self):
         return load_dataset("dblp", scale=0.03).graph
 
+    @pytest.fixture(autouse=True)
+    def pinned_nonces(self, monkeypatch):
+        """The n-th ``os.urandom`` the stream cipher asks for is a hash
+        of n: ciphertexts then depend only on the order balls are
+        encrypted in, which is part of what the goldens pin."""
+        counter = itertools.count()
+        monkeypatch.setattr(stream_cipher, "os", SimpleNamespace(
+            urandom=lambda n: hashlib.sha256(
+                b"golden-nonce:%d" % next(counter)).digest()[:n]))
+
     def test_radius_1_before_and_after_two_deltas(self, tmp_path, dblp):
         key = DataOwnerKey.generate(11)
-        store = ArtifactStore.create(tmp_path / "r1", dblp, (1,), key,
+        root = tmp_path / "r1"
+        store = ArtifactStore.create(root, dblp, (1,), key,
                                      twiglet_h=3, bf_config=BFConfig())
         try:
-            assert _pack_digests(tmp_path / "r1") == GOLDEN_R1
+            assert _digests(root) == GOLDEN_R1
             live = dblp.copy()
             for seed in (5, 6):
                 delta = random_delta(
                     live, edge_fraction=2.0 / live.num_edges, seed=seed)
                 assert store.apply_delta(delta, live, key).reencrypted > 0
-            assert (_pack_digests(tmp_path / "r1")
-                    == GOLDEN_R1_AFTER_TWO_DELTAS)
+            assert _digests(root) == GOLDEN_R1_AFTER_TWO_DELTAS
+            # One vertex out, one in under a label outside the alphabet:
+            # dropped balls, fresh ids, every tree artifact recoded.
+            ordered = sorted(live.vertices(), key=repr)
+            fresh = "golden-vertex"
+            report = store.apply_delta(GraphDelta(
+                added_vertices=((fresh, "golden-label"),),
+                removed_vertices=(ordered[7],),
+                added_edges=((fresh, ordered[3]), (ordered[5], fresh))),
+                live, key)
+            assert (report.added, report.removed) == (1, 1)
+            assert _digests(root) == GOLDEN_R1_AFTER_VERTEX_CHURN
         finally:
             store.close()
+        shard_split(root, tmp_path / "split", 2)
+        assert _digests(tmp_path / "split") == GOLDEN_R1_SHARD_SPLIT
 
     def test_radius_2(self, tmp_path, dblp):
         ArtifactStore.create(tmp_path / "r2", dblp, (2,),
                              DataOwnerKey.generate(11), twiglet_h=3,
                              bf_config=BFConfig()).close()
-        assert _pack_digests(tmp_path / "r2") == GOLDEN_R2
+        assert _digests(tmp_path / "r2") == GOLDEN_R2

@@ -314,3 +314,46 @@ class TestStandingQueries:
                                   for m in ms)
         finally:
             engine.close()
+
+
+# ---------------------------------------------------------------------------
+# one delta planner for the store and the in-memory engine
+# ---------------------------------------------------------------------------
+class TestOnePlanner:
+    def test_in_memory_plan_equals_store_plan(self, tmp_path, dataset,
+                                              test_config, key):
+        """A chain of random deltas (edge churn, vertex removals, one
+        added vertex) dirties / adds / removes the same ball ids whether
+        it goes through the store or through an in-memory engine."""
+        from repro.framework import server as server_module
+        from repro.storage import store as store_module
+
+        assert server_module.plan_delta is store_module.plan_delta
+        stored_graph = dataset.graph.copy()
+        store = _build(tmp_path / "store", stored_graph, key)
+        engine = Prilo(dataset.graph.copy(), _config(test_config))
+        server = QueryBatchEngine(engine, cache=CMMCache())
+        try:
+            for step in range(4):
+                delta = random_delta(stored_graph, edge_fraction=0.03,
+                                     remove_vertices=step % 2,
+                                     seed=70 + step)
+                if step == 3:
+                    anchor = sorted(stored_graph.vertices(), key=repr)[0]
+                    delta = replace(
+                        delta, added_vertices=(("fresh", "fresh-label"),),
+                        added_edges=delta.added_edges + (("fresh", anchor),))
+                report = store.apply_delta(delta, stored_graph, key)
+                application = server.apply_delta(delta)
+                assert (application.dirty_ball_ids,
+                        application.added_ball_ids,
+                        application.removed_ball_ids) == (
+                    report.dirty_ball_ids, report.added_ball_ids,
+                    report.removed_ball_ids)
+                assert report.dirty > 0
+                assert engine.index.id_map() == store.ball_id_map(
+                    engine.graph)
+            assert report.added == len(RADII)
+        finally:
+            engine.close()
+            store.close()

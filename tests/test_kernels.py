@@ -8,7 +8,6 @@ semantics with pruning on and off.
 """
 
 from dataclasses import replace
-from functools import reduce
 
 import pytest
 
@@ -27,12 +26,9 @@ from repro.crypto.kernels import (
     NAIVE_KERNELS,
     KernelConfig,
     MaskedProductTable,
-    MontgomeryContext,
     MultiExpRegistry,
     iter_bits,
-    kernel_scope,
     mask_of_pattern,
-    montgomery_context,
     offdiagonal_bases,
     pack_row,
     pack_rows,
@@ -49,14 +45,13 @@ from repro.semantics.ssim import (
 
 class TestKernelConfig:
     def test_defaults_and_naive(self):
-        assert DEFAULT_KERNELS.multiexp and not DEFAULT_KERNELS.montgomery
+        assert DEFAULT_KERNELS.multiexp
         assert NAIVE_KERNELS == KernelConfig.naive()
         assert not NAIVE_KERNELS.multiexp
 
     def test_labels(self):
         assert DEFAULT_KERNELS.label == "batched"
         assert NAIVE_KERNELS.label == "naive"
-        assert KernelConfig(montgomery=True).label == "batched+mont"
 
     def test_window_bounds(self):
         with pytest.raises(ValueError, match="window"):
@@ -65,50 +60,9 @@ class TestKernelConfig:
             KernelConfig(window=9)
 
     def test_dict_round_trip(self):
-        config = KernelConfig(multiexp=False, montgomery=True, window=3)
+        config = KernelConfig(multiexp=False, window=3)
         assert KernelConfig.from_dict(config.as_dict()) == config
-
-
-class TestMontgomery:
-    MODULUS = 0xF123_4567_89AB_CDEF_F123_4567_89AB_CDE1  # odd
-
-    def test_round_trip(self):
-        ctx = MontgomeryContext(self.MODULUS)
-        for a in (0, 1, 2, self.MODULUS - 1, 0xDEADBEEF):
-            assert ctx.from_mont(ctx.to_mont(a)) == a % self.MODULUS
-
-    def test_mul_matches_plain(self):
-        ctx = MontgomeryContext(self.MODULUS)
-        a, b = 0x1234_5678_9ABC, self.MODULUS - 12345
-        got = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)))
-        assert got == (a * b) % self.MODULUS
-
-    def test_fold_matches_reduce(self):
-        ctx = MontgomeryContext(self.MODULUS)
-        values = [3, 5, 7, 0xFFFF_FFFF, self.MODULUS - 2, 11]
-        expected = reduce(lambda x, y: (x * y) % self.MODULUS, values, 1)
-        assert ctx.fold(values) == expected
-
-    def test_fold_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            MontgomeryContext(self.MODULUS).fold([])
-
-    def test_even_or_tiny_modulus_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            MontgomeryContext(10)
-        with pytest.raises(ValueError, match="odd"):
-            MontgomeryContext(1)
-
-    def test_context_cache_shares_instances(self):
-        assert montgomery_context(self.MODULUS) is \
-            montgomery_context(self.MODULUS)
-
-    def test_fold_counts_modmuls(self):
-        counter = crypto_ops.OpCounter()
-        with crypto_ops.counting(counter, "evaluation", "user") as bucket:
-            montgomery_context(self.MODULUS).fold([3, 5, 7])
-        # 3 conversions in + 3 chain muls + 1 conversion out.
-        assert bucket.modmul == 7
+        assert set(config.as_dict()) == {"multiexp", "window"}
 
 
 def _kernel_variants():
@@ -116,8 +70,7 @@ def _kernel_variants():
         KernelConfig(window=1),
         KernelConfig(window=3),
         KernelConfig(window=4),
-        KernelConfig(window=4, montgomery=True),
-        KernelConfig(window=6, montgomery=True),
+        KernelConfig(window=6),
     ]
 
 
@@ -249,43 +202,6 @@ class TestMaskedProductTable:
         assert registry.enabled
 
 
-class TestKernelScope:
-    def test_scope_installs_and_restores(self, cgbe):
-        from repro.crypto import cgbe as cgbe_module
-
-        config = KernelConfig(montgomery=True)
-        assert cgbe_module._MONT is None
-        with kernel_scope(config, cgbe.params):
-            assert cgbe_module._MONT is \
-                montgomery_context(cgbe.params.modulus)
-            with kernel_scope(NAIVE_KERNELS, cgbe.params):
-                # naive scope must not clobber an installed context
-                assert cgbe_module._MONT is not None
-        assert cgbe_module._MONT is None
-
-    def test_product_identical_under_montgomery(self, cgbe):
-        params = cgbe.params
-        factors = [cgbe.encrypt(3), cgbe.encrypt(5), cgbe.encrypt(7),
-                   cgbe.encrypt_one()]
-        plain = CGBE.product(params, factors)
-        with kernel_scope(KernelConfig(montgomery=True), params):
-            mont = CGBE.product(params, factors)
-        assert (mont.value, mont.power, mont.value_bits) == \
-            (plain.value, plain.power, plain.value_bits)
-
-    def test_product_overflow_identical_under_montgomery(self, cgbe):
-        params = cgbe.params
-        bpf = params.budget.bits_per_factor
-        count = params.modulus_bits // bpf + 1
-        factors = [cgbe.encrypt(2) for _ in range(count)]
-        with pytest.raises(OverflowError_, match="split the aggregation"):
-            CGBE.product(params, factors)
-        with kernel_scope(KernelConfig(montgomery=True), params):
-            with pytest.raises(OverflowError_,
-                               match="split the aggregation"):
-                CGBE.product(params, factors)
-
-
 class TestProductEqualityDedupe:
     """Satellite regression: CGBE.product must collapse repeats of *equal*
     ciphertexts, not just the same object -- e.g. ``c_one`` padding
@@ -385,14 +301,3 @@ class TestEndToEndKernelEquivalence:
         # round-trips through the JSON shape
         rebuilt = crypto_ops.OpCounter.from_dict(result.metrics.ops.as_dict())
         assert rebuilt.as_dict() == result.metrics.ops.as_dict()
-
-
-class TestMontgomeryEndToEnd:
-    def test_montgomery_run_identical(self, dataset, test_config):
-        query = dataset.random_queries(1, size=4, diameter=2, seed=6)[0]
-        base = Prilo.setup(dataset.graph, test_config).run(query)
-        mont_cfg = replace(test_config,
-                           kernels=KernelConfig(montgomery=True))
-        mont = Prilo.setup(dataset.graph, mont_cfg).run(query)
-        assert mont.match_ball_ids == base.match_ball_ids
-        assert mont.num_matches == base.num_matches

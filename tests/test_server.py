@@ -250,7 +250,7 @@ class TestPreparedVerdicts:
         assert truncated.truncated
         assert truncated.bypassed
         assert truncated.enumerated == limit
-        assert truncated.patterns == ()
+        assert truncated.masks == ()
 
     def test_bound_bypass(self, dataset):
         view = self._view(dataset)
@@ -265,6 +265,6 @@ class TestPreparedVerdicts:
         _, prepared = self._some_ball(dataset, view)
         assert len(prepared.pattern_of_cmm) == prepared.enumerated
         assert set(prepared.pattern_of_cmm) == set(range(len(
-            prepared.patterns)))
+            prepared.masks)))
         assert prepared.weight == (len(prepared.pattern_of_cmm)
-                                   + len(prepared.patterns))
+                                   + len(prepared.masks))
