@@ -571,6 +571,8 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
         if pack.reason:
             line += f" ({pack.reason})"
         print(line)
+    print(f"store version {report.version}; ball records: "
+          f"{report.records.get(2, 0)} v2, {report.records.get(1, 0)} v1")
     print(f"{report.balls} balls indexed, "
           f"{report.decrypted} blobs decrypt-authenticated")
     if report.tampered:

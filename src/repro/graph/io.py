@@ -1,18 +1,23 @@
 """Serialization of labeled graphs.
 
-Two formats:
+Three formats:
 
 * SNAP-style labeled edge list -- a ``# vertex <id> <label>`` header section
   followed by ``<src> <dst>`` lines; round-trips the datasets the paper
   downloads from SNAP (plus the labels the paper adds).
-* JSON -- used as the plaintext payload of encrypted balls (the data owner
-  encrypts serialized ball data before shipping it to the SP, Sec. 2.3).
+* JSON -- the canonical text form of a graph: wire queries, answers and the
+  graph digest.
+* Ball record v2 -- the binary plaintext payload of encrypted balls (the
+  data owner encrypts serialized ball data before shipping it to the SP,
+  Sec. 2.3).  Earlier releases wrote JSON inside JSON there (v1); those
+  records stay readable through :func:`ball_from_bytes`.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import struct
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,8 +26,9 @@ from repro.graph.labeled_graph import LabeledGraph
 
 
 class BallDecodeError(ValueError):
-    """A serialized graph or ball is malformed: bad JSON, wrong shapes, an
-    unparsable repr, or graph data :class:`LabeledGraph` rejects."""
+    """A serialized graph or ball is malformed: bad JSON, wrong shapes, a
+    record whose counts or indices overrun it, an unparsable repr, or graph
+    data :class:`LabeledGraph` rejects."""
 
 
 def dump_edge_list(graph: LabeledGraph, path: str | Path) -> None:
@@ -100,7 +106,7 @@ def _decoding(what: str):
     except BallDecodeError:
         raise
     except (ValueError, KeyError, TypeError, SyntaxError, RecursionError,
-            MemoryError) as exc:
+            MemoryError, IndexError, OverflowError, struct.error) as exc:
         raise BallDecodeError(f"malformed {what}: {exc!r}") from exc
 
 
@@ -115,21 +121,131 @@ def graph_from_json(text: str) -> LabeledGraph:
             [(parsed[u], parsed[v]) for u, v in payload["edges"]])
 
 
+# ----------------------------------------------------------------------
+# ball record v2 (layout: DESIGN.md section 9.1)
+# ----------------------------------------------------------------------
+#: First byte 0x00: no JSON text (a v1 record) can start with it.
+_MAGIC = b"\x00BR2"
+#: magic | flags | ball_id | radius | vertices | edges | labels | center
+_HEADER = struct.Struct("<4sIqIIIII")
+_LENGTH = struct.Struct("<I")
+#: Flag bit 0: vertex ids are length-prefixed ``repr`` text, not int64s.
+_TEXT_IDS = 1
+_INT64 = range(-2**63, 2**63)
+
+
+def _index_code(n_vertices: int) -> str:
+    """Vertex indices and label codes: u16 while they fit, u32 beyond."""
+    return "H" if n_vertices <= 0xFFFF else "I"
+
+
+def _pack(code: str, values) -> bytes:
+    return struct.pack(f"<{len(values)}{code}", *values)
+
+
+def _pack_texts(texts) -> bytes:
+    encoded = [text.encode("utf-8") for text in texts]
+    return b"".join(part for text in encoded
+                    for part in (_LENGTH.pack(len(text)), text))
+
+
+def ball_record_version(data: bytes) -> int:
+    """Which ball record ``data`` starts like: 2 (binary) or 1 (the JSON
+    records of earlier releases, still readable)."""
+    return 2 if data[:4] == _MAGIC else 1
+
+
 def ball_to_bytes(ball: Ball) -> bytes:
-    """The plaintext the data owner encrypts per ball (Sec. 2.3, step 1)."""
-    payload = {
-        "ball_id": ball.ball_id,
-        "center": repr(ball.center),
-        "radius": ball.radius,
-        "graph": graph_to_json(ball.graph),
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """The plaintext the data owner encrypts per ball (Sec. 2.3, step 1):
+    one v2 record, a pure function of the ball -- vertices in ``repr``
+    order, edges sorted by vertex-index pair."""
+    graph = ball.graph
+    order = sorted(graph.vertices(), key=repr)
+    n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    label_codes: dict[str, int] = {}
+    codes = [label_codes.setdefault(repr(graph.label(v)), len(label_codes))
+             for v in order]
+    # One int per edge, (source index, target index) in base n: sorts in
+    # index-pair order at well under the cost of sorting tuples.
+    pairs = sorted(index[u] * n + index[v] for u, v in graph.edges())
+    if all(type(v) is int and v in _INT64 for v in order):
+        flags, ids = 0, _pack("q", order)
+    else:
+        flags, ids = _TEXT_IDS, _pack_texts(map(repr, order))
+    code = _index_code(n)
+    return b"".join((
+        _HEADER.pack(_MAGIC, flags, ball.ball_id, ball.radius, n,
+                     len(pairs), len(label_codes), index[ball.center]),
+        _pack_texts(label_codes), ids, _pack(code, codes),
+        _pack(code, [p // n for p in pairs]),
+        _pack(code, [p % n for p in pairs])))
+
+
+class _Reader:
+    """A cursor over one record.  Every read is checked against the bytes
+    that remain *before* anything is sized from a count the record
+    claims."""
+
+    def __init__(self, data: bytes, pos: int) -> None:
+        self.data, self.pos = data, pos
+
+    def take(self, size: int) -> bytes:
+        end = self.pos + size
+        if end > len(self.data):
+            raise BallDecodeError(
+                f"record needs {size} bytes at offset {self.pos}, "
+                f"{len(self.data) - self.pos} remain")
+        chunk, self.pos = self.data[self.pos:end], end
+        return chunk
+
+    def unpack(self, code: str, count: int) -> tuple:
+        return struct.unpack(
+            f"<{count}{code}", self.take(count * struct.calcsize("<" + code)))
+
+    def literals(self, count: int) -> list:
+        # Each text takes at least its 4-byte length prefix, so the record,
+        # not ``count``, bounds this loop and the list it grows.
+        values = []
+        for _ in range(count):
+            (length,) = _LENGTH.unpack(self.take(_LENGTH.size))
+            values.append(_parse_literal(str(self.take(length), "utf-8")))
+        return values
+
+
+def _ball_from_record(data: bytes) -> Ball:
+    (_, flags, ball_id, radius, n_vertices, n_edges, n_labels,
+     center) = _HEADER.unpack_from(data)
+    if flags & ~_TEXT_IDS:
+        raise BallDecodeError(f"unknown flag bits {flags:#x}")
+    reader = _Reader(data, _HEADER.size)
+    labels = reader.literals(n_labels)
+    ids = (reader.literals(n_vertices) if flags & _TEXT_IDS
+           else reader.unpack("q", n_vertices))
+    code = _index_code(n_vertices)
+    codes = reader.unpack(code, n_vertices)
+    sources = reader.unpack(code, n_edges)
+    targets = reader.unpack(code, n_edges)
+    if reader.pos != len(data):
+        raise BallDecodeError(
+            f"{len(data) - reader.pos} trailing bytes after the record")
+    vertex = ids.__getitem__
+    graph = LabeledGraph.from_edges(
+        zip(ids, map(labels.__getitem__, codes)),
+        zip(map(vertex, sources), map(vertex, targets)))
+    if graph.num_vertices != n_vertices or graph.num_edges != n_edges:
+        raise BallDecodeError("duplicate vertex id or edge in the record")
+    return Ball(graph=graph, center=ids[center], radius=radius,
+                ball_id=ball_id)
 
 
 def ball_from_bytes(data: bytes) -> Ball:
     """Inverse of :func:`ball_to_bytes`; :class:`BallDecodeError` on any
-    malformed payload."""
+    malformed payload.  The v1 JSON records earlier releases wrote stay
+    readable here for this release."""
     with _decoding("ball payload"):
+        if ball_record_version(data) == 2:
+            return _ball_from_record(data)
         payload = json.loads(data.decode("utf-8"))
         return Ball(graph=graph_from_json(payload["graph"]),
                     center=_parse_literal(payload["center"]),

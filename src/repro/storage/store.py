@@ -7,9 +7,10 @@ index re-extracts subgraphs, the Dealer re-encrypts blobs, and the
 Players re-enumerate per-ball pruning features on every query.
 :class:`ArtifactStore` persists that whole offline output once:
 
-* **balls.pack** -- every ball's canonical JSON payload, concatenated;
-  loaded through ``mmap`` so a cold engine start touches only the balls
-  a query actually visits;
+* **balls.pack** -- every ball's canonical record
+  (:func:`repro.graph.io.ball_to_bytes`), concatenated; loaded through
+  ``mmap`` so a cold engine start touches only the balls a query
+  actually visits;
 * **encrypted.pack** -- the Dealer's authenticated ciphertext blobs
   (StreamCipher under the owner's ``sk``), same offset table;
 * **twiglets.json** -- per-ball *full-alphabet* twiglet feature sets
@@ -65,7 +66,12 @@ from repro.framework.faults import FaultAction, FaultInjector, FaultKind
 from repro.framework.messages import EncryptedBallBlob
 from repro.graph.ball import Ball, BallIndex, extract_ball
 from repro.graph.delta import GraphDelta, dirty_ball_keys, touched_min_distances
-from repro.graph.io import ball_from_bytes, ball_to_bytes, graph_to_json
+from repro.graph.io import (
+    ball_from_bytes,
+    ball_record_version,
+    ball_to_bytes,
+    graph_to_json,
+)
 from repro.graph.labeled_graph import LabeledGraph
 from repro.observability.spans import NULL_TRACER
 
@@ -76,7 +82,11 @@ _TWIGLETS = "twiglets.json"
 _TREES = "trees.json"
 #: The files a manifest checksums, in the order a commit replaces them.
 _ARTIFACTS = (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS, _TREES)
-_VERSION = 1
+#: Written by every commit.  Version 2 packs may hold binary (v2) ball
+#: records; a reader dispatches per record, so a version-1 store patched
+#: by ``apply_delta`` becomes a version-2 store holding both kinds.
+_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 class StoreError(RuntimeError):
@@ -129,6 +139,10 @@ class VerifyReport:
     #: Blobs that decrypt-authenticated AND matched the plaintext pack
     #: during the keyed sweep (0 when no key was supplied).
     decrypted: int = 0
+    #: The manifest's format version.
+    version: int = 0
+    #: Ball record version -> how many ``balls.pack`` records carry it.
+    records: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -147,6 +161,9 @@ class VerifyReport:
         return {"ok": self.ok,
                 "balls": self.balls,
                 "decrypted": self.decrypted,
+                "version": self.version,
+                "records": {f"v{version}": count for version, count
+                            in sorted(self.records.items())},
                 "packs": [p.as_dict() for p in self.packs]}
 
 
@@ -769,7 +786,7 @@ class ArtifactStore:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise StoreError(f"malformed manifest: {exc}") from exc
-        if manifest.get("version") != _VERSION:
+        if manifest.get("version") not in _READABLE_VERSIONS:
             raise StoreError(
                 f"unsupported store version {manifest.get('version')!r}")
         return cls(root, manifest)
@@ -849,7 +866,8 @@ class ArtifactStore:
         into the returned :class:`VerifyReport` so operators (and the
         ``repro store verify`` exit codes) see the whole picture.
         """
-        report = VerifyReport(balls=len(self._slices))
+        report = VerifyReport(balls=len(self._slices),
+                              version=self._manifest["version"])
         for name, expected in self._manifest["checksums"].items():
             path = self._root / name
             if not path.is_file():
@@ -871,14 +889,16 @@ class ArtifactStore:
         stale_key = (key is not None
                      and key_digest(key) != self._manifest["key_digest"])
 
-        sweepable = (key is not None and not stale_key
-                     and by_name.get(_ENCRYPTED_PACK,
-                                     PackReport("", "missing")).status
-                     != "missing"
-                     and by_name.get(_BALLS_PACK,
-                                     PackReport("", "missing")).status
-                     != "missing")
-        if sweepable:
+        def present(name: str) -> bool:
+            return name in by_name and by_name[name].status != "missing"
+
+        if present(_BALLS_PACK):
+            for sl in self._slices.values():
+                version = ball_record_version(
+                    self._balls_pack.slice(sl.offset, 4))
+                report.records[version] = report.records.get(version, 0) + 1
+        if (key is not None and not stale_key and present(_ENCRYPTED_PACK)
+                and present(_BALLS_PACK)):
             cipher = key.cipher()
             auth = self._manifest.get("auth")
             vkey = auth_key(key) if auth is not None else None

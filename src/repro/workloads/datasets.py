@@ -14,7 +14,7 @@ figure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.graph.generators import social_graph, relabel_uniform
 from repro.graph.labeled_graph import LabeledGraph
@@ -90,7 +90,6 @@ class Dataset:
     spec: DatasetSpec
     graph: LabeledGraph              # |Sigma^H| labels (hom / sub-iso runs)
     ssim_graph: LabeledGraph         # |Sigma^S| labels (ssim runs)
-    _qgen_cache: dict[tuple, QGen] = field(default_factory=dict, repr=False)
 
     @property
     def name(self) -> str:
@@ -111,13 +110,9 @@ class Dataset:
                        semantics: Semantics = Semantics.HOM,
                        seed: int = 0) -> list[Query]:
         """The paper's per-experiment workload: ``count`` QGen queries
-        (10 under the default setting, Sec. 6.1)."""
-        graph = self.graph_for(semantics)
-        key = (semantics is Semantics.SSIM, seed)
-        qgen = self._qgen_cache.get(key)
-        if qgen is None:
-            qgen = QGen(graph, seed=self.spec.seed + seed)
-            self._qgen_cache[key] = qgen
+        (10 under the default setting, Sec. 6.1).  A fresh generator per
+        call: the same arguments return the same queries every time."""
+        qgen = QGen(self.graph_for(semantics), seed=self.spec.seed + seed)
         return qgen.generate_batch(count, size, diameter, semantics)
 
 

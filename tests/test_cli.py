@@ -210,6 +210,7 @@ class TestStoreCommands:
                      "--with-key"]) == 0
         out = capsys.readouterr().out
         assert "decrypt-authenticated" in out
+        assert "store version 2; ball records: 400 v2, 0 v1" in out
         assert "ok: store verified" in out
 
     def test_verify_detects_tamper(self, store_root, tmp_path, capsys):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -238,8 +239,14 @@ class TestExecutorRecovery:
             1.0, kinds=(FaultKind.WORKER_CRASH,))))
         executor._run_all(self._calls(2))
         executor.close()
-        for child in multiprocessing.active_children():
-            child.join(timeout=5)
+        # Poll rather than join: workers of pools an earlier test abandoned
+        # (the deadline test's 5 s sleepers) are reaped by their pool's
+        # manager thread, and a ``join`` here that loses that ``waitpid``
+        # race returns with the child still listed for a few milliseconds.
+        deadline = time.monotonic() + 10
+        while (multiprocessing.active_children()
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
         assert not multiprocessing.active_children()
 
 
@@ -452,29 +459,26 @@ class TestStoreFaults:
                    and e.action == FaultAction.DEGRADED
                    for e in report.events)
 
-    def test_json_preserving_ball_damage_is_quarantined(
-            self, dataset, config, query_of, store):
-        """Rot that keeps ``balls.pack`` entries valid JSON but breaks a
-        vertex repr (``literal_eval`` raises SyntaxError, not ValueError)
-        must take the same quarantine + recompute path as any other
-        damage -- it used to escape as a traceback."""
+    def _damaged_pack_is_quarantined(self, dataset, config, query_of, store,
+                                     damage, error):
+        """Rewrite every ``balls.pack`` record with ``damage(pack, slice)``
+        and serve from it: the load raises the typed error naming
+        ``error``, the pack is quarantined, the answer is the clean one."""
         from repro.graph.io import BallDecodeError
         from repro.storage import ArtifactStore
 
         pack = bytearray((store.root / "balls.pack").read_bytes())
         slices = dict(store._slices)
         store.close()
-        marker = b'{\\"vertices\\":[[\\"'
         for sl in slices.values():
-            at = pack.index(marker, sl.offset, sl.offset + sl.length)
-            pack[at + len(marker)] = ord("!")      # "12" -> "!2"
+            damage(pack, sl)
         (store.root / "balls.pack").write_bytes(bytes(pack))
 
         query = query_of()
         cfg = self._config(config)
         base = run_engine(dataset.graph, query, cfg, pruning=True)
         with ArtifactStore.open(store.root) as damaged:
-            with pytest.raises(BallDecodeError, match="SyntaxError"):
+            with pytest.raises(BallDecodeError, match=error):
                 damaged.load_ball(next(iter(slices)))
             with PriloStar.setup(dataset.graph, cfg,
                                  store=damaged) as engine:
@@ -482,6 +486,42 @@ class TestStoreFaults:
             assert "balls.pack" in damaged.quarantined
         assert result.matches == base.matches
         assert result.verified_ids == base.verified_ids
+
+    def test_record_preserving_ball_damage_is_quarantined(
+            self, dataset, config, query_of, store):
+        """Rot that still parses as a record -- the last edge's target
+        index points past the vertex table -- takes the same quarantine +
+        recompute path as any other damage."""
+        def damage(pack, sl):
+            pack[sl.offset + sl.length - 2:sl.offset + sl.length] = \
+                b"\xff\xff"
+
+        self._damaged_pack_is_quarantined(dataset, config, query_of, store,
+                                          damage, "IndexError")
+
+    def test_json_preserving_ball_damage_is_quarantined(
+            self, dataset, config, query_of, tmp_path, monkeypatch):
+        """The v1 twin, against a v1 pack: rot that keeps ``balls.pack``
+        entries valid JSON but breaks a vertex repr (``literal_eval``
+        raises SyntaxError, not ValueError) -- it used to escape as a
+        traceback."""
+        from repro.crypto.keys import DataOwnerKey
+        from repro.storage import ArtifactStore
+        from tests.ball_v1 import write_v1_stores
+
+        write_v1_stores(monkeypatch)
+        store = ArtifactStore.create(
+            tmp_path / "v1-store", dataset.graph, self.RADII,
+            DataOwnerKey.generate(self.SEED), twiglet_h=3,
+            bf_config=BFConfig(eta=16, expected_trees=200))
+        marker = b'{\\"vertices\\":[[\\"'
+
+        def damage(pack, sl):
+            at = pack.index(marker, sl.offset, sl.offset + sl.length)
+            pack[at + len(marker)] = ord("!")      # "12" -> "!2"
+
+        self._damaged_pack_is_quarantined(dataset, config, query_of, store,
+                                          damage, "SyntaxError")
 
     def test_quarantine_disabled_raises(self, dataset, config, query_of,
                                         store):

@@ -21,6 +21,7 @@ from repro.graph.io import (
 )
 from repro.graph.labeled_graph import LabeledGraph
 from repro.workloads.datasets import load_dataset
+from tests.ball_v1 import ball_to_bytes_v1
 
 
 class TestEdgeList:
@@ -133,9 +134,11 @@ class TestLiteralFastPath:
 
 class TestBallDecodeError:
     """Every malformed payload surfaces as the one typed error the store's
-    quarantine path (and any other caller) can catch."""
+    quarantine path (and any other caller) can catch.  These are the v1
+    (JSON) vectors, which ``ball_from_bytes`` still reads;
+    ``tests/test_ball_record.py`` holds their v2 counterparts."""
 
-    BALL = ball_to_bytes(extract_ball(fig3_graph(), "v6", 2, ball_id=17))
+    BALL = ball_to_bytes_v1(extract_ball(fig3_graph(), "v6", 2, ball_id=17))
 
     def test_is_a_value_error(self):
         assert issubclass(BallDecodeError, ValueError)

@@ -692,8 +692,14 @@ class TestPMReplay:
     def test_rogue_attestation_report_forces_recompute(
             self, dataset, test_config, tmp_path):
         """One player returning a report for the wrong application makes
-        every query recompute its PMs -- byte-identical answers, zero
-        replays, a DEGRADED event per query."""
+        every query recompute its PMs -- zero replays, a DEGRADED event
+        per query, identical matches and verified ids.
+
+        The enclave is still rogue when the PMs are recomputed, so the
+        user's own attestation (``User.prepare``) fails too and the query
+        runs twiglet-only.  ``compute_pms_kernel`` documents that as
+        sound -- skipping BF "keeps strictly more candidates" -- hence PM
+        positives are a superset of the baseline's, not equal to them."""
         from repro.framework.faults import FaultAction
 
         queries, baseline, journal = self._runs(dataset, test_config,
@@ -714,10 +720,14 @@ class TestPMReplay:
                     if e.key.startswith("reattest:")
                     and e.action == FaultAction.DEGRADED]
         assert len(degraded) == len(queries)
-        # Recomputation runs against healthy enclave state, so the
-        # answers -- PM positives included -- stay byte-identical.
-        assert ([_answer_key(r) for r in resumed.results]
-                == [_answer_key(r) for r in baseline.results])
+        for got, want in zip(resumed.results, baseline.results):
+            assert any(e.key.startswith("enclave:")
+                       and e.action == FaultAction.DEGRADED
+                       for e in got.metrics.faults.events)
+            assert got.pm_positive_ids >= want.pm_positive_ids
+            got_key, want_key = _answer_key(got), _answer_key(want)
+            # Everything but the PM positives (index 1) is identical.
+            assert got_key[:1] + got_key[2:] == want_key[:1] + want_key[2:]
 
     def test_wrong_shape_pm_record_recomputed(self, dataset, test_config,
                                               tmp_path):
