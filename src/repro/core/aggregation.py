@@ -133,8 +133,8 @@ def aggregate_items(params: CGBEPublicParams, ball_id: int,
 
     The summable layout is the paper-literal sum over every item.  The
     per-item layout keeps each distinct chunk list once: the only place
-    that shape is decided, so every path that feeds it (streaming,
-    prepared, naive, journal-replayed) ships the same result.
+    that shape is decided, so every caller that feeds it (the kernels,
+    the naive fold, the two-pass reference) ships the same result.
     """
     if not item_chunk_lists:
         return BallCiphertextResult(ball_id=ball_id, empty=True)

@@ -21,6 +21,13 @@ enforced during the recursion with a label-based feasibility cut: a partial
 assignment that has not used the center and whose remaining rows cannot
 possibly map to it (no remaining row carries the center's label) is
 abandoned early.
+
+Production code reads the enumeration as a *recorded mask stream*:
+:func:`prepare_ball` runs the fused kernel :func:`iter_projected_masks`
+once per (ball, :func:`enumeration_signature`) and keeps the outcome as a
+:class:`PreparedBall`, the single input of hom / sub-iso verification.
+:func:`iter_cmms` / :func:`enumerate_cmms` stay as the CMM-object
+reference.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Iterator
 from repro.graph.ball import Ball
 from repro.graph.labeled_graph import Vertex
 from repro.graph.matrix import CandidateMappingMatrix
-from repro.graph.query import Query
+from repro.graph.query import Query, Semantics
 
 
 @dataclass
@@ -171,6 +178,88 @@ def iter_projected_masks(query: Query, ball: Ball, injective: bool = False,
         row += 1
         partial[row] = mask
         centered[row] = has_center
+
+
+@dataclass(frozen=True)
+class PreparedBall:
+    """One ball's recorded mask stream: what Alg. 1 yields for it under
+    one :func:`enumeration_signature`, and the only input hom / sub-iso
+    verification reads.
+
+    ``masks`` holds the *distinct* projected matrices ``M_p`` of the
+    ball's CMMs as packed off-diagonal selection masks
+    (:func:`repro.crypto.kernels.mask_of_pattern` layout), in
+    first-appearance order; ``pattern_of_cmm`` maps each CMM, in
+    enumeration order, to its index there.  It holds plain integers only
+    (no graph objects), so a :class:`~repro.framework.server.CMMCache`
+    can keep it across queries and ship it to worker processes.
+    """
+
+    ball_id: int
+    enumerated: int
+    truncated: bool
+    bound_bypassed: bool
+    masks: tuple[int, ...]
+    pattern_of_cmm: tuple[int, ...]
+
+    @property
+    def bypassed(self) -> bool:
+        return self.truncated or self.bound_bypassed
+
+    @property
+    def weight(self) -> int:
+        """Cache weight in CMM units (per-CMM index + distinct patterns)."""
+        return max(len(self.pattern_of_cmm) + len(self.masks), 1)
+
+
+def enumeration_signature(query: Query, *, enumeration_limit: int,
+                          cmm_bound_bypass: int) -> tuple:
+    """The inputs Alg. 1 actually reads: ordered ``V_Q`` labels, ``d_Q``,
+    the matching semantics, and the engine's enumeration bounds.
+
+    Two queries with equal signatures induce identical mask streams on
+    every ball -- the encrypted edges never participate -- and a query
+    and its SP-side :class:`~repro.graph.query.QueryLabelView` give the
+    same tuple.  The bounds are part of the signature because
+    truncation/bypass verdicts depend on them.
+    """
+    labels = tuple(query.label(u) for u in query.vertex_order)
+    return (labels, query.diameter, query.semantics,
+            enumeration_limit, cmm_bound_bypass)
+
+
+def prepare_ball(query: Query, ball: Ball, *, enumeration_limit: int,
+                 cmm_bound_bypass: int) -> PreparedBall:
+    """Run Alg. 1 once and record its mask stream.
+
+    The one place the two footnote-6 decisions are taken: the bound
+    bypass is checked before any enumeration (``enumerated == 0``), and
+    producing a ``limit+1``-th CMM truncates with ``enumerated == limit``
+    -- either way the ball is reported unpruned rather than risking an
+    unsound verdict on a partial CMM set.
+
+    CMMs are grouped by their packed off-diagonal selection mask, which
+    :func:`iter_projected_masks` yields directly.  The mask ignores the
+    diagonal, but projections keep the diagonal 0 by construction, so
+    mask equality and pattern equality coincide.
+    """
+    cv = candidate_vertices(query, ball)
+    if count_cmm_upper_bound(query, ball, cv) > cmm_bound_bypass:
+        return PreparedBall(ball_id=ball.ball_id, enumerated=0,
+                            truncated=False, bound_bypassed=True,
+                            masks=(), pattern_of_cmm=())
+    injective = query.semantics is Semantics.SUB_ISO
+    index_of: dict[int, int] = {}  # mask -> pattern index, insertion order
+    order: list[int] = []
+    for mask in iter_projected_masks(query, ball, injective=injective, cv=cv):
+        if len(order) >= enumeration_limit:
+            return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
+                                truncated=True, bound_bypassed=False,
+                                masks=(), pattern_of_cmm=())
+        order.append(index_of.setdefault(mask, len(index_of)))
+    return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
+                        truncated=False, bound_bypassed=False,
+                        masks=tuple(index_of), pattern_of_cmm=tuple(order))
 
 
 def enumerate_cmms(query: Query, ball: Ball,

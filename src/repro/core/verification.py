@@ -23,8 +23,6 @@ Faithful refinements (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.aggregation import (
     BallCiphertextResult,
     ChunkPlan,
@@ -32,6 +30,7 @@ from repro.core.aggregation import (
     chunked_product,
     decide_positive,
 )
+from repro.core.enumeration import PreparedBall
 from repro.crypto.cgbe import CGBECiphertext, CGBEPublicParams, CiphertextPowerCache
 from repro.crypto.kernels import (
     DEFAULT_KERNELS,
@@ -126,10 +125,10 @@ def verify_projected_rows(
     """The SP-side product(s) for one *projected matrix* ``M_p``.
 
     The factor list -- and hence the result -- is a function of the
-    projected 0/1 pattern alone, not of which CMM produced it.  The batch
-    server exploits exactly this: CMMs of one ball sharing a projection
-    pattern share one product (see ``repro.framework.server``).  Operation
-    order is identical to :func:`verify_ciphertext`'s.
+    projected 0/1 pattern alone, not of which CMM produced it, which is
+    why CMMs of one ball sharing a pattern can share one product
+    (:func:`verify_ball_streaming`).  Operation order is identical to
+    :func:`verify_ciphertext`'s.
     """
     n = len(rows)
     factors: list[CGBECiphertext] = []
@@ -176,58 +175,45 @@ def verify_ball_streaming(
     params: CGBEPublicParams,
     encrypted_matrix: list[list[CGBECiphertext]],
     c_one: CGBECiphertext,
-    ball: Ball,
-    masks: Iterable[int],
+    prepared: PreparedBall,
     plan: ChunkPlan,
-    limit: int | None = None,
     pad_stats: "object | None" = None,
     multiexp: MaskedProductTable | None = None,
-) -> tuple[BallCiphertextResult, int, bool]:
-    """Alg. 1 + Alg. 2 fused: verify CMMs as they are enumerated.
+) -> BallCiphertextResult:
+    """Alg. 2 + Alg. 3 lines 6-7 over one ball's recorded mask stream
+    (:func:`repro.core.enumeration.prepare_ball`) -- the one hom / sub-iso
+    verifier, whether the stream was recorded a moment ago in this worker
+    or came out of a :class:`~repro.framework.server.CMMCache`.
 
-    Consumes the lazy stream of projected-pattern masks
-    (``repro.core.enumeration.iter_projected_masks``, one per CMM) so
-    truncation and verification share one pass -- neither the CMM list
-    nor a CMM object is ever materialized.  ``limit`` is the footnote-6
-    bypass threshold: producing a ``limit+1``-th CMM aborts the stream and
-    the ball is reported unpruned (``bypassed``), exactly as the two-pass
-    pipeline decides it.
+    A bypassed stream (footnote 6) is reported unpruned.  With
+    ``multiexp`` (the query's shared :func:`verification_multiexp` table)
+    each *distinct* mask's chunk product is computed once per ball; the
+    summable layout's sum then takes one term per CMM (the paper-literal
+    sum needs each pattern's multiplicity), the per-item layout ships the
+    distinct products -- :func:`aggregate_items` would drop the repeats
+    anyway.  Without it every CMM is folded from its unpacked rows, the
+    naive baseline the kernel A/B measures against.  The chunk
+    ciphertexts are value-identical either way.
 
-    With ``multiexp`` (the query's shared
-    :func:`verification_multiexp` table) the chunk products come from the
-    table, and in the per-item layout a mask this ball already produced
-    is skipped before any ciphertext object is built --
-    :func:`aggregate_items` would drop the repeat anyway.  Without it
-    every CMM is folded from its unpacked rows (the naive baseline).  The
-    chunk ciphertexts are value-identical either way.
-
-    Returns ``(result, enumerated, truncated)`` where ``enumerated`` counts
-    every CMM produced (capped at ``limit``), repeated patterns included
-    -- the same accounting the two-pass
-    :func:`repro.core.enumeration.enumerate_cmms` + :func:`verify_ball`
-    pipeline reports.
+    What is computed for which mask is a function of the ball's plaintext
+    adjacency and the public label view only -- never of ciphertext
+    values or verdicts.
     """
-    n = len(encrypted_matrix)
-    pad_cache = CiphertextPowerCache(params, c_one, stats=pad_stats) \
-        if multiexp is None else None
-    chunk_lists: list[list[CGBECiphertext]] = []
-    seen: set[int] = set()
-    enumerated = 0
-    for mask in masks:
-        if limit is not None and enumerated >= limit:
-            return (BallCiphertextResult(ball_id=ball.ball_id,
-                                         bypassed=True),
-                    enumerated, True)
-        enumerated += 1
-        if multiexp is None:
-            chunk_lists.append(verify_projected_rows(
-                params, encrypted_matrix, c_one, pattern_of_mask(mask, n),
-                plan, pad_cache=pad_cache))
-        elif plan.summable or mask not in seen:
-            seen.add(mask)
-            chunk_lists.append(multiexp.chunk_ciphertexts(mask))
-    return (aggregate_items(params, ball.ball_id, chunk_lists, plan),
-            enumerated, False)
+    if prepared.bypassed:
+        return BallCiphertextResult(ball_id=prepared.ball_id, bypassed=True)
+    masks = prepared.masks
+    if multiexp is None:
+        n = len(encrypted_matrix)
+        pad_cache = CiphertextPowerCache(params, c_one, stats=pad_stats)
+        items = [verify_projected_rows(params, encrypted_matrix, c_one,
+                                       pattern_of_mask(masks[index], n),
+                                       plan, pad_cache=pad_cache)
+                 for index in prepared.pattern_of_cmm]
+    else:
+        items = [multiexp.chunk_ciphertexts(mask) for mask in masks]
+        if plan.summable:
+            items = [items[index] for index in prepared.pattern_of_cmm]
+    return aggregate_items(params, prepared.ball_id, items, plan)
 
 
 # Re-exported so framework code has one import site for the user-side test.

@@ -25,78 +25,44 @@
   sharded serving tier: per-shard engine processes behind loopback
   sockets, and the scatter-gather front end with consistent-hash
   routing, asyncio fan-out, and shard-death re-placement.
+
+Every re-export is resolved lazily, on first attribute access: the
+storage layer imports :mod:`~repro.framework.faults` and
+:mod:`~repro.framework.messages`, and the engines import the storage
+layer, so an eager import here would make ``import repro.storage`` cycle.
 """
 
-from repro.framework.executor import (
-    BallExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    create_executor,
-)
-from repro.framework.faults import (
-    ChaosPolicy,
-    FaultInjector,
-    FaultRecoveryExhausted,
-    FaultReport,
-    RecoveryPolicy,
-)
-from repro.framework.gateway import (
-    Gateway,
-    GatewayChaos,
-    GatewayError,
-    GatewayReport,
-)
-from repro.framework.metrics import CacheStats, ConfusionCounts, PhaseTimings
-from repro.framework.placement import HashRing, PlacementManifest, ring_for
-from repro.framework.prilo import Prilo, PriloConfig, QueryResult
-from repro.framework.prilo_star import PriloStar
-from repro.framework.roles import DataOwner, Dealer, Player, User
-from repro.framework.server import (
-    BatchReport,
-    CMMCache,
-    QueryBatchEngine,
-    QueryStream,
-    enumeration_signature,
-)
-from repro.framework.shard import LocalCluster, ShardSpec, make_shard_specs
-from repro.framework.simulator import ScheduleOutcome, simulate_schedule
+_EXPORTS = {
+    "executor": ("BallExecutor", "ProcessExecutor", "SerialExecutor",
+                 "create_executor"),
+    "faults": ("ChaosPolicy", "FaultInjector", "FaultRecoveryExhausted",
+               "FaultReport", "RecoveryPolicy"),
+    "gateway": ("Gateway", "GatewayChaos", "GatewayError", "GatewayReport"),
+    "metrics": ("CacheStats", "ConfusionCounts", "PhaseTimings"),
+    "placement": ("HashRing", "PlacementManifest", "ring_for"),
+    "prilo": ("Prilo", "PriloConfig", "QueryResult"),
+    "prilo_star": ("PriloStar",),
+    "roles": ("DataOwner", "Dealer", "Player", "User"),
+    "server": ("BatchReport", "CMMCache", "QueryBatchEngine", "QueryStream",
+               "enumeration_signature"),
+    "shard": ("LocalCluster", "ShardSpec", "make_shard_specs"),
+    "simulator": ("ScheduleOutcome", "simulate_schedule"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items()
+         for name in names}
 
-__all__ = [
-    "BallExecutor",
-    "BatchReport",
-    "CMMCache",
-    "CacheStats",
-    "ChaosPolicy",
-    "ConfusionCounts",
-    "DataOwner",
-    "Dealer",
-    "FaultInjector",
-    "FaultRecoveryExhausted",
-    "FaultReport",
-    "Gateway",
-    "GatewayChaos",
-    "GatewayError",
-    "GatewayReport",
-    "HashRing",
-    "LocalCluster",
-    "PhaseTimings",
-    "PlacementManifest",
-    "Player",
-    "Prilo",
-    "PriloConfig",
-    "PriloStar",
-    "ProcessExecutor",
-    "QueryBatchEngine",
-    "QueryResult",
-    "QueryStream",
-    "RecoveryPolicy",
-    "ScheduleOutcome",
-    "SerialExecutor",
-    "ShardSpec",
-    "User",
-    "create_executor",
-    "enumeration_signature",
-    "make_shard_specs",
-    "ring_for",
-    "simulate_schedule",
-]
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{module_name}"),
+                    name)
+    globals()[name] = value  # bound once, as the eager import did
+    return value
+
+
+__all__ = sorted(_LAZY)

@@ -34,10 +34,10 @@ Obliviousness is unaffected: the executor schedules *shares*, which are
 derived from the Dealer's sequences only -- never from ciphertext values,
 verdicts, or any other query-dependent signal -- and every ball in a share
 is evaluated unconditionally.  Chaos decisions, likewise, hash public
-coordinates only.  See DESIGN.md ("Executor architecture", "Fault model
-and recovery").
+coordinates only.  See DESIGN.md ("Evaluation", "Fault model and
+recovery").
 
-Worker payloads are ``(message, balls)`` rather than whole
+Worker payloads are ``(message, share)`` rather than whole
 :class:`~repro.framework.roles.Player` objects: players hold the full ball
 index, which must never be re-pickled per task.
 """
@@ -50,21 +50,10 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
-from repro.core.aggregation import BallCiphertextResult, aggregate_items
 from repro.core.bf_pruning import BFConfig
-from repro.core.verification import (
-    verification_multiexp,
-    verification_plan,
-    verify_projected_rows,
-)
+from repro.core.enumeration import PreparedBall
 from repro.crypto import ops as crypto_ops
-from repro.crypto.cgbe import CiphertextPowerCache
-from repro.crypto.kernels import (
-    DEFAULT_KERNELS,
-    KernelConfig,
-    MultiExpRegistry,
-    pattern_of_mask,
-)
+from repro.crypto.kernels import DEFAULT_KERNELS, KernelConfig, MultiExpRegistry
 from repro.framework.faults import (
     ChaosPolicy,
     FaultAction,
@@ -84,32 +73,32 @@ from repro.framework.metrics import CacheStats, PhaseTimings
 from repro.framework.roles import compute_pms_kernel, evaluate_ball_kernel
 from repro.observability.spans import NULL_TRACER, player_role
 from repro.graph.ball import Ball
-from repro.graph.query import QueryLabelView
 from repro.tee.enclave import Enclave
 
 #: Registry of backend names accepted by ``PriloConfig.executor``.
 EXECUTOR_BACKENDS = ("serial", "process")
 
 
-def eval_share_key(index: int, player: int) -> str:
-    """The stable protocol coordinate of one evaluation share -- the same
-    string keys the chaos schedule, the fault report, and the run
-    journal's checkpoint records."""
-    return f"eval:{index}:p{player}"
-
-
-def verify_share_key(index: int, player: int) -> str:
-    """The stable coordinate of one prepared-verification share."""
-    return f"verify:{index}:p{player}"
-
-
 @dataclass(frozen=True)
 class EvaluationShare:
     """One worker's slice of the evaluation work: the balls that first
-    appear in one Player's Dealer-given sequence."""
+    appear in one Player's Dealer-given sequence -- as plain balls, whose
+    mask streams the worker records itself, or as the recorded streams a
+    ``CMMCache`` put in their place (``cached``)."""
 
     player: int
-    balls: tuple[Ball, ...]
+    balls: tuple[Ball | PreparedBall, ...]
+    cached: bool = False
+
+
+def share_key(index: int, share: EvaluationShare) -> str:
+    """The stable protocol coordinate of one evaluation share -- the same
+    string keys the chaos schedule, the fault report, and the run
+    journal's checkpoint records.  A cache-fed share is spelled
+    ``verify:`` and every other one ``eval:``; journals and chaos
+    schedules written before the two were one evaluation path hold both
+    spellings, so both stay."""
+    return f"{'verify' if share.cached else 'eval'}:{index}:p{share.player}"
 
 
 @dataclass
@@ -126,48 +115,6 @@ class ShareOutcome:
     #: builds per phase), merged into ``RunMetrics.ops`` by the engine.
     #: ``None`` on outcomes replayed from pre-accounting journals.
     ops: crypto_ops.OpCounter | None = None
-
-
-#: One ball's projected-pattern groups: the enumeration output a
-#: :class:`~repro.framework.server.CMMCache` shares across a signature
-#: group, shipped to workers as plain integer tuples (no graph objects).
-@dataclass(frozen=True)
-class PreparedBall:
-    """The verification work order for one ball under one signature.
-
-    ``masks`` holds the *distinct* projected matrices ``M_p`` of the
-    ball's CMMs as packed off-diagonal selection masks
-    (:func:`repro.crypto.kernels.mask_of_pattern` layout), in
-    first-appearance order; ``pattern_of_cmm`` maps each CMM, in
-    enumeration order, to its index there.  Verification computes one
-    chunked product per distinct pattern -- all the per-item layout
-    ships; only the summable layout's sum reads ``pattern_of_cmm``, for
-    each pattern's multiplicity.
-    """
-
-    ball_id: int
-    enumerated: int
-    truncated: bool
-    bound_bypassed: bool
-    masks: tuple[int, ...]
-    pattern_of_cmm: tuple[int, ...]
-
-    @property
-    def bypassed(self) -> bool:
-        return self.truncated or self.bound_bypassed
-
-    @property
-    def weight(self) -> int:
-        """Cache weight in CMM units (per-CMM index + distinct patterns)."""
-        return max(len(self.pattern_of_cmm) + len(self.masks), 1)
-
-
-@dataclass(frozen=True)
-class PreparedShare:
-    """One worker's slice of prepared (pattern-grouped) verification."""
-
-    player: int
-    balls: tuple[PreparedBall, ...]
 
 
 @dataclass
@@ -189,18 +136,6 @@ class PmShareOutcome:
 # ----------------------------------------------------------------------
 # module-level worker entry points (must be picklable by reference)
 # ----------------------------------------------------------------------
-def _share_caches(pad_stats: CacheStats,
-                  registry: MultiExpRegistry | None) -> dict[str, CacheStats]:
-    """A share's cache report.  The naive fold meters its
-    ``CiphertextPowerCache`` into ``pad_stats``; the batched kernels never
-    build one -- what saves them a fold is the registry's per-(chunk,
-    mask) product memo, so its hits and misses are the ``pad`` counters."""
-    if registry is not None:
-        pad_stats.hits += registry.memo_hits()
-        pad_stats.misses += registry.memo_misses()
-    return {"pad": pad_stats}
-
-
 def _evaluate_share(message: EncryptedQueryMessage,
                     share: EvaluationShare,
                     enumeration_limit: int,
@@ -223,94 +158,22 @@ def _evaluate_share(message: EncryptedQueryMessage,
                                  multiexp=registry)
             for ball in share.balls
         ]
+    # The naive fold meters its ``CiphertextPowerCache`` into ``pad_stats``;
+    # the batched kernels never build one -- what saves them a fold is the
+    # registry's per-(chunk, mask) product memo, so its hits and misses
+    # are the ``pad`` counters.
+    if registry is not None:
+        pad_stats.hits += registry.memo_hits()
+        pad_stats.misses += registry.memo_misses()
     return ShareOutcome(player=share.player,
                         wall_seconds=time.perf_counter() - started,
-                        results=results,
-                        caches=_share_caches(pad_stats, registry),
+                        results=results, caches={"pad": pad_stats},
                         ops=counter)
 
 
-def verify_prepared_kernel(message: EncryptedQueryMessage,
-                           prepared: PreparedBall,
-                           player_id: int = 0,
-                           pad_stats: CacheStats | None = None,
-                           multiexp: MultiExpRegistry | None = None,
-                           ) -> EvaluationResult:
-    """Alg. 2 + Alg. 3 lines 6-7 for one ball from pre-enumerated pattern
-    groups (the batch server's fast path).
-
-    One chunked product is computed per *distinct* projected pattern, in
-    first-appearance order -- exactly the items the per-item layout ships.
-    Products over identical factor multisets in identical chunk layouts
-    are identical ciphertexts, so the aggregated verdict is
-    value-identical to :func:`~repro.framework.roles.evaluate_ball_kernel`
-    re-running enumeration + per-CMM verification from scratch.
-
-    The SP-observable access pattern is unchanged: which patterns exist
-    and how CMMs map onto them is a function of the ball's plaintext
-    adjacency and the public label view only -- never of ciphertext
-    values or verdicts.
-    """
-    params = message.params
-    started = time.perf_counter()
-    if prepared.bypassed:
-        verdict = BallCiphertextResult(ball_id=prepared.ball_id,
-                                       bypassed=True)
-        return EvaluationResult(
-            ball_id=prepared.ball_id, verdict=verdict,
-            cost_seconds=time.perf_counter() - started, player=player_id,
-            cmms=prepared.enumerated, bypassed=True)
-    view = QueryLabelView(labels=message.vertex_labels,
-                          diameter=message.diameter,
-                          semantics=message.semantics)
-    plan = verification_plan(params, view)
-    if multiexp is not None and multiexp.enabled:
-        table = multiexp.table(("verify",), lambda: verification_multiexp(
-            params, message.encrypted_matrix, message.c_one, plan,
-            multiexp.config))
-        distinct = [table.chunk_ciphertexts(mask) for mask in prepared.masks]
-    else:
-        pad_cache = CiphertextPowerCache(params, message.c_one,
-                                         stats=pad_stats)
-        distinct = [
-            verify_projected_rows(params, message.encrypted_matrix,
-                                  message.c_one,
-                                  pattern_of_mask(mask, view.size), plan,
-                                  pad_cache=pad_cache)
-            for mask in prepared.masks
-        ]
-    # The summable layout's sum has one term per CMM; the per-item layout
-    # ships each distinct pattern once.
-    items = ([distinct[index] for index in prepared.pattern_of_cmm]
-             if plan.summable else distinct)
-    verdict = aggregate_items(params, prepared.ball_id, items, plan)
-    return EvaluationResult(
-        ball_id=prepared.ball_id, verdict=verdict,
-        cost_seconds=time.perf_counter() - started, player=player_id,
-        cmms=prepared.enumerated, bypassed=verdict.bypassed)
-
-
-def _verify_share(message: EncryptedQueryMessage,
-                  share: PreparedShare,
-                  kernels: KernelConfig = DEFAULT_KERNELS) -> ShareOutcome:
-    started = time.perf_counter()
-    pad_stats = CacheStats()
-    counter = crypto_ops.OpCounter()
-    registry = MultiExpRegistry(kernels) if kernels.multiexp else None
-    role = f"player:{share.player}"
-    with crypto_ops.counting(counter, "evaluation", role):
-        results = [
-            verify_prepared_kernel(message, prepared,
-                                   player_id=share.player,
-                                   pad_stats=pad_stats,
-                                   multiexp=registry)
-            for prepared in share.balls
-        ]
-    return ShareOutcome(player=share.player,
-                        wall_seconds=time.perf_counter() - started,
-                        results=results,
-                        caches=_share_caches(pad_stats, registry),
-                        ops=counter)
+# ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves this by hard
+# lookup; delete with its row at the re-pin (ROADMAP 1(a)).
+verify_prepared_kernel = evaluate_ball_kernel
 
 
 def _compute_pm_share(enclave: Enclave,
@@ -468,8 +331,7 @@ class BallExecutor:
         ever blocking the worker pool.
         """
         calls = [
-            (eval_share_key(i, share.player),
-             _evaluate_share,
+            (share_key(i, share), _evaluate_share,
              (message, share, enumeration_limit, cmm_bound_bypass, kernels))
             for i, share in enumerate(shares)
         ]
@@ -477,24 +339,9 @@ class BallExecutor:
         self._trace_shares("evaluation_share", calls, outcomes, completed)
         return outcomes
 
-    def verify_shares(self, message: EncryptedQueryMessage,
-                      shares: list[PreparedShare],
-                      kernels: KernelConfig = DEFAULT_KERNELS,
-                      completed: dict[str, ShareOutcome] | None = None,
-                      on_result=None) -> list[ShareOutcome]:
-        """Verify every prepared share; outcomes come back in share order.
-
-        The prepared path carries no enumeration parameters: truncation and
-        bound bypass were already decided when the patterns were built, and
-        travel inside each :class:`PreparedBall`.  ``completed`` and
-        ``on_result`` behave as in :meth:`evaluate_shares`.
-        """
-        calls = [(verify_share_key(i, share.player), _verify_share,
-                  (message, share, kernels))
-                 for i, share in enumerate(shares)]
-        outcomes = self._run_with_completed(calls, completed, on_result)
-        self._trace_shares("verification_share", calls, outcomes, completed)
-        return outcomes
+    # ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves this by
+    # hard lookup; delete with its row at the re-pin (ROADMAP 1(a)).
+    verify_shares = evaluate_shares
 
     def _run_with_completed(self, calls, completed, on_result) -> list:
         """Dispatch only the calls whose key has no known outcome, then
@@ -672,9 +519,19 @@ class ProcessExecutor(BallExecutor):
         return self._pool
 
     def _reset_pool(self) -> None:
-        """Discard a broken/hung pool; the next dispatch respawns it."""
+        """Discard a broken/hung pool; the next dispatch respawns it.
+
+        A hung worker never returns on its own, so the abandoned pool's
+        workers are killed (SIGKILL: a worker forked under ``serve`` has
+        inherited its SIGTERM drain handler and would survive
+        ``terminate``); the pool's manager thread then sees them dead,
+        reaps them and exits, and ``shutdown(wait=True)`` joins it --
+        nothing of the old pool is alive when this returns.
+        """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            for worker in list((self._pool._processes or {}).values()):
+                worker.kill()
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
             self.respawns += 1
 
@@ -707,8 +564,15 @@ class ProcessExecutor(BallExecutor):
                                         FaultAction.INJECTED,
                                         detail="worker hang injected",
                                         attempt=attempts[i])
-                futures[i] = pool.submit(_chaos_call, policy, key,
-                                         attempts[i], fn, *args)
+                try:
+                    futures[i] = pool.submit(_chaos_call, policy, key,
+                                             attempts[i], fn, *args)
+                except BrokenExecutor as exc:
+                    # A worker that died while this round was still being
+                    # submitted has already broken the pool: harvest the
+                    # refusal below exactly like a share lost in flight.
+                    futures[i] = Future()
+                    futures[i].set_exception(exc)
             failed: dict[int, str] = {}
             pool_broken = False
             pool_hung = False
@@ -747,6 +611,10 @@ class ProcessExecutor(BallExecutor):
                         FaultKind.SHARE_TIMEOUT, key, FaultAction.DETECTED,
                         detail=f"no result within {recovery.share_timeout}s",
                         attempt=attempts[i])
+            if pool_broken or pool_hung:
+                # Before the exhaustion check: a run that gives up must not
+                # leave the dead or hung pool behind either.
+                self._reset_pool()
             still_pending: list[int] = []
             for i, kind in failed.items():
                 attempts[i] += 1
@@ -758,8 +626,6 @@ class ProcessExecutor(BallExecutor):
                 still_pending.append(i)
             pending = still_pending
             if pending:
-                if pool_broken or pool_hung:
-                    self._reset_pool()
                 delay = recovery.backoff_for(incident)
                 incident += 1
                 if delay > 0:
@@ -789,14 +655,15 @@ def create_executor(backend: str, parallelism: int,
                      f"choose one of {EXECUTOR_BACKENDS}")
 
 
-def partition_shares(sequences, by_id: dict[int, Ball],
-                     num_players: int) -> list[EvaluationShare]:
+def partition_shares(sequences, by_id: dict[int, Ball], num_players: int,
+                     cached: bool = False) -> list[EvaluationShare]:
     """Deduplicate the Dealer's sequences into disjoint evaluation shares.
 
     Each unique ball id is assigned to the first sequence that mentions it
     (first-evaluation-wins; SSG's dummy duplicates are evaluated once, as
     in the serial engine).  The partition depends only on the sequences --
     public scheduling state -- never on ball contents or verdicts.
+    ``cached`` marks every share as fed from a ``CMMCache``.
     """
     assigned: set[int] = set()
     shares: list[EvaluationShare] = []
@@ -808,7 +675,7 @@ def partition_shares(sequences, by_id: dict[int, Ball],
             assigned.add(ball_id)
             balls.append(by_id[ball_id])
         shares.append(EvaluationShare(player=seq.player % max(num_players, 1),
-                                      balls=tuple(balls)))
+                                      balls=tuple(balls), cached=cached))
     return shares
 
 
@@ -817,14 +684,10 @@ __all__ = [
     "BallExecutor",
     "EvaluationShare",
     "PmShareOutcome",
-    "PreparedBall",
-    "PreparedShare",
     "ProcessExecutor",
     "SerialExecutor",
     "ShareOutcome",
     "create_executor",
-    "eval_share_key",
     "partition_shares",
-    "verify_prepared_kernel",
-    "verify_share_key",
+    "share_key",
 ]

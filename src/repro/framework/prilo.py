@@ -42,12 +42,10 @@ from repro.framework.executor import (
     EXECUTOR_BACKENDS,
     BallExecutor,
     EvaluationShare,
-    PreparedShare,
     ShareOutcome,
     create_executor,
-    eval_share_key,
     partition_shares,
-    verify_share_key,
+    share_key,
 )
 from repro.framework.metrics import MessageSizes, RunMetrics, Stopwatch
 from repro.framework.roles import DataOwner, Dealer, Player, User, merge_pms
@@ -488,11 +486,11 @@ class Prilo:
             deadline: Deadline | None = None) -> QueryResult:
         """Answer one query end to end.
 
-        ``cmm_cache`` (a :class:`repro.framework.server.CMMCache`) routes
-        evaluation through the prepared (pattern-grouped) verification
-        path; results are value-identical to the streaming path.  The
-        batch server passes its shared cache here; ``None`` keeps the
-        faithful single-pass pipeline.
+        ``cmm_cache`` (a :class:`repro.framework.server.CMMCache`) sits
+        in front of evaluation: each ball's mask stream comes out of the
+        cache instead of being recorded again in the worker.  The batch
+        server passes its shared cache here; evaluation itself is the
+        same function of ``(message, ball)`` with or without it.
 
         ``journal`` (a :class:`repro.storage.journal.RunJournal`) turns
         every executor-share completion into a durable checkpoint keyed
@@ -994,39 +992,35 @@ class Prilo:
         old serial loop evaluated in) and merged back first-evaluation-wins
         by ball id, so the result dict is identical for every backend.
 
-        With ``cmm_cache`` set (and non-SSIM semantics), each share is
-        prepared through the cache and verified pattern-grouped; the
-        enumeration time paid on cache misses is folded into the per-ball
-        evaluation cost so the schedule replay stays honest.
+        With ``cmm_cache`` set (and non-SSIM semantics), each share's
+        balls are replaced by their recorded mask streams from the cache
+        before dispatch; the enumeration time paid on cache misses is
+        folded into the per-ball evaluation cost so the schedule replay
+        stays honest.
 
         With a journal, every share completion is checkpointed durably;
         with ``resume``, journaled shares are spliced in without being
-        dispatched (their enumeration is skipped too -- the prepared form
-        is only built for shares that will actually verify).
+        dispatched.
         """
         if injector is None:
             injector = FaultInjector(report=metrics.faults)
-        shares = partition_shares(sequences, by_id, len(self.players))
-        prepared_path = (cmm_cache is not None
-                         and message.semantics is not Semantics.SSIM)
-        key_of = verify_share_key if prepared_path else eval_share_key
-        keys = [key_of(i, share.player) for i, share in enumerate(shares)]
+        cached = (cmm_cache is not None
+                  and message.semantics is not Semantics.SSIM)
+        shares = partition_shares(sequences, by_id, len(self.players),
+                                  cached=cached)
+        keys = [share_key(i, share) for i, share in enumerate(shares)]
         completed = self._replayed_shares(keys, metrics, resume)
-        on_result = self._checkpoint_hook(metrics, journal, query_key,
-                                          injector, deadline)
         build_costs: dict[int, float] = {}
-        if prepared_path:
-            outcomes = self._verify_prepared(message, shares, cmm_cache,
-                                             metrics, build_costs,
-                                             completed=completed,
-                                             on_result=on_result)
-        else:
-            outcomes = self.executor.evaluate_shares(
-                message, shares,
-                enumeration_limit=self.config.enumeration_limit,
-                cmm_bound_bypass=self.config.cmm_bound_bypass,
-                kernels=self.config.kernels,
-                completed=completed, on_result=on_result)
+        if cached:
+            shares = self._through_cache(message, shares, keys, completed,
+                                         cmm_cache, metrics, build_costs)
+        outcomes = self.executor.evaluate_shares(
+            message, shares,
+            enumeration_limit=self.config.enumeration_limit,
+            cmm_bound_bypass=self.config.cmm_bound_bypass,
+            kernels=self.config.kernels, completed=completed,
+            on_result=self._checkpoint_hook(metrics, journal, query_key,
+                                            injector, deadline))
         results: dict[int, EvaluationResult] = {}
         for outcome in outcomes:
             metrics.per_worker_eval_wall[outcome.player] = max(
@@ -1050,47 +1044,38 @@ class Prilo:
                     metrics.bypassed_balls += 1
         return results
 
-    def _verify_prepared(self, message: EncryptedQueryMessage,
-                         shares: list[EvaluationShare], cmm_cache,
-                         metrics: RunMetrics,
-                         build_costs: dict[int, float],
-                         completed: dict[str, ShareOutcome] | None = None,
-                         on_result=None) -> list:
-        """Prepared-path fan-out: distill each share's balls through the
-        CMM cache, then verify the pattern groups on the executor.
+    def _through_cache(self, message: EncryptedQueryMessage,
+                       shares: list[EvaluationShare], keys: list[str],
+                       completed: dict[str, ShareOutcome], cmm_cache,
+                       metrics: RunMetrics, build_costs: dict[int, float],
+                       ) -> list[EvaluationShare]:
+        """The shares with every ball replaced by the recorded mask stream
+        ``cmm_cache`` holds (or now records) for it.
 
-        Shares whose outcome is already journaled (``completed``) keep
-        their slot as an empty placeholder: the executor splices the
-        journaled outcome back in without dispatching, and -- just as
-        important for resume speed -- their balls never go through
-        ``cmm_cache.prepare`` at all, so no enumeration is repaid.
+        A share whose outcome is already journaled (``completed``) is left
+        alone: it is never dispatched, and -- just as important for resume
+        speed -- its balls never go through ``cmm_cache.prepare``, so no
+        enumeration is repaid.
         """
         config = self.config
         view = QueryLabelView(labels=message.vertex_labels,
                               diameter=message.diameter,
                               semantics=message.semantics)
         before = cmm_cache.stats.snapshot()
-        prepared_shares: list[PreparedShare] = []
-        for i, share in enumerate(shares):
-            if completed and verify_share_key(i, share.player) in completed:
-                prepared_shares.append(
-                    PreparedShare(player=share.player, balls=()))
-                continue
-            prepared = []
-            for ball in share.balls:
-                prepared.append(cmm_cache.prepare(
-                    view, ball,
-                    enumeration_limit=config.enumeration_limit,
-                    cmm_bound_bypass=config.cmm_bound_bypass))
-                build_costs[ball.ball_id] = cmm_cache.last_build_seconds
-            prepared_shares.append(
-                PreparedShare(player=share.player, balls=tuple(prepared)))
-        outcomes = self.executor.verify_shares(message, prepared_shares,
-                                               kernels=config.kernels,
-                                               completed=completed,
-                                               on_result=on_result)
+        fed: list[EvaluationShare] = []
+        for key, share in zip(keys, shares):
+            if key not in completed:
+                prepared = []
+                for ball in share.balls:
+                    prepared.append(cmm_cache.prepare(
+                        view, ball,
+                        enumeration_limit=config.enumeration_limit,
+                        cmm_bound_bypass=config.cmm_bound_bypass))
+                    build_costs[ball.ball_id] = cmm_cache.last_build_seconds
+                share = replace(share, balls=tuple(prepared))
+            fed.append(share)
         metrics.record_cache("cmm", cmm_cache.stats.delta(before))
-        return outcomes
+        return fed
 
     # ------------------------------------------------------------------
     def _account_pm_sizes(self, message: EncryptedQueryMessage,

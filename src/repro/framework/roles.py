@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.aggregation import BallCiphertextResult, decide_positive
+from repro.core.aggregation import decide_positive
 from repro.core.bf_pruning import (
     BFConfig,
     player_bf_prune,
@@ -25,11 +25,7 @@ from repro.core.bf_pruning import (
     user_prepare_encodings,
 )
 from repro.core.encoding import LabelCodec, encrypt_query_matrix
-from repro.core.enumeration import (
-    candidate_vertices,
-    count_cmm_upper_bound,
-    iter_projected_masks,
-)
+from repro.core.enumeration import PreparedBall, prepare_ball
 from repro.core.neighbors import build_neighbor_tables, neighbor_features
 from repro.core.paths import build_path_tables, paths_from
 from repro.core.retrieval import PlayerSequence, rsg_sequences, ssg_sequences
@@ -142,15 +138,6 @@ class DataOwner:
     def grant_key(self, user: "User") -> None:
         """Out-of-band ``sk`` delivery to an authorized user."""
         user.keyring.grant_owner_key(self.key)
-
-    def export_archive(self, root, radii: tuple[int, ...] | None = None):
-        """Persist the encrypted balls to disk (the durable step-1 hand-off
-        to the Dealer); returns the created
-        :class:`repro.storage.EncryptedBallArchive`."""
-        from repro.storage import EncryptedBallArchive
-
-        return EncryptedBallArchive.create(root, self.index, self.key,
-                                           radii=radii)
 
 
 class EncryptedBallStore:
@@ -387,7 +374,7 @@ class User:
 # ----------------------------------------------------------------------
 def evaluate_ball_kernel(
     message: EncryptedQueryMessage,
-    ball: Ball,
+    ball: Ball | PreparedBall,
     *,
     enumeration_limit: int,
     cmm_bound_bypass: int,
@@ -400,10 +387,11 @@ def evaluate_ball_kernel(
 
     A module-level pure function of ``(message, ball)`` so the executor
     backends can ship it to worker processes without serializing a
-    :class:`Player` (whose ball index would dominate the payload).
-    Enumeration streams directly into verification
-    (:func:`repro.core.verification.verify_ball_streaming`): truncation
-    and chunk products share a single pass over the CMMs.
+    :class:`Player` (whose ball index would dominate the payload).  For
+    hom / sub-iso the ball's mask stream is recorded here, in the worker
+    (:func:`repro.core.enumeration.prepare_ball`) -- unless the caller
+    hands over the :class:`PreparedBall` a ``CMMCache`` already holds --
+    and verified by :func:`repro.core.verification.verify_ball_streaming`.
 
     ``multiexp`` (a per-share :class:`MultiExpRegistry`) switches the
     chunk products onto shared Straus window tables -- one table per
@@ -424,27 +412,23 @@ def evaluate_ball_kernel(
         return EvaluationResult(ball_id=ball.ball_id, verdict=verdict,
                                 cost_seconds=cost,
                                 player=player_id)
-    injective = message.semantics is Semantics.SUB_ISO
+    prepared = ball if isinstance(ball, PreparedBall) else prepare_ball(
+        view, ball, enumeration_limit=enumeration_limit,
+        cmm_bound_bypass=cmm_bound_bypass)
     plan = verification_plan(params, view)
     table = None
     if multiexp is not None and multiexp.enabled:
         table = multiexp.table(("verify",), lambda: verification_multiexp(
             params, message.encrypted_matrix, message.c_one, plan,
             multiexp.config))
-    cv = candidate_vertices(view, ball)
-    if count_cmm_upper_bound(view, ball, cv) > cmm_bound_bypass:
-        verdict = BallCiphertextResult(ball_id=ball.ball_id, bypassed=True)
-        enumerated = 0
-    else:
-        verdict, enumerated, _ = verify_ball_streaming(
-            params, message.encrypted_matrix, message.c_one, ball,
-            iter_projected_masks(view, ball, injective=injective, cv=cv),
-            plan, limit=enumeration_limit, pad_stats=pad_stats,
-            multiexp=table)
+    verdict = verify_ball_streaming(
+        params, message.encrypted_matrix, message.c_one, prepared, plan,
+        pad_stats=pad_stats, multiexp=table)
     cost = time.perf_counter() - started
     return EvaluationResult(
-        ball_id=ball.ball_id, verdict=verdict, cost_seconds=cost,
-        player=player_id, cmms=enumerated, bypassed=verdict.bypassed)
+        ball_id=prepared.ball_id, verdict=verdict, cost_seconds=cost,
+        player=player_id, cmms=prepared.enumerated,
+        bypassed=verdict.bypassed)
 
 
 #: Times a corrupted sealed payload is re-requested before the share

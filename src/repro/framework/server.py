@@ -1,42 +1,29 @@
 """Multi-query batch serving with cross-query CMM reuse.
 
-``Prilo.run`` is the faithful single-query pipeline: enumeration streams
-straight into verification and nothing survives the call.  A serving
-deployment answers *streams* of queries against one outsourced graph, and
-most of the SP-side work is re-derivable: Alg. 1's enumeration depends
-only on the query's *label view* (the ordered ``V_Q`` labels, ``d_Q`` and
-the semantics -- exactly the plaintext fields of the encrypted query
-message), never on the encrypted edges.  Two queries with the same label
-view induce identical CMM sets on every ball.
+A serving deployment answers *streams* of queries against one outsourced
+graph, and most of the SP-side work is re-derivable: Alg. 1's enumeration
+depends only on the query's *label view* (the ordered ``V_Q`` labels,
+``d_Q`` and the semantics -- exactly the plaintext fields of the encrypted
+query message), never on the encrypted edges.  Two queries with the same
+:func:`~repro.core.enumeration.enumeration_signature` induce identical
+mask streams on every ball.
 
-:class:`QueryBatchEngine` exploits that by interposing a
-:class:`CMMCache` between enumeration and verification:
-
-* on first contact with a ``(ball, signature)`` pair the enumeration runs
-  once and is distilled into a :class:`~repro.framework.executor.PreparedBall`
-  -- the *distinct* projected 0/1 patterns plus the per-CMM pattern index;
-* every query (including the first!) then verifies from the prepared form:
-  one chunked product per distinct pattern instead of one per CMM.  Balls
-  repeat projected patterns heavily (measurements in DESIGN.md show >5x
-  CMM-to-pattern redundancy on the paper's datasets), so this is the main
-  speedup even at batch size 1;
-* later queries in the same signature group skip enumeration entirely
-  (a cache hit).
-
-Correctness: a chunked product is a pure function of its factor multiset
-and the public chunk layout, and the factor list of Alg. 2 is a function
-of the projected pattern alone.  The per-item result layout ships each
-distinct pattern's chunk list once (``aggregate_items``), the summable
-layout sums one term per CMM in enumeration order -- either way exactly
-what the streaming kernel produces, so batch results are
-*value-identical* to independent ``run`` calls (asserted by
-``tests/test_server.py`` across semantics, pruning and backends).
+:class:`QueryBatchEngine` exploits that by putting a :class:`CMMCache` in
+front of evaluation: on first contact with a ``(ball, signature)`` pair
+the ball's mask stream is recorded once
+(:func:`~repro.core.enumeration.prepare_ball`), and every later query of
+the same signature group hands the recorded
+:class:`~repro.core.enumeration.PreparedBall` to the worker instead of
+the ball (a cache hit).  Evaluation itself is ``Prilo.run``'s: one kernel
+and one verifier read the recorded stream, wherever it was recorded, so
+batch results are *value-identical* to independent ``run`` calls by
+construction (``tests/test_server.py`` compares them field by field).
 
 Obliviousness: the cache key and everything inside a prepared ball are
 functions of the ball's plaintext adjacency (SP-owned) and the public
 label view.  No ciphertext value, verdict, or pruning outcome ever flows
 into cache state, and per query the SP still performs one verification
-pass per scheduled ball.  See DESIGN.md ("Batch serving").
+pass per scheduled ball.  See DESIGN.md ("Evaluation").
 """
 
 from __future__ import annotations
@@ -49,11 +36,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.enumeration import (
-    candidate_vertices,
-    count_cmm_upper_bound,
-    iter_projected_masks,
+    PreparedBall,
+    enumeration_signature,
+    prepare_ball,
 )
-from repro.framework.executor import PreparedBall
 from repro.crypto.ops import OpCounter
 from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
 from repro.framework.wire import canonical_answer_of_result
@@ -65,7 +51,7 @@ from repro.framework.prilo import (
 )
 from repro.graph.ball import Ball, BallIndex
 from repro.graph.delta import GraphDelta
-from repro.graph.query import Query, QueryLabelView, Semantics
+from repro.graph.query import Query, QueryLabelView
 from repro.observability.spans import ROLE_SP
 from repro.storage.journal import (
     JournalError,
@@ -84,70 +70,6 @@ logger = logging.getLogger(__name__)
 #: sizes -- far above any tier-1 workload, so eviction only engages on
 #: serving workloads with genuinely large working sets.
 DEFAULT_CMM_CACHE_WEIGHT = 512_000
-
-
-def enumeration_signature(query: Query, *, enumeration_limit: int,
-                          cmm_bound_bypass: int) -> tuple:
-    """The inputs Alg. 1 actually reads: ordered ``V_Q`` labels, ``d_Q``,
-    the matching semantics, and the engine's enumeration bounds.
-
-    Two queries with equal signatures induce identical CMM streams on
-    every ball -- the encrypted edges never participate.  The bounds are
-    part of the signature because truncation/bypass verdicts depend on
-    them.
-    """
-    labels = tuple(query.label(u) for u in query.vertex_order)
-    return (labels, query.diameter, query.semantics,
-            enumeration_limit, cmm_bound_bypass)
-
-
-def signature_of_view(view: QueryLabelView, *, enumeration_limit: int,
-                      cmm_bound_bypass: int) -> tuple:
-    """:func:`enumeration_signature` computed from the SP-side label view.
-
-    ``message.vertex_labels`` is the query's labels in ``vertex_order``,
-    so this produces the exact tuple :func:`enumeration_signature` builds
-    from the query -- the engine keys the cache with this, the batch
-    server groups with that, and they must agree.
-    """
-    return (tuple(view.labels), view.diameter, view.semantics,
-            enumeration_limit, cmm_bound_bypass)
-
-
-def prepare_ball(view: QueryLabelView, ball: Ball, *,
-                 enumeration_limit: int,
-                 cmm_bound_bypass: int) -> PreparedBall:
-    """Run Alg. 1 once and distill the CMM stream into pattern groups.
-
-    Mirrors the decision structure of
-    :func:`repro.framework.roles.evaluate_ball_kernel` exactly: the bound
-    bypass is checked before any enumeration (``enumerated == 0``), and
-    producing a ``limit+1``-th CMM truncates with ``enumerated == limit``
-    -- so the prepared verdicts agree with the streaming kernel's.
-
-    CMMs are grouped by their packed off-diagonal selection mask, which
-    the fused kernel (:func:`iter_projected_masks`) yields directly -- one
-    int lookup per CMM.  The mask ignores the diagonal, but projections
-    keep the diagonal 0 by construction, so mask equality and pattern
-    equality coincide.
-    """
-    cv = candidate_vertices(view, ball)
-    if count_cmm_upper_bound(view, ball, cv) > cmm_bound_bypass:
-        return PreparedBall(ball_id=ball.ball_id, enumerated=0,
-                            truncated=False, bound_bypassed=True,
-                            masks=(), pattern_of_cmm=())
-    injective = view.semantics is Semantics.SUB_ISO
-    index_of: dict[int, int] = {}  # mask -> pattern index, insertion order
-    order: list[int] = []
-    for mask in iter_projected_masks(view, ball, injective=injective, cv=cv):
-        if len(order) >= enumeration_limit:
-            return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
-                                truncated=True, bound_bypassed=False,
-                                masks=(), pattern_of_cmm=())
-        order.append(index_of.setdefault(mask, len(index_of)))
-    return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
-                        truncated=False, bound_bypassed=False,
-                        masks=tuple(index_of), pattern_of_cmm=tuple(order))
 
 
 class CMMCache:
@@ -187,7 +109,7 @@ class CMMCache:
                 enumeration_limit: int,
                 cmm_bound_bypass: int) -> PreparedBall:
         """Return the ball's prepared form, enumerating on first contact."""
-        signature = signature_of_view(
+        signature = enumeration_signature(
             view, enumeration_limit=enumeration_limit,
             cmm_bound_bypass=cmm_bound_bypass)
         key = (ball.ball_id, signature)
@@ -880,6 +802,4 @@ __all__ = [
     "StandingNotice",
     "StandingQuery",
     "enumeration_signature",
-    "prepare_ball",
-    "signature_of_view",
 ]

@@ -1,20 +1,14 @@
 """Persistent storage for the data owner's offline artifacts.
 
 Sec. 2.3: the data owner "generates ... all balls of graph G with various
-diameters offline" and ships the encrypted copies to the Dealer.  This
-subpackage provides the durable form of that hand-off: a directory-based
-:class:`~repro.storage.archive.EncryptedBallArchive` holding one
-authenticated ciphertext per ball plus a plaintext manifest of public
-metadata (ball ids, centers, radii, sizes) -- exactly what the Dealer may
-know.  The archive satisfies the same ``get(ball_id)`` protocol as the
+diameters offline" and ships the encrypted copies to the Dealer.
+:class:`~repro.storage.store.ArtifactStore` is the durable form of that
+hand-off, the *full* offline outsourcing output: plaintext + encrypted
+ball packs (mmap cold start for Players and Dealer alike;
+``encrypted_store()`` satisfies the same ``get(ball_id)`` protocol as the
 in-memory store, so a :class:`repro.framework.roles.Dealer` can be backed
-by either.
-
-:class:`~repro.storage.store.ArtifactStore` generalizes the archive into
-the *full* offline outsourcing output: plaintext + encrypted ball packs
-(mmap cold start for Players and Dealer alike), per-ball twiglet feature
-sets, tree/BF artifacts, all under a versioned manifest with staleness
-and tamper detection.
+by either), per-ball twiglet feature sets, tree/BF artifacts, all under a
+versioned manifest with staleness and tamper detection.
 
 :class:`~repro.storage.journal.RunJournal` is the *online* durability
 counterpart: a write-ahead, CRC-framed, keyed-digest journal of batch
@@ -23,7 +17,6 @@ resumes from its last durable checkpoint re-evaluating only unjournaled
 shares.
 """
 
-from repro.storage.archive import ArchiveError, EncryptedBallArchive
 from repro.storage.authenticate import (
     AUTH_SCHEME,
     AuthError,
@@ -73,7 +66,6 @@ from repro.storage.store import (
 )
 
 __all__ = [
-    "ArchiveError",
     "ArtifactStore",
     "AUTH_SCHEME",
     "AuthError",
@@ -96,7 +88,6 @@ __all__ = [
     "apply_delta_log",
     "delta_key",
     "walk_delta_chain",
-    "EncryptedBallArchive",
     "JournalError",
     "JournalState",
     "PackReport",

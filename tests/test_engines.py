@@ -224,11 +224,14 @@ class TestCustomKeyring:
 
 class TestArchiveBackedDealer:
     def test_engine_with_durable_dealer(self, config, tmp_path):
-        """Swap the in-memory encrypted store for the on-disk archive."""
+        """Swap the in-memory encrypted store for the on-disk pack."""
         from repro.framework.roles import Dealer
+        from repro.storage import ArtifactStore
 
         engine = Prilo.setup(fig3_graph(), config)
-        archive = engine.owner.export_archive(tmp_path / "balls")
-        engine.dealer = Dealer(archive)
-        result = engine.run(fig3_query())
+        with ArtifactStore.create(tmp_path / "balls", engine.graph,
+                                  config.radii, engine.owner.key,
+                                  twiglet_h=None) as store:
+            engine.dealer = Dealer(store.encrypted_store())
+            result = engine.run(fig3_query())
         assert result.num_matches == 1

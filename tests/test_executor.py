@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.aggregation import ChunkPlan, chunked_product
 from repro.core.bf_pruning import BFConfig
-from repro.core.enumeration import iter_cmms, iter_projected_masks
+from repro.core.enumeration import iter_cmms, prepare_ball
 from repro.core.verification import (
     verification_plan,
     verify_ball,
@@ -192,7 +192,8 @@ class TestPowerCacheFastPath:
 
 
 class TestStreamingVerification:
-    """Fused enumerate+verify must agree with the two-pass pipeline."""
+    """Verifying the recorded mask stream must agree with the two-pass
+    CMM-object pipeline."""
 
     def test_streaming_equals_batch(self, fig3, fig3_ball, cgbe):
         query, _ = fig3
@@ -202,11 +203,12 @@ class TestStreamingVerification:
         plan = verification_plan(params, query)
         cmms = list(iter_cmms(query, fig3_ball))
         batch = verify_ball(params, matrix, c_one, fig3_ball, cmms, plan)
-        streamed, enumerated, truncated = verify_ball_streaming(
-            params, matrix, c_one, fig3_ball,
-            iter_projected_masks(query, fig3_ball), plan)
-        assert not truncated
-        assert enumerated == len(cmms)
+        prepared = prepare_ball(query, fig3_ball, enumeration_limit=2_000,
+                                cmm_bound_bypass=2_000)
+        streamed = verify_ball_streaming(params, matrix, c_one, prepared,
+                                         plan)
+        assert not prepared.bypassed
+        assert prepared.enumerated == len(cmms)
         assert _result_values(streamed) == _result_values(batch)
 
     def test_streaming_truncates_at_limit(self, fig3, fig3_ball, cgbe):
@@ -216,12 +218,14 @@ class TestStreamingVerification:
         plan = verification_plan(params, query)
         total = sum(1 for _ in iter_cmms(query, fig3_ball))
         assert total > 1
-        result, enumerated, truncated = verify_ball_streaming(
-            params, matrix, cgbe.encrypt_one(), fig3_ball,
-            iter_projected_masks(query, fig3_ball), plan, limit=total - 1)
-        assert truncated
+        prepared = prepare_ball(query, fig3_ball,
+                                enumeration_limit=total - 1,
+                                cmm_bound_bypass=2_000)
+        result = verify_ball_streaming(params, matrix, cgbe.encrypt_one(),
+                                       prepared, plan)
+        assert prepared.truncated
         assert result.bypassed
-        assert enumerated == total - 1
+        assert prepared.enumerated == total - 1
 
 
 def _result_values(result):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import replace
 
@@ -233,20 +234,61 @@ class TestExecutorRecovery:
             with pytest.raises(FaultRecoveryExhausted):
                 executor._run_all(self._calls(2))
 
+    def test_process_exhaustion_raises_nothing_else(self):
+        """A worker that ``os._exit``s while later shares of the round are
+        still being submitted breaks the pool under ``submit`` itself;
+        that refusal goes through detect -> respawn -> exhaustion like a
+        share lost in flight (it used to escape, intermittently, as a
+        raw ``BrokenProcessPool``)."""
+        recovery = replace(FAST_RECOVERY, max_retries=1)
+        for _ in range(25):
+            with ProcessExecutor(workers=2, recovery=recovery) as executor:
+                executor.install_faults(FaultInjector(chaos(
+                    1.0, kinds=(FaultKind.WORKER_CRASH,),
+                    faulted_attempts=99)))
+                with pytest.raises(FaultRecoveryExhausted):
+                    executor._run_all(self._calls(6))
+        assert not multiprocessing.active_children()
+
+    def test_hung_pool_is_dead_once_run_all_returns(self):
+        """A ``SHARE_TIMEOUT`` respawn kills the abandoned pool's workers:
+        none of its pids outlives ``_run_all`` -- not even workers forked
+        under a SIGTERM handler (``serve``'s drain handler is inherited
+        by a pool forked inside it), which plain ``terminate`` spares."""
+        recovery = replace(FAST_RECOVERY, share_timeout=0.15)
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with ProcessExecutor(workers=2, recovery=recovery) as executor:
+                executor.install_faults(FaultInjector(chaos(
+                    1.0, kinds=(FaultKind.SHARE_TIMEOUT,),
+                    timeout_sleep_seconds=30.0)))
+                abandoned = {}
+                reset = executor._reset_pool
+
+                def recording_reset():
+                    abandoned.update(executor._pool._processes)
+                    reset()
+
+                executor._reset_pool = recording_reset
+                started = time.monotonic()
+                assert executor._run_all(self._calls(2)) == [0, 2]
+                assert time.monotonic() - started < 10
+                assert executor.respawns == 1 and len(abandoned) == 2
+                assert not any(worker.is_alive()
+                               for worker in abandoned.values())
+                for pid in abandoned:
+                    with pytest.raises(ProcessLookupError):
+                        os.kill(pid, 0)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert not multiprocessing.active_children()
+
     def test_no_leaked_processes_after_close(self):
         executor = ProcessExecutor(workers=2, recovery=FAST_RECOVERY)
         executor.install_faults(FaultInjector(chaos(
             1.0, kinds=(FaultKind.WORKER_CRASH,))))
         executor._run_all(self._calls(2))
         executor.close()
-        # Poll rather than join: workers of pools an earlier test abandoned
-        # (the deadline test's 5 s sleepers) are reaped by their pool's
-        # manager thread, and a ``join`` here that loses that ``waitpid``
-        # race returns with the child still listed for a few milliseconds.
-        deadline = time.monotonic() + 10
-        while (multiprocessing.active_children()
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
         assert not multiprocessing.active_children()
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.bf_pruning import BFConfig
-from repro.framework.executor import eval_share_key, verify_share_key
+from repro.framework.executor import EvaluationShare, share_key
 from repro.framework.faults import (
     INJECTABLE_KINDS,
     VALID_KINDS,
@@ -38,7 +38,7 @@ from repro.framework.server import (
     QueryBatchEngine,
     QueryStatus,
 )
-from repro.graph.query import Semantics
+from repro.graph.query import Query, Semantics
 from repro.tee.attestation import measure
 from repro.storage.journal import (
     JournalError,
@@ -231,8 +231,10 @@ class TestKeysAndFingerprints:
                 != query_idempotency_key(journal_key(999), q1, 0))
 
     def test_share_keys_are_protocol_coordinates(self):
-        assert eval_share_key(2, 1) == "eval:2:p1"
-        assert verify_share_key(0, 3) == "verify:0:p3"
+        assert share_key(2, EvaluationShare(player=1, balls=())) \
+            == "eval:2:p1"
+        assert share_key(0, EvaluationShare(player=3, balls=(),
+                                            cached=True)) == "verify:0:p3"
 
     def test_answer_digest_keyed(self):
         a = answer_digest(KEY, [1, 2], [2], 3)
@@ -414,6 +416,33 @@ class TestResumeDifferential:
             _, candidates = engine.candidate_balls(query)
             assert (result.match_ball_ids
                     == ground_truth_positive_ids(query, candidates))
+
+    def test_mixed_eval_and_verify_records_all_skipped(
+            self, dataset, test_config, tmp_path):
+        """One batch, both spellings: ssim shares are journaled under
+        ``eval:``, cache-fed hom shares under ``verify:`` -- a resume over
+        the complete journal dispatches none of them."""
+        hom = _queries(dataset, Semantics.HOM, count=1)[0]
+        queries = [hom, Query(pattern=hom.pattern, semantics=Semantics.SSIM,
+                              vertex_order=hom.vertex_order)]
+        path = tmp_path / "run.journal"
+        key = journal_key(test_config.seed)
+        with RunJournal(path, key) as journal:
+            first = QueryBatchEngine(Prilo.setup(dataset.graph, test_config),
+                                     journal=journal).serve(queries)
+        with RunJournal(path, key) as journal:
+            spellings = [{share.split(":")[0] for share in query.shares}
+                         for query in journal.replay().queries.values()]
+            assert spellings == [{"verify"}, {"eval"}]
+            resumed = QueryBatchEngine(
+                Prilo.setup(dataset.graph, test_config),
+                journal=journal).serve(queries)
+        assert resumed.journal.shares_evaluated == 0
+        assert (resumed.journal.shares_skipped
+                == first.journal.checkpoints_written
+                == first.journal.shares_evaluated > 0)
+        assert ([_answer_key(r) for r in resumed.results]
+                == [_answer_key(r) for r in first.results])
 
     def test_resume_on_other_backend_allowed(self, dataset, test_config,
                                              tmp_path):

@@ -8,16 +8,28 @@ not run -- so tier-1 resolves every row the same way here first.
 A module-global row must also still be *used* by that module, or the
 span would resolve and silently record nothing.
 
+Two rows name the cache-fed evaluation path that was folded into the one
+evaluation path: their names survive as pin bindings (:data:`PINS`) so
+the table resolves, and nothing else may mention them -- their spans
+record nothing, and both span names keep being recorded through the
+table's ``evaluate_shares`` / ``verify_ball_streaming`` rows.
+
 The table is read, never edited: re-pinning it is a ``benchmark`` change
 of its own.
 """
 
 import importlib
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 from benchmarks.ledger.spans import WRAP_TABLE
+
+#: Rows kept alive by a one-line binding that nothing else references.
+PINS = {("repro.framework.executor", "verify_prepared_kernel"),
+        ("repro.framework.executor", "BallExecutor.verify_shares")}
 
 
 @pytest.mark.parametrize(
@@ -33,9 +45,26 @@ def test_binding_resolves(module_name, path):
     if isinstance(raw, (classmethod, staticmethod)):
         raw = raw.__func__
     assert callable(raw)
+    if (module_name, path) in PINS:
+        return
     if not parents and getattr(raw, "__module__", module_name) != module_name:
         assert attr in _names_loaded_by(owner), (
             f"{module_name} imports {attr} but no longer calls it")
+
+
+def test_pin_bindings_are_referenced_nowhere_else():
+    """Each pin name occurs once under ``src/`` (its binding) and nowhere
+    under ``tests/`` but in this file."""
+    repo = Path(__file__).resolve().parent.parent
+    for _module, path in sorted(PINS):
+        word = re.compile(rf"\b{path.rsplit('.', 1)[-1]}\b")
+        hits = {}
+        for root in ("src", "tests"):
+            for source in (repo / root).rglob("*.py"):
+                count = len(word.findall(source.read_text()))
+                if count and source != Path(__file__).resolve():
+                    hits[str(source.relative_to(repo))] = count
+        assert hits == {"src/repro/framework/executor.py": 1}, (path, hits)
 
 
 def _names_loaded_by(module) -> set[str]:

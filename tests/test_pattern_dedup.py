@@ -10,8 +10,9 @@ Pinned here:
 * ``aggregate_items`` keeps each distinct chunk list once, the user's
   decision is unchanged by that, and it stays exact against the plaintext
   matcher;
-* the shipped ``per_item`` lists are equal across the naive, batched,
-  prepared, process-executor and journal-replayed paths;
+* the shipped ``per_item`` lists are equal across the naive and batched
+  kernels, worker-recorded and cache-fed shares, the process executor
+  and a journal replay;
 * the summable layout is untouched: its sum is byte-identical to the
   value recorded on the commit before this layout change.
 
@@ -35,6 +36,7 @@ from repro.core.enumeration import (
     enumerate_cmms,
     iter_cmms,
     iter_projected_masks,
+    prepare_ball,
 )
 from repro.core.verification import (
     verification_multiexp,
@@ -52,13 +54,11 @@ from repro.crypto.kernels import (
 )
 from repro.framework.executor import (
     EvaluationShare,
-    PreparedShare,
     ProcessExecutor,
     SerialExecutor,
 )
 from repro.framework.messages import EncryptedQueryMessage
 from repro.framework.prilo import Prilo, PriloConfig
-from repro.framework.server import prepare_ball
 from repro.graph.ball import extract_ball
 from repro.graph.generators import fig3_graph, fig3_query
 from repro.graph.labeled_graph import LabeledGraph
@@ -126,7 +126,6 @@ class TestFusedKernel:
     def test_truncation_accounting(self, semantics, seed, small_scheme):
         query, ball = random_world(seed, semantics)
         injective = semantics is Semantics.SUB_ISO
-        view = QueryLabelView.of(query)
         params = small_scheme.params
         enc = encrypt_query_matrix(small_scheme, query)
         c_one = small_scheme.encrypt_one()
@@ -138,18 +137,15 @@ class TestFusedKernel:
                 continue
             expected = enumerate_cmms(query, ball, limit=limit,
                                       injective=injective)
-            for multiexp in (None, table):
-                verdict, enumerated, truncated = verify_ball_streaming(
-                    params, enc, c_one, ball,
-                    iter_projected_masks(query, ball, injective=injective),
-                    plan, limit=limit, multiexp=multiexp)
-                assert (enumerated, truncated) == (expected.enumerated,
-                                                   expected.truncated)
-                assert verdict.bypassed == expected.truncated
-            prepared = prepare_ball(view, ball, enumeration_limit=limit,
+            prepared = prepare_ball(QueryLabelView.of(query), ball,
+                                    enumeration_limit=limit,
                                     cmm_bound_bypass=10 ** 9)
             assert (prepared.enumerated, prepared.truncated) == (
                 expected.enumerated, expected.truncated)
+            for multiexp in (None, table):
+                verdict = verify_ball_streaming(params, enc, c_one, prepared,
+                                                plan, multiexp=multiexp)
+                assert verdict.bypassed == expected.truncated
 
 
 class TestDedupedVerdict:
@@ -168,15 +164,13 @@ class TestDedupedVerdict:
         cmms = list(iter_cmms(query, ball, injective=injective))
         masks = reference_masks(query, ball, injective)
         table = verification_multiexp(params, enc, c_one, plan)
-        kernel, enumerated, _ = verify_ball_streaming(
-            params, enc, c_one, ball,
-            iter_projected_masks(query, ball, injective=injective), plan,
-            multiexp=table)
-        naive, naive_enumerated, _ = verify_ball_streaming(
-            params, enc, c_one, ball,
-            iter_projected_masks(query, ball, injective=injective), plan)
+        prepared = prepare_ball(query, ball, enumeration_limit=10 ** 9,
+                                cmm_bound_bypass=10 ** 9)
+        kernel = verify_ball_streaming(params, enc, c_one, prepared, plan,
+                                       multiexp=table)
+        naive = verify_ball_streaming(params, enc, c_one, prepared, plan)
         two_pass = verify_ball(params, enc, c_one, ball, cmms, plan)
-        assert enumerated == naive_enumerated == len(cmms)
+        assert prepared.enumerated == len(cmms)
         if not cmms:
             assert kernel.empty and naive.empty and two_pass.empty
         else:
@@ -223,11 +217,11 @@ class TestPathsShipTheSameItems:
         naive = serial.evaluate_shares(message, shares,
                                        kernels=NAIVE_KERNELS, **bounds)
         assert _per_item(naive) == reference
-        prepared = [PreparedShare(player=0, balls=tuple(
+        fed = [EvaluationShare(player=0, cached=True, balls=tuple(
             prepare_ball(view, ball, **bounds) for ball in balls))]
         for kernels in (DEFAULT_KERNELS, NAIVE_KERNELS):
-            assert _per_item(serial.verify_shares(
-                message, prepared, kernels=kernels)) == reference
+            assert _per_item(serial.evaluate_shares(
+                message, fed, kernels=kernels, **bounds)) == reference
         with ProcessExecutor(workers=2) as pool:
             assert _per_item(pool.evaluate_shares(
                 message, shares, **bounds)) == reference
@@ -277,21 +271,20 @@ class TestSummableLayoutUntouched:
             semantics=semantics, diameter=query.diameter,
             vertex_labels=view.labels, params=cgbe.params,
             encrypted_matrix=enc, c_one=c_one)
-        prepared = PreparedShare(player=0, balls=(prepare_ball(
-            view, ball, enumeration_limit=2_000, cmm_bound_bypass=2_000),))
+        bounds = dict(enumeration_limit=2_000, cmm_bound_bypass=2_000)
+        prepared = prepare_ball(view, ball, **bounds)
         table = verification_multiexp(cgbe.params, enc, c_one, plan)
         verdicts = [
             verify_ball(cgbe.params, enc, c_one, ball, cmms, plan),
-            verify_ball_streaming(
-                cgbe.params, enc, c_one, ball,
-                iter_projected_masks(query, ball, injective=injective),
-                plan)[0],
-            verify_ball_streaming(
-                cgbe.params, enc, c_one, ball,
-                iter_projected_masks(query, ball, injective=injective),
-                plan, multiexp=table)[0],
-            SerialExecutor().verify_shares(
-                message, [prepared])[0].results[0].verdict,
+            verify_ball_streaming(cgbe.params, enc, c_one, prepared, plan),
+            verify_ball_streaming(cgbe.params, enc, c_one, prepared, plan,
+                                  multiexp=table),
+        ] + [
+            SerialExecutor().evaluate_shares(
+                message, [share], **bounds)[0].results[0].verdict
+            for share in (EvaluationShare(player=0, balls=(ball,)),
+                          EvaluationShare(player=0, balls=(prepared,),
+                                          cached=True))
         ]
         for verdict in verdicts:
             summed = verdict.summed

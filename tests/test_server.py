@@ -1,12 +1,12 @@
 """Batch serving (:mod:`repro.framework.server`).
 
 The load-bearing property: serving a batch through
-:class:`QueryBatchEngine` -- cached enumeration, pattern-grouped
-verification -- is *value-identical* to running the same queries through
-a fresh engine one at a time, across semantics, pruning settings and
-executor backends.  Plus the cache contract: bounded weight, LRU
-eviction, shared :class:`CacheStats` counters, and the signature
-agreement between the user-side and SP-side key builders.
+:class:`QueryBatchEngine` -- a CMM cache in front of the one evaluation
+path -- is *value-identical* to running the same queries through a fresh
+engine one at a time, across semantics, pruning settings and executor
+backends.  Plus the cache contract: bounded weight, LRU eviction, shared
+:class:`CacheStats` counters, and one signature function for the user's
+query and the SP's label view.
 """
 
 from dataclasses import replace
@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.bf_pruning import BFConfig
+from repro.core.enumeration import prepare_ball
 from repro.framework.metrics import CacheStats
 from repro.framework.prilo import Prilo
 from repro.framework.prilo_star import PriloStar
@@ -21,8 +22,6 @@ from repro.framework.server import (
     CMMCache,
     QueryBatchEngine,
     enumeration_signature,
-    prepare_ball,
-    signature_of_view,
 )
 from repro.graph.query import QueryLabelView, Semantics
 
@@ -201,15 +200,16 @@ class TestSignatures:
         signatures = {sig for _, sig in batch.cache._entries}
         assert signatures == {expected}
 
-    def test_signature_of_view_matches(self, dataset, test_config):
-        query = dataset.random_queries(1, size=4, diameter=2, seed=13)[0]
-        view = QueryLabelView(
-            labels=tuple(query.label(u) for u in query.vertex_order),
-            diameter=query.diameter, semantics=query.semantics)
-        assert signature_of_view(
-            view, enumeration_limit=2000, cmm_bound_bypass=2000,
-        ) == enumeration_signature(
-            query, enumeration_limit=2000, cmm_bound_bypass=2000)
+    def test_signature_same_for_query_and_view(self, dataset):
+        """One function keys the cache (from the SP's label view) and
+        groups the batch (from the user's query)."""
+        bounds = dict(enumeration_limit=2000, cmm_bound_bypass=2000)
+        for semantics in Semantics:
+            query = dataset.random_queries(1, size=4, diameter=2,
+                                           semantics=semantics, seed=13)[0]
+            assert enumeration_signature(QueryLabelView.of(query),
+                                         **bounds) \
+                == enumeration_signature(query, **bounds)
 
     def test_signature_distinguishes_bounds(self, dataset):
         query = dataset.random_queries(1, size=4, diameter=2, seed=13)[0]
@@ -221,7 +221,8 @@ class TestSignatures:
 
 
 class TestPreparedVerdicts:
-    """prepare_ball must reproduce the streaming kernel's bypass logic."""
+    """prepare_ball takes the two footnote-6 decisions (bound bypass,
+    truncation) and records the per-CMM pattern index."""
 
     def _view(self, dataset):
         query = dataset.random_queries(1, size=4, diameter=2, seed=13)[0]
@@ -268,3 +269,87 @@ class TestPreparedVerdicts:
             prepared.masks)))
         assert prepared.weight == (len(prepared.pattern_of_cmm)
                                    + len(prepared.masks))
+
+
+class TestOneEvaluationPath:
+    """A cache-less run and a cold batch of one are the same evaluation by
+    construction -- one share type, one worker, one kernel, one verifier;
+    the cache only decides *where* a ball's mask stream is recorded.  So
+    everything evaluation produces is equal, not just the answer, and a
+    warm cache moves nothing but its own hit counter.
+
+    The bounds are tight enough for the 5-vertex query to hit both
+    footnote-6 decisions (one bound bypass, one truncation) next to balls
+    with repeated patterns; 512-bit moduli chunk its 20-factor products
+    (per-item layout), 1024-bit ones sum them.
+    """
+
+    @staticmethod
+    def _observe(engine, answer):
+        """``answer()`` with a spy on step 7: the run's metrics plus, per
+        ball, everything the Player sent back."""
+        evaluated = {}
+        evaluate = engine._evaluate
+
+        def spy(*args, **kwargs):
+            results = evaluate(*args, **kwargs)
+            evaluated.update(results)
+            return results
+
+        engine._evaluate = spy
+        metrics = answer().metrics
+        per_ball = {
+            ball_id: (
+                None if result.verdict.summed is None
+                else result.verdict.summed.value,
+                None if result.verdict.per_item is None
+                else [[c.value for c in chunks]
+                      for chunks in result.verdict.per_item],
+                result.cmms, result.bypassed, result.player,
+                engine._verdict_bytes(result))
+            for ball_id, result in evaluated.items()}
+        run = (metrics.cmms_enumerated, metrics.bypassed_balls,
+               metrics.sizes.ciphertext_results,
+               {key: counts for key, counts in metrics.ops.as_dict().items()
+                if key.startswith("evaluation/")},
+               metrics.caches["pad"].as_dict())
+        return per_ball, run, metrics.caches.get("cmm")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("modulus_bits", [512, 1024],
+                             ids=["chunked", "summable"])
+    @pytest.mark.parametrize("semantics", [Semantics.HOM, Semantics.SUB_ISO],
+                             ids=lambda s: s.value)
+    def test_solo_run_is_cold_batch_of_one(self, dataset, test_config,
+                                           semantics, modulus_bits, backend):
+        config = replace(test_config, modulus_bits=modulus_bits,
+                         enumeration_limit=10, cmm_bound_bypass=40,
+                         executor=backend,
+                         parallelism=2 if backend == "process" else 1)
+        query = dataset.random_queries(1, size=5, diameter=2,
+                                       semantics=semantics, seed=2)[0]
+        cache = CMMCache()
+        observed = []
+        for serve in (lambda engine: engine.run(query),
+                      lambda engine: QueryBatchEngine(
+                          engine, cache=cache).serve([query]).results[0],
+                      lambda engine: QueryBatchEngine(
+                          engine, cache=cache).serve([query]).results[0]):
+            # A fresh engine each time: same seed, same CGBE randomness.
+            with Prilo.setup(dataset.graph, config) as engine:
+                observed.append(self._observe(engine,
+                                              lambda: serve(engine)))
+        (solo_balls, solo_run, no_cache), (cold_balls, cold_run, cold), \
+            (warm_balls, warm_run, warm) = observed
+
+        cmms = [ball[2] for ball in solo_balls.values()]
+        bypassed = [ball[3] for ball in solo_balls.values()]
+        assert sum(bypassed) >= 2 and 0 in cmms and 10 in cmms
+        assert any(count > 1 and not skipped
+                   for count, skipped in zip(cmms, bypassed))
+
+        assert solo_balls == cold_balls == warm_balls
+        assert solo_run == cold_run == warm_run
+        assert no_cache is None
+        assert (cold.hits, cold.misses) == (0, len(solo_balls))
+        assert (warm.hits, warm.misses) == (len(solo_balls), 0)
