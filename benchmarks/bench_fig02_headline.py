@@ -221,117 +221,10 @@ def headline_comparison(parallelism: int = 4) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-# ----------------------------------------------------------------------
-# Kernels A/B: batched crypto kernels vs the naive fold (--json)
-# ----------------------------------------------------------------------
-def kernels_comparison() -> tuple[dict, list[str]]:
-    """One Slashdot hom query, serial backend, naive vs batched kernels.
-
-    The batched path (Straus shared-window tables + the per-pattern chunk
-    memo, DESIGN.md section 11) must produce *identical* answers -- the
-    kernels are value-identical by contract, asserted here on the full
-    pipeline -- while spending strictly fewer modular multiplications.
-    The headline number is the verification-phase (``timings.evaluation``)
-    speedup; CI gates on >= 3x (the pattern redundancy alone is ~5.7x on
-    this workload, see DESIGN.md section 7).
-    """
-    from repro.crypto.ops import OpCounter
-    from repro.crypto.kernels import DEFAULT_KERNELS, NAIVE_KERNELS
-    from repro.framework.prilo_star import PriloStar
-    from repro.graph.query import Semantics
-
-    ds = dataset("slashdot")
-    graph = ds.graph_for(Semantics.HOM)
-    query = ds.random_queries(1, size=8, diameter=3,
-                              semantics=Semantics.HOM, seed=4)[0]
-
-    results = {}
-    elapsed = {}
-    for label, kernels in (("naive", NAIVE_KERNELS),
-                           ("batched", DEFAULT_KERNELS)):
-        config = bench_config(kernels=kernels)
-        started = time.perf_counter()
-        results[label] = PriloStar.setup(graph, config,
-                                         use_ssg=False).run(query)
-        elapsed[label] = time.perf_counter() - started
-
-    naive, batched = results["naive"], results["batched"]
-    # Same seed, same randomness stream, value-identical kernels: the
-    # answer sets must agree exactly.
-    assert batched.match_ball_ids == naive.match_ball_ids
-    assert batched.verified_ids == naive.verified_ids
-    assert batched.pm_positive_ids == naive.pm_positive_ids
-    assert batched.num_matches == naive.num_matches
-
-    naive_eval = naive.metrics.timings.evaluation
-    batched_eval = batched.metrics.timings.evaluation
-    speedup = naive_eval / batched_eval if batched_eval > 0 else 1.0
-    naive_ops = naive.metrics.ops.totals()
-    batched_ops = batched.metrics.ops.totals()
-    assert (batched.metrics.cmms_enumerated
-            == naive.metrics.cmms_enumerated)
-    assert (batched.metrics.sizes.ciphertext_results
-            == naive.metrics.sizes.ciphertext_results)
-    assert 0 < batched_ops.modmul <= naive_ops.modmul, (
-        f"batched path spent {batched_ops.modmul} modmuls vs the naive "
-        f"path's {naive_ops.modmul} -- the kernels must never do more "
-        "work")
-
-    def side(label, result):
-        timings = result.metrics.timings
-        return {
-            "eval_seconds": timings.evaluation,
-            "run_elapsed_seconds": elapsed[label],
-            "modmul": result.metrics.ops.totals().modmul,
-            # Result shape is decided in aggregate_items, not per kernel:
-            # both sides must enumerate and ship the same counts.
-            "cmms": result.metrics.cmms_enumerated,
-            "ciphertext_results": result.metrics.sizes.ciphertext_results,
-            "modexp": result.metrics.ops.totals().modexp,
-            "table_build": result.metrics.ops.totals().table_build,
-            "ops_by_phase": {
-                phase: counts.as_dict() for phase, counts in
-                result.metrics.ops.phase_totals().items()},
-        }
-
-    payload = {
-        "dataset": "slashdot",
-        "semantics": "hom",
-        "query_size": 8,
-        "backend": "serial",
-        "naive": side("naive", naive),
-        "batched": side("batched", batched),
-        "speedup_evaluation": speedup,
-        "modmul_ratio": (naive_ops.modmul / batched_ops.modmul
-                         if batched_ops.modmul else 1.0),
-        "answers_identical": True,
-    }
-
-    widths = (26, 14, 14)
-    lines = [format_row(("metric", "naive", "batched"), widths)]
-    for metric, a, b in (
-        ("evaluation (s)", f"{naive_eval:.4f}", f"{batched_eval:.4f}"),
-        ("modmul", naive_ops.modmul, batched_ops.modmul),
-        ("modexp", naive_ops.modexp, batched_ops.modexp),
-        ("table builds", naive_ops.table_build, batched_ops.table_build),
-        ("CMMs", naive.metrics.cmms_enumerated,
-         batched.metrics.cmms_enumerated),
-        ("result bytes", naive.metrics.sizes.ciphertext_results,
-         batched.metrics.sizes.ciphertext_results),
-    ):
-        lines.append(format_row((metric, a, b), widths))
-    lines.append(f"verification-phase speedup: {speedup:.2f}x "
-                 f"(modmul ratio {payload['modmul_ratio']:.1f}x)")
-    return payload, lines
-
-
 def main(argv=None) -> None:
     args = parse_cli(argv)
     payload, lines = headline_comparison()
     emit("fig02_headline_backends", lines)
-    kernels_payload, kernels_lines = kernels_comparison()
-    emit("fig02_headline_kernels", kernels_lines)
-    payload["kernels"] = kernels_payload
     if args.json:
         write_headline_json(payload)
 

@@ -59,7 +59,6 @@ import sys
 
 from repro.core.bf_pruning import BFConfig
 from repro.crypto.keys import DataOwnerKey
-from repro.crypto.kernels import DEFAULT_KERNELS, NAIVE_KERNELS, KernelConfig
 from repro.framework.faults import VALID_KINDS, ChaosPolicy
 from repro.framework.prilo import DeadlineExceeded, Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
@@ -181,11 +180,6 @@ def _rogue(args: argparse.Namespace):
     return shards, policy
 
 
-def _kernels(args: argparse.Namespace) -> KernelConfig:
-    name = getattr(args, "kernels", "batched")
-    return NAIVE_KERNELS if name == "naive" else DEFAULT_KERNELS
-
-
 def _config(args: argparse.Namespace, store=None) -> PriloConfig:
     config = PriloConfig(k_players=args.players, modulus_bits=args.modulus,
                          q_bits=16 if args.modulus <= 1024 else 32,
@@ -195,8 +189,7 @@ def _config(args: argparse.Namespace, store=None) -> PriloConfig:
                          parallelism=getattr(args, "parallelism", 1),
                          chaos=_chaos(args),
                          deadline_ms=getattr(args, "deadline_ms", None),
-                         ball_budget=getattr(args, "ball_budget", None),
-                         kernels=_kernels(args))
+                         ball_budget=getattr(args, "ball_budget", None))
     if store is not None:
         # Ball ids are a function of (vertex order, radii): an engine
         # served from a store must address exactly the stored radii.
@@ -377,8 +370,8 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"match={timings.user_matching:.3f}s")
         if result.metrics.ops:
             totals = result.metrics.ops.totals()
-            print(f"crypto ops [{_kernels(args).label}]: "
-                  f"modmul={totals.modmul} modexp={totals.modexp} "
+            print(f"crypto ops: modmul={totals.modmul} "
+                  f"modexp={totals.modexp} "
                   f"table_build={totals.table_build}")
         if result.metrics.faults:
             print(f"faults:  {result.metrics.faults.summary_line()}")
@@ -717,7 +710,11 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         PlacementError,
         PlacementManifest,
     )
-    from repro.framework.shard import LocalCluster, make_shard_specs
+    from repro.framework.shard import (
+        LocalCluster,
+        ShardError,
+        make_shard_specs,
+    )
     from repro.workloads.traffic import TrafficSpec, generate_traffic
 
     dataset = load_dataset(args.dataset, scale=args.scale)
@@ -792,6 +789,12 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         # merge produced can be trusted -> integrity exit.
         print(f"GATEWAY ERROR: {exc}")
         return combine_exit(EXIT_INTEGRITY, _finish_trace(args, tracer))
+    except ShardError as exc:
+        # A shard that cannot start: a pack that disagrees with the live
+        # graph is rebuildable (2), anything else is damage (3).
+        print(f"{'STALE' if exc.stale else 'FAILED'}: {exc}")
+        return combine_exit(EXIT_STALE if exc.stale else EXIT_INTEGRITY,
+                            _finish_trace(args, tracer))
     summary = report.summary()
     print(f"served {summary['queries']} queries on {summary['shards']} "
           f"shard(s) in {summary['makespan_seconds']:.3f}s wall "
@@ -875,12 +878,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="ball-evaluation backend")
     parser.add_argument("--parallelism", type=int, default=1,
                         help="worker processes for --executor process")
-    parser.add_argument("--kernels", default="batched",
-                        choices=["batched", "naive"],
-                        help="crypto hot-path kernels: 'batched' uses the "
-                             "Straus window tables and packed CMM masks, "
-                             "'naive' the per-ciphertext reference fold "
-                             "(value-identical; for A/B benchmarking)")
     parser.add_argument("--chaos-seed", type=int, default=None,
                         metavar="N",
                         help="enable seeded fault injection (chaos mode); "

@@ -21,12 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cgbe import (
-    CGBE,
-    CGBECiphertext,
-    CGBEPublicParams,
-    CiphertextPowerCache,
-)
+from repro.crypto.cgbe import CGBE, CGBECiphertext, CGBEPublicParams
 
 
 @dataclass(frozen=True)
@@ -66,20 +61,15 @@ class ChunkPlan:
 def chunked_product(params: CGBEPublicParams,
                     factors: list[CGBECiphertext],
                     c_one: CGBECiphertext,
-                    plan: ChunkPlan,
-                    pad_cache: CiphertextPowerCache | None = None,
-                    ) -> list[CGBECiphertext]:
-    """Multiply one item's factors according to ``plan``.
+                    plan: ChunkPlan) -> list[CGBECiphertext]:
+    """Multiply one item's factors according to ``plan`` -- the
+    paper-literal fold, kept as the oracle
+    :class:`repro.crypto.kernels.MaskedProductTable` is tested against.
 
     Short inputs are padded with ``c_one`` so every chunk has exactly
     ``plan.chunk_factors`` factors (constant powers, constant work).
     Padding once up front to the full ``chunks_per_item * chunk_factors``
     grid is what makes every slice full-length -- no per-chunk re-padding.
-
-    ``pad_cache`` (a :class:`CiphertextPowerCache` over this ``c_one``)
-    collapses each chunk's run of padding factors into one cached power
-    lookup instead of up to ``chunk_factors`` modular multiplications; the
-    result is bit-identical either way.
     """
     if len(factors) > plan.factors:
         raise ValueError(
@@ -94,7 +84,7 @@ def chunked_product(params: CGBEPublicParams,
     chunks: list[CGBECiphertext] = []
     for start in range(0, len(padded), plan.chunk_factors):
         chunk = padded[start:start + plan.chunk_factors]
-        chunks.append(CGBE.product(params, chunk, power_cache=pad_cache))
+        chunks.append(CGBE.product(params, chunk))
     return chunks
 
 
@@ -134,7 +124,7 @@ def aggregate_items(params: CGBEPublicParams, ball_id: int,
     The summable layout is the paper-literal sum over every item.  The
     per-item layout keeps each distinct chunk list once: the only place
     that shape is decided, so every caller that feeds it (the kernels,
-    the naive fold, the two-pass reference) ships the same result.
+    the paper-literal oracle) ships the same result.
     """
     if not item_chunk_lists:
         return BallCiphertextResult(ball_id=ball_id, empty=True)

@@ -36,12 +36,7 @@ from repro.core.aggregation import (
     chunked_product,
     decide_positive,
 )
-from repro.crypto.cgbe import (
-    CGBE,
-    CGBECiphertext,
-    CGBEPublicParams,
-    CiphertextPowerCache,
-)
+from repro.crypto.cgbe import CGBE, CGBECiphertext, CGBEPublicParams
 from repro.crypto.kernels import MaskedProductTable, MultiExpRegistry
 from repro.graph.ball import Ball
 from repro.graph.labeled_graph import Vertex
@@ -66,37 +61,27 @@ class SsimBallVerdict:
 
 
 class _NeighborLabelCache:
-    """Per-ball successor/predecessor label sets -- and the selection mask
-    they induce on ``query`` -- computed once per vertex.
+    """Per-ball memo of the selection mask a vertex's successor /
+    predecessor label sets induce on ``query``.
 
-    A ball vertex is a candidate of every query row sharing its label, so
-    the naive per-(row, v) recomputation rebuilds the same two label sets
-    (and the same :func:`_pair_mask`, which depends on ``v`` only)
-    ``|rows with that label|`` times; memoizing is value-identical.
+    A ball vertex is a candidate of every query row sharing its label, and
+    :func:`_pair_mask` depends on ``v`` only, so a per-(row, v)
+    recomputation would rebuild it ``|rows with that label|`` times.
     """
 
     def __init__(self, ball: Ball, query: Query) -> None:
         self._graph = ball.graph
         self._query = query
-        self._cache: dict[Vertex, tuple[frozenset, frozenset]] = {}
         self._masks: dict[Vertex, int] = {}
-
-    def labels(self, v: Vertex) -> tuple[frozenset, frozenset]:
-        cached = self._cache.get(v)
-        if cached is None:
-            graph = self._graph
-            cached = (
-                frozenset(graph.label(w) for w in graph.successors(v)),
-                frozenset(graph.label(w) for w in graph.predecessors(v)),
-            )
-            self._cache[v] = cached
-        return cached
 
     def mask(self, v: Vertex) -> int:
         cached = self._masks.get(v)
         if cached is None:
-            cached = self._masks[v] = _pair_mask(self._query,
-                                                 *self.labels(v))
+            graph = self._graph
+            cached = self._masks[v] = _pair_mask(
+                self._query,
+                frozenset(graph.label(w) for w in graph.successors(v)),
+                frozenset(graph.label(w) for w in graph.predecessors(v)))
         return cached
 
 
@@ -109,14 +94,12 @@ def _pair_product(
     row: int,
     v: Vertex,
     plan: ChunkPlan,
-    neighbor_cache: _NeighborLabelCache | None = None,
-    pad_cache: CiphertextPowerCache | None = None,
 ) -> list[CGBECiphertext]:
-    if neighbor_cache is not None:
-        succ_labels, pred_labels = neighbor_cache.labels(v)
-    else:
-        succ_labels = {ball.graph.label(w) for w in ball.graph.successors(v)}
-        pred_labels = {ball.graph.label(w) for w in ball.graph.predecessors(v)}
+    """The paper-literal pair product for ``(query row, v)``, factor by
+    factor -- the oracle :func:`ssim_verify_ball`'s products are tested
+    against; nothing in ``src/`` calls it."""
+    succ_labels = {ball.graph.label(w) for w in ball.graph.successors(v)}
+    pred_labels = {ball.graph.label(w) for w in ball.graph.predecessors(v)}
     factors: list[CGBECiphertext] = []
     for j, u_other in enumerate(query.vertex_order):
         label = query.label(u_other)
@@ -124,7 +107,7 @@ def _pair_product(
                        else encrypted_matrix[row][j])
         factors.append(c_one if label in pred_labels
                        else encrypted_matrix[j][row])
-    return chunked_product(params, factors, c_one, plan, pad_cache=pad_cache)
+    return chunked_product(params, factors, c_one, plan)
 
 
 def ssim_multiexp(
@@ -134,7 +117,6 @@ def ssim_multiexp(
     query: Query,
     row: int,
     plan: ChunkPlan,
-    config=None,
 ) -> MaskedProductTable:
     """The shared Straus table for one query row's pair products.
 
@@ -146,9 +128,7 @@ def ssim_multiexp(
     for j in range(query.size):
         bases.append(encrypted_matrix[row][j])
         bases.append(encrypted_matrix[j][row])
-    if config is None:
-        return MaskedProductTable(params, bases, c_one, plan)
-    return MaskedProductTable(params, bases, c_one, plan, config)
+    return MaskedProductTable(params, bases, c_one, plan)
 
 
 def _pair_mask(query: Query, succ_labels: frozenset,
@@ -177,47 +157,32 @@ def ssim_verify_ball(
 ) -> SsimBallVerdict:
     """The SP-side ssim verification for one candidate ball.
 
-    With ``multiexp`` enabled, each query row's pair products come from a
-    shared :class:`MaskedProductTable` (registry key ``("ssim", row)``);
-    candidates with equal neighbor-label sets -- the common case on
-    low-diversity balls -- collapse into memo hits.  Value-identical to
-    the naive :func:`_pair_product` fold.
+    Each query row's pair products come from a shared
+    :class:`MaskedProductTable` (registry key ``("ssim", row)``; a call
+    without a registry builds its own); candidates with equal
+    neighbor-label sets -- the common case on low-diversity balls --
+    collapse into memo hits.  Value-identical to the :func:`_pair_product`
+    fold.
     """
+    if multiexp is None:
+        multiexp = MultiExpRegistry()
     neighbor_cache = _NeighborLabelCache(ball, query)
-    use_kernel = multiexp is not None and multiexp.enabled
-    pad_cache = None if use_kernel else CiphertextPowerCache(params, c_one)
     per_vertex: list[BallCiphertextResult] = []
     center_items: list[list[CGBECiphertext]] = []
     for row, u in enumerate(query.vertex_order):
         candidates = sorted(
             ball.graph.vertices_with_label(query.label(u)), key=repr)
-        if use_kernel:
-            table = multiexp.table(
-                ("ssim", row),
-                lambda row=row: ssim_multiexp(params, encrypted_matrix,
-                                              c_one, query, row, plan,
-                                              multiexp.config))
-            items = [table.chunk_ciphertexts(neighbor_cache.mask(v))
-                     for v in candidates]
-        else:
-            items = [
-                _pair_product(params, encrypted_matrix, c_one, query, ball,
-                              row, v, plan, neighbor_cache=neighbor_cache,
-                              pad_cache=pad_cache)
-                for v in candidates
-            ]
+        table = multiexp.table(
+            ("ssim", row),
+            lambda row=row: ssim_multiexp(params, encrypted_matrix, c_one,
+                                          query, row, plan))
+        items = [table.chunk_ciphertexts(neighbor_cache.mask(v))
+                 for v in candidates]
         per_vertex.append(
             aggregate_items(params, ball.ball_id, items, plan))
         if query.label(u) == ball.center_label:
-            if use_kernel:
-                center_items.append(table.chunk_ciphertexts(
-                    neighbor_cache.mask(ball.center)))
-            else:
-                center_items.append(
-                    _pair_product(params, encrypted_matrix, c_one, query,
-                                  ball, row, ball.center, plan,
-                                  neighbor_cache=neighbor_cache,
-                                  pad_cache=pad_cache))
+            center_items.append(table.chunk_ciphertexts(
+                neighbor_cache.mask(ball.center)))
     center = aggregate_items(params, ball.ball_id, center_items, plan)
     return SsimBallVerdict(ball_id=ball.ball_id, per_vertex=per_vertex,
                            center=center)

@@ -29,7 +29,6 @@ from repro.core.aggregation import (
     BallCiphertextResult,
     ChunkPlan,
     aggregate_items,
-    chunked_product,
 )
 from repro.crypto.cgbe import CGBE, CGBECiphertext, CGBEPublicParams
 from repro.crypto.kernels import MaskedProductTable, MultiExpRegistry
@@ -91,33 +90,27 @@ def player_table_prune(
     (Alg. 5 line 4); the per-key branch (``c_one`` vs the table ciphertext)
     depends on the *ball's* features only, never on the encrypted bits.
 
-    With ``multiexp`` enabled, each table's ciphertext column becomes a
-    shared :class:`MaskedProductTable` (keyed by the public coordinate
-    ``(kind, table_index)``) and the ball's feature membership packs into
-    a selection mask -- balls sharing a feature set hit the table's memo.
-    Results are value-identical to the ``chunked_product`` fold.
+    Each table's ciphertext column is a shared :class:`MaskedProductTable`
+    (keyed by the public coordinate ``(kind, table_index)``; a call
+    without a registry builds its own) and the ball's feature membership
+    packs into a selection mask -- balls sharing a feature set hit the
+    table's memo.  Value-identical to the paper-literal fold of that
+    factor list (:mod:`repro.core.aggregation`).
     """
+    if multiexp is None:
+        multiexp = MultiExpRegistry()
     center_label = ball.center_label
     item_chunks: list[list[CGBECiphertext]] = []
-    use_kernel = multiexp is not None and multiexp.enabled
     for index, table in enumerate(tables):
         if table.start_label != center_label:
             continue
-        if use_kernel:
-            mtable = multiexp.table(
-                (kind, index),
-                lambda table=table: MaskedProductTable(
-                    params, table.ciphertexts, c_one, plan,
-                    multiexp.config))
-            mask = 0
-            for pos, key in enumerate(table.keys):
-                if key in ball_features:
-                    mask |= 1 << pos
-            item_chunks.append(mtable.chunk_ciphertexts(mask))
-        else:
-            factors = [
-                c_one if key in ball_features else table.ciphertexts[i]
-                for i, key in enumerate(table.keys)
-            ]
-            item_chunks.append(chunked_product(params, factors, c_one, plan))
+        mtable = multiexp.table(
+            (kind, index),
+            lambda table=table: MaskedProductTable(
+                params, table.ciphertexts, c_one, plan))
+        mask = 0
+        for pos, key in enumerate(table.keys):
+            if key in ball_features:
+                mask |= 1 << pos
+        item_chunks.append(mtable.chunk_ciphertexts(mask))
     return aggregate_items(params, ball.ball_id, item_chunks, plan)

@@ -19,6 +19,14 @@ Faithful refinements (see DESIGN.md):
 * overflow handling delegates to :mod:`repro.core.aggregation`: products
   and sums are chunked whenever the budget requires, with layouts that
   depend only on public parameters.
+
+Two layers live here.  :func:`verify_ball_streaming` is the evaluator the
+Players run: every product comes out of the query's shared
+:class:`~repro.crypto.kernels.MaskedProductTable`.  The paper-literal fold
+-- :func:`verify_plaintext`, :func:`verify_ciphertext`,
+:func:`verify_projected_rows`, :func:`verify_ball` -- multiplies factor by
+factor; it is the oracle the tests hold the evaluator to and is called by
+nothing else in ``src/``.
 """
 
 from __future__ import annotations
@@ -31,14 +39,8 @@ from repro.core.aggregation import (
     decide_positive,
 )
 from repro.core.enumeration import PreparedBall
-from repro.crypto.cgbe import CGBECiphertext, CGBEPublicParams, CiphertextPowerCache
-from repro.crypto.kernels import (
-    DEFAULT_KERNELS,
-    KernelConfig,
-    MaskedProductTable,
-    offdiagonal_bases,
-    pattern_of_mask,
-)
+from repro.crypto.cgbe import CGBECiphertext, CGBEPublicParams
+from repro.crypto.kernels import MaskedProductTable, offdiagonal_bases
 from repro.graph.ball import Ball
 from repro.graph.matrix import CandidateMappingMatrix
 from repro.graph.query import Query
@@ -77,7 +79,6 @@ def verification_multiexp(
     encrypted_matrix: list[list[CGBECiphertext]],
     c_one: CGBECiphertext,
     plan: ChunkPlan,
-    config: KernelConfig = DEFAULT_KERNELS,
 ) -> MaskedProductTable:
     """The shared Straus table for Alg. 2 products of one query message.
 
@@ -88,7 +89,7 @@ def verification_multiexp(
     :func:`verify_projected_rows`.
     """
     return MaskedProductTable(params, offdiagonal_bases(encrypted_matrix),
-                              c_one, plan, config)
+                              c_one, plan)
 
 
 def verify_ciphertext(
@@ -98,20 +99,15 @@ def verify_ciphertext(
     ball: Ball,
     cmm: CandidateMappingMatrix,
     plan: ChunkPlan,
-    pad_cache: CiphertextPowerCache | None = None,
 ) -> list[CGBECiphertext]:
     """Alg. 2 under CGBE: the SP-side product(s) for one CMM.
 
     Returns ``plan.chunks_per_item`` ciphertexts; every position of the
     encrypted matrix is touched in the same order regardless of values
     (query-obliviousness, proven in App. A.2).
-
-    ``pad_cache`` is the memoized ``c_one`` powers shared across the CMMs
-    of one ball; results are identical with or without it.
     """
     return verify_projected_rows(params, encrypted_matrix, c_one,
-                                 cmm.project(ball.graph).tolist(), plan,
-                                 pad_cache=pad_cache)
+                                 cmm.project(ball.graph).tolist(), plan)
 
 
 def verify_projected_rows(
@@ -120,7 +116,6 @@ def verify_projected_rows(
     c_one: CGBECiphertext,
     rows: "list | tuple",
     plan: ChunkPlan,
-    pad_cache: CiphertextPowerCache | None = None,
 ) -> list[CGBECiphertext]:
     """The SP-side product(s) for one *projected matrix* ``M_p``.
 
@@ -142,7 +137,7 @@ def verify_projected_rows(
                 factors.append(matrix_row[j])
             else:
                 factors.append(c_one)
-    return chunked_product(params, factors, c_one, plan, pad_cache=pad_cache)
+    return chunked_product(params, factors, c_one, plan)
 
 
 def verify_ball(
@@ -162,10 +157,8 @@ def verify_ball(
     """
     if bypassed:
         return BallCiphertextResult(ball_id=ball.ball_id, bypassed=True)
-    pad_cache = CiphertextPowerCache(params, c_one)
     chunk_lists = [
-        verify_ciphertext(params, encrypted_matrix, c_one, ball, cmm, plan,
-                          pad_cache=pad_cache)
+        verify_ciphertext(params, encrypted_matrix, c_one, ball, cmm, plan)
         for cmm in cmms
     ]
     return aggregate_items(params, ball.ball_id, chunk_lists, plan)
@@ -177,7 +170,6 @@ def verify_ball_streaming(
     c_one: CGBECiphertext,
     prepared: PreparedBall,
     plan: ChunkPlan,
-    pad_stats: "object | None" = None,
     multiexp: MaskedProductTable | None = None,
 ) -> BallCiphertextResult:
     """Alg. 2 + Alg. 3 lines 6-7 over one ball's recorded mask stream
@@ -185,15 +177,13 @@ def verify_ball_streaming(
     verifier, whether the stream was recorded a moment ago in this worker
     or came out of a :class:`~repro.framework.server.CMMCache`.
 
-    A bypassed stream (footnote 6) is reported unpruned.  With
-    ``multiexp`` (the query's shared :func:`verification_multiexp` table)
-    each *distinct* mask's chunk product is computed once per ball; the
-    summable layout's sum then takes one term per CMM (the paper-literal
-    sum needs each pattern's multiplicity), the per-item layout ships the
-    distinct products -- :func:`aggregate_items` would drop the repeats
-    anyway.  Without it every CMM is folded from its unpacked rows, the
-    naive baseline the kernel A/B measures against.  The chunk
-    ciphertexts are value-identical either way.
+    A bypassed stream (footnote 6) is reported unpruned.  Each *distinct*
+    mask's chunk product is computed once per ball, out of ``multiexp``
+    -- the query's :func:`verification_multiexp` table, shared across a
+    share's balls; a call without one builds its own.  The summable
+    layout's sum then takes one term per CMM (the paper-literal sum needs
+    each pattern's multiplicity), the per-item layout ships the distinct
+    products -- :func:`aggregate_items` would drop the repeats anyway.
 
     What is computed for which mask is a function of the ball's plaintext
     adjacency and the public label view only -- never of ciphertext
@@ -201,18 +191,12 @@ def verify_ball_streaming(
     """
     if prepared.bypassed:
         return BallCiphertextResult(ball_id=prepared.ball_id, bypassed=True)
-    masks = prepared.masks
     if multiexp is None:
-        n = len(encrypted_matrix)
-        pad_cache = CiphertextPowerCache(params, c_one, stats=pad_stats)
-        items = [verify_projected_rows(params, encrypted_matrix, c_one,
-                                       pattern_of_mask(masks[index], n),
-                                       plan, pad_cache=pad_cache)
-                 for index in prepared.pattern_of_cmm]
-    else:
-        items = [multiexp.chunk_ciphertexts(mask) for mask in masks]
-        if plan.summable:
-            items = [items[index] for index in prepared.pattern_of_cmm]
+        multiexp = verification_multiexp(params, encrypted_matrix, c_one,
+                                         plan)
+    items = [multiexp.chunk_ciphertexts(mask) for mask in prepared.masks]
+    if plan.summable:
+        items = [items[index] for index in prepared.pattern_of_cmm]
     return aggregate_items(params, prepared.ball_id, items, plan)
 
 

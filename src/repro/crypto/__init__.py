@@ -15,7 +15,6 @@ from repro.crypto.cgbe import (
     AggregationBudget,
     CGBECiphertext,
     CGBEPublicParams,
-    CiphertextPowerCache,
     OverflowError_,
 )
 from repro.crypto.keys import DataOwnerKey, UserKeyring
@@ -26,7 +25,6 @@ __all__ = [
     "AggregationBudget",
     "CGBECiphertext",
     "CGBEPublicParams",
-    "CiphertextPowerCache",
     "DataOwnerKey",
     "OverflowError_",
     "StreamCipher",

@@ -503,9 +503,7 @@ class CGBE:
 
     @staticmethod
     def product(params: CGBEPublicParams,
-                ciphertexts: list[CGBECiphertext],
-                power_cache: "CiphertextPowerCache | None" = None,
-                ) -> CGBECiphertext:
+                ciphertexts: list[CGBECiphertext]) -> CGBECiphertext:
         """Fold :meth:`multiply` over a non-empty list.
 
         Repeats of *equal* ciphertexts (same value/power/bit bound --
@@ -515,9 +513,6 @@ class CGBE:
         grouping matters beyond the common shared-object case: padding
         re-encrypted after a store quarantine, or ciphertexts rebuilt
         from a journal, are distinct allocations that must still fold.
-        When ``power_cache`` is given and its base appears in the list,
-        that run is served from the cache's precomputed ``base^(2^i)``
-        table instead of a fresh exponentiation.
         """
         if not ciphertexts:
             raise ValueError("empty product")
@@ -529,10 +524,7 @@ class CGBE:
         terms: list[CGBECiphertext] = []
         for term, count in counts.items():
             if count > 1:
-                if power_cache is not None and term == power_cache.base:
-                    term = power_cache.power(count)
-                else:
-                    term = CGBE.power(params, term, count)
+                term = CGBE.power(params, term, count)
             terms.append(term)
         acc: CGBECiphertext | None = None
         for term in terms:
@@ -564,82 +556,3 @@ class CGBE:
     def ciphertext_bytes(self) -> int:
         """Serialized size of one ciphertext (for message-size accounting)."""
         return (self._params.modulus_bits + 7) // 8 + 8
-
-
-class CiphertextPowerCache:
-    """Memoized powers of one ciphertext (typically the padding ``c_one``).
-
-    Verification products pad every chunk with repeats of the *same*
-    encryption of 1; across the thousands of CMMs of one ball the pad
-    count takes only a handful of distinct values.  The cache keeps a
-    ``base^(2^i)`` squaring table plus a memo of every exponent served, so
-    a repeated pad costs one dict lookup and a fresh pad count costs at
-    most ``log2(k)`` multiplications off the table -- never the up-to-
-    ``chunk_factors`` serial modmuls of the naive fold.
-
-    Results are bit-identical to ``CGBE.power(params, base, k)`` (same
-    value, ``power`` and ``value_bits`` bookkeeping), so swapping the cache
-    in changes nothing observable.
-
-    The memo is FIFO-bounded at ``max_entries`` (pad counts are small
-    integers, but an unbounded dict would grow with adversarially varied
-    chunk layouts); evictions and hit rates are reported through the
-    optional ``stats`` hook
-    (:class:`repro.framework.metrics.CacheStats`).
-    """
-
-    def __init__(self, params: CGBEPublicParams,
-                 base: CGBECiphertext, max_entries: int = 4096,
-                 stats: "object | None" = None) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.params = params
-        self.base = base
-        self.max_entries = max_entries
-        self.stats = stats
-        self._squares = [base]           # _squares[i] = base^(2^i)
-        self._memo: dict[int, CGBECiphertext] = {1: base}
-        if stats is not None:
-            stats.capacity = max(stats.capacity, max_entries)
-
-    def _square_term(self, i: int) -> CGBECiphertext:
-        while len(self._squares) <= i:
-            prev = self._squares[-1]
-            self._squares.append(CGBE.multiply(self.params, prev, prev))
-        return self._squares[i]
-
-    def power(self, exponent: int) -> CGBECiphertext:
-        """``base^exponent`` via the squaring table, memoized per exponent."""
-        if exponent < 1:
-            raise ValueError("exponent must be positive")
-        cached = self._memo.get(exponent)
-        if cached is not None:
-            if self.stats is not None:
-                self.stats.hits += 1
-            return cached
-        if self.stats is not None:
-            self.stats.misses += 1
-        bits = self.base.value_bits * exponent
-        if bits >= self.params.modulus_bits:
-            raise OverflowError_(
-                f"power would need {bits} bits but the modulus has "
-                f"{self.params.modulus_bits}")
-        acc: CGBECiphertext | None = None
-        remaining, i = exponent, 0
-        while remaining:
-            if remaining & 1:
-                term = self._square_term(i)
-                acc = term if acc is None else CGBE.multiply(
-                    self.params, acc, term)
-            remaining >>= 1
-            i += 1
-        assert acc is not None
-        if len(self._memo) >= self.max_entries:
-            self._memo.pop(next(iter(self._memo)))
-            if self.stats is not None:
-                self.stats.evictions += 1
-        self._memo[exponent] = acc
-        if self.stats is not None:
-            self.stats.entries = len(self._memo)
-            self.stats.weight = len(self._memo)
-        return acc

@@ -1,8 +1,5 @@
-"""Batched crypto kernels for the CGBE hot path.
-
-Two kernels, both value-identical to the naive fold they replace (same
-answers, same ``power`` / ``value_bits`` bookkeeping, same overflow
-behavior) and selectable per run through :class:`KernelConfig`:
+"""Batched crypto kernels for the CGBE hot path -- the one arithmetic
+path the SP side computes through.
 
 * **Straus-style shared-window multi-exponentiation**
   (:class:`MaskedProductTable`).  Verification, ssim refinement and table
@@ -17,7 +14,10 @@ behavior) and selectable per run through :class:`KernelConfig`:
   -- the dominant effect in practice, since distinct projected patterns
   are few (DESIGN.md Sec. 7 measures ~5.7x pattern redundancy on
   slashdot) -- and the whole table is shared across every ball of a
-  share.
+  share.  Results are value-identical to the paper-literal fold of
+  :mod:`repro.core.aggregation`, which stays there as the oracle the
+  tests compare against: same values, same ``power`` / ``value_bits``
+  bookkeeping, same overflow behavior.
 
 * **Packed-bitset rows** (:func:`pack_row`, :func:`iter_bits`).
   CMM projections and the dual-simulation fixpoint carry set membership
@@ -33,7 +33,6 @@ Layering: this module sits inside ``repro.crypto`` and must not import
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.crypto import ops
@@ -51,47 +50,9 @@ except Exception:  # pragma: no cover - numpy is present in CI images
 HAVE_NUMPY = _np is not None
 
 
-# ---------------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelConfig:
-    """Which kernels a run uses (``PriloConfig.kernels``).
-
-    The default is the fast, always-safe path: multi-exp on.  ``window``
-    is the Straus window width in bits; 4 keeps subset tables at <= 16
-    entries per window, the sweet spot for the 30-60 factor products of
-    this codebase.
-    """
-
-    multiexp: bool = True
-    window: int = 4
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.window <= 8:
-            raise ValueError("kernel window must be in 1..8")
-
-    @classmethod
-    def naive(cls) -> "KernelConfig":
-        """Multi-exp off -- the PR1/PR2 baseline path, for A/B runs."""
-        return cls(multiexp=False)
-
-    @property
-    def label(self) -> str:
-        """Public coordinate string for spans and benchmark payloads."""
-        return "batched" if self.multiexp else "naive"
-
-    def as_dict(self) -> dict:
-        return {"multiexp": self.multiexp, "window": self.window}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KernelConfig":
-        return cls(multiexp=bool(payload.get("multiexp", True)),
-                   window=int(payload.get("window", 4)))
-
-
-DEFAULT_KERNELS = KernelConfig()
-NAIVE_KERNELS = KernelConfig.naive()
+#: Straus window width in bits: subset tables stay at <= 16 entries per
+#: window, the sweet spot for the 30-60 factor products of this codebase.
+STRAUS_WINDOW = 4
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +65,24 @@ class MaskedProductTable:
     ``p`` the selection mask leaves 0, ``pad`` (an encryption of 1) at
     every position the mask sets" -- verification selects by projected
     pattern, ssim by neighbor-label membership, pruning by feature-key
-    membership.  ``chunk_ciphertexts(mask)`` returns exactly what
-    ``chunked_product`` returns for that factor list: same values, same
+    membership.  ``chunk_ciphertexts(mask)`` returns exactly what the
+    paper-literal fold returns for that factor list: same values, same
     ``power`` (= ``chunk_factors``), same ``value_bits``, same
     :class:`OverflowError_` condition.
 
     All bases (and the pad) must be fresh single encryptions
     (``power == 1``, ``value_bits == bits_per_factor``) -- the only shape
-    the hot path produces; anything else belongs on the naive path.
+    the protocol produces.
     """
 
     def __init__(self, params: CGBEPublicParams,
                  bases: Sequence[CGBECiphertext],
                  pad: CGBECiphertext,
                  plan: "object",
-                 config: KernelConfig = DEFAULT_KERNELS,
+                 window: int = STRAUS_WINDOW,
                  max_memo: int = 1 << 16) -> None:
+        if not 1 <= window <= 8:
+            raise ValueError("kernel window must be in 1..8")
         bits_per_factor = params.budget.bits_per_factor
         # Every chunk has chunk_factors equal-size factors, so its bit
         # bound -- and whether it fits the modulus at all -- is fixed here;
@@ -138,7 +101,6 @@ class MaskedProductTable:
                 f"out {plan.factors} factors")
         self.params = params
         self.plan = plan
-        self.config = config
         self.max_memo = max_memo
         self.hits = 0
         self.misses = 0
@@ -149,7 +111,6 @@ class MaskedProductTable:
         # never cross a chunk boundary, so one chunk's product reads only
         # its own windows.  _windows[w] = (position offset, width);
         # _chunk_windows[c] = indices into _windows.
-        window = config.window
         self._windows: list[tuple[int, int]] = []
         self._chunk_windows: list[list[int]] = []
         total = len(bases)
@@ -240,7 +201,7 @@ class MaskedProductTable:
 
     # -- public API ---------------------------------------------------
     def chunk_ciphertexts(self, mask: int) -> list[CGBECiphertext]:
-        """What ``chunked_product`` returns for this mask's factor list.
+        """What the paper-literal fold returns for this mask's factor list.
 
         ``mask`` has one bit per plan position (``plan.factors`` bits,
         position 0 = bit 0); set bits select the pad.  Positions past the
@@ -249,7 +210,7 @@ class MaskedProductTable:
         plan = self.plan
         bits = self._chunk_bits
         if self._overflows:
-            # The naive fold raises on its first boundary-crossing
+            # The paper-literal fold raises on its first boundary-crossing
             # multiply; with equal-size factors that is exactly the
             # "chunk does not fit" condition.
             raise OverflowError_(
@@ -285,13 +246,8 @@ class MultiExpRegistry:
     ``("twiglet", table_index)`` -- never query content.
     """
 
-    def __init__(self, config: KernelConfig = DEFAULT_KERNELS) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._tables: dict[tuple, MaskedProductTable] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.multiexp
 
     def table(self, key: tuple,
               build: Callable[[], MaskedProductTable]) -> MaskedProductTable:
@@ -346,8 +302,8 @@ def mask_of_pattern(pattern: Sequence[Sequence[int]]) -> int:
     """A projected CMM pattern's selection mask, row-major off-diagonal.
 
     Position ``pos(i, j) = i*(n-1) + (j if j < i else j - 1)`` -- the
-    order :func:`repro.core.verification.verify_projected_rows` visits
-    factors in.  Bit = 1 where the projected entry is 1 (the factor is
+    order the paper-literal Alg. 2 fold of :mod:`repro.core.verification`
+    visits factors in.  Bit = 1 where the projected entry is 1 (the factor is
     ``c_one``); the diagonal never contributes a factor and is skipped.
     """
     n = len(pattern)
@@ -366,8 +322,8 @@ def mask_of_pattern(pattern: Sequence[Sequence[int]]) -> int:
 
 def pattern_of_mask(mask: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Inverse of :func:`mask_of_pattern`: the ``n x n`` projected 0/1
-    rows (diagonal 0) a selection mask stands for -- the naive
-    verification path's input."""
+    rows (diagonal 0) a selection mask stands for -- what the
+    paper-literal Alg. 2 fold of :mod:`repro.core.verification` reads."""
     width = n - 1
     return tuple(
         tuple(0 if j == i
@@ -386,12 +342,10 @@ def offdiagonal_bases(encrypted_matrix: Sequence[Sequence[CGBECiphertext]],
 
 
 __all__ = [
-    "DEFAULT_KERNELS",
     "HAVE_NUMPY",
-    "KernelConfig",
     "MaskedProductTable",
     "MultiExpRegistry",
-    "NAIVE_KERNELS",
+    "STRAUS_WINDOW",
     "iter_bits",
     "mask_of_pattern",
     "offdiagonal_bases",

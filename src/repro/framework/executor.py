@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from repro.core.bf_pruning import BFConfig
 from repro.core.enumeration import PreparedBall
 from repro.crypto import ops as crypto_ops
-from repro.crypto.kernels import DEFAULT_KERNELS, KernelConfig, MultiExpRegistry
+from repro.crypto.kernels import MultiExpRegistry
 from repro.framework.faults import (
     ChaosPolicy,
     FaultAction,
@@ -108,8 +108,9 @@ class ShareOutcome:
     player: int
     wall_seconds: float
     results: list[EvaluationResult] = field(default_factory=list)
-    #: Per-cache statistics observed inside the worker (e.g. the pad-power
-    #: caches), merged into ``RunMetrics.caches`` by the engine.
+    #: Per-cache statistics observed inside the worker (``"pad"``: the
+    #: kernels' chunk-product memos), merged into ``RunMetrics.caches`` by
+    #: the engine.
     caches: dict[str, CacheStats] = field(default_factory=dict)
     #: Crypto op counts observed inside the worker (modmul/modexp/table
     #: builds per phase), merged into ``RunMetrics.ops`` by the engine.
@@ -139,14 +140,12 @@ class PmShareOutcome:
 def _evaluate_share(message: EncryptedQueryMessage,
                     share: EvaluationShare,
                     enumeration_limit: int,
-                    cmm_bound_bypass: int,
-                    kernels: KernelConfig = DEFAULT_KERNELS) -> ShareOutcome:
+                    cmm_bound_bypass: int) -> ShareOutcome:
     started = time.perf_counter()
-    pad_stats = CacheStats()
     counter = crypto_ops.OpCounter()
     # One multi-exp registry per share: the Straus tables (and their
     # pattern memos) are shared across every ball this worker evaluates.
-    registry = MultiExpRegistry(kernels) if kernels.multiexp else None
+    registry = MultiExpRegistry()
     role = f"player:{share.player}"
     with crypto_ops.counting(counter, "evaluation", role):
         results = [
@@ -154,21 +153,16 @@ def _evaluate_share(message: EncryptedQueryMessage,
                                  enumeration_limit=enumeration_limit,
                                  cmm_bound_bypass=cmm_bound_bypass,
                                  player_id=share.player,
-                                 pad_stats=pad_stats,
                                  multiexp=registry)
             for ball in share.balls
         ]
-    # The naive fold meters its ``CiphertextPowerCache`` into ``pad_stats``;
-    # the batched kernels never build one -- what saves them a fold is the
-    # registry's per-(chunk, mask) product memo, so its hits and misses
-    # are the ``pad`` counters.
-    if registry is not None:
-        pad_stats.hits += registry.memo_hits()
-        pad_stats.misses += registry.memo_misses()
+    # What saves the kernels a fold is the registry's per-(chunk, mask)
+    # product memo: its hits and misses are the ``pad`` counters.
+    memo = CacheStats(hits=registry.memo_hits(),
+                      misses=registry.memo_misses())
     return ShareOutcome(player=share.player,
                         wall_seconds=time.perf_counter() - started,
-                        results=results, caches={"pad": pad_stats},
-                        ops=counter)
+                        results=results, caches={"pad": memo}, ops=counter)
 
 
 # ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves this by hard
@@ -184,7 +178,6 @@ def _compute_pm_share(enclave: Enclave,
                       twiglet_h: int,
                       twiglet_features: dict[int, frozenset] | None,
                       chaos: ChaosPolicy | None = None,
-                      kernels: KernelConfig = DEFAULT_KERNELS,
                       ) -> PmShareOutcome:
     started = time.perf_counter()
     counter = crypto_ops.OpCounter()
@@ -194,7 +187,7 @@ def _compute_pm_share(enclave: Enclave,
             enclave, message, list(balls),
             bf_config=bf_config, twiglet_h=twiglet_h,
             twiglet_features=twiglet_features,
-            chaos=chaos, player_id=player, kernels=kernels)
+            chaos=chaos, player_id=player)
     return PmShareOutcome(player=player,
                           wall_seconds=time.perf_counter() - started,
                           pms=pms, pm_costs=pm_costs, timings=timings,
@@ -318,7 +311,6 @@ class BallExecutor:
                         shares: list[EvaluationShare],
                         *, enumeration_limit: int,
                         cmm_bound_bypass: int,
-                        kernels: KernelConfig = DEFAULT_KERNELS,
                         completed: dict[str, ShareOutcome] | None = None,
                         on_result=None) -> list[ShareOutcome]:
         """Evaluate every share; outcomes come back in share order.
@@ -332,7 +324,7 @@ class BallExecutor:
         """
         calls = [
             (share_key(i, share), _evaluate_share,
-             (message, share, enumeration_limit, cmm_bound_bypass, kernels))
+             (message, share, enumeration_limit, cmm_bound_bypass))
             for i, share in enumerate(shares)
         ]
         outcomes = self._run_with_completed(calls, completed, on_result)
@@ -359,7 +351,6 @@ class BallExecutor:
                           *, bf_config: BFConfig,
                           twiglet_h: int,
                           twiglet_features: dict[int, frozenset] | None = None,
-                          kernels: KernelConfig = DEFAULT_KERNELS,
                           ) -> list[PmShareOutcome]:
         """Compute every player's PM share; outcomes in share order.
 
@@ -379,7 +370,7 @@ class BallExecutor:
             calls.append(
                 (f"pm:p{player}", _compute_pm_share,
                  (enclave, message, player, balls, bf_config, twiglet_h,
-                  subset, chaos, kernels)))
+                  subset, chaos)))
         outcomes = self._run_all(calls)
         for outcome in outcomes:
             if outcome.faults:
@@ -537,6 +528,16 @@ class ProcessExecutor(BallExecutor):
 
     def _run_all(self, calls: list[tuple[str, object, tuple]],
                  on_result=None) -> list:
+        try:
+            return self._run_rounds(calls, on_result)
+        except BaseException:
+            # A run abandoned mid-round (``on_result`` raised: the deadline
+            # hook) leaves shares queued and running in the pool; the next
+            # fan-out must not wait behind work nobody will read.
+            self._reset_pool()
+            raise
+
+    def _run_rounds(self, calls, on_result) -> list:
         injector = self.faults
         policy = injector.policy if injector.active else None
         recovery = self.recovery

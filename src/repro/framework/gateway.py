@@ -177,7 +177,8 @@ class ShardClient:
                     future.set_result(frame)
         except (wire.WireError, ConnectionError, OSError):
             pass
-        self._mark_dead()
+        finally:  # on *any* exit: a reader that is gone resolves nothing
+            self._mark_dead()
 
     def _mark_dead(self) -> None:
         if self.dead or self._closing:
@@ -647,10 +648,12 @@ class Gateway:
         self._dead.add(sid)
         self._deaths.append(sid)
         survivors = tuple(m for m in self._members if m != sid)
-        if not survivors:
-            raise GatewayError(
-                f"shard {sid} died and no members survive")
         self._members = survivors
+        if not survivors:
+            # This may be a socket reader's task, which nobody awaits: the
+            # dispatch slot holding one of the dead shard's tasks fails the
+            # batch from _reassign, where _supervise sees it.
+            return
         logger.warning("gateway: shard %d died; %d survivors, "
                        "re-placing its slice", sid, len(survivors))
         self.tracer.event("gateway.shard_death", "sp", shard=sid,
@@ -671,8 +674,8 @@ class Gateway:
         """Re-dispatch one failed task to every survivor as a
         re-placement pass over the balls that moved."""
         if not self._members:
-            raise GatewayError("cannot re-place orphaned work: "
-                               "no shards left")
+            raise GatewayError(f"shard(s) {self._deaths} died and no "
+                               f"members survive to re-place their work")
         qid = task["qid"]
         state = self._states[qid]
         self._wave += 1

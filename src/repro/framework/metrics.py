@@ -126,8 +126,8 @@ class CacheStats:
     """Hit/miss/eviction counters for one bounded cache.
 
     Shared by every size-bounded cache in the pipeline (the batch server's
-    ``CMMCache``, the per-ball ``CiphertextPowerCache`` pads, the CGBE
-    decrypt memo) so benchmark JSON can report cache behavior uniformly.
+    ``CMMCache``, the kernels' chunk-product memo, the CGBE decrypt
+    memo) so benchmark JSON can report cache behavior uniformly.
     ``entries``/``weight``/``capacity`` describe the cache's current fill
     at snapshot time; the counters accumulate.
     """
@@ -337,7 +337,7 @@ class RunMetrics:
     per_worker_pm_wall: dict[int, float] = field(default_factory=dict)
     #: Per-cache statistics recorded during this run, keyed by cache name
     #: (e.g. ``"cmm"`` for the batch server's signature cache, ``"pad"``
-    #: for the verification pad-power caches, ``"decrypt"`` for the user's
+    #: for the kernels' chunk-product memos, ``"decrypt"`` for the user's
     #: CGBE unblinding memo).
     caches: dict[str, CacheStats] = field(default_factory=dict)
     #: Every fault injected, detected, retried, recovered or degraded-past

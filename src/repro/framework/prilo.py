@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.bf_pruning import BFConfig
 from repro.core.retrieval import PlayerSequence, rsg_sequences
-from repro.crypto.kernels import KernelConfig
 from repro.crypto.keys import UserKeyring
 from repro.crypto.ops import counting
 from repro.framework.faults import (
@@ -172,11 +171,6 @@ class PriloConfig:
     #: A query whose candidate set exceeds the budget is refused with
     #: :class:`BallBudgetExceeded` before any evaluation starts.
     ball_budget: int | None = None
-    #: Crypto kernel selection (:class:`repro.crypto.kernels.KernelConfig`).
-    #: Kernels are value-identical to the naive fold -- this knob exists
-    #: for A/B benchmarking (``KernelConfig.naive()``) and window tuning,
-    #: and never changes answers.
-    kernels: KernelConfig = field(default_factory=KernelConfig)
     #: Untrusted-shard serving: shards attach per-query result
     #: certificates (Merkle completeness proof + keyed soundness
     #: digests, :mod:`repro.framework.verify`) to every verdict, and the
@@ -217,11 +211,6 @@ class PriloConfig:
             raise ValueError(
                 f"recovery must be a repro.framework.faults.RecoveryPolicy;"
                 f" got {type(self.recovery).__name__}")
-        if not isinstance(self.kernels, KernelConfig):
-            raise ValueError(
-                f"kernels must be a repro.crypto.kernels.KernelConfig; "
-                f"got {type(self.kernels).__name__} -- e.g. "
-                f"KernelConfig() or KernelConfig.naive()")
         if self.use_ssg and self.k_players < 2:
             raise ValueError("SSG requires at least two players (Sec. 2.3)")
         if not 3 <= self.twiglet_h <= 5:
@@ -789,8 +778,7 @@ class Prilo:
             message, shares,
             bf_config=self.config.bf,
             twiglet_h=self.config.twiglet_h,
-            twiglet_features=twiglet_features,
-            kernels=self.config.kernels)
+            twiglet_features=twiglet_features)
         timings = metrics.timings
         for outcome in outcomes:
             merge_pms(pms, outcome.pms)
@@ -1018,7 +1006,7 @@ class Prilo:
             message, shares,
             enumeration_limit=self.config.enumeration_limit,
             cmm_bound_bypass=self.config.cmm_bound_bypass,
-            kernels=self.config.kernels, completed=completed,
+            completed=completed,
             on_result=self._checkpoint_hook(metrics, journal, query_key,
                                             injector, deadline))
         results: dict[int, EvaluationResult] = {}

@@ -45,11 +45,7 @@ from repro.core.verification import (
     verification_plan,
     verify_ball_streaming,
 )
-from repro.crypto.kernels import (
-    DEFAULT_KERNELS,
-    KernelConfig,
-    MultiExpRegistry,
-)
+from repro.crypto.kernels import MultiExpRegistry
 from repro.crypto.keys import DataOwnerKey, UserKeyring
 from repro.crypto.stream_cipher import AuthenticationError
 from repro.framework.faults import (
@@ -379,7 +375,6 @@ def evaluate_ball_kernel(
     enumeration_limit: int,
     cmm_bound_bypass: int,
     player_id: int = 0,
-    pad_stats: "object | None" = None,
     multiexp: MultiExpRegistry | None = None,
 ) -> EvaluationResult:
     """Alg. 3 lines 3-8 for one ball, using only the label view of the
@@ -393,11 +388,13 @@ def evaluate_ball_kernel(
     hands over the :class:`PreparedBall` a ``CMMCache`` already holds --
     and verified by :func:`repro.core.verification.verify_ball_streaming`.
 
-    ``multiexp`` (a per-share :class:`MultiExpRegistry`) switches the
-    chunk products onto shared Straus window tables -- one table per
-    share serving every ball passed with the same registry.  Results are
-    value-identical with it, without it, and across registry sharing.
+    ``multiexp`` (a per-share :class:`MultiExpRegistry`) shares the
+    Straus window tables the chunk products come out of across every ball
+    passed with the same registry; a call without one builds its own.
+    Results are value-identical either way.
     """
+    if multiexp is None:
+        multiexp = MultiExpRegistry()
     view = QueryLabelView(labels=message.vertex_labels,
                           diameter=message.diameter,
                           semantics=message.semantics)
@@ -416,14 +413,11 @@ def evaluate_ball_kernel(
         view, ball, enumeration_limit=enumeration_limit,
         cmm_bound_bypass=cmm_bound_bypass)
     plan = verification_plan(params, view)
-    table = None
-    if multiexp is not None and multiexp.enabled:
-        table = multiexp.table(("verify",), lambda: verification_multiexp(
-            params, message.encrypted_matrix, message.c_one, plan,
-            multiexp.config))
+    table = multiexp.table(("verify",), lambda: verification_multiexp(
+        params, message.encrypted_matrix, message.c_one, plan))
     verdict = verify_ball_streaming(
         params, message.encrypted_matrix, message.c_one, prepared, plan,
-        pad_stats=pad_stats, multiexp=table)
+        multiexp=table)
     cost = time.perf_counter() - started
     return EvaluationResult(
         ball_id=prepared.ball_id, verdict=verdict, cost_seconds=cost,
@@ -530,7 +524,6 @@ def compute_pms_kernel(
     twiglet_features: dict[int, frozenset] | None = None,
     chaos: ChaosPolicy | None = None,
     player_id: int = 0,
-    kernels: KernelConfig = DEFAULT_KERNELS,
 ) -> tuple[PruningMessages, dict[int, float], PhaseTimings,
            list[FaultEvent]]:
     """One player's share of the pruning messages (Secs. 4.1-4.2).
@@ -560,7 +553,7 @@ def compute_pms_kernel(
     params = message.params
     # One registry per share: prune-table Straus tables are shared across
     # every ball of this kernel call (keys are public coordinates).
-    registry = MultiExpRegistry(kernels) if kernels.multiexp else None
+    registry = MultiExpRegistry()
     bf_active = False
     if message.bf_message is not None:
         bf_active = _load_encodings_with_recovery(

@@ -81,7 +81,7 @@ class CMMCache:
     count, so one giant ball cannot silently dominate memory.  Eviction
     is least-recently-used and never evicts the entry being inserted.
     Counters are exposed through a shared :class:`CacheStats`, the same
-    hook the pad-power and decrypt caches report through.
+    hook the kernel memos and the decrypt cache report through.
     """
 
     def __init__(self, max_weight: int = DEFAULT_CMM_CACHE_WEIGHT,

@@ -47,7 +47,7 @@ from repro.framework.prilo_star import PriloStar
 from repro.framework.server import QueryBatchEngine, QueryStream
 from repro.framework.verify import Certifier
 from repro.graph.labeled_graph import LabeledGraph
-from repro.storage import ArtifactStore, RunJournal, journal_key
+from repro.storage import ArtifactStore, RunJournal, StoreStale, journal_key
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,12 @@ SPAWN_TIMEOUT_SECONDS = 120.0
 
 
 class ShardError(RuntimeError):
-    """A shard failed to start or received an unservable request."""
+    """A shard failed to start or received an unservable request;
+    ``stale``: it refused to start over a stale pack (CLI exit 2, not 3)."""
+
+    def __init__(self, message: str, stale: bool = False) -> None:
+        super().__init__(message)
+        self.stale = stale
 
 
 _PATH_RE = re.compile(r"(?:/|[A-Za-z]:\\)[^\s'\",;)\]]*")
@@ -226,7 +231,10 @@ class ShardServer:
                 "detail": f"unknown frame type {kind!r}"}
 
     def _answer(self, request: dict) -> dict:
-        qid = int(request["qid"])
+        qid = request.get("qid")
+        if type(qid) is not int:
+            return {"t": "error", "shard": self.spec.shard_id,
+                    "detail": "query frame without an integer qid"}
         try:
             query = wire.query_from_jsonable(request["query"])
             members = request["members"]
@@ -336,11 +344,18 @@ class ShardServer:
 # process entry point + local cluster management
 # ----------------------------------------------------------------------
 def run_shard(spec: ShardSpec, conn) -> None:
-    """Child-process entry: build, bind, report the port, serve forever."""
+    """Child-process entry: build, bind, report the port -- or why the
+    shard cannot start, as ``(redacted error, is it StoreStale)`` -- and
+    serve forever."""
 
     async def _amain() -> None:
-        server = ShardServer(spec)
-        await server.start()
+        try:
+            server = ShardServer(spec)
+            await server.start()
+        except Exception as exc:  # noqa: BLE001 -- the parent raises it
+            logger.error("shard %d cannot start: %r", spec.shard_id, exc)
+            conn.send((redact_error(exc), isinstance(exc, StoreStale)))
+            return
         conn.send(server.port)
         conn.close()
         await server.serve_forever()
@@ -412,10 +427,16 @@ class LocalCluster:
                     raise ShardError(
                         f"shard {spec.shard_id} did not report a port "
                         f"within {SPAWN_TIMEOUT_SECONDS:.0f}s")
-                port = parent_conn.recv()
+                try:
+                    reply = parent_conn.recv()
+                except EOFError:  # died without a word (killed, os._exit)
+                    reply = ("exited before reporting a port", False)
                 parent_conn.close()
+                if not isinstance(reply, int):
+                    raise ShardError(f"shard {spec.shard_id} failed to "
+                                     f"start: {reply[0]}", stale=reply[1])
                 self.handles.append(ShardHandle(spec=spec, process=process,
-                                                port=port))
+                                                port=reply))
         except BaseException:
             for _, process, _ in pending:
                 if process.is_alive():

@@ -66,7 +66,7 @@ def encode_frame(payload: dict) -> bytes:
 def decode_frame(body: bytes) -> dict:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 / JSON / nesting
         raise WireError(f"unparsable frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise WireError(f"frame payload must be an object, "

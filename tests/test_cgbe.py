@@ -333,42 +333,3 @@ class TestFixedBaseExp:
             assert scheme.decrypt(c) % m == 0  # blinded plaintext m * r
         delta = scheme.decrypt_stats.delta(before)
         assert delta.lookups >= 3
-
-
-class TestCiphertextPowerCache:
-    def test_matches_naive_power(self, scheme):
-        from repro.crypto.cgbe import CiphertextPowerCache
-
-        base = scheme.encrypt(1)
-        cache = CiphertextPowerCache(scheme.params, base)
-        for k in (1, 2, 3, 5, 8, 13, 15):
-            expected = CGBE.power(scheme.params, base, k)
-            got = cache.power(k)
-            assert got.value == expected.value
-            assert got.power == expected.power
-            assert got.value_bits == expected.value_bits
-
-    def test_memo_bound_and_stats(self, scheme):
-        from repro.crypto.cgbe import CiphertextPowerCache
-        from repro.framework.metrics import CacheStats
-
-        stats = CacheStats()
-        base = scheme.encrypt(1)
-        cache = CiphertextPowerCache(scheme.params, base, max_entries=4,
-                                     stats=stats)
-        for k in range(1, 11):
-            cache.power(k)
-        assert len(cache._memo) <= 4
-        assert stats.evictions > 0
-        before = stats.snapshot()
-        cache.power(10)
-        assert stats.delta(before).hits == 1
-
-    def test_validation(self, scheme):
-        from repro.crypto.cgbe import CiphertextPowerCache
-
-        base = scheme.encrypt(1)
-        with pytest.raises(ValueError, match="max_entries"):
-            CiphertextPowerCache(scheme.params, base, max_entries=0)
-        with pytest.raises(ValueError, match="exponent"):
-            CiphertextPowerCache(scheme.params, base).power(0)

@@ -269,3 +269,28 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "served 4 queries" in out
         assert "hit rate" in out
+
+    def test_gateway_refuses_a_fleet_that_cannot_start(self, store_root,
+                                                       tmp_path, capsys):
+        """A shard whose pack is stale or damaged is a typed refusal with
+        the documented exit (2 rebuildable, 3 damaged), not an
+        ``EOFError`` traceback out of the cluster's start-up pipe."""
+        shards = tmp_path / "shards"
+        assert main([*self.BASE, "store", "shard-split", str(store_root),
+                     str(shards), "--shards", "2"]) == 0
+        gateway = ["gateway", "slashdot", "--store", str(shards),
+                   "--shards", "2", "--count", "2", "--tenants", "1",
+                   "--size", "4", "--diameter", "2"]
+        assert main([*self.BASE, *gateway]) == 0
+        assert "statuses: 2/2 ok" in capsys.readouterr().out
+        # the live graph moved on since the packs were cut
+        assert main(["--scale", "0.06", "--modulus", "512",
+                     *gateway]) == EXIT_STALE
+        out = capsys.readouterr().out
+        assert "STALE: shard 0 failed to start: StoreStale" in out
+        assert "served" not in out
+        (shards / "shard-1" / "manifest.json").unlink()
+        assert main([*self.BASE, *gateway]) == EXIT_INTEGRITY
+        out = capsys.readouterr().out
+        assert "FAILED: shard 1 failed to start: StoreError" in out
+        assert "served" not in out

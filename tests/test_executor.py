@@ -22,7 +22,8 @@ from repro.core.verification import (
     verify_ball,
     verify_ball_streaming,
 )
-from repro.crypto.cgbe import CGBE, CiphertextPowerCache
+from repro.crypto.cgbe import CGBE
+from repro.crypto.kernels import MaskedProductTable
 from repro.framework.executor import (
     ProcessExecutor,
     SerialExecutor,
@@ -134,61 +135,74 @@ class TestConfigValidation:
 
 
 class TestPowerCacheFastPath:
-    """The ``c_one^n`` padding fast path must equal the naive product."""
+    """The kernels' cached ``c_one^n`` pad powers must equal the naive
+    product."""
 
     @pytest.fixture(scope="class")
     def scheme(self):
         return CGBE.generate(modulus_bits=512, q_bits=16, r_bits=16, seed=9)
 
+    @staticmethod
+    def table(scheme, bases, c_one):
+        plan = ChunkPlan.plan(scheme.params, len(bases), expected_terms=4)
+        return MaskedProductTable(scheme.params, bases, c_one, plan)
+
     def test_powers_match_naive_chain(self, scheme):
         params = scheme.params
         base = scheme.encrypt_one()
-        cache = CiphertextPowerCache(params, base)
         naive = base
         for exponent in range(2, 12):
             naive = CGBE.multiply(params, naive, base)
-            fast = cache.power(exponent)
-            assert fast.value == naive.value
-            assert fast.power == naive.power
-            assert fast.value_bits == naive.value_bits
+            fresh = [scheme.encrypt_one() for _ in range(exponent)]
+            all_pads = (1 << exponent) - 1
+            [fast] = self.table(scheme, fresh, base).chunk_ciphertexts(
+                all_pads)
+            assert fast == naive
 
     def test_matches_cgbe_power(self, scheme):
         params = scheme.params
-        base = scheme.encrypt(7)
-        cache = CiphertextPowerCache(params, base)
+        base = scheme.encrypt_one()
         for exponent in (1, 2, 3, 5, 8, 13):
-            assert cache.power(exponent).value == \
-                CGBE.power(params, base, exponent).value
+            fresh = [scheme.encrypt_one() for _ in range(exponent)]
+            [fast] = self.table(scheme, fresh, base).chunk_ciphertexts(
+                (1 << exponent) - 1)
+            assert fast.value == CGBE.power(params, base, exponent).value
 
     def test_product_with_cache_identical(self, scheme):
         params = scheme.params
         c_one = scheme.encrypt_one()
-        cache = CiphertextPowerCache(params, c_one)
-        factors = [scheme.encrypt(3), scheme.encrypt(5)] + [c_one] * 10
-        plain = CGBE.product(params, factors)
-        cached = CGBE.product(params, factors, power_cache=cache)
+        real = [scheme.encrypt(3), scheme.encrypt(5)]
+        plain = CGBE.product(params, real + [c_one] * 10)
+        bases = real + [scheme.encrypt_one() for _ in range(10)]
+        [cached] = self.table(scheme, bases, c_one).chunk_ciphertexts(
+            ((1 << 10) - 1) << 2)
         assert cached.value == plain.value
         assert cached.power == plain.power
 
     def test_chunked_product_with_pad_cache_identical(self, scheme):
         params = scheme.params
         c_one = scheme.encrypt_one()
-        plan = ChunkPlan.plan(params, 12, expected_terms=4)
+        # 30 slots in two chunks of 15, the last 28 of them padding
+        plan = ChunkPlan.plan(params, 30, expected_terms=4)
+        assert plan.chunks_per_item == 2
         factors = [scheme.encrypt_q(), scheme.encrypt(2)]
         plain = chunked_product(params, list(factors), c_one, plan)
-        cached = chunked_product(params, list(factors), c_one, plan,
-                                 pad_cache=CiphertextPowerCache(params,
-                                                                c_one))
-        assert [c.value for c in cached] == [c.value for c in plain]
-        assert [c.power for c in cached] == [c.power for c in plain]
+        bases = factors + [scheme.encrypt_one() for _ in range(28)]
+        cached = MaskedProductTable(params, bases, c_one,
+                                    plan).chunk_ciphertexts(
+            ((1 << 28) - 1) << 2)
+        assert cached == plain
 
     def test_overflow_still_raised(self, scheme):
         from repro.crypto.cgbe import OverflowError_
 
         params = scheme.params
-        cache = CiphertextPowerCache(params, scheme.encrypt_one())
+        c_one = scheme.encrypt_one()
+        plan = ChunkPlan(factors=10_000, chunk_factors=10_000,
+                         chunks_per_item=1, summable=True)
+        table = MaskedProductTable(params, [c_one] * 10_000, c_one, plan)
         with pytest.raises(OverflowError_):
-            cache.power(10_000)
+            table.chunk_ciphertexts((1 << 10_000) - 1)
 
 
 class TestStreamingVerification:

@@ -34,7 +34,12 @@ from repro.framework.faults import (
     FaultReport,
     RecoveryPolicy,
 )
-from repro.framework.prilo import Prilo, PriloConfig
+from repro.framework.prilo import (
+    Deadline,
+    DeadlineExceeded,
+    Prilo,
+    PriloConfig,
+)
 from repro.framework.prilo_star import PriloStar
 from repro.graph.query import Semantics
 from repro.tee.channel import AttestationFailure
@@ -177,6 +182,11 @@ def _echo(value):
     return value * 2
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 class TestExecutorRecovery:
     def _calls(self, n=4):
         return [(f"eval:{i}:p{i % 2}", _echo, (i,)) for i in range(n)]
@@ -281,6 +291,65 @@ class TestExecutorRecovery:
                         os.kill(pid, 0)
         finally:
             signal.signal(signal.SIGTERM, previous)
+        assert not multiprocessing.active_children()
+
+    def test_abandoned_fan_out_stops_working(self):
+        """``on_result`` raising mid-harvest (the deadline hook) abandons
+        the run; its queued and running shares die with the pool instead
+        of making the next fan-out wait behind work nobody will read
+        (six 1 s naps on 2 workers: 3 s before)."""
+        class Abandoned(Exception):
+            pass
+
+        abandoned = {}
+
+        def give_up(key, result):
+            abandoned.update(executor._pool._processes)
+            raise Abandoned(key)
+
+        with ProcessExecutor(workers=2, recovery=FAST_RECOVERY) as executor:
+            naps = [(f"eval:{i}:p0", _nap, (1.0 if i else 0.0,))
+                    for i in range(7)]
+            with pytest.raises(Abandoned, match="eval:0:p0"):
+                executor._run_all(naps, on_result=give_up)
+            started = time.monotonic()
+            assert executor._run_all([("eval:0:p0", _nap, (0.0,))]) == [0.0]
+            assert time.monotonic() - started < 0.5
+            assert len(abandoned) == 2
+            for pid in abandoned:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        assert not multiprocessing.active_children()
+
+    def test_deadline_in_the_harvest_leaves_no_pool_behind(self, dataset,
+                                                           config):
+        """The same through ``Prilo.run(deadline=...)``: the checkpoint
+        hook raises ``DeadlineExceeded`` after the first share, the other
+        shares' pool is gone before the caller sees it, ``close()``
+        returns at once and the next run gets a fresh pool."""
+        workers = {}
+
+        class ExpiresAtTheFirstShare(Deadline):
+            def check(self, where):
+                if where.startswith("after share"):
+                    workers.update(engine.executor._pool._processes)
+                    raise DeadlineExceeded(where, self.elapsed_ms,
+                                           self.budget_ms)
+
+        query = dataset.random_queries(1, size=4, diameter=2, seed=5)[0]
+        engine = Prilo.setup(dataset.graph, replace(
+            config, executor="process", parallelism=2))
+        with engine:
+            with pytest.raises(DeadlineExceeded, match="after share"):
+                engine.run(query, deadline=ExpiresAtTheFirstShare(600_000.0))
+            assert workers and engine.executor._pool is None
+            for pid in workers:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+            assert engine.run(query).candidate_ids
+            started = time.monotonic()
+            engine.close()
+            assert time.monotonic() - started < 0.5
         assert not multiprocessing.active_children()
 
     def test_no_leaked_processes_after_close(self):

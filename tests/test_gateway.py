@@ -11,9 +11,16 @@ benchmark and the CI shard-smoke job both lean on.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keys import DataOwnerKey
 from repro.crypto.ops import OpCounter
@@ -43,6 +50,7 @@ from repro.framework.prilo_star import PriloStar
 from repro.framework.server import QueryBatchEngine, QueryStatus, QueryStream
 from repro.framework.shard import (
     LocalCluster,
+    ShardError,
     ShardServer,
     ShardSpec,
     make_shard_specs,
@@ -272,6 +280,143 @@ class TestWire:
             (1, 2), (1,), (1,), {"1": [graph_to_json(sub)]})
         assert wire.answer_bytes(engine_side) == wire.answer_bytes(wire_side)
         assert engine_side["num_matches"] == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+class TestWireFuzz:
+    """No bytes a peer can send make the frame parser raise anything but
+    ``WireError``, or hand back anything but a ``dict`` -- the reader
+    loops on both sides of the socket catch exactly that."""
+
+    @staticmethod
+    def _read(data: bytes):
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await wire.read_frame(reader)
+
+        return asyncio.run(main())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_frames(self, data):
+        frame = bytearray(wire.encode_frame(data.draw(
+            st.dictionaries(st.text(max_size=4), _JSON, max_size=4))))
+        kind = data.draw(st.sampled_from(
+            ["intact", "truncated", "bit-flipped", "oversized-prefix",
+             "non-object", "nested"]))
+        if kind == "truncated":
+            del frame[data.draw(st.integers(0, len(frame) - 1)):]
+        elif kind == "bit-flipped":
+            position = data.draw(st.integers(0, len(frame) - 1))
+            frame[position] ^= 1 << data.draw(st.integers(0, 7))
+        elif kind == "oversized-prefix":
+            frame[:4] = data.draw(st.integers(
+                wire.MAX_FRAME_BYTES + 1, 2 ** 32 - 1)).to_bytes(4, "big")
+        elif kind in ("non-object", "nested"):
+            if kind == "nested":
+                body = (data.draw(st.sampled_from([b"[", b'{"a":']))
+                        * data.draw(st.integers(100_000, 200_000)))
+            else:
+                body = json.dumps(data.draw(_JSON.filter(
+                    lambda value: not isinstance(value, dict)))).encode()
+            frame = len(body).to_bytes(4, "big") + body
+        outcomes = []
+        for parse, raw in ((self._read, bytes(frame)),
+                           (wire.decode_frame, bytes(frame[4:]))):
+            try:
+                outcomes.append(parse(raw))
+            except wire.WireError:
+                outcomes.append(wire.WireError)
+        read, decoded = outcomes
+        assert isinstance(read, dict) or read is wire.WireError or (
+            read is None and not frame)  # clean EOF: nothing was sent
+        assert isinstance(decoded, dict) or decoded is wire.WireError
+        if kind == "intact":
+            assert read == decoded and isinstance(read, dict)
+        elif kind != "bit-flipped":
+            assert read in (wire.WireError, None)
+
+
+@contextlib.contextmanager
+def _hard_timeout(seconds: float):
+    """Fail instead of hanging, even when the event loop spins in a loop
+    that never yields (``asyncio.wait_for`` cannot fire there): SIGALRM
+    interrupts between two bytecodes -- and keeps firing, once per task
+    that spins."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.2)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+async def _hang_up(writer, writers):
+    for other in writers:  # the whole pool at once: the shard is gone
+        other.close()
+
+
+async def _nest_deeply(writer, writers):
+    writer.write((200_000).to_bytes(4, "big") + b"[" * 200_000)
+    await writer.drain()
+
+
+async def _unhashable_rid(writer, writers):
+    await wire.write_frame(writer, {"t": "verdict", "rid": []})
+
+
+class TestLastShardNeverHangsTheGateway:
+    """One fake in-process shard that is honest through hello and the
+    health check, then dies or turns hostile on its first query: the
+    batch fails with ``GatewayError`` (CLI exit 3) -- it used to spin at
+    100 % CPU (the socket reader saw the death first) or wait forever on
+    a request whose reader had died of a ``RecursionError``."""
+
+    @pytest.mark.parametrize("on_query", [_hang_up, _nest_deeply,
+                                          _unhashable_rid],
+                             ids=lambda fn: fn.__name__.strip("_"))
+    def test_batch_fails_with_gateway_error(self, dataset, on_query):
+        writers = []
+
+        async def shard(reader, writer):
+            writers.append(writer)
+            await wire.write_frame(writer, {"t": "hello", "shard": 0})
+            try:
+                while (request := await wire.read_frame(reader)) is not None:
+                    if request["t"] == "ping":
+                        await wire.write_frame(
+                            writer, {"t": "pong", "rid": request["rid"]})
+                    else:
+                        await on_query(writer, writers)
+            except (wire.WireError, ConnectionError):
+                pass
+
+        async def main():
+            server = await asyncio.start_server(shard, "127.0.0.1", 0)
+            handle = types.SimpleNamespace(
+                shard_id=0, host="127.0.0.1",
+                port=server.sockets[0].getsockname()[1])
+            try:
+                await Gateway([handle]).serve(
+                    dataset.random_queries(2, size=5, seed=4))
+            finally:
+                server.close()
+
+        with _hard_timeout(20), pytest.raises(GatewayError,
+                                              match="no members survive"):
+            asyncio.run(main())
 
 
 class TestDeadClientPool:
@@ -516,6 +661,33 @@ class TestShardServer:
         assert wire.answer_bytes(merged) == wire.answer_bytes(baseline)
         assert "caches" in verdict and "ops" in verdict
 
+    def test_query_without_an_integer_qid_gets_an_error_frame(
+            self, dataset, gw_config):
+        """...not a dropped connection: the shard keeps serving on it."""
+        query = wire.query_to_jsonable(dataset.random_query(size=5, seed=4))
+
+        async def main():
+            server = ShardServer(ShardSpec(0, dataset.graph, gw_config))
+            await server.start()
+            client = ShardClient(0, "127.0.0.1", server.port, pool=1)
+            try:
+                await client.connect()
+                for qid in ("absent", "7", 1.5, True, [0], None):
+                    request = {"t": "query", "qid": qid, "query": query,
+                               "members": [0]}
+                    if qid == "absent":
+                        del request["qid"]
+                    reply = await asyncio.wait_for(client.request(request),
+                                                   timeout=20)
+                    assert reply["t"] == "error" and "qid" in reply["detail"]
+                pong = await client.request({"t": "ping"})
+                assert pong["t"] == "pong" and pong["served"] == 0
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(main())
+
     def test_query_stream_matches_batch_engine(self, dataset, gw_config):
         queries = dataset.random_queries(2, size=5, seed=4)
         with QueryBatchEngine(Prilo.setup(dataset.graph,
@@ -536,6 +708,46 @@ class TestShardServer:
                 wire.canonical_answer_of_result(batch_result)) == \
                 wire.answer_bytes(
                     wire.canonical_answer_of_result(stream_result))
+
+
+class TestShardStartFailure:
+    """A shard that cannot start is a ``ShardError`` naming it -- not the
+    ``EOFError`` of a start-up pipe whose child already died -- and no
+    sibling is left running."""
+
+    @staticmethod
+    def _refused(specs):
+        cluster = LocalCluster(specs)
+        with pytest.raises(ShardError) as refusal:
+            cluster.start()
+        assert cluster.handles == []
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name.startswith("repro-shard-")]
+        return refusal.value
+
+    def test_stale_and_missing_packs(self, dataset, gw_config, tmp_path):
+        ArtifactStore.create(tmp_path / "src", dataset.graph, (3,),
+                             DataOwnerKey.generate(gw_config.seed))
+        shard_split(tmp_path / "src", tmp_path / "shards", 2)
+        moved_on = tiny_dataset(seed=1, num_vertices=120, num_labels=8).graph
+        error = self._refused(make_shard_specs(
+            moved_on, gw_config, 2, store_root=str(tmp_path / "shards")))
+        assert error.stale
+        assert "shard 0 failed to start: StoreStale" in str(error)
+        assert str(tmp_path) not in str(error)  # redacted like the wire's
+        (tmp_path / "shards" / "shard-1" / "manifest.json").unlink()
+        error = self._refused(make_shard_specs(
+            dataset.graph, gw_config, 2, store_root=str(tmp_path / "shards")))
+        assert not error.stale
+        assert "shard 1 failed to start: StoreError" in str(error)
+
+    def test_child_that_dies_without_a_word(self, dataset, gw_config,
+                                            monkeypatch):
+        monkeypatch.setattr("repro.framework.shard.run_shard",
+                            lambda spec, conn: os._exit(3))
+        error = self._refused(make_shard_specs(dataset.graph, gw_config, 1))
+        assert not error.stale
+        assert "shard 0 failed to start: exited before" in str(error)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Pinned here:
 * ``aggregate_items`` keeps each distinct chunk list once, the user's
   decision is unchanged by that, and it stays exact against the plaintext
   matcher;
-* the shipped ``per_item`` lists are equal across the naive and batched
-  kernels, worker-recorded and cache-fed shares, the process executor
-  and a journal replay;
+* the shipped ``per_item`` lists are equal across the paper-literal
+  oracle and the kernels, worker-recorded and cache-fed shares, the
+  process executor and a journal replay;
 * the summable layout is untouched: its sum is byte-identical to the
   value recorded on the commit before this layout change.
 
@@ -46,12 +46,7 @@ from repro.core.verification import (
     verify_plaintext,
 )
 from repro.crypto.cgbe import CGBE
-from repro.crypto.kernels import (
-    DEFAULT_KERNELS,
-    NAIVE_KERNELS,
-    mask_of_pattern,
-    pattern_of_mask,
-)
+from repro.crypto.kernels import mask_of_pattern, pattern_of_mask
 from repro.framework.executor import (
     EvaluationShare,
     ProcessExecutor,
@@ -65,6 +60,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query import Query, QueryLabelView, Semantics
 from repro.semantics.evaluate import ball_contains_match
 from repro.storage.journal import RunJournal, journal_key
+from tests.oracle import oracle_evaluate_ball
 
 SEEDS = st.integers(0, 10 ** 6)
 BOTH = pytest.mark.parametrize("semantics",
@@ -168,16 +164,16 @@ class TestDedupedVerdict:
                                 cmm_bound_bypass=10 ** 9)
         kernel = verify_ball_streaming(params, enc, c_one, prepared, plan,
                                        multiexp=table)
-        naive = verify_ball_streaming(params, enc, c_one, prepared, plan)
-        two_pass = verify_ball(params, enc, c_one, ball, cmms, plan)
+        private = verify_ball_streaming(params, enc, c_one, prepared, plan)
+        oracle = verify_ball(params, enc, c_one, ball, cmms, plan)
         assert prepared.enumerated == len(cmms)
         if not cmms:
-            assert kernel.empty and naive.empty and two_pass.empty
+            assert kernel.empty and private.empty and oracle.empty
         else:
             assert len(kernel.per_item) == len(set(masks))
             assert len({tuple(chunks) for chunks in kernel.per_item}) == \
                 len(kernel.per_item)
-            assert kernel.per_item == naive.per_item == two_pass.per_item
+            assert kernel.per_item == private.per_item == oracle.per_item
             assert all(len(chunks) == plan.chunks_per_item
                        for chunks in kernel.per_item)
         # The user's decision is what it was per CMM, and it is exact.
@@ -214,14 +210,13 @@ class TestPathsShipTheSameItems:
         batched = serial.evaluate_shares(message, shares, **bounds)
         reference = _per_item(batched)
         assert any(items for items in reference.values())
-        naive = serial.evaluate_shares(message, shares,
-                                       kernels=NAIVE_KERNELS, **bounds)
-        assert _per_item(naive) == reference
+        oracle = [oracle_evaluate_ball(message, ball, **bounds)
+                  for ball in balls]
+        assert {v.ball_id: v.per_item for v in oracle} == reference
         fed = [EvaluationShare(player=0, cached=True, balls=tuple(
             prepare_ball(view, ball, **bounds) for ball in balls))]
-        for kernels in (DEFAULT_KERNELS, NAIVE_KERNELS):
-            assert _per_item(serial.evaluate_shares(
-                message, fed, kernels=kernels, **bounds)) == reference
+        assert _per_item(serial.evaluate_shares(
+            message, fed, **bounds)) == reference
         with ProcessExecutor(workers=2) as pool:
             assert _per_item(pool.evaluate_shares(
                 message, shares, **bounds)) == reference
@@ -233,7 +228,7 @@ class TestPathsShipTheSameItems:
         outcome = replayed.queries["q0"].shares["eval:0:p0"].outcome
         assert _per_item([outcome]) == reference
         assert [r.cmms for r in outcome.results] == \
-            [r.cmms for r in naive[0].results]
+            [prepared.enumerated for prepared in fed[0].balls]
 
 
 #: ``sha256(hex(summed.value))`` of ``verify_ball`` over the Fig. 3 ball
@@ -298,10 +293,9 @@ class TestShippedBytes:
     under a 512-bit modulus with 48-bit factors: 10 per chunk, so 5-vertex
     queries (20 factors) take 2 chunks -> the per-item layout."""
 
-    def run(self, graph, query, kernels):
+    def run(self, graph, query):
         config = PriloConfig(k_players=2, modulus_bits=512, q_bits=24,
-                             r_bits=24, radii=(1, 2, 3), seed=7,
-                             kernels=kernels)
+                             r_bits=24, radii=(1, 2, 3), seed=7)
         engine = Prilo.setup(graph, config)
         result = engine.run(query)
         cgbe = engine.user.keyring.cgbe
@@ -321,20 +315,15 @@ class TestShippedBytes:
         assert result.metrics.cmms_enumerated == cmms
         return result, cmms, distinct
 
-    @pytest.mark.parametrize("kernels", [DEFAULT_KERNELS, NAIVE_KERNELS],
-                             ids=lambda k: k.label)
-    def test_fig3_run(self, kernels):
-        result, cmms, distinct = self.run(fig3_graph(), fig3_query(),
-                                          kernels)
+    def test_fig3_run(self):
+        result, cmms, distinct = self.run(fig3_graph(), fig3_query())
         assert result.num_matches == 1
         assert 0 < distinct <= cmms
 
-    @pytest.mark.parametrize("kernels", [DEFAULT_KERNELS, NAIVE_KERNELS],
-                             ids=lambda k: k.label)
-    def test_run_with_repeated_patterns(self, dataset, kernels):
+    def test_run_with_repeated_patterns(self, dataset):
         query = dataset.random_queries(1, size=5, diameter=2,
                                        semantics=Semantics.HOM, seed=2)[0]
         result, cmms, distinct = self.run(
-            dataset.graph_for(Semantics.HOM), query, kernels)
+            dataset.graph_for(Semantics.HOM), query)
         assert result.num_matches >= 1
         assert 0 < distinct < cmms  # repeats exist and are not shipped
