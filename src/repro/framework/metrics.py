@@ -68,6 +68,10 @@ class PhaseTimings:
     evaluation: float = 0.0           # Alg. 1 + Alg. 2 over all balls (sum)
     user_result_decryption: float = 0.0
     user_matching: float = 0.0
+    # Parts of ``user_matching``; what is left of it is the Dealer fetch.
+    user_ball_decrypt: float = 0.0
+    user_ball_decode: float = 0.0
+    user_ball_match: float = 0.0
 
     def total(self) -> float:
         return (self.user_preprocessing + self.pm_computation

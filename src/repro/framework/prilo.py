@@ -663,6 +663,9 @@ class Prilo:
                      balls=len(verified), bytes=sizes.retrieved_balls)
         tracer.event("query_matching", ROLE_USER,
                      duration_s=timings.user_matching,
+                     decrypt_s=timings.user_ball_decrypt,
+                     decode_s=timings.user_ball_decode,
+                     match_s=timings.user_ball_match,
                      balls=len(matches))
         if metrics.faults:
             logger.info("faults: %s", metrics.faults.summary_line())

@@ -332,12 +332,14 @@ class User:
         injector = faults if faults is not None else FaultInjector()
         cipher = self.keyring.ball_cipher()
         matches: dict[int, list[LabeledGraph]] = {}
+        decrypting, decoding, matching = Stopwatch(), Stopwatch(), Stopwatch()
         with Stopwatch() as watch:
             for ball_id in sorted(verified_ids):
                 blob = dealer.fetch_encrypted_ball(ball_id)
                 sizes.add("retrieved_balls", blob.size)
                 try:
-                    payload = cipher.decrypt(blob.blob)
+                    with decrypting:
+                        payload = cipher.decrypt(blob.blob)
                 except AuthenticationError as exc:
                     # The ciphertext the Dealer served fails its MAC --
                     # tampered or rotted.  Have the Dealer quarantine its
@@ -353,15 +355,21 @@ class User:
                                     detail="re-fetching from Dealer after "
                                            "quarantine")
                     blob = dealer.refetch_encrypted_ball(ball_id)
-                    payload = cipher.decrypt(blob.blob)
+                    with decrypting:
+                        payload = cipher.decrypt(blob.blob)
                     injector.record(FaultKind.STORE_TAMPER, key,
                                     FaultAction.RECOVERED,
                                     detail="re-served blob authenticated")
-                ball = ball_from_bytes(payload)
-                found = find_matches(query, ball)
+                with decoding:
+                    ball = ball_from_bytes(payload)
+                with matching:
+                    found = find_matches(query, ball)
                 if found:
                     matches[ball_id] = found
         timings.user_matching += watch.total
+        timings.user_ball_decrypt += decrypting.total
+        timings.user_ball_decode += decoding.total
+        timings.user_ball_match += matching.total
         return matches
 
 

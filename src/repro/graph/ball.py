@@ -114,6 +114,7 @@ class BallIndex:
                 if r not in self._radii:
                     raise ValueError(f"id map names unindexed radius {r}")
             self._ids = dict(ids)
+        self._keys = {bid: key for key, bid in self._ids.items()}
 
     def _check_epoch(self) -> None:
         if self._graph.mutation_epoch != self._epoch:
@@ -156,10 +157,9 @@ class BallIndex:
 
     def ball_by_id(self, ball_id: int) -> Ball:
         self._check_epoch()
-        for key, bid in self._ids.items():
-            if bid == ball_id:
-                return self.ball(*key)
-        raise KeyError(f"unknown ball id {ball_id}")
+        if ball_id not in self._keys:
+            raise KeyError(f"unknown ball id {ball_id}")
+        return self.ball(*self._keys[ball_id])
 
     def candidate_balls(self, label: Label, radius: int) -> Iterator[Ball]:
         """Prop. 1: the balls with centers labeled ``label`` and the given

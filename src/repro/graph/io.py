@@ -21,8 +21,10 @@ import struct
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from repro.graph.ball import Ball
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import BallGraphView, LabeledGraph
 
 
 class BallDecodeError(ValueError):
@@ -182,35 +184,23 @@ def ball_to_bytes(ball: Ball) -> bytes:
         _pack(code, [p % n for p in pairs])))
 
 
-class _Reader:
-    """A cursor over one record.  Every read is checked against the bytes
-    that remain *before* anything is sized from a count the record
-    claims."""
-
-    def __init__(self, data: bytes, pos: int) -> None:
-        self.data, self.pos = data, pos
-
-    def take(self, size: int) -> bytes:
-        end = self.pos + size
-        if end > len(self.data):
-            raise BallDecodeError(
-                f"record needs {size} bytes at offset {self.pos}, "
-                f"{len(self.data) - self.pos} remain")
-        chunk, self.pos = self.data[self.pos:end], end
-        return chunk
-
-    def unpack(self, code: str, count: int) -> tuple:
-        return struct.unpack(
-            f"<{count}{code}", self.take(count * struct.calcsize("<" + code)))
-
-    def literals(self, count: int) -> list:
-        # Each text takes at least its 4-byte length prefix, so the record,
-        # not ``count``, bounds this loop and the list it grows.
-        values = []
-        for _ in range(count):
-            (length,) = _LENGTH.unpack(self.take(_LENGTH.size))
-            values.append(_parse_literal(str(self.take(length), "utf-8")))
-        return values
+def _literals(data: bytes, pos: int, count: int) -> tuple[list, int]:
+    """``count`` length-prefixed ``repr`` texts from ``pos``: their values
+    and the offset after them.  Each text takes at least its 4-byte length
+    prefix, so the record, not ``count``, bounds the loop and the list."""
+    values, size, length_at = [], len(data), _LENGTH.unpack_from
+    for _ in range(count):
+        start = pos + _LENGTH.size
+        pos = start + length_at(data, pos)[0]
+        if pos > size:
+            raise BallDecodeError(f"text at offset {start} overruns the record")
+        text = data[start:pos]
+        # Canonical non-negative int text (the datasets' labels): no parser.
+        if text.isdigit() and (text == b"0" or not text.startswith(b"0")):
+            values.append(int(text))
+        else:
+            values.append(_parse_literal(str(text, "utf-8")))
+    return values, pos
 
 
 def _ball_from_record(data: bytes) -> Ball:
@@ -218,36 +208,37 @@ def _ball_from_record(data: bytes) -> Ball:
      center) = _HEADER.unpack_from(data)
     if flags & ~_TEXT_IDS:
         raise BallDecodeError(f"unknown flag bits {flags:#x}")
-    reader = _Reader(data, _HEADER.size)
-    labels = reader.literals(n_labels)
-    ids = (reader.literals(n_vertices) if flags & _TEXT_IDS
-           else reader.unpack("q", n_vertices))
-    code = _index_code(n_vertices)
-    codes = reader.unpack(code, n_vertices)
-    sources = reader.unpack(code, n_edges)
-    targets = reader.unpack(code, n_edges)
-    if reader.pos != len(data):
-        raise BallDecodeError(
-            f"{len(data) - reader.pos} trailing bytes after the record")
-    vertex = ids.__getitem__
-    graph = LabeledGraph.from_edges(
-        zip(ids, map(labels.__getitem__, codes)),
-        zip(map(vertex, sources), map(vertex, targets)))
-    if graph.num_vertices != n_vertices or graph.num_edges != n_edges:
-        raise BallDecodeError("duplicate vertex id or edge in the record")
-    return Ball(graph=graph, center=ids[center], radius=radius,
-                ball_id=ball_id)
+    labels, pos = _literals(data, _HEADER.size, n_labels)
+    if flags & _TEXT_IDS:
+        ids, pos = _literals(data, pos, n_vertices)
+    else:
+        ids = np.frombuffer(data, "<q", n_vertices, pos)
+        pos += ids.nbytes
+    # Zero-copy reads: ``frombuffer`` refuses a count the remaining bytes
+    # cannot hold before anything is sized from it.
+    code = "<" + _index_code(n_vertices)
+    codes = np.frombuffer(data, code, n_vertices, pos)
+    pos += codes.nbytes
+    sources = np.frombuffer(data, code, n_edges, pos)
+    targets = np.frombuffer(data, code, n_edges, pos + sources.nbytes)
+    if pos + 2 * sources.nbytes != len(data):
+        raise BallDecodeError("trailing bytes after the record")
+    return Ball(graph=BallGraphView(ids, labels, codes, sources, targets),
+                center=ids[center] if flags & _TEXT_IDS else int(ids[center]),
+                radius=radius, ball_id=ball_id)
 
 
 def ball_from_bytes(data: bytes) -> Ball:
     """Inverse of :func:`ball_to_bytes`; :class:`BallDecodeError` on any
-    malformed payload.  The v1 JSON records earlier releases wrote stay
-    readable here for this release."""
+    malformed payload, raised here and by no later read of the ball's
+    :class:`BallGraphView`.  The v1 JSON records earlier releases wrote
+    stay readable for this release, by way of their v2 form: same vertex
+    and edge order, one decoded type."""
     with _decoding("ball payload"):
-        if ball_record_version(data) == 2:
-            return _ball_from_record(data)
-        payload = json.loads(data.decode("utf-8"))
-        return Ball(graph=graph_from_json(payload["graph"]),
-                    center=_parse_literal(payload["center"]),
-                    radius=payload["radius"],
-                    ball_id=payload["ball_id"])
+        if ball_record_version(data) == 1:
+            payload = json.loads(data.decode("utf-8"))
+            data = ball_to_bytes(Ball(
+                graph=graph_from_json(payload["graph"]),
+                center=_parse_literal(payload["center"]),
+                radius=payload["radius"], ball_id=payload["ball_id"]))
+        return _ball_from_record(data)

@@ -33,9 +33,11 @@ def _candidate_sets(query: Query, graph: LabeledGraph,
             if injective and (graph.out_degree(v) < out_deg
                               or graph.in_degree(v) < in_deg):
                 continue
-            succ_labels = {graph.label(w) for w in graph.successors(v)}
-            pred_labels = {graph.label(w) for w in graph.predecessors(v)}
-            if out_labels <= succ_labels and in_labels <= pred_labels:
+            # A side is looked at only when the query constrains it.
+            if (not out_labels or out_labels
+                    <= {graph.label(w) for w in graph.successors(v)}) \
+                    and (not in_labels or in_labels
+                         <= {graph.label(w) for w in graph.predecessors(v)}):
                 survivors.append(v)
         if not survivors:
             return None

@@ -64,32 +64,19 @@ def maximal_dual_simulation(query: Query, graph: LabeledGraph,
     Returned as ``sim[u] = set of graph vertices simulating u``.  Empty sets
     mean condition (1) fails for that query vertex.
 
-    Implementation: packed-bitset fixpoint.  Graph vertices are indexed
-    once; candidate sets and per-vertex successor/predecessor sets become
-    int bitmaps, so the inner survivor test (3b/3c) is one AND per query
-    edge instead of a set intersection, and the convergence check is an
-    int comparison.  Output is identical to
-    :func:`reference_dual_simulation` (the property tests assert it).
+    Implementation: packed-bitset fixpoint.  Candidate sets and per-vertex
+    successor/predecessor sets become int bitmaps over the graph's own
+    vertex positions (``adjacency_masks``: no per-vertex set is asked for),
+    so the inner survivor test (3b/3c) is one AND per query edge instead of
+    a set intersection, and the convergence check is an int comparison.
+    Output is identical to :func:`reference_dual_simulation` (the property
+    tests assert it).
     """
-    order = sorted(graph.vertices(), key=repr)
-    index = {v: i for i, v in enumerate(order)}
-    succ = [0] * len(order)
-    pred = [0] * len(order)
-    for i, v in enumerate(order):
-        mask = 0
-        for w in graph.successors(v):
-            mask |= 1 << index[w]
-        succ[i] = mask
-        mask = 0
-        for w in graph.predecessors(v):
-            mask |= 1 << index[w]
-        pred[i] = mask
-    sim_bits: dict[Vertex, int] = {}
-    for u in query.vertex_order:
-        mask = 0
-        for v in graph.vertices_with_label(query.label(u)):
-            mask |= 1 << index[v]
-        sim_bits[u] = mask
+    bit, succ, pred = graph.adjacency_masks()
+    sim_bits: dict[Vertex, int] = {
+        u: sum(map(bit.__getitem__,
+                   graph.vertices_with_label(query.label(u))))
+        for u in query.vertex_order}
     changed = True
     while changed:
         changed = False
@@ -108,10 +95,9 @@ def maximal_dual_simulation(query: Query, graph: LabeledGraph,
             if survivors != sim_bits[u]:
                 sim_bits[u] = survivors
                 changed = True
-    return {
-        u: {order[i] for i in range(len(order)) if (bits >> i) & 1}
-        for u, bits in sim_bits.items()
-    }
+    order = sorted(bit, key=repr)
+    return {u: {v for v in order if bit[v] & bits}
+            for u, bits in sim_bits.items()}
 
 
 def strong_simulation(query: Query, ball: Ball,

@@ -24,3 +24,19 @@ def write_v1_stores(monkeypatch) -> None:
 
     monkeypatch.setattr(store_module, "ball_to_bytes", ball_to_bytes_v1)
     monkeypatch.setattr(store_module, "_VERSION", 1)
+
+
+def ball_from_bytes_v1(data: bytes):
+    """The v1 reader as ``repro.graph.io`` had it: a mutable graph grown by
+    ``LabeledGraph.from_edges`` in record order.  ``src/`` now decodes
+    every record into a ``BallGraphView``; this stays as the oracle for
+    what a decoded graph answers and in which order it iterates."""
+    import ast
+
+    from repro.graph.ball import Ball
+    from repro.graph.io import graph_from_json
+
+    payload = json.loads(data.decode("utf-8"))
+    return Ball(graph=graph_from_json(payload["graph"]),
+                center=ast.literal_eval(payload["center"]),
+                radius=payload["radius"], ball_id=payload["ball_id"])

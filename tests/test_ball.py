@@ -66,6 +66,22 @@ class TestBallIndex:
         ball = index.ball("v2", 3)
         assert index.ball_by_id(ball.ball_id) is ball
 
+    def test_ball_by_id_does_not_scan_the_id_map(self):
+        """A dict probe, not a walk over |V| x |radii| entries per call."""
+        class NoScan(dict):
+            def items(self):
+                raise AssertionError("ball_by_id iterated the id map")
+            __iter__ = keys = values = items
+
+        index = BallIndex(fig3_graph(), (1, 3))
+        explicit = BallIndex(fig3_graph(), (1, 3), ids=index.id_map())
+        for idx in (index, explicit):
+            idx._ids = NoScan(idx._ids)
+            ball = idx.ball("v2", 3)
+            assert idx.ball_by_id(ball.ball_id) is ball
+            with pytest.raises(KeyError, match="unknown ball id"):
+                idx.ball_by_id(10 ** 9)
+
     def test_ball_by_unknown_id(self):
         index = BallIndex(fig3_graph(), (1,))
         with pytest.raises(KeyError):

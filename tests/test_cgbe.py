@@ -1,5 +1,7 @@
 """Unit and property tests for CGBE (Sec. 2.2)."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,13 +238,20 @@ class TestEncryptValidation:
         assert scheme.ciphertext_bytes() == 512 // 8 + 8
 
 
+@functools.cache
+def _property_scheme(seed: int) -> CGBE:
+    """One 1024-bit scheme per property, not one prime search per example:
+    the properties hold for any blinding randomness, so examples may share
+    the instance (and its advancing random stream)."""
+    return CGBE.generate(modulus_bits=1024, q_bits=16, r_bits=16, seed=seed)
+
+
 class TestProperties:
     @given(st.lists(st.booleans(), min_size=1, max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_product_q_detection_matches_plaintext(self, flags):
         """Property: factor-q test == 'any violating factor present'."""
-        scheme = CGBE.generate(modulus_bits=1024, q_bits=16, r_bits=16,
-                               seed=9)
+        scheme = _property_scheme(9)
         p = scheme.params
         factors = [scheme.encrypt_q() if flag else scheme.encrypt(1)
                    for flag in flags]
@@ -255,8 +264,7 @@ class TestProperties:
     def test_sum_q_detection_matches_all_items_violating(self, rows):
         """Property: the per-ball sum keeps factor q iff every item has it
         (the exact soundness condition of Alg. 3 line 7)."""
-        scheme = CGBE.generate(modulus_bits=1024, q_bits=16, r_bits=16,
-                               seed=10)
+        scheme = _property_scheme(10)
         p = scheme.params
         items = []
         for row in rows:

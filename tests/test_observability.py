@@ -170,6 +170,27 @@ class TestTracedRuns:
                          tracer=Tracer()).run(query)
         assert _answer_key(traced) == _answer_key(untraced)
 
+    def test_query_matching_carries_the_user_stage_split(self, dataset,
+                                                         test_config,
+                                                         tmp_path):
+        """Decrypt / decode / match per retrieved ball ride on the user's
+        ``query_matching`` event and survive the trace export; the fetch
+        is what is left of ``duration_s``."""
+        tracer = Tracer()
+        result = _engine(dataset, test_config, Semantics.HOM, False,
+                         tracer=tracer).run(_query(dataset, Semantics.HOM))
+        assert result.verified_ids, "no ball retrieved; test is vacuous"
+        (event,) = [s for s in tracer.spans if s.name == "query_matching"]
+        _, exported = read_trace(write_trace(tmp_path / "t.jsonl",
+                                             tracer.spans))
+        (line,) = [s for s in exported if s["name"] == "query_matching"]
+        for attrs, duration in ((event.attrs, event.duration_s),
+                                (line["attrs"], line["duration_s"])):
+            parts = [attrs[k] for k in ("decrypt_s", "decode_s", "match_s")]
+            assert all(isinstance(p, float) and p > 0 for p in parts)
+            assert sum(parts) <= duration
+            assert attrs["balls"] == len(result.matches)
+
     def test_audit_flags_injected_taint(self, dataset, test_config):
         tracer = Tracer()
         engine = _engine(dataset, test_config, Semantics.HOM, True,
