@@ -129,7 +129,7 @@ def store_study() -> dict:
         root = tmp + "/store"
         started = time.perf_counter()
         ArtifactStore.create(root, graph, config.radii, key,
-                             twiglet_h=None, bf_config=None)
+                             twiglet_h=None)
         build_seconds = time.perf_counter() - started
 
         # Cold start: open, staleness-check, and materialize the Dealer's

@@ -57,7 +57,6 @@ import json
 import os
 import sys
 
-from repro.core.bf_pruning import BFConfig
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.faults import VALID_KINDS, ChaosPolicy
 from repro.framework.prilo import DeadlineExceeded, Prilo, PriloConfig
@@ -438,9 +437,9 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _delta_failure_exit(exc: Exception) -> int:
-    """Print why a delta replay stopped and return its exit code: 2 when
-    the log and the graph/store merely diverged (stale -- re-sync or
-    rebuild), 3 on anything tampered or damaged; tampered wins."""
+    """Print why a delta replay or a store stopped a command and return
+    its exit code: 2 when they merely diverged from the graph (stale --
+    re-sync or rebuild), 3 on anything tampered or damaged."""
     stale = isinstance(exc, (StaleDeltaError, StoreStale))
     print(f"{'STALE' if stale else 'FAILED'}: {exc}")
     return EXIT_STALE if stale else EXIT_INTEGRITY
@@ -538,8 +537,7 @@ def cmd_store_build(args: argparse.Namespace) -> int:
     key = DataOwnerKey.generate(args.seed)
     store = ArtifactStore.create(
         args.root, graph, args.radii, key,
-        twiglet_h=None if args.no_twiglets else args.twiglet_h,
-        bf_config=None if args.no_bf else BFConfig())
+        twiglet_h=None if args.no_twiglets else args.twiglet_h)
     print(json.dumps(store.describe(), indent=2))
     return 0
 
@@ -552,11 +550,7 @@ def cmd_store_inspect(args: argparse.Namespace) -> int:
 def cmd_store_verify(args: argparse.Namespace) -> int:
     """Exit 0 when every artifact is ok, 2 on staleness only, 3 on any
     integrity failure (tampered or missing) -- scriptable triage."""
-    try:
-        store = ArtifactStore.open(args.root)
-    except StoreError as exc:
-        print(f"FAILED: {exc}")
-        return EXIT_INTEGRITY
+    store = ArtifactStore.open(args.root)
     key = DataOwnerKey.generate(args.seed) if args.with_key else None
     report = store.verify(key)
     for pack in report.packs:
@@ -583,12 +577,8 @@ def cmd_store_shard_split(args: argparse.Namespace) -> int:
     """Cut a store into N consistent-hash shard packs + placement manifest."""
     from repro.storage import shard_split
 
-    try:
-        placement = shard_split(args.root, args.out, args.shards,
-                                vnodes=args.vnodes, salt=args.salt)
-    except StoreError as exc:
-        print(f"FAILED: {exc}")
-        return EXIT_INTEGRITY
+    placement = shard_split(args.root, args.out, args.shards,
+                            vnodes=args.vnodes, salt=args.salt)
     counts = {member: info["balls"]
               for member, info in placement["shards"].items()}
     print(json.dumps({"out": str(args.out),
@@ -643,11 +633,7 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
         summary = log.inspect()
         print(json.dumps(summary, indent=2))
         return EXIT_INTEGRITY if summary["tampered_records"] else 0
-    try:
-        store = ArtifactStore.open(args.root)
-    except StoreError as exc:
-        print(f"FAILED: {exc}")
-        return EXIT_INTEGRITY
+    store = ArtifactStore.open(args.root)
     dataset = load_dataset(args.dataset, scale=args.scale)
     graph = dataset.graph_for(Semantics(args.semantics))
     key = DataOwnerKey.generate(args.seed)
@@ -1006,8 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--twiglet-h", type=int, default=3)
     p_build.add_argument("--no-twiglets", action="store_true",
                          help="skip the twiglet feature artifact")
-    p_build.add_argument("--no-bf", action="store_true",
-                         help="skip the tree/BF artifact")
     p_build.set_defaults(func=cmd_store_build)
 
     p_inspect = store_sub.add_parser("inspect",
@@ -1193,7 +1177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StoreError as exc:
+        # A store a command opened or served from: stale 2, anything else 3.
+        return _delta_failure_exit(exc)
 
 
 if __name__ == "__main__":

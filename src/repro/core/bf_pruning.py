@@ -110,18 +110,6 @@ class BFPruneOutcome:
     filter_bytes: int = field(default=0)
 
 
-def ball_filter_blob(encodings: set[int], config: BFConfig) -> bytes:
-    """One ball's serialized bloom filter: the pad encoding (so the
-    user's 0-pads always pass) plus the center's tree encodings, sized by
-    ``config``.  The one place a ball filter is built -- online by
-    :func:`player_bf_prune`, offline by the artifact store -- so the two
-    cannot drift apart."""
-    ball_filter = BloomFilter(config.filter_bits(), config.filter_hashes())
-    ball_filter.add(PAD_ENCODING)
-    ball_filter.update(encodings)  # bits are OR-ed: order cannot matter
-    return ball_filter.to_bytes()
-
-
 def player_bf_prune(enclave: Enclave, ball: Ball, codec: LabelCodec,
                     config: BFConfig) -> BFPruneOutcome:
     """Player side: build this ball's bloom filter and query the enclave.
@@ -138,7 +126,10 @@ def player_bf_prune(enclave: Enclave, ball: Ball, codec: LabelCodec,
     if truncated:
         return BFPruneOutcome(ball_id=ball.ball_id, bypassed=True,
                               trees_enumerated=len(encodings))
-    blob = ball_filter_blob(encodings, config)
+    ball_filter = BloomFilter(config.filter_bits(), config.filter_hashes())
+    ball_filter.add(PAD_ENCODING)  # so the user's 0-pads always pass
+    ball_filter.update(encodings)  # bits are OR-ed: order cannot matter
+    blob = ball_filter.to_bytes()
     c_sgx = enclave.check_ball(blob, repr(ball.center_label))
     return BFPruneOutcome(ball_id=ball.ball_id, c_sgx=c_sgx,
                           trees_enumerated=len(encodings),

@@ -7,8 +7,8 @@ hand-off, the *full* offline outsourcing output: plaintext + encrypted
 ball packs (mmap cold start for Players and Dealer alike;
 ``encrypted_store()`` satisfies the same ``get(ball_id)`` protocol as the
 in-memory store, so a :class:`repro.framework.roles.Dealer` can be backed
-by either), per-ball twiglet feature sets, tree/BF artifacts, all under a
-versioned manifest with staleness and tamper detection.
+by either) and per-ball twiglet feature sets, under a versioned manifest
+with staleness and tamper detection.
 
 :class:`~repro.storage.journal.RunJournal` is the *online* durability
 counterpart: a write-ahead, CRC-framed, keyed-digest journal of batch

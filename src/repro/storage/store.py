@@ -20,16 +20,14 @@ Players re-enumerate per-ball pruning features on every query.
   alphabet.  (The paper's CGBE-encrypted twiglet *tables* are per-query
   user artifacts -- they consume the user's randomness -- so the
   reusable offline piece is the Player-side feature extraction.)
-* **trees.json** -- per-ball canonical 2-label tree encodings and BF
-  bitsets under the *graph-wide* codec (Sec. 4.1's offline view).
-  Online BF pruning encodes against the query's codec, so these serve
-  ``store inspect`` / integrity sweeps rather than the hot path.
 
 The ``manifest.json`` keys everything by (graph digest, radii,
-``twiglet_h``, BF parameters, owner-key fingerprint) and carries a
-sha256 per artifact file: :meth:`ArtifactStore.check` detects staleness
-(the graph or config changed under the store), :meth:`verify` detects
-tampering.
+``twiglet_h``, owner-key fingerprint) and carries a sha256 per artifact
+file: :meth:`ArtifactStore.check` detects staleness (the graph or config
+changed under the store), :meth:`verify` detects tampering.  BF pruning
+(Sec. 4.1) stores nothing: its tree encodings follow the query's label
+codec.  A pack from an earlier release may list an unread tree artifact
+too; ``verify`` checks it, the first ``apply_delta`` drops it.
 """
 
 from __future__ import annotations
@@ -40,14 +38,11 @@ import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
-from repro.core.bf_pruning import BFConfig, ball_filter_blob
-from repro.core.encoding import LabelCodec
-from repro.core.trees import (
-    BF_TOPOLOGIES,
-    bf_threshold_exceeded,
-    enumerate_center_tree_encodings,
-)
+# ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves this import
+# by hard lookup; delete with its row at the re-pin (ROADMAP 1(a)).
+from repro.core.trees import enumerate_center_tree_encodings  # noqa: F401
 from repro.core.twiglets import (
     twiglet_from_jsonable,
     twiglet_to_jsonable,
@@ -79,9 +74,11 @@ _MANIFEST = "manifest.json"
 _BALLS_PACK = "balls.pack"
 _ENCRYPTED_PACK = "encrypted.pack"
 _TWIGLETS = "twiglets.json"
-_TREES = "trees.json"
 #: The files a manifest checksums, in the order a commit replaces them.
-_ARTIFACTS = (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS, _TREES)
+_ARTIFACTS = (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS)
+#: What a manifest says besides ``version`` / ``balls`` / ``checksums``.
+_FIELDS = ("graph_digest", "key_digest", "radii", "twiglet_h", "ball_ids",
+           "auth")
 #: Written by every commit.  Version 2 packs may hold binary (v2) ball
 #: records; a reader dispatches per record, so a version-1 store patched
 #: by ``apply_delta`` becomes a version-2 store holding both kinds.
@@ -276,14 +273,39 @@ class _Pack:
         self._file = None
 
 
-def _bf_params(bf_config: BFConfig | None) -> dict | None:
-    if bf_config is None:
-        return None
-    return {"eta": bf_config.eta,
-            "expected_trees": bf_config.expected_trees,
-            "false_positive_rate": bf_config.false_positive_rate,
-            "threshold_t": bf_config.threshold_t,
-            "max_ball_trees": bf_config.max_ball_trees}
+#: Manifest key -> JSON type; ``_OPTIONAL`` keys may be null or absent.
+_SHAPE = {"version": int, "graph_digest": str, "key_digest": str,
+          "radii": list, "balls": list, "checksums": dict,
+          "twiglet_h": int, "ball_ids": dict, "auth": dict}
+_OPTIONAL = ("twiglet_h", "ball_ids", "auth")
+_SLICE_TYPES = get_type_hints(PackSlice)
+
+
+def _check_shape(manifest) -> None:
+    """Raise :class:`StoreError` unless the parsed ``manifest`` has the
+    shape every reader assumes (exit 3, not a traceback).  JSON decodes
+    to exact types, and ``type(x) is int`` also refuses ``true``."""
+    if type(manifest) is not dict:
+        raise StoreError("malformed manifest: not a JSON object")
+    if manifest.get("version") not in _READABLE_VERSIONS:
+        raise StoreError(
+            f"unsupported store version {manifest.get('version')!r}")
+    for name, kind in _SHAPE.items():
+        value = manifest.get(name)
+        if type(value) is not kind and (value is not None
+                                        or name not in _OPTIONAL):
+            raise StoreError(f"malformed manifest: bad {name!r}")
+    balls = manifest["balls"]
+    if not (all(type(radius) is int for radius in manifest["radii"])
+            and all(type(e) is dict and e.keys() == _SLICE_TYPES.keys()
+                    for e in balls)
+            and [type(e[k]) for e in balls for k in _SLICE_TYPES]
+            == list(_SLICE_TYPES.values()) * len(balls)
+            and all(type(digest) is str and os.path.basename(name) == name
+                    and name not in ("", ".", "..", _MANIFEST)
+                    for name, digest in manifest["checksums"].items())):
+        raise StoreError("malformed manifest: bad radius, ball entry or "
+                         "checksum name")
 
 
 def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
@@ -300,25 +322,22 @@ class _StoreWriter:
     """THE place a store directory is laid out.
 
     Ball records are appended to both packs with their offsets tracked;
-    :meth:`commit` then writes ``twiglets.json``, ``trees.json``, the
-    checksum set and -- last, as the commit point -- ``manifest.json``.
-    Every file goes through temp-file + rename, so a crash leaves either
-    the directory's previous state or the new one, never a hybrid.
+    :meth:`commit` then writes ``twiglets.json``, the checksum set and --
+    last, as the commit point -- ``manifest.json``.  Every file goes
+    through temp-file + rename, so a crash leaves either the directory's
+    previous state or the new one, never a hybrid.
 
-    ``twiglets`` / ``trees`` are the two artifact documents
-    (``{"h": ..., "balls": {...}}`` / ``{"bf": ..., "balls": {...}}``),
-    patched in place by :meth:`encrypt`.  Callers decide *which* balls go
-    in (:meth:`encrypt` a fresh one, :meth:`copy` a stored one verbatim)
-    and what the manifest says about them.  Used as a context manager
-    around the appends; ``commit`` follows the block.
+    ``twiglets`` is the artifact document (``{"h": ..., "balls":
+    {...}}``), patched in place by :meth:`encrypt`.  Callers decide
+    *which* balls go in (:meth:`encrypt` a fresh one, :meth:`copy` a
+    stored one verbatim) and what the manifest says about them.  Used as
+    a context manager around the appends; ``commit`` follows the block.
     """
 
-    def __init__(self, root: Path, twiglets: dict, trees: dict,
-                 key: DataOwnerKey | None = None,
-                 alphabet=None) -> None:
+    def __init__(self, root: Path, twiglets: dict,
+                 key: DataOwnerKey | None = None) -> None:
         self._root = root
         self.twiglets = twiglets
-        self.trees = trees
         self.entries: list[dict] = []
         #: Merkle leaves committed here: ball id -> leaf digest.
         self.leaves: dict[int, str] = {}
@@ -326,11 +345,6 @@ class _StoreWriter:
         if key is not None:
             self._cipher = key.cipher()
             self._vkey = auth_key(key)
-        bf = trees.get("bf")
-        self._bf_config = BFConfig(**bf) if bf else None
-        # Tree artifacts encode under the graph-wide codec.
-        self._codec = (LabelCodec.from_alphabet(alphabet)
-                       if bf and alphabet is not None else None)
         self._plain = (root / (_BALLS_PACK + ".tmp")).open("wb")
         self._enc = (root / (_ENCRYPTED_PACK + ".tmp")).open("wb")
 
@@ -359,7 +373,7 @@ class _StoreWriter:
 
     def encrypt(self, ball: Ball) -> None:
         """Put a freshly extracted ball in: serialize, encrypt, commit
-        its Merkle leaf, compute its twiglet and tree artifacts."""
+        its Merkle leaf, compute its twiglet artifact."""
         payload = ball_to_bytes(ball)
         blob = self._cipher.encrypt(payload)
         self.commit_leaf(ball.ball_id, blob)
@@ -368,47 +382,18 @@ class _StoreWriter:
             features = twiglets_from(ball.graph, ball.center, twiglet_h)
             self.twiglets["balls"][str(ball.ball_id)] = sorted(
                 twiglet_to_jsonable(t) for t in features)
-        self.retree(ball)
         self.copy({"ball_id": ball.ball_id, "center": repr(ball.center),
                    "radius": ball.radius, "vertices": ball.size},
                   payload, blob)
 
-    def retree(self, ball: Ball) -> None:
-        """(Re)compute one ball's Sec. 4.1 offline view: canonical tree
-        encodings and the bloom bitset, under the graph-wide codec.
-        Takes the bypass decisions of
-        :func:`repro.core.bf_pruning.player_bf_prune` and builds the
-        filter with the function it uses.  The enumeration is called
-        through this module's own binding, which is the name the
-        benchmark ledger's ``store.tree_artifact`` span wraps."""
-        config = self._bf_config
-        if config is None:
-            return
-        if bf_threshold_exceeded(ball.graph, ball.center,
-                                 config.threshold_t):
-            artifact = {"bypassed": True}
-        else:
-            encodings, truncated = enumerate_center_tree_encodings(
-                ball.graph, ball.center, self._codec, BF_TOPOLOGIES,
-                max_trees=config.max_ball_trees)
-            if truncated:
-                artifact = {"bypassed": True, "trees": len(encodings)}
-            else:
-                artifact = {"bypassed": False,
-                            "trees": len(encodings),
-                            "filter_hex": ball_filter_blob(encodings,
-                                                           config).hex()}
-        self.trees["balls"][str(ball.ball_id)] = artifact
-
     def commit(self, manifest: dict) -> dict:
         """Turn the directory over: artifacts first, manifest last.
-        ``manifest`` holds every field but ``version`` / ``balls`` /
-        ``checksums``; returns the manifest as written."""
+        ``manifest`` holds the :data:`_FIELDS`; returns the manifest as
+        written."""
         root = self._root
-        for name, doc in ((_TWIGLETS, self.twiglets), (_TREES, self.trees)):
-            (root / (name + ".tmp")).write_text(
-                json.dumps(doc, separators=(",", ":"), sort_keys=True),
-                encoding="utf-8")
+        (root / (_TWIGLETS + ".tmp")).write_text(
+            json.dumps(self.twiglets, separators=(",", ":"), sort_keys=True),
+            encoding="utf-8")
         for name in _ARTIFACTS:
             os.replace(root / (name + ".tmp"), root / name)
         manifest = {**manifest,
@@ -661,7 +646,6 @@ class ArtifactStore:
         self._balls_pack = _Pack(self._root / _BALLS_PACK)
         self._encrypted_pack = _Pack(self._root / _ENCRYPTED_PACK)
         self._twiglets: dict[int, frozenset] | None = None
-        self._trees: dict | None = None
 
     def _record(self, ball_id: int) -> tuple[bytes, bytes]:
         """One stored ball's raw ``(payload, blob)`` pack bytes."""
@@ -739,13 +723,12 @@ class ArtifactStore:
     def create(cls, root: str | Path, graph: LabeledGraph,
                radii: tuple[int, ...], key: DataOwnerKey, *,
                twiglet_h: int | None = 3,
-               bf_config: BFConfig | None = None,
+               bf_config=None,  # ledger pin: ignored; delete at the re-pin
                ) -> "ArtifactStore":
         """Run the full offline outsourcing step into ``root``.
 
-        ``twiglet_h=None`` skips the twiglet feature artifact;
-        ``bf_config=None`` skips the tree/BF artifact.  Both packs are
-        always written -- they are what cold starts need.
+        ``twiglet_h=None`` skips the twiglet feature artifact.  Both packs
+        are always written -- they are what cold starts need.
         """
         root = Path(root)
         if root.exists() and any(root.iterdir()):
@@ -754,8 +737,7 @@ class ArtifactStore:
         index = BallIndex(graph, radii)
         catalog_rows: list[tuple[int, int, object]] = []
         with _StoreWriter(root, {"h": twiglet_h, "balls": {}},
-                          {"bf": _bf_params(bf_config), "balls": {}},
-                          key, graph.alphabet) as writer:
+                          key) as writer:
             for center in graph.vertices():
                 for radius in index.radii:
                     ball = index.ball(center, radius)
@@ -767,7 +749,6 @@ class ArtifactStore:
             "key_digest": key_digest(key),
             "radii": list(index.radii),
             "twiglet_h": twiglet_h,
-            "bf": _bf_params(bf_config),
             "ball_ids": _ball_id_table(index.id_map()),
             "auth": build_auth_block(key, writer.leaves,
                                      build_catalog(catalog_rows)),
@@ -783,12 +764,10 @@ class ArtifactStore:
         if not manifest_path.is_file():
             raise StoreError(f"no manifest at {manifest_path}")
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            manifest = json.loads(manifest_path.read_bytes())
+        except (ValueError, RecursionError) as exc:
             raise StoreError(f"malformed manifest: {exc}") from exc
-        if manifest.get("version") not in _READABLE_VERSIONS:
-            raise StoreError(
-                f"unsupported store version {manifest.get('version')!r}")
+        _check_shape(manifest)
         return cls(root, manifest)
 
     def close(self) -> None:
@@ -980,7 +959,6 @@ class ArtifactStore:
         ids = self.ball_id_map(graph)
         if ids is None:
             ids = BallIndex(graph, self.radii).id_map()
-        pre_alphabet = graph.alphabet
         plan = plan_delta(delta, graph, self.radii, ids)
         key_by_id = {ball_id: k for k, ball_id in plan.ids.items()}
         dirty, removed = set(plan.dirty), set(plan.removed)
@@ -988,24 +966,14 @@ class ArtifactStore:
         old_auth = self.auth
         twiglets = json.loads(
             (self._root / _TWIGLETS).read_text(encoding="utf-8"))
-        trees = json.loads(
-            (self._root / _TREES).read_text(encoding="utf-8"))
-        # The tree artifacts encode under the graph-wide codec; label
-        # churn in the alphabet invalidates every encoding, so only then
-        # are clean balls' trees recomputed (plaintext work -- their
-        # ciphertext still copies verbatim).
-        recode_all_trees = (trees.get("bf") is not None
-                            and graph.alphabet != pre_alphabet)
 
         catalog_rows: list[tuple[int, int, object]] = []
         reused = 0
-        with _StoreWriter(self._root, twiglets, trees, key,
-                          graph.alphabet) as writer:
+        with _StoreWriter(self._root, twiglets, key) as writer:
             for old in self._manifest["balls"]:
                 ball_id = old["ball_id"]
                 if ball_id in removed:
                     twiglets["balls"].pop(str(ball_id), None)
-                    trees["balls"].pop(str(ball_id), None)
                     continue
                 center, radius = key_by_id[ball_id]
                 catalog_rows.append((ball_id, radius, graph.label(center)))
@@ -1018,8 +986,6 @@ class ArtifactStore:
                     # Pre-auth store: no committed leaf table to patch,
                     # so digest the (unchanged) blob afresh.
                     writer.commit_leaf(ball_id, blob)
-                if recode_all_trees:
-                    writer.retree(ball_from_bytes(payload))
                 writer.copy(old, payload, blob)
                 reused += 1
             for ball_id in plan.added:
@@ -1039,11 +1005,13 @@ class ArtifactStore:
         balls_before = len(self._slices)
         self.close()
         self._bind(writer.commit({
-            **self._manifest,
+            **{name: self._manifest.get(name) for name in _FIELDS},
             "graph_digest": graph_digest(graph),
             "ball_ids": _ball_id_table(plan.ids),
             "auth": auth,
         }))
+        # An earlier release's tree artifact, unlisted as of this commit.
+        (self._root / "trees.json").unlink(missing_ok=True)
 
         report = DeltaApplyReport(
             balls_before=balls_before,
@@ -1133,15 +1101,6 @@ class ArtifactStore:
             }
         return self._twiglets
 
-    def tree_artifacts(self) -> dict:
-        """Per-ball tree/BF artifacts (inspect & integrity use)."""
-        if self._trees is None:
-            path = self._root / _TREES
-            if not path.is_file():
-                raise StoreError(f"store has no tree artifact at {path}")
-            self._trees = json.loads(path.read_text(encoding="utf-8"))
-        return self._trees
-
     def ball_ids(self) -> list[int]:
         """All stored ball ids, in pack (= generation) order."""
         return [entry["ball_id"] for entry in self._manifest["balls"]]
@@ -1161,7 +1120,6 @@ class ArtifactStore:
             "key_digest": self._manifest["key_digest"],
             "radii": list(self.radii),
             "twiglet_h": self.twiglet_h,
-            "bf": self._manifest.get("bf"),
             "balls": len(self._slices),
             "balls_per_radius": {str(r): n
                                  for r, n in sorted(per_radius.items())},
@@ -1175,8 +1133,8 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
 
     ``out_root/shard-<i>/`` becomes a fully valid, independently
     verifiable :class:`ArtifactStore` holding exactly shard ``i``'s
-    placement slice (both packs re-packed with fresh offsets, twiglet and
-    tree artifacts subset, checksums recomputed); ``out_root/placement.json``
+    placement slice (both packs re-packed with fresh offsets, twiglet
+    artifact subset, checksums recomputed); ``out_root/placement.json``
     records the ring parameters and per-shard counts
     (:class:`repro.framework.placement.PlacementManifest`).
 
@@ -1212,7 +1170,6 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
         by_shard[ring.owner_of(entry["ball_id"])].append(entry)
 
     twiglets = json.loads((src.root / _TWIGLETS).read_text(encoding="utf-8"))
-    trees = json.loads((src.root / _TREES).read_text(encoding="utf-8"))
 
     shard_dirs: dict[int, str] = {}
     shard_balls: dict[int, int] = {}
@@ -1224,9 +1181,6 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
                 shard_dir,
                 {"h": twiglets.get("h"),
                  "balls": {k: v for k, v in twiglets["balls"].items()
-                           if k in owned}},
-                {"bf": trees.get("bf"),
-                 "balls": {k: v for k, v in trees["balls"].items()
                            if k in owned}}) as writer:
             for entry in entries:
                 writer.copy(entry, *src._record(entry["ball_id"]))
@@ -1236,9 +1190,7 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
         # though this shard's pack never held them.  Likewise the global
         # ``ball_ids`` table: shard engines keep global ids, including
         # ids for balls outside their slice.
-        writer.commit({name: manifest.get(name) for name in (
-            "graph_digest", "key_digest", "radii", "twiglet_h", "bf",
-            "auth", "ball_ids")})
+        writer.commit({name: manifest.get(name) for name in _FIELDS})
         shard_dirs[shard_id] = shard_dir.name
         shard_balls[shard_id] = len(entries)
 

@@ -8,12 +8,17 @@ that recomputed everything.
 
 import hashlib
 import itertools
+import json
 import shutil
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.bf_pruning import BFConfig
+from repro.cli import main
 from repro.core.twiglets import filter_twiglets, twiglets_from
 from repro.crypto import stream_cipher
 from repro.crypto.keys import DataOwnerKey
@@ -29,6 +34,7 @@ from repro.storage import (
     shard_split,
 )
 from repro.workloads.datasets import load_dataset
+from tests.legacy_store import TREES, make_legacy
 
 RADII = (2,)
 SEED = 3  # matches test_config so store key == engine owner key
@@ -47,9 +53,7 @@ def key():
 @pytest.fixture(scope="module")
 def store(tmp_path_factory, graph, key):
     root = tmp_path_factory.mktemp("artifact-store") / "store"
-    return ArtifactStore.create(
-        root, graph, RADII, key, twiglet_h=3,
-        bf_config=BFConfig(eta=16, expected_trees=200))
+    return ArtifactStore.create(root, graph, RADII, key, twiglet_h=3)
 
 
 class TestRoundtrip:
@@ -140,7 +144,7 @@ class TestTamperDetection:
         assert report.balls == len(store)
         assert report.decrypted == len(store)
         assert {p.status for p in report.packs} == {"ok"}
-        assert len(report.packs) == 4
+        assert len(report.packs) == 3
 
     @pytest.mark.parametrize("filename", ["balls.pack", "encrypted.pack",
                                           "twiglets.json"])
@@ -236,28 +240,184 @@ class TestServingEquivalence:
         assert backed.pm_per_method == plain.pm_per_method
 
 
+def _run(graph, config, store, query):
+    with PriloStar.setup(graph, config, store=store) as engine:
+        result = engine.run(query)
+    return (result.candidate_ids, result.pm_positive_ids,
+            result.verified_ids, result.match_ball_ids, result.num_matches)
+
+
+class TestLegacyTreeArtifact:
+    """A pack written before the tree artifact went (``tests/
+    legacy_store.py`` writes that layout) keeps verifying and serving; the
+    first delta commits a manifest without it, then deletes the file."""
+
+    @pytest.fixture()
+    def legacy(self, store, graph, tmp_path):
+        root = tmp_path / "legacy"
+        shutil.copytree(store.root, root)
+        make_legacy(root, graph)
+        return root
+
+    def test_verify_checks_the_tree_artifact(self, legacy, key):
+        report = ArtifactStore.open(legacy).verify(key)
+        assert report.ok and report.decrypted == report.balls
+        assert len(report.packs) == 4 and TREES in {
+            p.name for p in report.packs}
+        data = bytearray((legacy / TREES).read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        (legacy / TREES).write_bytes(bytes(data))
+        report = ArtifactStore.open(legacy).verify(key)
+        assert {p.name for p in report.tampered} == {TREES}
+        assert main(["--seed", str(SEED), "store", "verify", str(legacy),
+                     "--with-key"]) == 3
+
+    def test_serves_the_same_answers(self, legacy, store, dataset,
+                                     test_config):
+        config = replace(test_config, radii=RADII, seed=SEED)
+        query = dataset.random_queries(1, size=4, diameter=2, seed=21)[0]
+        with ArtifactStore.open(legacy) as old:
+            assert (_run(dataset.graph, config, old, query)
+                    == _run(dataset.graph, config, store, query))
+
+    def test_first_delta_drops_it_after_the_commit(self, legacy, store,
+                                                   graph, key, monkeypatch):
+        listed_at_unlink = []
+        unlink = Path.unlink
+
+        def spy(path, *args, **kwargs):
+            if path.name == TREES:
+                manifest = json.loads((path.parent / "manifest.json")
+                                      .read_text("utf-8"))
+                listed_at_unlink.append(TREES in manifest["checksums"])
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", spy)
+        live = graph.copy()
+        with ArtifactStore.open(legacy) as old:
+            old.apply_delta(random_delta(live, edge_fraction=0.02, seed=5),
+                            live, key)
+            assert old.verify(key).ok
+            assert old._manifest.keys() == store._manifest.keys()
+            assert (old._manifest["checksums"].keys()
+                    == store._manifest["checksums"].keys())
+        assert listed_at_unlink == [False]
+        assert not (legacy / TREES).exists()
+
+    def test_shard_split_leaves_it_behind(self, legacy, key, tmp_path):
+        shard_split(legacy, tmp_path / "split", 2)
+        for shard in sorted((tmp_path / "split").glob("shard-*")):
+            assert not (shard / TREES).exists()
+            with ArtifactStore.open(shard) as piece:
+                assert "bf" not in piece._manifest
+                assert piece.verify(key).ok
+
+
+class TestMalformedManifest:
+    """A manifest of the wrong shape is a ``StoreError`` from ``open``
+    (CLI: ``FAILED:`` exit 3), never a raw exception from whichever
+    reader touches the bad field first."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, store):
+        return json.loads((store.root / "manifest.json").read_text("utf-8"))
+
+    @pytest.fixture()
+    def broken(self, store, tmp_path):
+        root = tmp_path / "broken"
+        shutil.copytree(store.root, root)
+
+        def write(manifest):
+            (root / "manifest.json").write_text(json.dumps(manifest))
+            return root
+        return write
+
+    def _refused(self, root, capsys, *run):
+        with pytest.raises(StoreError, match="malformed manifest"):
+            ArtifactStore.open(root)
+        capsys.readouterr()
+        assert main(["store", "verify", str(root)]) == 3
+        assert "FAILED: malformed manifest" in capsys.readouterr().out
+        for argv in run:
+            assert main(argv) == 3
+
+    def test_not_an_object(self, broken, capsys):
+        self._refused(broken([]), capsys)
+
+    def test_balls_missing(self, broken, manifest, capsys):
+        root = broken({k: v for k, v in manifest.items() if k != "balls"})
+        self._refused(root, capsys, [
+            "--scale", "0.05", "run", "slashdot", "--size", "4",
+            "--diameter", "2", "--store", str(root)])
+
+    def test_extra_key_in_a_ball_entry(self, broken, manifest, capsys):
+        balls = [dict(manifest["balls"][0], extra=1)] + manifest["balls"][1:]
+        self._refused(broken({**manifest, "balls": balls}), capsys)
+
+    def test_checksum_name_outside_the_root(self, broken, manifest,
+                                            capsys):
+        checksums = {**manifest["checksums"],
+                     "../outside": manifest["checksums"]["balls.pack"]}
+        self._refused(broken({**manifest, "checksums": checksums}), capsys)
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, store, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest-fuzz") / "store"
+        shutil.copytree(store.root, root)
+        return root
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_opens_or_raises_store_error(self, fuzz_dir, manifest,
+                                              data):
+        text = json.dumps(manifest).encode()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "retype"]))
+        if kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        elif kind == "flip":
+            flipped = bytearray(text)
+            flipped[data.draw(st.integers(0, len(text) - 1))] ^= 1 << \
+                data.draw(st.integers(0, 7))
+            text = bytes(flipped)
+        else:
+            doc = json.loads(text)
+            target = data.draw(st.sampled_from(
+                [doc, doc["balls"][0], doc["checksums"], doc["auth"]]))
+            value = data.draw(st.sampled_from(
+                [None, True, -1, 1.5, "x", [], {}, [1], {"1": "x"}]))
+            target[data.draw(st.sampled_from(sorted(target)))] = value
+            text = json.dumps(doc).encode()
+        (fuzz_dir / "manifest.json").write_bytes(text)
+        try:
+            ArtifactStore.open(fuzz_dir).close()
+        except StoreError:
+            pass
+
+
 # sha256 of every file the store writes.  The ``*_ARTIFACTS`` digests
-# (trees.json, twiglets.json) were recorded before the tree-enumeration
-# kernel, the O(1) label codec, the bulk bloom insert and the one
-# directory writer replaced their predecessors, and have not moved since.
+# (twiglets.json) were recorded before the tree-enumeration kernel, the
+# O(1) label codec, the bulk bloom insert and the one directory writer
+# replaced their predecessors, and have not moved since.
 # The pack digests (balls.pack, encrypted.pack, manifest.json,
 # placement.json) were re-recorded once, by running the same steps, when
 # ball record v2 replaced the JSON ball payload: the record bytes, hence
 # the ciphertexts, Merkle leaves and roots, changed on purpose; nothing
 # derived from the balls' *content* did, which is what the artifact
-# digests staying put shows.  encrypted.pack and manifest.json carry the
-# cipher's nonces, so the tests pin those.
+# digests staying put shows.  The manifests alone (manifest.json,
+# shard-N/manifest.json) were re-recorded once more, by running the same
+# steps, when the tree artifact (trees.json) went: they no longer list
+# its checksum nor carry a "bf" key, and every other digest here is
+# unedited.  encrypted.pack and manifest.json carry the cipher's nonces,
+# so the tests pin those.
 GOLDEN_R1 = {
     "balls.pack":
         "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
     "encrypted.pack":
         "bf06e7e447c7626444b4a08f9857885c8e657db2312a1dbbd9a2345d6bbb4cab",
     "manifest.json":
-        "af4e266c518bf7d53c149eeb85ed88521f6ae64213d2752999f82fcf3142045a",
+        "cb62e9c6c52e26e53de9f03a91ec2a37dc0d8de2d503aa48476aa00149e8447f",
 }
 GOLDEN_R1_ARTIFACTS = {
-    "trees.json":
-        "5f8cdb867ca05ef8f9ffb2270597e4a6c73ad3da727a4e5688dab1d7c0f13e41",
     "twiglets.json":
         "634a99f33f0e76514a2866a4cdcfc0f582a998ba0e8eed32fe22549dbc95b3bf",
 }
@@ -267,11 +427,9 @@ GOLDEN_R1_AFTER_TWO_DELTAS = {
     "encrypted.pack":
         "8354406ca94743807cf0e50bd708b48021e8d4d9ef4775f4a020a1cdd36b35f4",
     "manifest.json":
-        "0861f7200e2f50e6d0249af0adf1cdfb315d6039cced178b0b00349d168108ea",
+        "59f82a2f3b1430acde6ac1509fed2c63a5bc6249b5a9f3c68e5d803e408c133a",
 }
 GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS = {
-    "trees.json":
-        "c5cd9ba83845f181515833dc626a9c20ea7eaa86546827e3fee77061fdcc0faf",
     "twiglets.json":
         "e0a975c8623c9f0ca4ec10dee94dcb493f0bf99364fabc9f8206feb11fd5da89",
 }
@@ -281,11 +439,9 @@ GOLDEN_R1_AFTER_VERTEX_CHURN = {
     "encrypted.pack":
         "e0570be5bdab141c8c21bed087c2a4f72faa41abf93ce3280acf8e346856f589",
     "manifest.json":
-        "4d3ed3a429464baaaf967976d3ca24f9611d06cf9ebe0ceb57a2d4f216e7f697",
+        "817cfddca6726a768ecfc8bd258bf78cfee9eb717c1928138f61a80298dfd476",
 }
 GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
-    "trees.json":
-        "f74d24b2fb458f54da958f1fce442e269fc0c245c0a757e9034a1ce351ea4660",
     "twiglets.json":
         "35fdb84e3722b0335ba94693e837991f494c13a8034403411834b519522aed0e",
 }
@@ -297,21 +453,17 @@ GOLDEN_R1_SHARD_SPLIT = {
     "shard-0/encrypted.pack":
         "a65b5856e83eac07e9b7ece22e12b6c55e44b6fa180dbeb300e5c03b2f7754a5",
     "shard-0/manifest.json":
-        "45afce6d374e7c035e9e0d322ca24900f3eaab776132cbc780552c1d8419c5db",
+        "ebfb8bbed135e19633746f9827d8ca10e6c026c5023518333a9faa834a94acf9",
     "shard-1/balls.pack":
         "33b58c2a8f739c18e8fb1729b022569967cbb74021a12fed049e46277dad058e",
     "shard-1/encrypted.pack":
         "d46aec7e4920737a78ac78af58a60d4bbcd0717e01b5e887fab4ba2f36b11ed0",
     "shard-1/manifest.json":
-        "541da7e9cb329212dbc2d548efccb91bf65a810105bffb9188bf2ce41b16ab21",
+        "d1e98b062c82ab0e71a393a0ee02429dddfe1aff441a143735655687057adaa4",
 }
 GOLDEN_R1_SHARD_SPLIT_ARTIFACTS = {
-    "shard-0/trees.json":
-        "21cb5b11684d2d4e06cbdb63f20d5b96c74913e8d6315001e9c2bd638467ee84",
     "shard-0/twiglets.json":
         "cd6227c7466a46a3a2bef9634a2c5da6010144204ad8830339d25acff53b1497",
-    "shard-1/trees.json":
-        "6bd077b232aba65d2b12ff4c02fe62c33d800c9fa3af916f87a6ac209f181f1f",
     "shard-1/twiglets.json":
         "5789cc995d1a1862a0874dde5878e23b91efb6140a3a5dd6d69b39cecec424dc",
 }
@@ -321,11 +473,9 @@ GOLDEN_R2 = {
     "encrypted.pack":
         "e7920f939d7cc41ed80ebe8795cf2074d21aee9b065a8692e8d159cfca762a15",
     "manifest.json":
-        "c7e5b8b3618fd718982be1c0c9b1411a58d1663826e31461298b80295f45a9e2",
+        "963828188de4087255fbcab869ac402e50d7ac801721ea7be7fd3f61a1cfe29a",
 }
 GOLDEN_R2_ARTIFACTS = {
-    "trees.json":
-        "90d3327c038b15824ed3570eeefc647031586eb97fbd93bdbf29dac714f32648",
     "twiglets.json":
         "af1584142dc778cceca0248d913db2545c4804eba821334b47995f9a841ac740",
 }
@@ -338,23 +488,24 @@ def _digests(root):
 
 
 def _assert_golden(root, packs, artifacts):
-    """``artifacts`` are the v1-era twiglets.json / trees.json digests,
-    checked on their own so a re-recording of ``packs`` cannot move them."""
+    """``artifacts`` are the v1-era twiglets.json digests, checked on
+    their own so a re-recording of ``packs`` cannot move them."""
     digests = _digests(root)
     assert {name: digest for name, digest in digests.items()
-            if name.endswith(("twiglets.json", "trees.json"))} == artifacts
+            if name.endswith("twiglets.json")} == artifacts
     assert digests == {**packs, **artifacts}
 
 
 class TestGoldenPackBytes:
-    """dblp 0.03 under the CLI-default artifacts (``twiglet_h=3``,
-    ``BFConfig()``): what the offline step writes is pinned to the byte.
+    """dblp 0.03 under the CLI-default artifacts (``twiglet_h=3``): what
+    the offline step writes is pinned to the byte.
 
     Re-recorded once for ball record v2 (``balls.pack``,
     ``encrypted.pack``, ``manifest.json`` and the split's
-    ``placement.json`` changed because every record did); the
-    ``twiglets.json`` / ``trees.json`` digests are the ones recorded
-    under the v1 payload and must stay so."""
+    ``placement.json`` changed because every record did) and the
+    manifests once more when the tree artifact went; the
+    ``twiglets.json`` digests are the ones recorded under the v1 payload
+    and must stay so."""
 
     @pytest.fixture(scope="class")
     def dblp(self):
@@ -373,8 +524,7 @@ class TestGoldenPackBytes:
     def test_radius_1_before_and_after_two_deltas(self, tmp_path, dblp):
         key = DataOwnerKey.generate(11)
         root = tmp_path / "r1"
-        store = ArtifactStore.create(root, dblp, (1,), key,
-                                     twiglet_h=3, bf_config=BFConfig())
+        store = ArtifactStore.create(root, dblp, (1,), key, twiglet_h=3)
         try:
             _assert_golden(root, GOLDEN_R1, GOLDEN_R1_ARTIFACTS)
             live = dblp.copy()
@@ -385,15 +535,23 @@ class TestGoldenPackBytes:
             _assert_golden(root, GOLDEN_R1_AFTER_TWO_DELTAS,
                            GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS)
             # One vertex out, one in under a label outside the alphabet:
-            # dropped balls, fresh ids, every tree artifact recoded.
+            # dropped balls and fresh ids, while every clean ball keeps
+            # its record and ciphertext byte for byte.
             ordered = sorted(live.vertices(), key=repr)
             fresh = "golden-vertex"
+            before = {i: store._record(i) for i in store.ball_ids()}
             report = store.apply_delta(GraphDelta(
                 added_vertices=((fresh, "golden-label"),),
                 removed_vertices=(ordered[7],),
                 added_edges=((fresh, ordered[3]), (ordered[5], fresh))),
                 live, key)
             assert (report.added, report.removed) == (1, 1)
+            assert report.reencrypted == report.dirty + report.added
+            clean = (before.keys() - set(report.dirty_ball_ids)
+                     - set(report.removed_ball_ids))
+            assert report.reused == len(clean) > 0
+            assert {i: store._record(i) for i in clean} == {
+                i: before[i] for i in clean}
             _assert_golden(root, GOLDEN_R1_AFTER_VERTEX_CHURN,
                            GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS)
         finally:
@@ -402,8 +560,23 @@ class TestGoldenPackBytes:
         _assert_golden(tmp_path / "split", GOLDEN_R1_SHARD_SPLIT,
                        GOLDEN_R1_SHARD_SPLIT_ARTIFACTS)
 
+    def test_legacy_helper_writes_the_earlier_layout(self, tmp_path, dblp):
+        """``make_legacy`` turns a fresh pack into the earlier release's
+        byte for byte: its manifest and tree artifact hash to the digests
+        that release's goldens pinned for this pack."""
+        root = tmp_path / "r1"
+        ArtifactStore.create(root, dblp, (1,), DataOwnerKey.generate(11),
+                             twiglet_h=3).close()
+        make_legacy(root, dblp)
+        assert _digests(root) == {
+            **GOLDEN_R1, **GOLDEN_R1_ARTIFACTS,
+            "manifest.json":
+                "af4e266c518bf7d53c149eeb85ed88521f6ae64213d2752999f82fcf3142045a",
+            TREES:
+                "5f8cdb867ca05ef8f9ffb2270597e4a6c73ad3da727a4e5688dab1d7c0f13e41",
+        }
+
     def test_radius_2(self, tmp_path, dblp):
         ArtifactStore.create(tmp_path / "r2", dblp, (2,),
-                             DataOwnerKey.generate(11), twiglet_h=3,
-                             bf_config=BFConfig()).close()
+                             DataOwnerKey.generate(11), twiglet_h=3).close()
         _assert_golden(tmp_path / "r2", GOLDEN_R2, GOLDEN_R2_ARTIFACTS)

@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
-from repro.core.bf_pruning import BFConfig
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.prilo import Prilo
 from repro.graph.ball import Ball, extract_ball
@@ -295,7 +294,6 @@ class TestFuzz:
 # ---------------------------------------------------------------------------
 RADII = (2,)
 SEED = 3  # matches test_config so store key == engine owner key
-BF = BFConfig(eta=16, expected_trees=200)
 
 
 def _plaintext_answers(graph, config, queries):
@@ -327,8 +325,8 @@ class TestV1Store:
         root = tmp_path / "v1"
         with pytest.MonkeyPatch.context() as patch:
             write_v1_stores(patch)
-            ArtifactStore.create(root, graph, RADII, key, twiglet_h=3,
-                                 bf_config=BF).close()
+            ArtifactStore.create(root, graph, RADII, key,
+                                 twiglet_h=3).close()
 
         with ArtifactStore.open(root) as store:
             balls = len(store)
@@ -357,7 +355,7 @@ class TestV1Store:
             mixed = _served_answers(graph, config, store, queries)
             assert not store.quarantined
         rebuilt = ArtifactStore.create(tmp_path / "rebuilt", graph, RADII,
-                                       key, twiglet_h=3, bf_config=BF)
+                                       key, twiglet_h=3)
         with rebuilt:
             assert rebuilt.verify(key).records == {2: balls}
             assert mixed == _served_answers(graph, config, rebuilt, queries)
@@ -370,8 +368,8 @@ class TestV1Store:
 
         monkeypatch.setattr(store_module, "_VERSION", 3)
         ArtifactStore.create(tmp_path / "v3", dataset.graph, RADII,
-                             DataOwnerKey.generate(SEED), twiglet_h=None,
-                             bf_config=None).close()
+                             DataOwnerKey.generate(SEED),
+                             twiglet_h=None).close()
         with pytest.raises(StoreError, match="unsupported store version 3"):
             ArtifactStore.open(tmp_path / "v3")
         assert main(["store", "verify", str(tmp_path / "v3")]) == 3

@@ -285,7 +285,7 @@ class TestTouchedVerticesOnly:
         assert query.semantics is Semantics.HOM
         store = ArtifactStore.create(
             tmp_path / "pack", dataset.graph, self.RADII,
-            DataOwnerKey.generate(self.SEED), twiglet_h=None, bf_config=None)
+            DataOwnerKey.generate(self.SEED), twiglet_h=None)
         with store, Prilo.setup(dataset.graph, config,
                                 store=store) as engine:
             result = engine.run(query)

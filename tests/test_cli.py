@@ -194,7 +194,7 @@ class TestStoreCommands:
     def store_root(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("cli-store") / "artifacts"
         assert main([*self.BASE, "store", "build", "slashdot", str(root),
-                     "--radii", "1,2", "--no-bf"]) == 0
+                     "--radii", "1,2"]) == 0
         return root
 
     def test_build_then_inspect(self, store_root, capsys):

@@ -38,8 +38,7 @@ def key():
 
 
 def _build(root, graph, key):
-    return ArtifactStore.create(root, graph, RADII, key, twiglet_h=3,
-                                bf_config=BF)
+    return ArtifactStore.create(root, graph, RADII, key, twiglet_h=3)
 
 
 def _config(test_config, pruning=False):

@@ -543,8 +543,7 @@ class TestStoreFaults:
 
         return ArtifactStore.create(
             tmp_path / "store", dataset.graph, self.RADII,
-            DataOwnerKey.generate(self.SEED), twiglet_h=3,
-            bf_config=BFConfig(eta=16, expected_trees=200))
+            DataOwnerKey.generate(self.SEED), twiglet_h=3)
 
     def _config(self, config):
         return replace(config, radii=self.RADII, seed=self.SEED)
@@ -623,8 +622,7 @@ class TestStoreFaults:
         write_v1_stores(monkeypatch)
         store = ArtifactStore.create(
             tmp_path / "v1-store", dataset.graph, self.RADII,
-            DataOwnerKey.generate(self.SEED), twiglet_h=3,
-            bf_config=BFConfig(eta=16, expected_trees=200))
+            DataOwnerKey.generate(self.SEED), twiglet_h=3)
         marker = b'{\\"vertices\\":[[\\"'
 
         def damage(pack, sl):

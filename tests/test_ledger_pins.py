@@ -8,28 +8,50 @@ not run -- so tier-1 resolves every row the same way here first.
 A module-global row must also still be *used* by that module, or the
 span would resolve and silently record nothing.
 
-Two rows name the cache-fed evaluation path that was folded into the one
-evaluation path: their names survive as pin bindings (:data:`PINS`) so
-the table resolves, and nothing else may mention them -- their spans
-record nothing, and both span names keep being recorded through the
-table's ``evaluate_shares`` / ``verify_ball_streaming`` rows.
+Some names survive only as pins (:data:`PINS`), so that the frozen
+ledger keeps resolving and calling what it names, and nothing else may
+use them.  Two rows name the cache-fed evaluation path that was folded
+into the one evaluation path; both span names keep being recorded
+through the table's ``evaluate_shares`` / ``verify_ball_streaming``
+rows.  ``store.py`` keeps the tree enumeration's import, which the
+table's ``store.tree_artifact`` row resolves (that span now records
+nothing: the store builds no tree artifact), and a ``bf_config``
+keyword of ``ArtifactStore.create`` that the ledger passes and the
+store ignores.
 
 The table is read, never edited: re-pinning it is a ``benchmark`` change
 of its own.
 """
 
+import ast
+import hashlib
 import importlib
+import itertools
 import re
 import types
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from benchmarks.ledger.spans import WRAP_TABLE
 
-#: Rows kept alive by a one-line binding that nothing else references.
-PINS = {("repro.framework.executor", "verify_prepared_kernel"),
-        ("repro.framework.executor", "BallExecutor.verify_shares")}
+REPO = Path(__file__).resolve().parent.parent
+
+#: (module, binding) -> (where it is searched, occurrences expected there).
+#: The executor pins are referenced nowhere under ``src/`` or ``tests/``
+#: but by their binding (and this file); the store pins occur in
+#: ``store.py`` exactly once each, as the import and as the keyword.
+PINS = {
+    ("repro.framework.executor", "verify_prepared_kernel"):
+        (("src", "tests"), {"src/repro/framework/executor.py": 1}),
+    ("repro.framework.executor", "BallExecutor.verify_shares"):
+        (("src", "tests"), {"src/repro/framework/executor.py": 1}),
+    ("repro.storage.store", "enumerate_center_tree_encodings"):
+        (("src/repro/storage/store.py",), {"src/repro/storage/store.py": 1}),
+    ("repro.storage.store", "ArtifactStore.create.bf_config"):
+        (("src/repro/storage/store.py",), {"src/repro/storage/store.py": 1}),
+}
 
 
 @pytest.mark.parametrize(
@@ -53,18 +75,60 @@ def test_binding_resolves(module_name, path):
 
 
 def test_pin_bindings_are_referenced_nowhere_else():
-    """Each pin name occurs once under ``src/`` (its binding) and nowhere
-    under ``tests/`` but in this file."""
-    repo = Path(__file__).resolve().parent.parent
-    for _module, path in sorted(PINS):
+    """Each pin name occurs where :data:`PINS` says, and only there."""
+    for (_module, path), (roots, expected) in sorted(PINS.items()):
         word = re.compile(rf"\b{path.rsplit('.', 1)[-1]}\b")
         hits = {}
-        for root in ("src", "tests"):
-            for source in (repo / root).rglob("*.py"):
+        for root in roots:
+            root = REPO / root
+            for source in ([root] if root.is_file() else root.rglob("*.py")):
                 count = len(word.findall(source.read_text()))
                 if count and source != Path(__file__).resolve():
-                    hits[str(source.relative_to(repo))] = count
-        assert hits == {"src/repro/framework/executor.py": 1}, (path, hits)
+                    hits[str(source.relative_to(REPO))] = count
+        assert hits == expected, (path, hits)
+
+
+def test_create_bf_config_has_no_caller_but_the_ledger():
+    """No code outside ``benchmarks/ledger/`` (and this file) passes the
+    pinned keyword to ``create``."""
+    callers = []
+    for root in ("src", "tests", "examples", "benchmarks"):
+        for source in (REPO / root).rglob("*.py"):
+            if ("ledger" in source.relative_to(REPO).parts
+                    or source == Path(__file__).resolve()):
+                continue
+            for node in ast.walk(ast.parse(source.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "create"
+                        and any(k.arg == "bf_config" for k in node.keywords)):
+                    callers.append(f"{source.relative_to(REPO)}:{node.lineno}")
+    assert callers == []
+
+
+def test_create_bf_config_is_inert(tmp_path, monkeypatch):
+    """``create`` writes the same bytes whatever the ledger passes."""
+    from repro.core.bf_pruning import BFConfig
+    from repro.crypto import stream_cipher
+    from repro.crypto.keys import DataOwnerKey
+    from repro.storage import ArtifactStore
+    from repro.workloads.datasets import load_dataset
+
+    graph = load_dataset("dblp", scale=0.03).graph
+    written = []
+    for name, config in (("with", BFConfig()), ("without", None)):
+        counter = itertools.count()
+        monkeypatch.setattr(stream_cipher, "os", SimpleNamespace(
+            urandom=lambda n: hashlib.sha256(
+                b"pin-nonce:%d" % next(counter)).digest()[:n]))
+        ArtifactStore.create(tmp_path / name, graph, (1,),
+                             DataOwnerKey.generate(11), twiglet_h=3,
+                             bf_config=config).close()
+        written.append({path.name: path.read_bytes()
+                        for path in sorted((tmp_path / name).iterdir())})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["balls.pack", "encrypted.pack",
+                                  "manifest.json", "twiglets.json"]
 
 
 def _names_loaded_by(module) -> set[str]:
