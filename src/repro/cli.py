@@ -558,8 +558,12 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
         if pack.reason:
             line += f" ({pack.reason})"
         print(line)
-    print(f"store version {report.version}; ball records: "
-          f"{report.records.get(2, 0)} v2, {report.records.get(1, 0)} v1")
+    line = (f"store version {report.version}; ball records: "
+            f"{report.records.get(2, 0)} v2, {report.records.get(1, 0)} v1")
+    if key is not None:
+        line += (f"; blob ciphers: {report.ciphers.get(2, 0)} v2, "
+                 f"{report.ciphers.get(1, 0)} v1")
+    print(line)
     print(f"{report.balls} balls indexed, "
           f"{report.decrypted} blobs decrypt-authenticated")
     if report.tampered:

@@ -3,10 +3,11 @@
 * :class:`~repro.crypto.cgbe.CGBE` -- the cyclic-group based encryption of
   Fan et al. [17], the partially homomorphic scheme all of Prilo's
   ciphertext-domain computation runs on.
-* :class:`~repro.crypto.stream_cipher.StreamCipher` -- a SHA-256-CTR + HMAC
-  construction standing in for AES-256 (no third-party crypto libraries are
-  available offline); used for ball data encryption and the user -> enclave
-  channel.
+* :class:`~repro.crypto.stream_cipher.StreamCipher` -- a SHAKE-256
+  keystream + HMAC-SHA-256 construction standing in for AES-256 (no
+  third-party crypto libraries are available offline; blobs the earlier
+  SHA-256-CTR version wrote still decrypt); used for ball data encryption
+  and the user -> enclave channel.
 * :mod:`~repro.crypto.keys` -- key material containers for the three parties.
 """
 

@@ -3,11 +3,18 @@
 The paper uses AES-256 for (a) the data owner's ball encryption (secret key
 ``sk``) and (b) the user -> enclave transport of 2-label binary tree
 encodings (Sec. 4.1.2).  No third-party crypto package is available offline,
-so this module implements SHA-256-in-counter-mode with an encrypt-then-MAC
+so this module implements a SHAKE-256 keystream with an encrypt-then-MAC
 HMAC-SHA-256 tag.  Interface properties (symmetric key, random nonce,
 ciphertext indistinguishable from random to parties without the key,
 tampering detected) match what the reproduction needs; see DESIGN.md for the
 substitution rationale.
+
+Every blob is ``nonce(16) || body || tag(32)``.  Two keystreams have
+written that layout: v2 (what :meth:`StreamCipher.encrypt` writes) is
+``shake_256(enc2_key || nonce)``, one C call per blob; v1 (packs written
+before it) is SHA-256 in counter mode, one hash per 32-byte block.  Each
+version has its own MAC key, so the tag that verifies says which keystream
+to apply: a pack patched by a later release holds both, blob by blob.
 """
 
 from __future__ import annotations
@@ -18,15 +25,22 @@ import os
 
 _NONCE_BYTES = 16
 _TAG_BYTES = 32
-_BLOCK_BYTES = 32  # SHA-256 output
+_BLOCK_BYTES = 32  # SHA-256 output, the v1 keystream's block
 
 
 class AuthenticationError(ValueError):
     """Ciphertext failed MAC verification (tampered or wrong key)."""
 
 
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """Equal-length XOR on two big integers, not byte by byte."""
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
+
+
 class StreamCipher:
-    """SHA-256-CTR + HMAC-SHA-256, a stdlib-only AES-256-GCM stand-in."""
+    """SHAKE-256 keystream + HMAC-SHA-256, a stdlib-only AES-256-GCM
+    stand-in that still decrypts its SHA-256-CTR (v1) blobs."""
 
     KEY_BYTES = 32
 
@@ -34,8 +48,10 @@ class StreamCipher:
         if len(key) != self.KEY_BYTES:
             raise ValueError(f"key must be {self.KEY_BYTES} bytes, "
                              f"got {len(key)}")
-        self._enc_key = hashlib.sha256(b"enc" + key).digest()
-        self._mac_key = hashlib.sha256(b"mac" + key).digest()
+        self._enc_key = hashlib.sha256(b"enc2" + key).digest()
+        self._mac_key = hashlib.sha256(b"mac2" + key).digest()
+        self._v1_enc_key = hashlib.sha256(b"enc" + key).digest()
+        self._v1_mac_key = hashlib.sha256(b"mac" + key).digest()
 
     @classmethod
     def generate_key(cls, seed: int | None = None) -> bytes:
@@ -46,23 +62,22 @@ class StreamCipher:
                               .encode("utf-8")).digest()
 
     # ------------------------------------------------------------------
-    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
-        """``data`` XOR the keystream ``sha256(enc_key || nonce || ctr)``:
-        the shared prefix is hashed once and copied per block, and the XOR
-        runs on two big integers, not byte by byte."""
-        length = len(data)
-        prefix = hashlib.sha256(self._enc_key + nonce)
+    def _keystream(self, nonce: bytes, length: int) -> bytes:
+        return hashlib.shake_256(self._enc_key + nonce).digest(length)
+
+    def _v1_keystream(self, nonce: bytes, length: int) -> bytes:
+        """``sha256(v1_enc_key || nonce || ctr)`` per 32-byte block: the
+        shared prefix is hashed once and copied per block."""
+        prefix = hashlib.sha256(self._v1_enc_key + nonce)
         blocks = []
         for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
             block = prefix.copy()
             block.update(counter.to_bytes(8, "big"))
             blocks.append(block.digest())
-        keystream = b"".join(blocks)[:length]
-        return (int.from_bytes(data, "big")
-                ^ int.from_bytes(keystream, "big")).to_bytes(length, "big")
+        return b"".join(blocks)[:length]
 
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
-        """``nonce || ciphertext || tag``.
+        """``nonce || ciphertext || tag``, always cipher v2.
 
         A caller-supplied nonce makes ciphertexts reproducible in tests;
         production-style use leaves it None for a random nonce.
@@ -71,22 +86,30 @@ class StreamCipher:
             nonce = os.urandom(_NONCE_BYTES)
         if len(nonce) != _NONCE_BYTES:
             raise ValueError(f"nonce must be {_NONCE_BYTES} bytes")
-        body = self._xor_keystream(nonce, plaintext)
-        tag = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        return nonce + body + tag
+        head = nonce + _xor(plaintext, self._keystream(nonce, len(plaintext)))
+        return head + hmac.digest(self._mac_key, head, "sha256")
+
+    def decrypt_versioned(self, blob: bytes) -> tuple[int, bytes]:
+        """``(version, plaintext)``: the version is the one whose tag
+        verified (v2 is tried first, so a v2 blob costs one MAC); raises
+        :class:`AuthenticationError` when neither does."""
+        if len(blob) < _NONCE_BYTES + _TAG_BYTES:
+            raise AuthenticationError("ciphertext too short")
+        head = blob[:-_TAG_BYTES]
+        tag = blob[-_TAG_BYTES:]
+        nonce = head[:_NONCE_BYTES]
+        body = head[_NONCE_BYTES:]
+        if hmac.compare_digest(
+                tag, hmac.digest(self._mac_key, head, "sha256")):
+            return 2, _xor(body, self._keystream(nonce, len(body)))
+        if hmac.compare_digest(
+                tag, hmac.digest(self._v1_mac_key, head, "sha256")):
+            return 1, _xor(body, self._v1_keystream(nonce, len(body)))
+        raise AuthenticationError("MAC verification failed")
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify the tag, then decrypt; raises on tampering."""
-        if len(blob) < _NONCE_BYTES + _TAG_BYTES:
-            raise AuthenticationError("ciphertext too short")
-        nonce = blob[:_NONCE_BYTES]
-        body = blob[_NONCE_BYTES:-_TAG_BYTES]
-        tag = blob[-_TAG_BYTES:]
-        expected = hmac.new(self._mac_key, nonce + body,
-                            hashlib.sha256).digest()
-        if not hmac.compare_digest(tag, expected):
-            raise AuthenticationError("MAC verification failed")
-        return self._xor_keystream(nonce, body)
+        return self.decrypt_versioned(blob)[1]
 
     @staticmethod
     def overhead_bytes() -> int:

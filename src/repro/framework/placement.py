@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,50 @@ _PLACEMENT_KIND = "prilo-placement/1"
 
 class PlacementError(RuntimeError):
     """Invalid ring parameters or a malformed placement manifest."""
+
+
+#: Placement key -> JSON type; ``_OPTIONAL`` keys may be absent (the
+#: default stands in).  ``auth`` is checked on its own: null or absent
+#: (a cut without an auth block), else an object of ``_AUTH_SHAPE``.
+_SHAPE = {"members": list, "vnodes": int, "salt": str, "shards": dict}
+_OPTIONAL = {"graph_digest": "", "radii": [], "balls": 0}
+_AUTH_SHAPE = {"root": str, "catalog": dict, "catalog_digest": str}
+
+
+def _check_shape(payload) -> None:
+    """Raise :class:`PlacementError` unless the parsed ``payload`` has the
+    shape :meth:`PlacementManifest.from_jsonable` reads (CLI: ``FAILED:``
+    exit 3, not a traceback).  JSON decodes to exact types, and
+    ``type(x) is int`` also refuses ``true``.  A shard directory must be a
+    bare name: a placement never points outside its own directory."""
+    if type(payload) is not dict:
+        raise PlacementError("malformed placement manifest: not a JSON "
+                             "object")
+    if payload.get("kind") != _PLACEMENT_KIND:
+        raise PlacementError(
+            f"not a placement manifest (kind={payload.get('kind')!r})")
+    for name, kind in {**_SHAPE, **{k: type(v) for k, v in
+                                    _OPTIONAL.items()}}.items():
+        if type(payload.get(name, _OPTIONAL.get(name))) is not kind:
+            raise PlacementError(
+                f"malformed placement manifest: bad {name!r}")
+    members, shards = payload["members"], payload["shards"]
+    auth = payload.get("auth")
+    if not (members and all(type(m) is int for m in members)
+            and payload["vnodes"] > 0
+            and all(type(r) is int for r in payload.get("radii", ()))
+            and shards.keys() == {str(m) for m in members}
+            and all(type(info) is dict and info.keys() == {"dir", "balls"}
+                    and type(info["dir"]) is str
+                    and os.path.basename(info["dir"]) == info["dir"]
+                    and info["dir"] not in ("", ".", "..")
+                    and type(info["balls"]) is int
+                    for info in shards.values())
+            and (auth is None or (type(auth) is dict and all(
+                type(value) is _AUTH_SHAPE.get(key)
+                for key, value in auth.items())))):
+        raise PlacementError("malformed placement manifest: bad member, "
+                             "vnodes, radius, shard entry or auth block")
 
 
 def _hash64(payload: str) -> int:
@@ -173,21 +218,18 @@ class PlacementManifest:
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "PlacementManifest":
-        if payload.get("kind") != _PLACEMENT_KIND:
-            raise PlacementError(
-                f"not a placement manifest (kind={payload.get('kind')!r})")
-        shards = payload.get("shards", {})
-        members = tuple(int(m) for m in payload["members"])
+        _check_shape(payload)
+        shards = payload["shards"]
         auth = payload.get("auth") or {}
         return cls(
-            members=members,
-            vnodes=int(payload["vnodes"]),
+            members=tuple(payload["members"]),
+            vnodes=payload["vnodes"],
             salt=payload["salt"],
             graph_digest=payload.get("graph_digest", ""),
             radii=tuple(payload.get("radii", ())),
-            balls=int(payload.get("balls", 0)),
+            balls=payload.get("balls", 0),
             shard_dirs={int(m): info["dir"] for m, info in shards.items()},
-            shard_balls={int(m): int(info["balls"])
+            shard_balls={int(m): info["balls"]
                          for m, info in shards.items()},
             auth_root=auth.get("root", ""),
             catalog=auth.get("catalog", {}),
@@ -207,7 +249,7 @@ class PlacementManifest:
             raise PlacementError(f"no placement manifest at {path}")
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise PlacementError(f"malformed placement manifest: {exc}") \
                 from exc
         return cls.from_jsonable(payload)

@@ -12,7 +12,8 @@ Players re-enumerate per-ball pruning features on every query.
   ``mmap`` so a cold engine start touches only the balls a query
   actually visits;
 * **encrypted.pack** -- the Dealer's authenticated ciphertext blobs
-  (StreamCipher under the owner's ``sk``), same offset table;
+  (StreamCipher under the owner's ``sk``; cipher v2, with v1 blobs left
+  in a pack an earlier release wrote), same offset table;
 * **twiglets.json** -- per-ball *full-alphabet* twiglet feature sets
   (Alg. 5 line 3's ``R``).  Online, a query restricts them to
   ``Sigma_Q`` via :func:`repro.core.twiglets.filter_twiglets` -- provably
@@ -140,6 +141,9 @@ class VerifyReport:
     version: int = 0
     #: Ball record version -> how many ``balls.pack`` records carry it.
     records: dict[int, int] = field(default_factory=dict)
+    #: Cipher version -> how many blobs of the keyed sweep it
+    #: authenticated (empty when no key was supplied).
+    ciphers: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -161,6 +165,8 @@ class VerifyReport:
                 "version": self.version,
                 "records": {f"v{version}": count for version, count
                             in sorted(self.records.items())},
+                "ciphers": {f"v{version}": count for version, count
+                            in sorted(self.ciphers.items())},
                 "packs": [p.as_dict() for p in self.packs]}
 
 
@@ -894,7 +900,7 @@ class ArtifactStore:
                                           f"Merkle leaf")
                         continue
                 try:
-                    payload = cipher.decrypt(blob)
+                    version, payload = cipher.decrypt_versioned(blob)
                 except AuthenticationError as exc:
                     # The only failure decrypt raises: a truncated or
                     # MAC-failing blob.  Anything else (an injected
@@ -910,6 +916,7 @@ class ArtifactStore:
                                       f"plaintext packs disagree")
                     continue
                 report.decrypted += 1
+                report.ciphers[version] = report.ciphers.get(version, 0) + 1
             if bad:
                 entry = by_name[_ENCRYPTED_PACK]
                 reason = f"{bad} blob(s) failed the keyed sweep; {first}"

@@ -34,6 +34,7 @@ from repro.storage import (
     shard_split,
 )
 from repro.workloads.datasets import load_dataset
+from tests.cipher_v1 import write_v1_ciphers
 from tests.legacy_store import TREES, make_legacy
 
 RADII = (2,)
@@ -313,6 +314,101 @@ class TestLegacyTreeArtifact:
                 assert piece.verify(key).ok
 
 
+def _cipher_versions(store, key) -> dict[int, int]:
+    """Ball id -> the cipher version whose tag authenticates its blob."""
+    cipher = key.cipher()
+    return {ball_id: cipher.decrypt_versioned(
+        store.load_encrypted(ball_id))[0] for ball_id in store.ball_ids()}
+
+
+class TestCipherV1Pack:
+    """A pack whose blobs cipher v1 wrote (``tests/cipher_v1.py`` writes
+    them) keeps verifying and serving; ``apply_delta`` copies its clean
+    blobs verbatim, still v1, and writes the dirty and added ones as v2;
+    ``shard_split`` copies both kinds."""
+
+    @pytest.fixture(scope="class")
+    def v1_pack(self, graph, key, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cipher-v1") / "store"
+        with pytest.MonkeyPatch.context() as patch:
+            write_v1_ciphers(patch)
+            ArtifactStore.create(root, graph, RADII, key,
+                                 twiglet_h=3).close()
+        return root
+
+    @pytest.fixture()
+    def mixed(self, v1_pack, graph, key, tmp_path):
+        """A copy of the v1 pack after one delta that dirties balls and
+        adds one: ``(root, report, blobs before, live graph)``."""
+        root = tmp_path / "mixed"
+        shutil.copytree(v1_pack, root)
+        live = graph.copy()
+        anchor = sorted(live.vertices(), key=repr)[3]
+        with ArtifactStore.open(root) as store:
+            before = {i: store.load_encrypted(i) for i in store.ball_ids()}
+            report = store.apply_delta(GraphDelta(
+                added_vertices=(("cipher-v2-vertex", live.label(anchor)),),
+                added_edges=(("cipher-v2-vertex", anchor),)), live, key)
+        return root, report, before, live
+
+    def test_verify_counts_every_blob_v1(self, v1_pack, key, capsys):
+        with ArtifactStore.open(v1_pack) as store:
+            balls = len(store)
+            report = store.verify(key)
+            assert _cipher_versions(store, key) == dict.fromkeys(
+                store.ball_ids(), 1)
+        assert report.ok and report.decrypted == balls
+        assert report.ciphers == {1: balls}
+        assert report.as_dict()["ciphers"] == {"v1": balls}
+        capsys.readouterr()
+        assert main(["--seed", str(SEED), "store", "verify", str(v1_pack),
+                     "--with-key"]) == 0
+        assert f"blob ciphers: 0 v2, {balls} v1" in capsys.readouterr().out
+
+    def test_serves_the_same_answers(self, v1_pack, store, dataset,
+                                     test_config):
+        config = replace(test_config, radii=RADII, seed=SEED)
+        query = dataset.random_queries(1, size=4, diameter=2, seed=21)[0]
+        with ArtifactStore.open(v1_pack) as old:
+            assert (_run(dataset.graph, config, old, query)
+                    == _run(dataset.graph, config, store, query))
+            assert not old.quarantined
+
+    def test_delta_keeps_clean_blobs_v1_and_writes_v2(self, mixed, key):
+        root, report, before, live = mixed
+        fresh = set(report.dirty_ball_ids) | set(report.added_ball_ids)
+        assert report.dirty and report.added
+        with ArtifactStore.open(root) as store:
+            clean = set(store.ball_ids()) - fresh
+            assert report.reused == len(clean) > 0
+            assert {i: store.load_encrypted(i) for i in clean} == {
+                i: before[i] for i in clean}
+            assert _cipher_versions(store, key) == {
+                i: 2 if i in fresh else 1 for i in store.ball_ids()}
+            verified = store.verify(key, graph=live, radii=RADII)
+        assert verified.ok
+        assert verified.ciphers == {1: len(clean), 2: len(fresh)}
+
+    def test_shard_split_copies_both_kinds(self, mixed, key, tmp_path):
+        root, report, _, _ = mixed
+        with ArtifactStore.open(root) as store:
+            blobs = {i: store.load_encrypted(i) for i in store.ball_ids()}
+            versions = _cipher_versions(store, key)
+        shard_split(root, tmp_path / "split", 2)
+        copied, counts = {}, {}
+        for shard in sorted((tmp_path / "split").glob("shard-*")):
+            with ArtifactStore.open(shard) as piece:
+                verified = piece.verify(key)
+                assert verified.ok and verified.decrypted == len(piece)
+                copied.update((i, piece.load_encrypted(i))
+                              for i in piece.ball_ids())
+            for version, count in verified.ciphers.items():
+                counts[version] = counts.get(version, 0) + count
+        assert copied == blobs
+        assert counts == {version: list(versions.values()).count(version)
+                          for version in (1, 2)}
+
+
 class TestMalformedManifest:
     """A manifest of the wrong shape is a ``StoreError`` from ``open``
     (CLI: ``FAILED:`` exit 3), never a raw exception from whichever
@@ -408,14 +504,28 @@ class TestMalformedManifest:
 # steps, when the tree artifact (trees.json) went: they no longer list
 # its checksum nor carry a "bf" key, and every other digest here is
 # unedited.  encrypted.pack and manifest.json carry the cipher's nonces,
-# so the tests pin those.
-GOLDEN_R1 = {
+# so the tests pin those.  The ciphertext digests (encrypted.pack,
+# manifest.json / shard-N/manifest.json and placement.json, which carry
+# the Merkle leaves, root and catalog over the ciphertexts) were
+# re-recorded once more, by running the same steps, when cipher v2 (the
+# SHAKE-256 keystream) replaced SHA-256-CTR: every blob keeps its nonce and
+# length, and balls.pack / twiglets.json are unedited.  GOLDEN_R1_CIPHER_V1
+# keeps the v1 digests, which tests/cipher_v1.py's writer must reproduce.
+GOLDEN_R1_CIPHER_V1 = {
     "balls.pack":
         "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
     "encrypted.pack":
         "bf06e7e447c7626444b4a08f9857885c8e657db2312a1dbbd9a2345d6bbb4cab",
     "manifest.json":
         "cb62e9c6c52e26e53de9f03a91ec2a37dc0d8de2d503aa48476aa00149e8447f",
+}
+GOLDEN_R1 = {
+    "balls.pack":
+        "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
+    "encrypted.pack":
+        "cc748367c78751d9956ee06b75c0da18de8a0cf61d7b9416071d17f7e6e9a7a0",
+    "manifest.json":
+        "7197dd754feb7715656e2ae6b40dcb282c8e3abd540b1c1a8d1fb72c90baaec5",
 }
 GOLDEN_R1_ARTIFACTS = {
     "twiglets.json":
@@ -425,9 +535,9 @@ GOLDEN_R1_AFTER_TWO_DELTAS = {
     "balls.pack":
         "e2bf07014c75cb2520362c2c37d67c8e9e62c7804dc46d3e4888a42132dc47c1",
     "encrypted.pack":
-        "8354406ca94743807cf0e50bd708b48021e8d4d9ef4775f4a020a1cdd36b35f4",
+        "32387c576ac3c5c1e5f8497f86757f4ebc3bf89919afe2621dce630de2e27992",
     "manifest.json":
-        "59f82a2f3b1430acde6ac1509fed2c63a5bc6249b5a9f3c68e5d803e408c133a",
+        "58c916426d109db2d8b678297dac2d8cfd0bd4c143df934330fe87fe5d8a4869",
 }
 GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS = {
     "twiglets.json":
@@ -437,9 +547,9 @@ GOLDEN_R1_AFTER_VERTEX_CHURN = {
     "balls.pack":
         "b9f49bd5b5b57c23a36456703e6229deccc3d304d424975993a6ed434b6432f1",
     "encrypted.pack":
-        "e0570be5bdab141c8c21bed087c2a4f72faa41abf93ce3280acf8e346856f589",
+        "610fdd8e45265647e3d41ad5fb80de65efa3235f339587dc39ab3801f56eaf67",
     "manifest.json":
-        "817cfddca6726a768ecfc8bd258bf78cfee9eb717c1928138f61a80298dfd476",
+        "f5459abdeeff4c64e6171395163f6b5beb7cd0deadcede89e3d10273e2850649",
 }
 GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
     "twiglets.json":
@@ -447,19 +557,19 @@ GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
 }
 GOLDEN_R1_SHARD_SPLIT = {
     "placement.json":
-        "2091fd1952904a11b5db1eef36f8749068be578f603d642d10b78a54c01b8b0e",
+        "fef0aa59ee659a5fb965af5eb960b98a5d02aec37aa79ffaf34a3129d3c8f517",
     "shard-0/balls.pack":
         "cfa1bee20e6aad5c8a6e71a27d69b2000f62ea01b318095fd0706794a29505b3",
     "shard-0/encrypted.pack":
-        "a65b5856e83eac07e9b7ece22e12b6c55e44b6fa180dbeb300e5c03b2f7754a5",
+        "f2362e37aa484ace4edffe9fa7f8733b4b59caca118e212c48efba7a861b9e1d",
     "shard-0/manifest.json":
-        "ebfb8bbed135e19633746f9827d8ca10e6c026c5023518333a9faa834a94acf9",
+        "729cf312f76cf53405eb39628303a8933d0f27d7f35a1ce95fa32be3fe4830d8",
     "shard-1/balls.pack":
         "33b58c2a8f739c18e8fb1729b022569967cbb74021a12fed049e46277dad058e",
     "shard-1/encrypted.pack":
-        "d46aec7e4920737a78ac78af58a60d4bbcd0717e01b5e887fab4ba2f36b11ed0",
+        "05f4a5f10d52318677b62ad92584adb059469c230471aac5d3cecd898692b0f1",
     "shard-1/manifest.json":
-        "d1e98b062c82ab0e71a393a0ee02429dddfe1aff441a143735655687057adaa4",
+        "1d26158cc7cd10578a17997267b35a083ba9d975d64072715f4b8eefc34ed7b5",
 }
 GOLDEN_R1_SHARD_SPLIT_ARTIFACTS = {
     "shard-0/twiglets.json":
@@ -471,9 +581,9 @@ GOLDEN_R2 = {
     "balls.pack":
         "827040f5cfd799f71bf55cfdbb222e3e62a99c3d6d4a7a69b3fe59cd2e15dd66",
     "encrypted.pack":
-        "e7920f939d7cc41ed80ebe8795cf2074d21aee9b065a8692e8d159cfca762a15",
+        "f21cce0270553fd4f83063f925be3ad4fbb0961e379ba5fcb8a70d53eeaaf7b2",
     "manifest.json":
-        "963828188de4087255fbcab869ac402e50d7ac801721ea7be7fd3f61a1cfe29a",
+        "f06c0926cb7132c1b5e5f314bfa72cb8f51e72bf8082504c3aa10fe991965124",
 }
 GOLDEN_R2_ARTIFACTS = {
     "twiglets.json":
@@ -502,10 +612,10 @@ class TestGoldenPackBytes:
 
     Re-recorded once for ball record v2 (``balls.pack``,
     ``encrypted.pack``, ``manifest.json`` and the split's
-    ``placement.json`` changed because every record did) and the
-    manifests once more when the tree artifact went; the
-    ``twiglets.json`` digests are the ones recorded under the v1 payload
-    and must stay so."""
+    ``placement.json`` changed because every record did), the
+    manifests once more when the tree artifact went, and the ciphertext
+    digests once more for cipher v2; the ``twiglets.json`` digests are the
+    ones recorded under the v1 payload and must stay so."""
 
     @pytest.fixture(scope="class")
     def dblp(self):
@@ -560,16 +670,21 @@ class TestGoldenPackBytes:
         _assert_golden(tmp_path / "split", GOLDEN_R1_SHARD_SPLIT,
                        GOLDEN_R1_SHARD_SPLIT_ARTIFACTS)
 
-    def test_legacy_helper_writes_the_earlier_layout(self, tmp_path, dblp):
-        """``make_legacy`` turns a fresh pack into the earlier release's
-        byte for byte: its manifest and tree artifact hash to the digests
-        that release's goldens pinned for this pack."""
+    def test_legacy_helper_writes_the_earlier_layout(self, tmp_path, dblp,
+                                                     monkeypatch):
+        """The v1 cipher writer and ``make_legacy`` turn a fresh pack into
+        the earlier releases' byte for byte: its ciphertexts, manifest and
+        tree artifact hash to the digests those releases' goldens pinned
+        for this pack."""
         root = tmp_path / "r1"
+        write_v1_ciphers(monkeypatch)
         ArtifactStore.create(root, dblp, (1,), DataOwnerKey.generate(11),
                              twiglet_h=3).close()
+        assert _digests(root) == {**GOLDEN_R1_CIPHER_V1,
+                                  **GOLDEN_R1_ARTIFACTS}
         make_legacy(root, dblp)
         assert _digests(root) == {
-            **GOLDEN_R1, **GOLDEN_R1_ARTIFACTS,
+            **GOLDEN_R1_CIPHER_V1, **GOLDEN_R1_ARTIFACTS,
             "manifest.json":
                 "af4e266c518bf7d53c149eeb85ed88521f6ae64213d2752999f82fcf3142045a",
             TREES:

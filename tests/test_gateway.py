@@ -204,6 +204,97 @@ class TestPlacementManifest:
             PlacementManifest.read(tmp_path)
 
 
+#: A placement with every field set, auth block included.
+_PLACEMENT = PlacementManifest(
+    members=(0, 1), vnodes=64, salt="prilo-ring", graph_digest="d",
+    radii=(2,), balls=9, shard_dirs={0: "shard-0", 1: "shard-1"},
+    shard_balls={0: 4, 1: 5}, auth_root="ab",
+    catalog={"2": {"A": [1, 2]}}, catalog_digest="cd").to_jsonable()
+
+
+class TestMalformedPlacement:
+    """A ``placement.json`` of the wrong shape, or one naming a shard
+    directory outside its own, is a ``PlacementError`` from ``read`` (CLI
+    ``gateway --store``: ``FAILED:`` exit 3), never a raw exception or a
+    silent start."""
+
+    @staticmethod
+    def _write(root, payload) -> None:
+        data = payload if isinstance(payload, bytes) else \
+            json.dumps(payload).encode()
+        (root / "placement.json").write_bytes(data)
+
+    def _refused(self, root, capsys):
+        with pytest.raises(PlacementError, match="malformed placement"):
+            PlacementManifest.read(root)
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(["--scale", "0.02", "gateway", "slashdot", "--store",
+                     str(root), "--shards", "2", "--count", "2",
+                     "--tenants", "1", "--size", "4",
+                     "--diameter", "2"]) == 3
+        assert "FAILED: malformed placement manifest" in \
+            capsys.readouterr().out
+
+    def test_well_formed_reads(self, tmp_path):
+        self._write(tmp_path, _PLACEMENT)
+        assert PlacementManifest.read(tmp_path).to_jsonable() == _PLACEMENT
+
+    def test_not_an_object(self, tmp_path, capsys):
+        self._write(tmp_path, [])
+        self._refused(tmp_path, capsys)
+
+    def test_members_missing(self, tmp_path, capsys):
+        self._write(tmp_path, {k: v for k, v in _PLACEMENT.items()
+                               if k != "members"})
+        self._refused(tmp_path, capsys)
+
+    def test_members_not_ints(self, tmp_path, capsys):
+        self._write(tmp_path, {**_PLACEMENT, "members": ["x"]})
+        self._refused(tmp_path, capsys)
+
+    def test_not_utf8(self, tmp_path, capsys):
+        self._write(tmp_path, b"\xff\xfe" + json.dumps(_PLACEMENT).encode())
+        self._refused(tmp_path, capsys)
+
+    def test_shard_dir_outside_the_fleet_root(self, tmp_path, capsys):
+        shards = {**_PLACEMENT["shards"],
+                  "0": {"dir": "../../pl/pack", "balls": 4}}
+        self._write(tmp_path, {**_PLACEMENT, "shards": shards})
+        self._refused(tmp_path, capsys)
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("placement-fuzz")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_reads_or_raises_placement_error(self, fuzz_dir, data):
+        text = json.dumps(_PLACEMENT).encode()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "retype"]))
+        if kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        elif kind == "flip":
+            flipped = bytearray(text)
+            flipped[data.draw(st.integers(0, len(text) - 1))] ^= 1 << \
+                data.draw(st.integers(0, 7))
+            text = bytes(flipped)
+        else:
+            doc = json.loads(text)
+            target = data.draw(st.sampled_from(
+                [doc, doc["shards"], doc["shards"]["1"], doc["auth"]]))
+            value = data.draw(st.sampled_from(
+                [None, True, -1, 1.5, "x", "..", [], {}, [1], {"1": "x"}]))
+            target[data.draw(st.sampled_from(sorted(target)))] = value
+            text = json.dumps(doc).encode()
+        self._write(fuzz_dir, text)
+        try:
+            PlacementManifest.read(fuzz_dir)
+        except PlacementError:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for the stdlib authenticated stream cipher (AES-256 stand-in)."""
+"""Tests for the stdlib authenticated stream cipher (AES-256 stand-in):
+cipher v2 written, v1 and v2 read."""
 
 import hashlib
 import hmac
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.stream_cipher import AuthenticationError, StreamCipher
+from tests.cipher_v1 import reference_encrypt_v1
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +77,12 @@ class TestAuthentication:
             cipher.decrypt(bytes(blob))
 
 
-def reference_encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """The byte-at-a-time SHA-256-CTR + HMAC the cipher was first written
-    as; every pack, journal and fixture on disk was produced by it."""
-    enc_key = hashlib.sha256(b"enc" + key).digest()
-    mac_key = hashlib.sha256(b"mac" + key).digest()
-    stream = b"".join(
-        hashlib.sha256(enc_key + nonce + counter.to_bytes(8, "big")).digest()
-        for counter in range((len(plaintext) + 31) // 32))
+def reference_encrypt_v2(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """Cipher v2 written directly from ``hashlib``: a SHAKE-256 keystream
+    and an HMAC-SHA-256 tag, each under its own ``*2``-labelled key."""
+    enc_key = hashlib.sha256(b"enc2" + key).digest()
+    mac_key = hashlib.sha256(b"mac2" + key).digest()
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
     body = bytes(p ^ k for p, k in zip(plaintext, stream))
     return nonce + body + hmac.new(mac_key, nonce + body,
                                    hashlib.sha256).digest()
@@ -90,12 +90,27 @@ def reference_encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
 
 class TestByteStability:
     """The wire/pack format is frozen: same key, nonce and plaintext give
-    the same ``nonce || body || tag`` bytes as on every earlier commit."""
+    the same ``nonce || body || tag`` bytes as on every earlier commit of
+    the same cipher version, and every v1 blob ever written decrypts."""
 
     NONCE = bytes(range(16))
-    #: sha256(encrypt(pattern(n), NONCE)) under key seed 1, recorded on the
-    #: commit before the wide-word XOR landed.
+    #: sha256(encrypt(pattern(n), NONCE)) under key seed 1.  Re-recorded
+    #: once, when the SHAKE-256 keystream (cipher v2) replaced SHA-256-CTR
+    #: as what ``encrypt`` writes; the blob layout and length did not move.
     VECTORS = {
+        0: "b767fbd2f5b0878cb13aca6144479fca26b1ff186c4f12c81eafee668511926e",
+        1: "0f444089dad112d2fec2b2f4eab27f5aff4419542ec249e3665a7415c09bc850",
+        31: "a205ab407ea8ce7ce16b90e303aa0abd5a21f0760a204e4cffb854f60436cbcc",
+        32: "fa41228f4d4324a81e69adf299edb826d9f04b475913cd79206d64bf03c2f40a",
+        33: "614badd80072592062674e0dd110f212217e4dded5f08c15079dd8a8ec856d94",
+        64: "de89f2f16e5d97aa4af26b4119f4725c8d0984dd263bb55157080e107eaf21b8",
+        50_000:
+            "f3af6eaed042aa6290ebcd082c875907fe1b1aee477bbd0dcf2744be4cbb0671",
+    }
+    #: The same digests for cipher v1, recorded on the commit before the
+    #: wide-word XOR landed: what the v1 oracle writes, and what the
+    #: cipher must still decrypt.
+    V1_VECTORS = {
         0: "0caf3dd7227022d98bea7bf7a8c53be525d35224875ab83b6403ef6a641b659b",
         1: "4669c71c588cdc56b44ac4910f0d4db382888614f7ffd1857379870d3bc2331d",
         31: "79e45c7652553056c456da11dac611fcd0625161e6d22e3e7f373132cd2b8092",
@@ -114,7 +129,14 @@ class TestByteStability:
     def test_known_answer(self, cipher, length):
         blob = cipher.encrypt(self.pattern(length), self.NONCE)
         assert hashlib.sha256(blob).hexdigest() == self.VECTORS[length]
-        assert cipher.decrypt(blob) == self.pattern(length)
+        assert cipher.decrypt_versioned(blob) == (2, self.pattern(length))
+
+    @pytest.mark.parametrize("length", sorted(V1_VECTORS))
+    def test_v1_known_answer_still_decrypts(self, cipher, length):
+        blob = reference_encrypt_v1(StreamCipher.generate_key(seed=1),
+                                    self.pattern(length), self.NONCE)
+        assert hashlib.sha256(blob).hexdigest() == self.V1_VECTORS[length]
+        assert cipher.decrypt_versioned(blob) == (1, self.pattern(length))
 
     @given(st.binary(max_size=4096), st.binary(min_size=16, max_size=16),
            st.integers(0, 3))
@@ -122,8 +144,17 @@ class TestByteStability:
     def test_matches_reference(self, data, nonce, seed):
         key = StreamCipher.generate_key(seed)
         blob = StreamCipher(key).encrypt(data, nonce)
-        assert blob == reference_encrypt(key, data, nonce)
+        assert blob == reference_encrypt_v2(key, data, nonce)
         assert StreamCipher(key).decrypt(blob) == data
+
+    @given(st.binary(max_size=4096), st.binary(min_size=16, max_size=16),
+           st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_decrypts_the_v1_reference(self, data, nonce, seed):
+        key = StreamCipher.generate_key(seed)
+        blob = reference_encrypt_v1(key, data, nonce)
+        assert len(blob) == len(StreamCipher(key).encrypt(data, nonce))
+        assert StreamCipher(key).decrypt_versioned(blob) == (1, data)
 
     def test_leading_zero_bytes_survive(self, cipher):
         """The XOR runs on big integers; a body whose leading bytes XOR to
@@ -132,6 +163,66 @@ class TestByteStability:
         blob = cipher.encrypt(keystream, self.NONCE)
         assert blob[16:-32] == bytes(64)
         assert cipher.decrypt(blob) == keystream
+
+
+def _flip(blob: bytes, index: int) -> bytes:
+    damaged = bytearray(blob)
+    damaged[index] ^= 0x01
+    return bytes(damaged)
+
+
+class TestCrossVersion:
+    """Each version's blobs are authenticated by their own tag only: no
+    mutation of a v1 or a v2 blob, and no splice of one version's body
+    with the other's tag, decrypts."""
+
+    KEY = StreamCipher.generate_key(seed=1)
+    NONCE = bytes(range(16))
+    PLAIN = bytes(range(256)) * 4
+
+    @pytest.fixture(params=[1, 2])
+    def blob(self, request, cipher):
+        if request.param == 1:
+            return reference_encrypt_v1(self.KEY, self.PLAIN, self.NONCE)
+        return cipher.encrypt(self.PLAIN, self.NONCE)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda b: _flip(b, 0),             # nonce
+        lambda b: _flip(b, 15),            # nonce, last byte
+        lambda b: _flip(b, 16),            # body, first byte
+        lambda b: _flip(b, len(b) // 2),   # body
+        lambda b: _flip(b, len(b) - 33),   # body, last byte
+        lambda b: _flip(b, len(b) - 32),   # tag, first byte
+        lambda b: _flip(b, len(b) - 1),    # tag
+        lambda b: b[:-1],                  # truncated tag
+        lambda b: b[1:],                   # truncated nonce
+        lambda b: b[:16] + b[17:],         # truncated body
+        lambda b: b[:47],                  # too short for nonce + tag
+    ], ids=["nonce0", "nonce15", "body0", "body-mid", "body-last", "tag0",
+            "tag-last", "cut-tag", "cut-nonce", "cut-body", "short"])
+    def test_mutation_rejected(self, cipher, blob, mutate):
+        assert cipher.decrypt(blob) == self.PLAIN
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(mutate(blob))
+
+    def test_wrong_key_rejected(self, blob):
+        other = StreamCipher(StreamCipher.generate_key(seed=2))
+        with pytest.raises(AuthenticationError):
+            other.decrypt(blob)
+
+    def test_body_under_the_other_versions_tag_rejected(self, cipher):
+        v1 = reference_encrypt_v1(self.KEY, self.PLAIN, self.NONCE)
+        v2 = cipher.encrypt(self.PLAIN, self.NONCE)
+        assert v1[:16] == v2[:16] and v1[16:-32] != v2[16:-32]
+        for body_of, tag_of in ((v1, v2), (v2, v1)):
+            with pytest.raises(AuthenticationError):
+                cipher.decrypt(body_of[:-32] + tag_of[-32:])
+
+    def test_v2_keys_are_not_the_v1_keys(self, cipher):
+        """The same key and nonce give unrelated keystreams and tags."""
+        v1 = reference_encrypt_v1(self.KEY, bytes(64), self.NONCE)
+        v2 = cipher.encrypt(bytes(64), self.NONCE)
+        assert v1[16:-32] != v2[16:-32] and v1[-32:] != v2[-32:]
 
 
 class TestKeyHandling:
