@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cgbe import CGBE, CGBECiphertext, CGBEPublicParams
+from repro.crypto.cgbe import (
+    CGBE,
+    CGBECiphertext,
+    CGBEPublicParams,
+    OverflowError_,
+)
 
 
 @dataclass(frozen=True)
@@ -116,22 +121,54 @@ class BallCiphertextResult:
         return 0
 
 
+def weighted_sum(params: CGBEPublicParams, terms: list[CGBECiphertext],
+                 counts: list[int]) -> CGBECiphertext:
+    """``CGBE.sum_`` over ``terms[i]`` repeated ``counts[i]`` times, in one
+    pass: the same value (``sum(count * value) mod P``), ``power``,
+    ``value_bits`` (one term's bits + ``ceil(log2 n)`` for ``n`` repeated
+    terms) and :class:`OverflowError_` condition.  Terms must share one
+    ``power`` and ``value_bits`` -- every item of one :class:`ChunkPlan`
+    does.
+    """
+    if not terms:
+        raise ValueError("empty sum")
+    first = terms[0]
+    if any(t.power != first.power or t.value_bits != first.value_bits
+           for t in terms):
+        raise ValueError("weighted sums need equal-size terms")
+    bits = first.value_bits + (sum(counts) - 1).bit_length()
+    if bits >= params.modulus_bits:
+        raise OverflowError_(
+            f"sum would need {bits} bits but the modulus has "
+            f"{params.modulus_bits}; emit partial sums "
+            f"(AggregationBudget.max_terms)")
+    value = sum(count * t.value for t, count in zip(terms, counts))
+    return CGBECiphertext(value=value % params.modulus, power=first.power,
+                          value_bits=bits)
+
+
 def aggregate_items(params: CGBEPublicParams, ball_id: int,
                     item_chunk_lists: list[list[CGBECiphertext]],
-                    plan: ChunkPlan) -> BallCiphertextResult:
+                    plan: ChunkPlan,
+                    counts: list[int] | None = None) -> BallCiphertextResult:
     """Combine per-item chunk lists into the ball's result.
 
-    The summable layout is the paper-literal sum over every item.  The
-    per-item layout keeps each distinct chunk list once: the only place
-    that shape is decided, so every caller that feeds it (the kernels,
-    the paper-literal oracle) ships the same result.
+    ``counts[i]`` is how many items ``item_chunk_lists[i]`` stands for (1
+    each by default), so a caller that groups equal items computes each
+    once.  The summable layout is the paper-literal sum over every item,
+    repeats included (:func:`weighted_sum`).  The per-item layout keeps
+    each distinct chunk list once, in first-appearance order: the only
+    place either shape is decided, so every caller that feeds it (the
+    kernels, the paper-literal oracle) ships the same result.
     """
     if not item_chunk_lists:
         return BallCiphertextResult(ball_id=ball_id, empty=True)
     if plan.summable:
+        if counts is None:
+            counts = [1] * len(item_chunk_lists)
         terms = [chunks[0] for chunks in item_chunk_lists]
-        return BallCiphertextResult(ball_id=ball_id,
-                                    summed=CGBE.sum_(params, terms))
+        return BallCiphertextResult(
+            ball_id=ball_id, summed=weighted_sum(params, terms, counts))
     distinct: dict[tuple, list[CGBECiphertext]] = {}
     for chunks in item_chunk_lists:
         distinct.setdefault(tuple(chunks), chunks)

@@ -28,6 +28,8 @@ the ball's labels; every encrypted position is touched in a fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from repro.core.aggregation import (
     BallCiphertextResult,
@@ -58,31 +60,6 @@ class SsimBallVerdict:
     ball_id: int
     per_vertex: list[BallCiphertextResult]
     center: BallCiphertextResult
-
-
-class _NeighborLabelCache:
-    """Per-ball memo of the selection mask a vertex's successor /
-    predecessor label sets induce on ``query``.
-
-    A ball vertex is a candidate of every query row sharing its label, and
-    :func:`_pair_mask` depends on ``v`` only, so a per-(row, v)
-    recomputation would rebuild it ``|rows with that label|`` times.
-    """
-
-    def __init__(self, ball: Ball, query: Query) -> None:
-        self._graph = ball.graph
-        self._query = query
-        self._masks: dict[Vertex, int] = {}
-
-    def mask(self, v: Vertex) -> int:
-        cached = self._masks.get(v)
-        if cached is None:
-            graph = self._graph
-            cached = self._masks[v] = _pair_mask(
-                self._query,
-                frozenset(graph.label(w) for w in graph.successors(v)),
-                frozenset(graph.label(w) for w in graph.predecessors(v)))
-        return cached
 
 
 def _pair_product(
@@ -121,8 +98,9 @@ def ssim_multiexp(
     """The shared Straus table for one query row's pair products.
 
     The base vector interleaves ``M[row][j], M[j][row]`` over the vertex
-    order -- position-aligned with :func:`_pair_mask` -- and is identical
-    for every candidate pair of the row, across every ball of a share.
+    order -- position-aligned with the masks of :func:`ssim_verify_ball`
+    -- and is identical for every candidate pair of the row, across every
+    ball of a share.
     """
     bases: list[CGBECiphertext] = []
     for j in range(query.size):
@@ -131,19 +109,16 @@ def ssim_multiexp(
     return MaskedProductTable(params, bases, c_one, plan)
 
 
-def _pair_mask(query: Query, succ_labels: frozenset,
-               pred_labels: frozenset) -> int:
-    """The selection mask of one candidate pair: bit ``2j`` selects the
-    pad where ``v`` has a successor labeled ``L(u_j)`` (no 3b violation
-    possible), bit ``2j + 1`` likewise for predecessors (3c)."""
-    mask = 0
-    for j, u_other in enumerate(query.vertex_order):
-        label = query.label(u_other)
-        if label in succ_labels:
-            mask |= 1 << (2 * j)
-        if label in pred_labels:
-            mask |= 1 << (2 * j + 1)
-    return mask
+def _successor_bits(query: Query) -> dict:
+    """``label -> bits``: bit ``2j`` for every query vertex ``u_j`` labeled
+    so.  A candidate's selection mask is the OR of its successors' bits
+    (bit ``2j`` selects the pad: no 3b violation possible) and its
+    predecessors' bits shifted by one (bit ``2j + 1``, 3c)."""
+    bits: dict = {}
+    for j, u in enumerate(query.vertex_order):
+        label = query.label(u)
+        bits[label] = bits.get(label, 0) | 1 << (2 * j)
+    return bits
 
 
 def ssim_verify_ball(
@@ -159,30 +134,51 @@ def ssim_verify_ball(
 
     Each query row's pair products come from a shared
     :class:`MaskedProductTable` (registry key ``("ssim", row)``; a call
-    without a registry builds its own); candidates with equal
-    neighbor-label sets -- the common case on low-diversity balls --
-    collapse into memo hits.  Value-identical to the :func:`_pair_product`
-    fold.
+    without a registry builds its own).  One pass over the ball computes
+    every candidate's mask, and the candidates of each query label are
+    grouped by mask: per row, one table call per distinct mask, weighted
+    by its candidate count in the summable layout
+    (:func:`aggregate_items`).  Candidates with equal neighbor-label sets
+    are the common case on low-diversity balls.  Value-identical to the
+    :func:`_pair_product` fold.
     """
     if multiexp is None:
         multiexp = MultiExpRegistry()
-    neighbor_cache = _NeighborLabelCache(ball, query)
+    graph = ball.graph
+    label_bits = _successor_bits(query)
+    # Sorted candidates per query label; their first-appearance order is
+    # the order the chunked layout ships distinct products in.
+    members = {label: sorted(graph.vertices_with_label(label), key=repr)
+               for label in label_bits}
+    bits_of = dict.fromkeys(graph.vertices(), 0)
+    for label, vertices in members.items():
+        bits_of.update(dict.fromkeys(vertices, label_bits[label]))
+    bit = bits_of.__getitem__
+
+    def mask_of(v: Vertex) -> int:
+        return (reduce(or_, map(bit, graph.successors(v)), 0)
+                | reduce(or_, map(bit, graph.predecessors(v)), 0) << 1)
+
+    groups: dict = {}
+    for label, vertices in members.items():
+        counts = groups[label] = {}
+        for v in vertices:
+            mask = mask_of(v)
+            counts[mask] = counts.get(mask, 0) + 1
     per_vertex: list[BallCiphertextResult] = []
     center_items: list[list[CGBECiphertext]] = []
     for row, u in enumerate(query.vertex_order):
-        candidates = sorted(
-            ball.graph.vertices_with_label(query.label(u)), key=repr)
+        label = query.label(u)
         table = multiexp.table(
             ("ssim", row),
             lambda row=row: ssim_multiexp(params, encrypted_matrix, c_one,
                                           query, row, plan))
-        items = [table.chunk_ciphertexts(neighbor_cache.mask(v))
-                 for v in candidates]
-        per_vertex.append(
-            aggregate_items(params, ball.ball_id, items, plan))
-        if query.label(u) == ball.center_label:
-            center_items.append(table.chunk_ciphertexts(
-                neighbor_cache.mask(ball.center)))
+        counts = groups[label]
+        items = [table.chunk_ciphertexts(mask) for mask in counts]
+        per_vertex.append(aggregate_items(params, ball.ball_id, items, plan,
+                                          counts=list(counts.values())))
+        if label == ball.center_label:
+            center_items.append(table.chunk_ciphertexts(mask_of(ball.center)))
     center = aggregate_items(params, ball.ball_id, center_items, plan)
     return SsimBallVerdict(ball_id=ball.ball_id, per_vertex=per_vertex,
                            center=center)

@@ -227,7 +227,7 @@ def enumerate_center_tree_encodings(
         code = code_of(label)
         if code is None or label == root_label:
             continue
-        around = {code_of(label_of(n)) for n in neighbors(child)}
+        around = set(map(code_of, map(label_of, neighbors(child))))
         around -= {None, root_code, code}
         signatures.add((code, frozenset(around)))
     children = [(code, sorted(around, reverse=True))
@@ -279,13 +279,16 @@ def bf_threshold_exceeded(graph: LabeledGraph, center: Vertex,
     """
     if threshold < 0:
         return True  # bypass everything (degenerate configuration)
-    center_label = graph.label(center)
+    label_of = graph.label
+    center_label = label_of(center)
     heavy = 0
     for u in graph.neighbors(center):
-        if graph.label(u) == center_label:
+        own = label_of(u)
+        if own == center_label:
             continue
-        labels = {graph.label(v) for v in graph.neighbors(u)
-                  if graph.label(v) not in (graph.label(u), center_label)}
+        labels = set(map(label_of, graph.neighbors(u)))
+        labels.discard(own)
+        labels.discard(center_label)
         if len(labels) >= 3:
             heavy += 1
             if heavy > threshold:

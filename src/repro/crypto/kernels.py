@@ -129,9 +129,12 @@ class MaskedProductTable:
         # the window's bases at submask's set bits (identity at 0).
         self._tables: list[dict[int, int]] = [
             {0: 1} for _ in self._windows]
-        # Cached pad powers (c_one^k) and per-(chunk, mask) results.
+        # Cached pad powers (c_one^k).  _memo holds both the per-(chunk,
+        # mask) results and the product-tree nodes under them (keys
+        # (first window, window count, include bits)); one FIFO bound
+        # covers both.
         self._pad_pows: dict[int, int] = {0: 1, 1: self._pad_plain}
-        self._memo: dict[tuple[int, int], int] = {}
+        self._memo: dict[tuple, int] = {}
 
     # -- internals ----------------------------------------------------
     def _window_entry(self, w: int, submask: int) -> int:
@@ -139,15 +142,55 @@ class MaskedProductTable:
         value = table.get(submask)
         if value is None:
             # Build from the entry one set bit short: exactly one
-            # multiplication per table entry, ever.
+            # multiplication per multi-bit entry, ever; a single-bit
+            # entry is its base value and costs none.
             low = submask & -submask
             offset, _width = self._windows[w]
-            base = self._base_values[offset + low.bit_length() - 1]
-            parent = self._window_entry(w, submask ^ low)
-            ops.record_modmul()
-            value = (parent * base) % self.params.modulus
+            value = self._base_values[offset + low.bit_length() - 1]
+            if submask != low:
+                ops.record_modmul()
+                value = (self._window_entry(w, submask ^ low) * value
+                         ) % self.params.modulus
             ops.record_table_build()
             table[submask] = value
+        return value
+
+    def _remember(self, key: tuple, value: int) -> None:
+        memo = self._memo
+        if len(memo) >= self.max_memo:
+            memo.pop(next(iter(memo)))
+        memo[key] = value
+
+    def _node(self, first: int, count: int, bits: int) -> int:
+        """The product over windows ``first .. first + count - 1`` of the
+        bases at ``bits`` (include bits over that span, bit 0 = the span's
+        first position; never 0).
+
+        A binary product tree: a node is one modmul the first time its
+        key is seen and a memo hit after that, and a half with no include
+        bits is the identity, skipped.  So a chunk whose mask differs
+        from an earlier one in a single window recomputes only the path
+        from that window to the root, and a miss never costs more
+        modmuls than the left-to-right fold over the same windows.
+        """
+        if count == 1:
+            return self._window_entry(first, bits)
+        half = count >> 1
+        split = self._windows[first + half][0] - self._windows[first][0]
+        low = bits & ((1 << split) - 1)
+        high = bits >> split
+        if not high:
+            return self._node(first, half, low)
+        if not low:
+            return self._node(first + half, count - half, high)
+        key = (first, count, bits)
+        value = self._memo.get(key)
+        if value is None:
+            ops.record_modmul()
+            value = (self._node(first, half, low)
+                     * self._node(first + half, count - half, high)
+                     ) % self.params.modulus
+            self._remember(key, value)
         return value
 
     def _pad_pow(self, count: int) -> int:
@@ -168,7 +211,6 @@ class MaskedProductTable:
             return cached
         self.misses += 1
         plan = self.plan
-        modulus = self.params.modulus
         start = chunk * plan.chunk_factors
         real_width = min(start + plan.chunk_factors,
                          len(self._base_values)) - start
@@ -176,27 +218,18 @@ class MaskedProductTable:
         ones = (selected & ((1 << real_width) - 1)).bit_count() + pad_extra
         include = ~selected & ((1 << real_width) - 1)
         acc: int | None = None
-        for w in self._chunk_windows[chunk]:
-            offset, width = self._windows[w]
-            sub = (include >> (offset - start)) & ((1 << width) - 1)
-            if sub:
-                entry = self._window_entry(w, sub)
-                if acc is None:
-                    acc = entry
-                else:
-                    ops.record_modmul()
-                    acc = (acc * entry) % modulus
+        if include:
+            windows = self._chunk_windows[chunk]
+            acc = self._node(windows[0], len(windows), include)
         if ones:
             pad = self._pad_pow(ones)
             if acc is None:
                 acc = pad
             else:
                 ops.record_modmul()
-                acc = (acc * pad) % modulus
+                acc = (acc * pad) % self.params.modulus
         assert acc is not None  # chunk_factors >= 1 means some factor
-        if len(self._memo) >= self.max_memo:
-            self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = acc
+        self._remember(key, acc)
         return acc
 
     # -- public API ---------------------------------------------------
@@ -227,10 +260,6 @@ class MaskedProductTable:
                 value_bits=bits)
             for chunk in range(plan.chunks_per_item)
         ]
-
-    @property
-    def memo_entries(self) -> int:
-        return len(self._memo)
 
     @property
     def table_entries(self) -> int:

@@ -19,10 +19,11 @@ Design notes:
   both correct and the cheapest thing that can work.  Workers count into
   a local :class:`OpCounter`, ship it back inside their share outcome,
   and the parent merges -- the global never crosses a process boundary.
-* ``table_build`` counts window-table *entry* constructions.  Each entry
-  build is itself one modular multiplication and is **also** counted in
-  ``modmul`` -- ``table_build`` attributes where modmuls went, it is not
-  a disjoint op class.
+* ``table_build`` counts window-table *entry* constructions.  A
+  multi-bit entry build is one modular multiplication and is **also**
+  counted in ``modmul``; a single-bit entry is its base value and costs
+  none.  ``table_build`` attributes where modmuls went, it is not a
+  disjoint op class.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class OpCounts:
 
     @property
     def total(self) -> int:
-        """Modmuls plus modexps (table builds are a modmul subset)."""
+        """Modmuls plus modexps (table builds are not a separate op)."""
         return self.modmul + self.modexp
 
     def as_dict(self) -> dict[str, int]:

@@ -125,12 +125,26 @@ class BloomFilter:
 
     def __contains__(self, item: int) -> bool:
         """Probes all k positions whatever they hold: the number of bit
-        reads must not depend on which probe missed (Prop. 7 -- this runs
-        inside the enclave's :meth:`~repro.tee.enclave.Enclave.check_ball`)."""
+        reads does not depend on which probe missed.  The enclave does not
+        call this per encoding; it tests one :meth:`positions_word` OR per
+        query vertex against :meth:`as_int` (Prop. 7 holds there too)."""
         hit = 1
         for pos in self._positions(item):
             hit &= self._bits[pos >> 3] >> (pos & 7)
         return bool(hit)
+
+    def positions_word(self, item: int) -> int:
+        """The item's k probe positions under this filter's ``(m, k)`` as
+        one int, bit ``pos`` per position: ``item in self`` exactly when
+        ``self.as_int() & word == word``."""
+        word = 0
+        for pos in self._positions(item):
+            word |= 1 << pos
+        return word
+
+    def as_int(self) -> int:
+        """The bit array as one int, bit ``pos`` = filter position ``pos``."""
+        return int.from_bytes(self._bits, "little")
 
     def expected_false_positive_rate(self) -> float:
         """``(1 - e^(-kn/m))^k`` for the current fill."""

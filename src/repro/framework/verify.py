@@ -72,6 +72,54 @@ class VerificationError(RuntimeError):
         self.kind = kind
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(b) is int for b in value)
+
+
+def _id_key(value) -> bool:
+    return (isinstance(value, str) and value.isascii()
+            and value.isdigit())
+
+
+#: Every certificate field :meth:`Certifier.certify` writes, and the test
+#: its value must pass.
+_CERT_FIELDS = {
+    "v": lambda v: isinstance(v, str),
+    "root": lambda v: isinstance(v, str),
+    "qid": lambda v: type(v) is int,
+    "shard": lambda v: type(v) is int,
+    "members": _int_list,
+    "prev_members": lambda v: v is None or _int_list(v),
+    "fingerprint": lambda v: isinstance(v, str),
+    "label": lambda v: isinstance(v, str),
+    "proof": lambda v: v is None or isinstance(v, dict),
+    "answer_digest": lambda v: isinstance(v, str),
+    "binding": lambda v: isinstance(v, str),
+}
+
+
+def _check_shape(verdict: dict, cert: dict) -> None:
+    """The one shape check before any verdict field is used: the id lists
+    are lists of ints, ``matches`` maps decimal ball-id strings to lists
+    of strings, and every certificate field has its type.  A verdict of
+    any other shape is forged -- never a raw exception in the gateway."""
+    problems = [name for name in ("candidates", "pm_positive", "verified")
+                if not _int_list(verdict.get(name))]
+    matches = verdict.get("matches")
+    if not (isinstance(matches, dict) and all(
+            _id_key(k) and isinstance(v, list)
+            and all(isinstance(s, str) for s in v)
+            for k, v in matches.items())):
+        problems.append("matches")
+    problems += [f"cert.{name}" for name, ok in _CERT_FIELDS.items()
+                 if name not in cert or not ok(cert[name])]
+    if problems:
+        raise VerificationError(
+            FaultKind.FORGE_RESULT,
+            f"malformed verdict: {', '.join(problems)} missing or of the "
+            f"wrong shape")
+
+
 def binding_digest(vkey: bytes, *, qid: int, shard_id: int, members,
                    prev_members, fingerprint: str, answer: dict,
                    ans_digest: str) -> str:
@@ -252,6 +300,7 @@ class AnswerVerifier:
             raise VerificationError(
                 FaultKind.FORGE_RESULT,
                 f"unknown certificate scheme {cert.get('v')!r}")
+        _check_shape(verdict, cert)
         if cert.get("root") != self._root:
             raise VerificationError(
                 FaultKind.FORGE_RESULT,
@@ -276,10 +325,10 @@ class AnswerVerifier:
                 "certificate was produced under a different config "
                 "fingerprint")
 
-        candidates = [int(b) for b in verdict.get("candidates", [])]
-        pm_positive = [int(b) for b in verdict.get("pm_positive", [])]
-        verified = [int(b) for b in verdict.get("verified", [])]
-        matches = verdict.get("matches", {})
+        candidates = verdict["candidates"]
+        pm_positive = verdict["pm_positive"]
+        verified = verdict["verified"]
+        matches = verdict["matches"]
 
         # Membership: every claimed candidate has a committed leaf.
         proof = cert.get("proof")
@@ -310,7 +359,7 @@ class AnswerVerifier:
         # slice of the committed (radius, label) class.
         expected = self.expected_candidates(
             shard_id=shard_id, members=members, prev_members=prev_members,
-            radius=query.diameter, label=cert.get("label", ""))
+            radius=query.diameter, label=cert["label"])
         if sorted(candidates) != expected:
             missing = sorted(set(expected) - set(candidates))
             extra = sorted(set(candidates) - set(expected))

@@ -150,7 +150,8 @@ def prometheus_text(report, spans: list[Span] | None = None) -> str:
     if ops_total:
         metric("repro_crypto_ops_total", "counter",
                "Exact crypto op counts (modmul/modexp/table_build) by "
-               "phase and role; table_build is a modmul subset.",
+               "phase and role; table_build counts window-table entries, "
+               "each multi-bit one also one modmul.",
                [({"op": op, "phase": phase, "role": role}, value)
                 for (op, phase, role), value in sorted(ops_total.items())])
     if spans:

@@ -195,7 +195,7 @@ def verify_multiproof(root_hex: str, proof: dict) -> dict[int, str]:
         leaves = {int(b): str(h) for b, h in proof["leaves"].items()}
         positions = {int(b): int(i) for b, i in proof["positions"].items()}
         siblings = dict(proof["siblings"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise AuthError(f"malformed multiproof: {exc}") from exc
     if width <= 0 or set(leaves) != set(positions):
         raise AuthError("multiproof leaves/positions disagree")
@@ -229,7 +229,7 @@ def verify_multiproof(root_hex: str, proof: dict) -> dict[int, str]:
                     raise AuthError(f"multiproof missing sibling {key}")
                 try:
                     other = bytes.fromhex(siblings[key])
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise AuthError(f"bad sibling hex at {key}") from exc
                 used += 1
             left, right = (nodes[idx], other) if idx % 2 == 0 \

@@ -7,9 +7,10 @@ Sec. 4.1.2 splits BF pruning across three locations:
 * *player, outside the enclave*: builds a per-ball bloom filter and
   transmits it through the enclave boundary;
 * *player, inside the enclave*: decrypts the query encodings, tests them
-  against the ball's filter query-obliviously (always exactly eta probes per
-  matching query vertex -- no early exits), aggregates the outcome into one
-  integer and encrypts it as the pruning message ``c_sgx``.
+  against the ball's filter query-obliviously (the same one-word test per
+  matching query vertex whatever it holds -- no early exits), aggregates
+  the outcome into one integer and encrypts it as the pruning message
+  ``c_sgx``.
 
 This class enforces the two properties SGX contributes to the paper:
 isolation of the plaintext encodings (only ciphertext crosses the boundary,
@@ -23,6 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from repro.crypto.stream_cipher import StreamCipher
 from repro.filters.bloom import BloomFilter
@@ -98,7 +101,11 @@ class Enclave:
         # Sealed query state: list of (label_repr, encodings tuple).
         self._encodings: list[tuple[str, tuple[int, ...]]] = []
         self._encodings_bytes = 0
-        self._eta = 0
+        # Per filter geometry (m, k): one (label_repr, required-bits word)
+        # per loaded query vertex, derived at the first check_ball of that
+        # geometry and charged to the EPC budget until the encodings go.
+        self._words: dict[tuple[int, int], list[tuple[str, int]]] = {}
+        self._words_bytes = 0
 
     # ------------------------------------------------------------------
     # attestation and session establishment
@@ -153,17 +160,37 @@ class Enclave:
         self.metrics.allocate(nbytes, self._memory_limit)
         self._encodings = entries
         self._encodings_bytes = nbytes
-        self._eta = eta
         self.tracer.event("ecall_load_encodings", ROLE_ENCLAVE,
                           bytes_in=len(encrypted_blob),
                           ecalls=self.metrics.ecalls)
 
     def _free_encodings(self) -> None:
         if self._encodings_bytes:
-            self.metrics.free(self._encodings_bytes)
+            self.metrics.free(self._encodings_bytes + self._words_bytes)
             self._encodings = []
             self._encodings_bytes = 0
-            self._eta = 0
+            self._words = {}
+            self._words_bytes = 0
+
+    def _required_words(self, ball_filter: BloomFilter,
+                        ) -> list[tuple[str, int]]:
+        """Per loaded query vertex, the OR of its eta encodings' probe
+        positions under ``ball_filter``'s geometry: the vertex passes a
+        filter exactly when the filter holds every bit of its word."""
+        geometry = (ball_filter.num_bits, ball_filter.num_hashes)
+        words = self._words.get(geometry)
+        if words is None:
+            # Encodings repeat (every vertex pads with 0s): hash each once.
+            distinct = {e for _, encodings in self._encodings
+                        for e in encodings}
+            of = {e: ball_filter.positions_word(e) for e in distinct}
+            words = [(label_repr, reduce(or_, map(of.__getitem__, encodings)))
+                     for label_repr, encodings in self._encodings]
+            nbytes = len(words) * ((geometry[0] + 7) // 8)
+            self.metrics.allocate(nbytes, self._memory_limit)
+            self._words[geometry] = words
+            self._words_bytes += nbytes
+        return words
 
     def check_ball(self, filter_blob: bytes, center_label_repr: str) -> bytes:
         """ECALL: test the loaded encodings against one ball's bloom filter.
@@ -173,8 +200,10 @@ class Enclave:
         eta encodings all pass the filter.  A plaintext of 0 marks the ball
         spurious (Prop. 3).
 
-        The probe loop is deliberately free of early exits: every matching
-        query vertex always issues exactly eta membership tests, so the
+        Each query vertex's eta encodings are tested as one word: the OR
+        of their probe positions, derived once per filter geometry
+        (:meth:`_required_words`).  Every matching query vertex costs the
+        same one AND and compare whichever probe would have missed, so the
         enclave's memory access pattern is independent of the query's edge
         structure (Prop. 7).
         """
@@ -186,14 +215,12 @@ class Enclave:
         self.metrics.allocate(len(filter_blob), self._memory_limit)
         try:
             ball_filter = BloomFilter.from_bytes(filter_blob)
+            bits = ball_filter.as_int()
             matched_vertices = 0
-            for label_repr, encodings in self._encodings:
+            for label_repr, need in self._required_words(ball_filter):
                 if label_repr != center_label_repr:
                     continue
-                hits = 0
-                for encoding in encodings:  # constant eta probes, no break
-                    hits += 1 if encoding in ball_filter else 0
-                matched_vertices += 1 if hits == self._eta else 0
+                matched_vertices += 1 if bits & need == need else 0
             plaintext = matched_vertices.to_bytes(8, "big")
             result = self._session.encrypt(plaintext)
             self.metrics.charge_out(len(result))

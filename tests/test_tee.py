@@ -3,9 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.bf_pruning import BFConfig, user_prepare_encodings
+from repro.core.trees import LabelCodec
 from repro.crypto.stream_cipher import StreamCipher
 from repro.filters.bloom import BloomFilter
+from repro.framework.faults import FaultAction, FaultInjector, FaultKind
+from repro.framework.roles import _bf_prune_with_recovery
+from repro.graph.ball import extract_ball
 from repro.tee.attestation import AttestationReport, measure
 from repro.tee.channel import AttestationFailure, SecureChannel
 from repro.tee.enclave import Enclave, EnclaveMemoryError
@@ -138,10 +145,84 @@ class TestMetering:
         enclave, channel = make_session()
         enclave.load_query_encodings(
             seal_encodings(channel, [["'A'", [0, 0]]], eta=2))
+        # The first check of a geometry leaves the per-vertex words
+        # resident; every filter's own bytes are freed.
+        enclave.check_ball(ball_filter_blob([]), "'A'")
         before = enclave.metrics.current_memory
         enclave.check_ball(ball_filter_blob([1, 2, 3]), "'A'")
         assert enclave.metrics.current_memory == before
         assert enclave.metrics.peak_memory > before
+
+
+class TestWordTest:
+    """One required-bits word per query vertex gives the c_sgx plaintext
+    the per-encoding membership loop gives."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_encoding_loop(self, data):
+        enclave, channel = make_session()
+        eta = data.draw(st.integers(1, 5))
+        items = st.integers(0, 40)
+        entries = data.draw(st.lists(st.tuples(
+            st.sampled_from(["'A'", "'B'"]),
+            st.lists(items, min_size=eta, max_size=eta)),
+            min_size=1, max_size=5))
+        enclave.load_query_encodings(
+            seal_encodings(channel, [list(e) for e in entries], eta))
+        geometries = [(97, 2), (64, 3)]
+        for _ in range(6):  # two geometries, interleaved
+            filt = BloomFilter(*data.draw(st.sampled_from(geometries)))
+            filt.update(data.draw(st.lists(items, max_size=25)))
+            center = data.draw(st.sampled_from(["'A'", "'B'"]))
+            expected = sum(
+                1 for label, encodings in entries if label == center
+                and all(e in filt for e in encodings))
+            result = enclave.check_ball(filt.to_bytes(), center)
+            assert int.from_bytes(channel.open(result), "big") == expected
+
+    def test_words_are_charged_and_freed_with_the_encodings(self):
+        enclave, channel = make_session()
+        enclave.load_query_encodings(seal_encodings(
+            channel, [["'A'", [11, 0]], ["'B'", [22, 0]]], eta=2))
+        loaded = enclave.metrics.current_memory
+        enclave.check_ball(ball_filter_blob([11]), "'A'")
+        assert enclave.metrics.current_memory == loaded + 2 * 1024 // 8
+        enclave.check_ball(ball_filter_blob([22]), "'B'")  # same geometry
+        assert enclave.metrics.current_memory == loaded + 2 * 1024 // 8
+        enclave.load_query_encodings(seal_encodings(
+            channel, [["'A'", [11, 0]]], eta=2))
+        assert enclave.metrics.current_memory < loaded
+
+    def test_epc_too_small_for_the_words_degrades(self, fig3):
+        """Encodings and one filter fit, the words do not: every ECALL
+        raises EnclaveMemoryError, is retried once, and the ball's BF
+        verdict is skipped (sound: a missing verdict counts positive)."""
+        query, graph = fig3
+        config = BFConfig(eta=8, expected_trees=200)
+        codec = LabelCodec.from_alphabet(query.alphabet)
+        probe, channel = make_session()
+        message = user_prepare_encodings(query, codec, channel, config)
+        probe.load_query_encodings(message.sealed_blob)
+        encodings = probe.metrics.current_memory
+        filter_bytes = len(BloomFilter(config.filter_bits(),
+                                       config.filter_hashes()).to_bytes())
+        words = message.entries * ((config.filter_bits() + 7) // 8)
+        enclave, _ = make_session(  # the same session key as the probe
+            memory_limit=encodings + filter_bytes + words - 1)
+        enclave.load_query_encodings(message.sealed_blob)
+        ball = extract_ball(graph, "v6", query.diameter, ball_id=0)
+        with pytest.raises(EnclaveMemoryError):
+            enclave.check_ball(ball_filter_blob([]), "'A'")
+        assert enclave.metrics.current_memory == encodings
+        injector = FaultInjector()
+        assert _bf_prune_with_recovery(enclave, ball, codec, config,
+                                       injector, player_id=0) is None
+        actions = [e.action for e in injector.report.events
+                   if e.kind == FaultKind.ENCLAVE_MEMORY]
+        assert actions == [FaultAction.DETECTED, FaultAction.RETRIED,
+                           FaultAction.DETECTED, FaultAction.DEGRADED]
+        assert enclave.metrics.current_memory == encodings
 
 
 class TestChannel:

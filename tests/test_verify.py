@@ -18,6 +18,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keys import DataOwnerKey
 from repro.framework import wire
@@ -28,7 +30,7 @@ from repro.framework.faults import (
     ChaosPolicy,
     FaultKind,
 )
-from repro.framework.gateway import Gateway
+from repro.framework.gateway import Gateway, ShardClient
 from repro.framework.placement import PlacementManifest
 from repro.framework.prilo import Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
@@ -321,6 +323,61 @@ class TestCertificates:
             self._check(served, verdict)
         assert err.value.kind == FaultKind.FORGE_RESULT
 
+    @pytest.mark.parametrize("mutate", [
+        lambda v: v["candidates"].insert(0, "x"),
+        lambda v: v.__setitem__("candidates", None),
+        lambda v: v.__setitem__("matches", []),
+        lambda v: v.__setitem__("verified", {"a": 1}),
+        lambda v: v["cert"].__setitem__("label", []),
+        lambda v: v["cert"]["proof"]["siblings"].update(
+            {k: 7 for k in v["cert"]["proof"]["siblings"]}),
+    ], ids=["str-candidate", "null-candidates", "list-matches",
+            "dict-verified", "list-label", "int-sibling"])
+    def test_malformed_verdict_is_forgery(self, served, mutate):
+        verdict = self._fresh(served)
+        assert verdict["cert"]["proof"]["siblings"], \
+            "fixture proof must carry siblings"
+        mutate(verdict)
+        with pytest.raises(VerificationError) as err:
+            self._check(served, verdict)
+        assert err.value.kind == FaultKind.FORGE_RESULT
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_fuzzed_verdict_verifies_or_is_refused(self, served, data):
+        """Truncated, re-typed and bit-flipped verdicts: the verifier
+        returns or raises VerificationError, never anything else."""
+        verdict = self._fresh(served)
+        how = data.draw(st.sampled_from(["drop", "retype", "flip"]))
+        if how == "flip":
+            raw = bytearray(json.dumps(verdict).encode())
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+            raw[bit >> 3] ^= 1 << (bit & 7)
+            try:
+                verdict = json.loads(raw)
+            except ValueError:
+                return  # the wire decoder refuses it before any verifier
+            if not isinstance(verdict, dict):
+                return
+        else:
+            paths = list(_json_paths(verdict))
+            path = data.draw(st.sampled_from(paths))
+            parent = verdict
+            for step in path[:-1]:
+                parent = parent[step]
+            if how == "drop":
+                if isinstance(parent, list):
+                    del parent[path[-1]:]
+                else:
+                    del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+        try:
+            self._check(served, verdict)
+        except VerificationError:
+            pass
+
     def test_tampered_catalog_is_refused_at_construction(self, stores,
                                                          vconfig):
         store, _ = stores(Semantics.HOM)
@@ -339,6 +396,22 @@ class TestCertificates:
         with pytest.raises(VerificationError):
             AnswerVerifier(root_hex="", catalog={}, vkey=b"k", jkey=b"j",
                            fingerprint="f")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+def _json_paths(value, prefix=()):
+    """Every key / index path into a JSON document, parents first."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for step, child in children:
+        yield prefix + (step,)
+        yield from _json_paths(child, prefix + (step,))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +494,40 @@ class TestRogueGateway:
         assert report.completed == 0
         assert len(report.outcomes) == len(queries), \
             "withheld queries must still terminate the batch"
+
+    def test_malformed_ok_verdict_evicts_the_shard(self, dataset, vconfig,
+                                                   stores, monkeypatch):
+        """A shard whose OK verdicts are of the wrong shape is a forger:
+        evicted, its slices re-served, the answers unchanged -- the
+        gateway never dies on the raw exception."""
+        _, shards_dir = stores(Semantics.HOM)
+        queries = dataset.random_queries(2, size=5, seed=4)
+        expected = _baseline(dataset.graph, vconfig, queries, Prilo)
+        request = ShardClient.request
+
+        async def malformed(client, payload):
+            verdict = await request(client, payload)
+            if (client.shard_id == 1 and verdict.get("t") == "verdict"
+                    and verdict.get("status") == QueryStatus.OK):
+                verdict["candidates"] = ["x"] + verdict["candidates"]
+            return verdict
+
+        monkeypatch.setattr(ShardClient, "request", malformed)
+        verifier = AnswerVerifier.from_placement(
+            PlacementManifest.read(shards_dir), seed=vconfig.seed,
+            config=replace(vconfig, **Prilo._OVERRIDES))
+        specs = make_shard_specs(dataset.graph, vconfig, 2,
+                                 engine="prilo",
+                                 store_root=str(shards_dir))
+        with LocalCluster(specs) as cluster:
+            report = Gateway(cluster.handles, verifier=verifier).run(
+                queries)
+        assert report.forgeries_detected > 0
+        assert report.evictions == [1]
+        assert report.forged == 0
+        for i, answer in enumerate(report.answers):
+            assert wire.answer_bytes(answer) == \
+                wire.answer_bytes(expected[i])
 
     def test_honest_fleet_passes_verification_with_zero_forgeries(
             self, dataset, vconfig, stores):
