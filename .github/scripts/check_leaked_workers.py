@@ -1,9 +1,10 @@
-"""Fail when a job left executor pool workers or shard processes behind.
+"""Fail when a job left gateway shard processes behind.
 
-A respawned-but-unclosed pool, a SIGKILL'd serving process whose
-parent-death watchdog did not fire, or a cluster shutdown that missed a
-straggler would all leave orphaned python processes; every smoke job
-ends with this sweep.
+Shards are the only worker processes (``LocalCluster`` forks them); a
+cluster shutdown that missed a straggler -- after a clean batch, a
+SIGKILL'd shard or an evicted rogue one -- would leave an orphaned
+python process.  The shard and malicious-SP smoke jobs end with this
+sweep.
 """
 
 import subprocess

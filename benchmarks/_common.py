@@ -75,8 +75,8 @@ def parse_cli(argv=None) -> argparse.Namespace:
         description="Reproduce one benchmark outside pytest-benchmark.")
     parser.add_argument(
         "--json", action="store_true",
-        help="also write the machine-readable headline numbers to "
-             "benchmarks/out/BENCH_headline.json")
+        help="also write the machine-readable numbers to "
+             "benchmarks/out/BENCH_<name>.json")
     return parser.parse_args(argv)
 
 
@@ -116,8 +116,3 @@ def write_bench_json(name: str, payload: dict) -> Path:
                     encoding="utf-8")
     print(f"wrote {path}")
     return path
-
-
-def write_headline_json(payload: dict) -> Path:
-    """Persist the headline numbers for CI artifacts / regression tracking."""
-    return write_bench_json("headline", payload)

@@ -6,18 +6,7 @@
     (PM + SSG), which the paper reports as ~4x.
 """
 
-import os
-import time
-
-from _common import (
-    NUM_QUERIES,
-    bench_config,
-    dataset,
-    emit,
-    format_row,
-    parse_cli,
-    write_headline_json,
-)
+from _common import NUM_QUERIES, bench_config, dataset, emit, format_row
 
 from repro.workloads.experiments import pruning_study, retrieval_study
 
@@ -102,132 +91,3 @@ def test_fig2b_slashdot_speedup(benchmark):
     # carry evaluation cost.
     assert all(v >= 0.99 for v in mean_by_semantics.values())
     assert mean_by_semantics[Semantics.SSIM] >= 1.5
-
-
-# ----------------------------------------------------------------------
-# Script mode: the serial-vs-parallel headline comparison (--json)
-# ----------------------------------------------------------------------
-def headline_comparison(parallelism: int = 4) -> tuple[dict, list[str]]:
-    """Run one Slashdot query under both executor backends.
-
-    Parallelism is reported two ways, as everywhere in this repo:
-
-    * *measured wall-clock* of each backend's evaluation fan-out -- the
-      raw elapsed numbers, honest about the host (on a single-core box the
-      process pool cannot beat serial in real time; ``host_cpus`` is
-      recorded next to them);
-    * *schedule replay*: per-ball costs are measured once and replayed
-      over the k player sequences (`repro.framework.simulator`), the
-      deterministic metric the paper's figures use.  The headline speedup
-      is serial total evaluation time over the k-worker makespan.
-
-    Both runs must produce identical answers -- asserted, and recorded as
-    ``match_sets_identical``.
-    """
-    from repro.framework.prilo_star import PriloStar
-    from repro.graph.query import Semantics
-
-    ds = dataset("slashdot")
-    graph = ds.graph_for(Semantics.SSIM)
-    # ssim: per-ball verification cost is uniform across negatives, the
-    # regime where parallel evaluation (and Fig. 2(b)) pays off.
-    query = ds.random_queries(1, size=8, diameter=3,
-                              semantics=Semantics.SSIM, seed=4)[0]
-    config = bench_config(k_players=parallelism)
-
-    # RSG ordering for the backend comparison: sequences are disjoint and
-    # balanced, so the k-worker makespan measures pure parallelism.  (SSG's
-    # dummy duplication doubles every worker's load by design -- it buys
-    # early results, not throughput -- and would cap the speedup at k/2.)
-    started = time.perf_counter()
-    serial = PriloStar.setup(graph, config, use_ssg=False).run(query)
-    serial_elapsed = time.perf_counter() - started
-
-    with PriloStar.setup(graph, config, use_ssg=False, executor="process",
-                         parallelism=parallelism) as engine:
-        started = time.perf_counter()
-        parallel = engine.run(query)
-        parallel_elapsed = time.perf_counter() - started
-
-    assert serial.match_ball_ids == parallel.match_ball_ids
-    assert serial.verified_ids == parallel.verified_ids
-    assert serial.pm_positive_ids == parallel.pm_positive_ids
-
-    candidates = len(serial.candidate_ids)
-    kept = len(serial.pm_positive_ids)
-    serial_eval = serial.metrics.timings.evaluation
-    # Schedule replay over ONE consistent cost measurement (the serial
-    # run's, free of multi-process contention): the same per-ball costs
-    # summed on one worker vs. their k-sequence makespan.
-    makespan = serial.schedule.makespan
-    replay_speedup = serial_eval / makespan if makespan > 0 else 1.0
-    wall_speedup = (serial.metrics.eval_wall_seconds
-                    / parallel.metrics.eval_wall_seconds
-                    if parallel.metrics.eval_wall_seconds > 0 else 1.0)
-
-    payload = {
-        "benchmark": "fig02_headline",
-        "dataset": "slashdot",
-        "semantics": "ssim",
-        "host_cpus": os.cpu_count(),
-        "parallelism": parallelism,
-        "pruning": {
-            "candidate_balls": candidates,
-            "kept_after_pms": kept,
-            "pruning_power": 1.0 - kept / max(candidates, 1),
-        },
-        "serial": {
-            "eval_seconds": serial_eval,
-            "eval_wall_seconds": serial.metrics.eval_wall_seconds,
-            "run_elapsed_seconds": serial_elapsed,
-            "time_to_first_result": serial.time_to_first_match(),
-        },
-        "parallel": {
-            "backend": parallel.metrics.executor_backend,
-            "workers": parallel.metrics.workers,
-            "makespan_seconds": makespan,
-            "own_costs_makespan_seconds": parallel.schedule.makespan,
-            "eval_wall_seconds": parallel.metrics.eval_wall_seconds,
-            "run_elapsed_seconds": parallel_elapsed,
-            "time_to_first_result": parallel.time_to_first_match(),
-            "per_worker_eval_wall": {
-                str(worker): wall for worker, wall in
-                sorted(parallel.metrics.per_worker_eval_wall.items())},
-        },
-        "speedup": {
-            "schedule_replay": replay_speedup,
-            "measured_wall": wall_speedup,
-        },
-        "match_sets_identical": True,
-    }
-
-    widths = (26, 14)
-    lines = [format_row(("metric", "value"), widths)]
-    for metric, value in (
-        ("candidate balls", candidates),
-        ("kept after PMs", kept),
-        ("pruning power", f"{payload['pruning']['pruning_power']:.2f}"),
-        ("serial eval (s)", f"{serial_eval:.4f}"),
-        (f"{parallelism}-worker makespan (s)", f"{makespan:.4f}"),
-        ("time to first result (s)",
-         f"{payload['parallel']['time_to_first_result']:.4f}"
-         if payload["parallel"]["time_to_first_result"] is not None
-         else "n/a"),
-        ("replay speedup", f"{replay_speedup:.2f}x"),
-        ("measured wall speedup", f"{wall_speedup:.2f}x"),
-        ("host cpus", os.cpu_count()),
-    ):
-        lines.append(format_row((metric, value), widths))
-    return payload, lines
-
-
-def main(argv=None) -> None:
-    args = parse_cli(argv)
-    payload, lines = headline_comparison()
-    emit("fig02_headline_backends", lines)
-    if args.json:
-        write_headline_json(payload)
-
-
-if __name__ == "__main__":
-    main()

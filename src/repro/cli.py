@@ -184,8 +184,6 @@ def _config(args: argparse.Namespace, store=None) -> PriloConfig:
                          q_bits=16 if args.modulus <= 1024 else 32,
                          r_bits=16 if args.modulus <= 1024 else 32,
                          seed=args.seed,
-                         executor=getattr(args, "executor", "serial"),
-                         parallelism=getattr(args, "parallelism", 1),
                          chaos=_chaos(args),
                          deadline_ms=getattr(args, "deadline_ms", None),
                          ball_budget=getattr(args, "ball_budget", None))
@@ -863,11 +861,6 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--executor", default="serial",
-                        choices=["serial", "process"],
-                        help="ball-evaluation backend")
-    parser.add_argument("--parallelism", type=int, default=1,
-                        help="worker processes for --executor process")
     parser.add_argument("--chaos-seed", type=int, default=None,
                         metavar="N",
                         help="enable seeded fault injection (chaos mode); "
@@ -883,7 +876,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "durable checkpoint)")
     parser.add_argument("--journal", default=None, metavar="FILE",
                         help="write-ahead run journal: checkpoint every "
-                             "executor share durably so a killed process "
+                             "Player share durably so a killed process "
                              "can resume")
     parser.add_argument("--resume", action="store_true",
                         help="continue an existing --journal file, "

@@ -13,12 +13,13 @@ Design notes:
   the ``record_*`` hooks, and ``repro.framework.metrics`` embeds
   :class:`OpCounter` in ``RunMetrics`` -- importing either from here would
   cycle.
-* The active bucket is a module global, not a thread-local: every
-  executor backend runs crypto single-threaded per process (the process
-  pool forks workers; the serial backend runs inline), so a global is
-  both correct and the cheapest thing that can work.  Workers count into
-  a local :class:`OpCounter`, ship it back inside their share outcome,
-  and the parent merges -- the global never crosses a process boundary.
+* The active bucket is a module global, not a thread-local: crypto runs
+  single-threaded per process (shares run inline in the engine, gateway
+  shards are processes of their own), so a global is both correct and
+  the cheapest thing that can work.  Each share counts into a local
+  :class:`OpCounter` shipped back inside its outcome, and shards ship
+  theirs inside their verdicts -- the global never crosses a process
+  boundary.
 * ``table_build`` counts window-table *entry* constructions.  A
   multi-bit entry build is one modular multiplication and is **also**
   counted in ``modmul``; a single-bit entry is its base value and costs

@@ -5,8 +5,8 @@
 * :mod:`~repro.framework.messages` -- the typed protocol messages of steps
   (1)-(9) in Fig. 4.
 * :mod:`~repro.framework.roles` -- DataOwner, User, Player, Dealer.
-* :mod:`~repro.framework.executor` -- the serial / process-pool backends
-  that map Player sequences onto compute resources.
+* :mod:`~repro.framework.executor` -- evaluates the Players' shares (the
+  Dealer's sequences as a logical partition) in-process.
 * :mod:`~repro.framework.simulator` -- the deterministic schedule simulator
   turning per-ball evaluation costs + sequences into the paper's
   time-to-results metrics.
@@ -16,7 +16,7 @@
   cross-query CMM reuse (the throughput layer over the engines).
 * :mod:`~repro.framework.faults` -- seeded fault injection
   (:class:`ChaosPolicy`) and the recovery policy threaded through the
-  executor, roles, TEE channel and artifact store.
+  roles, TEE channel and artifact store.
 * :mod:`~repro.framework.placement` -- the consistent-hash ball placement
   ring and the ``store shard-split`` placement manifest.
 * :mod:`~repro.framework.wire` -- the gateway <-> shard frame protocol and
@@ -24,7 +24,8 @@
 * :mod:`~repro.framework.shard` / :mod:`~repro.framework.gateway` -- the
   sharded serving tier: per-shard engine processes behind loopback
   sockets, and the scatter-gather front end with consistent-hash
-  routing, asyncio fan-out, and shard-death re-placement.
+  routing, asyncio fan-out, and shard-death re-placement -- the only
+  worker processes.
 
 Every re-export is resolved lazily, on first attribute access: the
 storage layer imports :mod:`~repro.framework.faults` and
@@ -33,10 +34,9 @@ layer, so an eager import here would make ``import repro.storage`` cycle.
 """
 
 _EXPORTS = {
-    "executor": ("BallExecutor", "ProcessExecutor", "SerialExecutor",
-                 "create_executor"),
-    "faults": ("ChaosPolicy", "FaultInjector", "FaultRecoveryExhausted",
-               "FaultReport", "RecoveryPolicy"),
+    "executor": ("BallExecutor",),
+    "faults": ("ChaosPolicy", "FaultInjector", "FaultReport",
+               "RecoveryPolicy"),
     "gateway": ("Gateway", "GatewayChaos", "GatewayError", "GatewayReport"),
     "metrics": ("CacheStats", "ConfusionCounts", "PhaseTimings"),
     "placement": ("HashRing", "PlacementManifest", "ring_for"),

@@ -2,7 +2,7 @@
 
 The paper's deployment (a semi-honest SP running k Player servers, an SGX
 enclave per Player, a Dealer holding outsourced artifacts) is exactly the
-setting where partial failure is the norm: worker processes die, enclaves
+setting where partial failure is the norm: serving processes die, enclaves
 fail attestation or run out of EPC, sealed payloads are corrupted in
 transit, and on-disk artifact packs rot or are tampered with.  This module
 supplies the two halves every recovery site shares:
@@ -10,19 +10,20 @@ supplies the two halves every recovery site shares:
 * :class:`ChaosPolicy` -- a *deterministic, seeded* fault schedule.  Every
   injection decision is a pure function of ``(seed, kind, key, attempt)``
   (a SHA-256 coin flip), so the same policy replays the same fault
-  schedule on any backend, in any process, in any order -- which is what
-  makes "answers are byte-identical to a fault-free serial run under any
+  schedule in any process, in any order -- which is what
+  makes "answers are byte-identical to a fault-free run under any
   injected schedule" a testable statement rather than a hope.
-* :class:`RecoveryPolicy` -- the explicit knobs of the recovery layer:
-  retry budget and exponential backoff, the per-share deadline, and the
-  three degradation switches (enclave down -> twiglet-only pruning, Player
-  dropout -> Dealer re-plans onto survivors, tampered store pack ->
-  quarantine and recompute).
+* :class:`RecoveryPolicy` -- the four degradation switches of the
+  recovery layer (enclave down -> twiglet-only pruning, Player dropout ->
+  Dealer re-plans onto survivors, tampered store pack -> quarantine and
+  recompute, stale store -> rebuild in-process).
 
 :class:`FaultInjector` binds a policy to a :class:`FaultReport` event log;
-the engine threads one injector per run through the executor, the roles,
+the engine threads one injector per run through the PM kernel, the roles,
 the TEE channel, and the artifact store, and surfaces the resulting events
-as ``RunMetrics.faults``.
+as ``RunMetrics.faults``.  Worker processes are the sharded gateway's
+alone; a dead shard is its failure mode, handled by the gateway's own
+death detection and re-placement (:mod:`repro.framework.gateway`).
 
 Soundness of degradation: every pruning message only ever *discards*
 provably spurious balls (Props. 3-6), so skipping a pruning method keeps
@@ -41,10 +42,6 @@ from dataclasses import dataclass, field
 class FaultKind:
     """The injectable (and detectable) fault classes of the pipeline."""
 
-    #: A pool worker dies mid-share (``BrokenProcessPool`` on the SP).
-    WORKER_CRASH = "worker_crash"
-    #: A share hangs past its deadline (stuck worker, lost reply).
-    SHARE_TIMEOUT = "share_timeout"
     #: An enclave's attestation report fails verification.
     ENCLAVE_ATTESTATION = "enclave_attestation"
     #: An enclave ECALL aborts (EPC exhaustion / enclave crash).
@@ -99,8 +96,6 @@ MALICIOUS_KINDS = (
 #: and ``JOURNAL_TAMPER`` are detection-only; ``KILL_PROCESS`` must be
 #: requested explicitly because only journal-backed runs survive it).
 INJECTABLE_KINDS = (
-    FaultKind.WORKER_CRASH,
-    FaultKind.SHARE_TIMEOUT,
     FaultKind.ENCLAVE_ATTESTATION,
     FaultKind.ENCLAVE_MEMORY,
     FaultKind.CHANNEL_CORRUPTION,
@@ -123,50 +118,25 @@ class FaultAction:
     DEGRADED = "degraded"
 
 
-class InjectedFault(RuntimeError):
-    """A chaos-injected failure (crash/timeout stand-in), carrying its
-    fault kind so the recovery site can attribute the detection event.
-
-    Constructed as ``InjectedFault(kind, message)`` so the exception
-    survives pickling across process boundaries (``args`` round-trips).
-    """
-
-    def __init__(self, kind: str, message: str) -> None:
-        super().__init__(kind, message)
-        self.kind = kind
-        self.message = message
-
-    def __str__(self) -> str:
-        return self.message
-
-
-class FaultRecoveryExhausted(RuntimeError):
-    """A share kept failing past the configured retry budget."""
-
-
 @dataclass(frozen=True)
 class ChaosPolicy:
     """A deterministic, seeded fault-injection schedule.
 
     ``decides(kind, key, attempt)`` is a pure function: a SHA-256 hash of
     ``(seed, kind, key, attempt)`` compared against ``fault_rate``.  Keys
-    are stable protocol coordinates ("eval share 2", "enclave 1", "store
-    ball 17"), so the schedule is identical whether shares run serially,
-    on a process pool, or are re-dispatched after a crash.
+    are stable protocol coordinates ("enclave 1", "store ball 17"), so the
+    schedule is identical in any process and in any order.
 
     ``faulted_attempts`` bounds how many retries of the same key keep
     faulting: with the default 1 only the first attempt can fail, so any
-    recovery loop with at least one retry converges.  Raise it (up to or
-    past ``RecoveryPolicy.max_retries``) to exercise retry exhaustion.
+    recovery loop with at least one retry (ECALLs, sealed-payload
+    re-requests, store re-fetches) converges.
     """
 
     seed: int = 0
     fault_rate: float = 0.0
     kinds: tuple[str, ...] = INJECTABLE_KINDS
     faulted_attempts: int = 1
-    #: How long an injected hang sleeps in the worker before giving up --
-    #: set it above ``RecoveryPolicy.share_timeout`` to trip the deadline.
-    timeout_sleep_seconds: float = 0.25
 
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
@@ -184,8 +154,6 @@ class ChaosPolicy:
                 f"{list(VALID_KINDS)}")
         if self.faulted_attempts < 1:
             raise ValueError("faulted_attempts must be >= 1")
-        if self.timeout_sleep_seconds <= 0:
-            raise ValueError("timeout_sleep_seconds must be positive")
 
     @classmethod
     def disabled(cls) -> "ChaosPolicy":
@@ -211,21 +179,12 @@ class ChaosPolicy:
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """The recovery layer's explicit knobs (retries, deadlines,
-    degradation switches).  Defaults favour availability: retry crashed
-    shares, drop BF pruning when the enclave is down, re-plan around
+    """The recovery layer's degradation switches.  Defaults favour
+    availability: drop BF pruning when the enclave is down, re-plan around
     dropped Players, quarantine tampered packs -- but *raise* on a store
     found stale at setup (serving wrong balls silently is worse than
     failing loudly; opt in to the recompute fallback explicitly)."""
 
-    #: Re-dispatches per share (and pool respawns per fan-out) before
-    #: :class:`FaultRecoveryExhausted` is raised.
-    max_retries: int = 3
-    #: First respawn delay; grows by ``backoff_factor`` per incident.
-    backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    #: Per-share deadline for the process backend (None: no deadline).
-    share_timeout: float | None = None
     #: Enclave attestation/ECALL failure -> continue twiglet-only
     #: (Sec. 4.2 needs no TEE); BF pruning only ever discards spurious
     #: balls, so the match set is unchanged.
@@ -239,22 +198,6 @@ class RecoveryPolicy:
     #: Store stale at engine setup -> rebuild in-process instead of
     #: raising.  Off by default: staleness usually means misconfiguration.
     recompute_on_stale_store: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.share_timeout is not None and self.share_timeout <= 0:
-            raise ValueError(
-                f"share_timeout must be positive seconds or None "
-                f"(no deadline); got {self.share_timeout!r}")
-
-    def backoff_for(self, incident: int) -> float:
-        """Backoff before respawn number ``incident`` (0-based)."""
-        return self.backoff_seconds * self.backoff_factor ** incident
 
 
 @dataclass
@@ -343,7 +286,7 @@ class FaultInjector:
     run's ``RunMetrics.faults``) and threads it through every recovery
     site.  A ``None`` policy yields the free null injector -- recovery
     sites stay installed but never inject, so *real* faults (a genuinely
-    crashed worker, a genuinely tampered pack) flow through the same
+    aborted ECALL, a genuinely tampered pack) flow through the same
     detect/retry/degrade paths chaos exercises.
     """
 
@@ -389,10 +332,8 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
-    "FaultRecoveryExhausted",
     "FaultReport",
     "INJECTABLE_KINDS",
-    "InjectedFault",
     "MALICIOUS_KINDS",
     "RecoveryPolicy",
     "VALID_KINDS",

@@ -45,15 +45,18 @@ import asyncio
 import hashlib
 import itertools
 import logging
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from repro.crypto.ops import OpCounter
+from repro.crypto.ops import OpCounter, OpCounts
 from repro.framework import wire
+from repro.framework.faults import FaultAction, FaultKind
 from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
 from repro.framework.placement import DEFAULT_SALT, DEFAULT_VNODES
 from repro.framework.server import QueryStatus
+from repro.framework.verify import VerificationError, slice_problems
 from repro.graph.query import Query
 from repro.observability.spans import NULL_TRACER
 
@@ -78,6 +81,53 @@ _SEVERITY = {
     QueryStatus.DEADLINE_EXCEEDED: 4,
     QueryStatus.FORGED: 5,
 }
+#: What a shard may report; ``FORGED`` is the gateway's own verdict.
+_SHARD_STATUSES = frozenset(_SEVERITY) - {QueryStatus.FORGED}
+
+
+def _counts(payload, names: tuple[str, ...]) -> bool:
+    """A dict whose ``names`` that are present are non-negative ints."""
+    return isinstance(payload, dict) and all(
+        type(payload.get(name, 0)) is int and payload.get(name, 0) >= 0
+        for name in names)
+
+
+def _named_counts(payload, names: tuple[str, ...]) -> bool:
+    """A dict of string keys to :func:`_counts` payloads."""
+    return isinstance(payload, dict) and all(
+        isinstance(key, str) and _counts(value, names)
+        for key, value in payload.items())
+
+
+_CACHE_FIELDS = tuple(f.name for f in fields(CacheStats))
+_OPS_FIELDS = tuple(f.name for f in fields(OpCounts))
+_JOURNAL_FIELDS = tuple(f.name for f in fields(JournalCounters))
+
+
+def check_verdict_shape(verdict: dict) -> None:
+    """The one shape check every shard verdict passes before the merge
+    reads it, with or without a verifier: a status a shard may report, a
+    finite non-negative ``busy``, counter payloads of non-negative ints
+    (``caches``, ``ops``, ``journal``), and -- on an OK verdict carrying
+    a slice -- the slice shape the verifier also checks.  Anything else
+    raises :class:`VerificationError` (``FORGE_RESULT``): the shard is
+    treated as a forger, never allowed to crash the merge."""
+    status = verdict.get("status", QueryStatus.OK)
+    busy = verdict.get("busy", 0.0)
+    problems = [name for name, ok in (
+        ("status", isinstance(status, str) and status in _SHARD_STATUSES),
+        ("busy", type(busy) in (int, float) and math.isfinite(busy)
+         and busy >= 0),
+        ("caches", _named_counts(verdict.get("caches", {}), _CACHE_FIELDS)),
+        ("ops", _named_counts(verdict.get("ops", {}), _OPS_FIELDS)),
+        ("journal", _counts(verdict.get("journal", {}), _JOURNAL_FIELDS)),
+    ) if not ok]
+    if status == QueryStatus.OK and "candidates" in verdict:
+        problems += slice_problems(verdict)
+    if problems:
+        raise VerificationError(
+            FaultKind.FORGE_RESULT,
+            f"malformed verdict: {', '.join(problems)} of the wrong shape")
 
 
 class GatewayError(RuntimeError):
@@ -551,17 +601,23 @@ class Gateway:
     def _verify(self, sid: int, task: dict, verdict: dict) -> bool:
         """Judge one verdict user-side before the merge sees it.
 
-        Returns ``True`` when the slice may be absorbed.  Only OK
-        verdicts carry answer slices, so only they are judged; a shard
-        claiming overload/deadline contributes no answer bytes and can
-        at worst fail the query loudly (availability, not integrity).
+        Returns ``True`` when the slice may be absorbed.  Every verdict
+        passes :func:`check_verdict_shape` first.  With a verifier, OK
+        verdicts -- the only ones carrying answer slices -- must also
+        carry a certificate that checks out; a shard claiming overload/
+        deadline contributes no answer bytes and can at worst fail the
+        query loudly (availability, not integrity).
         """
+        try:
+            check_verdict_shape(verdict)
+        except VerificationError as err:
+            self._on_forgery(sid, task, err)
+            return False
         if self.verifier is None:
             return True
         status = verdict.get("status", QueryStatus.OK)
         if status != QueryStatus.OK:
             return True
-        from repro.framework.verify import VerificationError
 
         qid = task["qid"]
         t0 = time.perf_counter()
@@ -585,8 +641,6 @@ class Gateway:
         honest survivors; with nobody left to cover the slice, the query
         is marked FORGED and its answer withheld -- a forged answer
         never reaches the user, whatever happens."""
-        from repro.framework.faults import FaultAction
-
         qid = task["qid"]
         key = f"shard{sid}:q{qid}"
         self._forgeries += 1

@@ -321,10 +321,9 @@ def base_cache_name(name: str) -> str:
 class RunMetrics:
     """Everything a single engine run measured.
 
-    ``timings.evaluation`` stays the *sum* of per-ball costs (comparable
-    across backends); the executor fields record how the work was actually
-    scheduled: which backend ran, how many workers it had, and each
-    worker's measured wall-clock for the evaluation and PM fan-outs.
+    ``timings.evaluation`` is the *sum* of per-ball costs; the
+    ``per_worker_*`` fields record each Player share's measured
+    wall-clock for the evaluation and PM phases.
     """
 
     timings: PhaseTimings = field(default_factory=PhaseTimings)
@@ -335,8 +334,6 @@ class RunMetrics:
     cmms_enumerated: int = 0
     per_ball_eval_cost: dict[int, float] = field(default_factory=dict)
     per_ball_pm_cost: dict[int, float] = field(default_factory=dict)
-    executor_backend: str = "serial"
-    workers: int = 1
     per_worker_eval_wall: dict[int, float] = field(default_factory=dict)
     per_worker_pm_wall: dict[int, float] = field(default_factory=dict)
     #: Per-cache statistics recorded during this run, keyed by cache name
@@ -396,9 +393,6 @@ class RunMetrics:
 
     @property
     def eval_wall_seconds(self) -> float:
-        """Real elapsed seconds of the evaluation fan-out: the slowest
-        worker under a parallel backend, the sum under the serial one."""
-        if not self.per_worker_eval_wall:
-            return 0.0
-        walls = self.per_worker_eval_wall.values()
-        return max(walls) if self.workers > 1 else sum(walls)
+        """Real elapsed seconds of evaluation: the Players' shares run one
+        after another, so their walls add up."""
+        return sum(self.per_worker_eval_wall.values())

@@ -38,11 +38,9 @@ from repro.framework.messages import (
     PruningMessages,
 )
 from repro.framework.executor import (
-    EXECUTOR_BACKENDS,
     BallExecutor,
     EvaluationShare,
     ShareOutcome,
-    create_executor,
     partition_shares,
     share_key,
 )
@@ -149,18 +147,12 @@ class PriloConfig:
     cmm_bound_bypass: int = 2_000
     label_strategy: str = "max"  # Alg. 3 line 2 ("max") or ablation "min"
     seed: int = 0
-    #: SP-side evaluation backend: "serial" (in-process, the default) or
-    #: "process" (one OS process per Player sequence).  Results are
-    #: identical; only the measured wall-clocks differ.
-    executor: str = "serial"
-    #: Worker processes for the "process" backend (ignored by "serial").
-    parallelism: int = 1
     #: Seeded fault-injection schedule (None: chaos off).  Injection
     #: decisions are pure functions of the policy, so the same policy
-    #: replays the same faults on any backend.
+    #: replays the same faults in any process.
     chaos: ChaosPolicy | None = None
-    #: Retry/timeout/degradation knobs of the recovery layer (always
-    #: active -- genuine faults take the same paths chaos exercises).
+    #: Degradation switches of the recovery layer (always active --
+    #: genuine faults take the same paths chaos exercises).
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Per-query wall-clock deadline in milliseconds (None: unbounded).
     #: Checked at phase boundaries and after every executor share; an
@@ -174,30 +166,20 @@ class PriloConfig:
     #: Untrusted-shard serving: shards attach per-query result
     #: certificates (Merkle completeness proof + keyed soundness
     #: digests, :mod:`repro.framework.verify`) to every verdict, and the
-    #: gateway verifies them before merging.  A scheduling/trust knob
-    #: like ``executor`` -- answers are identical either way -- so it is
-    #: deliberately *not* part of the journal config fingerprint.
+    #: gateway verifies them before merging.  A trust knob -- answers are
+    #: identical either way -- so it is deliberately *not* part of the
+    #: journal config fingerprint.
     verify_serving: bool = True
 
     def __post_init__(self) -> None:
-        # Eager validation with actionable messages: a bad backend name or
-        # worker count must fail here, not deep inside pool setup.
+        # Eager validation with actionable messages: a bad value must fail
+        # here, not deep inside a run.
         if (isinstance(self.k_players, bool)
                 or not isinstance(self.k_players, int)
                 or self.k_players < 1):
             raise ValueError(
                 f"k_players must be an int >= 1 (one Player server per "
                 f"sequence); got {self.k_players!r}")
-        if self.executor not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor backend {self.executor!r}; choose one "
-                f"of {EXECUTOR_BACKENDS}")
-        if (isinstance(self.parallelism, bool)
-                or not isinstance(self.parallelism, int)
-                or self.parallelism < 1):
-            raise ValueError(
-                f"parallelism must be an int >= 1 (worker processes for "
-                f"the 'process' backend); got {self.parallelism!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int; got {self.seed!r}")
         if self.chaos is not None and not isinstance(self.chaos,
@@ -364,8 +346,7 @@ class Prilo:
         self.players = [Player(i, self.index)
                         for i in range(config.k_players)]
         self.dealer = Dealer(self.owner.dealer_store())
-        self.executor: BallExecutor = create_executor(
-            config.executor, config.parallelism, recovery=config.recovery)
+        self.executor = BallExecutor()
         #: Optional ball-id predicate restricting candidate enumeration --
         #: the sharded gateway's placement hook (see ``install_ball_filter``).
         self.ball_filter = None
@@ -421,8 +402,8 @@ class Prilo:
         self.dealer = Dealer(self.owner.dealer_store())
 
     def close(self) -> None:
-        """Shut down the evaluation backend (idempotent)."""
-        self.executor.close()
+        """Nothing to release: shares are evaluated in-process.  Kept so
+        engines stay context managers for callers and serving layers."""
 
     def __enter__(self) -> "Prilo":
         return self
@@ -477,7 +458,7 @@ class Prilo:
 
         ``cmm_cache`` (a :class:`repro.framework.server.CMMCache`) sits
         in front of evaluation: each ball's mask stream comes out of the
-        cache instead of being recorded again in the worker.  The batch
+        cache instead of being recorded again in the share.  The batch
         server passes its shared cache here; evaluation itself is the
         same function of ``(message, ball)`` with or without it.
 
@@ -494,8 +475,6 @@ class Prilo:
         if deadline is None and config.deadline_ms is not None:
             deadline = Deadline(config.deadline_ms)
         metrics = RunMetrics()
-        metrics.executor_backend = self.executor.backend
-        metrics.workers = self.executor.workers
         try:
             return self._run(query, metrics, cmm_cache=cmm_cache,
                              journal=journal, query_key=query_key,
@@ -763,8 +742,8 @@ class Prilo:
     def _compute_pms(self, message: EncryptedQueryMessage,
                      candidates: list[Ball], pms: PruningMessages,
                      metrics: RunMetrics) -> None:
-        """Partition the candidates round-robin over the players and fan
-        the shares out over the configured executor."""
+        """Partition the candidates round-robin over the players and
+        compute each player's PM share."""
         partition: list[list[Ball]] = [[] for _ in self.players]
         for index, ball in enumerate(candidates):
             partition[index % len(self.players)].append(ball)
@@ -832,15 +811,10 @@ class Prilo:
 
     #: Journal share key of a query's pruning-message record.  PM-phase
     #: fault events fire on these coordinate prefixes (sealed-channel
-    #: re-requests, enclave ECALL retries, and the executor's ``pm:p<k>``
-    #: share-level retry/timeout loop), so the record carries them for
-    #: the exactly-once replay guarantee.  ``pm:`` was missing at first:
-    #: a resumed run that replayed the PM record silently *dropped* the
-    #: executor-level PM fault events, so post-resume fault totals
-    #: under-counted the uninterrupted run's (regression:
-    #: ``TestResumeTwiceCounters``).
+    #: re-requests and enclave ECALL retries), so the record carries them
+    #: for the exactly-once replay guarantee (``TestResumeTwiceCounters``).
     PM_SHARE_KEY = "pm"
-    _PM_EVENT_PREFIXES = ("bf-blob:", "enclave-mem:", "pm:")
+    _PM_EVENT_PREFIXES = ("bf-blob:", "enclave-mem:")
 
     def _journal_pms(self, journal, query_key: str, decrypted: DecryptedPMs,
                      pm_per_method: dict, metrics: RunMetrics,
@@ -931,8 +905,7 @@ class Prilo:
                          injector: FaultInjector,
                          deadline: Deadline | None):
         """The executor's ``on_result`` callback: journal each completed
-        share durably (with the fault events observed since the previous
-        checkpoint), fire the chaos kill if scheduled, then enforce the
+        share durably, fire the chaos kill if scheduled, then enforce the
         deadline.  ``None`` when neither a journal nor a deadline is
         active, so the hot path stays callback-free."""
         if journal is None and deadline is None:
@@ -941,14 +914,7 @@ class Prilo:
         def hook(key: str, outcome: ShareOutcome) -> None:
             metrics.journal.shares_evaluated += 1
             if journal is not None:
-                # Exact attribution: executor fault events carry the share
-                # key they fired on, so each share's record journals its
-                # own injections/retries and nothing else.  A journaled
-                # share is never re-dispatched, so its events replay
-                # exactly once across any number of crashes.
-                events = [e.as_dict() for e in metrics.faults.events
-                          if e.key == key]
-                journal.append_share(query_key, key, outcome, events)
+                journal.append_share(query_key, key, outcome)
                 metrics.journal.checkpoints_written += 1
                 self._maybe_kill(injector, f"kill:{query_key}:{key}")
             if deadline is not None:
@@ -976,22 +942,21 @@ class Prilo:
                   resume=None, deadline: Deadline | None = None,
                   injector: FaultInjector | None = None,
                   ) -> dict[int, EvaluationResult]:
-        """Step 7 over the configured executor.
+        """Step 7: the Players evaluate their shares.
 
         The Dealer's sequences are deduplicated into disjoint shares
-        (first sequence to mention a ball owns it -- exactly the order the
-        old serial loop evaluated in) and merged back first-evaluation-wins
-        by ball id, so the result dict is identical for every backend.
+        (first sequence to mention a ball owns it) and merged back
+        first-evaluation-wins by ball id.
 
         With ``cmm_cache`` set (and non-SSIM semantics), each share's
         balls are replaced by their recorded mask streams from the cache
-        before dispatch; the enumeration time paid on cache misses is
+        before evaluation; the enumeration time paid on cache misses is
         folded into the per-ball evaluation cost so the schedule replay
         stays honest.
 
         With a journal, every share completion is checkpointed durably;
         with ``resume``, journaled shares are spliced in without being
-        dispatched.
+        evaluated.
         """
         if injector is None:
             injector = FaultInjector(report=metrics.faults)
@@ -1044,7 +1009,7 @@ class Prilo:
         ``cmm_cache`` holds (or now records) for it.
 
         A share whose outcome is already journaled (``completed``) is left
-        alone: it is never dispatched, and -- just as important for resume
+        alone: it is never evaluated, and -- just as important for resume
         speed -- its balls never go through ``cmm_cache.prepare``, so no
         enumeration is repaid.
         """

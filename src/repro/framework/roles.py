@@ -388,10 +388,9 @@ def evaluate_ball_kernel(
     """Alg. 3 lines 3-8 for one ball, using only the label view of the
     query (the edges stay encrypted).
 
-    A module-level pure function of ``(message, ball)`` so the executor
-    backends can ship it to worker processes without serializing a
-    :class:`Player` (whose ball index would dominate the payload).  For
-    hom / sub-iso the ball's mask stream is recorded here, in the worker
+    A module-level pure function of ``(message, ball)``, independent of
+    any :class:`Player` object and of every other ball.  For hom /
+    sub-iso the ball's mask stream is recorded here
     (:func:`repro.core.enumeration.prepare_ball`) -- unless the caller
     hands over the :class:`PreparedBall` a ``CMMCache`` already holds --
     and verified by :func:`repro.core.verification.verify_ball_streaming`.
@@ -537,12 +536,11 @@ def compute_pms_kernel(
     """One player's share of the pruning messages (Secs. 4.1-4.2).
 
     Returns fresh ``(pms, per-ball costs, phase timings, fault events)``
-    so executor backends can run shares in worker processes and merge the
-    results deterministically in the parent.
+    so the executor merges every player's share deterministically.
 
     ``chaos`` (the active fault schedule, if any) drives the enclave-side
     injections -- sealed-payload corruption and EPC exhaustion -- which
-    must fire *inside* the worker where the enclave actually executes.
+    fire here, where the enclave executes.
     The recovery paths are shared with genuine failures, and every
     degradation here is sound: BF pruning only ever removes provably
     spurious balls, so skipping it keeps strictly more candidates and the

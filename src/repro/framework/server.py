@@ -390,8 +390,7 @@ class QueryBatchEngine:
         self._standing: list[StandingQuery] = []
 
     def close(self) -> None:
-        """Shut down the underlying engine's executor (idempotent) -- a
-        failed batch must not leak pool worker processes."""
+        """Close the underlying engine (idempotent)."""
         self.engine.close()
 
     def __enter__(self) -> "QueryBatchEngine":

@@ -98,11 +98,10 @@ _CERT_FIELDS = {
 }
 
 
-def _check_shape(verdict: dict, cert: dict) -> None:
-    """The one shape check before any verdict field is used: the id lists
-    are lists of ints, ``matches`` maps decimal ball-id strings to lists
-    of strings, and every certificate field has its type.  A verdict of
-    any other shape is forged -- never a raw exception in the gateway."""
+def slice_problems(verdict: dict) -> list[str]:
+    """The answer-slice fields of ``verdict`` that have the wrong shape:
+    the id lists must be lists of ints, ``matches`` must map decimal
+    ball-id strings to lists of strings."""
     problems = [name for name in ("candidates", "pm_positive", "verified")
                 if not _int_list(verdict.get(name))]
     matches = verdict.get("matches")
@@ -111,6 +110,15 @@ def _check_shape(verdict: dict, cert: dict) -> None:
             and all(isinstance(s, str) for s in v)
             for k, v in matches.items())):
         problems.append("matches")
+    return problems
+
+
+def _check_shape(verdict: dict, cert: dict) -> None:
+    """The one shape check before any verdict field is used: the answer
+    slice (:func:`slice_problems`) and every certificate field has its
+    type.  A verdict of any other shape is forged -- never a raw
+    exception in the gateway."""
+    problems = slice_problems(verdict)
     problems += [f"cert.{name}" for name, ok in _CERT_FIELDS.items()
                  if name not in cert or not ok(cert[name])]
     if problems:

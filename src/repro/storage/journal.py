@@ -81,7 +81,7 @@ class RecordType:
     BATCH_ADMIT = 1
     #: One query started executing.
     QUERY_BEGIN = 2
-    #: One executor share finished: ciphertext verdicts + fault events.
+    #: One Player share finished: ciphertext verdicts + fault events.
     SHARE_RESULT = 3
     #: One query finished: keyed answer digest + metrics snapshot.
     QUERY_COMMIT = 4
@@ -122,10 +122,11 @@ def config_fingerprint(config, graph_digest: str = "") -> str:
     be replayed into an engine with another: ball ids, share keys and the
     randomness stream would all silently diverge.
 
-    Scheduling-only knobs (executor backend, parallelism, chaos,
-    recovery, deadlines) are deliberately excluded -- resuming on a
-    different backend, or with the kill schedule disabled, is exactly the
-    recovery scenario the journal exists for.
+    Scheduling-only knobs (chaos, recovery, deadlines, verified serving)
+    are deliberately excluded -- resuming with the kill schedule
+    disabled is exactly the recovery scenario the journal exists for.
+    Journals written when the config still carried an executor backend
+    and a parallelism resume unchanged: neither was ever hashed here.
     """
     fields = {
         "k_players": config.k_players,
@@ -396,7 +397,7 @@ class RunJournal(FramedLog):
 
     def append_share(self, query_key: str, share_key: str, outcome: object,
                      events: list[dict] | None = None) -> None:
-        """Checkpoint one completed executor share."""
+        """Checkpoint one completed Player share."""
         self.append(RecordType.SHARE_RESULT,
                     {"query": query_key, "share": share_key,
                      "events": events or []},

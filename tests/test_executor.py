@@ -1,16 +1,13 @@
-"""Backend-equivalence tests for the parallel ball-evaluation engine.
+"""The SP-side evaluation path: per-share metrics, the kernels' pad-power
+fast path, and streaming verification.
 
-The contract under test: the executor backend is a pure scheduling choice.
-Serial and process-pool runs of the same configured engine must produce
-byte-identical answer fields (``matches``, ``verified_ids``,
-``pm_positive_ids``) -- the per-ball work is deterministic given the
-ciphertext inputs, and merging is first-evaluation-wins in sequence order
-regardless of which worker finished first.
+The k Players are a logical partition evaluated in-process, in share
+order; answers across configurations are pinned by ``test_server.py``
+(solo run == batch of one) and the kill/resume matrix in
+``test_journal.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -24,15 +21,8 @@ from repro.core.verification import (
 )
 from repro.crypto.cgbe import CGBE
 from repro.crypto.kernels import MaskedProductTable
-from repro.framework.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    create_executor,
-)
-from repro.framework.prilo import Prilo, PriloConfig
+from repro.framework.prilo import PriloConfig
 from repro.framework.prilo_star import PriloStar
-from repro.graph.generators import fig3_graph, fig3_query
-from repro.graph.query import Semantics
 
 
 @pytest.fixture(scope="module")
@@ -42,96 +32,20 @@ def config():
                        bf=BFConfig(eta=16, expected_trees=200))
 
 
-def run_pair(graph, query, config, *, pruning):
-    """Run the same query under both backends; return (serial, process)."""
-    cls = PriloStar if pruning else Prilo
-    serial = cls.setup(graph, replace(config, executor="serial"))
-    with cls.setup(graph, replace(config, executor="process",
-                                  parallelism=2)) as parallel:
-        return serial.run(query), parallel.run(query)
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("pruning", [False, True],
-                             ids=["plain", "bf+twiglet"])
-    @pytest.mark.parametrize("semantics", [Semantics.HOM,
-                                           Semantics.SUB_ISO,
-                                           Semantics.SSIM])
-    def test_identical_answers(self, dataset, config, semantics, pruning):
-        graph = dataset.graph_for(semantics)
-        query = dataset.random_queries(1, size=4, diameter=2,
-                                       semantics=semantics, seed=5)[0]
-        serial, parallel = run_pair(graph, query, config, pruning=pruning)
-        assert serial.matches == parallel.matches
-        assert serial.verified_ids == parallel.verified_ids
-        assert serial.pm_positive_ids == parallel.pm_positive_ids
-        assert serial.candidate_ids == parallel.candidate_ids
-        assert serial.metrics.cmms_enumerated == \
-            parallel.metrics.cmms_enumerated
-        assert serial.metrics.bypassed_balls == \
-            parallel.metrics.bypassed_balls
-
-    def test_fig3_match_identical(self, config):
-        serial, parallel = run_pair(fig3_graph(), fig3_query(), config,
-                                    pruning=False)
-        assert serial.num_matches == parallel.num_matches == 1
-        (a,) = [m for ms in serial.matches.values() for m in ms]
-        (b,) = [m for ms in parallel.matches.values() for m in ms]
-        assert set(a.vertices()) == set(b.vertices())
-        assert set(a.edges()) == set(b.edges())
-
-
 class TestExecutorMetrics:
-    def test_process_run_records_per_worker_wall(self, dataset, config):
+    def test_run_records_per_player_wall(self, dataset, config):
         query = dataset.random_queries(1, size=4, diameter=2, seed=6)[0]
-        with PriloStar.setup(
-                dataset.graph,
-                replace(config, executor="process",
-                        parallelism=2)) as engine:
-            result = engine.run(query)
+        result = PriloStar.setup(dataset.graph, config).run(query)
         metrics = result.metrics
-        assert metrics.executor_backend == "process"
-        assert metrics.workers == 2
         assert metrics.per_worker_eval_wall
         assert all(w > 0 for w in metrics.per_worker_eval_wall.values())
         assert metrics.per_worker_pm_wall
-        assert metrics.eval_wall_seconds == \
-            max(metrics.per_worker_eval_wall.values())
-        # The comparability invariant: evaluation stays the per-ball sum.
-        assert metrics.timings.evaluation == pytest.approx(
-            sum(metrics.per_ball_eval_cost.values()))
-
-    def test_serial_run_records_backend(self, dataset, config):
-        query = dataset.random_queries(1, size=4, diameter=2, seed=6)[0]
-        result = Prilo.setup(dataset.graph, config).run(query)
-        metrics = result.metrics
-        assert metrics.executor_backend == "serial"
-        assert metrics.workers == 1
+        # The shares run one after another: their walls add up.
         assert metrics.eval_wall_seconds == pytest.approx(
             sum(metrics.per_worker_eval_wall.values()))
-
-
-class TestConfigValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            PriloConfig(executor="threads")
-
-    def test_nonpositive_parallelism_rejected(self):
-        with pytest.raises(ValueError, match="parallelism"):
-            PriloConfig(parallelism=0)
-
-    def test_factory_matches_config_names(self):
-        assert isinstance(create_executor("serial", 1), SerialExecutor)
-        with create_executor("process", 3) as executor:
-            assert isinstance(executor, ProcessExecutor)
-            assert executor.workers == 3
-        with pytest.raises(ValueError, match="threads"):
-            create_executor("threads", 1)
-
-    def test_close_is_idempotent(self):
-        executor = create_executor("process", 2)
-        executor.close()
-        executor.close()
+        # Evaluation time is the per-ball sum.
+        assert metrics.timings.evaluation == pytest.approx(
+            sum(metrics.per_ball_eval_cost.values()))
 
 
 class TestPowerCacheFastPath:

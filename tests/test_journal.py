@@ -1,8 +1,8 @@
 """Crash-safe durable serving: the write-ahead run journal, checkpoint/
 resume, per-query deadlines and admission control (DESIGN.md section 9).
 
-The headline property, asserted across all three semantics, pruning
-on/off and both executor backends: ``kill -9`` at a chaos-chosen durable
+The headline property, asserted across all three semantics and pruning
+on/off: ``kill -9`` at a chaos-chosen durable
 checkpoint, followed by a resume of the *same* submission list, yields
 byte-identical answer sets to the uninterrupted run -- and both agree
 with the plaintext oracle.
@@ -13,11 +13,13 @@ import pickle
 import signal
 import subprocess
 import sys
+from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cli import _chaos
 from repro.core.bf_pruning import BFConfig
 from repro.framework.executor import EvaluationShare, share_key
 from repro.framework.faults import (
@@ -25,6 +27,7 @@ from repro.framework.faults import (
     VALID_KINDS,
     ChaosPolicy,
     FaultKind,
+    RecoveryPolicy,
 )
 from repro.framework.prilo import (
     BallBudgetExceeded,
@@ -200,12 +203,21 @@ class TestFraming:
 
 class TestKeysAndFingerprints:
     def test_fingerprint_ignores_scheduling_knobs(self, test_config):
-        serial = replace(test_config, executor="serial", parallelism=1)
-        process = replace(test_config, executor="process", parallelism=4,
-                          chaos=ChaosPolicy(seed=1, fault_rate=0.5),
-                          deadline_ms=50.0)
-        assert (config_fingerprint(serial, "g")
-                == config_fingerprint(process, "g"))
+        scheduled = replace(test_config,
+                            chaos=ChaosPolicy(seed=1, fault_rate=0.5),
+                            recovery=RecoveryPolicy(degrade_bf=False),
+                            deadline_ms=50.0, ball_budget=7,
+                            verify_serving=False)
+        assert (config_fingerprint(test_config, "g")
+                == config_fingerprint(scheduled, "g"))
+
+    def test_fingerprint_unchanged_by_the_retired_executor_knobs(
+            self, test_config):
+        """Recorded at the last commit whose config still carried
+        ``executor`` / ``parallelism``: journals written there resume
+        here because the digest never hashed either field."""
+        assert config_fingerprint(test_config) == (
+            "96c7689de996e793f322b227abb0e2b73604fe1ca9935e8d31681f0be914065a")
 
     def test_fingerprint_tracks_answer_shaping_fields(self, test_config):
         assert (config_fingerprint(test_config, "g")
@@ -311,19 +323,15 @@ class TestKillResumeMatrix:
 
     @pytest.mark.parametrize("pruning", [False, True],
                              ids=["no-pruning", "pruning"])
-    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("semantics", [Semantics.HOM,
                                            Semantics.SUB_ISO,
                                            Semantics.SSIM])
     def test_kill_then_resume_matches_uninterrupted(
-            self, dataset, test_config, tmp_path, semantics, backend,
-            pruning):
-        config = replace(test_config, executor=backend,
-                         parallelism=2 if backend == "process" else 1)
+            self, dataset, test_config, tmp_path, semantics, pruning):
         queries = _queries(dataset, semantics)
 
         # Uninterrupted baseline (same process, no journal, no chaos).
-        _serve_batch(dataset, config, semantics, pruning, queries, None,
+        _serve_batch(dataset, test_config, semantics, pruning, queries, None,
                      tmp_path / "baseline.pkl")
         with open(tmp_path / "baseline.pkl", "rb") as fh:
             baseline, _, _ = pickle.load(fh)
@@ -340,7 +348,7 @@ class TestKillResumeMatrix:
             out_path = tmp_path / f"answers-{kill_seed}.pkl"
             args_path = tmp_path / f"child-args-{kill_seed}.pkl"
             with open(args_path, "wb") as fh:
-                pickle.dump((config, semantics, pruning, queries,
+                pickle.dump((test_config, semantics, pruning, queries,
                              journal_path, out_path, kill_seed), fh)
             for attempt in range(10):
                 code = _crash_pass(args_path, tmp_path / "child.log")
@@ -363,7 +371,7 @@ class TestKillResumeMatrix:
         assert counters["records_replayed"] == counters["shares_skipped"]
 
         # The plaintext oracle agrees (differential check, Sec. 2.1).
-        engine = _engine(dataset, config, semantics, pruning)
+        engine = _engine(dataset, test_config, semantics, pruning)
         try:
             for query, key in zip(queries, resumed):
                 _, candidates = engine.candidate_balls(query)
@@ -444,28 +452,6 @@ class TestResumeDifferential:
         assert ([_answer_key(r) for r in resumed.results]
                 == [_answer_key(r) for r in first.results])
 
-    def test_resume_on_other_backend_allowed(self, dataset, test_config,
-                                             tmp_path):
-        """Scheduling knobs are outside the fingerprint: a serial-run
-        journal resumes on the process backend with identical answers."""
-        queries = _queries(dataset, Semantics.HOM)
-        path = tmp_path / "run.journal"
-        journal = RunJournal(path, journal_key(test_config.seed))
-        first = QueryBatchEngine(Prilo.setup(dataset.graph, test_config),
-                                 journal=journal).serve(queries)
-        journal.close()
-        _truncate_after(path, 4)
-
-        process_config = replace(test_config, executor="process",
-                                 parallelism=2)
-        journal = RunJournal(path, journal_key(test_config.seed))
-        with QueryBatchEngine(Prilo.setup(dataset.graph, process_config),
-                              journal=journal) as server:
-            resumed = server.serve(queries)
-        journal.close()
-        assert ([_answer_key(r) for r in resumed.results]
-                == [_answer_key(r) for r in first.results])
-
     def test_fingerprint_mismatch_refused(self, dataset, test_config,
                                           tmp_path):
         queries = _queries(dataset, Semantics.HOM)
@@ -514,41 +500,34 @@ class TestResumeDifferential:
 class TestFaultMetricsMerge:
     def test_replayed_fault_events_counted_exactly_once(
             self, dataset, test_config, tmp_path):
-        """Chaos injections journaled with their share replay exactly once
-        after a crash: the resumed run's eval-share fault events equal the
-        uninterrupted chaotic run's."""
-        chaos = ChaosPolicy(seed=11, fault_rate=0.6)
-        config = replace(test_config, chaos=chaos)
+        """Fault events journaled with a share replay exactly once on
+        resume.  Journals written while the in-engine process pool existed
+        carry ``worker_crash`` events on eval shares: resuming one reports
+        each of them once, and answers stay the uninterrupted run's."""
         queries = _queries(dataset, Semantics.HOM)
-
-        def eval_events(report):
-            return [[e.as_dict() for e in r.metrics.faults.events
-                     if e.key.startswith(("eval:", "verify:"))]
-                    for r in report.results]
-
-        baseline = QueryBatchEngine(
-            Prilo.setup(dataset.graph, config)).serve(queries)
-        assert any(events for events in eval_events(baseline)), \
-            "chaos schedule injected nothing; test is vacuous"
-
         path = tmp_path / "run.journal"
-        journal = RunJournal(path, journal_key(config.seed))
-        first = QueryBatchEngine(Prilo.setup(dataset.graph, config),
-                                 journal=journal).serve(queries)
-        journal.close()
-        assert eval_events(first) == eval_events(baseline)
-        _truncate_after(path, 2 + first.journal.checkpoints_written // 2)
-
-        journal = RunJournal(path, journal_key(config.seed))
-        resumed = QueryBatchEngine(Prilo.setup(dataset.graph, config),
-                                   journal=journal).serve(queries)
-        journal.close()
-        assert resumed.journal.shares_skipped >= 1
-        # Pre-crash events replayed from the journal + post-crash events
-        # re-recorded live == the uninterrupted run's events, exactly once.
-        assert eval_events(resumed) == eval_events(baseline)
-        if any(events for events in eval_events(baseline)[:1]):
-            assert resumed.journal.replayed_fault_events >= 0
+        key = journal_key(test_config.seed)
+        with RunJournal(path, key) as journal:
+            first = QueryBatchEngine(Prilo.setup(dataset.graph, test_config),
+                                     journal=journal).serve(queries)
+        # Crash after BATCH_ADMIT, QUERY_BEGIN(q0) and q0's first share.
+        _truncate_after(path, 3)
+        with RunJournal(path, key) as journal:
+            qkey, query_state = next(iter(journal.replay().queries.items()))
+            share, entry = next(iter(query_state.shares.items()))
+            event = {"kind": "worker_crash", "key": share,
+                     "action": "recovered", "detail": "pool respawned",
+                     "attempt": 1}
+            journal.append_share(qkey, share, entry.outcome, [event])
+            resumed = QueryBatchEngine(
+                Prilo.setup(dataset.graph, test_config),
+                journal=journal).serve(queries)
+        assert resumed.journal.shares_skipped == 1
+        assert resumed.journal.replayed_fault_events == 1
+        assert [e.as_dict() for r in resumed.results
+                for e in r.metrics.faults.events] == [event]
+        assert ([_answer_key(r) for r in resumed.results]
+                == [_answer_key(r) for r in first.results])
 
     def test_tampered_share_re_evaluated(self, dataset, test_config,
                                          tmp_path):
@@ -601,17 +580,17 @@ class TestFaultMetricsMerge:
 # Exactly-once counter merge across repeated resumes (regression)
 # ---------------------------------------------------------------------------
 class TestResumeTwiceCounters:
-    """Regression for the dropped ``pm:p<k>`` fault events.
+    """PM-phase fault events replay exactly once.
 
-    ``_PM_EVENT_PREFIXES`` originally listed only the sealed-channel and
-    ECALL coordinates (``bf-blob:``, ``enclave-mem:``), so a fault hitting
-    the executor's PM share fan-out -- coordinate ``pm:p<k>`` -- was never
-    journaled with the PM record.  A resume that *successfully* replayed
-    the PM verdicts then silently lost those events: answers matched but
-    post-resume fault totals under-counted the cold run's.  This test
-    crashes after the first PM record, resumes, then resumes again with a
-    complete journal, asserting full fault-event and cache-counter
-    equality with the uninterrupted chaotic run each time.
+    The PM record journals the fault events fired on the PM-phase
+    coordinates (``Prilo._PM_EVENT_PREFIXES``: sealed-channel re-requests
+    and enclave ECALL retries).  A resume that replays the PM verdicts
+    must replay those events too, or post-resume fault totals would
+    under-count the cold run's (the regression this class was written
+    for dropped the PM fan-out's own events).  This test crashes after the
+    first PM record, resumes, then resumes again with a complete journal,
+    asserting full fault-event and cache-counter equality with the
+    uninterrupted chaotic run each time.
     """
 
     # Attestation rejection is chaos-decided per ``reattest:`` coordinate,
@@ -648,9 +627,10 @@ class TestResumeTwiceCounters:
         cold = run()
         assert any(ev for ev in self._fault_events(cold)), \
             "chaos schedule injected nothing; test is vacuous"
-        assert any(any(key.startswith("pm:") for _, key, _, _ in ev)
+        assert any(any(key.startswith(Prilo._PM_EVENT_PREFIXES)
+                       for _, key, _, _ in ev)
                    for ev in self._fault_events(cold)), \
-            "no PM fan-out fault; the regression path is not exercised"
+            "no PM-phase fault; the replay path is not exercised"
 
         path = tmp_path / "run.journal"
         journal = RunJournal(path, journal_key(config.seed))
@@ -910,5 +890,14 @@ class TestKillProcessChaos:
         assert decisions == again
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ChaosPolicy(seed=1, fault_rate=0.5, kinds=("made_up",))
+        """``worker_crash`` / ``share_timeout`` went with the in-engine
+        process pool: the policy and ``--chaos-kinds`` both refuse them
+        and name the kinds that are valid."""
+        valid = ", ".join(VALID_KINDS)
+        for kind in ("made_up", "worker_crash", "share_timeout"):
+            with pytest.raises(ValueError, match="choose from") as err:
+                ChaosPolicy(seed=1, fault_rate=0.5, kinds=(kind,))
+            assert all(k in str(err.value) for k in VALID_KINDS)
+            with pytest.raises(SystemExit, match=f"valid: {valid}$"):
+                _chaos(Namespace(chaos_seed=1, fault_rate=0.5,
+                                 chaos_kinds=f"kill_process,{kind}"))

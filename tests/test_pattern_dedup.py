@@ -11,8 +11,8 @@ Pinned here:
   decision is unchanged by that, and it stays exact against the plaintext
   matcher;
 * the shipped ``per_item`` lists are equal across the paper-literal
-  oracle and the kernels, worker-recorded and cache-fed shares, the
-  process executor and a journal replay;
+  oracle and the kernels, self-recorded and cache-fed shares, and a
+  journal replay;
 * the summable layout is untouched: its sum is byte-identical to the
   value recorded on the commit before this layout change.
 
@@ -47,11 +47,7 @@ from repro.core.verification import (
 )
 from repro.crypto.cgbe import CGBE
 from repro.crypto.kernels import mask_of_pattern, pattern_of_mask
-from repro.framework.executor import (
-    EvaluationShare,
-    ProcessExecutor,
-    SerialExecutor,
-)
+from repro.framework.executor import BallExecutor, EvaluationShare
 from repro.framework.messages import EncryptedQueryMessage
 from repro.framework.prilo import Prilo, PriloConfig
 from repro.graph.ball import extract_ball
@@ -190,8 +186,7 @@ def _per_item(outcomes):
 
 
 class TestPathsShipTheSameItems:
-    def test_naive_batched_prepared_process_journal(self, small_scheme,
-                                                    tmp_path):
+    def test_naive_batched_prepared_journal(self, small_scheme, tmp_path):
         worlds = [random_world(seed, Semantics.HOM) for seed in range(40)]
         # One label view, many balls: keep the worlds that share the most
         # common query-label tuple so a single message serves them all.
@@ -206,8 +201,8 @@ class TestPathsShipTheSameItems:
             c_one=small_scheme.encrypt_one())
         bounds = dict(enumeration_limit=2_000, cmm_bound_bypass=10 ** 9)
         shares = [EvaluationShare(player=0, balls=balls)]
-        serial = SerialExecutor()
-        batched = serial.evaluate_shares(message, shares, **bounds)
+        executor = BallExecutor()
+        batched = executor.evaluate_shares(message, shares, **bounds)
         reference = _per_item(batched)
         assert any(items for items in reference.values())
         oracle = [oracle_evaluate_ball(message, ball, **bounds)
@@ -215,11 +210,8 @@ class TestPathsShipTheSameItems:
         assert {v.ball_id: v.per_item for v in oracle} == reference
         fed = [EvaluationShare(player=0, cached=True, balls=tuple(
             prepare_ball(view, ball, **bounds) for ball in balls))]
-        assert _per_item(serial.evaluate_shares(
+        assert _per_item(executor.evaluate_shares(
             message, fed, **bounds)) == reference
-        with ProcessExecutor(workers=2) as pool:
-            assert _per_item(pool.evaluate_shares(
-                message, shares, **bounds)) == reference
         # Journal round trip: what a resumed run splices back in.
         key = journal_key(3)
         with RunJournal(tmp_path / "wal", key) as journal:
@@ -275,7 +267,7 @@ class TestSummableLayoutUntouched:
             verify_ball_streaming(cgbe.params, enc, c_one, prepared, plan,
                                   multiexp=table),
         ] + [
-            SerialExecutor().evaluate_shares(
+            BallExecutor().evaluate_shares(
                 message, [share], **bounds)[0].results[0].verdict
             for share in (EvaluationShare(player=0, balls=(ball,)),
                           EvaluationShare(player=0, balls=(prepared,),

@@ -19,16 +19,29 @@ def test_readme_quickstart_runs():
     result = engine.run(query)
     assert result.num_matches >= 0
     assert len(result.verified_ids) >= len(result.match_ball_ids)
+    # The per-Player wall-clocks the README prints right below it.
+    assert result.metrics.per_worker_eval_wall
 
-    # The parallel variant shown right below it: same answers, per-worker
-    # wall-clocks recorded.
-    with PriloStar.setup(graph, PriloConfig(k_players=4, seed=7,
-                                            executor="process",
-                                            parallelism=4)) as parallel:
-        par = parallel.run(query)
-    assert par.matches == result.matches
-    assert par.verified_ids == result.verified_ids
-    assert par.metrics.per_worker_eval_wall
+
+def test_readme_chaos_example_runs():
+    from repro import Semantics
+    from repro.framework import ChaosPolicy, PriloConfig, PriloStar
+    from repro.graph import Query
+    from repro.graph.generators import social_graph
+
+    graph = social_graph(num_vertices=600, lattice_neighbors=3,
+                         rewire_probability=0.05, num_labels=12, seed=42)
+    query = Query.from_edges(
+        labels={"a": 3, "b": 7, "c": 5},
+        edges=[("b", "a"), ("c", "b")],
+        semantics=Semantics.HOM)
+    clean = PriloStar.setup(graph, PriloConfig(seed=7)).run(query)
+
+    config = PriloConfig(seed=7, chaos=ChaosPolicy(seed=7, fault_rate=0.1))
+    with PriloStar.setup(graph, config) as engine:
+        result = engine.run(query)
+    assert result.matches == clean.matches
+    assert "injected=" in result.metrics.faults.summary_line()
 
 
 def test_readme_example_scripts_exist():

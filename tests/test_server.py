@@ -3,8 +3,7 @@
 The load-bearing property: serving a batch through
 :class:`QueryBatchEngine` -- a CMM cache in front of the one evaluation
 path -- is *value-identical* to running the same queries through a fresh
-engine one at a time, across semantics, pruning settings and executor
-backends.  Plus the cache contract: bounded weight, LRU eviction, shared
+engine one at a time, across semantics and pruning settings.  Plus the cache contract: bounded weight, LRU eviction, shared
 :class:`CacheStats` counters, and one signature function for the user's
 query and the SP's label view.
 """
@@ -63,20 +62,6 @@ class TestBatchEqualsSequential:
         report = batch_engine.serve(queries)
 
         assert len(report.results) == len(queries)
-        for seq, bat in zip(sequential, report.results):
-            assert _result_key(seq) == _result_key(bat)
-
-    @pytest.mark.parametrize("semantics", [Semantics.HOM, Semantics.SSIM])
-    def test_process_backend(self, dataset, test_config, semantics):
-        config = replace(test_config, executor="process", parallelism=2)
-        graph = dataset.graph_for(semantics)
-        queries = _queries(dataset, semantics, count=2)
-
-        with Prilo.setup(graph, config) as sequential_engine:
-            sequential = [sequential_engine.run(q) for q in queries]
-        with Prilo.setup(graph, config) as engine:
-            report = QueryBatchEngine(engine).serve(queries)
-
         for seq, bat in zip(sequential, report.results):
             assert _result_key(seq) == _result_key(bat)
 
@@ -315,17 +300,14 @@ class TestOneEvaluationPath:
                metrics.caches["pad"].as_dict())
         return per_ball, run, metrics.caches.get("cmm")
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("modulus_bits", [512, 1024],
                              ids=["chunked", "summable"])
     @pytest.mark.parametrize("semantics", [Semantics.HOM, Semantics.SUB_ISO],
                              ids=lambda s: s.value)
     def test_solo_run_is_cold_batch_of_one(self, dataset, test_config,
-                                           semantics, modulus_bits, backend):
+                                           semantics, modulus_bits):
         config = replace(test_config, modulus_bits=modulus_bits,
-                         enumeration_limit=10, cmm_bound_bypass=40,
-                         executor=backend,
-                         parallelism=2 if backend == "process" else 1)
+                         enumeration_limit=10, cmm_bound_bypass=40)
         query = dataset.random_queries(1, size=5, diameter=2,
                                        semantics=semantics, seed=2)[0]
         cache = CMMCache()

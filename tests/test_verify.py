@@ -30,7 +30,13 @@ from repro.framework.faults import (
     ChaosPolicy,
     FaultKind,
 )
-from repro.framework.gateway import Gateway, ShardClient
+from repro.framework.gateway import (
+    Gateway,
+    ShardClient,
+    _QueryState,
+    check_verdict_shape,
+)
+from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
 from repro.framework.placement import PlacementManifest
 from repro.framework.prilo import Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
@@ -546,6 +552,126 @@ class TestRogueGateway:
         assert report.forgeries_detected == 0
         assert report.proofs_checked >= len(queries)
         assert report.proof_bytes > 0
+        for i, answer in enumerate(report.answers):
+            assert wire.answer_bytes(answer) == \
+                wire.answer_bytes(expected[i])
+
+
+# ---------------------------------------------------------------------------
+# The counters the merge reads after the verifier (busy, caches, ops,
+# journal, status): one shape check, with or without --no-verify
+# ---------------------------------------------------------------------------
+#: Wrong-shaped telemetry a rogue shard can put on an OK verdict; each one
+#: used to raise out of ``Gateway._absorb`` (or, for the status, withhold
+#: the answer).
+_TELEMETRY_MUTATIONS = {
+    "busy": lambda v: v.__setitem__("busy", "x"),
+    "caches": lambda v: v.__setitem__("caches", [1]),
+    "ops": lambda v: v.__setitem__("ops", {"evaluation/player:0":
+                                           {"modmul": "x"}}),
+    "journal": lambda v: v.__setitem__("journal", ["checkpoints_written"]),
+    "status": lambda v: v.__setitem__("status", "bogus"),
+}
+
+#: An honest verdict's shape, as ``wire.verdict_payload`` writes it.
+_HONEST_VERDICT = {
+    "t": "verdict", "qid": 0, "shard": 0, "status": QueryStatus.OK,
+    "detail": "", "busy": 0.25,
+    "caches": {"pad": CacheStats(hits=3, misses=2).as_dict(),
+               "cmm": CacheStats(entries=4, weight=9,
+                                 capacity=100).as_dict()},
+    "ops": {"evaluation/player:0": {"modmul": 12, "modexp": 1,
+                                    "table_build": 3}},
+    "journal": JournalCounters(checkpoints_written=2).as_dict(),
+    "candidates": [3, 5, 8], "pm_positive": [3, 8], "verified": [8],
+    "matches": {"8": ['{"e": []}']},
+}
+
+
+def _absorb_once(verdict: dict) -> None:
+    """``Gateway._absorb`` on the merge state of a one-query batch that
+    still waits for another slice."""
+    gateway = Gateway([SimpleNamespace(shard_id=0, host="", port=0)])
+    gateway._states = [_QueryState(outstanding=2)]
+    gateway._busy = {0: 0.0}
+    gateway._metrics = RunMetrics()
+    gateway._absorb(0, {"qid": 0}, verdict)
+
+
+class TestTelemetryShape:
+    def test_honest_verdict_passes_and_merges(self):
+        check_verdict_shape(json.loads(json.dumps(_HONEST_VERDICT)))
+        _absorb_once(json.loads(json.dumps(_HONEST_VERDICT)))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_verdict_is_refused_or_merges(self, data):
+        """Dropped and re-typed fields anywhere in a verdict: the shape
+        check refuses it as a forgery, or the merge absorbs it without
+        raising."""
+        verdict = json.loads(json.dumps(_HONEST_VERDICT))
+        path = data.draw(st.sampled_from(list(_json_paths(verdict))))
+        parent = verdict
+        for step in path[:-1]:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            if isinstance(parent, list):
+                del parent[path[-1]:]
+            else:
+                del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(
+                _JSON_VALUES | st.floats() | st.integers(-3, -1))
+        try:
+            check_verdict_shape(verdict)
+        except VerificationError as err:
+            assert err.kind == FaultKind.FORGE_RESULT
+            return
+        _absorb_once(verdict)
+
+    @pytest.mark.parametrize("field", sorted(_TELEMETRY_MUTATIONS))
+    def test_check_refuses_each_field(self, field):
+        verdict = json.loads(json.dumps(_HONEST_VERDICT))
+        _TELEMETRY_MUTATIONS[field](verdict)
+        with pytest.raises(VerificationError, match=field) as err:
+            check_verdict_shape(verdict)
+        assert err.value.kind == FaultKind.FORGE_RESULT
+
+    @pytest.mark.parametrize("field,verify", [
+        ("busy", False), ("caches", True), ("journal", False),
+        ("ops", True), ("status", False),
+    ], ids=lambda v: v if isinstance(v, str)
+        else ("verified" if v else "no-verify"))
+    def test_malformed_telemetry_evicts_the_shard(
+            self, dataset, vconfig, stores, monkeypatch, field, verify):
+        """Shard 1 puts wrong-shaped telemetry on its OK verdicts: it is
+        evicted like a forger, its slices re-served, the answers equal
+        an honest run's byte for byte -- verifier or not."""
+        _, shards_dir = stores(Semantics.HOM)
+        queries = dataset.random_queries(2, size=5, seed=4)
+        expected = _baseline(dataset.graph, vconfig, queries, Prilo)
+        request = ShardClient.request
+
+        async def rogue(client, payload):
+            verdict = await request(client, payload)
+            if (client.shard_id == 1 and verdict.get("t") == "verdict"
+                    and verdict.get("status") == QueryStatus.OK):
+                _TELEMETRY_MUTATIONS[field](verdict)
+            return verdict
+
+        monkeypatch.setattr(ShardClient, "request", rogue)
+        verifier = AnswerVerifier.from_placement(
+            PlacementManifest.read(shards_dir), seed=vconfig.seed,
+            config=replace(vconfig, **Prilo._OVERRIDES)) if verify else None
+        specs = make_shard_specs(dataset.graph, vconfig, 2, engine="prilo",
+                                 store_root=str(shards_dir))
+        with LocalCluster(specs) as cluster:
+            report = Gateway(cluster.handles, verifier=verifier).run(
+                queries)
+        assert report.forgeries_detected > 0
+        assert report.evictions == [1]
+        assert [o.status for o in report.outcomes] == \
+            [QueryStatus.OK] * len(queries)
         for i, answer in enumerate(report.answers):
             assert wire.answer_bytes(answer) == \
                 wire.answer_bytes(expected[i])
