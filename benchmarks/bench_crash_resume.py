@@ -5,7 +5,9 @@ halves, measured here on the PR-2 batch-serving workload (16
 homomorphism queries over 4 distinct patterns, CMM reuse on):
 
 (a) *Steady state*: journaling every admission, share outcome, and
-    commit (CRC-framed, fsync'd appends) must cost <= 5% of the
+    commit (CRC-framed appends, each flushed so ``kill -9`` loses none;
+    one ``fsync`` per committed query, so a host crash loses at most the
+    un-acknowledged query's shares) must cost <= 5% of the
     unjournaled batch makespan -- durability is not allowed to eat the
     batch engine's speedup.
 

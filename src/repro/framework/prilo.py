@@ -905,7 +905,7 @@ class Prilo:
                          injector: FaultInjector,
                          deadline: Deadline | None):
         """The executor's ``on_result`` callback: journal each completed
-        share durably, fire the chaos kill if scheduled, then enforce the
+        share, fire the chaos kill if scheduled, then enforce the
         deadline.  ``None`` when neither a journal nor a deadline is
         active, so the hot path stays callback-free."""
         if journal is None and deadline is None:
@@ -925,9 +925,11 @@ class Prilo:
     @staticmethod
     def _maybe_kill(injector: FaultInjector, coordinate: str) -> None:
         """The ``KILL_PROCESS`` chaos hook: die as ``kill -9`` would,
-        immediately after a durable checkpoint.  The journal record for
-        this coordinate is already fsync'd, so the kill point is exactly
-        the crash-consistency boundary a resume must survive."""
+        immediately after a checkpoint.  The journal record for this
+        coordinate is already written and flushed, which is all a SIGKILL
+        needs (its ``fsync`` comes with the query's commit), so the kill
+        point is exactly the crash-consistency boundary a resume must
+        survive."""
         if not injector.active:
             return
         if injector.policy.decides(FaultKind.KILL_PROCESS, coordinate):

@@ -47,7 +47,13 @@ from repro.framework.prilo_star import PriloStar
 from repro.framework.server import QueryBatchEngine, QueryStream
 from repro.framework.verify import Certifier
 from repro.graph.labeled_graph import LabeledGraph
-from repro.storage import ArtifactStore, RunJournal, StoreStale, journal_key
+from repro.storage import (
+    ArtifactStore,
+    RunJournal,
+    StoreStale,
+    graph_digest,
+    journal_key,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -131,6 +137,7 @@ class ShardServer:
         self.engine = None
         self.stream: QueryStream | None = None
         self.certifier: Certifier | None = None
+        self.journal: RunJournal | None = None
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._lock = asyncio.Lock()
@@ -156,12 +163,11 @@ class ShardServer:
                 store.auth, seed=spec.config.seed,
                 config=self.engine.config,
                 graph_digest=store.manifest_graph_digest)
-        journal = None
         if spec.journal_path:
-            journal = RunJournal(spec.journal_path,
-                                 journal_key(spec.config.seed))
+            self.journal = RunJournal(spec.journal_path,
+                                      journal_key(spec.config.seed))
         self.stream = QueryStream(QueryBatchEngine(
-            self.engine, journal=journal, queue_bound=spec.queue_bound))
+            self.engine, journal=self.journal, queue_bound=spec.queue_bound))
 
     async def start(self) -> None:
         if self.engine is None:
@@ -181,6 +187,10 @@ class ShardServer:
             await self._server.wait_closed()
         if self.stream is not None:
             self.stream.engine.close()
+        if self.journal is not None:
+            # The engine does not own the journal; the shard that opened
+            # it closes it (which fsyncs whatever tail is not yet durable).
+            self.journal.close()
 
     # -- protocol -------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -412,6 +422,11 @@ class LocalCluster:
             "fork" if "fork" in methods else "spawn")
 
     def start(self) -> list[ShardHandle]:
+        for spec in self.specs:
+            # Hash the graph once here, before the fork: every child's
+            # staleness check and journal fingerprint reads the memo it
+            # inherits (under spawn, the memo travels in the pickle).
+            graph_digest(spec.graph)
         pending = []
         try:
             for spec in self.specs:

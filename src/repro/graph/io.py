@@ -68,13 +68,14 @@ def load_edge_list(path: str | Path) -> LabeledGraph:
 
 
 def graph_to_json(graph: LabeledGraph) -> str:
-    """Canonical JSON form (deterministic ordering) of a labeled graph."""
+    """Canonical JSON form (deterministic ordering) of a labeled graph:
+    vertices sorted by ``repr``, edges by their endpoints' ``repr`` pair
+    (one ``repr`` per vertex, shared by both sections)."""
+    text = {v: repr(v) for v in graph.vertices()}
     payload = {
-        "vertices": [[repr(v), repr(graph.label(v))]
-                     for v in sorted(graph.vertices(), key=repr)],
-        "edges": [[repr(u), repr(v)] for u, v in
-                  sorted(graph.edges(),
-                         key=lambda e: (repr(e[0]), repr(e[1])))],
+        "vertices": [[text[v], repr(graph.label(v))]
+                     for v in sorted(text, key=text.__getitem__)],
+        "edges": sorted([text[u], text[v]] for u, v in graph.edges()),
     }
     return json.dumps(payload, separators=(",", ":"))
 

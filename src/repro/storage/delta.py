@@ -121,6 +121,8 @@ class DeltaLog(FramedLog):
     """The keyed-digest delta log over :class:`FramedLog`."""
 
     RECORD_TYPES = {DELTA_RECORD: "delta"}
+    #: Every delta is acknowledged on append: one ``fsync`` per record.
+    DURABLE_TYPES = frozenset(RECORD_TYPES)
     error = DeltaError
     #: Sequence number of the next append; read off the file on first use.
     _next_seq: int | None = None

@@ -3,14 +3,20 @@
 PR 3 made a single run survive *transient* faults; a ``kill -9``, an OOM
 kill or a host restart still lost every in-flight query.  The
 :class:`RunJournal` closes that gap: the serving layer appends one
-durable record per protocol milestone (batch admission, query begin,
-executor-share completion, query commit, drain), each record fsync'd
-before the milestone is considered to have happened.  A restarted
-``serve-batch``/``run`` replays the journal and re-evaluates only the
-shares that never reached the journal -- per-ball evaluation is a pure
-function of ``(message, ball)`` and the CGBE randomness stream is a pure
-function of ``(seed, query order)``, so a resumed run reproduces the
-uninterrupted run's messages bit-for-bit and its answers exactly.
+record per protocol milestone (batch admission, query begin,
+executor-share completion, query commit, drain).  Every record is
+written and flushed to the OS before ``append`` returns, so ``kill -9``
+or an OOM kill loses nothing that was appended.  ``fsync`` is a group
+commit, run where the serving layer acknowledges something -- a query
+commit (before the answer leaves), a drain, ``close()``: a record is
+durable before anything that depends on it is acknowledged, and a
+*host* crash loses at most the shares of the one un-acknowledged
+query, which a resume recomputes.  A restarted ``serve-batch``/``run``
+replays the journal and re-evaluates only the shares that never
+reached it -- per-ball evaluation is a pure function of ``(message,
+ball)`` and the CGBE randomness stream is a pure function of ``(seed,
+query order)``, so a resumed run reproduces the uninterrupted run's
+messages bit-for-bit and its answers exactly.
 
 Record format (little-endian)::
 
@@ -254,34 +260,43 @@ def _split_payload(payload: bytes) -> tuple[dict | None, bytes]:
 
 
 class FramedLog:
-    """One append-only, fsync'd, CRC-framed record file -- THE place the
-    frame layout of the module docstring is written and parsed.
+    """One append-only, CRC-framed record file -- THE place the frame
+    layout of the module docstring is written and parsed.
 
-    A subclass names the record types it accepts (``RECORD_TYPES``) and
-    the error it raises (``error``); its replayed state object carries
+    A subclass names the record types it accepts (``RECORD_TYPES``), the
+    ones acknowledged on append (``DURABLE_TYPES``) and the error it
+    raises (``error``); its replayed state object carries
     ``truncated_bytes`` and ``tampered_records``.
     """
 
     #: record type byte -> name; any other type byte reads as a torn tail.
     RECORD_TYPES: dict[int, str] = {}
+    #: The record types whose append ``fsync``s -- making every record
+    #: written before them durable too.  The record type decides
+    #: durability: any other record is written and flushed (it survives
+    #: ``kill -9``) and reaches the disk with the next durable record or
+    #: :meth:`close`.
+    DURABLE_TYPES: frozenset[int] = frozenset()
     error: type[Exception] = JournalError
 
-    def __init__(self, path: str | Path, key: bytes, *,
-                 fsync: bool = True) -> None:
+    def __init__(self, path: str | Path, key: bytes) -> None:
         if not isinstance(key, bytes) or not key:
             raise self.error(
                 f"{type(self).__name__} key must be non-empty bytes")
         self.path = Path(path)
         self.key = key
-        self.fsync = fsync
         self._fh: io.BufferedWriter | None = None
+        #: Whether records were written since the last ``fsync``.
+        self._unsynced = False
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
     def _write_frame(self, rtype: int, meta: dict, blob: bytes) -> None:
-        """Durably append one record (framed, CRC'd, fsync'd): when this
-        returns, the record survives ``kill -9``."""
+        """Append one record (framed, CRC'd, written and flushed): when
+        this returns, the record survives ``kill -9``; when its type is
+        in ``DURABLE_TYPES``, it and every record before it also survive
+        a host crash."""
         meta_bytes = json.dumps(meta, sort_keys=True,
                                 separators=(",", ":")).encode("utf-8")
         payload = _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
@@ -292,11 +307,21 @@ class FramedLog:
             self._fh = self.path.open("ab")
         self._fh.write(header + payload + _CRC.pack(crc))
         self._fh.flush()
-        if self.fsync:
+        self._unsynced = True
+        if rtype in self.DURABLE_TYPES:
+            self._sync()
+
+    def _sync(self) -> None:
+        """Group commit: one ``fsync`` for every record flushed since the
+        last one."""
+        if self._unsynced:
             os.fsync(self._fh.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
+        """Make the flushed tail durable, then release the handle."""
         if self._fh is not None:
+            self._sync()
             self._fh.close()
             self._fh = None
 
@@ -376,17 +401,21 @@ _REQUIRED_META = {
 class RunJournal(FramedLog):
     """The write-ahead run journal over :class:`FramedLog`.
 
-    ``append`` is the durability point: when it returns, the record
-    survives ``kill -9`` (explicit ``fsync`` per record; ``fsync=False``
-    trades durability for speed in benchmarks that only measure
-    steady-state overhead).
+    When ``append`` returns, the record survives ``kill -9``.  The two
+    records the serving layer acknowledges -- ``QUERY_COMMIT``, before
+    the answer leaves, and ``DRAIN`` -- are ``fsync``'d together with
+    every record before them: one ``fsync`` per answered query, not one
+    per record.  A host crash loses at most the un-acknowledged query's
+    begin and share records; a resume re-evaluates those shares.
     """
 
     RECORD_TYPES = _TYPE_NAMES
+    DURABLE_TYPES = frozenset({RecordType.QUERY_COMMIT, RecordType.DRAIN})
     records_written = 0
 
     def append(self, rtype: int, meta: dict, blob: bytes = b"") -> None:
-        """Durably append one record (framed, CRC'd, fsync'd)."""
+        """Append one record (framed, CRC'd, flushed; ``fsync``'d when it
+        is acknowledged, see the class docstring)."""
         if rtype not in _TYPE_NAMES:
             raise JournalError(f"unknown record type {rtype!r}")
         if blob:

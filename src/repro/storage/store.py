@@ -217,9 +217,22 @@ class DeltaApplyReport:
 
 
 def graph_digest(graph: LabeledGraph) -> str:
-    """sha256 over the canonical JSON form -- the store's identity key."""
-    return hashlib.sha256(
+    """sha256 over the canonical JSON form -- the store's identity key.
+
+    Memoised on the graph object per ``mutation_epoch`` (every effective
+    mutation bumps it, so a mutated graph is always hashed afresh): the
+    staleness check and the journal fingerprint of one engine start hash
+    the graph once, and a graph digested before a fork or a pickle
+    carries the value along.
+    """
+    epoch = graph.mutation_epoch
+    memo = getattr(graph, "_digest_memo", None)
+    if memo is not None and memo[0] == epoch:
+        return memo[1]
+    digest = hashlib.sha256(
         graph_to_json(graph).encode("utf-8")).hexdigest()
+    graph._digest_memo = (epoch, digest)
+    return digest
 
 
 def key_digest(key: DataOwnerKey) -> str:

@@ -11,6 +11,7 @@ purpose -- these tests are the format's second witness::
 
 import hashlib
 import json
+import os
 import struct
 import time
 import zlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cli import EXIT_INTEGRITY, main
 from repro.framework.prilo import Prilo
-from repro.framework.server import QueryBatchEngine
+from repro.framework.server import QueryBatchEngine, QueryStream
 from repro.graph.delta import random_delta
 from repro.storage import (
     DeltaError,
@@ -141,6 +142,87 @@ class TestGoldenLogBytes:
             "deltas.log": "9834010d193f957481a27fd948567814"
                           "d05848fa1279e90fe8ddb5ce1636306e",
         }
+
+
+class TestGroupCommit:
+    """``fsync`` is group commit, decided by the record type: a query's
+    commit (before its answer leaves) carries its begin and share records
+    to disk, a drain syncs, ``close()`` syncs an unacknowledged tail --
+    and a BEGIN / SHARE / admission record never syncs on its own.  When
+    every record synced, the same N-query batch paid (k + 2)N + 1
+    ``fsync``s (admission, then begin + k shares + commit per query)."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        """The file size at every ``fsync``, in call order."""
+        sizes = []
+        real = os.fsync
+
+        def fsync(fd):
+            sizes.append(os.fstat(fd).st_size)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return sizes
+
+    @staticmethod
+    def _ends(path, *names) -> list[int]:
+        """End offsets of the records of the named types, in file order."""
+        data = path.read_bytes()
+        wanted = {t for t, name in RunJournal.RECORD_TYPES.items()
+                  if name in names}
+        return [end for start, end in _frame_spans(data)
+                if data[start + 1] in wanted]
+
+    @pytest.fixture
+    def engine(self, dataset, test_config):
+        queries = dataset.random_queries(3, size=4, diameter=2, seed=13)
+        engine = Prilo.setup(dataset.graph, test_config)
+        yield engine, queries
+        engine.close()
+
+    def test_one_fsync_per_committed_query(self, tmp_path, engine, synced,
+                                           test_config):
+        engine, queries = engine
+        path = tmp_path / "run.journal"
+        journal = RunJournal(path, journal_key(SEED))
+        report = QueryBatchEngine(engine, journal=journal).serve(queries)
+        assert report.admission.completed == len(queries)
+        assert synced == self._ends(path, "query_commit")
+        assert len(synced) == len(queries)
+        journal.close()  # the last record was a commit: nothing to sync
+        assert len(synced) == len(queries)
+        counts = journal.replay().record_counts
+        assert counts["query_begin"] == len(queries)
+        assert counts["share_result"] == test_config.k_players * len(queries)
+
+    def test_drain_and_close_sync_the_tail(self, tmp_path, engine, synced):
+        engine, queries = engine
+        path = tmp_path / "run.journal"
+        journal = RunJournal(path, journal_key(SEED))
+        stream = QueryStream(QueryBatchEngine(engine, journal=journal))
+        for query in queries:
+            stream.serve_one(query)
+        stream.request_drain()
+        assert synced == self._ends(path, "query_commit", "drain")
+        assert len(synced) == len(queries) + 1
+        # An unacknowledged tail (a begun query, one share) waits for
+        # close(), which syncs it once.
+        journal.append(RecordType.QUERY_BEGIN, {"query": "q", "index": 9})
+        journal.append_share("q", "eval:0:p0", {"x": 1})
+        assert len(synced) == len(queries) + 1
+        journal.close()
+        assert synced[-1] == path.stat().st_size
+        assert len(synced) == len(queries) + 2
+        journal.close()
+        assert len(synced) == len(queries) + 2
+
+    def test_delta_log_syncs_every_record(self, tmp_path, dataset, synced):
+        path = tmp_path / "deltas.log"
+        _write_delta_log(path, dataset)
+        assert synced == [end for _start, end
+                          in _frame_spans(path.read_bytes())]
+        assert len(synced) == 3
 
 
 class TestMalformedFrames:

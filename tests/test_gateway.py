@@ -54,10 +54,18 @@ from repro.framework.shard import (
     ShardServer,
     ShardSpec,
     make_shard_specs,
+    run_shard,
 )
 from repro.graph.ball import extract_ball
 from repro.graph.query import Semantics
-from repro.storage import ArtifactStore, StoreMiss, shard_split
+from repro.storage import (
+    ArtifactStore,
+    RunJournal,
+    StoreMiss,
+    journal_key,
+    shard_split,
+)
+from repro.storage import store as store_module
 from repro.workloads.datasets import tiny_dataset
 from repro.workloads.traffic import TrafficSpec, generate_traffic, zipf_ranks
 
@@ -799,6 +807,105 @@ class TestShardServer:
                 wire.canonical_answer_of_result(batch_result)) == \
                 wire.answer_bytes(
                     wire.canonical_answer_of_result(stream_result))
+
+
+class TestShardJournalLifecycle:
+    def test_close_closes_the_journal(self, dataset, gw_config, tmp_path):
+        """The shard opens its journal, so the shard closes it: after
+        ``close()`` the handle is released, nothing is left unsynced and
+        replay sees every record (admission, per query a begin, its
+        shares and a commit)."""
+        path = tmp_path / "shard-0.wal"
+        query = dataset.random_query(size=5, seed=4)
+
+        async def main():
+            server = ShardServer(ShardSpec(0, dataset.graph, gw_config,
+                                           journal_path=str(path)))
+            await server.start()
+            served = server.stream.serve_one(query, index=0)
+            assert served.status == QueryStatus.OK
+            assert server.journal._fh is not None
+            await server.close()
+            return server.journal
+
+        journal = asyncio.run(main())
+        assert journal._fh is None and not journal._unsynced
+        state = RunJournal(path, journal_key(gw_config.seed)).replay()
+        assert state.committed_queries == 1
+        assert state.records == journal.records_written
+        assert state.record_counts["batch_admit"] == 1
+        assert state.record_counts["share_result"] == gw_config.k_players
+
+
+class TestDigestInheritedThroughFork:
+    """``LocalCluster.start`` digests the graph once, before it forks: a
+    shard's staleness check and journal fingerprint read the inherited
+    memo, and no shard process serialises the graph for a digest."""
+
+    @pytest.fixture(scope="class")
+    def shards(self, dataset, gw_config, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fork-digest")
+        ArtifactStore.create(root / "src", dataset.graph, (3,),
+                             DataOwnerKey.generate(gw_config.seed))
+        shard_split(root / "src", root / "shards", 2)
+        return root
+
+    @staticmethod
+    def _digests_only_in_the_parent(monkeypatch) -> list:
+        """Make a digest computed in any other process raise; return the
+        list of graphs the parent digested."""
+        parent, real = os.getpid(), store_module.graph_to_json
+        digested = []
+
+        def guarded(graph):
+            if os.getpid() != parent:
+                raise RuntimeError("a shard process computed a graph digest")
+            digested.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(store_module, "graph_to_json", guarded)
+        return digested
+
+    def _specs(self, dataset, gw_config, shards, wal):
+        # A copy: a graph object nobody has digested yet.
+        return make_shard_specs(
+            dataset.graph.copy(), gw_config, 2,
+            store_root=str(shards / "shards"), journal_dir=str(wal))
+
+    def test_forked_shards_start_and_serve(self, dataset, gw_config, shards,
+                                           tmp_path, monkeypatch):
+        queries = dataset.random_queries(2, size=5, seed=4)
+        expected = _baseline_answers(dataset.graph, gw_config, queries)
+        specs = self._specs(dataset, gw_config, shards, tmp_path)
+        digested = self._digests_only_in_the_parent(monkeypatch)
+        with LocalCluster(specs) as cluster:
+            report = Gateway(cluster.handles).run(queries)
+        assert [o.status for o in report.outcomes] == \
+            [QueryStatus.OK] * len(queries)
+        _assert_byte_identical(expected, report.answers)
+        assert digested == [specs[0].graph]  # once, for both shards
+        assert report.metrics.journal.checkpoints_written > 0
+
+    def test_without_the_warm_up_the_child_fails(self, dataset, gw_config,
+                                                 shards, tmp_path,
+                                                 monkeypatch):
+        """The negative control: the same shard, forked without the
+        parent's digest, has to compute one -- and so cannot start."""
+        spec = self._specs(dataset, gw_config, shards, tmp_path)[0]
+        self._digests_only_in_the_parent(monkeypatch)
+        ctx = multiprocessing.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=run_shard, args=(spec, child_conn))
+        process.start()
+        child_conn.close()
+        try:
+            assert parent_conn.poll(60)
+            reply = parent_conn.recv()
+        finally:
+            process.kill()
+            process.join(timeout=10)
+        assert reply == ("RuntimeError: a shard process computed a graph "
+                         "digest", False)
 
 
 class TestShardStartFailure:

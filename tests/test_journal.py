@@ -301,11 +301,11 @@ test_journal._serve_batch(tiny_dataset(seed=2), *args)
 """
 
 
-def _crash_pass(args_path, log_path):
-    """Run one crash/resume pass in a subprocess; return its exit code
-    (``-signal.SIGKILL`` when the chaos schedule fired).  Output goes to
-    ``log_path`` -- never to a pipe a SIGKILL'd child's orphans could
-    hold open."""
+def _crash_pass(args_path, log_path, program=_CRASH_CHILD, *argv):
+    """Run one crash/resume pass (``program``, given ``args_path`` and
+    ``argv``) in a subprocess; return its exit code (``-signal.SIGKILL``
+    when the chaos schedule fired).  Output goes to ``log_path`` --
+    never to a pipe a SIGKILL'd child's orphans could hold open."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -313,7 +313,8 @@ def _crash_pass(args_path, log_path):
          env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     with open(log_path, "ab") as log:
         return subprocess.run(
-            [sys.executable, "-c", _CRASH_CHILD, str(args_path)],
+            [sys.executable, "-c", program, str(args_path),
+             *map(str, argv)],
             env=env, stdout=log, stderr=log, timeout=600).returncode
 
 
@@ -379,6 +380,74 @@ class TestKillResumeMatrix:
                 assert set(key[3]) == truth
         finally:
             engine.close()
+
+
+#: The crash child, with ``os.fsync`` logging the journal's size to
+#: ``argv[2]`` at every call (``os.write`` reaches the kernel before the
+#: SIGKILL can interrupt anything).
+_FSYNC_LOGGING_CHILD = """
+import os, sys
+log = os.open(sys.argv[2], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+real_fsync = os.fsync
+
+def fsync(fd):
+    os.write(log, b"%d\\n" % os.fstat(fd).st_size)
+    real_fsync(fd)
+
+os.fsync = fsync
+""" + _CRASH_CHILD
+
+
+class TestKillAfterUnsyncedShare:
+    """Group commit ``fsync``s a query's records at its commit, so the
+    chaos SIGKILL right after a SHARE_RESULT kills a process whose last
+    record was flushed but never ``fsync``'d.  A SIGKILL does not need
+    the ``fsync``: the record is on disk, intact, and the resume skips
+    its share with byte-identical answers."""
+
+    def test_flushed_share_survives_sigkill(self, dataset, test_config,
+                                            tmp_path):
+        queries = _queries(dataset, Semantics.HOM)
+        _serve_batch(dataset, test_config, Semantics.HOM, False, queries,
+                     None, tmp_path / "baseline.pkl")
+        with open(tmp_path / "baseline.pkl", "rb") as fh:
+            baseline, _, _ = pickle.load(fh)
+
+        journal_path = tmp_path / "run.journal"
+        synced_log = tmp_path / "fsyncs.txt"
+        for kill_seed in (7, 11, 5, 29):
+            journal_path.unlink(missing_ok=True)
+            synced_log.unlink(missing_ok=True)
+            args_path = tmp_path / "child-args.pkl"
+            with open(args_path, "wb") as fh:
+                pickle.dump((test_config, Semantics.HOM, False, queries,
+                             journal_path, tmp_path / "unused.pkl",
+                             kill_seed), fh)
+            code = _crash_pass(args_path, tmp_path / "child.log",
+                               _FSYNC_LOGGING_CHILD, synced_log)
+            if code == -signal.SIGKILL:
+                break
+            assert code == 0, (tmp_path / "child.log").read_text()
+        else:
+            pytest.fail("no chaos schedule killed the process")
+
+        data = journal_path.read_bytes()
+        offset, last = 0, None
+        while (frame := RunJournal._read_frame(data, offset)) is not None:
+            last, offset = frame[0], frame[2]
+        assert offset == len(data), "the last record is intact"
+        assert last == RecordType.SHARE_RESULT
+        synced = ([int(line) for line in synced_log.read_text().split()]
+                  if synced_log.exists() else [])
+        assert max(synced, default=0) < len(data), \
+            "the killed share's record was never fsync'd"
+
+        _serve_batch(dataset, test_config, Semantics.HOM, False, queries,
+                     journal_path, tmp_path / "resumed.pkl")
+        with open(tmp_path / "resumed.pkl", "rb") as fh:
+            resumed, counters, _ = pickle.load(fh)
+        assert resumed == baseline
+        assert counters["shares_skipped"] >= 1
 
 
 # ---------------------------------------------------------------------------
