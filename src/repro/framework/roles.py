@@ -329,8 +329,13 @@ class User:
         timings: PhaseTimings,
         faults: FaultInjector | None = None,
     ) -> dict[int, list[LabeledGraph]]:
+        """Fetch, authenticate and decrypt each verified ball, then match
+        on its ``Sigma_Q`` slice: every semantics preserves labels, so no
+        vertex outside the query's alphabet is in any match
+        (:mod:`repro.semantics.evaluate`)."""
         injector = faults if faults is not None else FaultInjector()
         cipher = self.keyring.ball_cipher()
+        alphabet = query.alphabet
         matches: dict[int, list[LabeledGraph]] = {}
         decrypting, decoding, matching = Stopwatch(), Stopwatch(), Stopwatch()
         with Stopwatch() as watch:
@@ -361,7 +366,7 @@ class User:
                                     FaultAction.RECOVERED,
                                     detail="re-served blob authenticated")
                 with decoding:
-                    ball = ball_from_bytes(payload)
+                    ball = ball_from_bytes(payload, labels=alphabet)
                 with matching:
                     found = find_matches(query, ball)
                 if found:

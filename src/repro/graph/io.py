@@ -24,7 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.ball import Ball
-from repro.graph.labeled_graph import BallGraphView, LabeledGraph
+from repro.graph.labeled_graph import (
+    BallGraphView,
+    LabeledGraph,
+    check_ball_arrays,
+)
 
 
 class BallDecodeError(ValueError):
@@ -204,12 +208,33 @@ def _literals(data: bytes, pos: int, count: int) -> tuple[list, int]:
     return values, pos
 
 
-def _ball_from_record(data: bytes) -> Ball:
+def _label_slice(arrays, labels, center: int):
+    """The record's arrays cut to the vertices whose label is in
+    ``labels``, plus the ``center`` position, and the edges among them.
+    The whole record passes :func:`check_ball_arrays` first, and every
+    label a vertex carries is hashed (as the full view's label index
+    does), so a record decodes sliced exactly when it decodes whole."""
+    ids, table, codes, sources, targets = arrays
+    check_ball_arrays(*arrays)
+    used = np.bincount(codes, minlength=len(table)).tolist()
+    keep = np.array([count and label in labels
+                     for label, count in zip(table, used)], bool)[codes]
+    keep[center] = True
+    kept = np.flatnonzero(keep)
+    position = np.cumsum(keep) - 1  # old position -> kept position
+    inside = keep[sources] & keep[targets]
+    return ((ids[kept] if isinstance(ids, np.ndarray)
+             else [ids[i] for i in kept.tolist()]),
+            table, codes[kept], position[sources[inside]],
+            position[targets[inside]])
+
+
+def _ball_from_record(data: bytes, labels=None) -> Ball:
     (_, flags, ball_id, radius, n_vertices, n_edges, n_labels,
      center) = _HEADER.unpack_from(data)
     if flags & ~_TEXT_IDS:
         raise BallDecodeError(f"unknown flag bits {flags:#x}")
-    labels, pos = _literals(data, _HEADER.size, n_labels)
+    table, pos = _literals(data, _HEADER.size, n_labels)
     if flags & _TEXT_IDS:
         ids, pos = _literals(data, pos, n_vertices)
     else:
@@ -224,17 +249,26 @@ def _ball_from_record(data: bytes) -> Ball:
     targets = np.frombuffer(data, code, n_edges, pos + sources.nbytes)
     if pos + 2 * sources.nbytes != len(data):
         raise BallDecodeError("trailing bytes after the record")
-    return Ball(graph=BallGraphView(ids, labels, codes, sources, targets),
-                center=ids[center] if flags & _TEXT_IDS else int(ids[center]),
+    arrays = (ids, table, codes, sources, targets)
+    center_id = ids[center] if flags & _TEXT_IDS else int(ids[center])
+    if labels is not None:
+        arrays = _label_slice(arrays, labels, center)
+    return Ball(graph=BallGraphView(*arrays), center=center_id,
                 radius=radius, ball_id=ball_id)
 
 
-def ball_from_bytes(data: bytes) -> Ball:
+def ball_from_bytes(data: bytes, labels=None) -> Ball:
     """Inverse of :func:`ball_to_bytes`; :class:`BallDecodeError` on any
     malformed payload, raised here and by no later read of the ball's
     :class:`BallGraphView`.  The v1 JSON records earlier releases wrote
     stay readable for this release, by way of their v2 form: same vertex
-    and edge order, one decoded type."""
+    and edge order, one decoded type.
+
+    ``labels`` (a set) keeps only the vertices carrying one of them, plus
+    the center, and the edges among those: the query's ``Sigma_Q`` slice,
+    all a label-preserving matcher can map onto.  The whole record is
+    validated either way, so the same bytes raise for every ``labels``.
+    ``None`` keeps the whole ball."""
     with _decoding("ball payload"):
         if ball_record_version(data) == 1:
             payload = json.loads(data.decode("utf-8"))
@@ -242,4 +276,4 @@ def ball_from_bytes(data: bytes) -> Ball:
                 graph=graph_from_json(payload["graph"]),
                 center=_parse_literal(payload["center"]),
                 radius=payload["radius"], ball_id=payload["ball_id"]))
-        return _ball_from_record(data)
+        return _ball_from_record(data, labels)

@@ -402,6 +402,35 @@ class _LazyRows(dict):
                 for lo, hi in zip(offsets, offsets[1:])]
 
 
+def check_ball_arrays(ids, label_table, codes, sources,
+                      targets) -> tuple[list, dict]:
+    """Raise what ``from_edges`` would raise on a ball record's arrays
+    (DESIGN.md 9.1), vectorised: lengths that disagree, a label code past
+    the table, a duplicate vertex id, an edge endpoint past the vertex
+    table, a self loop, a duplicate edge.  Returns the ids as a list and
+    the id -> position dictionary."""
+    id_list = ids.tolist() if isinstance(ids, np.ndarray) else ids
+    n = len(id_list)
+    if len(codes) != n or len(sources) != len(targets):
+        raise ValueError("array lengths disagree")
+    if n and codes.max() >= len(label_table):
+        raise IndexError("label code index out of range")
+    index = dict(zip(id_list, range(n)))
+    if len(index) != n:
+        raise ValueError("duplicate vertex id")
+    if len(sources):
+        if max(sources.max(), targets.max()) >= n:
+            raise IndexError("edge endpoint past the vertex table")
+        if (sources == targets).any():
+            raise ValueError("self loop")
+        pairs = sources.astype(np.int64) * n + targets
+        if not (pairs[1:] > pairs[:-1]).all():  # canonical records are
+            pairs.sort()                        # sorted: skip the sort
+            if (pairs[1:] == pairs[:-1]).any():
+                raise ValueError("duplicate edge")
+    return id_list, index
+
+
 class BallGraphView(GraphReadAPI):
     """The read-only graph of a decoded ball: the record's arrays (DESIGN.md
     9.1) -- vertex ``ids`` (an int64 array or a list), the ``label_table``,
@@ -409,32 +438,18 @@ class BallGraphView(GraphReadAPI):
     the id dictionaries and three CSRs (successors, predecessors, label
     members; one stable counting sort each) built here.
 
-    All ``from_edges`` would reject is rejected here, vectorised, so no
-    later read can raise on the data; a neighbor set or a label's member
-    set is materialised when first asked for.  Pickles as the arrays.
+    All ``from_edges`` would reject is rejected here
+    (:func:`check_ball_arrays`), so no later read can raise on the data; a
+    neighbor set or a label's member set is materialised when first asked
+    for.  Pickles as the arrays.
     """
 
     def __init__(self, ids, label_table, codes, sources, targets) -> None:
         self._arrays = (ids, label_table, codes, sources, targets)
-        id_list = ids.tolist() if isinstance(ids, np.ndarray) else ids
+        id_list, index = check_ball_arrays(*self._arrays)
         n = len(id_list)
-        if len(codes) != n or len(sources) != len(targets):
-            raise ValueError("array lengths disagree")
         vertex_labels = list(map(label_table.__getitem__, codes.tolist()))
         self._labels = dict(zip(id_list, vertex_labels))
-        index = dict(zip(id_list, range(n)))
-        if len(index) != n:
-            raise ValueError("duplicate vertex id")
-        if len(sources):
-            if max(sources.max(), targets.max()) >= n:
-                raise IndexError("edge endpoint past the vertex table")
-            if (sources == targets).any():
-                raise ValueError("self loop")
-            pairs = sources.astype(np.int64) * n + targets
-            if not (pairs[1:] > pairs[:-1]).all():  # canonical records are
-                pairs.sort()                        # sorted: skip the sort
-                if (pairs[1:] == pairs[:-1]).any():
-                    raise ValueError("duplicate edge")
         # Labels numbered by first appearance, as ``from_edges`` meets them:
         # a canonical table already is (its objects *are* the keys); one
         # with unused, equal or reordered entries is renumbered.

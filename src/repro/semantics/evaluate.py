@@ -5,6 +5,23 @@ true/false positive bookkeeping (PPCR, Sec. 6.3): for hom and sub-iso a ball
 "contains a match" when a match function exists whose image includes the
 ball center (Props. 1-2 make center-containing matches sufficient for
 completeness across all balls); for ssim it is Def. 4 verbatim.
+
+Every semantics preserves labels -- hom and sub-iso by Def. 1, ssim by
+Def. 4 (3a) -- so no vertex whose label is outside ``Sigma_Q`` is in any
+match, and both functions return the same on a ball's ``Sigma_Q`` slice
+(the vertices labeled in ``Sigma_Q``, plus the center, and the edges among
+them; what the user decodes, :func:`repro.graph.io.ball_from_bytes`):
+
+* hom's neighbour-label filter asks whether labels in ``Sigma_Q`` occur
+  around a vertex, which the slice keeps;
+* sub-iso's degree filter reads smaller degrees on the slice but stays
+  sound, because an injective match maps a vertex's query neighbours onto
+  distinct graph neighbours that carry query labels; it may prune more,
+  which can change the order matches are found in, never the set;
+* ssim's maximal dual simulation relates only ``Sigma_Q``-labeled
+  vertices, and their children and parents in it are ``Sigma_Q``-labeled;
+* the center is always kept, so Prop. 2's ``require_vertex`` and ssim
+  condition (2) read the same thing.
 """
 
 from __future__ import annotations

@@ -20,43 +20,6 @@ from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.query import Query
 
 
-def reference_dual_simulation(query: Query, graph: LabeledGraph,
-                              ) -> dict[Vertex, set[Vertex]]:
-    """Set-based fixpoint -- the literal transcription of Def. 4 (3).
-
-    Kept as the differential-test oracle for the bitset implementation
-    below; both compute the same unique greatest fixpoint.
-    """
-    sim: dict[Vertex, set[Vertex]] = {
-        u: set(graph.vertices_with_label(query.label(u)))
-        for u in query.vertex_order
-    }
-    changed = True
-    while changed:
-        changed = False
-        for u in query.vertex_order:
-            survivors = set()
-            for v in sim[u]:
-                ok = True
-                # (3b) every query child of u needs a simulated graph child.
-                for u_child in query.pattern.successors(u):
-                    if not (graph.successors(v) & sim[u_child]):
-                        ok = False
-                        break
-                # (3c) every query parent of u needs a simulated graph parent.
-                if ok:
-                    for u_parent in query.pattern.predecessors(u):
-                        if not (graph.predecessors(v) & sim[u_parent]):
-                            ok = False
-                            break
-                if ok:
-                    survivors.add(v)
-            if survivors != sim[u]:
-                sim[u] = survivors
-                changed = True
-    return sim
-
-
 def maximal_dual_simulation(query: Query, graph: LabeledGraph,
                             ) -> dict[Vertex, set[Vertex]]:
     """The greatest relation satisfying Def. 4 condition (3).
@@ -69,8 +32,8 @@ def maximal_dual_simulation(query: Query, graph: LabeledGraph,
     vertex positions (``adjacency_masks``: no per-vertex set is asked for),
     so the inner survivor test (3b/3c) is one AND per query edge instead of
     a set intersection, and the convergence check is an int comparison.
-    Output is identical to :func:`reference_dual_simulation` (the property
-    tests assert it).
+    Output is identical to the set-based transcription of Def. 4 (3) that
+    the tests keep as their oracle (``tests/oracle.py``).
     """
     bit, succ, pred = graph.adjacency_masks()
     sim_bits: dict[Vertex, int] = {

@@ -4,7 +4,8 @@ keeps as the oracle -- ``verify_ball`` over ``enumerate_cmms``,
 Player would.  The production calls (``evaluate_ball_kernel``,
 ``compute_pms_kernel``) must equal these value for value; ciphertexts and
 results are dataclasses, so ``==`` compares every value, ``power``,
-``value_bits`` and the result shape at once.
+``value_bits`` and the result shape at once.  Beside them, the set-based
+dual simulation the bitset fixpoint of ``repro.semantics.ssim`` must equal.
 """
 
 from repro.core.aggregation import aggregate_items, chunked_product
@@ -95,3 +96,37 @@ def oracle_pms(message, ball, twiglet_h):
     return {name: oracle_table_prune(message.params, tables, ball,
                                      features(), message.c_one)
             for name, (tables, features) in methods.items() if tables}
+
+
+def reference_dual_simulation(query, graph):
+    """Set-based fixpoint -- the literal transcription of Def. 4 (3):
+    what ``repro.semantics.ssim.maximal_dual_simulation``'s bitset
+    fixpoint must equal (both compute the unique greatest fixpoint)."""
+    sim = {
+        u: set(graph.vertices_with_label(query.label(u)))
+        for u in query.vertex_order
+    }
+    changed = True
+    while changed:
+        changed = False
+        for u in query.vertex_order:
+            survivors = set()
+            for v in sim[u]:
+                ok = True
+                # (3b) every query child of u needs a simulated graph child.
+                for u_child in query.pattern.successors(u):
+                    if not (graph.successors(v) & sim[u_child]):
+                        ok = False
+                        break
+                # (3c) every query parent of u needs a simulated graph parent.
+                if ok:
+                    for u_parent in query.pattern.predecessors(u):
+                        if not (graph.predecessors(v) & sim[u_parent]):
+                            ok = False
+                            break
+                if ok:
+                    survivors.add(v)
+            if survivors != sim[u]:
+                sim[u] = survivors
+                changed = True
+    return sim

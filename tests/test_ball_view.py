@@ -27,6 +27,7 @@ from repro.workloads.datasets import load_dataset
 from tests.ball_v1 import ball_from_bytes_v1, ball_to_bytes_v1
 from tests import test_ball_record as record_tests
 from tests.test_ball_record import HAND_BALL, balls, record
+from tests.test_label_slice import assert_slice_of
 from tests.test_pattern_dedup import random_world
 
 MISSING = ("no", "such", "vertex")
@@ -195,6 +196,27 @@ class TestPickle:
 
 MALFORMED = (record_tests.TestTypedErrors.test_malformed_record
              .pytestmark[0].args[1])
+#: ``labels`` for the sliced decode: none, and some of the labels of the
+#: hand record, fig. 3 and slashdot, with and without the center's.
+ALPHABETS = (frozenset(), frozenset({"A"}), frozenset({"B", "C", 0, 1}),
+             frozenset({"A", "D", "E", 2, 3, 5}))
+
+
+def _mutated(data, original: bytes) -> bytes:
+    """1-3 random byte flips of ``original``."""
+    mutated = bytearray(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutated[data.draw(st.integers(0, len(original) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+    return bytes(mutated)
+
+
+def _decoded(data: bytes, labels=None):
+    """The decoded ball, or None when the record is refused."""
+    try:
+        return ball_from_bytes(data, labels=labels)
+    except BallDecodeError:
+        return None
 
 
 class TestEagerValidation:
@@ -205,6 +227,13 @@ class TestEagerValidation:
     def test_malformed_record_raises_at_decode(self, data):
         with pytest.raises(BallDecodeError):
             ball_from_bytes(data)
+
+    @pytest.mark.parametrize("data", MALFORMED)
+    def test_malformed_record_raises_sliced_too(self, data):
+        """The slice is cut only after the whole record is checked."""
+        for labels in ALPHABETS:
+            with pytest.raises(BallDecodeError):
+                ball_from_bytes(data, labels=labels)
 
     @pytest.mark.parametrize("arrays, error", [
         (dict(ids=[5, 5, 7]), "duplicate vertex id"),
@@ -236,12 +265,8 @@ class TestEagerValidation:
         @settings(max_examples=250, deadline=None)
         @given(data=st.data())
         def fuzz(data):
-            original = data.draw(
-                st.sampled_from(record_tests.TestFuzz.RECORDS[:2]))
-            mutated = bytearray(original)
-            for _ in range(data.draw(st.integers(1, 3))):
-                mutated[data.draw(st.integers(0, len(original) - 1))] ^= \
-                    data.draw(st.integers(1, 255))
+            mutated = _mutated(data, data.draw(
+                st.sampled_from(record_tests.TestFuzz.RECORDS[:2])))
             try:
                 ball = ball_from_bytes(bytes(mutated))
             except BallDecodeError:
@@ -259,6 +284,36 @@ class TestEagerValidation:
 
         fuzz()
 
+    @pytest.mark.parametrize("labels, decodes", [
+        ((b"'A'", b"'B'", b"[1]"), True),        # unhashable, unused
+        ((b"'A'", b"[1]"), False),               # unhashable, carried
+    ], ids=["unused", "used"])
+    def test_unhashable_label_parity(self, labels, decodes):
+        """Only a label some vertex carries is hashed, sliced or whole."""
+        data = record(labels=labels)
+        for part in (None, *ALPHABETS):
+            assert (_decoded(data, part) is not None) == decodes
+
+    def test_sliced_decode_raises_exactly_when_whole_decode_does(self):
+        """The same fuzz: under every alphabet the sliced decode refuses
+        exactly the records the whole decode refuses, and what it accepts
+        is the slice of the whole ball."""
+        @settings(max_examples=250, deadline=None)
+        @given(data=st.data())
+        def fuzz(data):
+            original = data.draw(
+                st.sampled_from(record_tests.TestFuzz.RECORDS[:2]))
+            mutated = _mutated(data, original)
+            for record_bytes in (original, mutated):
+                whole = _decoded(record_bytes)
+                for labels in ALPHABETS:
+                    part = _decoded(record_bytes, labels)
+                    assert (part is None) == (whole is None)
+                    if whole is not None:
+                        assert_slice_of(part, whole, labels)
+
+        fuzz()
+
 
 class TestTouchedVerticesOnly:
     RADII = (2,)
@@ -266,15 +321,17 @@ class TestTouchedVerticesOnly:
     #: Adjacency sets one served query builds, over every ball it decodes.
     #: Goes up when a consumer starts asking per vertex what it could ask
     #: in bulk; reaches ``2 * VERTICES`` when decode builds them all again.
+    #: ``VERTICES`` counts the user's retrieved balls as their ``Sigma_Q``
+    #: slices; the Players' store reads stay whole.
     MATERIALIZED = 22
-    VERTICES = 307
+    VERTICES = 299
 
     def test_served_hom_query_materializes_what_it_touches(
             self, tmp_path, dataset, test_config, monkeypatch):
         decoded: list[Ball] = []
 
-        def spy(data):
-            decoded.append(ball_from_bytes(data))
+        def spy(data, labels=None):
+            decoded.append(ball_from_bytes(data, labels=labels))
             return decoded[-1]
 
         monkeypatch.setattr(store_module, "ball_from_bytes", spy)

@@ -38,11 +38,12 @@ from repro.crypto.kernels import (
 from repro.framework.prilo import Prilo
 from repro.framework.prilo_star import PriloStar
 from repro.graph.query import Semantics
-from repro.semantics.ssim import (
-    maximal_dual_simulation,
+from repro.semantics.ssim import maximal_dual_simulation
+from tests.oracle import (
+    message_of,
+    oracle_evaluate_ball,
     reference_dual_simulation,
 )
-from tests.oracle import message_of, oracle_evaluate_ball
 
 
 class TestMaskedProductTable:
