@@ -42,12 +42,13 @@ standing queries).
 Exit codes are scriptable triage (documented in ``docs/operations.md``):
 0 success, 1 usage/unexpected error, 2 stale artifacts (``store
 verify``), 3 integrity failure (tampered/missing artifacts, journal
-mismatch), 4 deadline-exceeded queries (``run``/``serve-batch`` with
-``--deadline-ms``), 5 leakage-audit failure, 6 forged result (the
-``gateway`` answer verifier caught a shard lying and could not re-cover
-the slice from honest members).  When one invocation hits several
-conditions, :func:`combine_exit` picks the most severe under the
-lattice ``0 < 2 < 4 < 5 < 6 < 3`` (integrity trumps everything).
+mismatch, a retrieved ball served wrong twice), 4 deadline-exceeded
+queries (``run``/``serve-batch`` with ``--deadline-ms``), 5
+leakage-audit failure, 6 forged result (the ``gateway`` answer verifier
+caught a shard lying and could not re-cover the slice from honest
+members).  When one invocation hits several conditions,
+:func:`combine_exit` picks the most severe under the lattice
+``0 < 2 < 4 < 5 < 6 < 3`` (integrity trumps everything).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from repro.crypto.keys import DataOwnerKey
 from repro.framework.faults import VALID_KINDS, ChaosPolicy
 from repro.framework.prilo import DeadlineExceeded, Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
+from repro.framework.roles import BallIntegrityError
 from repro.framework.server import QueryBatchEngine, QueryStatus
 from repro.graph.query import Semantics
 from repro.storage import (
@@ -435,9 +437,10 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _delta_failure_exit(exc: Exception) -> int:
-    """Print why a delta replay or a store stopped a command and return
-    its exit code: 2 when they merely diverged from the graph (stale --
-    re-sync or rebuild), 3 on anything tampered or damaged."""
+    """Print why a delta replay, a store or a retrieved ball stopped a
+    command and return its exit code: 2 when they merely diverged from
+    the graph (stale -- re-sync or rebuild), 3 on anything tampered or
+    damaged."""
     stale = isinstance(exc, (StaleDeltaError, StoreStale))
     print(f"{'STALE' if stale else 'FAILED'}: {exc}")
     return EXIT_STALE if stale else EXIT_INTEGRITY
@@ -1176,8 +1179,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StoreError as exc:
-        # A store a command opened or served from: stale 2, anything else 3.
+    except (StoreError, BallIntegrityError) as exc:
+        # A store a command opened or served from, or a ball the Dealer
+        # served wrong twice: stale 2, anything else 3.
         return _delta_failure_exit(exc)
 
 

@@ -43,6 +43,7 @@ class StreamCipher:
     stand-in that still decrypts its SHA-256-CTR (v1) blobs."""
 
     KEY_BYTES = 32
+    TAG_BYTES = _TAG_BYTES
 
     def __init__(self, key: bytes) -> None:
         if len(key) != self.KEY_BYTES:
@@ -89,23 +90,35 @@ class StreamCipher:
         head = nonce + _xor(plaintext, self._keystream(nonce, len(plaintext)))
         return head + hmac.digest(self._mac_key, head, "sha256")
 
-    def decrypt_versioned(self, blob: bytes) -> tuple[int, bytes]:
-        """``(version, plaintext)``: the version is the one whose tag
-        verified (v2 is tried first, so a v2 blob costs one MAC); raises
-        :class:`AuthenticationError` when neither does."""
+    def verify(self, blob: bytes) -> int:
+        """The version whose tag verifies ``blob`` (v2 is tried first, so
+        a v2 blob costs one MAC); raises :class:`AuthenticationError`
+        when neither does.  The tag is ``blob[-32:]``: a verified tag
+        binds the exact ``nonce || ciphertext`` bytes under this key."""
         if len(blob) < _NONCE_BYTES + _TAG_BYTES:
             raise AuthenticationError("ciphertext too short")
-        head = blob[:-_TAG_BYTES]
-        tag = blob[-_TAG_BYTES:]
-        nonce = head[:_NONCE_BYTES]
-        body = head[_NONCE_BYTES:]
+        head, tag = blob[:-_TAG_BYTES], blob[-_TAG_BYTES:]
         if hmac.compare_digest(
                 tag, hmac.digest(self._mac_key, head, "sha256")):
-            return 2, _xor(body, self._keystream(nonce, len(body)))
+            return 2
         if hmac.compare_digest(
                 tag, hmac.digest(self._v1_mac_key, head, "sha256")):
-            return 1, _xor(body, self._v1_keystream(nonce, len(body)))
+            return 1
         raise AuthenticationError("MAC verification failed")
+
+    def decrypt_verified(self, blob: bytes, version: int) -> bytes:
+        """The plaintext of a blob :meth:`verify` returned ``version``
+        for: the keystream alone, no second MAC."""
+        nonce = blob[:_NONCE_BYTES]
+        body = blob[_NONCE_BYTES:-_TAG_BYTES]
+        keystream = self._keystream if version == 2 else self._v1_keystream
+        return _xor(body, keystream(nonce, len(body)))
+
+    def decrypt_versioned(self, blob: bytes) -> tuple[int, bytes]:
+        """``(version, plaintext)``: :meth:`verify`, then
+        :meth:`decrypt_verified`."""
+        version = self.verify(blob)
+        return version, self.decrypt_verified(blob, version)
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify the tag, then decrypt; raises on tampering."""

@@ -339,7 +339,8 @@ class RunMetrics:
     #: Per-cache statistics recorded during this run, keyed by cache name
     #: (e.g. ``"cmm"`` for the batch server's signature cache, ``"pad"``
     #: for the kernels' chunk-product memos, ``"decrypt"`` for the user's
-    #: CGBE unblinding memo).
+    #: CGBE unblinding memo, ``"ball_slice"`` for the user's memo of
+    #: decoded retrieved balls).
     caches: dict[str, CacheStats] = field(default_factory=dict)
     #: Every fault injected, detected, retried, recovered or degraded-past
     #: during this run (chaos-injected and genuine alike).  On a resumed

@@ -386,8 +386,9 @@ class Prilo:
         owner/index/players/dealer stack against the new graph state --
         a store-backed owner re-checks the (now updated) manifest, a
         no-store caller passes ``index`` carrying the delta-stable id
-        assignment.  The user keyring, executor, tracer and ball filter
-        survive: none of them depend on ball contents.
+        assignment.  The user, executor, tracer and ball filter survive:
+        none of them depend on ball contents, except the user's slice
+        memo, whose keys are blob tags a re-encrypted ball never reuses.
         """
         self.owner = DataOwner(self.graph, self.config.radii,
                                seed=self.config.seed, store=self.store,
@@ -633,8 +634,11 @@ class Prilo:
         tracer.event("result_decryption", ROLE_USER,
                      duration_s=timings.user_result_decryption,
                      balls=len(verified))
+        before = self.user.slices.stats.snapshot()
         matches = self.user.retrieve_and_match(
             verified, self.dealer, query, sizes, timings, faults=injector)
+        slices = self.user.slices.stats.delta(before)
+        metrics.record_cache("ball_slice", slices)
         # Localized retrieval: the Dealer observes which verified balls
         # the user pulls (the paper's accepted disclosure) -- the trace
         # records only their count and byte volume.
@@ -645,6 +649,7 @@ class Prilo:
                      decrypt_s=timings.user_ball_decrypt,
                      decode_s=timings.user_ball_decode,
                      match_s=timings.user_ball_match,
+                     decoded=slices.misses, reused=slices.hits,
                      balls=len(matches))
         if metrics.faults:
             logger.info("faults: %s", metrics.faults.summary_line())

@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -47,7 +48,7 @@ from repro.core.verification import (
 )
 from repro.crypto.kernels import MultiExpRegistry
 from repro.crypto.keys import DataOwnerKey, UserKeyring
-from repro.crypto.stream_cipher import AuthenticationError
+from repro.crypto.stream_cipher import AuthenticationError, StreamCipher
 from repro.framework.faults import (
     ChaosPolicy,
     FaultAction,
@@ -62,7 +63,12 @@ from repro.framework.messages import (
     EvaluationResult,
     PruningMessages,
 )
-from repro.framework.metrics import MessageSizes, PhaseTimings, Stopwatch
+from repro.framework.metrics import (
+    CacheStats,
+    MessageSizes,
+    PhaseTimings,
+    Stopwatch,
+)
 from repro.graph.ball import Ball, BallIndex
 from repro.graph.io import ball_from_bytes, ball_to_bytes
 from repro.graph.labeled_graph import LabeledGraph
@@ -173,12 +179,67 @@ class UserQueryState:
     channels: list[SecureChannel] = field(default_factory=list)
 
 
+#: Bound of each user's :class:`BallSliceMemo`, in slice ``|V| + |E|``
+#: summed over its entries.
+BALL_SLICE_MEMO_WEIGHT = 1 << 16
+
+
+class BallIntegrityError(RuntimeError):
+    """A retrieved ball failed its MAC or was not the ball asked for, and
+    so did the blob the Dealer re-served: nothing it holds for that ball
+    can be trusted (CLI exit 3)."""
+
+
+class BallSliceMemo:
+    """The user's private memo of decoded ``Sigma_Q`` slices, keyed by
+    ``(cipher version, verified MAC tag, alphabet)``; least recently used
+    entries go first once the slices' ``|V| + |E|`` passes the bound.
+
+    A verified tag binds the exact ``nonce || ciphertext`` bytes under the
+    user's key, so a hit is what decrypting and decoding those bytes
+    would return, and a re-encrypted ball has a new tag and misses:
+    nothing is ever invalidated.  Entries are balls over a read-only
+    :class:`~repro.graph.labeled_graph.BallGraphView`.
+    """
+
+    def __init__(self, max_weight: int = BALL_SLICE_MEMO_WEIGHT) -> None:
+        self.max_weight = max_weight
+        self.stats = CacheStats(capacity=max_weight)
+        self._entries: OrderedDict[tuple, Ball] = OrderedDict()
+
+    def get(self, key: tuple) -> Ball | None:
+        ball = self._entries.get(key)
+        if ball is None:
+            self.stats.misses += 1
+        else:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+        return ball
+
+    def put(self, key: tuple, ball: Ball) -> None:
+        """Insert; never evicts the entry just inserted."""
+        self._entries[key] = ball
+        self.stats.weight += _slice_weight(ball)
+        while (self.stats.weight > self.max_weight
+               and len(self._entries) > 1):
+            _, evicted = self._entries.popitem(last=False)
+            self.stats.weight -= _slice_weight(evicted)
+            self.stats.evictions += 1
+        self.stats.entries = len(self._entries)
+
+
+def _slice_weight(ball: Ball) -> int:
+    return ball.size + ball.graph.num_edges
+
+
 class User:
     """The query user: holds the CGBE key, the enclave session key and
     (once granted) the data owner's ``sk``."""
 
     def __init__(self, keyring: UserKeyring) -> None:
         self.keyring = keyring
+        #: Decoded slices of the balls this user retrieved.
+        self.slices = BallSliceMemo()
 
     # -- step 2: encrypt the query -----------------------------------
     def prepare_query(
@@ -329,27 +390,48 @@ class User:
         timings: PhaseTimings,
         faults: FaultInjector | None = None,
     ) -> dict[int, list[LabeledGraph]]:
-        """Fetch, authenticate and decrypt each verified ball, then match
-        on its ``Sigma_Q`` slice: every semantics preserves labels, so no
-        vertex outside the query's alphabet is in any match
-        (:mod:`repro.semantics.evaluate`)."""
+        """Fetch and authenticate each verified ball, then match on its
+        ``Sigma_Q`` slice: every semantics preserves labels, so no vertex
+        outside the query's alphabet is in any match
+        (:mod:`repro.semantics.evaluate`).  Every fetched blob is
+        MAC-checked; a blob is decrypted and decoded once per distinct
+        tag and alphabet (:class:`BallSliceMemo`).  A blob that fails its
+        MAC, or holds another ball than the one asked for, is re-fetched
+        once; :class:`BallIntegrityError` if that fails too."""
         injector = faults if faults is not None else FaultInjector()
         cipher = self.keyring.ball_cipher()
         alphabet = query.alphabet
         matches: dict[int, list[LabeledGraph]] = {}
         decrypting, decoding, matching = Stopwatch(), Stopwatch(), Stopwatch()
+
+        def open_ball(ball_id: int, blob: bytes) -> Ball:
+            with decrypting:
+                version = cipher.verify(blob)
+            key = (version, blob[-StreamCipher.TAG_BYTES:], alphabet)
+            ball = self.slices.get(key)
+            if ball is None:
+                with decrypting:
+                    payload = cipher.decrypt_verified(blob, version)
+                with decoding:
+                    ball = ball_from_bytes(payload, labels=alphabet)
+                self.slices.put(key, ball)
+            if ball.ball_id != ball_id:
+                raise AuthenticationError(
+                    f"record holds ball {ball.ball_id}, not {ball_id}")
+            return ball
+
         with Stopwatch() as watch:
             for ball_id in sorted(verified_ids):
                 blob = dealer.fetch_encrypted_ball(ball_id)
                 sizes.add("retrieved_balls", blob.size)
                 try:
-                    with decrypting:
-                        payload = cipher.decrypt(blob.blob)
+                    ball = open_ball(ball_id, blob.blob)
                 except AuthenticationError as exc:
-                    # The ciphertext the Dealer served fails its MAC --
-                    # tampered or rotted.  Have the Dealer quarantine its
-                    # copy and re-serve from the authoritative source; the
-                    # retried blob authenticates or the run fails loudly.
+                    # The ciphertext the Dealer served fails its MAC or is
+                    # another ball's -- tampered, rotted or swapped.  Have
+                    # the Dealer quarantine its copy and re-serve from the
+                    # authoritative source; the retried blob authenticates
+                    # or the run fails loudly.
                     key = f"retrieve:b{ball_id}"
                     injector.record(FaultKind.STORE_TAMPER, key,
                                     FaultAction.DETECTED,
@@ -360,13 +442,15 @@ class User:
                                     detail="re-fetching from Dealer after "
                                            "quarantine")
                     blob = dealer.refetch_encrypted_ball(ball_id)
-                    with decrypting:
-                        payload = cipher.decrypt(blob.blob)
+                    try:
+                        ball = open_ball(ball_id, blob.blob)
+                    except AuthenticationError as again:
+                        raise BallIntegrityError(
+                            f"ball {ball_id}: the re-served blob failed "
+                            f"authentication too: {again}") from again
                     injector.record(FaultKind.STORE_TAMPER, key,
                                     FaultAction.RECOVERED,
                                     detail="re-served blob authenticated")
-                with decoding:
-                    ball = ball_from_bytes(payload, labels=alphabet)
                 with matching:
                     found = find_matches(query, ball)
                 if found:

@@ -204,6 +204,15 @@ class TestCrossVersion:
         assert cipher.decrypt(blob) == self.PLAIN
         with pytest.raises(AuthenticationError):
             cipher.decrypt(mutate(blob))
+        with pytest.raises(AuthenticationError):
+            cipher.verify(mutate(blob))
+
+    def test_verify_names_the_keystream_decrypt_verified_applies(
+            self, cipher, blob):
+        version = cipher.verify(blob)
+        assert (version, cipher.decrypt_verified(blob, version)) == \
+            cipher.decrypt_versioned(blob) == (version, self.PLAIN)
+        assert cipher.decrypt_verified(blob, 3 - version) != self.PLAIN
 
     def test_wrong_key_rejected(self, blob):
         other = StreamCipher(StreamCipher.generate_key(seed=2))
