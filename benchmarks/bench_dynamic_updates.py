@@ -19,9 +19,11 @@ touched-vertex BFS (suddenly marking everything dirty) shows up as a
 coverage diff.  The wall-clock ratio against ``ArtifactStore.create`` on
 the post-delta graph is printed as information only: a build is
 extraction + twiglets + encryption + Merkle per ball, while an apply pays
-those for its dirty balls plus a fixed cost per delta (reading and
-rewriting ``twiglets.json`` and the manifest whole), so the ratio moves
-with the pack's size and says little about whether (a) holds.
+those for its dirty balls plus a fixed cost per delta (rewriting both
+packs, joining ``twiglets.json``, re-serialising the manifest whole;
+after an ``open()`` also checksumming every artifact and parsing
+``twiglets.json``), so the ratio moves with the pack's size and says
+little about whether (a) holds.
 
 Scale: slashdot at 0.05x the registry default (400 radius-1 balls).  The
 numbers are relative costs of the maintenance layer, not paper figures.

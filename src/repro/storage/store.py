@@ -337,25 +337,49 @@ def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
     return table
 
 
+def _twiglet_entry(features) -> str:
+    """One ball's ``twiglets.json`` value, encoded as the document holds it."""
+    return json.dumps(sorted(twiglet_to_jsonable(t) for t in features),
+                      separators=(",", ":"), sort_keys=True)
+
+
+def _join_twiglets(twiglet_h: int | None, entries: dict[str, str]) -> str:
+    """``twiglets.json`` from per-ball encoded entries: byte for byte
+    ``json.dumps({"balls": ..., "h": twiglet_h}, separators=(",", ":"),
+    sort_keys=True)`` of the decoded document, without re-encoding the
+    balls a commit did not touch."""
+    balls = ",".join(f"{json.dumps(ball_id)}:{entries[ball_id]}"
+                     for ball_id in sorted(entries))
+    return f'{{"balls":{{{balls}}},"h":{json.dumps(twiglet_h)}}}'
+
+
 class _StoreWriter:
     """THE place a store directory is laid out.
 
     Ball records are appended to both packs with their offsets tracked;
     :meth:`commit` then writes ``twiglets.json``, the checksum set and --
     last, as the commit point -- ``manifest.json``.  Every file goes
-    through temp-file + rename, so a crash leaves either the directory's
-    previous state or the new one, never a hybrid.
+    through temp-file + rename, but the three artifacts are renamed over
+    the live ones *before* the manifest: a crash between those renames
+    leaves new artifacts under the previous manifest, a hybrid whose
+    checksums no longer match.  ``verify`` reports it tampered, and the
+    next ``apply_delta`` or ``shard_split`` refuses it (their loader
+    checks every checksum) instead of carrying it forward.
 
-    ``twiglets`` is the artifact document (``{"h": ..., "balls":
-    {...}}``), patched in place by :meth:`encrypt`.  Callers decide
-    *which* balls go in (:meth:`encrypt` a fresh one, :meth:`copy` a
-    stored one verbatim) and what the manifest says about them.  Used as
-    a context manager around the appends; ``commit`` follows the block.
+    ``twiglets`` holds the twiglet artifact as ``ball id string ->
+    encoded entry`` (:func:`_twiglet_entry`), patched in place by
+    :meth:`encrypt`; ``twiglet_h`` is its ``h`` (``None``: no twiglet
+    features).  Callers decide *which* balls go in (:meth:`encrypt` a
+    fresh one, :meth:`copy` a stored one verbatim) and what the manifest
+    says about them.  Used as a context manager around the appends;
+    ``commit`` follows the block.
     """
 
-    def __init__(self, root: Path, twiglets: dict,
+    def __init__(self, root: Path, twiglet_h: int | None,
+                 twiglets: dict[str, str],
                  key: DataOwnerKey | None = None) -> None:
         self._root = root
+        self.twiglet_h = twiglet_h
         self.twiglets = twiglets
         self.entries: list[dict] = []
         #: Merkle leaves committed here: ball id -> leaf digest.
@@ -392,15 +416,13 @@ class _StoreWriter:
 
     def encrypt(self, ball: Ball) -> None:
         """Put a freshly extracted ball in: serialize, encrypt, commit
-        its Merkle leaf, compute its twiglet artifact."""
+        its Merkle leaf, encode its twiglet entry."""
         payload = ball_to_bytes(ball)
         blob = self._cipher.encrypt(payload)
         self.commit_leaf(ball.ball_id, blob)
-        twiglet_h = self.twiglets.get("h")
-        if twiglet_h is not None:
-            features = twiglets_from(ball.graph, ball.center, twiglet_h)
-            self.twiglets["balls"][str(ball.ball_id)] = sorted(
-                twiglet_to_jsonable(t) for t in features)
+        if self.twiglet_h is not None:
+            self.twiglets[str(ball.ball_id)] = _twiglet_entry(
+                twiglets_from(ball.graph, ball.center, self.twiglet_h))
         self.copy({"ball_id": ball.ball_id, "center": repr(ball.center),
                    "radius": ball.radius, "vertices": ball.size},
                   payload, blob)
@@ -411,8 +433,7 @@ class _StoreWriter:
         written."""
         root = self._root
         (root / (_TWIGLETS + ".tmp")).write_text(
-            json.dumps(self.twiglets, separators=(",", ":"), sort_keys=True),
-            encoding="utf-8")
+            _join_twiglets(self.twiglet_h, self.twiglets), encoding="utf-8")
         for name in _ARTIFACTS:
             os.replace(root / (name + ".tmp"), root / name)
         manifest = {**manifest,
@@ -654,6 +675,10 @@ class ArtifactStore:
         self.quarantine_enabled = True
         self._quarantined: dict[str, str] = {}
         self._load_attempts: dict[str, int] = {}
+        #: The encoded twiglet entries of the generation this object
+        #: committed (``create`` / ``apply_delta``); ``None`` until then,
+        #: and while a commit is under way.  See :meth:`_take_entries`.
+        self._entries: dict[str, str] | None = None
 
     def _bind(self, manifest: dict) -> None:
         """Point this object at the directory state ``manifest`` names."""
@@ -755,15 +780,14 @@ class ArtifactStore:
         root.mkdir(parents=True, exist_ok=True)
         index = BallIndex(graph, radii)
         catalog_rows: list[tuple[int, int, object]] = []
-        with _StoreWriter(root, {"h": twiglet_h, "balls": {}},
-                          key) as writer:
+        with _StoreWriter(root, twiglet_h, {}, key) as writer:
             for center in graph.vertices():
                 for radius in index.radii:
                     ball = index.ball(center, radius)
                     writer.encrypt(ball)
                     catalog_rows.append((ball.ball_id, radius,
                                          graph.label(center)))
-        return cls(root, writer.commit({
+        store = cls(root, writer.commit({
             "graph_digest": graph_digest(graph),
             "key_digest": key_digest(key),
             "radii": list(index.radii),
@@ -772,6 +796,8 @@ class ArtifactStore:
             "auth": build_auth_block(key, writer.leaves,
                                      build_catalog(catalog_rows)),
         }))
+        store._entries = writer.twiglets
+        return store
 
     # ------------------------------------------------------------------
     # opening
@@ -944,6 +970,34 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # incremental maintenance (dynamic graphs)
     # ------------------------------------------------------------------
+    def _take_entries(self) -> dict[str, str]:
+        """The twiglet entries a new commit starts from, taken out of this
+        object: it holds none again until that commit's manifest rename.
+
+        Entries this object committed itself are handed over as they
+        are.  Otherwise (a store bound by :meth:`open`, or one whose last
+        commit failed) the disk is loaded: every artifact the manifest
+        lists must match its checksum -- a delta or a split copies clean
+        records verbatim and checksums what it wrote, so it would carry
+        tampering forward under a fresh checksum -- and ``twiglets.json``
+        is then parsed once.
+        """
+        entries, self._entries = self._entries, None
+        if entries is not None:
+            return entries
+        checksums = self._manifest["checksums"]
+        for name in sorted({*_ARTIFACTS, *checksums}):
+            path = self._root / name
+            if (name not in checksums or not path.is_file()
+                    or _file_digest(path) != checksums[name]):
+                raise StoreError(
+                    f"{name} does not match the manifest's checksum; "
+                    f"refusing to carry it forward (see `store verify`)")
+        document = json.loads((self._root / _TWIGLETS).read_bytes())
+        return {ball_id: json.dumps(items, separators=(",", ":"),
+                                    sort_keys=True)
+                for ball_id, items in document["balls"].items()}
+
     def apply_delta(self, delta: GraphDelta, graph: LabeledGraph,
                     key: DataOwnerKey) -> DeltaApplyReport:
         """Apply one :class:`~repro.graph.delta.GraphDelta` to the live
@@ -963,8 +1017,14 @@ class ArtifactStore:
         across updates under the new root.
 
         All artifact files are rewritten via temp-file + rename with the
-        manifest last, so a crash mid-apply leaves either the parent or
-        the child store, never a hybrid.
+        manifest last.  A crash between the artifact renames and the
+        manifest rename leaves a hybrid: child artifacts under the parent
+        manifest.  It is detected, not repaired: ``verify`` reports the
+        artifacts tampered, and a re-run (on this object or after
+        :meth:`open`) raises :class:`StoreError` from the checksum check
+        of :meth:`_take_entries` instead of committing over it.
+        Only the balls this delta touches get their twiglet entries
+        encoded; the rest are joined in as committed.
         """
         self.check(graph=graph, key=key)
         if delta.is_empty:
@@ -976,6 +1036,8 @@ class ArtifactStore:
                 auth_root=auth.get("root", ""),
                 graph_digest=self._manifest["graph_digest"])
 
+        # Refuse a damaged directory before the graph moves.
+        twiglets = self._take_entries()
         ids = self.ball_id_map(graph)
         if ids is None:
             ids = BallIndex(graph, self.radii).id_map()
@@ -984,16 +1046,15 @@ class ArtifactStore:
         dirty, removed = set(plan.dirty), set(plan.removed)
 
         old_auth = self.auth
-        twiglets = json.loads(
-            (self._root / _TWIGLETS).read_text(encoding="utf-8"))
 
         catalog_rows: list[tuple[int, int, object]] = []
         reused = 0
-        with _StoreWriter(self._root, twiglets, key) as writer:
+        with _StoreWriter(self._root, self.twiglet_h, twiglets,
+                          key) as writer:
             for old in self._manifest["balls"]:
                 ball_id = old["ball_id"]
                 if ball_id in removed:
-                    twiglets["balls"].pop(str(ball_id), None)
+                    twiglets.pop(str(ball_id), None)
                     continue
                 center, radius = key_by_id[ball_id]
                 catalog_rows.append((ball_id, radius, graph.label(center)))
@@ -1030,6 +1091,7 @@ class ArtifactStore:
             "ball_ids": _ball_id_table(plan.ids),
             "auth": auth,
         }))
+        self._entries = twiglets
         # An earlier release's tree artifact, unlisted as of this commit.
         (self._root / "trees.json").unlink(missing_ok=True)
 
@@ -1181,6 +1243,7 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
     out_root = Path(out_root)
     if out_root.exists() and any(out_root.iterdir()):
         raise StoreError(f"refusing to overwrite non-empty {out_root}")
+    twiglets = src._take_entries()
     out_root.mkdir(parents=True, exist_ok=True)
 
     manifest = src._manifest
@@ -1189,8 +1252,6 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
     for entry in manifest["balls"]:
         by_shard[ring.owner_of(entry["ball_id"])].append(entry)
 
-    twiglets = json.loads((src.root / _TWIGLETS).read_text(encoding="utf-8"))
-
     shard_dirs: dict[int, str] = {}
     shard_balls: dict[int, int] = {}
     for shard_id, entries in by_shard.items():
@@ -1198,10 +1259,8 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
         shard_dir.mkdir()
         owned = {str(e["ball_id"]) for e in entries}
         with _StoreWriter(
-                shard_dir,
-                {"h": twiglets.get("h"),
-                 "balls": {k: v for k, v in twiglets["balls"].items()
-                           if k in owned}}) as writer:
+                shard_dir, src.twiglet_h,
+                {k: v for k, v in twiglets.items() if k in owned}) as writer:
             for entry in entries:
                 writer.copy(entry, *src._record(entry["ball_id"]))
         # ``auth`` is the *global* block, verbatim: a shard proves its
