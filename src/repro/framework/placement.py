@@ -237,9 +237,14 @@ class PlacementManifest:
         )
 
     def write(self, root: str | Path) -> Path:
+        """Write ``placement.json`` through temp file + rename, as the
+        store writer does: a crash mid-write leaves the previous file (or
+        none), never a truncated one."""
         path = Path(root) / PLACEMENT_FILE
-        path.write_text(json.dumps(self.to_jsonable(), indent=1,
-                                   sort_keys=True) + "\n", encoding="utf-8")
+        tmp = path.with_name(PLACEMENT_FILE + ".tmp")
+        tmp.write_text(json.dumps(self.to_jsonable(), indent=1,
+                                  sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
         return path
 
     @classmethod

@@ -176,8 +176,12 @@ class DeltaApplyReport:
 
     The incremental-maintenance contract in one record: ``reused`` balls
     had their pack bytes (and Merkle leaves) copied verbatim, only
-    ``reencrypted`` (= dirty + added) balls paid extraction + encryption
-    -- the cost the dynamic-update benchmark gates against full rebuild.
+    ``reencrypted`` balls paid encryption, a twiglet walk and a new leaf:
+    the added balls plus the dirty balls whose record bytes changed (or
+    whose stored blob was not a v2 ciphertext of them).  Every surviving
+    ball is one or the other, so ``reused == balls_after - reencrypted``;
+    every dirty ball was re-extracted to decide.  The dynamic-update
+    benchmark gates these counts against a record-by-record diff.
     """
 
     balls_before: int
@@ -414,10 +418,21 @@ class _StoreWriter:
     def commit_leaf(self, ball_id: int, blob: bytes) -> None:
         self.leaves[ball_id] = leaf_digest(self._vkey, ball_id, blob)
 
-    def encrypt(self, ball: Ball) -> None:
-        """Put a freshly extracted ball in: serialize, encrypt, commit
-        its Merkle leaf, encode its twiglet entry."""
-        payload = ball_to_bytes(ball)
+    def is_current(self, blob: bytes, payload: bytes) -> bool:
+        """Whether ``blob`` is a current-version (v2) ciphertext of
+        exactly ``payload`` under this writer's key."""
+        try:
+            return (self._cipher.verify(blob) == 2
+                    and self._cipher.decrypt_verified(blob, 2) == payload)
+        except AuthenticationError:
+            return False
+
+    def encrypt(self, ball: Ball, payload: bytes | None = None) -> None:
+        """Put a freshly extracted ball in: serialize (unless ``payload``
+        already holds its record), encrypt, commit its Merkle leaf,
+        encode its twiglet entry."""
+        if payload is None:
+            payload = ball_to_bytes(ball)
         blob = self._cipher.encrypt(payload)
         self.commit_leaf(ball.ball_id, blob)
         if self.twiglet_h is not None:
@@ -1001,7 +1016,8 @@ class ArtifactStore:
     def apply_delta(self, delta: GraphDelta, graph: LabeledGraph,
                     key: DataOwnerKey) -> DeltaApplyReport:
         """Apply one :class:`~repro.graph.delta.GraphDelta` to the live
-        graph *and* this store, re-encrypting only the dirty balls.
+        graph *and* this store, re-encrypting only the dirty balls whose
+        record bytes changed.
 
         ``graph`` must be the store's parent graph (checked against the
         manifest digest before anything mutates) and is updated in
@@ -1009,12 +1025,17 @@ class ArtifactStore:
         :func:`~repro.graph.delta.dirty_ball_keys`: every ball whose
         center lies within its radius of a touched vertex on either side
         of the delta.  Clean balls keep their pack bytes, ball ids and
-        Merkle leaves verbatim; dirty balls are re-extracted and
-        re-encrypted; removed vertices drop their balls; added vertices
-        get fresh ids past the historical maximum.  The auth block is
-        patched by leaf replacement (:func:`updated_auth_block`) and the
-        candidate catalog recommitted, so verified serving keeps working
-        across updates under the new root.
+        Merkle leaves verbatim.  Dirty balls are re-extracted and
+        serialized once; one whose fresh record equals the stored record,
+        held in a stored blob that verifies as cipher v2 and decrypts to
+        exactly those bytes, is then carried forward like a clean ball,
+        and only the others are re-encrypted (so an unchanged dirty ball
+        under an older cipher is still upgraded).  Removed vertices drop
+        their balls; added vertices get fresh ids past the historical
+        maximum.  The auth block is patched by leaf replacement
+        (:func:`updated_auth_block`) and the candidate catalog
+        recommitted, so verified serving keeps working across updates
+        under the new root.
 
         All artifact files are rewritten via temp-file + rename with the
         manifest last.  A crash between the artifact renames and the
@@ -1023,7 +1044,7 @@ class ArtifactStore:
         artifacts tampered, and a re-run (on this object or after
         :meth:`open`) raises :class:`StoreError` from the checksum check
         of :meth:`_take_entries` instead of committing over it.
-        Only the balls this delta touches get their twiglet entries
+        Only the balls this delta re-encrypts get their twiglet entries
         encoded; the rest are joined in as committed.
         """
         self.check(graph=graph, key=key)
@@ -1058,11 +1079,17 @@ class ArtifactStore:
                     continue
                 center, radius = key_by_id[ball_id]
                 catalog_rows.append((ball_id, radius, graph.label(center)))
-                if ball_id in dirty:
-                    writer.encrypt(extract_ball(graph, center, radius,
-                                                ball_id=ball_id))
-                    continue
                 payload, blob = self._record(ball_id)
+                if ball_id in dirty:
+                    # Carried forward like a clean ball only when its
+                    # record is unchanged and its blob is a v2
+                    # ciphertext of it (an older cipher is upgraded).
+                    ball = extract_ball(graph, center, radius,
+                                        ball_id=ball_id)
+                    fresh = ball_to_bytes(ball)
+                    if fresh != payload or not writer.is_current(blob, fresh):
+                        writer.encrypt(ball, fresh)
+                        continue
                 if old_auth is None:
                     # Pre-auth store: no committed leaf table to patch,
                     # so digest the (unchanged) blob afresh.
@@ -1099,7 +1126,7 @@ class ArtifactStore:
             balls_before=balls_before,
             balls_after=len(self._slices),
             reused=reused,
-            reencrypted=len(plan.dirty) + len(plan.added),
+            reencrypted=len(self._slices) - reused,
             dirty_ball_ids=plan.dirty,
             added_ball_ids=plan.added,
             removed_ball_ids=plan.removed,

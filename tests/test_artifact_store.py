@@ -511,6 +511,12 @@ class TestMalformedManifest:
 # SHAKE-256 keystream) replaced SHA-256-CTR: every blob keeps its nonce and
 # length, and balls.pack / twiglets.json are unedited.  GOLDEN_R1_CIPHER_V1
 # keeps the v1 digests, which tests/cipher_v1.py's writer must reproduce.
+# The post-delta ciphertext digests (encrypted.pack and manifest.json after
+# the deltas, the split's shard-N/encrypted.pack, shard-N/manifest.json and
+# placement.json) were re-recorded once more, by running the same steps,
+# when a delta stopped re-encrypting dirty balls whose record bytes did
+# not change: fewer nonces are drawn, and balls.pack / twiglets.json are
+# unedited.
 GOLDEN_R1_CIPHER_V1 = {
     "balls.pack":
         "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
@@ -535,9 +541,9 @@ GOLDEN_R1_AFTER_TWO_DELTAS = {
     "balls.pack":
         "e2bf07014c75cb2520362c2c37d67c8e9e62c7804dc46d3e4888a42132dc47c1",
     "encrypted.pack":
-        "32387c576ac3c5c1e5f8497f86757f4ebc3bf89919afe2621dce630de2e27992",
+        "7a216967f2780f2f503470e86204200dac2f1d7d068ce929948e5ac00f7e0d90",
     "manifest.json":
-        "58c916426d109db2d8b678297dac2d8cfd0bd4c143df934330fe87fe5d8a4869",
+        "f57d9677dbb8c770aaf7f2e687b7e6c81af0a54b1e83147215219ad2a9d7ff6d",
 }
 GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS = {
     "twiglets.json":
@@ -547,9 +553,9 @@ GOLDEN_R1_AFTER_VERTEX_CHURN = {
     "balls.pack":
         "b9f49bd5b5b57c23a36456703e6229deccc3d304d424975993a6ed434b6432f1",
     "encrypted.pack":
-        "610fdd8e45265647e3d41ad5fb80de65efa3235f339587dc39ab3801f56eaf67",
+        "24972a2d6466d821a1e0908568a3e76094f548a9e7b44641225097f2de2a17d8",
     "manifest.json":
-        "f5459abdeeff4c64e6171395163f6b5beb7cd0deadcede89e3d10273e2850649",
+        "b610d4b4f455d31e684e2c8e82e51b3928c21009834af715a10339608f9efc8e",
 }
 GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
     "twiglets.json":
@@ -557,19 +563,19 @@ GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
 }
 GOLDEN_R1_SHARD_SPLIT = {
     "placement.json":
-        "fef0aa59ee659a5fb965af5eb960b98a5d02aec37aa79ffaf34a3129d3c8f517",
+        "55a2366531c0b07fcfe7ce5b7c025b491756f6a56b611c3c7eacbe00ba310815",
     "shard-0/balls.pack":
         "cfa1bee20e6aad5c8a6e71a27d69b2000f62ea01b318095fd0706794a29505b3",
     "shard-0/encrypted.pack":
-        "f2362e37aa484ace4edffe9fa7f8733b4b59caca118e212c48efba7a861b9e1d",
+        "a323aacbe3723a64fcf13d67c0110c30858005d39bdb1bab15c032fa23f5187c",
     "shard-0/manifest.json":
-        "729cf312f76cf53405eb39628303a8933d0f27d7f35a1ce95fa32be3fe4830d8",
+        "a19631674125cdbc11606d9389dcd9dbc4a87ba075c785f38546a4382a2e3f39",
     "shard-1/balls.pack":
         "33b58c2a8f739c18e8fb1729b022569967cbb74021a12fed049e46277dad058e",
     "shard-1/encrypted.pack":
-        "05f4a5f10d52318677b62ad92584adb059469c230471aac5d3cecd898692b0f1",
+        "189636d623f9349f27f2bc5273443bc8308940f39674c0b2a1413a3c83de46ea",
     "shard-1/manifest.json":
-        "1d26158cc7cd10578a17997267b35a083ba9d975d64072715f4b8eefc34ed7b5",
+        "0fc1f95c13316f5624be1854e535876ca46425aefe607782bb6fd3db93c890ad",
 }
 GOLDEN_R1_SHARD_SPLIT_ARTIFACTS = {
     "shard-0/twiglets.json":
@@ -645,8 +651,9 @@ class TestGoldenPackBytes:
             _assert_golden(root, GOLDEN_R1_AFTER_TWO_DELTAS,
                            GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS)
             # One vertex out, one in under a label outside the alphabet:
-            # dropped balls and fresh ids, while every clean ball keeps
-            # its record and ciphertext byte for byte.
+            # dropped balls and fresh ids, while every ball whose record
+            # did not change, dirty or not, keeps its record and
+            # ciphertext byte for byte.
             ordered = sorted(live.vertices(), key=repr)
             fresh = "golden-vertex"
             before = {i: store._record(i) for i in store.ball_ids()}
@@ -656,9 +663,12 @@ class TestGoldenPackBytes:
                 added_edges=((fresh, ordered[3]), (ordered[5], fresh))),
                 live, key)
             assert (report.added, report.removed) == (1, 1)
-            assert report.reencrypted == report.dirty + report.added
-            clean = (before.keys() - set(report.dirty_ball_ids)
-                     - set(report.removed_ball_ids))
+            survivors = before.keys() - set(report.removed_ball_ids)
+            changed = {i for i in survivors
+                       if store._record(i)[0] != before[i][0]}
+            assert report.reencrypted == len(changed) + report.added == 12
+            assert report.dirty > len(changed)
+            clean = survivors - changed
             assert report.reused == len(clean) > 0
             assert {i: store._record(i) for i in clean} == {
                 i: before[i] for i in clean}

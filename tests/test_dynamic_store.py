@@ -3,24 +3,33 @@
 Contract under test: ``ArtifactStore.apply_delta`` followed by a query
 answers exactly like a from-scratch rebuild on the post-delta graph --
 across all three semantics and both engines -- while re-encrypting only
-the dirty balls; the updated Merkle root certifies post-delta serving
-(including absence proofs once a delete empties a candidate catalog);
+the added balls and the dirty balls whose record bytes changed; the
+updated Merkle root certifies post-delta serving (including absence
+proofs once a delete empties a candidate catalog);
 ``QueryBatchEngine`` standing queries re-notify exactly when their match
 set changes.
 """
 
+import itertools
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bf_pruning import BFConfig
 from repro.crypto.keys import DataOwnerKey
-from repro.framework.prilo import Prilo
+from repro.framework.prilo import Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.framework.server import CMMCache, QueryBatchEngine
 from repro.framework.wire import canonical_answer_of_result
+from repro.graph.ball import extract_ball
 from repro.graph.delta import GraphDelta, random_delta
-from repro.graph.query import Semantics
+from repro.graph.io import ball_to_bytes
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.query import Query, Semantics
 from repro.storage import (
     ArtifactStore,
     MerkleTree,
@@ -128,6 +137,156 @@ class TestDifferential:
         assert report.dirty == report.added == report.removed == 0
         assert report.reencrypted == 0
         assert store.auth["root"] == root_before
+
+
+# ---------------------------------------------------------------------------
+# the reuse contract: only balls whose record bytes changed are re-encrypted
+# ---------------------------------------------------------------------------
+_LETTERS = ("a", "b", "c")
+
+
+@st.composite
+def _graphs(draw):
+    """A small labelled digraph on integer vertices, no self loops."""
+    n = draw(st.integers(3, 9))
+    labels = draw(st.lists(st.sampled_from(_LETTERS), min_size=n,
+                           max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n,
+                          unique=True))
+    return LabeledGraph.from_edges(dict(enumerate(labels)), edges)
+
+
+@st.composite
+def _delta_for(draw, graph, step):
+    """One delta against ``graph``: random edge churn, at most one vertex
+    removed, and at most one vertex added with edges to survivors."""
+    edge_ops = draw(st.integers(0, 3))
+    base = random_delta(
+        graph, edge_fraction=min(1.0, (edge_ops + 0.5) / graph.num_edges)
+        if graph.num_edges else 0.0,
+        remove_vertices=draw(st.integers(0, min(1, graph.num_vertices - 2))),
+        seed=draw(st.integers(0, 2 ** 16)))
+    added_vertices, added_edges = (), list(base.added_edges)
+    if draw(st.booleans()):
+        fresh = f"new-{step}"
+        added_vertices = ((fresh, draw(st.sampled_from(_LETTERS))),)
+        removed = set(base.removed_vertices)
+        survivors = sorted((v for v in graph.vertices() if v not in removed),
+                           key=repr)
+        for v in draw(st.lists(st.sampled_from(survivors), max_size=2,
+                               unique=True)):
+            added_edges.append(
+                (fresh, v) if draw(st.booleans()) else (v, fresh))
+    return GraphDelta(added_vertices=added_vertices,
+                      removed_vertices=base.removed_vertices,
+                      added_edges=tuple(added_edges),
+                      removed_edges=base.removed_edges)
+
+
+def _record_of(graph, ball_key, ball_id):
+    center, radius = ball_key
+    return ball_to_bytes(extract_ball(graph, center, radius,
+                                      ball_id=ball_id))
+
+
+class TestReuseContract:
+    """An independent oracle -- every surviving ball extracted from a
+    pre-delta copy and from the live graph -- decides which balls changed;
+    the store re-encrypts exactly those plus the added ones and carries
+    every other ball forward byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), graph=_graphs(),
+           radii=st.sampled_from([(1,), (2,), (1, 2)]))
+    def test_reencrypts_exactly_the_changed_and_added_balls(
+            self, key, data, graph, radii):
+        cipher = key.cipher()
+        config = PriloConfig(k_players=2, modulus_bits=512, q_bits=24,
+                             r_bits=24, radii=radii, seed=SEED)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ArtifactStore.create(Path(tmp) / "incremental", graph,
+                                         radii, key, twiglet_h=3)
+            for step in range(data.draw(st.integers(1, 3))):
+                delta = data.draw(_delta_for(graph, step))
+                pre = graph.copy()
+                ids_before = store.ball_id_map(pre)
+                before = {i: store._record(i) for i in store.ball_ids()}
+                report = store.apply_delta(delta, graph, key)
+                ids = store.ball_id_map(graph)
+                survivors = {k: i for k, i in ids.items()
+                             if k in ids_before}
+                changed = {i for k, i in survivors.items()
+                           if _record_of(pre, k, i)
+                           != _record_of(graph, k, i)}
+                assert report.reencrypted == len(changed) + report.added
+                assert report.reused == (report.balls_after
+                                         - report.reencrypted)
+                for i in set(survivors.values()) - changed:
+                    assert store._record(i) == before[i]
+                for k, i in ids.items():
+                    payload, blob = store._record(i)
+                    assert payload == _record_of(graph, k, i)
+                    assert cipher.decrypt_versioned(blob) == (2, payload)
+                assert store.verify(key).ok
+            rebuilt = ArtifactStore.create(Path(tmp) / "rebuilt", graph,
+                                           radii, key, twiglet_h=3)
+            queries = _path_queries(graph, min(radii))
+            with Prilo.setup(graph, config, store=store) as incremental, \
+                    Prilo.setup(graph, config, store=rebuilt) as fresh:
+                assert (_flat_answers(incremental, queries)
+                        == _flat_answers(fresh, queries))
+            store.close()
+            rebuilt.close()
+
+    @pytest.mark.parametrize("damage", ["other-plaintext", "bad-mac"])
+    def test_unchanged_dirty_ball_with_a_wrong_blob_is_reencrypted(
+            self, tmp_path, dataset, key, damage):
+        """A dirty ball whose record does not change is carried forward
+        only when its stored blob is a v2 ciphertext of that record."""
+        graph = dataset.graph.copy()
+        store = ArtifactStore.create(tmp_path / "store", graph, (1,), key,
+                                     twiglet_h=3)
+        # An edge from a neighbour of ``center`` to a vertex two or more
+        # hops away dirties ball (center, 1) without changing its record.
+        center, near, far = next(
+            (c, u, v) for c in sorted(graph.vertices(), key=repr)
+            for u in sorted(graph.neighbors(c), key=repr)
+            for v in sorted(graph.vertices(), key=repr)
+            if v not in graph.neighbors(c) and v != c
+            and not graph.has_edge(u, v))
+        target = store.ball_id_map(graph)[(center, 1)]
+        payload, blob = store._record(target)
+        if damage == "other-plaintext":
+            wrong = key.cipher().encrypt(bytes([payload[0] ^ 1])
+                                         + payload[1:])
+        else:
+            wrong = blob[:-1] + bytes([blob[-1] ^ 1])
+        offset = store._slices[target].enc_offset
+        with (tmp_path / "store" / "encrypted.pack").open("r+b") as fh:
+            fh.seek(offset)
+            fh.write(wrong)
+        assert store._record(target) == (payload, wrong)
+
+        report = store.apply_delta(GraphDelta(added_edges=((near, far),)),
+                                   graph, key)
+        assert target in report.dirty_ball_ids
+        assert store._record(target)[0] == payload
+        fresh = store._record(target)[1]
+        assert fresh not in (blob, wrong)
+        assert key.cipher().decrypt_versioned(fresh) == (2, payload)
+        assert store.verify(key).ok
+        store.close()
+
+
+def _path_queries(graph, diameter):
+    """Up to nine labelled path queries of ``diameter`` edges over the
+    graph's alphabet."""
+    labellings = itertools.product(sorted(graph.alphabet),
+                                   repeat=diameter + 1)
+    return [Query.from_edges(dict(enumerate(labels)),
+                             [(i, i + 1) for i in range(diameter)])
+            for labels in itertools.islice(labellings, 9)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import pathlib
 import signal
 import types
 
@@ -210,6 +211,36 @@ class TestPlacementManifest:
         (tmp_path / "placement.json").write_text(json.dumps({"kind": "x"}))
         with pytest.raises(PlacementError):
             PlacementManifest.read(tmp_path)
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_interrupted_write_leaves_no_truncated_file(
+            self, tmp_path, monkeypatch, previous):
+        """A write cut off half way leaves no ``placement.json`` or a
+        complete, readable one -- never a truncated file."""
+        old = PlacementManifest(
+            members=(0, 1), vnodes=8, salt="s", graph_digest="old",
+            radii=(2,), balls=2, shard_dirs={0: "shard-0", 1: "shard-1"},
+            shard_balls={0: 1, 1: 1})
+        new = PlacementManifest(
+            members=(0, 1, 2), vnodes=32, salt="s", graph_digest="new",
+            radii=(2,), balls=9,
+            shard_dirs={m: f"shard-{m}" for m in (0, 1, 2)},
+            shard_balls={0: 3, 1: 3, 2: 3})
+        if previous:
+            old.write(tmp_path)
+
+        def torn(path, data, *args, **kwargs):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("power cut mid-write")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", torn)
+        with pytest.raises(OSError, match="power cut"):
+            new.write(tmp_path)
+        monkeypatch.undo()
+        if (tmp_path / "placement.json").exists():
+            assert PlacementManifest.read(tmp_path) in (old, new)
+            assert previous
 
 
 #: A placement with every field set, auth block included.
