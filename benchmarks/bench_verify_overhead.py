@@ -74,7 +74,7 @@ def _serve(graph, config, queries, shards_dir, *, verified: bool,
     if verified:
         verifier = AnswerVerifier.from_placement(
             PlacementManifest.read(shards_dir), seed=cfg.seed,
-            config=replace(cfg, **Prilo._OVERRIDES))
+            config=Prilo.effective_config(cfg))
     specs = make_shard_specs(
         graph, cfg, SHARDS, engine="prilo", store_root=str(shards_dir),
         rogue_shards=(1,) if rogue else (),

@@ -40,15 +40,19 @@ an update log through the live engine after the batch, re-notifying
 standing queries).
 
 Exit codes are scriptable triage (documented in ``docs/operations.md``):
-0 success, 1 usage/unexpected error, 2 stale artifacts (``store
-verify``), 3 integrity failure (tampered/missing artifacts, journal
-mismatch, a retrieved ball served wrong twice), 4 deadline-exceeded
-queries (``run``/``serve-batch`` with ``--deadline-ms``), 5
-leakage-audit failure, 6 forged result (the ``gateway`` answer verifier
-caught a shard lying and could not re-cover the slice from honest
-members).  When one invocation hits several conditions,
-:func:`combine_exit` picks the most severe under the lattice
-``0 < 2 < 4 < 5 < 6 < 3`` (integrity trumps everything).
+0 success, 1 usage/unexpected error, 2 stale artifacts, 3 integrity
+failure (tampered/missing artifacts, journal mismatch, a retrieved ball
+served wrong twice), 4 deadline-exceeded queries, 5 leakage-audit
+failure, 6 forged result (the ``gateway`` answer verifier caught a shard
+lying and could not re-cover the slice from honest members).  One table
+decides them: :data:`EXIT_TABLE` maps each exception a command may raise
+to its code and printed prefix, :data:`STATUS_EXIT` maps each per-query
+:class:`QueryStatus` to its code, and :func:`exit_code` is the one
+lookup.  :func:`main` owns the tracer, so the trace export and the
+leakage audit run once per command on every path.  When one invocation
+hits several conditions, :func:`combine_exit` picks the most severe
+under the lattice ``0 < 2 < 4 < 5 < 6 < 3 < 1`` (integrity trumps every
+verdict; only a usage error ranks above it).
 """
 
 from __future__ import annotations
@@ -57,13 +61,29 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from repro.crypto.keys import DataOwnerKey
-from repro.framework.faults import VALID_KINDS, ChaosPolicy
-from repro.framework.prilo import DeadlineExceeded, Prilo, PriloConfig
+from repro.framework.faults import MALICIOUS_KINDS, VALID_KINDS, ChaosPolicy
+from repro.framework.gateway import Gateway, GatewayChaos, GatewayError
+from repro.framework.placement import (
+    DEFAULT_SALT,
+    DEFAULT_VNODES,
+    PlacementError,
+    PlacementManifest,
+)
+from repro.framework.prilo import DeadlineExceeded, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.framework.roles import BallIntegrityError
 from repro.framework.server import QueryBatchEngine, QueryStatus
+from repro.framework.shard import (
+    ENGINE_CLASSES,
+    LocalCluster,
+    ShardError,
+    make_shard_specs,
+)
+from repro.framework.verify import AnswerVerifier, VerificationError
 from repro.graph.query import Semantics
 from repro.storage import (
     ArtifactStore,
@@ -74,6 +94,7 @@ from repro.storage import (
     StaleDeltaError,
     StoreError,
     StoreStale,
+    StoreUsageError,
     delta_key,
     graph_digest,
     journal_key,
@@ -85,8 +106,11 @@ from repro.workloads.experiments import (
     ldbc_study,
     pruning_study,
 )
+from repro.workloads.traffic import TrafficSpec, generate_traffic
 
-#: Stale (rebuildable) artifacts detected by ``store verify``.
+#: Usage error or an exception no :data:`EXIT_TABLE` row names.
+EXIT_USAGE = 1
+#: Stale (rebuildable) artifacts.
 EXIT_STALE = 2
 #: Integrity failure: tampered/missing artifacts or a journal mismatch.
 EXIT_INTEGRITY = 3
@@ -110,7 +134,7 @@ EXIT_FORGED = 6
 #: so tampered wins over stale, and integrity wins over everything.
 _EXIT_SEVERITY = {0: 0, EXIT_STALE: 1, EXIT_DEADLINE: 2,
                   EXIT_LEAKAGE: 3, EXIT_FORGED: 4, EXIT_INTEGRITY: 5,
-                  1: 6}
+                  EXIT_USAGE: 6}
 
 
 def combine_exit(*codes: int) -> int:
@@ -120,6 +144,72 @@ def combine_exit(*codes: int) -> int:
     never be masked by an old, milder one."""
     return max(codes, default=0,
                key=lambda code: _EXIT_SEVERITY.get(code, len(_EXIT_SEVERITY)))
+
+
+@dataclass(frozen=True)
+class ExitRow:
+    """A command that raised ``exc`` (and satisfies ``when``) prints
+    ``PREFIX: message`` and exits ``code``."""
+
+    exc: type[Exception]
+    code: int
+    prefix: str
+    when: Callable[[Exception], bool] = lambda exc: True
+
+
+#: Every exception a command may end on, first matching row wins (a
+#: subclass's row precedes its base's).  Stale is rebuildable (2); an
+#: artifact, journal, ball or merge the command cannot vouch for is an
+#: integrity failure (3).
+EXIT_TABLE = (
+    ExitRow(StoreUsageError, EXIT_USAGE, "FAILED"),
+    ExitRow(StoreStale, EXIT_STALE, "STALE"),
+    ExitRow(StaleDeltaError, EXIT_STALE, "STALE"),
+    ExitRow(ShardError, EXIT_STALE, "STALE", when=lambda exc: exc.stale),
+    ExitRow(ShardError, EXIT_INTEGRITY, "FAILED"),
+    ExitRow(StoreError, EXIT_INTEGRITY, "FAILED"),
+    ExitRow(DeltaError, EXIT_INTEGRITY, "FAILED"),
+    ExitRow(BallIntegrityError, EXIT_INTEGRITY, "FAILED"),
+    ExitRow(PlacementError, EXIT_INTEGRITY, "FAILED"),
+    # A bad catalog commitment is at-rest tampering, not a serving-time
+    # forgery: nothing can be verified against it.
+    ExitRow(VerificationError, EXIT_INTEGRITY, "FAILED"),
+    ExitRow(JournalError, EXIT_INTEGRITY, "JOURNAL ERROR"),
+    # Divergent slice answers or an unservable fleet: nothing the merge
+    # produced can be trusted.
+    ExitRow(GatewayError, EXIT_INTEGRITY, "GATEWAY ERROR"),
+    ExitRow(DeadlineExceeded, EXIT_DEADLINE, "DEADLINE EXCEEDED"),
+)
+
+#: The exit code of each per-query verdict of ``run``, ``serve-batch``
+#: and ``gateway``.  Shed or drained under an operator-set admission
+#: flag is policy, not failure.  A forgery that was re-covered is ``OK``:
+#: every surfaced answer verified.
+STATUS_EXIT = {
+    QueryStatus.OK: 0,
+    QueryStatus.REJECTED_OVERLOAD: 0,
+    QueryStatus.REJECTED_BALL_BUDGET: 0,
+    QueryStatus.DRAINED: 0,
+    QueryStatus.DEADLINE_EXCEEDED: EXIT_DEADLINE,
+    QueryStatus.FORGED: EXIT_FORGED,
+}
+
+
+def exit_code(outcome: Exception | str) -> int:
+    """The exit code of a :class:`QueryStatus` value, or of an exception
+    a command raised (printed under its row's prefix first).  An
+    exception no row names is re-raised."""
+    if isinstance(outcome, str):
+        return STATUS_EXIT[outcome]
+    for row in EXIT_TABLE:
+        if isinstance(outcome, row.exc) and row.when(outcome):
+            print(f"{row.prefix}: {outcome}")
+            return row.code
+    raise outcome
+
+
+def _statuses_exit(report) -> int:
+    return combine_exit(*(exit_code(o.status) for o in report.outcomes))
 
 
 def _chaos(args: argparse.Namespace) -> ChaosPolicy | None:
@@ -146,8 +236,6 @@ def _chaos(args: argparse.Namespace) -> ChaosPolicy | None:
         if bad:
             raise SystemExit(f"unknown chaos kind(s) {bad}; "
                              f"valid: {', '.join(VALID_KINDS)}")
-        from dataclasses import replace
-
         policy = replace(policy, kinds=chosen)
     return policy
 
@@ -165,8 +253,6 @@ def _rogue(args: argparse.Namespace):
     shards = tuple(getattr(args, "rogue_shard", None) or ())
     if not shards:
         return (), None
-    from repro.framework.faults import MALICIOUS_KINDS
-
     kinds = MALICIOUS_KINDS
     chosen = getattr(args, "rogue_kinds", None)
     if chosen:
@@ -192,8 +278,6 @@ def _config(args: argparse.Namespace, store=None) -> PriloConfig:
     if store is not None:
         # Ball ids are a function of (vertex order, radii): an engine
         # served from a store must address exactly the stored radii.
-        from dataclasses import replace
-
         config = replace(config, radii=store.radii)
     return config
 
@@ -203,10 +287,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for key, value in row.items():
         print(f"{key:>20}: {value}")
     return 0
-
-
-def _engine_class(name: str):
-    return Prilo if name == "prilo" else PriloStar
 
 
 def _open_store(args: argparse.Namespace):
@@ -246,9 +326,10 @@ def _tracer_for(args: argparse.Namespace):
     return Tracer()
 
 
-def _finish_trace(args: argparse.Namespace, tracer) -> int:
+def _finish_trace(args: argparse.Namespace) -> int:
     """Post-run trace plumbing: taint injection (test hook), trace-file
     export, leakage audit.  Returns the audit's exit-code contribution."""
+    tracer = args.tracer
     if tracer is None:
         return 0
     if getattr(args, "trace_taint", False):
@@ -303,13 +384,6 @@ def _print_batch_counters(report) -> None:
               f"degraded={degraded}")
 
 
-def _batch_exit_code(report) -> int:
-    if any(o.status == QueryStatus.DEADLINE_EXCEEDED
-           for o in report.outcomes):
-        return EXIT_DEADLINE
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale)
     semantics = Semantics(args.semantics)
@@ -319,42 +393,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"query:   {query}")
     store = _open_store(args)
     journal = _open_journal(args)
-    tracer = _tracer_for(args)
     engine = PriloStar.setup(dataset.graph_for(semantics),
                              _config(args, store), store=store,
-                             tracer=tracer)
-    result = None
-    code = 0
+                             tracer=args.tracer)
+    # One query is a batch of one: the batch engine owns admission,
+    # deadlines, journal checkpointing and resume, so `run` reports and
+    # exits exactly as serve-batch does.
     try:
-        if journal is not None:
-            # The batch engine (batch of one) owns admission, journal
-            # checkpointing and resume -- `run --journal` gets the exact
-            # crash-resume semantics of serve-batch.
-            with journal, QueryBatchEngine(engine, journal=journal) as server:
-                report = server.serve([query])
-            _print_outcomes(report)
-            _print_batch_counters(report)
-            if report.results:
-                result = report.results[0]
-            else:
-                code = _batch_exit_code(report) or 1
-        else:
-            try:
-                result = engine.run(query)
-            except DeadlineExceeded as exc:
-                print(f"DEADLINE EXCEEDED: {exc}")
-                if exc.metrics is not None:
-                    print(f"partial state: "
-                          f"{exc.metrics.candidate_balls} candidates, "
-                          f"{exc.metrics.journal.shares_evaluated} shares "
-                          f"evaluated before the abort")
-                code = EXIT_DEADLINE
-    except JournalError as exc:
-        print(f"JOURNAL ERROR: {exc}")
-        code = EXIT_INTEGRITY
+        with QueryBatchEngine(engine, journal=journal) as server:
+            report = server.serve([query])
     finally:
-        engine.close()
-    if result is not None:
+        if journal is not None:
+            journal.close()
+    _print_outcomes(report)
+    for result in report.results:
         timings = result.metrics.timings
         print(f"candidates: {len(result.candidate_ids)}  "
               f"PM-positives: {len(result.pm_positive_ids)}  "
@@ -376,7 +428,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"faults:  {result.metrics.faults.summary_line()}")
         if result.metrics.journal:
             print(f"journal: {result.metrics.journal.summary_line()}")
-    return combine_exit(code, _finish_trace(args, tracer))
+    return _statuses_exit(report)
 
 
 def cmd_serve_batch(args: argparse.Namespace) -> int:
@@ -386,13 +438,11 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
                                       diameter=args.diameter,
                                       semantics=semantics, seed=args.seed)
     queries = [distinct[i % len(distinct)] for i in range(args.batch)]
-    engine_cls = _engine_class(args.engine)
     store = _open_store(args)
     journal = _open_journal(args)
-    tracer = _tracer_for(args)
-    engine = engine_cls.setup(dataset.graph_for(semantics),
-                              _config(args, store), store=store,
-                              tracer=tracer)
+    engine = ENGINE_CLASSES[args.engine].setup(
+        dataset.graph_for(semantics), _config(args, store), store=store,
+        tracer=args.tracer)
     delta_code = 0
     try:
         with QueryBatchEngine(engine, journal=journal,
@@ -405,9 +455,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
             report = server.serve(queries)
             if args.apply_delta:
                 delta_code = _serve_batch_deltas(args, server)
-    except JournalError as exc:
-        print(f"JOURNAL ERROR: {exc}")
-        return combine_exit(EXIT_INTEGRITY, _finish_trace(args, tracer))
     finally:
         if journal is not None:
             journal.close()
@@ -429,26 +476,16 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     if args.metrics_out:
         from repro.observability import write_metrics
 
-        spans = tracer.spans if tracer is not None else None
+        spans = args.tracer.spans if args.tracer is not None else None
         write_metrics(args.metrics_out, report, spans)
         print(f"metrics: Prometheus snapshot -> {args.metrics_out}")
-    return combine_exit(_batch_exit_code(report), delta_code,
-                        _finish_trace(args, tracer))
-
-
-def _delta_failure_exit(exc: Exception) -> int:
-    """Print why a delta replay, a store or a retrieved ball stopped a
-    command and return its exit code: 2 when they merely diverged from
-    the graph (stale -- re-sync or rebuild), 3 on anything tampered or
-    damaged."""
-    stale = isinstance(exc, (StaleDeltaError, StoreStale))
-    print(f"{'STALE' if stale else 'FAILED'}: {exc}")
-    return EXIT_STALE if stale else EXIT_INTEGRITY
+    return combine_exit(_statuses_exit(report), delta_code)
 
 
 def _serve_batch_deltas(args: argparse.Namespace, server) -> int:
     """Replay a delta log through the live batch engine (standing queries
-    re-notify per delta).  Same exit split as ``store apply-delta``."""
+    re-notify per delta).  A failed delta is reported here and its code
+    returned, so the batch served before it still prints its summary."""
     log = DeltaLog(args.apply_delta, delta_key(args.seed))
     try:
         for record, application in walk_delta_chain(
@@ -464,7 +501,7 @@ def _serve_batch_deltas(args: argparse.Namespace, server) -> int:
                 print(f"  {notice.name}: {flag}, "
                       f"{notice.num_matches} matches")
     except (DeltaError, StoreError) as exc:
-        return _delta_failure_exit(exc)
+        return exit_code(exc)
     return 0
 
 
@@ -475,12 +512,7 @@ def cmd_journal_inspect(args: argparse.Namespace) -> int:
     if not os.path.exists(args.path):
         print(f"FAILED: no journal at {args.path}")
         return EXIT_INTEGRITY
-    journal = RunJournal(args.path, journal_key(args.seed))
-    try:
-        summary = journal.inspect()
-    except JournalError as exc:
-        print(f"JOURNAL ERROR: {exc}")
-        return EXIT_INTEGRITY
+    summary = RunJournal(args.path, journal_key(args.seed)).inspect()
     print(json.dumps(summary, indent=2))
     # Tampered wins over stale/torn-tail symptoms: a torn tail is a
     # normal crash artifact (reported, exit 0); tampering is not.
@@ -494,7 +526,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
     if not os.path.exists(args.path):
         print(f"FAILED: no trace at {args.path}")
-        return 1
+        return EXIT_USAGE
     meta, spans = read_trace(args.path)
     if meta:
         print(f"trace: {args.path} (format {meta.get('format', '?')}, "
@@ -513,7 +545,7 @@ def cmd_trace_audit(args: argparse.Namespace) -> int:
 
     if not os.path.exists(args.path):
         print(f"FAILED: no trace at {args.path}")
-        return 1
+        return EXIT_USAGE
     _, spans = read_trace(args.path)
     report = audit_spans(spans)
     print(report.summary_line())
@@ -655,16 +687,13 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
         return store.apply_delta(record.delta, graph, key)
 
     state = log.replay(truncate=False)
-    try:
-        reports = [report for _record, report
-                   in walk_delta_chain(state, graph, apply_one)
-                   if report is not None]
-    except (DeltaError, StoreError) as exc:
-        return _delta_failure_exit(exc)
+    reports = [report for _record, report
+               in walk_delta_chain(state, graph, apply_one)
+               if report is not None]
     if graph_digest(graph) != store.manifest_graph_digest:
-        print(f"STALE: the delta log never reaches the store's graph "
-              f"state {store.manifest_graph_digest[:12]}")
-        return EXIT_STALE
+        raise StaleDeltaError(
+            f"the delta log never reaches the store's graph state "
+            f"{store.manifest_graph_digest[:12]}")
     for report in reports:
         print(json.dumps(report.as_dict(), indent=2))
     print(f"ok: {len(reports)} delta(s) applied, "
@@ -673,41 +702,8 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gateway_exit_code(report) -> int:
-    # Same fold as the single-engine batch: a deadline-exceeded slice
-    # exits 4.  Shed/drained under explicit admission flags is operator
-    # policy, not failure, and stays 0 (documented in operations.md).
-    # A FORGED outcome means the verifier caught a lying shard and no
-    # honest member was left to re-cover the slice -- the answer was
-    # withheld, and the run must say so with exit 6.  Forgery that WAS
-    # re-covered stays 0: every surfaced answer verified.
-    codes = [0]
-    if any(o.status == QueryStatus.FORGED for o in report.outcomes):
-        codes.append(EXIT_FORGED)
-    if any(o.status == QueryStatus.DEADLINE_EXCEEDED
-           for o in report.outcomes):
-        codes.append(EXIT_DEADLINE)
-    return combine_exit(*codes)
-
-
 def cmd_gateway(args: argparse.Namespace) -> int:
     """Serve zipf many-tenant traffic through a local N-shard cluster."""
-    from dataclasses import replace
-
-    from repro.framework.gateway import Gateway, GatewayChaos, GatewayError
-    from repro.framework.placement import (
-        DEFAULT_SALT,
-        DEFAULT_VNODES,
-        PlacementError,
-        PlacementManifest,
-    )
-    from repro.framework.shard import (
-        LocalCluster,
-        ShardError,
-        make_shard_specs,
-    )
-    from repro.workloads.traffic import TrafficSpec, generate_traffic
-
     dataset = load_dataset(args.dataset, scale=args.scale)
     semantics = Semantics(args.semantics)
     spec = TrafficSpec(count=args.count, tenants=args.tenants,
@@ -722,11 +718,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     vnodes, salt = DEFAULT_VNODES, DEFAULT_SALT
     placement = None
     if args.store:
-        try:
-            placement = PlacementManifest.read(args.store)
-        except PlacementError as exc:
-            print(f"FAILED: {exc}")
-            return EXIT_INTEGRITY
+        placement = PlacementManifest.read(args.store)
         # Shard packs fix both the ball address space (radii) and the
         # ring geometry; the serving cluster must match them exactly.
         config = replace(config, radii=placement.radii)
@@ -734,29 +726,17 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     verifier = None
     if (placement is not None and placement.auth_root
             and config.verify_serving):
-        from repro.framework.verify import AnswerVerifier, VerificationError
-
-        engine_cls = {"prilo": Prilo, "prilo-star": PriloStar}[args.engine]
-        # Certificates bind the *effective* engine config -- the engine
-        # classes force their pruning toggles in setup(), so the
-        # verifier must fingerprint the same overridden view.
-        effective = replace(config, **engine_cls._OVERRIDES)
-        try:
-            verifier = AnswerVerifier.from_placement(placement,
-                                                     seed=args.seed,
-                                                     config=effective)
-        except VerificationError as exc:
-            # A bad catalog commitment is at-rest tampering, not a
-            # serving-time forgery: nothing can be verified against it.
-            print(f"FAILED: {exc}")
-            return EXIT_INTEGRITY
+        # Certificates bind the *effective* engine config, the view the
+        # shards' engines run after forcing their pruning toggles.
+        verifier = AnswerVerifier.from_placement(
+            placement, seed=args.seed,
+            config=ENGINE_CLASSES[args.engine].effective_config(config))
     chaos = None
     if args.kill_shard is not None or args.kill_seed is not None:
         chaos = GatewayChaos(kill_shard=args.kill_shard,
                              kill_after_verdicts=args.kill_after,
                              seed=args.kill_seed)
     rogue_shards, rogue_policy = _rogue(args)
-    tracer = _tracer_for(args)
     specs = make_shard_specs(graph, config, args.shards,
                              engine=args.engine, store_root=args.store,
                              journal_dir=args.journal_dir,
@@ -768,24 +748,12 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     print(f"traffic: {spec.count} queries over {spec.tenants} tenants "
           f"(zipf s={spec.skew}, seed {spec.seed}); "
           f"rank-1 share {ranks.count(0)}/{len(ranks)}")
-    try:
-        with LocalCluster(specs) as cluster:
-            gateway = Gateway(cluster.handles, vnodes=vnodes, salt=salt,
-                              pool=args.pool, window=args.window,
-                              chaos=chaos, tracer=tracer,
-                              verifier=verifier)
-            report = gateway.run(queries)
-    except GatewayError as exc:
-        # Divergent slice answers or an unservable fleet: nothing the
-        # merge produced can be trusted -> integrity exit.
-        print(f"GATEWAY ERROR: {exc}")
-        return combine_exit(EXIT_INTEGRITY, _finish_trace(args, tracer))
-    except ShardError as exc:
-        # A shard that cannot start: a pack that disagrees with the live
-        # graph is rebuildable (2), anything else is damage (3).
-        print(f"{'STALE' if exc.stale else 'FAILED'}: {exc}")
-        return combine_exit(EXIT_STALE if exc.stale else EXIT_INTEGRITY,
-                            _finish_trace(args, tracer))
+    with LocalCluster(specs) as cluster:
+        gateway = Gateway(cluster.handles, vnodes=vnodes, salt=salt,
+                          pool=args.pool, window=args.window,
+                          chaos=chaos, tracer=args.tracer,
+                          verifier=verifier)
+        report = gateway.run(queries)
     summary = report.summary()
     print(f"served {summary['queries']} queries on {summary['shards']} "
           f"shard(s) in {summary['makespan_seconds']:.3f}s wall "
@@ -824,11 +792,10 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     if args.metrics_out:
         from repro.observability import write_gateway_metrics
 
-        spans = tracer.spans if tracer is not None else None
+        spans = args.tracer.spans if args.tracer is not None else None
         write_gateway_metrics(args.metrics_out, report, spans)
         print(f"metrics: Prometheus snapshot -> {args.metrics_out}")
-    return combine_exit(_gateway_exit_code(report),
-                        _finish_trace(args, tracer))
+    return _statuses_exit(report)
 
 
 def cmd_workloads(args: argparse.Namespace) -> int:
@@ -952,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--semantics", default="hom",
                          choices=[s.value for s in Semantics])
     p_batch.add_argument("--engine", default="prilo",
-                         choices=["prilo", "prilo-star"])
+                         choices=sorted(ENGINE_CLASSES))
     p_batch.add_argument("--store", default=None, metavar="DIR")
     p_batch.add_argument("--queue-bound", type=int, default=None,
                          metavar="N",
@@ -1095,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw.add_argument("--semantics", default="hom",
                       choices=[s.value for s in Semantics])
     p_gw.add_argument("--engine", default="prilo",
-                      choices=["prilo", "prilo-star"])
+                      choices=sorted(ENGINE_CLASSES))
     p_gw.add_argument("--store", default=None, metavar="DIR",
                       help="a `store shard-split` output directory: each "
                            "shard cold-starts from its own pack, and the "
@@ -1177,12 +1144,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.tracer = _tracer_for(args)
+    code = EXIT_USAGE
     try:
-        return args.func(args)
-    except (StoreError, BallIntegrityError) as exc:
-        # A store a command opened or served from, or a ball the Dealer
-        # served wrong twice: stale 2, anything else 3.
-        return _delta_failure_exit(exc)
+        code = args.func(args)
+    except tuple(row.exc for row in EXIT_TABLE) as exc:
+        code = exit_code(exc)
+    finally:
+        code = combine_exit(code, _finish_trace(args))
+    return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@
 * :mod:`~repro.framework.server` -- multi-query batch serving with
   cross-query CMM reuse (the throughput layer over the engines).
 * :mod:`~repro.framework.faults` -- seeded fault injection
-  (:class:`ChaosPolicy`) and the recovery policy threaded through the
-  roles, TEE channel and artifact store.
+  (:class:`ChaosPolicy`) threaded through the roles, TEE channel and
+  artifact store.
 * :mod:`~repro.framework.placement` -- the consistent-hash ball placement
   ring and the ``store shard-split`` placement manifest.
 * :mod:`~repro.framework.wire` -- the gateway <-> shard frame protocol and
@@ -35,8 +35,7 @@ layer, so an eager import here would make ``import repro.storage`` cycle.
 
 _EXPORTS = {
     "executor": ("BallExecutor",),
-    "faults": ("ChaosPolicy", "FaultInjector", "FaultReport",
-               "RecoveryPolicy"),
+    "faults": ("ChaosPolicy", "FaultInjector", "FaultReport"),
     "gateway": ("Gateway", "GatewayChaos", "GatewayError", "GatewayReport"),
     "metrics": ("CacheStats", "ConfusionCounts", "PhaseTimings"),
     "placement": ("HashRing", "PlacementManifest", "ring_for"),

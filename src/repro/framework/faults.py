@@ -1,11 +1,11 @@
-"""Seeded fault injection and the recovery policy for the online path.
+"""Seeded fault injection and the fault log of the online path.
 
 The paper's deployment (a semi-honest SP running k Player servers, an SGX
 enclave per Player, a Dealer holding outsourced artifacts) is exactly the
 setting where partial failure is the norm: serving processes die, enclaves
 fail attestation or run out of EPC, sealed payloads are corrupted in
 transit, and on-disk artifact packs rot or are tampered with.  This module
-supplies the two halves every recovery site shares:
+supplies what every recovery site shares:
 
 * :class:`ChaosPolicy` -- a *deterministic, seeded* fault schedule.  Every
   injection decision is a pure function of ``(seed, kind, key, attempt)``
@@ -13,10 +13,11 @@ supplies the two halves every recovery site shares:
   schedule in any process, in any order -- which is what
   makes "answers are byte-identical to a fault-free run under any
   injected schedule" a testable statement rather than a hope.
-* :class:`RecoveryPolicy` -- the four degradation switches of the
-  recovery layer (enclave down -> twiglet-only pruning, Player dropout ->
-  Dealer re-plans onto survivors, tampered store pack -> quarantine and
-  recompute, stale store -> rebuild in-process).
+
+Recovery itself has one behaviour, no switches: an enclave down degrades
+to twiglet-only pruning, a dropped Player's balls are re-planned onto the
+survivors, a pack serving corrupt data is quarantined and recomputed
+around, and a store found stale at setup is refused (``StoreStale``).
 
 :class:`FaultInjector` binds a policy to a :class:`FaultReport` event log;
 the engine threads one injector per run through the PM kernel, the roles,
@@ -52,9 +53,6 @@ class FaultKind:
     STORE_TAMPER = "store_tamper"
     #: A Player server disappears between sequencing and evaluation.
     PLAYER_DROPOUT = "player_dropout"
-    #: Detection-only label: a store found stale at engine setup (never
-    #: injected -- staleness comes from the manifest check).
-    STORE_STALE = "store_stale"
     #: The whole serving process dies uncleanly (``SIGKILL``), exactly as
     #: an OOM kill or host restart would -- exercised by the crash-resume
     #: harness at journal checkpoint boundaries.  Opt-in only: it is
@@ -92,9 +90,9 @@ MALICIOUS_KINDS = (
 )
 
 
-#: Every kind :class:`ChaosPolicy` injects by default (``STORE_STALE``
-#: and ``JOURNAL_TAMPER`` are detection-only; ``KILL_PROCESS`` must be
-#: requested explicitly because only journal-backed runs survive it).
+#: Every kind :class:`ChaosPolicy` injects by default (``JOURNAL_TAMPER``
+#: is detection-only; ``KILL_PROCESS`` must be requested explicitly
+#: because only journal-backed runs survive it).
 INJECTABLE_KINDS = (
     FaultKind.ENCLAVE_ATTESTATION,
     FaultKind.ENCLAVE_MEMORY,
@@ -175,29 +173,6 @@ class ChaosPolicy:
             f"chaos:{self.seed}:{kind}:{key}:{attempt}"
             .encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") < self.fault_rate * 2 ** 64
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """The recovery layer's degradation switches.  Defaults favour
-    availability: drop BF pruning when the enclave is down, re-plan around
-    dropped Players, quarantine tampered packs -- but *raise* on a store
-    found stale at setup (serving wrong balls silently is worse than
-    failing loudly; opt in to the recompute fallback explicitly)."""
-
-    #: Enclave attestation/ECALL failure -> continue twiglet-only
-    #: (Sec. 4.2 needs no TEE); BF pruning only ever discards spurious
-    #: balls, so the match set is unchanged.
-    degrade_bf: bool = True
-    #: Player dropout -> the Dealer re-plans orphaned balls across the
-    #: surviving Players' sequences.
-    replan_dropouts: bool = True
-    #: Tampered/corrupt store pack detected online -> quarantine the pack
-    #: and recompute from the live graph.
-    quarantine_store: bool = True
-    #: Store stale at engine setup -> rebuild in-process instead of
-    #: raising.  Off by default: staleness usually means misconfiguration.
-    recompute_on_stale_store: bool = False
 
 
 @dataclass
@@ -335,6 +310,5 @@ __all__ = [
     "FaultReport",
     "INJECTABLE_KINDS",
     "MALICIOUS_KINDS",
-    "RecoveryPolicy",
     "VALID_KINDS",
 ]

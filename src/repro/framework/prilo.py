@@ -28,8 +28,6 @@ from repro.framework.faults import (
     FaultAction,
     FaultInjector,
     FaultKind,
-    FaultReport,
-    RecoveryPolicy,
 )
 from repro.framework.messages import (
     DecryptedPMs,
@@ -151,9 +149,6 @@ class PriloConfig:
     #: decisions are pure functions of the policy, so the same policy
     #: replays the same faults in any process.
     chaos: ChaosPolicy | None = None
-    #: Degradation switches of the recovery layer (always active --
-    #: genuine faults take the same paths chaos exercises).
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Per-query wall-clock deadline in milliseconds (None: unbounded).
     #: Checked at phase boundaries and after every executor share; an
     #: expired query raises :class:`DeadlineExceeded` with its partial
@@ -189,10 +184,6 @@ class PriloConfig:
                 f"None; got {type(self.chaos).__name__} "
                 f"({self.chaos!r}) -- e.g. "
                 f"ChaosPolicy(seed=7, fault_rate=0.1)")
-        if not isinstance(self.recovery, RecoveryPolicy):
-            raise ValueError(
-                f"recovery must be a repro.framework.faults.RecoveryPolicy;"
-                f" got {type(self.recovery).__name__}")
         if self.use_ssg and self.k_players < 2:
             raise ValueError("SSG requires at least two players (Sec. 2.3)")
         if not 3 <= self.twiglet_h <= 5:
@@ -301,35 +292,8 @@ class Prilo:
         #: DataOwner) and twiglet pruning reuses the stored per-ball
         #: feature sets.
         self.store = store
-        #: Setup-time fault events (e.g. a stale store degraded past);
-        #: replayed into every run's ``RunMetrics.faults``.
-        self.fault_log = FaultReport()
-        if store is not None:
-            from repro.storage import StoreError
-
-            try:
-                self.owner = DataOwner(graph, config.radii, seed=config.seed,
-                                       store=store)
-            except StoreError as exc:
-                if not config.recovery.recompute_on_stale_store:
-                    raise
-                # The persisted outsourcing output no longer matches the
-                # live graph/radii/key.  Serving it would be wrong; with
-                # the opt-in fallback we log the degradation and rebuild
-                # the offline artifacts in-process instead.
-                self.fault_log.record(FaultKind.STORE_STALE, "store",
-                                      FaultAction.DETECTED, detail=str(exc))
-                self.fault_log.record(
-                    FaultKind.STORE_STALE, "store", FaultAction.DEGRADED,
-                    detail="stale artifact store ignored; recomputing "
-                           "offline outsourcing in-process")
-                logger.warning("stale artifact store (%s); recomputing", exc)
-                self.store = None
-                self.owner = DataOwner(graph, config.radii, seed=config.seed)
-            else:
-                store.quarantine_enabled = config.recovery.quarantine_store
-        else:
-            self.owner = DataOwner(graph, config.radii, seed=config.seed)
+        self.owner = DataOwner(graph, config.radii, seed=config.seed,
+                               store=store)
         if keyring is None:
             keyring = UserKeyring.generate(modulus_bits=config.modulus_bits,
                                            seed=config.seed)
@@ -393,9 +357,6 @@ class Prilo:
         self.owner = DataOwner(self.graph, self.config.radii,
                                seed=self.config.seed, store=self.store,
                                index=index)
-        if self.store is not None:
-            self.store.quarantine_enabled = (
-                self.config.recovery.quarantine_store)
         self.owner.grant_key(self.user)
         self.index = self.owner.player_store()
         self.players = [Player(i, self.index)
@@ -417,11 +378,19 @@ class Prilo:
     def setup(cls, graph: LabeledGraph, config: PriloConfig | None = None,
               store=None, tracer=None, **overrides: object) -> "Prilo":
         """Build an engine; keyword overrides patch the default config."""
-        if config is None:
-            config = PriloConfig()
+        return cls(graph, cls.effective_config(config, **overrides),
+                   store=store, tracer=tracer)
+
+    @classmethod
+    def effective_config(cls, config: PriloConfig | None = None,
+                         **overrides: object) -> PriloConfig:
+        """The config an engine of this class runs under: ``config``
+        (default :class:`PriloConfig`) with the class's optimization
+        switches forced, then ``overrides`` applied.  What result
+        certificates and journal fingerprints must bind."""
         merged = {**cls._OVERRIDES, **overrides}
-        config = replace(config, **merged)  # type: ignore[arg-type]
-        return cls(graph, config, store=store, tracer=tracer)
+        config = config or PriloConfig()
+        return replace(config, **merged)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def candidate_balls(self, query: Query) -> tuple[Label, list[Ball]]:
@@ -496,7 +465,6 @@ class Prilo:
         # metrics; threaded through the executor, the store, the user's
         # channel establishment and the final retrieval.
         injector = FaultInjector(config.chaos, report=metrics.faults)
-        metrics.faults.extend(self.fault_log.events)
         self.executor.install_faults(injector)
         if self.store is not None:
             self.store.install_faults(injector)
@@ -538,7 +506,6 @@ class Prilo:
                 sizes=sizes,
                 timings=timings,
                 faults=injector,
-                degrade_bf=config.recovery.degrade_bf,
             )
             prep_span.set("bytes", sizes.encrypted_matrix
                           + sizes.twiglet_tables + sizes.bf_encodings)
@@ -692,8 +659,7 @@ class Prilo:
         """
         policy = injector.policy
         if (not injector.active
-                or FaultKind.PLAYER_DROPOUT not in policy.kinds
-                or not self.config.recovery.replan_dropouts):
+                or FaultKind.PLAYER_DROPOUT not in policy.kinds):
             return sequences
         players = sorted({seq.player for seq in sequences})
         dropped = [p for p in players

@@ -256,7 +256,6 @@ class User:
         sizes: MessageSizes,
         timings: PhaseTimings,
         faults: FaultInjector | None = None,
-        degrade_bf: bool = True,
     ) -> tuple[EncryptedQueryMessage, UserQueryState]:
         cgbe = self.keyring.cgbe
         state = UserQueryState(query=query,
@@ -307,8 +306,6 @@ class User:
                     # pruning method; dropping it only keeps *more*
                     # candidates (Prop. 3 is one-sided), so the final
                     # match set is unchanged -- continue twiglet-only.
-                    if not degrade_bf:
-                        raise
                     key = f"enclave:{len(state.channels)}"
                     injector.record(FaultKind.ENCLAVE_ATTESTATION, key,
                                     FaultAction.DETECTED, detail=str(exc))

@@ -502,10 +502,10 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
     rogue_set = {int(s) for s in rogue_shards}
     unknown = rogue_set - set(range(shards))
     if unknown:
-        raise ShardError(f"rogue shard ids {sorted(unknown)} outside "
+        raise ValueError(f"rogue shard ids {sorted(unknown)} outside "
                          f"0..{shards - 1}")
     if rogue_set and rogue_policy is None:
-        raise ShardError("rogue_shards named without a rogue_policy")
+        raise ValueError("rogue_shards named without a rogue_policy")
     specs = []
     for shard_id in range(shards):
         store = None

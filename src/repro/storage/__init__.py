@@ -59,6 +59,7 @@ from repro.storage.store import (
     StoreError,
     StoreMiss,
     StoreStale,
+    StoreUsageError,
     VerifyReport,
     graph_digest,
     key_digest,
@@ -101,6 +102,7 @@ __all__ = [
     "StoreError",
     "StoreMiss",
     "StoreStale",
+    "StoreUsageError",
     "VerifyReport",
     "graph_digest",
     "key_digest",

@@ -128,11 +128,12 @@ def config_fingerprint(config, graph_digest: str = "") -> str:
     be replayed into an engine with another: ball ids, share keys and the
     randomness stream would all silently diverge.
 
-    Scheduling-only knobs (chaos, recovery, deadlines, verified serving)
-    are deliberately excluded -- resuming with the kill schedule
-    disabled is exactly the recovery scenario the journal exists for.
-    Journals written when the config still carried an executor backend
-    and a parallelism resume unchanged: neither was ever hashed here.
+    Scheduling-only knobs (chaos, deadlines, verified serving) are
+    deliberately excluded -- resuming with the kill schedule disabled is
+    exactly the recovery scenario the journal exists for.  Journals
+    written when the config still carried an executor backend, a
+    parallelism or recovery switches resume unchanged: none was ever
+    hashed here.
     """
     fields = {
         "k_players": config.k_players,

@@ -97,6 +97,11 @@ class StoreStale(StoreError):
     is exit 3)."""
 
 
+class StoreUsageError(StoreError):
+    """The request is wrong, not the store: a non-empty target directory
+    or a non-positive shard count (CLI exit 1, not 3)."""
+
+
 class StoreMiss(StoreError):
     """A requested ball id is simply not in this store.
 
@@ -568,8 +573,6 @@ class StoreBallIndex(BallIndex):
                                     ball_id=ball_id)
             except (StoreError, ValueError, KeyError, TypeError,
                     UnicodeDecodeError) as exc:
-                if not store.quarantine_enabled:
-                    raise
                 store.quarantine(
                     _BALLS_PACK,
                     f"ball {ball_id} failed to load: {exc}")
@@ -663,10 +666,9 @@ class StoreEncryptedBalls:
         authoritative plaintext (when the owner key is available)."""
         self._cache.pop(ball_id, None)
         if self._cipher is not None:
-            if self._store.quarantine_enabled:
-                self._store.quarantine(
-                    _ENCRYPTED_PACK,
-                    f"blob for ball {ball_id} failed authentication")
+            self._store.quarantine(
+                _ENCRYPTED_PACK,
+                f"blob for ball {ball_id} failed authentication")
             blob = self._reencrypt(ball_id)
             self._cache[ball_id] = blob
             return blob
@@ -685,9 +687,6 @@ class ArtifactStore:
         self._faults = FaultInjector()
         #: The engine's per-run span tracer (inert by default).
         self._tracer = NULL_TRACER
-        #: Whether a pack that serves corrupt data may be quarantined and
-        #: recomputed around (``RecoveryPolicy.quarantine_store``).
-        self.quarantine_enabled = True
         self._quarantined: dict[str, str] = {}
         self._load_attempts: dict[str, int] = {}
         #: The encoded twiglet entries of the generation this object
@@ -791,7 +790,7 @@ class ArtifactStore:
         """
         root = Path(root)
         if root.exists() and any(root.iterdir()):
-            raise StoreError(f"refusing to overwrite non-empty {root}")
+            raise StoreUsageError(f"refusing to overwrite non-empty {root}")
         root.mkdir(parents=True, exist_ok=True)
         index = BallIndex(graph, radii)
         catalog_rows: list[tuple[int, int, object]] = []
@@ -1263,13 +1262,13 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
     )
 
     if shards < 1:
-        raise StoreError("shard count must be positive")
+        raise StoreUsageError("shard count must be positive")
     vnodes = DEFAULT_VNODES if vnodes is None else vnodes
     salt = DEFAULT_SALT if salt is None else salt
     src = ArtifactStore.open(root)
     out_root = Path(out_root)
     if out_root.exists() and any(out_root.iterdir()):
-        raise StoreError(f"refusing to overwrite non-empty {out_root}")
+        raise StoreUsageError(f"refusing to overwrite non-empty {out_root}")
     twiglets = src._take_entries()
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -1326,6 +1325,7 @@ __all__ = [
     "StoreError",
     "StoreMiss",
     "StoreStale",
+    "StoreUsageError",
     "VerifyReport",
     "graph_digest",
     "key_digest",

@@ -2,14 +2,34 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import (
     EXIT_DEADLINE,
+    EXIT_FORGED,
     EXIT_INTEGRITY,
     EXIT_LEAKAGE,
     EXIT_STALE,
+    EXIT_TABLE,
+    STATUS_EXIT,
     build_parser,
     combine_exit,
+    exit_code,
     main,
+)
+from repro.framework.gateway import GatewayError
+from repro.framework.placement import PlacementError
+from repro.framework.prilo import DeadlineExceeded
+from repro.framework.roles import BallIntegrityError
+from repro.framework.server import QueryStatus
+from repro.framework.shard import ShardError
+from repro.framework.verify import VerificationError
+from repro.storage import (
+    DeltaError,
+    JournalError,
+    StaleDeltaError,
+    StoreError,
+    StoreStale,
+    StoreUsageError,
 )
 
 
@@ -119,6 +139,118 @@ class TestExitCodeLattice:
     def test_unknown_codes_most_severe(self):
         assert combine_exit(1, 7) == 7
         assert combine_exit(EXIT_INTEGRITY, 42) == 42
+
+
+class TestExitTable:
+    """The one exception -> exit-code table, driven through ``main()``:
+    every row's code and printed prefix, and every query status."""
+
+    CASES = [
+        (lambda: StoreUsageError("refusing to overwrite non-empty x"),
+         1, "FAILED"),
+        (lambda: StoreStale("built under a different owner key"),
+         2, "STALE"),
+        (lambda: StaleDeltaError("record 1 does not chain"), 2, "STALE"),
+        (lambda: ShardError("shard 0 failed to start", stale=True),
+         2, "STALE"),
+        (lambda: ShardError("shard 0 failed to start"), 3, "FAILED"),
+        (lambda: StoreError("malformed manifest"), 3, "FAILED"),
+        (lambda: DeltaError("bad key"), 3, "FAILED"),
+        (lambda: BallIntegrityError("ball 3: re-served blob"), 3, "FAILED"),
+        (lambda: PlacementError("malformed placement manifest"),
+         3, "FAILED"),
+        (lambda: VerificationError("forge_result", "tampered catalog"),
+         3, "FAILED"),
+        (lambda: JournalError("digest mismatch"), 3, "JOURNAL ERROR"),
+        (lambda: GatewayError("no members survive"), 3, "GATEWAY ERROR"),
+        (lambda: DeadlineExceeded("after enumeration", 12.0, 5.0),
+         4, "DEADLINE EXCEEDED"),
+    ]
+
+    @staticmethod
+    def _raising(monkeypatch, exc):
+        def stub(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_stats", stub)
+        return ["stats", "dblp"]
+
+    @pytest.mark.parametrize("make, code, prefix", CASES)
+    def test_row_through_main(self, monkeypatch, capsys, make, code,
+                              prefix):
+        exc = make()
+        assert main(self._raising(monkeypatch, exc)) == code
+        assert capsys.readouterr().out == f"{prefix}: {exc}\n"
+
+    def test_cases_cover_every_row(self):
+        def first_row(exc):
+            return next(row for row in EXIT_TABLE
+                        if isinstance(exc, row.exc) and row.when(exc))
+
+        covered = [first_row(make()) for make, _, _ in self.CASES]
+        assert sorted(map(EXIT_TABLE.index, covered)) == list(
+            range(len(EXIT_TABLE)))
+
+    def test_unmapped_exception_is_a_traceback(self, monkeypatch):
+        with pytest.raises(ZeroDivisionError):
+            main(self._raising(monkeypatch, ZeroDivisionError("bug")))
+
+    def test_every_query_status_has_a_code(self):
+        statuses = {value for name, value in vars(QueryStatus).items()
+                    if name.isupper()}
+        assert set(STATUS_EXIT) == statuses
+        assert {status: exit_code(status) for status in statuses} == {
+            QueryStatus.OK: 0,
+            QueryStatus.REJECTED_OVERLOAD: 0,
+            QueryStatus.REJECTED_BALL_BUDGET: 0,
+            QueryStatus.DRAINED: 0,
+            QueryStatus.DEADLINE_EXCEEDED: EXIT_DEADLINE,
+            QueryStatus.FORGED: EXIT_FORGED,
+        }
+
+    def test_error_path_still_finishes_the_trace(self, monkeypatch, capsys,
+                                                 tmp_path):
+        """``main`` owns the tracer: a command that dies on an integrity
+        failure still exports its trace and runs the audit."""
+        def stub(args):
+            args.tracer.event("probe", "user")
+            raise JournalError("digest mismatch")
+        monkeypatch.setattr(cli, "cmd_run", stub)
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", "dblp", "--trace", str(trace),
+                     "--leakage-audit", "--trace-taint"]) == EXIT_INTEGRITY
+        out = capsys.readouterr().out
+        assert out.startswith("JOURNAL ERROR: digest mismatch\n")
+        assert "LEAKAGE" in out
+        assert trace.exists()
+
+    def test_failed_delta_still_prints_the_served_batch(self, tmp_path,
+                                                        capsys):
+        """``serve-batch --apply-delta``: a delta log keyed under another
+        seed is tampered (exit 3), reported before the summary of the
+        batch already served, which still prints."""
+        log = str(tmp_path / "foreign.log")
+        assert main(["--scale", "0.05", "--seed", "99", "store",
+                     "make-delta", "slashdot", log]) == 0
+        capsys.readouterr()
+        assert main(["--scale", "0.05", "--modulus", "512", "serve-batch",
+                     "slashdot", "--batch", "2", "--distinct", "1",
+                     "--size", "4", "--diameter", "2",
+                     "--apply-delta", log]) == EXIT_INTEGRITY
+        out = capsys.readouterr().out
+        assert out.startswith("FAILED: delta log carries 1 tampered")
+        assert "served 2 queries" in out
+
+    @pytest.mark.parametrize("journal", [False, True])
+    def test_run_ball_budget_rejection_is_policy(self, tmp_path, capsys,
+                                                 journal):
+        """A ball-budget shed is an operator-set admission outcome: exit
+        0 with the REJECTED line, with or without a journal."""
+        argv = ["--scale", "0.05", "--modulus", "512", "run", "dblp",
+                "--size", "4", "--diameter", "2", "--ball-budget", "1"]
+        if journal:
+            argv += ["--journal", str(tmp_path / "run.wal")]
+        assert main(argv) == 0
+        assert "q0: REJECTED(BALL_BUDGET)" in capsys.readouterr().out
 
 
 class TestTracing:
@@ -269,6 +401,21 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "served 4 queries" in out
         assert "hit rate" in out
+
+    def test_non_empty_target_is_a_usage_error(self, store_root, tmp_path,
+                                               capsys):
+        """Writing into a non-empty directory is a wrong request, not a
+        damaged artifact: exit 1, and nothing in the target moves."""
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "keep.txt").write_text("mine")
+        assert main([*self.BASE, "store", "build", "slashdot",
+                     str(target), "--radii", "1"]) == 1
+        assert main(["store", "shard-split", str(store_root), str(target),
+                     "--shards", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAILED: refusing to overwrite non-empty") == 2
+        assert [p.name for p in target.iterdir()] == ["keep.txt"]
 
     def test_gateway_refuses_a_fleet_that_cannot_start(self, store_root,
                                                        tmp_path, capsys):

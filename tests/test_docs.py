@@ -66,3 +66,22 @@ def test_operations_doc_matches_cli_contract():
         assert needle in lowered, f"operations.md must document {needle!r}"
     cli_doc = (ROOT / "src" / "repro" / "cli.py").read_text("utf-8")
     assert "docs/operations.md" in cli_doc
+
+
+def test_operations_exit_table_lists_the_code_table():
+    """The exit table in docs/operations.md lists exactly the codes of
+    the lattice, which holds every code the CLI's exit table and status
+    map can produce; every printed prefix is documented."""
+    from repro.cli import _EXIT_SEVERITY, EXIT_TABLE, STATUS_EXIT
+
+    text = (ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+    section = text.split("## Exit codes", 1)[1].split("\n### ", 1)[0]
+    documented = set()
+    for cell in re.findall(r"^\| ([0-9 /]+) \|", section, re.MULTILINE):
+        documented.update(int(code) for code in cell.split("/"))
+    assert documented == set(_EXIT_SEVERITY)
+    produced = ({row.code for row in EXIT_TABLE}
+                | set(STATUS_EXIT.values()))
+    assert produced <= documented
+    for prefix in {row.prefix for row in EXIT_TABLE}:
+        assert f"`{prefix}:" in text, f"operations.md: {prefix}"

@@ -27,12 +27,10 @@ from repro.framework.faults import (
     FaultAction,
     FaultKind,
     FaultReport,
-    RecoveryPolicy,
 )
 from repro.framework.prilo import Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.graph.query import Semantics
-from repro.tee.channel import AttestationFailure
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 
@@ -109,9 +107,10 @@ class TestChaosPolicy:
         assert not policy.decides(FaultKind.ENCLAVE_MEMORY, "x", 0)
 
     def test_store_stale_is_not_injectable(self):
-        assert FaultKind.STORE_STALE not in INJECTABLE_KINDS
+        # A stale store is refused at setup, never injected or recovered.
+        assert "store_stale" not in INJECTABLE_KINDS
         with pytest.raises(ValueError, match="unknown fault kinds"):
-            ChaosPolicy(fault_rate=0.5, kinds=(FaultKind.STORE_STALE,))
+            ChaosPolicy(fault_rate=0.5, kinds=("store_stale",))
 
     @pytest.mark.parametrize("bad", [
         dict(seed=1.5), dict(seed=True), dict(fault_rate=-0.1),
@@ -125,27 +124,16 @@ class TestChaosPolicy:
             ChaosPolicy(**{"fault_rate": 0.5, **bad})
 
 
-class TestRecoveryPolicy:
-    @pytest.mark.parametrize("bad", [
-        dict(max_retries=3), dict(backoff_seconds=0.05),
-        dict(backoff_factor=2.0), dict(share_timeout=0.15),
-        dict(share_timeout=None),
-    ])
-    def test_validation(self, bad):
-        """The retry / backoff / deadline knobs went with the process
-        pool they drove: passing one is refused, never silently ignored."""
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            RecoveryPolicy(**bad)
-
-
 class TestConfigValidation:
     def test_chaos_must_be_policy(self):
         with pytest.raises(ValueError, match="ChaosPolicy"):
             PriloConfig(chaos=0.5)
 
-    def test_recovery_must_be_policy(self):
-        with pytest.raises(ValueError, match="RecoveryPolicy"):
-            PriloConfig(recovery="retry-a-lot")
+    def test_retired_recovery_field_is_refused(self):
+        """Recovery has one behaviour; its switches went with the field.
+        Passing one is refused, never silently ignored."""
+        with pytest.raises(TypeError, match="recovery"):
+            PriloConfig(recovery=None)
 
     @pytest.mark.parametrize("bad", [
         dict(k_players=0), dict(k_players=True), dict(deadline_ms=0),
@@ -214,15 +202,6 @@ class TestBFDegradation:
         events = [e for e in report.events
                   if e.kind == FaultKind.ENCLAVE_ATTESTATION]
         assert any(e.action == FaultAction.DEGRADED for e in events)
-
-    def test_degrade_bf_off_raises(self, dataset, config, query_of):
-        strict = replace(config,
-                         recovery=RecoveryPolicy(degrade_bf=False),
-                         chaos=chaos(1.0,
-                                     kinds=(FaultKind.ENCLAVE_ATTESTATION,)))
-        with PriloStar.setup(dataset.graph, strict) as engine:
-            with pytest.raises(AttestationFailure):
-                engine.run(query_of())
 
     def test_enclave_memory_recovers_on_retry(self, dataset, config,
                                               query_of):
@@ -298,21 +277,9 @@ class TestDropoutReplan:
         assert any(e.action == FaultAction.DEGRADED for e in report.events
                    if e.kind == FaultKind.PLAYER_DROPOUT)
 
-    def test_replan_disabled_keeps_sequences(self, dataset, config,
-                                             query_of):
-        query = query_of()
-        no_replan = replace(
-            config, k_players=3,
-            recovery=RecoveryPolicy(replan_dropouts=False),
-            chaos=chaos(1.0, kinds=(FaultKind.PLAYER_DROPOUT,)))
-        with Prilo.setup(dataset.graph, no_replan) as engine:
-            result = engine.run(query)
-        assert {seq.player for seq in result.sequences} == {0, 1, 2}
-        assert not result.metrics.faults
-
 
 # ----------------------------------------------------------------------
-# store faults: quarantine, recompute, stale fallback
+# store faults: quarantine, recompute, stale refused
 # ----------------------------------------------------------------------
 class TestStoreFaults:
     RADII = (2,)
@@ -414,37 +381,16 @@ class TestStoreFaults:
         self._damaged_pack_is_quarantined(dataset, config, query_of, store,
                                           damage, "SyntaxError")
 
-    def test_quarantine_disabled_raises(self, dataset, config, query_of,
-                                        store):
-        cfg = replace(
-            self._config(config),
-            recovery=RecoveryPolicy(quarantine_store=False),
-            chaos=chaos(1.0, kinds=(FaultKind.STORE_TAMPER,)))
-        with PriloStar.setup(dataset.graph, cfg, store=store) as engine:
-            with pytest.raises(Exception):
-                engine.run(query_of())
-
-    def test_stale_store_recompute_fallback(self, dataset, config, query_of,
-                                            store):
+    def test_stale_store_recompute_fallback(self, dataset, config, store):
+        """A store found stale at setup is refused: serving wrong balls
+        silently is worse than failing loudly, and there is no
+        recompute fallback."""
         from repro.storage import StoreError
 
-        query = query_of()
         # config radii (1, 2, 3) != store radii (2,): stale at setup.
         stale_cfg = replace(config, seed=self.SEED)
         with pytest.raises(StoreError):
             PriloStar.setup(dataset.graph, stale_cfg, store=store)
-        permissive = replace(
-            stale_cfg,
-            recovery=RecoveryPolicy(recompute_on_stale_store=True))
-        base = run_engine(dataset.graph, query, permissive, pruning=True)
-        with PriloStar.setup(dataset.graph, permissive,
-                             store=store) as engine:
-            assert engine.store is None  # degraded to in-process rebuild
-            result = engine.run(query)
-        assert result.matches == base.matches
-        events = result.metrics.faults.events
-        assert any(e.kind == FaultKind.STORE_STALE
-                   and e.action == FaultAction.DEGRADED for e in events)
 
     def test_user_side_tamper_detection_refetches(self, dataset, config,
                                                   query_of, store):

@@ -27,7 +27,6 @@ from repro.framework.faults import (
     VALID_KINDS,
     ChaosPolicy,
     FaultKind,
-    RecoveryPolicy,
 )
 from repro.framework.prilo import (
     BallBudgetExceeded,
@@ -205,7 +204,6 @@ class TestKeysAndFingerprints:
     def test_fingerprint_ignores_scheduling_knobs(self, test_config):
         scheduled = replace(test_config,
                             chaos=ChaosPolicy(seed=1, fault_rate=0.5),
-                            recovery=RecoveryPolicy(degrade_bf=False),
                             deadline_ms=50.0, ball_budget=7,
                             verify_serving=False)
         assert (config_fingerprint(test_config, "g")

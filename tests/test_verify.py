@@ -456,7 +456,7 @@ class TestRogueGateway:
         placement = PlacementManifest.read(shards_dir)
         verifier = AnswerVerifier.from_placement(
             placement, seed=vconfig.seed,
-            config=replace(vconfig, **engine_cls._OVERRIDES))
+            config=engine_cls.effective_config(vconfig))
         specs = make_shard_specs(
             graph, vconfig, 2, engine=engine,
             store_root=str(shards_dir), rogue_shards=(1,),
@@ -483,7 +483,7 @@ class TestRogueGateway:
         queries = dataset.random_queries(2, size=5, seed=4)
         verifier = AnswerVerifier.from_placement(
             PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=replace(vconfig, **Prilo._OVERRIDES))
+            config=Prilo.effective_config(vconfig))
         specs = make_shard_specs(
             dataset.graph, vconfig, 2, engine="prilo",
             store_root=str(shards_dir), rogue_shards=(0, 1),
@@ -521,7 +521,7 @@ class TestRogueGateway:
         monkeypatch.setattr(ShardClient, "request", malformed)
         verifier = AnswerVerifier.from_placement(
             PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=replace(vconfig, **Prilo._OVERRIDES))
+            config=Prilo.effective_config(vconfig))
         specs = make_shard_specs(dataset.graph, vconfig, 2,
                                  engine="prilo",
                                  store_root=str(shards_dir))
@@ -542,7 +542,7 @@ class TestRogueGateway:
         expected = _baseline(dataset.graph, vconfig, queries, Prilo)
         verifier = AnswerVerifier.from_placement(
             PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=replace(vconfig, **Prilo._OVERRIDES))
+            config=Prilo.effective_config(vconfig))
         specs = make_shard_specs(dataset.graph, vconfig, 2,
                                  engine="prilo",
                                  store_root=str(shards_dir))
@@ -662,7 +662,7 @@ class TestTelemetryShape:
         monkeypatch.setattr(ShardClient, "request", rogue)
         verifier = AnswerVerifier.from_placement(
             PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=replace(vconfig, **Prilo._OVERRIDES)) if verify else None
+            config=Prilo.effective_config(vconfig)) if verify else None
         specs = make_shard_specs(dataset.graph, vconfig, 2, engine="prilo",
                                  store_root=str(shards_dir))
         with LocalCluster(specs) as cluster:
@@ -696,17 +696,17 @@ class TestExitLattice:
         assert combine_exit(EXIT_FORGED, 1) == 1
 
     def test_gateway_exit_code_folds_forged_over_deadline(self):
-        from repro.cli import EXIT_FORGED, _gateway_exit_code
+        from repro.cli import EXIT_FORGED, _statuses_exit
 
         report = SimpleNamespace(outcomes=[
             SimpleNamespace(status=QueryStatus.FORGED),
             SimpleNamespace(status=QueryStatus.DEADLINE_EXCEEDED),
             SimpleNamespace(status=QueryStatus.OK),
         ])
-        assert _gateway_exit_code(report) == EXIT_FORGED
+        assert _statuses_exit(report) == EXIT_FORGED
         honest = SimpleNamespace(outcomes=[
             SimpleNamespace(status=QueryStatus.OK)])
-        assert _gateway_exit_code(honest) == 0
+        assert _statuses_exit(honest) == 0
 
 
 class TestVerifyMetrics:
