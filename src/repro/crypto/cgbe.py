@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.cache import LRU, CacheStats
 from repro.crypto import ops
 from repro.crypto.prng import random_bits, seeded_rng
 
@@ -110,15 +111,15 @@ class FixedBaseExp:
     table once and every later exponentiation on the same base runs at
     ~``bits/window`` multiplications.
 
-    A FIFO-bounded memo short-circuits repeated exponents entirely -- the
+    An LRU memo of ``max_memo`` results (:attr:`memo`, counting into the
+    optional ``stats``) short-circuits repeated exponents entirely -- the
     dominant case on the user side, where thousands of per-query decrypts
-    share a handful of distinct ciphertext powers.  Optional ``stats``
-    (a :class:`repro.framework.metrics.CacheStats`) records memo behavior.
+    share a handful of distinct ciphertext powers.
     """
 
     def __init__(self, base: int, modulus: int, window: int = 4,
                  max_memo: int = 1024,
-                 stats: "object | None" = None) -> None:
+                 stats: CacheStats | None = None) -> None:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         if not 1 <= window <= 8:
@@ -128,13 +129,9 @@ class FixedBaseExp:
         self.base = base % modulus
         self.modulus = modulus
         self.window = window
-        self.max_memo = max_memo
-        self.stats = stats
         # _rows[i][j] = base^((j+1) * 2^(window*i)); filled lazily.
         self._rows: list[list[int]] = [[self.base]]
-        self._memo: dict[int, int] = {}
-        if stats is not None:
-            stats.capacity = max(stats.capacity, max_memo)
+        self.memo: LRU[int] = LRU(max_memo, stats=stats)
 
     def _mul(self, a: int, b: int) -> int:
         ops.record_modmul()
@@ -161,13 +158,9 @@ class FixedBaseExp:
             raise ValueError("exponent must be non-negative")
         if exponent == 0:
             return 1 % self.modulus
-        cached = self._memo.get(exponent)
+        cached = self.memo.get(exponent)
         if cached is not None:
-            if self.stats is not None:
-                self.stats.hits += 1
             return cached
-        if self.stats is not None:
-            self.stats.misses += 1
         mask = (1 << self.window) - 1
         result: int | None = None
         row = 0
@@ -181,14 +174,7 @@ class FixedBaseExp:
             remaining >>= self.window
             row += 1
         assert result is not None
-        if len(self._memo) >= self.max_memo:
-            self._memo.pop(next(iter(self._memo)))
-            if self.stats is not None:
-                self.stats.evictions += 1
-        self._memo[exponent] = result
-        if self.stats is not None:
-            self.stats.entries = len(self._memo)
-            self.stats.weight = len(self._memo)
+        self.memo.put(exponent, result)
         return result
 
 
@@ -196,28 +182,16 @@ class FixedBaseExp:
 #: instantiations over the same group (store builds, batch servers, and
 #: benchmark loops construct several same-seed engines per process) reuse
 #: one table for the ``g^x`` computation instead of re-exponentiating.
-_FIXED_BASE_TABLES: dict[tuple[int, int], FixedBaseExp] = {}
-_FIXED_BASE_TABLE_LIMIT = 16
-
-
-def _metrics_cache_stats():
-    """A fresh :class:`repro.framework.metrics.CacheStats` (imported lazily:
-    metrics is dependency-free, but the crypto layer must not load the
-    framework package at import time)."""
-    from repro.framework.metrics import CacheStats
-
-    return CacheStats()
+FIXED_BASE_TABLES: LRU[FixedBaseExp] = LRU(16)
 
 
 def shared_fixed_base(base: int, modulus: int) -> FixedBaseExp:
     """The process-wide :class:`FixedBaseExp` for ``(base, modulus)``."""
     key = (base, modulus)
-    table = _FIXED_BASE_TABLES.get(key)
+    table = FIXED_BASE_TABLES.get(key)
     if table is None:
-        if len(_FIXED_BASE_TABLES) >= _FIXED_BASE_TABLE_LIMIT:
-            _FIXED_BASE_TABLES.pop(next(iter(_FIXED_BASE_TABLES)))
         table = FixedBaseExp(base, modulus)
-        _FIXED_BASE_TABLES[key] = table
+        FIXED_BASE_TABLES.put(key, table)
     return table
 
 
@@ -356,7 +330,7 @@ class CGBE:
         # heavily (every chunk of a plan carries the same factor count), so
         # a memoized fixed-base table turns the per-ciphertext pow() into a
         # dict lookup.
-        self.decrypt_stats = _metrics_cache_stats()
+        self.decrypt_stats = CacheStats()
         self._unblind = FixedBaseExp(self._gx_inv, params.modulus,
                                      max_memo=256,
                                      stats=self.decrypt_stats)

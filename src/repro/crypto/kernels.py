@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
+from repro.cache import LRU
 from repro.crypto import ops
 from repro.crypto.cgbe import (
     CGBECiphertext,
@@ -101,7 +102,6 @@ class MaskedProductTable:
                 f"out {plan.factors} factors")
         self.params = params
         self.plan = plan
-        self.max_memo = max_memo
         self.hits = 0
         self.misses = 0
         modulus = params.modulus
@@ -129,12 +129,12 @@ class MaskedProductTable:
         # the window's bases at submask's set bits (identity at 0).
         self._tables: list[dict[int, int]] = [
             {0: 1} for _ in self._windows]
-        # Cached pad powers (c_one^k).  _memo holds both the per-(chunk,
+        # Cached pad powers (c_one^k).  memo holds both the per-(chunk,
         # mask) results and the product-tree nodes under them (keys
-        # (first window, window count, include bits)); one FIFO bound
-        # covers both.
+        # (first window, window count, include bits)); one LRU bound
+        # covers both.  hits / misses count the (chunk, mask) lookups only.
         self._pad_pows: dict[int, int] = {0: 1, 1: self._pad_plain}
-        self._memo: dict[tuple, int] = {}
+        self.memo: LRU[int] = LRU(max_memo)
 
     # -- internals ----------------------------------------------------
     def _window_entry(self, w: int, submask: int) -> int:
@@ -154,12 +154,6 @@ class MaskedProductTable:
             ops.record_table_build()
             table[submask] = value
         return value
-
-    def _remember(self, key: tuple, value: int) -> None:
-        memo = self._memo
-        if len(memo) >= self.max_memo:
-            memo.pop(next(iter(memo)))
-        memo[key] = value
 
     def _node(self, first: int, count: int, bits: int) -> int:
         """The product over windows ``first .. first + count - 1`` of the
@@ -184,13 +178,13 @@ class MaskedProductTable:
         if not low:
             return self._node(first + half, count - half, high)
         key = (first, count, bits)
-        value = self._memo.get(key)
+        value = self.memo.get(key)
         if value is None:
             ops.record_modmul()
             value = (self._node(first, half, low)
                      * self._node(first + half, count - half, high)
                      ) % self.params.modulus
-            self._remember(key, value)
+            self.memo.put(key, value)
         return value
 
     def _pad_pow(self, count: int) -> int:
@@ -205,7 +199,7 @@ class MaskedProductTable:
         """The chunk's product value for selection mask ``selected``
         (bit = 1 means that position's factor is the pad)."""
         key = (chunk, selected)
-        cached = self._memo.get(key)
+        cached = self.memo.get(key)
         if cached is not None:
             self.hits += 1
             return cached
@@ -229,7 +223,7 @@ class MaskedProductTable:
                 ops.record_modmul()
                 acc = (acc * pad) % self.params.modulus
         assert acc is not None  # chunk_factors >= 1 means some factor
-        self._remember(key, acc)
+        self.memo.put(key, acc)
         return acc
 
     # -- public API ---------------------------------------------------

@@ -8,6 +8,7 @@
   ``ppcr`` is the paper's *predicted positive condition rate*
   ``(TP + FP) / (TP + TN + FP + FN)`` (Sec. 6.3), the x-axis of Figs. 16-18.
 * :class:`MessageSizes` -- byte counters for the EXP-1 message-size report.
+* :class:`~repro.cache.CacheStats` -- re-exported from :mod:`repro.cache`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.cache import CacheStats
 from repro.crypto.ops import OpCounter
 from repro.framework.faults import FaultReport
 
@@ -123,76 +125,6 @@ class ConfusionCounts:
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(tp=self.tp + other.tp, fp=self.fp + other.fp,
                                tn=self.tn + other.tn, fn=self.fn + other.fn)
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one bounded cache.
-
-    Shared by every size-bounded cache in the pipeline (the batch server's
-    ``CMMCache``, the kernels' chunk-product memo, the CGBE decrypt
-    memo) so benchmark JSON can report cache behavior uniformly.
-    ``entries``/``weight``/``capacity`` describe the cache's current fill
-    at snapshot time; the counters accumulate.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-    weight: int = 0
-    capacity: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another snapshot's counters (fill state: take max)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.entries = max(self.entries, other.entries)
-        self.weight = max(self.weight, other.weight)
-        self.capacity = max(self.capacity, other.capacity)
-
-    def delta(self, since: "CacheStats") -> "CacheStats":
-        """Counters accumulated since the ``since`` snapshot (fill state
-        reports the current values)."""
-        return CacheStats(hits=self.hits - since.hits,
-                          misses=self.misses - since.misses,
-                          evictions=self.evictions - since.evictions,
-                          entries=self.entries, weight=self.weight,
-                          capacity=self.capacity)
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          evictions=self.evictions, entries=self.entries,
-                          weight=self.weight, capacity=self.capacity)
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": self.entries,
-                "weight": self.weight, "capacity": self.capacity,
-                "hit_rate": round(self.hit_rate, 6)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CacheStats":
-        """Rebuild from :meth:`as_dict` output (``hit_rate`` is derived
-        and ignored) -- the gateway reconstitutes per-shard counters from
-        wire verdicts through this."""
-        return cls(hits=int(payload.get("hits", 0)),
-                   misses=int(payload.get("misses", 0)),
-                   evictions=int(payload.get("evictions", 0)),
-                   entries=int(payload.get("entries", 0)),
-                   weight=int(payload.get("weight", 0)),
-                   capacity=int(payload.get("capacity", 0)))
 
 
 @dataclass
@@ -336,11 +268,13 @@ class RunMetrics:
     per_ball_pm_cost: dict[int, float] = field(default_factory=dict)
     per_worker_eval_wall: dict[int, float] = field(default_factory=dict)
     per_worker_pm_wall: dict[int, float] = field(default_factory=dict)
-    #: Per-cache statistics recorded during this run, keyed by cache name
-    #: (e.g. ``"cmm"`` for the batch server's signature cache, ``"pad"``
-    #: for the kernels' chunk-product memos, ``"decrypt"`` for the user's
-    #: CGBE unblinding memo, ``"ball_slice"`` for the user's memo of
-    #: decoded retrieved balls).
+    #: Per-cache counter deltas recorded during this run, keyed by cache
+    #: name: ``"cmm"`` for the batch server's signature cache, ``"pad"``
+    #: for the kernels' ``(chunk, mask)`` product lookups, ``"decrypt"``
+    #: for the user's CGBE unblinding memo across PM and result
+    #: decryption, ``"ball_slice"`` for the user's memo of decoded
+    #: retrieved balls.  A gateway qualifies them per shard
+    #: (``decrypt@shard0``, :meth:`record_shard_caches`).
     caches: dict[str, CacheStats] = field(default_factory=dict)
     #: Every fault injected, detected, retried, recovered or degraded-past
     #: during this run (chaos-injected and genuine alike).  On a resumed

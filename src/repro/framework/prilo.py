@@ -519,6 +519,10 @@ class Prilo:
         # re-attests; a failed attestation falls back to recomputation.
         pms = PruningMessages()
         pm_per_method: dict[str, dict[int, bool]] = {}
+        # The user's CGBE unblinding memo, recorded as "decrypt" across
+        # PM and result decryption (the only CGBE decrypts of a run).
+        unblinding = self.user.keyring.cgbe.decrypt_stats
+        decrypt_before = unblinding.snapshot()
         if config.any_pruning:
             replayed = self._replayed_pms(metrics, resume, injector,
                                           query_key)
@@ -598,6 +602,7 @@ class Prilo:
         with counting(metrics.ops, "user_result_decryption", "user"):
             verified = self.user.decrypt_results(results.values(), timings)
         verified &= set(decrypted.positives)
+        metrics.record_cache("decrypt", unblinding.delta(decrypt_before))
         tracer.event("result_decryption", ROLE_USER,
                      duration_s=timings.user_result_decryption,
                      balls=len(verified))

@@ -14,10 +14,10 @@
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.cache import LRU
 from repro.core.aggregation import decide_positive
 from repro.core.bf_pruning import (
     BFConfig,
@@ -63,12 +63,7 @@ from repro.framework.messages import (
     EvaluationResult,
     PruningMessages,
 )
-from repro.framework.metrics import (
-    CacheStats,
-    MessageSizes,
-    PhaseTimings,
-    Stopwatch,
-)
+from repro.framework.metrics import MessageSizes, PhaseTimings, Stopwatch
 from repro.graph.ball import Ball, BallIndex
 from repro.graph.io import ball_from_bytes, ball_to_bytes
 from repro.graph.labeled_graph import LabeledGraph
@@ -179,8 +174,8 @@ class UserQueryState:
     channels: list[SecureChannel] = field(default_factory=list)
 
 
-#: Bound of each user's :class:`BallSliceMemo`, in slice ``|V| + |E|``
-#: summed over its entries.
+#: Bound of each user's slice memo (:attr:`User.slices`), in slice
+#: ``|V| + |E|`` summed over its entries.
 BALL_SLICE_MEMO_WEIGHT = 1 << 16
 
 
@@ -188,44 +183,6 @@ class BallIntegrityError(RuntimeError):
     """A retrieved ball failed its MAC or was not the ball asked for, and
     so did the blob the Dealer re-served: nothing it holds for that ball
     can be trusted (CLI exit 3)."""
-
-
-class BallSliceMemo:
-    """The user's private memo of decoded ``Sigma_Q`` slices, keyed by
-    ``(cipher version, verified MAC tag, alphabet)``; least recently used
-    entries go first once the slices' ``|V| + |E|`` passes the bound.
-
-    A verified tag binds the exact ``nonce || ciphertext`` bytes under the
-    user's key, so a hit is what decrypting and decoding those bytes
-    would return, and a re-encrypted ball has a new tag and misses:
-    nothing is ever invalidated.  Entries are balls over a read-only
-    :class:`~repro.graph.labeled_graph.BallGraphView`.
-    """
-
-    def __init__(self, max_weight: int = BALL_SLICE_MEMO_WEIGHT) -> None:
-        self.max_weight = max_weight
-        self.stats = CacheStats(capacity=max_weight)
-        self._entries: OrderedDict[tuple, Ball] = OrderedDict()
-
-    def get(self, key: tuple) -> Ball | None:
-        ball = self._entries.get(key)
-        if ball is None:
-            self.stats.misses += 1
-        else:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-        return ball
-
-    def put(self, key: tuple, ball: Ball) -> None:
-        """Insert; never evicts the entry just inserted."""
-        self._entries[key] = ball
-        self.stats.weight += _slice_weight(ball)
-        while (self.stats.weight > self.max_weight
-               and len(self._entries) > 1):
-            _, evicted = self._entries.popitem(last=False)
-            self.stats.weight -= _slice_weight(evicted)
-            self.stats.evictions += 1
-        self.stats.entries = len(self._entries)
 
 
 def _slice_weight(ball: Ball) -> int:
@@ -238,8 +195,12 @@ class User:
 
     def __init__(self, keyring: UserKeyring) -> None:
         self.keyring = keyring
-        #: Decoded slices of the balls this user retrieved.
-        self.slices = BallSliceMemo()
+        #: Decoded ``Sigma_Q`` slices (read-only views) keyed by ``(cipher
+        #: version, verified MAC tag, alphabet)``: a verified tag binds the
+        #: exact bytes under the user's key, and a re-encrypted ball gets
+        #: a new tag and misses, so nothing is ever invalidated.
+        self.slices: LRU[Ball] = LRU(BALL_SLICE_MEMO_WEIGHT,
+                                     weigh=_slice_weight)
 
     # -- step 2: encrypt the query -----------------------------------
     def prepare_query(
@@ -392,7 +353,7 @@ class User:
         outside the query's alphabet is in any match
         (:mod:`repro.semantics.evaluate`).  Every fetched blob is
         MAC-checked; a blob is decrypted and decoded once per distinct
-        tag and alphabet (:class:`BallSliceMemo`).  A blob that fails its
+        tag and alphabet (:attr:`slices`).  A blob that fails its
         MAC, or holds another ball than the one asked for, is re-fetched
         once; :class:`BallIntegrityError` if that fails too."""
         injector = faults if faults is not None else FaultInjector()

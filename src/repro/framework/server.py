@@ -32,9 +32,10 @@ import logging
 import signal
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from repro.cache import LRU
 from repro.core.enumeration import (
     PreparedBall,
     enumeration_signature,
@@ -72,38 +73,26 @@ logger = logging.getLogger(__name__)
 DEFAULT_CMM_CACHE_WEIGHT = 512_000
 
 
-class CMMCache:
+class CMMCache(LRU[PreparedBall]):
     """Bounded LRU cache of :class:`PreparedBall` keyed by
     ``(ball_id, enumeration signature)``.
 
     The size bound is expressed in CMM units (``PreparedBall.weight``:
     per-CMM index entries plus distinct patterns) rather than entry
     count, so one giant ball cannot silently dominate memory.  Eviction
-    is least-recently-used and never evicts the entry being inserted.
-    Counters are exposed through a shared :class:`CacheStats`, the same
-    hook the kernel memos and the decrypt cache report through.
+    is :class:`~repro.cache.LRU`'s: least recently used first, never the
+    entry being inserted, counted in its :class:`CacheStats` -- the
+    schema every bounded cache reports through.
     """
 
     def __init__(self, max_weight: int = DEFAULT_CMM_CACHE_WEIGHT,
                  stats: CacheStats | None = None) -> None:
-        if max_weight < 1:
-            raise ValueError("CMM cache weight bound must be positive")
-        self.max_weight = max_weight
-        self.stats = stats if stats is not None else CacheStats()
-        self.stats.capacity = max_weight
-        self._entries: "OrderedDict[tuple, PreparedBall]" = OrderedDict()
-        self._weight = 0
+        super().__init__(max_weight, weigh=attrgetter("weight"),
+                         stats=stats)
         #: Wall-clock seconds spent building entries, per ball id, for the
         #: most recent ``prepare`` call (0.0 on hits).  Read by the engine
         #: to account enumeration cost into per-ball evaluation cost.
         self.last_build_seconds = 0.0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def weight(self) -> int:
-        return self._weight
 
     def prepare(self, view: QueryLabelView, ball: Ball, *,
                 enumeration_limit: int,
@@ -113,31 +102,17 @@ class CMMCache:
             view, enumeration_limit=enumeration_limit,
             cmm_bound_bypass=cmm_bound_bypass)
         key = (ball.ball_id, signature)
-        entry = self._entries.get(key)
+        entry = self.get(key)
         if entry is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
             self.last_build_seconds = 0.0
-            self._update_fill()
             return entry
-        self.stats.misses += 1
         started = time.perf_counter()
         entry = prepare_ball(view, ball,
                              enumeration_limit=enumeration_limit,
                              cmm_bound_bypass=cmm_bound_bypass)
         self.last_build_seconds = time.perf_counter() - started
-        self._entries[key] = entry
-        self._weight += entry.weight
-        while self._weight > self.max_weight and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self._weight -= evicted.weight
-            self.stats.evictions += 1
-        self._update_fill()
+        self.put(key, entry)
         return entry
-
-    def _update_fill(self) -> None:
-        self.stats.entries = len(self._entries)
-        self.stats.weight = self._weight
 
     def invalidate_balls(self, ball_ids) -> int:
         """Drop every cached prepared form of the given balls (all
@@ -146,15 +121,10 @@ class CMMCache:
         describe a ball that no longer exists.  Returns the number of
         entries dropped (counted as evictions)."""
         targets = set(ball_ids)
-        dropped = 0
-        for key in [k for k in self._entries if k[0] in targets]:
-            entry = self._entries.pop(key)
-            self._weight -= entry.weight
-            self.stats.evictions += 1
-            dropped += 1
-        if dropped:
-            self._update_fill()
-        return dropped
+        dropped = [key for key in self if key[0] in targets]
+        for key in dropped:
+            self.pop(key)
+        return len(dropped)
 
 
 class QueryStatus:

@@ -301,7 +301,7 @@ class TestFixedBaseExp:
         table = FixedBaseExp(3, 1_000_003, max_memo=8, stats=stats)
         for exponent in range(1, 33):
             table.pow(exponent)
-        assert len(table._memo) <= 8
+        assert len(table.memo) <= 8
         assert stats.evictions == 32 - 8
         assert stats.misses == 32
         # Evicted exponents still compute correctly (off the table).
@@ -320,12 +320,12 @@ class TestFixedBaseExp:
             FixedBaseExp(2, 17).pow(-1)
 
     def test_shared_table_reused_across_instances(self):
-        from repro.crypto.cgbe import _FIXED_BASE_TABLES, shared_fixed_base
+        from repro.crypto.cgbe import FIXED_BASE_TABLES, shared_fixed_base
 
         a = shared_fixed_base(7, 1_000_003)
         b = shared_fixed_base(7, 1_000_003)
         assert a is b
-        assert len(_FIXED_BASE_TABLES) <= 16
+        assert len(FIXED_BASE_TABLES) <= 16
 
     def test_decrypt_uses_unblind_table(self, scheme):
         """decrypt() runs through the memoized unblinding table -- values

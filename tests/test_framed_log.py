@@ -124,10 +124,13 @@ class TestGoldenLogBytes:
     clock is pinned because share outcomes pickle their wall times, and
     the dataset is fresh because its query generator is stateful.
 
-    ``run.journal`` was re-recorded once since, when the Straus kernel's
+    ``run.journal`` was re-recorded twice since: when the Straus kernel's
     product-tree memo and single-bit window entries lowered the pickled
     share op counters (only ``modmul`` moved; every verdict replays
-    equal).  ``deltas.log`` is the original recording."""
+    equal), and when ``CacheStats`` moved to ``repro.cache``, since a
+    pickled share outcome names its class by module (the old name still
+    resolves: ``tests/test_cache.py``).  ``deltas.log`` is the original
+    recording."""
 
     def test_same_bytes(self, test_config, tmp_path, monkeypatch):
         dataset = tiny_dataset(seed=2)
@@ -137,8 +140,8 @@ class TestGoldenLogBytes:
         _write_delta_log(tmp_path / "deltas.log", dataset)
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.iterdir()} == {
-            "run.journal": "950c147c1b3248853b286a38d58456e6"
-                           "4ed0e7f89984fabe64f088026273b0e5",
+            "run.journal": "2785fc321f41f80752bbf3a5aa39796c"
+                           "743e28b21a51a4e5299bfe04fd513bc1",
             "deltas.log": "9834010d193f957481a27fd948567814"
                           "d05848fa1279e90fe8ddb5ce1636306e",
         }

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import LRU
 from repro.cli import main
 from repro.crypto.keys import DataOwnerKey, UserKeyring
 from repro.crypto.stream_cipher import StreamCipher
@@ -37,7 +38,11 @@ from repro.framework.faults import (
     FaultKind,
 )
 from repro.framework import wire
-from repro.framework.gateway import ShardClient, check_verdict_shape
+from repro.framework.gateway import (
+    Gateway,
+    ShardClient,
+    check_verdict_shape,
+)
 from repro.framework.messages import EncryptedBallBlob
 from repro.framework.metrics import (
     CacheStats,
@@ -47,15 +52,20 @@ from repro.framework.metrics import (
     scoped_cache_name,
 )
 from repro.framework.prilo import Prilo
+from repro.framework.prilo_star import PriloStar
 from repro.framework.roles import (
     BALL_SLICE_MEMO_WEIGHT,
     BallIntegrityError,
-    BallSliceMemo,
     Dealer,
     User,
 )
 from repro.framework.server import CMMCache, QueryBatchEngine
-from repro.framework.shard import ShardServer, ShardSpec
+from repro.framework.shard import (
+    LocalCluster,
+    ShardServer,
+    ShardSpec,
+    make_shard_specs,
+)
 from repro.graph.delta import GraphDelta
 from repro.graph.io import ball_to_bytes
 from repro.graph.labeled_graph import BallGraphView
@@ -383,14 +393,14 @@ class TestBound:
         retrieve(probe, dealer, query, sorted(records))
         weights = sorted(
             ball.size + ball.graph.num_edges
-            for ball in probe.slices._entries.values())
+            for ball in probe.slices.values())
         bound = sum(weights[-3:])  # every slice fits, not all of them
-        user.slices = BallSliceMemo(max_weight=bound)
+        user.slices = LRU(bound, weigh=user.slices.weigh)
         ids = sorted(records)
         found = retrieve(user, dealer, query, ids)
         stats = user.slices.stats
         assert stats.evictions > 0
-        assert stats.entries == len(user.slices._entries) < len(ids)
+        assert stats.entries == len(user.slices) < len(ids)
         assert stats.weight <= bound and stats.capacity == bound
         # The earliest ids were evicted: retrieving them again misses,
         # and the answers are unchanged.
@@ -399,10 +409,10 @@ class TestBound:
             bid: m for bid, m in found.items() if bid == ids[0]}
         assert user.slices.stats.misses == misses + 1
 
-    def test_recently_used_entry_survives(self):
+    def test_recently_used_entry_survives(self, keyring):
         _, ball = slice_world(0, Semantics.HOM)
         weight = ball.size + ball.graph.num_edges
-        memo = BallSliceMemo(max_weight=2 * weight)
+        memo = LRU(2 * weight, weigh=User(keyring).slices.weigh)
         memo.put(("a",), ball)
         memo.put(("b",), ball)
         assert memo.get(("a",)) is ball  # "b" is now least recent
@@ -412,9 +422,9 @@ class TestBound:
         assert memo.stats.evictions == 1 and memo.stats.entries == 2
         assert memo.stats.weight == 2 * weight
 
-    def test_an_oversized_slice_is_kept_alone(self):
+    def test_an_oversized_slice_is_kept_alone(self, keyring):
         _, ball = slice_world(0, Semantics.HOM)
-        memo = BallSliceMemo(max_weight=1)
+        memo = LRU(1, weigh=User(keyring).slices.weigh)
         memo.put(("a",), ball)
         memo.put(("b",), ball)
         assert memo.stats.entries == 1 and memo.get(("b",)) is ball
@@ -429,7 +439,7 @@ class TestReadOnly:
         dealer = BlobDealer({ball.ball_id: ball_to_bytes(ball)})
         user = User(keyring)
         first = retrieve(user, dealer, query, [ball.ball_id])
-        (cached,) = user.slices._entries.values()
+        (cached,) = user.slices.values()
         assert isinstance(cached.graph, BallGraphView)
         vertex = next(iter(cached.graph.vertices()))
         for mutate in (lambda g: g.add_vertex("x", "a"),
@@ -496,3 +506,29 @@ class TestObservability:
         assert retrieved
         merged = metrics.caches[scoped_cache_name("ball_slice", 0)]
         assert (merged.misses, merged.hits) == (retrieved, retrieved)
+
+    @pytest.mark.parametrize("engine_class", [Prilo, PriloStar],
+                             ids=["prilo", "prilo-star"])
+    def test_run_records_the_decrypt_memo(self, dataset, test_config,
+                                          engine_class):
+        """``caches["decrypt"]`` is the user's unblinding memo over PM and
+        result decryption: exactly what the CGBE key's counters moved."""
+        query = dataset.random_queries(2, size=4, diameter=2, seed=13)[0]
+        with engine_class.setup(dataset.graph, test_config) as engine:
+            memo = engine.user.keyring.cgbe.decrypt_stats
+            for _ in range(2):
+                before = memo.snapshot()
+                recorded = engine.run(query).metrics.caches["decrypt"]
+                assert recorded == memo.delta(before)
+                assert recorded.lookups > 0
+
+    def test_gateway_reports_the_fleet_decrypt_memo(self, dataset,
+                                                    test_config):
+        queries = dataset.random_queries(2, size=4, diameter=2, seed=13)
+        with LocalCluster(make_shard_specs(dataset.graph, test_config,
+                                           2)) as cluster:
+            report = Gateway(cluster.handles).run(queries)
+        assert all(outcome.ok for outcome in report.outcomes)
+        assert report.metrics.cache_totals()["decrypt"].lookups > 0
+        assert any(name.startswith("decrypt@shard")
+                   for name in report.metrics.caches)

@@ -182,7 +182,7 @@ class TestSignatures:
         expected = enumeration_signature(
             query, enumeration_limit=test_config.enumeration_limit,
             cmm_bound_bypass=test_config.cmm_bound_bypass)
-        signatures = {sig for _, sig in batch.cache._entries}
+        signatures = {sig for _, sig in batch.cache}
         assert signatures == {expected}
 
     def test_signature_same_for_query_and_view(self, dataset):

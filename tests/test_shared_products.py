@@ -100,7 +100,7 @@ class TestProductTree:
             assert got == oracle
             assert ops.modmul - (_multi_bit_entries(table) - before) <= \
                 _flat_fold_bound(table, mask)
-            assert len(table._memo) <= max_memo
+            assert len(table.memo) <= max_memo
 
 
 class TestWeightedSum:
