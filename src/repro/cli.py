@@ -64,6 +64,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from repro.crypto import montgomery
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.faults import MALICIOUS_KINDS, VALID_KINDS, ChaosPolicy
 from repro.framework.gateway import Gateway, GatewayChaos, GatewayError
@@ -423,7 +424,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             totals = result.metrics.ops.totals()
             print(f"crypto ops: modmul={totals.modmul} "
                   f"modexp={totals.modexp} "
-                  f"table_build={totals.table_build}")
+                  f"table_build={totals.table_build} "
+                  f"arith={montgomery.arithmetic()}")
         if result.metrics.faults:
             print(f"faults:  {result.metrics.faults.summary_line()}")
         if result.metrics.journal:

@@ -1,27 +1,29 @@
 """Batched crypto kernels for the CGBE hot path -- the one arithmetic
 path the SP side computes through.
 
-* **Straus-style shared-window multi-exponentiation**
-  (:class:`MaskedProductTable`).  Verification, ssim refinement and table
-  pruning all fold the *same fixed base vector* (the encrypted query
-  matrix's off-diagonal entries, a query row's neighbor pairs, a prune
-  table's ciphertexts) under varying selections of which positions are
-  replaced by ``c_one``.  Instead of re-multiplying per item, the base
-  vector is cut into windows (never crossing chunk boundaries), each
-  window keeps a lazily-built subset-product table, and a chunk product
-  becomes one table lookup per window plus one cached ``c_one`` pad
-  power.  A chunk-result memo on top collapses repeated selection masks
-  -- the dominant effect in practice, since distinct projected patterns
-  are few (DESIGN.md Sec. 7 measures ~5.7x pattern redundancy on
-  slashdot) -- and the whole table is shared across every ball of a
-  share.  Results are value-identical to the paper-literal fold of
-  :mod:`repro.core.aggregation`, which stays there as the oracle the
-  tests compare against: same values, same ``power`` / ``value_bits``
-  bookkeeping, same overflow behavior.
+Straus-style shared-window multi-exponentiation
+(:class:`MaskedProductTable`).  Verification, ssim refinement and table
+pruning all fold the *same fixed base vector* (the encrypted query
+matrix's off-diagonal entries, a query row's neighbor pairs, a prune
+table's ciphertexts) under varying selections of which positions are
+replaced by ``c_one``.  Instead of re-multiplying per item, the base
+vector is cut into windows (never crossing chunk boundaries), each
+window keeps a lazily-built subset-product table, and a chunk product
+becomes one table lookup per window plus one cached ``c_one`` pad
+power.  A chunk-result memo on top collapses repeated selection masks
+-- the dominant effect in practice, since distinct projected patterns
+are few (DESIGN.md Sec. 7 measures ~5.7x pattern redundancy on
+slashdot) -- and the whole table is shared across every ball of a
+share.  Results are value-identical to the paper-literal fold of
+:mod:`repro.core.aggregation`, which stays there as the oracle the
+tests compare against: same values, same ``power`` / ``value_bits``
+bookkeeping, same overflow behavior.
 
-* **Packed-bitset rows** (:func:`pack_row`, :func:`iter_bits`).
-  CMM projections and the dual-simulation fixpoint carry set membership
-  as int bitmaps, so per-entry dict lookups become word-parallel AND/OR.
+The products themselves run in the table's arithmetic domain
+(:mod:`repro.crypto.montgomery`: libcrypto's Montgomery form when it
+loads, plain ints otherwise).  A base or pad power enters the domain on
+its first multiplication and a chunk result leaves it once per
+``(chunk, mask)`` miss; nothing else crosses.
 
 Every kernel op reports into :mod:`repro.crypto.ops` so benchmark deltas
 are attributable op-by-op (modmul / modexp / table builds per phase).
@@ -33,7 +35,7 @@ Layering: this module sits inside ``repro.crypto`` and must not import
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.cache import LRU
 from repro.crypto import ops
@@ -42,14 +44,7 @@ from repro.crypto.cgbe import (
     CGBEPublicParams,
     OverflowError_,
 )
-
-try:  # optional fast path for dense row packing; never required
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
+from repro.crypto.montgomery import domain_for
 
 #: Straus window width in bits: subset tables stay at <= 16 entries per
 #: window, the sweet spot for the 30-60 factor products of this codebase.
@@ -107,6 +102,11 @@ class MaskedProductTable:
         modulus = params.modulus
         self._base_values = [c.value % modulus for c in bases]
         self._pad_plain = pad.value % modulus
+        # Window entries, tree nodes and pad powers are domain values.  A
+        # base enters on its first window entry (_entered[position]), the
+        # pad on its first power; only chunk results leave, as ints.
+        self._domain = domain_for(modulus)
+        self._entered: list[int | None] = [None] * len(bases)
         # Window layout: windows tile each chunk's position range and
         # never cross a chunk boundary, so one chunk's product reads only
         # its own windows.  _windows[w] = (position offset, width);
@@ -126,17 +126,23 @@ class MaskedProductTable:
                 offset += width
             self._chunk_windows.append(indices)
         # Lazily-filled subset tables: _tables[w][submask] = product of
-        # the window's bases at submask's set bits (identity at 0).
-        self._tables: list[dict[int, int]] = [
-            {0: 1} for _ in self._windows]
-        # Cached pad powers (c_one^k).  memo holds both the per-(chunk,
-        # mask) results and the product-tree nodes under them (keys
+        # the window's bases at submask's set bits (submask != 0).
+        self._tables: list[dict[int, int]] = [{} for _ in self._windows]
+        # Cached pad powers (c_one^k, k >= 1).  memo holds both the
+        # per-(chunk, mask) results (ints) and the product-tree nodes (keys
         # (first window, window count, include bits)); one LRU bound
         # covers both.  hits / misses count the (chunk, mask) lookups only.
-        self._pad_pows: dict[int, int] = {0: 1, 1: self._pad_plain}
+        self._pad_powers: dict[int, int] = {}
         self.memo: LRU[int] = LRU(max_memo)
 
     # -- internals ----------------------------------------------------
+    def _base(self, position: int) -> int:
+        value = self._entered[position]
+        if value is None:
+            value = self._domain.enter(self._base_values[position])
+            self._entered[position] = value
+        return value
+
     def _window_entry(self, w: int, submask: int) -> int:
         table = self._tables[w]
         value = table.get(submask)
@@ -145,12 +151,11 @@ class MaskedProductTable:
             # multiplication per multi-bit entry, ever; a single-bit
             # entry is its base value and costs none.
             low = submask & -submask
-            offset, _width = self._windows[w]
-            value = self._base_values[offset + low.bit_length() - 1]
+            value = self._base(self._windows[w][0] + low.bit_length() - 1)
             if submask != low:
                 ops.record_modmul()
-                value = (self._window_entry(w, submask ^ low) * value
-                         ) % self.params.modulus
+                value = self._domain.mul(
+                    self._window_entry(w, submask ^ low), value)
             ops.record_table_build()
             table[submask] = value
         return value
@@ -181,18 +186,21 @@ class MaskedProductTable:
         value = self.memo.get(key)
         if value is None:
             ops.record_modmul()
-            value = (self._node(first, half, low)
-                     * self._node(first + half, count - half, high)
-                     ) % self.params.modulus
+            value = self._domain.mul(
+                self._node(first, half, low),
+                self._node(first + half, count - half, high))
             self.memo.put(key, value)
         return value
 
-    def _pad_pow(self, count: int) -> int:
-        value = self._pad_pows.get(count)
+    def _pad_power(self, count: int) -> int:
+        value = self._pad_powers.get(count)
         if value is None:
-            ops.record_modexp()
-            value = pow(self._pad_plain, count, self.params.modulus)
-            self._pad_pows[count] = value
+            if count == 1:
+                value = self._domain.enter(self._pad_plain)
+            else:
+                ops.record_modexp()
+                value = self._domain.pow(self._pad_power(1), count)
+            self._pad_powers[count] = value
         return value
 
     def _chunk_value(self, chunk: int, selected: int) -> int:
@@ -211,20 +219,19 @@ class MaskedProductTable:
         pad_extra = plan.chunk_factors - real_width
         ones = (selected & ((1 << real_width) - 1)).bit_count() + pad_extra
         include = ~selected & ((1 << real_width) - 1)
-        acc: int | None = None
         if include:
             windows = self._chunk_windows[chunk]
             acc = self._node(windows[0], len(windows), include)
-        if ones:
-            pad = self._pad_pow(ones)
-            if acc is None:
-                acc = pad
-            else:
+            if ones:
                 ops.record_modmul()
-                acc = (acc * pad) % self.params.modulus
-        assert acc is not None  # chunk_factors >= 1 means some factor
-        self.memo.put(key, acc)
-        return acc
+                acc = self._domain.mul(acc, self._pad_power(ones))
+            value = self._domain.leave(acc)
+        elif ones == 1:  # chunk_factors >= 1, so an all-pad chunk has ones
+            value = self._pad_plain
+        else:
+            value = self._domain.leave(self._pad_power(ones))
+        self.memo.put(key, value)
+        return value
 
     # -- public API ---------------------------------------------------
     def chunk_ciphertexts(self, mask: int) -> list[CGBECiphertext]:
@@ -257,8 +264,8 @@ class MaskedProductTable:
 
     @property
     def table_entries(self) -> int:
-        """Materialized subset-product entries (excluding identities)."""
-        return sum(len(t) - 1 for t in self._tables)
+        """Materialized subset-product entries."""
+        return sum(len(t) for t in self._tables)
 
 
 class MultiExpRegistry:
@@ -285,40 +292,6 @@ class MultiExpRegistry:
 
     def memo_misses(self) -> int:
         return sum(t.misses for t in self._tables.values())
-
-
-# ---------------------------------------------------------------------------
-# Packed-bitset rows
-# ---------------------------------------------------------------------------
-def pack_row(row: Sequence[int]) -> int:
-    """An 0/1 row as an int bitmap (bit ``j`` = ``row[j] != 0``)."""
-    mask = 0
-    for j, value in enumerate(row):
-        if value:
-            mask |= 1 << j
-    return mask
-
-
-def pack_rows(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Rows of a dense 0/1 matrix as int bitmaps.
-
-    Uses numpy's ``packbits`` when available and profitable (wide rows);
-    the pure-Python path is already word-parallel for the small query
-    matrices of this codebase.
-    """
-    if HAVE_NUMPY and rows and len(rows[0]) >= 256:
-        array = _np.asarray(rows, dtype=_np.uint8)
-        packed = _np.packbits(array, axis=1, bitorder="little")
-        return tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
-    return tuple(pack_row(row) for row in rows)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def mask_of_pattern(pattern: Sequence[Sequence[int]]) -> int:
@@ -365,14 +338,10 @@ def offdiagonal_bases(encrypted_matrix: Sequence[Sequence[CGBECiphertext]],
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "MaskedProductTable",
     "MultiExpRegistry",
     "STRAUS_WINDOW",
-    "iter_bits",
     "mask_of_pattern",
     "offdiagonal_bases",
-    "pack_row",
-    "pack_rows",
     "pattern_of_mask",
 ]

@@ -16,6 +16,7 @@ from repro.cli import (
     exit_code,
     main,
 )
+from repro.crypto import montgomery
 from repro.framework.gateway import GatewayError
 from repro.framework.placement import PlacementError
 from repro.framework.prilo import DeadlineExceeded
@@ -69,6 +70,17 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "candidates:" in out
         assert "sequence mode" in out
+
+    def test_run_names_the_kernel_arithmetic(self, capsys, monkeypatch):
+        argv = ["--scale", "0.05", "--players", "2", "--modulus", "512",
+                "run", "dblp", "--size", "4", "--diameter", "2"]
+        assert main(argv) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("crypto ops:"))
+        assert line.endswith(f" arith={montgomery.arithmetic()}")
+        monkeypatch.setattr(montgomery, "libcrypto", lambda: None)
+        assert main(argv) == 0
+        assert " arith=python" in capsys.readouterr().out
 
     def test_prune(self, capsys):
         assert main(["--scale", "0.08", "--players", "2", "prune", "dblp",

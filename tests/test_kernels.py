@@ -23,16 +23,14 @@ from repro.core.verification import (
     verification_plan,
     verify_ciphertext,
 )
+from repro.crypto import montgomery
 from repro.crypto import ops as crypto_ops
 from repro.crypto.cgbe import CGBE, CGBECiphertext, OverflowError_
 from repro.crypto.kernels import (
     MaskedProductTable,
     MultiExpRegistry,
-    iter_bits,
     mask_of_pattern,
     offdiagonal_bases,
-    pack_row,
-    pack_rows,
     pattern_of_mask,
 )
 from repro.framework.prilo import Prilo
@@ -223,26 +221,7 @@ class TestProductEqualityDedupe:
         assert folded.power == sequential.power == 5
 
 
-class TestPackedBitsets:
-    def test_pack_row_and_iter_bits(self):
-        row = [0, 1, 1, 0, 1]
-        mask = pack_row(row)
-        assert mask == 0b10110
-        assert list(iter_bits(mask)) == [1, 2, 4]
-        assert list(iter_bits(0)) == []
-
-    def test_pack_rows_matches_pack_row(self):
-        rows = [[0, 1, 0], [1, 1, 1], [0, 0, 0]]
-        assert pack_rows(rows) == tuple(pack_row(r) for r in rows)
-
-    def test_pack_rows_wide_numpy_path(self):
-        # 300-wide rows take the packbits fast path when numpy exists;
-        # the result must be identical to the pure-Python packing.
-        rows = [[(i * 7 + j) % 3 == 0 for j in range(300)]
-                for i in range(4)]
-        rows = [[int(v) for v in row] for row in rows]
-        assert pack_rows(rows) == tuple(pack_row(r) for r in rows)
-
+class TestDualSimulation:
     def test_dual_simulation_matches_reference(self, fig3, fig3_ball,
                                                dataset):
         query, graph = fig3
@@ -305,3 +284,22 @@ class TestEndToEndKernelEquivalence:
         # round-trips through the JSON shape
         rebuilt = crypto_ops.OpCounter.from_dict(result.metrics.ops.as_dict())
         assert rebuilt.as_dict() == result.metrics.ops.as_dict()
+
+
+@pytest.fixture
+def python_domain(monkeypatch):
+    """Every table built under this fixture computes on plain ints, as on
+    a host where libcrypto cannot be loaded."""
+    monkeypatch.setattr(montgomery, "libcrypto", lambda: None)
+
+
+@pytest.mark.usefixtures("python_domain")
+class TestMaskedProductTablePythonDomain(TestMaskedProductTable):
+    """The same cases with libcrypto patched away, so both arithmetic
+    domains stay covered on a host that has libcrypto."""
+
+
+@pytest.mark.usefixtures("python_domain")
+class TestEndToEndKernelEquivalencePythonDomain(
+        TestEndToEndKernelEquivalence):
+    """The whole pipeline again, with libcrypto patched away."""
