@@ -68,12 +68,7 @@ from repro.crypto import montgomery
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.faults import MALICIOUS_KINDS, VALID_KINDS, ChaosPolicy
 from repro.framework.gateway import Gateway, GatewayChaos, GatewayError
-from repro.framework.placement import (
-    DEFAULT_SALT,
-    DEFAULT_VNODES,
-    PlacementError,
-    PlacementManifest,
-)
+from repro.framework.placement import PlacementError, PlacementManifest
 from repro.framework.prilo import DeadlineExceeded, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.framework.roles import BallIntegrityError
@@ -247,9 +242,8 @@ def _rogue(args: argparse.Namespace):
     Returns ``(rogue_shards, rogue_policy)`` for
     :func:`repro.framework.shard.make_shard_specs`.  The policy's kinds
     default to every malicious kind (forge_result, drop_ball,
-    replay_stale); ``--rogue-kinds`` narrows them.  Rate 1.0 by default:
-    a rogue shard lies on *every* verdict, the worst case for the
-    verifier.
+    replay_stale); ``--rogue-kinds`` narrows them.  Rate 1.0: a rogue
+    shard lies on *every* verdict, the worst case for the verifier.
     """
     shards = tuple(getattr(args, "rogue_shard", None) or ())
     if not shards:
@@ -263,7 +257,7 @@ def _rogue(args: argparse.Namespace):
             raise SystemExit(f"unknown rogue kind(s) {bad}; "
                              f"valid: {', '.join(MALICIOUS_KINDS)}")
     policy = ChaosPolicy(seed=getattr(args, "rogue_seed", 0) or 0,
-                         fault_rate=getattr(args, "rogue_rate", 1.0),
+                         fault_rate=1.0,
                          kinds=kinds)
     return shards, policy
 
@@ -616,14 +610,11 @@ def cmd_store_shard_split(args: argparse.Namespace) -> int:
     """Cut a store into N consistent-hash shard packs + placement manifest."""
     from repro.storage import shard_split
 
-    placement = shard_split(args.root, args.out, args.shards,
-                            vnodes=args.vnodes, salt=args.salt)
+    placement = shard_split(args.root, args.out, args.shards)
     counts = {member: info["balls"]
               for member, info in placement["shards"].items()}
     print(json.dumps({"out": str(args.out),
                       "members": placement["members"],
-                      "vnodes": placement["vnodes"],
-                      "salt": placement["salt"],
                       "balls": placement["balls"],
                       "balls_per_shard": counts}, indent=2))
     return 0
@@ -646,8 +637,7 @@ def cmd_store_make_delta(args: argparse.Namespace) -> int:
             parent = graph_digest(graph)
             delta = random_delta(graph,
                                  edge_fraction=args.edge_fraction,
-                                 remove_vertices=args.remove_vertices,
-                                 seed=args.delta_seed + step)
+                                 seed=7 + step)
             delta.apply(graph)
             record = log.append(delta, parent=parent,
                                 result=graph_digest(graph))
@@ -709,22 +699,19 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale)
     semantics = Semantics(args.semantics)
     spec = TrafficSpec(count=args.count, tenants=args.tenants,
-                       skew=args.skew, size=args.size,
-                       diameter=args.diameter, semantics=semantics,
-                       seed=args.seed)
+                       size=args.size, diameter=args.diameter,
+                       semantics=semantics, seed=args.seed)
     queries, ranks = generate_traffic(dataset, spec)
     graph = dataset.graph_for(semantics)
     config = _config(args)
     if args.no_verify:
         config = replace(config, verify_serving=False)
-    vnodes, salt = DEFAULT_VNODES, DEFAULT_SALT
     placement = None
     if args.store:
+        # ``read`` refuses a placement cut under another ring geometry;
+        # the packs fix the ball address space (radii) the cluster uses.
         placement = PlacementManifest.read(args.store)
-        # Shard packs fix both the ball address space (radii) and the
-        # ring geometry; the serving cluster must match them exactly.
         config = replace(config, radii=placement.radii)
-        vnodes, salt = placement.vnodes, placement.salt
     verifier = None
     if (placement is not None and placement.auth_root
             and config.verify_serving):
@@ -743,7 +730,6 @@ def cmd_gateway(args: argparse.Namespace) -> int:
                              engine=args.engine, store_root=args.store,
                              journal_dir=args.journal_dir,
                              queue_bound=args.queue_bound,
-                             vnodes=vnodes, salt=salt,
                              rogue_shards=rogue_shards,
                              rogue_policy=rogue_policy)
     print(f"dataset: {dataset.graph}")
@@ -751,9 +737,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
           f"(zipf s={spec.skew}, seed {spec.seed}); "
           f"rank-1 share {ranks.count(0)}/{len(ranks)}")
     with LocalCluster(specs) as cluster:
-        gateway = Gateway(cluster.handles, vnodes=vnodes, salt=salt,
-                          pool=args.pool, window=args.window,
-                          chaos=chaos, tracer=args.tracer,
+        gateway = Gateway(cluster.handles, chaos=chaos, tracer=args.tracer,
                           verifier=verifier)
         report = gateway.run(queries)
     summary = report.summary()
@@ -983,11 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("root", help="source store directory")
     p_split.add_argument("out", help="target directory (must be empty)")
     p_split.add_argument("--shards", type=int, default=4)
-    p_split.add_argument("--vnodes", type=int, default=None,
-                         help="virtual nodes per shard on the hash ring "
-                              "(default 64)")
-    p_split.add_argument("--salt", default=None,
-                         help="ring namespace salt (default prilo-ring)")
     p_split.set_defaults(func=cmd_store_shard_split)
 
     p_mkdelta = store_sub.add_parser(
@@ -1001,13 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mkdelta.add_argument("--count", type=int, default=1,
                            help="deltas to chain onto the log")
     p_mkdelta.add_argument("--edge-fraction", type=float, default=0.01,
-                           help="fraction of edges each delta rewires")
-    p_mkdelta.add_argument("--remove-vertices", type=int, default=0,
-                           help="vertices each delta removes")
-    p_mkdelta.add_argument("--delta-seed", type=int, default=7,
-                           help="seed of the synthetic update stream "
-                                "(distinct from --seed, which keys the "
-                                "log)")
+                           help="fraction of edges each delta rewires "
+                                "(delta i is drawn with seed 7 + i; --seed "
+                                "keys the log)")
     p_mkdelta.set_defaults(func=cmd_store_make_delta)
 
     p_apply = store_sub.add_parser(
@@ -1057,8 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="total queries in the traffic trace")
     p_gw.add_argument("--tenants", type=int, default=8,
                       help="distinct tenant queries the trace draws from")
-    p_gw.add_argument("--skew", type=float, default=1.1,
-                      help="zipf skew s (0 = uniform)")
     p_gw.add_argument("--size", type=int, default=8)
     p_gw.add_argument("--diameter", type=int, default=3)
     p_gw.add_argument("--semantics", default="hom",
@@ -1067,18 +1040,15 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=sorted(ENGINE_CLASSES))
     p_gw.add_argument("--store", default=None, metavar="DIR",
                       help="a `store shard-split` output directory: each "
-                           "shard cold-starts from its own pack, and the "
-                           "ring geometry is read from placement.json")
+                           "shard cold-starts from its own pack; "
+                           "placement.json must name the fixed ring "
+                           "geometry (else exit 3)")
     p_gw.add_argument("--journal-dir", default=None, metavar="DIR",
                       help="give each shard its own write-ahead journal "
                            "(shard-<i>.wal) under this directory")
     p_gw.add_argument("--queue-bound", type=int, default=None, metavar="N",
-                      help="per-shard admission bound (see serve-batch)")
-    p_gw.add_argument("--window", type=int, default=4,
-                      help="in-flight frames per shard before dispatch "
-                           "blocks (backpressure)")
-    p_gw.add_argument("--pool", type=int, default=2,
-                      help="pooled connections per shard")
+                      help="each shard admits its first N queries and "
+                           "sheds the rest as REJECTED(overload)")
     p_gw.add_argument("--rogue-shard", type=int, action="append",
                       default=None, metavar="K",
                       help="malicious-SP chaos: shard K mutates its "
@@ -1091,10 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "drop_ball,replay_stale)")
     p_gw.add_argument("--rogue-seed", type=int, default=0, metavar="S",
                       help="seed for the rogue shards' mutation schedule")
-    p_gw.add_argument("--rogue-rate", type=float, default=1.0,
-                      metavar="P",
-                      help="per-verdict mutation probability for rogue "
-                           "shards (default 1.0: lie on every verdict)")
     p_gw.add_argument("--no-verify", action="store_true",
                       help="trust the shards: skip certificates and "
                            "merge-time verification (PR 7 behavior; for "

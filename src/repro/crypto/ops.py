@@ -154,11 +154,6 @@ def record_table_build(n: int = 1) -> None:
         _ACTIVE.table_build += n
 
 
-def active_bucket() -> OpCounts | None:
-    """The currently-installed bucket (tests and kernels peek at this)."""
-    return _ACTIVE
-
-
 @contextmanager
 def counting(counter: OpCounter, phase: str, role: str) -> Iterator[OpCounts]:
     """Install ``counter``'s ``(phase, role)`` bucket as the active one.
@@ -179,7 +174,6 @@ def counting(counter: OpCounter, phase: str, role: str) -> Iterator[OpCounts]:
 __all__ = [
     "OpCounter",
     "OpCounts",
-    "active_bucket",
     "counting",
     "record_modexp",
     "record_modmul",

@@ -54,7 +54,6 @@ from repro.crypto.ops import OpCounter, OpCounts
 from repro.framework import wire
 from repro.framework.faults import FaultAction, FaultKind
 from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
-from repro.framework.placement import DEFAULT_SALT, DEFAULT_VNODES
 from repro.framework.server import QueryStatus
 from repro.framework.verify import VerificationError, slice_problems
 from repro.graph.query import Query
@@ -63,9 +62,9 @@ from repro.observability.spans import NULL_TRACER
 logger = logging.getLogger(__name__)
 
 #: Frames in flight per shard before dispatch blocks (per-shard slots).
-DEFAULT_WINDOW = 4
+WINDOW = 4
 #: Pooled connections per shard.
-DEFAULT_POOL = 2
+POOL = 2
 #: Re-dispatch waves shift the journal index by this many bits, keeping
 #: replacement runs disjoint from epoch-0 commits in survivor journals.
 _WAVE_SHIFT = 20
@@ -183,14 +182,10 @@ class ShardClient:
     exactly once.
     """
 
-    def __init__(self, shard_id: int, host: str, port: int, *,
-                 pool: int = DEFAULT_POOL) -> None:
-        if pool < 1:
-            raise GatewayError("connection pool must be >= 1")
+    def __init__(self, shard_id: int, host: str, port: int) -> None:
         self.shard_id = shard_id
         self.host = host
         self.port = port
-        self.pool = pool
         self.hello: dict | None = None
         self.dead = False
         self.on_death = None
@@ -203,7 +198,7 @@ class ShardClient:
         self._pending: dict[int, asyncio.Future] = {}
 
     async def connect(self) -> None:
-        for _ in range(self.pool):
+        for _ in range(POOL):
             reader, writer = await asyncio.open_connection(self.host,
                                                            self.port)
             hello = await wire.read_frame(reader)
@@ -425,9 +420,7 @@ class Gateway:
     stalls the fleet.
     """
 
-    def __init__(self, handles, *, vnodes: int = DEFAULT_VNODES,
-                 salt: str = DEFAULT_SALT, pool: int = DEFAULT_POOL,
-                 window: int = DEFAULT_WINDOW,
+    def __init__(self, handles, *,
                  chaos: GatewayChaos | None = None,
                  verifier=None,
                  tracer=None) -> None:
@@ -437,13 +430,7 @@ class Gateway:
             raise GatewayError("a gateway needs at least one shard")
         if len(set(ids)) != len(ids):
             raise GatewayError(f"duplicate shard ids: {ids}")
-        if window < 1:
-            raise GatewayError("dispatch window must be >= 1")
         self.handles = {h.shard_id: h for h in handles}
-        self.vnodes = vnodes
-        self.salt = salt
-        self.pool = pool
-        self.window = window
         self.chaos = chaos
         #: An :class:`repro.framework.verify.AnswerVerifier` makes this
         #: an *untrusted-shard* gateway: every OK verdict must carry a
@@ -483,8 +470,7 @@ class Gateway:
         self._chaos_fired = False
         drain_summaries: dict[int, dict] = {}
 
-        clients = {sid: ShardClient(sid, handle.host, handle.port,
-                                    pool=self.pool)
+        clients = {sid: ShardClient(sid, handle.host, handle.port)
                    for sid, handle in self.handles.items()}
         self._clients = clients
         workers: list[asyncio.Task] = []
@@ -492,7 +478,7 @@ class Gateway:
             with self.tracer.span("gateway.serve", "sp",
                                   shards=self._initial_shards,
                                   queries=len(self._queries),
-                                  pool=self.pool, window=self.window):
+                                  pool=POOL, window=WINDOW):
                 for client in clients.values():
                     client.on_death = self._death_callback
                     await client.connect()
@@ -508,7 +494,7 @@ class Gateway:
                     asyncio.create_task(
                         self._slot(sid, clients[sid]),
                         name=f"gateway-slot-{sid}-{k}")
-                    for sid in self._members for k in range(self.window)
+                    for sid in self._members for k in range(WINDOW)
                 ]
                 await self._supervise(workers)
                 drain_summaries = await self._drain(clients)
@@ -687,7 +673,7 @@ class Gateway:
                 stranded.append(task)
         for task in stranded:
             self._reassign(task)
-        for _ in range(self.window):
+        for _ in range(WINDOW):
             queue.put_nowait(None)
 
     # -- failure handling ----------------------------------------------
@@ -721,7 +707,7 @@ class Gateway:
         for task in stranded:
             self._reassign(task)
         # Wake the dead shard's dispatch slots so they exit.
-        for _ in range(self.window):
+        for _ in range(WINDOW):
             queue.put_nowait(None)
 
     def _reassign(self, task: dict) -> None:
@@ -813,7 +799,7 @@ class Gateway:
         self._remaining -= 1
         if self._remaining == 0:
             for queue in self._queues.values():
-                for _ in range(self.window):
+                for _ in range(WINDOW):
                     queue.put_nowait(None)
             self._done.set()
 
@@ -867,8 +853,8 @@ class Gateway:
 
 
 __all__ = [
-    "DEFAULT_POOL",
-    "DEFAULT_WINDOW",
+    "POOL",
+    "WINDOW",
     "Gateway",
     "GatewayChaos",
     "GatewayError",

@@ -20,8 +20,14 @@ shard already answered.
 
 Everything here is deterministic: the ring is a pure function of
 ``(salt, vnodes, member ids)`` and a ball's owner a pure function of the
-ring and the ball id, so shards, the ``store shard-split`` cutter and the
-gateway agree on placement without ever exchanging it.
+ring and the ball id.  The geometry is fixed -- :data:`DEFAULT_VNODES`
+and :data:`DEFAULT_SALT` are the only values the system places balls
+with -- so shards, the ``store shard-split`` cutter and the gateway's
+verifier agree on placement without ever exchanging it.  ``HashRing``,
+:func:`ring_for` and :func:`orphan_predicate` keep them as keyword
+arguments because they are the algorithm's own parameters (the
+minimal-movement property holds at any vnode count); a ``placement.json``
+naming another geometry is refused.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from pathlib import Path
 #: imbalance under ~20% on the paper's ball counts while the ring stays
 #: tiny (N*64 points).
 DEFAULT_VNODES = 64
-#: Namespaces the ring's hash points; split packs record it so a serving
-#: cluster cannot accidentally mix rings built under different salts.
+#: Namespaces the ring's hash points; split packs record it (and
+#: ``vnodes``) so a pack cut under another ring is refused, not served.
 DEFAULT_SALT = "prilo-ring"
 
 #: File name of the placement manifest a ``store shard-split`` writes
@@ -64,7 +70,9 @@ def _check_shape(payload) -> None:
     shape :meth:`PlacementManifest.from_jsonable` reads (CLI: ``FAILED:``
     exit 3, not a traceback).  JSON decodes to exact types, and
     ``type(x) is int`` also refuses ``true``.  A shard directory must be a
-    bare name: a placement never points outside its own directory."""
+    bare name: a placement never points outside its own directory, and
+    the ring geometry must be the fixed one: a pack cut under another
+    ring would own balls its shards do not hold."""
     if type(payload) is not dict:
         raise PlacementError("malformed placement manifest: not a JSON "
                              "object")
@@ -76,10 +84,15 @@ def _check_shape(payload) -> None:
         if type(payload.get(name, _OPTIONAL.get(name))) is not kind:
             raise PlacementError(
                 f"malformed placement manifest: bad {name!r}")
+    geometry = (payload["vnodes"], payload["salt"])
+    if geometry != (DEFAULT_VNODES, DEFAULT_SALT):
+        raise PlacementError(
+            f"malformed placement manifest: ring geometry (vnodes, salt) "
+            f"{geometry!r} is not the fixed "
+            f"{(DEFAULT_VNODES, DEFAULT_SALT)!r}")
     members, shards = payload["members"], payload["shards"]
     auth = payload.get("auth")
     if not (members and all(type(m) is int for m in members)
-            and payload["vnodes"] > 0
             and all(type(r) is int for r in payload.get("radii", ()))
             and shards.keys() == {str(m) for m in members}
             and all(type(info) is dict and info.keys() == {"dir", "balls"}
@@ -92,7 +105,7 @@ def _check_shape(payload) -> None:
                 type(value) is _AUTH_SHAPE.get(key)
                 for key, value in auth.items())))):
         raise PlacementError("malformed placement manifest: bad member, "
-                             "vnodes, radius, shard entry or auth block")
+                             "radius, shard entry or auth block")
 
 
 def _hash64(payload: str) -> int:
@@ -163,9 +176,10 @@ def ring_for(members, *, vnodes: int = DEFAULT_VNODES,
 
 @dataclass(frozen=True)
 class PlacementManifest:
-    """What ``store shard-split`` records about a cut: the ring parameters
-    (sufficient to re-derive every assignment) plus per-shard directory
-    names and ball counts for operator inspection.
+    """What ``store shard-split`` records about a cut: the members (with
+    the fixed ring geometry, sufficient to re-derive every assignment)
+    plus per-shard directory names and ball counts for operator
+    inspection.
 
     ``graph_digest``/``radii`` pin the placement to the store it was cut
     from, so a gateway can refuse to serve shard packs against the wrong
@@ -173,8 +187,6 @@ class PlacementManifest:
     """
 
     members: tuple[int, ...]
-    vnodes: int = DEFAULT_VNODES
-    salt: str = DEFAULT_SALT
     graph_digest: str = ""
     radii: tuple[int, ...] = ()
     balls: int = 0
@@ -190,7 +202,7 @@ class PlacementManifest:
     catalog_digest: str = ""
 
     def ring(self) -> HashRing:
-        return ring_for(self.members, vnodes=self.vnodes, salt=self.salt)
+        return ring_for(self.members)
 
     def shard_of(self, ball_id: int) -> int:
         return self.ring().owner_of(ball_id)
@@ -199,8 +211,8 @@ class PlacementManifest:
         return {
             "kind": _PLACEMENT_KIND,
             "members": list(self.members),
-            "vnodes": self.vnodes,
-            "salt": self.salt,
+            "vnodes": DEFAULT_VNODES,
+            "salt": DEFAULT_SALT,
             "graph_digest": self.graph_digest,
             "radii": list(self.radii),
             "balls": self.balls,
@@ -223,8 +235,6 @@ class PlacementManifest:
         auth = payload.get("auth") or {}
         return cls(
             members=tuple(payload["members"]),
-            vnodes=payload["vnodes"],
-            salt=payload["salt"],
             graph_digest=payload.get("graph_digest", ""),
             radii=tuple(payload.get("radii", ())),
             balls=payload.get("balls", 0),

@@ -335,24 +335,23 @@ class QueryBatchEngine:
 
     def __init__(self, engine: Prilo,
                  cache: CMMCache | None = None,
-                 max_cache_weight: int = DEFAULT_CMM_CACHE_WEIGHT,
                  journal: RunJournal | None = None,
                  queue_bound: int | None = None) -> None:
         if queue_bound is not None and (isinstance(queue_bound, bool)
                                         or queue_bound < 1):
             raise ValueError("queue_bound must be a positive int or None")
         self.engine = engine
-        self.cache = cache if cache is not None else CMMCache(max_cache_weight)
+        self.cache = cache if cache is not None else CMMCache()
         #: Optional :class:`repro.storage.RunJournal`.  When set, every
         #: batch admission, query begin/commit and executor-share result
         #: is checkpointed durably; a journal file left behind by a killed
         #: process is replayed at the next ``serve`` and only unjournaled
         #: work is re-evaluated.
         self.journal = journal
-        #: Admission bound: queries past this many per batch are shed
-        #: deterministically (the earliest ``queue_bound`` run, the rest
-        #: are rejected up front with ``REJECTED(overload)`` -- they never
-        #: wait, so overload can't stall the queries that were admitted).
+        #: Admission bound: queries past this many per batch (or per
+        #: open :class:`QueryStream`, as a shard serves) are shed
+        #: deterministically -- the earliest ``queue_bound`` run, the
+        #: rest are rejected up front with ``REJECTED(overload)``.
         self.queue_bound = queue_bound
         self._drain = threading.Event()
         #: Registered standing queries, partially re-evaluated (dirty
@@ -372,8 +371,9 @@ class QueryBatchEngine:
     # -- graceful drain -------------------------------------------------
     def request_drain(self) -> None:
         """Stop admitting new queries; the in-flight query finishes (its
-        shares are already being checkpointed) and ``serve`` returns with
-        the remaining queries marked ``drained``."""
+        shares are already being checkpointed) and ``serve`` -- or any
+        open :class:`QueryStream` -- marks the remaining ones
+        ``drained``."""
         self._drain.set()
 
     def _on_drain_signal(self, signum: int, frame: object) -> None:
@@ -430,145 +430,20 @@ class QueryBatchEngine:
         order -- ``prepare_query`` consumes the user's CGBE randomness,
         so order preservation is what makes a resumed run's messages
         bit-identical to the uninterrupted run's.
-        """
-        config = self.engine.config
-        state = fingerprint = None
-        if self.journal is not None:
-            state, fingerprint = self._load_journal_state()
-        admission = AdmissionStats(submitted=len(queries))
-        journal_counters = JournalCounters()
-        outcomes: list[QueryOutcome] = []
-        bound = self.queue_bound
-        admitted = queries if bound is None else queries[:bound]
-        admission.admitted = len(admitted)
-        admission.shed_overload = len(queries) - len(admitted)
-        self.engine.tracer.event("admission", ROLE_SP,
-                                 submitted=admission.submitted,
-                                 admitted=admission.admitted,
-                                 shed=admission.shed_overload)
 
-        groups: dict[tuple, list[int]] = {}
-        results: list[QueryResult] = []
-        latencies: list[float] = []
-        before = self.cache.stats.snapshot()
+        A batch is a :class:`QueryStream` fed the whole list: the stream
+        is the one admission path (queue bound, drain, journal, report).
+        """
         previous_handlers = self._install_drain_handlers()
-        batch_started = time.perf_counter()
         try:
-            if self.journal is not None:
-                self.journal.append(RecordType.BATCH_ADMIT,
-                                    {"fingerprint": fingerprint,
-                                     "submitted": len(queries),
-                                     "admitted": len(admitted)})
-            for index, query in enumerate(admitted):
-                if self._drain.is_set():
-                    admission.drained += len(admitted) - index
-                    outcomes.extend(
-                        QueryOutcome(index=i, status=QueryStatus.DRAINED,
-                                     detail="graceful drain requested")
-                        for i in range(index, len(admitted)))
-                    if self.journal is not None:
-                        self.journal.append(RecordType.DRAIN,
-                                            {"at_index": index})
-                    break
-                outcomes.append(self._serve_one(
-                    index, query, state, groups, results, latencies,
-                    admission, journal_counters))
+            stream = QueryStream(self, batch=len(queries))
+            for query in queries:
+                stream.serve_one(query)
         finally:
             if previous_handlers is not None:
                 for signum, handler in previous_handlers.items():
                     signal.signal(signum, handler)
-        outcomes.extend(
-            QueryOutcome(index=i, status=QueryStatus.REJECTED_OVERLOAD,
-                         detail=f"queue bound {bound} exceeded")
-            for i in range(len(admitted), len(queries)))
-        makespan = time.perf_counter() - batch_started
-        return BatchReport(results=results, latencies=latencies,
-                           makespan=makespan, signature_groups=groups,
-                           cache_stats=self.cache.stats.delta(before),
-                           outcomes=outcomes, admission=admission,
-                           journal=journal_counters)
-
-    def _serve_one(self, index: int, query: Query, state, groups: dict,
-                   results: list, latencies: list,
-                   admission: AdmissionStats,
-                   journal_counters: JournalCounters) -> QueryOutcome:
-        """Admit, run, and (when journaled) commit one query."""
-        config = self.engine.config
-        signature = enumeration_signature(
-            query,
-            enumeration_limit=config.enumeration_limit,
-            cmm_bound_bypass=config.cmm_bound_bypass)
-        groups.setdefault(signature, []).append(index)
-        query_key = ""
-        resume = None
-        if self.journal is not None:
-            query_key = query_idempotency_key(self.journal.key, query, index)
-            resume = state.queries.get(query_key)
-            self.journal.append(RecordType.QUERY_BEGIN,
-                                {"query": query_key, "index": index})
-        started = time.perf_counter()
-        try:
-            result = self.engine.run(query, cmm_cache=self.cache,
-                                     journal=self.journal,
-                                     query_key=query_key, resume=resume)
-        except BallBudgetExceeded as exc:
-            admission.shed_ball_budget += 1
-            logger.warning("query %d shed: %s", index, exc)
-            return QueryOutcome(index=index,
-                                status=QueryStatus.REJECTED_BALL_BUDGET,
-                                latency_seconds=time.perf_counter() - started,
-                                detail=str(exc), query_key=query_key)
-        except DeadlineExceeded as exc:
-            admission.deadline_exceeded += 1
-            if exc.metrics is not None:
-                journal_counters.merge(exc.metrics.journal)
-            logger.warning("query %d aborted: %s", index, exc)
-            return QueryOutcome(index=index,
-                                status=QueryStatus.DEADLINE_EXCEEDED,
-                                latency_seconds=time.perf_counter() - started,
-                                detail=str(exc), metrics=exc.metrics,
-                                query_key=query_key)
-        latency = time.perf_counter() - started
-        if self.journal is not None:
-            self._commit(query_key, index, result, resume, admission)
-        journal_counters.merge(result.metrics.journal)
-        admission.completed += 1
-        results.append(result)
-        latencies.append(latency)
-        return QueryOutcome(index=index, status=QueryStatus.OK,
-                            result=result, latency_seconds=latency,
-                            metrics=result.metrics, query_key=query_key)
-
-    def _commit(self, query_key: str, index: int, result: QueryResult,
-                resume, admission: AdmissionStats) -> None:
-        """Durably commit one answer -- or, when the journal already holds
-        a commit for this submission, cross-check it: a digest mismatch on
-        a *committed* answer is an integrity violation, never a recovery
-        (the journaled shares fed the recomputation, so only tampering or
-        a foreign journal can get here)."""
-        digest = answer_digest(self.journal.key, result.verified_ids,
-                               result.match_ball_ids, result.num_matches)
-        if resume is not None and resume.committed:
-            if resume.answer_digest != digest:
-                raise JournalError(
-                    f"journaled commit for query #{index} does not match "
-                    f"the recomputed answer ({resume.answer_digest[:12]}.. "
-                    f"!= {digest[:12]}..); journal integrity violated")
-            admission.replayed_commits += 1
-            self.engine.tracer.event("query_commit", ROLE_SP,
-                                     index=index, replayed=True)
-            return
-        faults = result.metrics.faults
-        self.journal.append(RecordType.QUERY_COMMIT,
-                            {"query": query_key, "index": index,
-                             "answer_digest": digest,
-                             "faults": {"injected": faults.injected,
-                                        "detected": faults.detected,
-                                        "retries": faults.retries,
-                                        "recovered": faults.recovered,
-                                        "degraded": faults.degraded}})
-        self.engine.tracer.event("query_commit", ROLE_SP,
-                                 index=index, replayed=False)
+        return stream.report()
 
     # -- standing queries & dynamic updates -----------------------------
     @property
@@ -676,34 +551,45 @@ class QueryBatchEngine:
 
 
 class QueryStream:
-    """Incremental serving over a :class:`QueryBatchEngine`: one query at
-    a time, caller-chosen indices, same machinery as :meth:`serve`.
+    """The one per-query admission path of a :class:`QueryBatchEngine`:
+    queue bound, drain, journal, run, commit and counters.
 
-    The batch entry point takes the whole submission list up front; a
+    :meth:`QueryBatchEngine.serve` is a stream fed its whole list; a
     network shard receives queries one frame at a time and cannot know
-    the batch in advance.  This facade loads journal state once at
-    construction (so crash-resume works identically: re-submitting the
-    same ``(query, index)`` pairs replays journaled shares/commits), then
-    funnels each submission through the engine's ``_serve_one`` -- cache,
-    admission, journal and metrics behavior are exactly the batch path's.
+    the batch in advance, so it keeps one stream open.  The journal state
+    is loaded once at construction (so crash-resume works identically:
+    re-submitting the same ``(query, index)`` pairs replays journaled
+    shares/commits).
+
+    ``batch`` is the batch size a ``serve`` call announces in its
+    ``BATCH_ADMIT`` record and ``admission`` trace event; an open-ended
+    stream (``None``) records a ``streaming`` admission instead.
 
     Indices are the caller's (the gateway assigns globally unique ones so
     per-shard journal idempotency keys line up across the fleet);
     ``serve_one`` defaults to submission order when the caller does not
     care.  Not thread-safe -- queries execute strictly in submission
-    order, like the batch path.
+    order.
     """
 
-    def __init__(self, server: QueryBatchEngine) -> None:
+    def __init__(self, server: QueryBatchEngine,
+                 batch: int | None = None) -> None:
         self._server = server
         self._state = None
-        self._fingerprint = None
         if server.journal is not None:
-            self._state, self._fingerprint = server._load_journal_state()
+            self._state, fingerprint = server._load_journal_state()
+        if batch is None:
+            admit = {"submitted": 0, "admitted": 0, "streaming": True}
+        else:
+            bound = server.queue_bound
+            admitted = batch if bound is None else min(batch, bound)
+            server.engine.tracer.event("admission", ROLE_SP,
+                                       submitted=batch, admitted=admitted,
+                                       shed=batch - admitted)
+            admit = {"submitted": batch, "admitted": admitted}
+        if server.journal is not None:
             server.journal.append(RecordType.BATCH_ADMIT,
-                                  {"fingerprint": self._fingerprint,
-                                   "submitted": 0, "admitted": 0,
-                                   "streaming": True})
+                                  {"fingerprint": fingerprint, **admit})
         self.groups: dict[tuple, list[int]] = {}
         self.results: list[QueryResult] = []
         self.latencies: list[float] = []
@@ -712,40 +598,143 @@ class QueryStream:
         self.journal_counters = JournalCounters()
         self._cache_before = server.cache.stats.snapshot()
         self._started = time.perf_counter()
-        self._drained = False
+        self._drain_journaled = False
 
     @property
     def engine(self) -> Prilo:
         return self._server.engine
 
+    @property
+    def drained(self) -> bool:
+        """Whether the engine's drain flag (``request_drain`` or a
+        SIGTERM/SIGINT during ``serve``) is set."""
+        return self._server._drain.is_set()
+
     def request_drain(self) -> None:
-        """Stop serving: every later submission reports ``drained``
-        without touching the engine (mirrors the batch drain path)."""
-        if self._drained:
+        """Stop serving: every later admitted submission reports
+        ``drained`` without touching the engine."""
+        self._server.request_drain()
+        self._journal_drain()
+
+    def _journal_drain(self) -> None:
+        """Journal the drain once, at the current submission count."""
+        if self._drain_journaled:
             return
-        self._drained = True
+        self._drain_journaled = True
         if self._server.journal is not None:
             self._server.journal.append(
                 RecordType.DRAIN, {"at_index": self.admission.submitted})
 
     def serve_one(self, query: Query, index: int | None = None,
                   ) -> QueryOutcome:
-        """Admit, run and (when journaled) commit one query."""
+        """Admit, run and (when journaled) commit one query.
+
+        Past the engine's ``queue_bound`` admitted queries a submission is
+        shed as ``REJECTED(overload)`` up front -- it never waits, so
+        overload can't stall the queries that were admitted; an admitted
+        one after a drain request reports ``drained``."""
         if index is None:
             index = self.admission.submitted
-        self.admission.submitted += 1
-        if self._drained:
+        bound = self._server.queue_bound
+        if bound is not None and self.admission.admitted >= bound:
+            self.admission.shed_overload += 1
+            outcome = QueryOutcome(index=index,
+                                   status=QueryStatus.REJECTED_OVERLOAD,
+                                   detail=f"queue bound {bound} exceeded")
+        elif self.drained:
+            self._journal_drain()
+            self.admission.admitted += 1
             self.admission.drained += 1
             outcome = QueryOutcome(index=index, status=QueryStatus.DRAINED,
-                                   detail="stream drained")
-            self.outcomes.append(outcome)
-            return outcome
-        self.admission.admitted += 1
-        outcome = self._server._serve_one(
-            index, query, self._state, self.groups, self.results,
-            self.latencies, self.admission, self.journal_counters)
+                                   detail="graceful drain requested")
+        else:
+            self.admission.admitted += 1
+            outcome = self._run(index, query)
+        self.admission.submitted += 1
         self.outcomes.append(outcome)
         return outcome
+
+    def _run(self, index: int, query: Query) -> QueryOutcome:
+        """Run and (when journaled) commit one admitted query."""
+        server = self._server
+        config = server.engine.config
+        signature = enumeration_signature(
+            query,
+            enumeration_limit=config.enumeration_limit,
+            cmm_bound_bypass=config.cmm_bound_bypass)
+        self.groups.setdefault(signature, []).append(index)
+        query_key = ""
+        resume = None
+        if server.journal is not None:
+            query_key = query_idempotency_key(server.journal.key, query,
+                                              index)
+            resume = self._state.queries.get(query_key)
+            server.journal.append(RecordType.QUERY_BEGIN,
+                                  {"query": query_key, "index": index})
+        started = time.perf_counter()
+        try:
+            result = server.engine.run(query, cmm_cache=server.cache,
+                                       journal=server.journal,
+                                       query_key=query_key, resume=resume)
+        except BallBudgetExceeded as exc:
+            self.admission.shed_ball_budget += 1
+            logger.warning("query %d shed: %s", index, exc)
+            return QueryOutcome(index=index,
+                                status=QueryStatus.REJECTED_BALL_BUDGET,
+                                latency_seconds=time.perf_counter() - started,
+                                detail=str(exc), query_key=query_key)
+        except DeadlineExceeded as exc:
+            self.admission.deadline_exceeded += 1
+            if exc.metrics is not None:
+                self.journal_counters.merge(exc.metrics.journal)
+            logger.warning("query %d aborted: %s", index, exc)
+            return QueryOutcome(index=index,
+                                status=QueryStatus.DEADLINE_EXCEEDED,
+                                latency_seconds=time.perf_counter() - started,
+                                detail=str(exc), metrics=exc.metrics,
+                                query_key=query_key)
+        latency = time.perf_counter() - started
+        if server.journal is not None:
+            self._commit(query_key, index, result, resume)
+        self.journal_counters.merge(result.metrics.journal)
+        self.admission.completed += 1
+        self.results.append(result)
+        self.latencies.append(latency)
+        return QueryOutcome(index=index, status=QueryStatus.OK,
+                            result=result, latency_seconds=latency,
+                            metrics=result.metrics, query_key=query_key)
+
+    def _commit(self, query_key: str, index: int, result: QueryResult,
+                resume) -> None:
+        """Durably commit one answer -- or, when the journal already holds
+        a commit for this submission, cross-check it: a digest mismatch on
+        a *committed* answer is an integrity violation, never a recovery
+        (the journaled shares fed the recomputation, so only tampering or
+        a foreign journal can get here)."""
+        journal = self._server.journal
+        digest = answer_digest(journal.key, result.verified_ids,
+                               result.match_ball_ids, result.num_matches)
+        if resume is not None and resume.committed:
+            if resume.answer_digest != digest:
+                raise JournalError(
+                    f"journaled commit for query #{index} does not match "
+                    f"the recomputed answer ({resume.answer_digest[:12]}.. "
+                    f"!= {digest[:12]}..); journal integrity violated")
+            self.admission.replayed_commits += 1
+            self.engine.tracer.event("query_commit", ROLE_SP,
+                                     index=index, replayed=True)
+            return
+        faults = result.metrics.faults
+        journal.append(RecordType.QUERY_COMMIT,
+                       {"query": query_key, "index": index,
+                        "answer_digest": digest,
+                        "faults": {"injected": faults.injected,
+                                   "detected": faults.detected,
+                                   "retries": faults.retries,
+                                   "recovered": faults.recovered,
+                                   "degraded": faults.degraded}})
+        self.engine.tracer.event("query_commit", ROLE_SP,
+                                 index=index, replayed=False)
 
     def report(self) -> BatchReport:
         """Everything served so far, in the batch report shape."""

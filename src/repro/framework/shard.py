@@ -37,11 +37,7 @@ from dataclasses import dataclass
 
 from repro.framework import wire
 from repro.framework.faults import ChaosPolicy, FaultKind, MALICIOUS_KINDS
-from repro.framework.placement import (
-    DEFAULT_SALT,
-    DEFAULT_VNODES,
-    orphan_predicate,
-)
+from repro.framework.placement import orphan_predicate
 from repro.framework.prilo import Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.framework.server import QueryBatchEngine, QueryStream
@@ -99,11 +95,11 @@ class ShardSpec:
     """Everything one shard process needs to build its engine and serve.
 
     Passed to the child through :class:`multiprocessing` (free under the
-    fork start method; picklable for spawn).  ``vnodes``/``salt`` must
-    match the ring the gateway routes with -- and, when ``store_root``
-    points at a split pack, the ring ``store shard-split`` cut under,
-    else the shard would own balls its pack does not hold (correct but
-    slow: every load falls back to extraction).
+    fork start method; picklable for spawn).  The ring geometry is not
+    part of it: shards, the gateway's verifier and ``store shard-split``
+    all place balls on the one fixed ring of
+    :mod:`repro.framework.placement`.  ``queue_bound`` bounds the queries
+    the shard's stream admits (the rest are ``REJECTED(overload)``).
     """
 
     shard_id: int
@@ -113,8 +109,6 @@ class ShardSpec:
     store_root: str | None = None
     journal_path: str | None = None
     queue_bound: int | None = None
-    vnodes: int = DEFAULT_VNODES
-    salt: str = DEFAULT_SALT
     host: str = "127.0.0.1"
     port: int = 0
     #: Malicious-SP injection: a seeded :class:`ChaosPolicy` over the
@@ -141,7 +135,6 @@ class ShardServer:
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._lock = asyncio.Lock()
-        self._drained = False
         #: The last honest OK verdict, kept as replay ammunition for the
         #: rogue layer's ``REPLAY_STALE`` mutation.
         self._last_ok: dict | None = None
@@ -223,7 +216,7 @@ class ShardServer:
         if kind == "ping":
             return {"t": "pong", "shard": self.spec.shard_id,
                     "served": self.stream.admission.completed,
-                    "drained": self._drained}
+                    "drained": self.stream.drained}
         if kind == "query":
             # One query at a time engine-wide: evaluation consumes the
             # shard-local user's CGBE randomness, so requests arriving on
@@ -232,7 +225,6 @@ class ShardServer:
                 return self._answer(request)
         if kind == "drain":
             async with self._lock:
-                self._drained = True
                 self.stream.request_drain()
                 report = self.stream.report()
                 return {"t": "drained", "shard": self.spec.shard_id,
@@ -249,9 +241,7 @@ class ShardServer:
             query = wire.query_from_jsonable(request["query"])
             members = request["members"]
             prev = request.get("prev_members")
-            keep = orphan_predicate(self.spec.shard_id, members, prev,
-                                    vnodes=self.spec.vnodes,
-                                    salt=self.spec.salt)
+            keep = orphan_predicate(self.spec.shard_id, members, prev)
             self.engine.install_ball_filter(keep)
             # Busy is CPU time, not wall: the shard is its own process,
             # so process_time() is exactly its compute.  Wall latency on
@@ -484,8 +474,6 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
                      store_root: str | None = None,
                      journal_dir: str | None = None,
                      queue_bound: int | None = None,
-                     vnodes: int = DEFAULT_VNODES,
-                     salt: str = DEFAULT_SALT,
                      rogue_shards: tuple[int, ...] = (),
                      rogue_policy: ChaosPolicy | None = None,
                      ) -> list[ShardSpec]:
@@ -517,7 +505,7 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
         specs.append(ShardSpec(
             shard_id=shard_id, graph=graph, config=config, engine=engine,
             store_root=store, journal_path=journal,
-            queue_bound=queue_bound, vnodes=vnodes, salt=salt,
+            queue_bound=queue_bound,
             rogue=rogue_policy if shard_id in rogue_set else None))
     return specs
 

@@ -42,11 +42,7 @@ import json
 from repro.crypto.keys import DataOwnerKey
 from repro.framework import wire
 from repro.framework.faults import FaultKind
-from repro.framework.placement import (
-    DEFAULT_SALT,
-    DEFAULT_VNODES,
-    orphan_predicate,
-)
+from repro.framework.placement import orphan_predicate
 from repro.storage.authenticate import (
     AuthError,
     MerkleTree,
@@ -220,9 +216,7 @@ class AnswerVerifier:
     """
 
     def __init__(self, *, root_hex: str, catalog: dict, vkey: bytes,
-                 jkey: bytes, fingerprint: str,
-                 vnodes: int = DEFAULT_VNODES,
-                 salt: str = DEFAULT_SALT) -> None:
+                 jkey: bytes, fingerprint: str) -> None:
         if not root_hex:
             raise VerificationError(
                 FaultKind.FORGE_RESULT,
@@ -233,8 +227,6 @@ class AnswerVerifier:
         self._vkey = vkey
         self._jkey = jkey
         self._fingerprint = fingerprint
-        self._vnodes = vnodes
-        self._salt = salt
 
     @classmethod
     def from_placement(cls, placement, *, seed: int,
@@ -250,13 +242,10 @@ class AnswerVerifier:
         return cls(root_hex=placement.auth_root, catalog=placement.catalog,
                    vkey=vkey, jkey=journal_key(seed),
                    fingerprint=config_fingerprint(config,
-                                                  placement.graph_digest),
-                   vnodes=placement.vnodes, salt=placement.salt)
+                                                  placement.graph_digest))
 
     @classmethod
-    def from_store(cls, store, *, seed: int, config,
-                   vnodes: int = DEFAULT_VNODES,
-                   salt: str = DEFAULT_SALT) -> "AnswerVerifier":
+    def from_store(cls, store, *, seed: int, config) -> "AnswerVerifier":
         """Verifier straight off an (unsplit) :class:`ArtifactStore` --
         the single-shard / testing path."""
         auth = store.auth
@@ -273,8 +262,7 @@ class AnswerVerifier:
         return cls(root_hex=auth["root"], catalog=auth["catalog"],
                    vkey=vkey, jkey=journal_key(seed),
                    fingerprint=config_fingerprint(
-                       config, store.manifest_graph_digest),
-                   vnodes=vnodes, salt=salt)
+                       config, store.manifest_graph_digest))
 
     @property
     def root_hex(self) -> str:
@@ -286,8 +274,7 @@ class AnswerVerifier:
         class filtered by the placement ring -- recomputed entirely from
         owner-committed data, never from anything the shard sent."""
         class_ids = self._catalog.get(str(int(radius)), {}).get(label, [])
-        keep = orphan_predicate(shard_id, members, prev_members,
-                                vnodes=self._vnodes, salt=self._salt)
+        keep = orphan_predicate(shard_id, members, prev_members)
         return sorted(int(b) for b in class_ids if keep(int(b)))
 
     def verify_verdict(self, *, qid: int, shard_id: int, members,

@@ -37,7 +37,6 @@ from repro.storage.delta import (
     DeltaRecord,
     StaleDeltaError,
     TamperedDeltaError,
-    apply_delta_log,
     delta_key,
     walk_delta_chain,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "DeltaRecord",
     "StaleDeltaError",
     "TamperedDeltaError",
-    "apply_delta_log",
     "delta_key",
     "walk_delta_chain",
     "JournalError",

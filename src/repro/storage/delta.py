@@ -227,18 +227,6 @@ def walk_delta_chain(state: DeltaLogState, graph, apply_one):
         yield record, outcome
 
 
-def apply_delta_log(store, state: DeltaLogState, graph, key) -> list:
-    """Chain every applicable record of ``state`` into ``store``/``graph``
-    (see :func:`walk_delta_chain` for the skip/stale/tampered rules).
-
-    Returns the list of per-record
-    :class:`~repro.storage.store.DeltaApplyReport` objects.
-    """
-    return [report for _record, report in walk_delta_chain(
-        state, graph,
-        lambda record: store.apply_delta(record.delta, graph, key))]
-
-
 __all__ = [
     "DELTA_RECORD",
     "DELTA_SCHEME",
@@ -248,7 +236,6 @@ __all__ = [
     "DeltaRecord",
     "StaleDeltaError",
     "TamperedDeltaError",
-    "apply_delta_log",
     "delta_digest",
     "delta_key",
     "walk_delta_chain",

@@ -1235,15 +1235,14 @@ class ArtifactStore:
         }
 
 
-def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
-                vnodes: int | None = None, salt: str | None = None) -> dict:
-    """Cut one store into per-shard packs under a consistent-hash ring.
+def shard_split(root: str | Path, out_root: str | Path, shards: int) -> dict:
+    """Cut one store into per-shard packs under the consistent-hash ring.
 
     ``out_root/shard-<i>/`` becomes a fully valid, independently
     verifiable :class:`ArtifactStore` holding exactly shard ``i``'s
     placement slice (both packs re-packed with fresh offsets, twiglet
     artifact subset, checksums recomputed); ``out_root/placement.json``
-    records the ring parameters and per-shard counts
+    records the members (on the fixed ring geometry) and per-shard counts
     (:class:`repro.framework.placement.PlacementManifest`).
 
     The manifests inherit the source's ``graph_digest``/``key_digest``/
@@ -1254,17 +1253,10 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
 
     Returns the placement summary (the manifest's jsonable form).
     """
-    from repro.framework.placement import (
-        DEFAULT_SALT,
-        DEFAULT_VNODES,
-        HashRing,
-        PlacementManifest,
-    )
+    from repro.framework.placement import PlacementManifest, ring_for
 
     if shards < 1:
         raise StoreUsageError("shard count must be positive")
-    vnodes = DEFAULT_VNODES if vnodes is None else vnodes
-    salt = DEFAULT_SALT if salt is None else salt
     src = ArtifactStore.open(root)
     out_root = Path(out_root)
     if out_root.exists() and any(out_root.iterdir()):
@@ -1273,7 +1265,7 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
     out_root.mkdir(parents=True, exist_ok=True)
 
     manifest = src._manifest
-    ring = HashRing(range(shards), vnodes=vnodes, salt=salt)
+    ring = ring_for(range(shards))
     by_shard: dict[int, list[dict]] = {m: [] for m in ring.members}
     for entry in manifest["balls"]:
         by_shard[ring.owner_of(entry["ball_id"])].append(entry)
@@ -1301,7 +1293,7 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int, *,
 
     auth = manifest.get("auth") or {}
     placement = PlacementManifest(
-        members=ring.members, vnodes=vnodes, salt=salt,
+        members=ring.members,
         graph_digest=manifest["graph_digest"],
         radii=tuple(manifest["radii"]),
         balls=len(manifest["balls"]),

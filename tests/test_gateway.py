@@ -198,7 +198,7 @@ class TestOrphanPredicate:
 class TestPlacementManifest:
     def test_round_trip(self, tmp_path):
         manifest = PlacementManifest(
-            members=(0, 1, 2), vnodes=32, salt="s", graph_digest="d",
+            members=(0, 1, 2), graph_digest="d",
             radii=(3,), balls=9,
             shard_dirs={m: f"shard-{m}" for m in (0, 1, 2)},
             shard_balls={0: 3, 1: 3, 2: 3})
@@ -218,11 +218,11 @@ class TestPlacementManifest:
         """A write cut off half way leaves no ``placement.json`` or a
         complete, readable one -- never a truncated file."""
         old = PlacementManifest(
-            members=(0, 1), vnodes=8, salt="s", graph_digest="old",
+            members=(0, 1), graph_digest="old",
             radii=(2,), balls=2, shard_dirs={0: "shard-0", 1: "shard-1"},
             shard_balls={0: 1, 1: 1})
         new = PlacementManifest(
-            members=(0, 1, 2), vnodes=32, salt="s", graph_digest="new",
+            members=(0, 1, 2), graph_digest="new",
             radii=(2,), balls=9,
             shard_dirs={m: f"shard-{m}" for m in (0, 1, 2)},
             shard_balls={0: 3, 1: 3, 2: 3})
@@ -245,7 +245,7 @@ class TestPlacementManifest:
 
 #: A placement with every field set, auth block included.
 _PLACEMENT = PlacementManifest(
-    members=(0, 1), vnodes=64, salt="prilo-ring", graph_digest="d",
+    members=(0, 1), graph_digest="d",
     radii=(2,), balls=9, shard_dirs={0: "shard-0", 1: "shard-1"},
     shard_balls={0: 4, 1: 5}, auth_root="ab",
     catalog={"2": {"A": [1, 2]}}, catalog_digest="cd").to_jsonable()
@@ -301,6 +301,16 @@ class TestMalformedPlacement:
         shards = {**_PLACEMENT["shards"],
                   "0": {"dir": "../../pl/pack", "balls": 4}}
         self._write(tmp_path, {**_PLACEMENT, "shards": shards})
+        self._refused(tmp_path, capsys)
+
+    @pytest.mark.parametrize("geometry", [{"vnodes": 32},
+                                          {"salt": "other-ring"}])
+    def test_other_ring_geometry(self, tmp_path, capsys, geometry):
+        """The ring geometry is fixed: a cut that names another one would
+        place balls where its shard packs do not hold them."""
+        self._write(tmp_path, {**_PLACEMENT, **geometry})
+        with pytest.raises(PlacementError, match="ring geometry"):
+            PlacementManifest.read(tmp_path)
         self._refused(tmp_path, capsys)
 
     @pytest.fixture(scope="class")
@@ -568,7 +578,7 @@ class TestDeadClientPool:
                 closed.append(self.i)
 
         async def main():
-            client = ShardClient(3, "127.0.0.1", 1, pool=2)
+            client = ShardClient(3, "127.0.0.1", 1)
             deaths: list[int] = []
             client.on_death = deaths.append
             client._conns = [(None, FakeWriter(0)), (None, FakeWriter(1))]
@@ -799,7 +809,7 @@ class TestShardServer:
         async def main():
             server = ShardServer(ShardSpec(0, dataset.graph, gw_config))
             await server.start()
-            client = ShardClient(0, "127.0.0.1", server.port, pool=1)
+            client = ShardClient(0, "127.0.0.1", server.port)
             try:
                 await client.connect()
                 for qid in ("absent", "7", 1.5, True, [0], None):
@@ -838,6 +848,61 @@ class TestShardServer:
                 wire.canonical_answer_of_result(batch_result)) == \
                 wire.answer_bytes(
                     wire.canonical_answer_of_result(stream_result))
+
+
+    def test_query_stream_applies_the_queue_bound(self, dataset,
+                                                  gw_config):
+        """A stream is the batch's admission path, queue bound included:
+        the same three queries give the same statuses through ``serve``
+        and one query at a time."""
+        queries = dataset.random_queries(3, size=5, seed=4)
+        shed = [QueryStatus.OK] + [QueryStatus.REJECTED_OVERLOAD] * 2
+        with QueryBatchEngine(Prilo.setup(dataset.graph, gw_config),
+                              queue_bound=1) as batch:
+            report = batch.serve(queries)
+        assert [o.status for o in report.outcomes] == shed
+        with QueryBatchEngine(Prilo.setup(dataset.graph, gw_config),
+                              queue_bound=1) as engine:
+            stream = QueryStream(engine)
+            assert [stream.serve_one(q).status for q in queries] == shed
+        assert stream.report().admission == report.admission
+
+    def test_engine_drain_stops_a_stream(self, dataset, gw_config):
+        """One drain flag: ``request_drain`` on the engine (what SIGTERM
+        sets during ``serve``) also stops an open stream."""
+        query = dataset.random_query(size=5, seed=4)
+        with QueryBatchEngine(Prilo.setup(dataset.graph,
+                                          gw_config)) as engine:
+            stream = QueryStream(engine)
+            engine.request_drain()
+            assert stream.drained
+            outcome = stream.serve_one(query)
+        assert outcome.status == QueryStatus.DRAINED
+        assert stream.report().admission.drained == 1
+
+    def test_queue_bound_sheds_on_a_shard(self, dataset, gw_config):
+        """``ShardSpec.queue_bound`` binds: the shard's second query frame
+        is shed as ``rejected(overload)``."""
+        query = wire.query_to_jsonable(dataset.random_query(size=5, seed=4))
+
+        async def main():
+            server = ShardServer(ShardSpec(0, dataset.graph, gw_config,
+                                           queue_bound=1))
+            await server.start()
+            client = ShardClient(0, "127.0.0.1", server.port)
+            try:
+                await client.connect()
+                return [await asyncio.wait_for(client.request({
+                    "t": "query", "qid": qid, "query": query,
+                    "members": [0]}), timeout=60) for qid in (0, 1)]
+            finally:
+                await client.close()
+                await server.close()
+
+        first, second = asyncio.run(main())
+        assert first["t"] == second["t"] == "verdict"
+        assert first["status"] == QueryStatus.OK
+        assert second["status"] == QueryStatus.REJECTED_OVERLOAD
 
 
 class TestShardJournalLifecycle:
