@@ -729,7 +729,6 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     specs = make_shard_specs(graph, config, args.shards,
                              engine=args.engine, store_root=args.store,
                              journal_dir=args.journal_dir,
-                             queue_bound=args.queue_bound,
                              rogue_shards=rogue_shards,
                              rogue_policy=rogue_policy)
     print(f"dataset: {dataset.graph}")
@@ -738,11 +737,12 @@ def cmd_gateway(args: argparse.Namespace) -> int:
           f"rank-1 share {ranks.count(0)}/{len(ranks)}")
     with LocalCluster(specs) as cluster:
         gateway = Gateway(cluster.handles, chaos=chaos, tracer=args.tracer,
-                          verifier=verifier)
+                          verifier=verifier, queue_bound=args.queue_bound)
         report = gateway.run(queries)
     summary = report.summary()
-    print(f"served {summary['queries']} queries on {summary['shards']} "
-          f"shard(s) in {summary['makespan_seconds']:.3f}s wall "
+    print(f"served {summary['completed']}/{summary['queries']} queries on "
+          f"{summary['shards']} shard(s) in "
+          f"{summary['makespan_seconds']:.3f}s wall "
           f"({summary['critical_path_seconds']:.3f}s critical path, "
           f"{summary['busy_seconds']:.3f}s total engine-busy)")
     for sid, busy in summary["per_shard_busy_seconds"].items():
@@ -1047,8 +1047,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="give each shard its own write-ahead journal "
                            "(shard-<i>.wal) under this directory")
     p_gw.add_argument("--queue-bound", type=int, default=None, metavar="N",
-                      help="each shard admits its first N queries and "
-                           "sheds the rest as REJECTED(overload)")
+                      help="the fleet admits the first N queries of the "
+                           "trace and sheds the rest as REJECTED(overload) "
+                           "before any shard sees them")
     p_gw.add_argument("--rogue-shard", type=int, action="append",
                       default=None, metavar="K",
                       help="malicious-SP chaos: shard K mutates its "

@@ -1,9 +1,9 @@
 """Scatter-gather serving gateway over consistent-hash ball shards.
 
 The gateway is the front end of the sharded serving tier: it holds no
-engine, no keys and no graph -- only the membership ring, connection
-pools to every shard, and the merge state of in-flight queries.  For
-each query it fans one task out to every live shard; each shard
+engine, no keys and no graph -- only the membership ring, one
+connection to every shard, and the merge state of in-flight queries.
+For each query it runs one task per live shard; each shard
 self-restricts to its ring-owned slice of the ball space and returns a
 *verdict* (its answer slice plus per-run counters).  Because per-ball
 evaluation is independent -- Alg. 3 iterates balls with no cross-ball
@@ -11,8 +11,20 @@ state -- the union of slice answers is exactly the single-engine answer,
 and :func:`repro.framework.wire.canonical_answer` makes the equality
 checkable byte-for-byte.
 
+Dispatch: a ``(query, shard)`` task is one coroutine holding one of the
+shard's :data:`WINDOW` slots (an :class:`asyncio.Semaphore`, whose FIFO
+waiters keep each shard's frames in routing order) while its frame is
+on the shard's one connection.  A shard answers one query at a time
+under its engine lock, so a second connection would overlap nothing.
+
+Admission is the fleet's, not a shard's: with ``queue_bound=N`` the
+first N submissions are routed and the rest are ``rejected(overload)``
+without reaching any shard, so no shard evaluates a slice whose query
+is shed elsewhere.
+
 Failure model: a shard dying (SIGKILL, the chaos hook's weapon) fails
-its in-flight and queued tasks.  Each failed task ``(members M)`` is
+its in-flight tasks, and a task that gets its window on a dead or
+evicted shard re-places itself.  Each failed task ``(members M)`` is
 re-dispatched to every survivor as ``(members M', prev M)`` where ``M'``
 is the *current* membership; consistent hashing guarantees the
 survivors' ``owned(M') - owned(M)`` sets union to (a superset of) the
@@ -57,14 +69,12 @@ from repro.framework.metrics import CacheStats, JournalCounters, RunMetrics
 from repro.framework.server import QueryStatus
 from repro.framework.verify import VerificationError, slice_problems
 from repro.graph.query import Query
-from repro.observability.spans import NULL_TRACER
+from repro.observability.spans import NULL_TRACER, ROLE_SP
 
 logger = logging.getLogger(__name__)
 
-#: Frames in flight per shard before dispatch blocks (per-shard slots).
+#: Query frames in flight on one shard's connection.
 WINDOW = 4
-#: Pooled connections per shard.
-POOL = 2
 #: Re-dispatch waves shift the journal index by this many bits, keeping
 #: replacement runs disjoint from epoch-0 commits in survivor journals.
 _WAVE_SHIFT = 20
@@ -172,14 +182,13 @@ class GatewayChaos:
 
 
 class ShardClient:
-    """Connection pool + request/response matching for one shard.
+    """One connection + request/response matching for one shard.
 
     Requests tag a monotonically increasing ``rid``; the shard echoes it
-    and per-connection reader tasks resolve the matching future, so many
-    requests ride each pooled connection concurrently.  Death is
-    detected at the socket (EOF/reset on read, failure on write), fails
-    every pending future with :class:`ShardDied`, and fires ``on_death``
-    exactly once.
+    and a reader task resolves the matching future, so several requests
+    ride the connection at once.  Death is detected at the socket
+    (EOF/reset on read, failure on write), fails every pending future
+    with :class:`ShardDied`, and fires ``on_death`` exactly once.
     """
 
     def __init__(self, shard_id: int, host: str, port: int) -> None:
@@ -191,25 +200,20 @@ class ShardClient:
         self.on_death = None
         self._closing = False
         self._rids = itertools.count()
-        self._round_robin = 0
-        self._conns: list[tuple[asyncio.StreamReader,
-                                asyncio.StreamWriter]] = []
-        self._readers: list[asyncio.Task] = []
+        self._writer: asyncio.StreamWriter | None = None
+        self._reader: asyncio.Task | None = None
         self._pending: dict[int, asyncio.Future] = {}
 
     async def connect(self) -> None:
-        for _ in range(POOL):
-            reader, writer = await asyncio.open_connection(self.host,
-                                                           self.port)
-            hello = await wire.read_frame(reader)
-            if hello is None or hello.get("t") != "hello":
-                raise GatewayError(
-                    f"shard {self.shard_id} at {self.host}:{self.port} "
-                    f"did not say hello (got {hello!r})")
-            self.hello = hello
-            self._conns.append((reader, writer))
-            self._readers.append(
-                asyncio.ensure_future(self._read_loop(reader)))
+        reader, self._writer = await asyncio.open_connection(self.host,
+                                                             self.port)
+        hello = await wire.read_frame(reader)
+        if hello is None or hello.get("t") != "hello":
+            raise GatewayError(
+                f"shard {self.shard_id} at {self.host}:{self.port} "
+                f"did not say hello (got {hello!r})")
+        self.hello = hello
+        self._reader = asyncio.ensure_future(self._read_loop(reader))
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         try:
@@ -234,16 +238,13 @@ class ShardClient:
         for future in pending:
             if not future.done():
                 future.set_exception(ShardDied(self.shard_id))
-        # Tear the pool down *now*: a dead client's sockets must not
-        # linger as live pool entries (half-open writers would otherwise
-        # sit until close(), and a torn frame on one connection says
-        # nothing good about its siblings).
-        for task in self._readers:
-            if not task.done():
-                task.cancel()
-        for _, writer in self._conns:
-            writer.close()
-        self._conns.clear()
+        # Close the socket *now*: a dead client's half-open writer must
+        # not linger until close().
+        if self._reader is not None and not self._reader.done():
+            self._reader.cancel()
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
         if self.on_death is not None:
             self.on_death(self.shard_id)
 
@@ -252,14 +253,10 @@ class ShardClient:
         if self.dead:
             raise ShardDied(self.shard_id)
         rid = next(self._rids)
-        tagged = dict(payload)
-        tagged["rid"] = rid
         future = asyncio.get_running_loop().create_future()
         self._pending[rid] = future
-        _, writer = self._conns[self._round_robin % len(self._conns)]
-        self._round_robin += 1
         try:
-            await wire.write_frame(writer, tagged)
+            await wire.write_frame(self._writer, {**payload, "rid": rid})
         except (ConnectionError, OSError) as exc:
             self._pending.pop(rid, None)
             self._mark_dead()
@@ -268,24 +265,21 @@ class ShardClient:
 
     async def close(self) -> None:
         self._closing = True
-        for task in self._readers:
-            task.cancel()
-        for _, writer in self._conns:
-            writer.close()
+        if self._reader is not None:
+            self._reader.cancel()
+        if self._writer is not None:
+            self._writer.close()
             try:
-                await writer.wait_closed()
+                await self._writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
-        self._conns.clear()
-        self._readers.clear()
+            self._writer = None
 
 
 @dataclass
 class _QueryState:
     """Merge state of one query across its covering tasks."""
 
-    outstanding: int = 0
-    finished: bool = False
     statuses: list[str] = field(default_factory=list)
     details: list[str] = field(default_factory=list)
     candidates: set[int] = field(default_factory=set)
@@ -413,16 +407,18 @@ class Gateway:
     ``handles`` expose ``shard_id``/``host``/``port`` (and, for local
     clusters, ``kill()`` used by the chaos hook) -- see
     :class:`repro.framework.shard.ShardHandle`.  One :meth:`serve` call
-    is one batch; the gateway groups queries by enumeration signature
-    (cache-affine dispatch order, like the batch engine), routes every
-    query to every live shard, and merges each query's verdicts as they
-    land -- no cross-query barrier, so one slow signature group never
-    stalls the fleet.
+    is one batch; the gateway admits the first ``queue_bound``
+    submissions, groups them by enumeration signature (cache-affine
+    dispatch order, like the batch engine), routes every admitted query
+    to every live shard, and merges each query's verdicts as they land
+    -- no cross-query barrier, so one slow signature group never stalls
+    the fleet.
     """
 
     def __init__(self, handles, *,
                  chaos: GatewayChaos | None = None,
                  verifier=None,
+                 queue_bound: int | None = None,
                  tracer=None) -> None:
         handles = sorted(handles, key=lambda h: h.shard_id)
         ids = [h.shard_id for h in handles]
@@ -430,6 +426,9 @@ class Gateway:
             raise GatewayError("a gateway needs at least one shard")
         if len(set(ids)) != len(ids):
             raise GatewayError(f"duplicate shard ids: {ids}")
+        if queue_bound is not None and (isinstance(queue_bound, bool)
+                                        or queue_bound < 1):
+            raise ValueError("queue_bound must be a positive int or None")
         self.handles = {h.shard_id: h for h in handles}
         self.chaos = chaos
         #: An :class:`repro.framework.verify.AnswerVerifier` makes this
@@ -437,6 +436,9 @@ class Gateway:
         #: certificate that checks out before its slice touches the
         #: merge.  ``None`` keeps the PR 7 trusted-shard behavior.
         self.verifier = verifier
+        #: Admit the first N submissions of a batch; the rest are
+        #: ``rejected(overload)`` and never reach a shard.
+        self.queue_bound = queue_bound
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- public entry points -------------------------------------------
@@ -458,29 +460,26 @@ class Gateway:
         self._wave = 0
         self._re_dispatches = 0
         self._states = [_QueryState() for _ in self._queries]
-        self._remaining = len(self._queries)
         self._busy: dict[int, float] = {sid: 0.0 for sid in self._members}
         self._metrics = RunMetrics()
-        self._queues: dict[int, asyncio.Queue] = {
-            sid: asyncio.Queue() for sid in self._members}
-        self._done = asyncio.Event()
+        self._windows = {sid: asyncio.Semaphore(WINDOW)
+                         for sid in self._members}
+        self._tasks: set[asyncio.Task] = set()
         self._chaos_plan = (self.chaos.resolve(self._members)
                             if self.chaos else None)
         self._chaos_verdicts = 0
         self._chaos_fired = False
         drain_summaries: dict[int, dict] = {}
 
-        clients = {sid: ShardClient(sid, handle.host, handle.port)
-                   for sid, handle in self.handles.items()}
-        self._clients = clients
-        workers: list[asyncio.Task] = []
+        self._clients = {sid: ShardClient(sid, handle.host, handle.port)
+                         for sid, handle in self.handles.items()}
         try:
             with self.tracer.span("gateway.serve", "sp",
                                   shards=self._initial_shards,
                                   queries=len(self._queries),
-                                  pool=POOL, window=WINDOW):
-                for client in clients.values():
-                    client.on_death = self._death_callback
+                                  window=WINDOW):
+                for client in self._clients.values():
+                    client.on_death = self._on_death
                     await client.connect()
                     pong = await client.request({"t": "ping"})
                     if pong.get("t") != "pong":
@@ -488,31 +487,33 @@ class Gateway:
                             f"shard {client.shard_id} failed its health "
                             f"check: {pong!r}")
                 self._route()
-                if self._remaining == 0:
-                    self._done.set()
-                workers = [
-                    asyncio.create_task(
-                        self._slot(sid, clients[sid]),
-                        name=f"gateway-slot-{sid}-{k}")
-                    for sid in self._members for k in range(WINDOW)
-                ]
-                await self._supervise(workers)
-                drain_summaries = await self._drain(clients)
+                await self._supervise()
+                drain_summaries = await self._drain()
         finally:
-            for worker in workers:
-                worker.cancel()
-            for client in clients.values():
+            for task in self._tasks:
+                task.cancel()
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+            for client in self._clients.values():
                 client.on_death = None
                 await client.close()
 
         return self._build_report(started, drain_summaries)
 
-    # -- routing & supervision -----------------------------------------
+    # -- admission, routing & supervision -------------------------------
     def _route(self) -> None:
-        """Queue every query to every member, grouped by enumeration
+        """Admit the first ``queue_bound`` submissions, then start one
+        task per (admitted query, member), grouped by enumeration
         signature so shard-side CMM caches see signature-affine order."""
+        submitted = len(self._queries)
+        bound = self.queue_bound
+        admitted = submitted if bound is None else min(submitted, bound)
+        self.tracer.event("admission", ROLE_SP, submitted=submitted,
+                          admitted=admitted, shed=submitted - admitted)
+        for state in self._states[admitted:]:
+            state.statuses.append(QueryStatus.REJECTED_OVERLOAD)
+            state.details.append(f"queue bound {bound} exceeded")
         groups: dict[tuple, list[int]] = {}
-        for qid, query in enumerate(self._queries):
+        for qid, query in enumerate(self._queries[:admitted]):
             # The bound-free prefix of the engine's enumeration_signature
             # (the gateway does not know shard enumeration bounds, and
             # routing only needs stable affinity, not exact cache keys).
@@ -520,47 +521,39 @@ class Gateway:
                          query.diameter, query.semantics)
             groups.setdefault(signature, []).append(qid)
         self._wire_queries = [wire.query_to_jsonable(q)
-                              for q in self._queries]
+                              for q in self._queries[:admitted]]
         for indices in groups.values():
             for qid in indices:
-                state = self._states[qid]
-                state.outstanding = len(self._members)
                 for sid in self._members:
-                    self._queues[sid].put_nowait({
-                        "qid": qid, "jindex": qid,
-                        "members": self._members,
-                        "prev_members": None,
-                    })
+                    self._spawn(sid, {"qid": qid, "jindex": qid,
+                                      "members": self._members,
+                                      "prev_members": None})
 
-    async def _supervise(self, workers: list[asyncio.Task]) -> None:
-        waiter = asyncio.create_task(self._done.wait())
-        alive = set(workers)
-        try:
-            while True:
-                finished, _ = await asyncio.wait(
-                    alive | {waiter}, return_when=asyncio.FIRST_COMPLETED)
-                if waiter in finished:
-                    return
-                for task in finished:
-                    alive.discard(task)
-                    exc = task.exception()
-                    if exc is not None:
-                        raise exc
-                if not alive:  # pragma: no cover -- workers exit on done
-                    raise GatewayError("all dispatch slots exited with "
-                                       "queries outstanding")
-        finally:
-            waiter.cancel()
+    def _spawn(self, sid: int, task: dict) -> None:
+        self._tasks.add(asyncio.create_task(
+            self._dispatch(sid, task),
+            name=f"gateway-q{task['qid']}-shard{sid}"))
 
-    async def _slot(self, sid: int, client: ShardClient) -> None:
-        queue = self._queues[sid]
-        while True:
-            task = await queue.get()
-            if task is None:
-                return
+    async def _supervise(self) -> None:
+        """Wait for every task, re-placements spawned on the way
+        included; the first task to raise fails the batch."""
+        while self._tasks:
+            finished, _ = await asyncio.wait(
+                set(self._tasks), return_when=asyncio.FIRST_EXCEPTION)
+            self._tasks -= finished
+            errors = [task.exception() for task in finished
+                      if task.exception() is not None]
+            if errors:
+                raise errors[0]
+
+    async def _dispatch(self, sid: int, task: dict) -> None:
+        """One (query, shard) task: take a window slot on the shard,
+        send the frame, judge and merge the verdict.  A task whose shard
+        died or was evicted before it got a slot re-places itself."""
+        async with self._windows[sid]:
             if sid in self._dead:
                 self._reassign(task)
-                continue
+                return
             payload = {
                 "t": "query", "qid": task["qid"], "jindex": task["jindex"],
                 "query": self._wire_queries[task["qid"]],
@@ -569,19 +562,18 @@ class Gateway:
             if task["prev_members"] is not None:
                 payload["prev_members"] = list(task["prev_members"])
             try:
-                verdict = await client.request(payload)
+                verdict = await self._clients[sid].request(payload)
             except ShardDied:
                 self._on_death(sid)
                 self._reassign(task)
-                continue
+                return
             if verdict.get("t") == "error":
                 raise GatewayError(
                     f"shard {sid} could not serve query {task['qid']}: "
                     f"{verdict.get('detail', '')}")
-            if not self._verify(sid, task, verdict):
-                continue
-            self._absorb(sid, task, verdict)
-            self._maybe_fire_chaos(sid)
+            if self._verify(sid, task, verdict):
+                self._absorb(sid, task, verdict)
+                self._maybe_fire_chaos(sid)
 
     # -- certificate verification (untrusted shards) --------------------
     def _verify(self, sid: int, task: dict, verdict: dict) -> bool:
@@ -652,7 +644,6 @@ class Gateway:
             err.kind, key, FaultAction.DEGRADED,
             detail="no honest members left to re-cover the slice; "
                    "answer withheld")
-        self._task_done(qid)
 
     def _evict(self, sid: int) -> None:
         """Remove a malicious member: like a death, but the process
@@ -665,24 +656,11 @@ class Gateway:
                        "%d members remain", sid, len(self._members))
         self.tracer.event("gateway.eviction", "user", shard=sid,
                           shards=len(self._members))
-        queue = self._queues[sid]
-        stranded = []
-        while not queue.empty():
-            task = queue.get_nowait()
-            if task is not None:
-                stranded.append(task)
-        for task in stranded:
-            self._reassign(task)
-        for _ in range(WINDOW):
-            queue.put_nowait(None)
 
     # -- failure handling ----------------------------------------------
-    def _death_callback(self, sid: int) -> None:
-        # Socket readers fire this from their own task; route through
-        # the same idempotent path the dispatch slots use.
-        self._on_death(sid)
-
     def _on_death(self, sid: int) -> None:
+        """Idempotent: the socket reader and every task in flight on the
+        dead shard report the same death."""
         if sid in self._dead:
             return
         self._dead.add(sid)
@@ -690,25 +668,14 @@ class Gateway:
         survivors = tuple(m for m in self._members if m != sid)
         self._members = survivors
         if not survivors:
-            # This may be a socket reader's task, which nobody awaits: the
-            # dispatch slot holding one of the dead shard's tasks fails the
+            # This may be a socket reader's task, which nobody awaits: a
+            # task holding one of the dead shard's queries fails the
             # batch from _reassign, where _supervise sees it.
             return
         logger.warning("gateway: shard %d died; %d survivors, "
                        "re-placing its slice", sid, len(survivors))
         self.tracer.event("gateway.shard_death", "sp", shard=sid,
                           shards=len(survivors))
-        queue = self._queues[sid]
-        stranded = []
-        while not queue.empty():
-            task = queue.get_nowait()
-            if task is not None:
-                stranded.append(task)
-        for task in stranded:
-            self._reassign(task)
-        # Wake the dead shard's dispatch slots so they exit.
-        for _ in range(WINDOW):
-            queue.put_nowait(None)
 
     def _reassign(self, task: dict) -> None:
         """Re-dispatch one failed task to every survivor as a
@@ -716,19 +683,15 @@ class Gateway:
         if not self._members:
             raise GatewayError(f"shard(s) {self._deaths} died and no "
                                f"members survive to re-place their work")
-        qid = task["qid"]
-        state = self._states[qid]
         self._wave += 1
         for sid in self._members:
-            state.outstanding += 1
-            self._queues[sid].put_nowait({
-                "qid": qid,
-                "jindex": qid + (self._wave << _WAVE_SHIFT),
+            self._spawn(sid, {
+                "qid": task["qid"],
+                "jindex": task["qid"] + (self._wave << _WAVE_SHIFT),
                 "members": self._members,
                 "prev_members": task["members"],
             })
         self._re_dispatches += len(self._members)
-        self._task_done(qid)
 
     def _maybe_fire_chaos(self, sid: int) -> None:
         if self._chaos_plan is None or self._chaos_fired:
@@ -788,25 +751,11 @@ class Gateway:
                         f"divergent answers for ball {ball_id} of query "
                         f"{qid}: shard {sid} disagrees with an earlier "
                         f"slice")
-        self._task_done(qid)
-
-    def _task_done(self, qid: int) -> None:
-        state = self._states[qid]
-        state.outstanding -= 1
-        if state.outstanding > 0 or state.finished:
-            return
-        state.finished = True
-        self._remaining -= 1
-        if self._remaining == 0:
-            for queue in self._queues.values():
-                for _ in range(WINDOW):
-                    queue.put_nowait(None)
-            self._done.set()
 
     # -- wrap-up ---------------------------------------------------------
-    async def _drain(self, clients: dict[int, ShardClient]) -> dict:
+    async def _drain(self) -> dict:
         summaries: dict[int, dict] = {}
-        for sid, client in clients.items():
+        for sid, client in self._clients.items():
             # Evicted shards are alive but untrusted: no drain handshake,
             # and certainly no merging of their self-reported summaries.
             if client.dead or sid in self._dead:
@@ -853,7 +802,6 @@ class Gateway:
 
 
 __all__ = [
-    "POOL",
     "WINDOW",
     "Gateway",
     "GatewayChaos",

@@ -775,15 +775,22 @@ class Prilo:
                            "re-evaluating")
                 continue
             completed[key] = entry.outcome
-            counters.records_replayed += 1
-            counters.shares_skipped += 1
-            for event in entry.events:
-                metrics.faults.record(
-                    event.get("kind", "unknown"), event.get("key", ""),
-                    event.get("action", ""), detail=event.get("detail", ""),
-                    attempt=event.get("attempt", 0))
-                counters.replayed_fault_events += 1
+            self._replay_share(metrics, entry)
         return completed
+
+    @staticmethod
+    def _replay_share(metrics: RunMetrics, entry) -> None:
+        """Count one journaled share as replayed instead of evaluated,
+        and re-record the fault events journaled with it, once each."""
+        counters = metrics.journal
+        counters.records_replayed += 1
+        counters.shares_skipped += 1
+        for event in entry.events:
+            metrics.faults.record(
+                event.get("kind", "unknown"), event.get("key", ""),
+                event.get("action", ""), detail=event.get("detail", ""),
+                attempt=event.get("attempt", 0))
+            counters.replayed_fault_events += 1
 
     #: Journal share key of a query's pruning-message record.  PM-phase
     #: fault events fire on these coordinate prefixes (sealed-channel
@@ -860,14 +867,7 @@ class Prilo:
                            "verdicts discarded, recomputing pruning "
                            "messages")
                 return None
-        for event in entry.events:
-            metrics.faults.record(
-                event.get("kind", "unknown"), event.get("key", ""),
-                event.get("action", ""), detail=event.get("detail", ""),
-                attempt=event.get("attempt", 0))
-            counters.replayed_fault_events += 1
-        counters.records_replayed += 1
-        counters.shares_skipped += 1
+        self._replay_share(metrics, entry)
         counters.pm_replays += 1
         decrypted = DecryptedPMs(
             ball_ids=tuple(outcome["ball_ids"]),

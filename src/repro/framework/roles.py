@@ -756,7 +756,4 @@ class Dealer:
     def refetch_encrypted_ball(self, ball_id: int) -> EncryptedBallBlob:
         """Re-serve a ball whose previous blob failed authentication,
         bypassing (and evicting/quarantining) the bad copy."""
-        refetch = getattr(self._store, "refetch", None)
-        if refetch is not None:
-            return refetch(ball_id)
-        return self._store.get(ball_id)
+        return self._store.refetch(ball_id)

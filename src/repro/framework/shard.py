@@ -98,8 +98,8 @@ class ShardSpec:
     fork start method; picklable for spawn).  The ring geometry is not
     part of it: shards, the gateway's verifier and ``store shard-split``
     all place balls on the one fixed ring of
-    :mod:`repro.framework.placement`.  ``queue_bound`` bounds the queries
-    the shard's stream admits (the rest are ``REJECTED(overload)``).
+    :mod:`repro.framework.placement`.  Admission is the gateway's
+    (``Gateway(queue_bound=)``): a shard serves whatever it is sent.
     """
 
     shard_id: int
@@ -108,7 +108,6 @@ class ShardSpec:
     engine: str = "prilo"
     store_root: str | None = None
     journal_path: str | None = None
-    queue_bound: int | None = None
     host: str = "127.0.0.1"
     port: int = 0
     #: Malicious-SP injection: a seeded :class:`ChaosPolicy` over the
@@ -159,8 +158,8 @@ class ShardServer:
         if spec.journal_path:
             self.journal = RunJournal(spec.journal_path,
                                       journal_key(spec.config.seed))
-        self.stream = QueryStream(QueryBatchEngine(
-            self.engine, journal=self.journal, queue_bound=spec.queue_bound))
+        self.stream = QueryStream(QueryBatchEngine(self.engine,
+                                                   journal=self.journal))
 
     async def start(self) -> None:
         if self.engine is None:
@@ -220,7 +219,7 @@ class ShardServer:
         if kind == "query":
             # One query at a time engine-wide: evaluation consumes the
             # shard-local user's CGBE randomness, so requests arriving on
-            # different pooled connections must not interleave.
+            # different connections must not interleave.
             async with self._lock:
                 return self._answer(request)
         if kind == "drain":
@@ -473,7 +472,6 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
                      *, engine: str = "prilo",
                      store_root: str | None = None,
                      journal_dir: str | None = None,
-                     queue_bound: int | None = None,
                      rogue_shards: tuple[int, ...] = (),
                      rogue_policy: ChaosPolicy | None = None,
                      ) -> list[ShardSpec]:
@@ -505,7 +503,6 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
         specs.append(ShardSpec(
             shard_id=shard_id, graph=graph, config=config, engine=engine,
             store_root=store, journal_path=journal,
-            queue_bound=queue_bound,
             rogue=rogue_policy if shard_id in rogue_set else None))
     return specs
 

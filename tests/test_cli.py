@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro import cli
@@ -96,6 +98,25 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "served 3 queries" in out
         assert "CMM cache:" in out
+
+    def test_gateway_served_line_counts_completed_queries(self, tmp_path,
+                                                          capsys):
+        """Under ``--queue-bound`` the ``served`` line counts completed
+        queries out of the submitted ones; the JSON ``queries`` key stays
+        the submitted count."""
+        summary = tmp_path / "gateway.json"
+        assert main(["--scale", "0.05", "--modulus", "512", "gateway",
+                     "slashdot", "--shards", "2", "--count", "4",
+                     "--tenants", "2", "--size", "4", "--diameter", "2",
+                     "--queue-bound", "1",
+                     "--json-summary", str(summary)]) == 0
+        out = capsys.readouterr().out
+        assert "served 1/4 queries on 2 shard(s)" in out
+        assert "statuses: 1/4 ok" in out
+        data = json.loads(summary.read_text())
+        assert (data["queries"], data["completed"]) == (4, 1)
+        assert data["statuses"] == [QueryStatus.OK] + \
+            [QueryStatus.REJECTED_OVERLOAD] * 3
 
     def test_run_chaos_mode(self, capsys):
         """``--chaos-seed`` injects faults yet the run still succeeds and

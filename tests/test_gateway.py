@@ -59,6 +59,7 @@ from repro.framework.shard import (
 )
 from repro.graph.ball import extract_ball
 from repro.graph.query import Semantics
+from repro.observability.spans import Tracer
 from repro.storage import (
     ArtifactStore,
     RunJournal,
@@ -561,11 +562,9 @@ class TestLastShardNeverHangsTheGateway:
 
 class TestDeadClientPool:
     def test_mark_dead_fails_pending_and_tears_the_pool_down(self):
-        """A client that loses one connection must not leave its sibling
-        sockets as live pool entries: every pending request fails with
-        ShardDied, every reader task is cancelled, every writer is
-        closed, and the pool empties so no later request can round-robin
-        onto a dead socket."""
+        """A client that loses its connection fails every pending request
+        with ShardDied, cancels its reader task, closes its writer and
+        drops it, so no later request can write to a dead socket."""
         from repro.framework.gateway import ShardDied
 
         closed: list[int] = []
@@ -581,31 +580,31 @@ class TestDeadClientPool:
             client = ShardClient(3, "127.0.0.1", 1)
             deaths: list[int] = []
             client.on_death = deaths.append
-            client._conns = [(None, FakeWriter(0)), (None, FakeWriter(1))]
-            client._readers = [
-                asyncio.ensure_future(asyncio.sleep(60))
-                for _ in range(2)]
-            future = asyncio.get_running_loop().create_future()
-            client._pending[0] = future
+            client._writer = FakeWriter(0)
+            reader = asyncio.ensure_future(asyncio.sleep(60))
+            client._reader = reader
+            futures = [asyncio.get_running_loop().create_future()
+                       for _ in range(2)]
+            client._pending.update(enumerate(futures))
             client._mark_dead()
             assert client.dead
             assert deaths == [3]
-            assert sorted(closed) == [0, 1]
-            assert client._conns == [], "dead pool entries left live"
+            assert closed == [0]
+            assert client._writer is None, "dead connection left live"
             assert not client._pending
-            with pytest.raises(ShardDied):
-                await future
+            for future in futures:
+                with pytest.raises(ShardDied):
+                    await future
             # A request after death fails fast instead of touching the
-            # (now empty) pool.
+            # (now closed) connection.
             with pytest.raises(ShardDied):
                 await client.request({"t": "ping"})
-            await asyncio.sleep(0)  # let cancellations land
-            assert all(t.cancelled() or t.done()
-                       for t in client._readers)
-            # Idempotent: a second connection-loss on the same client
+            await asyncio.sleep(0)  # let the cancellation land
+            assert reader.cancelled() or reader.done()
+            # Idempotent: a second connection loss on the same client
             # must not re-fire on_death or double-close.
             client._mark_dead()
-            assert deaths == [3] and sorted(closed) == [0, 1]
+            assert deaths == [3] and closed == [0]
 
         asyncio.run(main())
 
@@ -880,30 +879,6 @@ class TestShardServer:
         assert outcome.status == QueryStatus.DRAINED
         assert stream.report().admission.drained == 1
 
-    def test_queue_bound_sheds_on_a_shard(self, dataset, gw_config):
-        """``ShardSpec.queue_bound`` binds: the shard's second query frame
-        is shed as ``rejected(overload)``."""
-        query = wire.query_to_jsonable(dataset.random_query(size=5, seed=4))
-
-        async def main():
-            server = ShardServer(ShardSpec(0, dataset.graph, gw_config,
-                                           queue_bound=1))
-            await server.start()
-            client = ShardClient(0, "127.0.0.1", server.port)
-            try:
-                await client.connect()
-                return [await asyncio.wait_for(client.request({
-                    "t": "query", "qid": qid, "query": query,
-                    "members": [0]}), timeout=60) for qid in (0, 1)]
-            finally:
-                await client.close()
-                await server.close()
-
-        first, second = asyncio.run(main())
-        assert first["t"] == second["t"] == "verdict"
-        assert first["status"] == QueryStatus.OK
-        assert second["status"] == QueryStatus.REJECTED_OVERLOAD
-
 
 class TestShardJournalLifecycle:
     def test_close_closes_the_journal(self, dataset, gw_config, tmp_path):
@@ -1113,6 +1088,63 @@ class TestGatewayEquivalence:
         assert report.metrics.journal.checkpoints_written > 0
         assert (tmp_path / "wal" / "shard-0.wal").exists()
         assert (tmp_path / "wal" / "shard-1.wal").exists()
+
+    def test_queue_bound_admits_the_first_submissions(self, dataset,
+                                                      gw_config):
+        """The fleet admits once: under ``queue_bound=2`` exactly queries
+        0 and 1 are served, byte-identical to the plain engine, and no
+        shard ever sees a shed query."""
+        queries, _ = generate_traffic(
+            dataset, TrafficSpec(count=6, tenants=3, size=5, seed=11))
+        expected = _baseline_answers(dataset.graph, gw_config, queries[:2])
+        tracer = Tracer()
+        with LocalCluster(make_shard_specs(dataset.graph, gw_config,
+                                           4)) as cluster:
+            report = Gateway(cluster.handles, queue_bound=2,
+                             tracer=tracer).run(queries)
+        assert [o.status for o in report.outcomes] == \
+            [QueryStatus.OK] * 2 + [QueryStatus.REJECTED_OVERLOAD] * 4
+        _assert_byte_identical(expected, report.answers[:2])
+        assert report.answers[2:] == [None] * 4
+        assert {o.detail for o in report.outcomes[2:]} == \
+            {"queue bound 2 exceeded"}
+        assert sorted(report.drain_summaries) == [0, 1, 2, 3]
+        for summary in report.drain_summaries.values():
+            assert summary["admission"]["submitted"] == 2
+            assert summary["statuses"] == [QueryStatus.OK] * 2
+        (admission,) = [s for s in tracer.spans if s.name == "admission"]
+        assert admission.attrs == {"submitted": 6, "admitted": 2,
+                                   "shed": 4}
+
+    def test_rejects_a_non_positive_queue_bound(self):
+        handle = types.SimpleNamespace(shard_id=0, host="", port=0)
+        for bound in (0, -1, True):
+            with pytest.raises(ValueError, match="queue_bound"):
+                Gateway([handle], queue_bound=bound)
+
+    def test_each_shard_journals_queries_in_routing_order(
+            self, dataset, gw_config, tmp_path):
+        """One connection per shard and FIFO windows: every shard begins
+        the queries in the gateway's signature-grouped routing order."""
+        queries, _ = generate_traffic(
+            dataset, TrafficSpec(count=8, tenants=3, size=5, seed=11))
+        groups: dict[tuple, list[int]] = {}
+        for qid, query in enumerate(queries):
+            signature = (tuple(query.label(u) for u in query.vertex_order),
+                         query.diameter, query.semantics)
+            groups.setdefault(signature, []).append(qid)
+        order = [qid for indices in groups.values() for qid in indices]
+        assert order != sorted(order), "the trace must regroup"
+        (tmp_path / "wal").mkdir()
+        specs = make_shard_specs(dataset.graph, gw_config, 2,
+                                 journal_dir=str(tmp_path / "wal"))
+        with LocalCluster(specs) as cluster:
+            report = Gateway(cluster.handles).run(queries)
+        assert report.completed == len(queries)
+        for shard_id in (0, 1):
+            state = RunJournal(tmp_path / "wal" / f"shard-{shard_id}.wal",
+                               journal_key(gw_config.seed)).replay()
+            assert [q.index for q in state.queries.values()] == order
 
     def test_rejects_degenerate_fleets(self):
         with pytest.raises(GatewayError):

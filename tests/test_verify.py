@@ -589,10 +589,9 @@ _HONEST_VERDICT = {
 
 
 def _absorb_once(verdict: dict) -> None:
-    """``Gateway._absorb`` on the merge state of a one-query batch that
-    still waits for another slice."""
+    """``Gateway._absorb`` on the merge state of a one-query batch."""
     gateway = Gateway([SimpleNamespace(shard_id=0, host="", port=0)])
-    gateway._states = [_QueryState(outstanding=2)]
+    gateway._states = [_QueryState()]
     gateway._busy = {0: 0.0}
     gateway._metrics = RunMetrics()
     gateway._absorb(0, {"qid": 0}, verdict)
