@@ -862,8 +862,31 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help=argparse.SUPPRESS)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive int, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive int, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on :data:`EXIT_USAGE`: argparse's own
+    code 2 is :data:`EXIT_STALE`, which scripts read as "rebuild the
+    store".  ``add_subparsers`` makes every subparser this class too
+    (its ``parser_class`` defaults to the parent's type)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Prilo/Prilo*: privacy preserving LGPQ processing")
     parser.add_argument("--scale", type=float, default=1.0,
@@ -907,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--engine", default="prilo",
                          choices=sorted(ENGINE_CLASSES))
     p_batch.add_argument("--store", default=None, metavar="DIR")
-    p_batch.add_argument("--queue-bound", type=int, default=None,
+    p_batch.add_argument("--queue-bound", type=_positive_int, default=None,
                          metavar="N",
                          help="admission bound: queries past the first N "
                               "are shed with REJECTED(overload)")
@@ -1046,7 +1069,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw.add_argument("--journal-dir", default=None, metavar="DIR",
                       help="give each shard its own write-ahead journal "
                            "(shard-<i>.wal) under this directory")
-    p_gw.add_argument("--queue-bound", type=int, default=None, metavar="N",
+    p_gw.add_argument("--queue-bound", type=_positive_int, default=None,
+                      metavar="N",
                       help="the fleet admits the first N queries of the "
                            "trace and sheds the rest as REJECTED(overload) "
                            "before any shard sees them")

@@ -23,11 +23,18 @@ possibly map to it (no remaining row carries the center's label) is
 abandoned early.
 
 Production code reads the enumeration as a *recorded mask stream*:
-:func:`prepare_ball` runs the fused kernel :func:`iter_projected_masks`
-once per (ball, :func:`enumeration_signature`) and keeps the outcome as a
+:func:`prepare_ball` runs Alg. 1 once per (ball,
+:func:`enumeration_signature`) and keeps the outcome as a
 :class:`PreparedBall`, the single input of hom / sub-iso verification.
-:func:`iter_cmms` / :func:`enumerate_cmms` stay as the CMM-object
-reference.
+The stream is recorded in Alg. 1's order (``V_Q`` rows, each row's
+candidates in ``repr`` order), but the assignment tree is *walked* in a
+work order that places the center-label rows first, so the center cut
+fires as soon as they are placed, and then the narrowest rows: which
+assignments are leaves does not depend on the order rows are placed
+in, and each leaf carries its Alg. 1 rank, so the recorded order is
+restored by one sort.  Both orders read only ``V_Q``, the labels and
+the ball's label buckets.  :func:`iter_cmms` / :func:`enumerate_cmms`
+stay as the CMM-object reference.
 """
 
 from __future__ import annotations
@@ -59,12 +66,11 @@ def candidate_vertices(query: Query, ball: Ball,
                        ) -> dict[Vertex, list[Vertex]]:
     """``CV(u)`` (Alg. 1 lines 6-9): the ball vertices sharing ``u``'s label.
 
-    Ordering is deterministic so enumeration is reproducible.
+    Ordering is deterministic (``repr`` order, memoised on the ball's
+    graph) so enumeration is reproducible.
     """
-    by_label: dict[object, list[Vertex]] = {}
-    for label in query.alphabet:
-        by_label[label] = sorted(ball.graph.vertices_with_label(label),
-                                 key=repr)
+    bucket = ball.graph.sorted_vertices_with_label
+    by_label = {label: list(bucket(label)) for label in query.alphabet}
     return {u: by_label[query.label(u)] for u in query.vertex_order}
 
 
@@ -114,70 +120,108 @@ def iter_cmms(query: Query, ball: Ball,
     yield from extend(0, False)
 
 
-def iter_projected_masks(query: Query, ball: Ball, injective: bool = False,
-                         cv: dict[Vertex, list[Vertex]] | None = None,
-                         ) -> Iterator[int]:
-    """Alg. 1 fused with Alg. 2's projection: the packed ``M_p`` of every
-    CMM :func:`iter_cmms` yields, in the same order.
+def work_order(query: Query, ball: Ball,
+               cv: dict[Vertex, list[Vertex]] | None = None) -> list[int]:
+    """The order :func:`prepare_ball` places the ``V_Q`` rows in, as row
+    positions: the rows labeled like the ball's center first (so the
+    center cut fires as soon as they are placed), then the others by
+    ascending ``|CV(u)|``, ties by ``V_Q`` position.
 
-    Bit layout is :func:`repro.crypto.kernels.mask_of_pattern`'s: position
-    ``pos(i, j) = i*(n-1) + (j if j < i else j - 1)`` holds ``M_p[i][j]``.
-    One DFS carries the partial mask down the tree: mapping row ``r`` adds
-    the bits ``pos(r, j)`` and ``pos(j, r)`` for ``j < r`` once per node,
-    shared by the node's whole subtree, so no CMM object and no per-leaf
-    re-projection is ever built.  ``cv`` hands down an already computed
-    :func:`candidate_vertices`.
+    It reads the query's labels and the ball's label buckets only, never
+    ``E_Q``: Alg. 1's obliviousness contract holds for the walk as it
+    does for the recorded order.
     """
     if cv is None:
         cv = candidate_vertices(query, ball)
+    order = query.vertex_order
+    first = [p for p, u in enumerate(order)
+             if query.label(u) == ball.center_label]
+    return first + sorted((p for p in range(len(order)) if p not in first),
+                          key=lambda p: (len(cv[order[p]]), p))
+
+
+def _ranked_masks(query: Query, ball: Ball,
+                  cv: dict[Vertex, list[Vertex]], injective: bool,
+                  stop: int) -> tuple[list[int], list[int]]:
+    """Alg. 1 fused with Alg. 2's projection: the ranks and the masks
+    ``M_p`` (two parallel lists) of the CMMs :func:`iter_cmms` yields,
+    walked in :func:`work_order`, at most ``stop`` of them.
+
+    ``rank`` is the CMM's position in Alg. 1's order, as a mixed-radix
+    number over the ``V_Q`` rows (digit = index in ``CV(u)``); it grows
+    one term per placed row.  The feasibility cut: the level placing the
+    last center-label row, reached without the center, may place only
+    the center.
+
+    ``M_p`` is packed as in :func:`repro.crypto.kernels.mask_of_pattern`:
+    ``M_p[i][j]`` at ``pos(i, j) = i*(n-1) + (j if j < i else j - 1)``.
+    Each node ORs the bits of its row against every row placed above it,
+    shared by its whole subtree: one probe of a per-ball adjacency code
+    (bit 1: ``v -> w``, bit 2: ``w -> v``) indexes the ready-made bits.
+    """
     rows = [cv[u] for u in query.vertex_order]
-    if not all(rows):
-        return
-    last = len(rows) - 1
-    center = ball.center
-    # A prefix that has not used the center is dead once no remaining row
-    # carries the center's label (iter_cmms's feasibility cut).
-    last_center_row = max((r for r, u in enumerate(query.vertex_order)
-                           if query.label(u) == ball.center_label),
-                          default=-1)
-    succ = {v: ball.graph.successors(v) for v in set().union(*rows)}
-    # pos(r, j) and pos(j, r) for j < r, as ready-made bits per row.
-    out_bits = [[1 << (r * last + j) for j in range(r)]
-                for r in range(last + 1)]
-    in_bits = [[1 << (j * last + r - 1) for j in range(r)]
-               for r in range(last + 1)]
-    chosen: list[Vertex] = [None] * (last + 1)
-    cursor = [0] * (last + 1)        # next candidate of each row to try
-    partial = [0] * (last + 2)       # mask bits among the rows above
-    centered = [False] * (last + 2)  # some row above maps to the center
-    row = 0
-    while row >= 0:
-        at = cursor[row]
-        if at == len(rows[row]) or not (centered[row]
-                                        or row <= last_center_row):
-            cursor[row] = 0
-            row -= 1
-            continue
-        cursor[row] = at + 1
-        v = rows[row][at]
-        above = chosen[:row]
-        has_center = centered[row] or v == center
-        if (injective and v in above) or (row == last and not has_center):
-            continue  # footnote 3 / Alg. 1 lines 11-12
-        mask = partial[row]
-        succ_v = succ[v]
-        for w, out_bit, in_bit in zip(above, out_bits[row], in_bits[row]):
-            if w in succ_v:
-                mask |= out_bit
-            if v in succ[w]:
-                mask |= in_bit
-        if row == last:
-            yield mask
-            continue
-        chosen[row] = v
-        row += 1
-        partial[row] = mask
-        centered[row] = has_center
+    # The level that must place the center if no level above it did.
+    cut = sum(query.label(u) == ball.center_label
+              for u in query.vertex_order) - 1
+    if cut < 0 or not all(rows):
+        return [], []
+    n, center = len(rows), ball.center
+    work = work_order(query, ball, cv)
+    step = [1] * n  # Alg. 1 rank of one step along row p
+    for p in range(n - 2, -1, -1):
+        step[p] = step[p + 1] * len(rows[p + 1])
+    code: dict[Vertex, dict[Vertex, int]] = {
+        v: {} for v in set().union(*rows)}
+    for v, code_v in code.items():
+        for w in ball.graph.iter_successors(v):
+            code_w = code.get(w)
+            if code_w is not None:
+                code_v[w] = code_v.get(w, 0) | 1
+                code_w[v] = code_w.get(v, 0) | 2
+
+    def bit(i: int, j: int) -> int:
+        return 1 << (i * (n - 1) + (j if j < i else j - 1))
+
+    # Per level, per row above: the bits of code 0..3 against it.
+    pair_bits = [[(0, bit(p, q), bit(q, p), bit(p, q) | bit(q, p))
+                  for q in work[:level]] for level, p in enumerate(work)]
+    level_rows = [rows[p] for p in work]
+    level_steps = [step[p] for p in work]
+    center_at = ((rows[work[cut]].index(center), center),)  # cut level
+    last = n - 1
+    placed: list[Vertex] = [None] * n
+    # Two int lists, not (rank, mask) tuples: ints are not tracked by the
+    # cyclic garbage collector, so the leaves add nothing for it to scan.
+    ranks: list[int] = []
+    masks: list[int] = []
+
+    def extend(level: int, mask: int, rank: int, centered: bool) -> bool:
+        used = placed[:level] if injective else ()  # footnote 3
+        unit = level_steps[level]
+        for i, v in (enumerate(level_rows[level]) if centered or level != cut
+                     else center_at):
+            if v in used:
+                continue
+            code_v = code[v]
+            m = mask
+            for w, bits in zip(placed, pair_bits[level]):
+                c = code_v.get(w)
+                if c:
+                    m |= bits[c]
+            if level == last:
+                ranks.append(rank + i * unit)
+                masks.append(m)
+                if len(ranks) == stop:
+                    return True
+            else:
+                placed[level] = v
+                if extend(level + 1, m, rank + i * unit,
+                          centered or v == center):
+                    return True
+        return False
+
+    extend(0, 0, 0, False)
+    return ranks, masks
 
 
 @dataclass(frozen=True)
@@ -189,7 +233,7 @@ class PreparedBall:
     ``masks`` holds the *distinct* projected matrices ``M_p`` of the
     ball's CMMs as packed off-diagonal selection masks
     (:func:`repro.crypto.kernels.mask_of_pattern` layout), in
-    first-appearance order; ``pattern_of_cmm`` maps each CMM, in
+    first-appearance order; ``pattern_of_cmm`` maps each CMM, in Alg. 1's
     enumeration order, to its index there.  It holds plain integers only
     (no graph objects), so a :class:`~repro.framework.server.CMMCache`
     can keep it across queries and ship it to worker processes.
@@ -230,7 +274,7 @@ def enumeration_signature(query: Query, *, enumeration_limit: int,
 
 def prepare_ball(query: Query, ball: Ball, *, enumeration_limit: int,
                  cmm_bound_bypass: int) -> PreparedBall:
-    """Run Alg. 1 once and record its mask stream.
+    """Run Alg. 1 once and record its mask stream in Alg. 1's order.
 
     The one place the two footnote-6 decisions are taken: the bound
     bypass is checked before any enumeration (``enumerated == 0``), and
@@ -238,28 +282,35 @@ def prepare_ball(query: Query, ball: Ball, *, enumeration_limit: int,
     -- either way the ball is reported unpruned rather than risking an
     unsound verdict on a partial CMM set.
 
-    CMMs are grouped by their packed off-diagonal selection mask, which
-    :func:`iter_projected_masks` yields directly.  The mask ignores the
-    diagonal, but projections keep the diagonal 0 by construction, so
-    mask equality and pattern equality coincide.
+    The tree is walked in :func:`work_order` and each CMM comes with its
+    Alg. 1 rank: ``pattern_of_cmm`` is the CMMs sorted by
+    rank, ``masks`` the distinct masks ordered by their smallest rank --
+    the stream Alg. 1's own order yields.  The work order reads the query's
+    labels and the ball's label buckets only, so two queries with equal
+    :func:`enumeration_signature` still get the same stream.  The mask
+    ignores the diagonal, but projections keep the diagonal 0 by
+    construction, so mask equality and pattern equality coincide.
     """
     cv = candidate_vertices(query, ball)
     if count_cmm_upper_bound(query, ball, cv) > cmm_bound_bypass:
         return PreparedBall(ball_id=ball.ball_id, enumerated=0,
                             truncated=False, bound_bypassed=True,
                             masks=(), pattern_of_cmm=())
-    injective = query.semantics is Semantics.SUB_ISO
+    ranks, masks = _ranked_masks(
+        query, ball, cv, injective=query.semantics is Semantics.SUB_ISO,
+        stop=enumeration_limit + 1)
+    if len(ranks) > enumeration_limit:
+        return PreparedBall(ball_id=ball.ball_id,
+                            enumerated=enumeration_limit, truncated=True,
+                            bound_bypassed=False, masks=(),
+                            pattern_of_cmm=())
     index_of: dict[int, int] = {}  # mask -> pattern index, insertion order
-    order: list[int] = []
-    for mask in iter_projected_masks(query, ball, injective=injective, cv=cv):
-        if len(order) >= enumeration_limit:
-            return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
-                                truncated=True, bound_bypassed=False,
-                                masks=(), pattern_of_cmm=())
-        order.append(index_of.setdefault(mask, len(index_of)))
+    order = tuple([index_of.setdefault(masks[leaf], len(index_of))
+                   for leaf in sorted(range(len(ranks)),
+                                      key=ranks.__getitem__)])
     return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
                         truncated=False, bound_bypassed=False,
-                        masks=tuple(index_of), pattern_of_cmm=tuple(order))
+                        masks=tuple(index_of), pattern_of_cmm=order)
 
 
 def enumerate_cmms(query: Query, ball: Ball,

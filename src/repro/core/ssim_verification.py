@@ -148,7 +148,7 @@ def ssim_verify_ball(
     label_bits = _successor_bits(query)
     # Sorted candidates per query label; their first-appearance order is
     # the order the chunked layout ships distinct products in.
-    members = {label: sorted(graph.vertices_with_label(label), key=repr)
+    members = {label: graph.sorted_vertices_with_label(label)
                for label in label_bits}
     bits_of = dict.fromkeys(graph.vertices(), 0)
     for label, vertices in members.items():

@@ -252,8 +252,9 @@ class PlacementManifest:
         none), never a truncated one."""
         path = Path(root) / PLACEMENT_FILE
         tmp = path.with_name(PLACEMENT_FILE + ".tmp")
-        tmp.write_text(json.dumps(self.to_jsonable(), indent=1,
-                                  sort_keys=True) + "\n", encoding="utf-8")
+        tmp.write_text(json.dumps(self.to_jsonable(), sort_keys=True,
+                                  separators=(",", ":")) + "\n",
+                       encoding="utf-8")
         os.replace(tmp, path)
         return path
 

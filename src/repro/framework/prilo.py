@@ -415,7 +415,7 @@ class Prilo:
         keep = self.ball_filter
         balls = [
             self.index.ball(v, query.diameter)
-            for v in sorted(self.graph.vertices_with_label(label), key=repr)
+            for v in self.graph.sorted_vertices_with_label(label)
             if keep(self.index.ball_id(v, query.diameter))
         ]
         return label, balls

@@ -167,7 +167,7 @@ class BallIndex:
         self._check_epoch()
         if radius not in self._radii:
             raise KeyError(f"radius {radius} not indexed (have {self._radii})")
-        centers = sorted(self._graph.vertices_with_label(label), key=repr)
+        centers = self._graph.sorted_vertices_with_label(label)
 
         def _iter() -> Iterator[Ball]:
             for v in centers:

@@ -84,6 +84,23 @@ class GraphReadAPI:
     def vertices_with_label(self, label: Label) -> frozenset[Vertex]:
         return frozenset(self._label_index.get(label, frozenset()))
 
+    def sorted_vertices_with_label(self, label: Label) -> tuple[Vertex, ...]:
+        """``vertices_with_label`` in ``repr`` order: the deterministic
+        order of ``CV(u)`` (Alg. 1) and of Prop. 1's candidate centers.
+
+        Memoised on the graph per ``mutation_epoch``, as
+        :func:`repro.storage.store.graph_digest` is, so every query that
+        reads a label of the same graph sorts its bucket once.
+        """
+        memo = getattr(self, "_sorted_label_memo", None)
+        if memo is None or memo[0] != self._epoch:
+            memo = self._sorted_label_memo = (self._epoch, {})
+        bucket = memo[1].get(label)
+        if bucket is None:
+            bucket = memo[1][label] = tuple(
+                sorted(self._label_index.get(label, ()), key=repr))
+        return bucket
+
     def label_frequency(self, label: Label) -> int:
         return len(self._label_index.get(label, ()))
 
@@ -92,6 +109,10 @@ class GraphReadAPI:
 
     def successors(self, v: Vertex) -> frozenset[Vertex]:
         return frozenset(self._succ[v])
+
+    def iter_successors(self, v: Vertex) -> Iterator[Vertex]:
+        """The successors of ``v`` without a copy (a one-pass read)."""
+        return iter(self._succ[v])
 
     def predecessors(self, v: Vertex) -> frozenset[Vertex]:
         return frozenset(self._pred[v])

@@ -463,7 +463,8 @@ class _StoreWriter:
                                   for name in _ARTIFACTS}}
         tmp_manifest = root / (_MANIFEST + ".tmp")
         tmp_manifest.write_text(
-            json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+            json.dumps(manifest, sort_keys=True, separators=(",", ":")),
+            encoding="utf-8")
         os.replace(tmp_manifest, root / _MANIFEST)
         return manifest
 

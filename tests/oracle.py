@@ -5,12 +5,19 @@ Player would.  The production calls (``evaluate_ball_kernel``,
 ``compute_pms_kernel``) must equal these value for value; ciphertexts and
 results are dataclasses, so ``==`` compares every value, ``power``,
 ``value_bits`` and the result shape at once.  Beside them, the set-based
-dual simulation the bitset fixpoint of ``repro.semantics.ssim`` must equal.
+dual simulation the bitset fixpoint of ``repro.semantics.ssim`` must equal,
+and Alg. 1 walked in ``V_Q`` order (:func:`iter_projected_masks`), the
+recorded mask stream ``prepare_ball`` must equal.
 """
 
 from repro.core.aggregation import aggregate_items, chunked_product
 from repro.core.encoding import encrypt_query_matrix
-from repro.core.enumeration import count_cmm_upper_bound, enumerate_cmms
+from repro.core.enumeration import (
+    PreparedBall,
+    candidate_vertices,
+    count_cmm_upper_bound,
+    enumerate_cmms,
+)
 from repro.core.neighbors import neighbor_features
 from repro.core.paths import paths_from
 from repro.core.ssim_verification import (
@@ -68,6 +75,96 @@ def _ssim_ball(fixed, view, ball):
     return SsimBallVerdict(
         ball_id=ball.ball_id, per_vertex=per_vertex,
         center=aggregate_items(params, ball.ball_id, center_items, plan))
+
+
+def iter_projected_masks(query, ball, injective=False, cv=None):
+    """Alg. 1 fused with Alg. 2's projection, walked in Alg. 1's own
+    order: the packed ``M_p`` of every CMM ``iter_cmms`` yields, in the
+    same order.
+
+    Bit layout is ``repro.crypto.kernels.mask_of_pattern``'s: position
+    ``pos(i, j) = i*(n-1) + (j if j < i else j - 1)`` holds ``M_p[i][j]``.
+    One DFS over the ``V_Q`` rows carries the partial mask down the tree:
+    mapping row ``r`` adds the bits ``pos(r, j)`` and ``pos(j, r)`` for
+    ``j < r`` once per node.  ``cv`` hands down an already computed
+    ``candidate_vertices``.
+    """
+    if cv is None:
+        cv = candidate_vertices(query, ball)
+    rows = [cv[u] for u in query.vertex_order]
+    if not all(rows):
+        return
+    last = len(rows) - 1
+    center = ball.center
+    # A prefix that has not used the center is dead once no remaining row
+    # carries the center's label (iter_cmms's feasibility cut).
+    last_center_row = max((r for r, u in enumerate(query.vertex_order)
+                           if query.label(u) == ball.center_label),
+                          default=-1)
+    succ = {v: ball.graph.successors(v) for v in set().union(*rows)}
+    out_bits = [[1 << (r * last + j) for j in range(r)]
+                for r in range(last + 1)]
+    in_bits = [[1 << (j * last + r - 1) for j in range(r)]
+               for r in range(last + 1)]
+    chosen = [None] * (last + 1)
+    cursor = [0] * (last + 1)        # next candidate of each row to try
+    partial = [0] * (last + 2)       # mask bits among the rows above
+    centered = [False] * (last + 2)  # some row above maps to the center
+    row = 0
+    while row >= 0:
+        at = cursor[row]
+        if at == len(rows[row]) or not (centered[row]
+                                        or row <= last_center_row):
+            cursor[row] = 0
+            row -= 1
+            continue
+        cursor[row] = at + 1
+        v = rows[row][at]
+        above = chosen[:row]
+        has_center = centered[row] or v == center
+        if (injective and v in above) or (row == last and not has_center):
+            continue  # footnote 3 / Alg. 1 lines 11-12
+        mask = partial[row]
+        succ_v = succ[v]
+        for w, out_bit, in_bit in zip(above, out_bits[row], in_bits[row]):
+            if w in succ_v:
+                mask |= out_bit
+            if v in succ[w]:
+                mask |= in_bit
+        if row == last:
+            yield mask
+            continue
+        chosen[row] = v
+        row += 1
+        partial[row] = mask
+        centered[row] = has_center
+
+
+def reference_prepared_ball(query, ball, *, enumeration_limit,
+                            cmm_bound_bypass):
+    """The ``PreparedBall`` ``prepare_ball`` must return, recorded off
+    :func:`iter_projected_masks` in Alg. 1's order: bound bypass first,
+    truncation at the ``limit+1``-th CMM with ``enumerated == limit``,
+    distinct masks in first-appearance order."""
+    def result(enumerated=0, truncated=False, bound_bypassed=False,
+               masks=(), pattern_of_cmm=()):
+        return PreparedBall(ball_id=ball.ball_id, enumerated=enumerated,
+                            truncated=truncated,
+                            bound_bypassed=bound_bypassed, masks=masks,
+                            pattern_of_cmm=pattern_of_cmm)
+
+    cv = candidate_vertices(query, ball)
+    if count_cmm_upper_bound(query, ball, cv) > cmm_bound_bypass:
+        return result(bound_bypassed=True)
+    index_of, order = {}, []
+    for mask in iter_projected_masks(
+            query, ball, injective=query.semantics is Semantics.SUB_ISO,
+            cv=cv):
+        if len(order) >= enumeration_limit:
+            return result(enumerated=len(order), truncated=True)
+        order.append(index_of.setdefault(mask, len(index_of)))
+    return result(enumerated=len(order), masks=tuple(index_of),
+                  pattern_of_cmm=tuple(order))
 
 
 def oracle_table_prune(params, tables, ball, features, c_one):

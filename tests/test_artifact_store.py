@@ -516,14 +516,20 @@ class TestMalformedManifest:
 # placement.json) were re-recorded once more, by running the same steps,
 # when a delta stopped re-encrypting dirty balls whose record bytes did
 # not change: fewer nonces are drawn, and balls.pack / twiglets.json are
-# unedited.
+# unedited.  The JSON documents alone (every manifest.json, including
+# GOLDEN_R1_CIPHER_V1's, every shard-N/manifest.json and placement.json)
+# were re-recorded once more, by running the same steps, when the writers
+# went from ``indent=1`` to compact separators: the same content in fewer
+# bytes.  balls.pack, encrypted.pack and twiglets.json are unedited, and
+# so is the legacy manifest digest, which tests/legacy_store.py still
+# writes with ``indent=1``.
 GOLDEN_R1_CIPHER_V1 = {
     "balls.pack":
         "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
     "encrypted.pack":
         "bf06e7e447c7626444b4a08f9857885c8e657db2312a1dbbd9a2345d6bbb4cab",
     "manifest.json":
-        "cb62e9c6c52e26e53de9f03a91ec2a37dc0d8de2d503aa48476aa00149e8447f",
+        "e95334adb7493e206b7bcf12bc9b1e8addfb9757ed183257bfd8c709b193a231",
 }
 GOLDEN_R1 = {
     "balls.pack":
@@ -531,7 +537,7 @@ GOLDEN_R1 = {
     "encrypted.pack":
         "cc748367c78751d9956ee06b75c0da18de8a0cf61d7b9416071d17f7e6e9a7a0",
     "manifest.json":
-        "7197dd754feb7715656e2ae6b40dcb282c8e3abd540b1c1a8d1fb72c90baaec5",
+        "d50722ce72aac6d67543c1d2c463749f19e7442a035eec7ba4deb3b941fd1a8f",
 }
 GOLDEN_R1_ARTIFACTS = {
     "twiglets.json":
@@ -543,7 +549,7 @@ GOLDEN_R1_AFTER_TWO_DELTAS = {
     "encrypted.pack":
         "7a216967f2780f2f503470e86204200dac2f1d7d068ce929948e5ac00f7e0d90",
     "manifest.json":
-        "f57d9677dbb8c770aaf7f2e687b7e6c81af0a54b1e83147215219ad2a9d7ff6d",
+        "66942c3315b03e99f3e18cf782e604971cc016731b847e4e7dc60f978b816116",
 }
 GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS = {
     "twiglets.json":
@@ -555,7 +561,7 @@ GOLDEN_R1_AFTER_VERTEX_CHURN = {
     "encrypted.pack":
         "24972a2d6466d821a1e0908568a3e76094f548a9e7b44641225097f2de2a17d8",
     "manifest.json":
-        "b610d4b4f455d31e684e2c8e82e51b3928c21009834af715a10339608f9efc8e",
+        "d3aa748cc8ea390c9fca2e0aec79cb37cd20cb2f51f461be2058fbcd24214d5a",
 }
 GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
     "twiglets.json":
@@ -563,19 +569,19 @@ GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
 }
 GOLDEN_R1_SHARD_SPLIT = {
     "placement.json":
-        "55a2366531c0b07fcfe7ce5b7c025b491756f6a56b611c3c7eacbe00ba310815",
+        "606e4f476cc96ad64688801ba39109a4d117ca4258ba3167ecd9dc1824580f07",
     "shard-0/balls.pack":
         "cfa1bee20e6aad5c8a6e71a27d69b2000f62ea01b318095fd0706794a29505b3",
     "shard-0/encrypted.pack":
         "a323aacbe3723a64fcf13d67c0110c30858005d39bdb1bab15c032fa23f5187c",
     "shard-0/manifest.json":
-        "a19631674125cdbc11606d9389dcd9dbc4a87ba075c785f38546a4382a2e3f39",
+        "36c9f50ce82492edf814c3f9a3cde60ae6f5ed3d3a0a599e184ea56503ec8132",
     "shard-1/balls.pack":
         "33b58c2a8f739c18e8fb1729b022569967cbb74021a12fed049e46277dad058e",
     "shard-1/encrypted.pack":
         "189636d623f9349f27f2bc5273443bc8308940f39674c0b2a1413a3c83de46ea",
     "shard-1/manifest.json":
-        "0fc1f95c13316f5624be1854e535876ca46425aefe607782bb6fd3db93c890ad",
+        "dc52c17e2da73107c60f46279e2c8facf571949058d1009d40dd94cde8c48ffa",
 }
 GOLDEN_R1_SHARD_SPLIT_ARTIFACTS = {
     "shard-0/twiglets.json":
@@ -589,7 +595,7 @@ GOLDEN_R2 = {
     "encrypted.pack":
         "f21cce0270553fd4f83063f925be3ad4fbb0961e379ba5fcb8a70d53eeaaf7b2",
     "manifest.json":
-        "f06c0926cb7132c1b5e5f314bfa72cb8f51e72bf8082504c3aa10fe991965124",
+        "86e3e2268008c50459235b4e468a9480491bfe1ee1992cc7caf72c65b67da2cf",
 }
 GOLDEN_R2_ARTIFACTS = {
     "twiglets.json":
@@ -619,9 +625,10 @@ class TestGoldenPackBytes:
     Re-recorded once for ball record v2 (``balls.pack``,
     ``encrypted.pack``, ``manifest.json`` and the split's
     ``placement.json`` changed because every record did), the
-    manifests once more when the tree artifact went, and the ciphertext
-    digests once more for cipher v2; the ``twiglets.json`` digests are the
-    ones recorded under the v1 payload and must stay so."""
+    manifests once more when the tree artifact went, the ciphertext
+    digests once more for cipher v2, and the JSON documents once more
+    for the compact manifest; the ``twiglets.json`` digests are the ones
+    recorded under the v1 payload and must stay so."""
 
     @pytest.fixture(scope="class")
     def dblp(self):

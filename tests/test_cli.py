@@ -12,6 +12,7 @@ from repro.cli import (
     EXIT_LEAKAGE,
     EXIT_STALE,
     EXIT_TABLE,
+    EXIT_USAGE,
     STATUS_EXIT,
     build_parser,
     combine_exit,
@@ -58,6 +59,37 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @staticmethod
+    def usage_error(argv, capsys) -> str:
+        """Run ``main(argv)``; it must exit :data:`EXIT_USAGE` through
+        argparse, not 2 (:data:`EXIT_STALE`) and not with a traceback.
+        Returns the last line of standard error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["serve-batch", "gateway"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_queue_bound_below_one_is_a_usage_error(self, command, value,
+                                                    capsys):
+        line = self.usage_error(["--scale", "0.05", command, "slashdot",
+                                 "--queue-bound", value], capsys)
+        assert line == (f"repro {command}: error: argument --queue-bound: "
+                        f"must be a positive int, got {value}")
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-batch", "slashdot", "--queue-bound", "abc"],
+        ["serve-batch", "slashdot", "--no-such-flag"],
+        ["store", "build", "dblp", "/tmp/x", "--no-bf"],
+        ["store", "no-such-command"],
+    ], ids=["bad-int", "unknown-flag", "nested-unknown-flag",
+            "unknown-subcommand"])
+    def test_every_argparse_error_exits_usage(self, argv, capsys):
+        assert "error:" in self.usage_error(argv, capsys)
 
 
 class TestExecution:

@@ -16,7 +16,7 @@ from repro.core.aggregation import (
     decide_positive,
 )
 from repro.core.encoding import encrypt_query_matrix
-from repro.core.enumeration import enumerate_cmms, iter_projected_masks
+from repro.core.enumeration import enumerate_cmms
 from repro.core.ssim_verification import decide_ssim_ball
 from repro.core.verification import (
     verification_multiexp,
@@ -38,6 +38,7 @@ from repro.framework.prilo_star import PriloStar
 from repro.graph.query import Semantics
 from repro.semantics.ssim import maximal_dual_simulation
 from tests.oracle import (
+    iter_projected_masks,
     message_of,
     oracle_evaluate_ball,
     reference_dual_simulation,

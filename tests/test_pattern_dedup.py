@@ -35,7 +35,6 @@ from repro.core.encoding import encrypt_query_matrix
 from repro.core.enumeration import (
     enumerate_cmms,
     iter_cmms,
-    iter_projected_masks,
     prepare_ball,
 )
 from repro.core.verification import (
@@ -56,7 +55,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query import Query, QueryLabelView, Semantics
 from repro.semantics.evaluate import ball_contains_match
 from repro.storage.journal import RunJournal, journal_key
-from tests.oracle import oracle_evaluate_ball
+from tests.oracle import iter_projected_masks, oracle_evaluate_ball
 
 SEEDS = st.integers(0, 10 ** 6)
 BOTH = pytest.mark.parametrize("semantics",
