@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="dataset size multiplier")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--players", type=int, default=4,
+    parser.add_argument("--players", type=_positive_int, default=4,
                         help="number of Player servers (k)")
     parser.add_argument("--modulus", type=int, default=1024,
                         help="CGBE modulus bits (paper: 4096)")
@@ -905,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one random query end to end")
     p_run.add_argument("dataset", choices=datasets)
-    p_run.add_argument("--size", type=int, default=8)
+    p_run.add_argument("--size", type=_positive_int, default=8)
     p_run.add_argument("--diameter", type=int, default=3)
     p_run.add_argument("--semantics", default="hom",
                        choices=[s.value for s in Semantics])
@@ -921,9 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("dataset", choices=datasets)
     p_batch.add_argument("--batch", type=int, default=8,
                          help="total queries to serve")
-    p_batch.add_argument("--distinct", type=int, default=2,
+    p_batch.add_argument("--distinct", type=_positive_int, default=2,
                          help="distinct queries cycled through the batch")
-    p_batch.add_argument("--size", type=int, default=8)
+    p_batch.add_argument("--size", type=_positive_int, default=8)
     p_batch.add_argument("--diameter", type=int, default=3)
     p_batch.add_argument("--semantics", default="hom",
                          choices=[s.value for s in Semantics])
@@ -989,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
              "placement manifest (input to the gateway)")
     p_split.add_argument("root", help="source store directory")
     p_split.add_argument("out", help="target directory (must be empty)")
-    p_split.add_argument("--shards", type=int, default=4)
+    p_split.add_argument("--shards", type=_positive_int, default=4)
     p_split.set_defaults(func=cmd_store_shard_split)
 
     p_mkdelta = store_sub.add_parser(
@@ -1050,12 +1050,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve zipf many-tenant traffic through a local N-shard "
              "cluster behind the scatter-gather gateway")
     p_gw.add_argument("dataset", choices=datasets)
-    p_gw.add_argument("--shards", type=int, default=4)
+    p_gw.add_argument("--shards", type=_positive_int, default=4)
     p_gw.add_argument("--count", type=int, default=32,
                       help="total queries in the traffic trace")
     p_gw.add_argument("--tenants", type=int, default=8,
                       help="distinct tenant queries the trace draws from")
-    p_gw.add_argument("--size", type=int, default=8)
+    p_gw.add_argument("--size", type=_positive_int, default=8)
     p_gw.add_argument("--diameter", type=int, default=3)
     p_gw.add_argument("--semantics", default="hom",
                       choices=[s.value for s in Semantics])
@@ -1127,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune = sub.add_parser("prune", help="pruning ablation (Fig. 2a)")
     p_prune.add_argument("dataset", choices=datasets)
     p_prune.add_argument("--queries", type=int, default=3)
-    p_prune.add_argument("--size", type=int, default=8)
+    p_prune.add_argument("--size", type=_positive_int, default=8)
     p_prune.add_argument("--diameter", type=int, default=3)
     p_prune.add_argument("--semantics", default="hom",
                          choices=[s.value for s in Semantics])

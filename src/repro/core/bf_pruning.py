@@ -19,7 +19,9 @@ Pipeline (Sec. 4.1.2):
 
 The ``BF_t`` threshold of Sec. 6.1 is enforced player-side: balls whose
 center neighborhood signals an explosive topology-x enumeration skip BF and
-are conservatively marked positive (footnote 6's "bypass").
+are conservatively marked positive (footnote 6's "bypass").  The statistic
+is the ball's own (:attr:`repro.graph.ball.Ball.heavy_neighbors`, counted
+once per ball), so each query's test is one comparison with ``t``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.encoding import LabelCodec
-from repro.core.trees import (
-    BF_TOPOLOGIES,
-    bf_threshold_exceeded,
-    enumerate_center_tree_encodings,
-)
+from repro.core.trees import BF_TOPOLOGIES, enumerate_center_tree_encodings
 from repro.filters.bloom import BloomFilter, optimal_num_hashes, required_bits
 from repro.graph.ball import Ball
 from repro.graph.query import Query
@@ -118,7 +116,7 @@ def player_bf_prune(enclave: Enclave, ball: Ball, codec: LabelCodec,
     safety cap) bypass pruning and are reported as positives -- pruning must
     never be unsound, and an incomplete filter could prune a true match.
     """
-    if bf_threshold_exceeded(ball.graph, ball.center, config.threshold_t):
+    if ball.heavy_neighbors > config.threshold_t:
         return BFPruneOutcome(ball_id=ball.ball_id, bypassed=True)
     encodings, truncated = enumerate_center_tree_encodings(
         ball.graph, ball.center, codec, BF_TOPOLOGIES,

@@ -17,13 +17,15 @@ baseline of [17] all follow one scheme:
 
 The feature family (twiglets / paths / distance-label pairs) is the only
 thing that differs; each technique supplies a key enumerator and a
-membership extractor.
+membership extractor.  A table maps its (distinct) keys to positions once,
+so a ball's selection mask costs one lookup per feature of the ball, not
+one membership test per key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.core.aggregation import (
     BallCiphertextResult,
@@ -41,8 +43,8 @@ class PruneTable:
     """One query vertex's encrypted feature table (e.g. Table 2).
 
     ``keys`` enumerates every possible feature for this start label in a
-    deterministic public order; ``ciphertexts[i]`` encrypts q (exists in
-    query) or 1 (does not).  Which is which is hidden by CGBE.
+    deterministic public order, each once; ``ciphertexts[i]`` encrypts q
+    (exists in query) or 1 (does not).  Which is which is hidden by CGBE.
     """
 
     start_label: Label
@@ -52,9 +54,26 @@ class PruneTable:
     def __post_init__(self) -> None:
         if len(self.keys) != len(self.ciphertexts):
             raise ValueError("one ciphertext per key is required")
+        # key -> position: a ball's selection mask is read off its own
+        # features, never by scanning every key.
+        self.positions = {key: pos for pos, key in enumerate(self.keys)}
+        if len(self.positions) != len(self.keys):
+            raise ValueError("table keys must be distinct")
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def mask_of(self, features: Iterable[Hashable]) -> int:
+        """The selection mask of a ball's features: bit ``pos`` is set iff
+        ``keys[pos]`` is among them (features outside the table select
+        nothing).  One lookup per feature, not one test per key."""
+        positions = self.positions
+        mask = 0
+        for feature in features:
+            pos = positions.get(feature)
+            if pos is not None:
+                mask |= 1 << pos
+        return mask
 
 
 def build_table(cgbe: CGBE, start_label: Label,
@@ -92,10 +111,11 @@ def player_table_prune(
 
     Each table's ciphertext column is a shared :class:`MaskedProductTable`
     (keyed by the public coordinate ``(kind, table_index)``; a call
-    without a registry builds its own) and the ball's feature membership
-    packs into a selection mask -- balls sharing a feature set hit the
-    table's memo.  Value-identical to the paper-literal fold of that
-    factor list (:mod:`repro.core.aggregation`).
+    without a registry builds its own) and the ball's features pack into a
+    selection mask by key lookup (:meth:`PruneTable.mask_of`) -- balls
+    sharing a feature set hit the table's memo.  Value-identical to the
+    paper-literal fold of that factor list
+    (:mod:`repro.core.aggregation`).
     """
     if multiexp is None:
         multiexp = MultiExpRegistry()
@@ -108,9 +128,6 @@ def player_table_prune(
             (kind, index),
             lambda table=table: MaskedProductTable(
                 params, table.ciphertexts, c_one, plan))
-        mask = 0
-        for pos, key in enumerate(table.keys):
-            if key in ball_features:
-                mask |= 1 << pos
-        item_chunks.append(mtable.chunk_ciphertexts(mask))
+        item_chunks.append(
+            mtable.chunk_ciphertexts(table.mask_of(ball_features)))
     return aggregate_items(params, ball.ball_id, item_chunks, plan)

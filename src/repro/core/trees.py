@@ -276,6 +276,10 @@ def bf_threshold_exceeded(graph: LabeledGraph, center: Vertex,
     """Sec. 6.1's BF_t bypass test: more than ``threshold`` neighbors of the
     center have at least 3 distinct usable neighbor labels (the ``L`` sets
     of Alg. 4 lines 1-2), which signals an expensive topology-x enumeration.
+
+    The Player reads it as ``ball.heavy_neighbors > threshold``
+    (:attr:`repro.graph.ball.Ball.heavy_neighbors`, counted once per
+    ball); this early-exit scan is the oracle the tests compare against.
     """
     if threshold < 0:
         return True  # bypass everything (degenerate configuration)

@@ -36,7 +36,8 @@ MODP primes so no expensive prime generation happens at import time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.cache import LRU, CacheStats
 from repro.crypto import ops
@@ -276,13 +277,19 @@ class CGBEPublicParams:
     q_bits: int
     r_bits: int
 
-    @property
+    # Computed once per object (every encrypt() reads them).  They live
+    # beside the fields, so equality and hash ignore them, and
+    # __getstate__ keeps them out of a pickle.
+    @cached_property
     def modulus_bits(self) -> int:
         return self.modulus.bit_length()
 
-    @property
+    @cached_property
     def budget(self) -> AggregationBudget:
         return AggregationBudget(self.modulus_bits, self.q_bits, self.r_bits)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

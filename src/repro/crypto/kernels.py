@@ -14,7 +14,9 @@ power.  A chunk-result memo on top collapses repeated selection masks
 -- the dominant effect in practice, since distinct projected patterns
 are few (DESIGN.md Sec. 7 measures ~5.7x pattern redundancy on
 slashdot) -- and the whole table is shared across every ball of a
-share.  Results are value-identical to the paper-literal fold of
+share.  A memo hit costs one int key and one LRU probe: the memo holds
+the finished ciphertext, so nothing is built.  Results are
+value-identical to the paper-literal fold of
 :mod:`repro.core.aggregation`, which stays there as the oracle the
 tests compare against: same values, same ``power`` / ``value_bits``
 bookkeeping, same overflow behavior.
@@ -83,7 +85,8 @@ class MaskedProductTable:
         # Every chunk has chunk_factors equal-size factors, so its bit
         # bound -- and whether it fits the modulus at all -- is fixed here;
         # the refusal itself still happens per call (chunk_ciphertexts).
-        self._chunk_bits = plan.chunk_factors * bits_per_factor
+        width = plan.chunk_factors
+        self._chunk_bits = width * bits_per_factor
         self._overflows = self._chunk_bits >= params.modulus_bits
         for c in (*bases, pad):
             if c.power != 1 or c.value_bits != bits_per_factor:
@@ -109,31 +112,38 @@ class MaskedProductTable:
         self._entered: list[int | None] = [None] * len(bases)
         # Window layout: windows tile each chunk's position range and
         # never cross a chunk boundary, so one chunk's product reads only
-        # its own windows.  _windows[w] = (position offset, width);
-        # _chunk_windows[c] = indices into _windows.
-        self._windows: list[tuple[int, int]] = []
-        self._chunk_windows: list[list[int]] = []
+        # its own windows.  _offsets[w] is window w's first position;
+        # _chunks[c] = (mask of the chunk's real positions, pad positions
+        # past the base vector, first window, window count).
+        self._offsets: list[int] = []
+        self._chunks: list[tuple[int, int, int, int]] = []
         total = len(bases)
         for chunk in range(plan.chunks_per_item):
-            start = chunk * plan.chunk_factors
-            end = min(start + plan.chunk_factors, total)
-            indices: list[int] = []
-            offset = start
-            while offset < end:
-                width = min(window, end - offset)
-                indices.append(len(self._windows))
-                self._windows.append((offset, width))
-                offset += width
-            self._chunk_windows.append(indices)
+            start = chunk * width
+            end = min(start + width, total)
+            first = len(self._offsets)
+            self._offsets.extend(range(start, end, window))
+            self._chunks.append(((1 << (end - start)) - 1,
+                                 width - (end - start), first,
+                                 len(self._offsets) - first))
+        self._chunk_mask = (1 << width) - 1
         # Lazily-filled subset tables: _tables[w][submask] = product of
         # the window's bases at submask's set bits (submask != 0).
-        self._tables: list[dict[int, int]] = [{} for _ in self._windows]
+        self._tables: list[dict[int, int]] = [{} for _ in self._offsets]
         # Cached pad powers (c_one^k, k >= 1).  memo holds both the
-        # per-(chunk, mask) results (ints) and the product-tree nodes (keys
-        # (first window, window count, include bits)); one LRU bound
-        # covers both.  hits / misses count the (chunk, mask) lookups only.
+        # finished per-(chunk, mask) ciphertexts and the product-tree
+        # nodes (domain ints); one LRU bound covers both.  Keys are ints,
+        # ``bits << _shift | id``: id = the chunk index for a result,
+        # len(chunks) + first * (windows + 1) + count for the node over
+        # windows first .. first + count - 1.  hits / misses count the
+        # (chunk, mask) lookups only.
+        windows = len(self._offsets)
+        self._node_base = plan.chunks_per_item
+        self._node_stride = windows + 1
+        self._shift = (self._node_base + windows * self._node_stride
+                       ).bit_length()
         self._pad_powers: dict[int, int] = {}
-        self.memo: LRU[int] = LRU(max_memo)
+        self.memo: LRU[int | CGBECiphertext] = LRU(max_memo)
 
     # -- internals ----------------------------------------------------
     def _base(self, position: int) -> int:
@@ -151,7 +161,7 @@ class MaskedProductTable:
             # multiplication per multi-bit entry, ever; a single-bit
             # entry is its base value and costs none.
             low = submask & -submask
-            value = self._base(self._windows[w][0] + low.bit_length() - 1)
+            value = self._base(self._offsets[w] + low.bit_length() - 1)
             if submask != low:
                 ops.record_modmul()
                 value = self._domain.mul(
@@ -175,14 +185,15 @@ class MaskedProductTable:
         if count == 1:
             return self._window_entry(first, bits)
         half = count >> 1
-        split = self._windows[first + half][0] - self._windows[first][0]
+        split = self._offsets[first + half] - self._offsets[first]
         low = bits & ((1 << split) - 1)
         high = bits >> split
         if not high:
             return self._node(first, half, low)
         if not low:
             return self._node(first + half, count - half, high)
-        key = (first, count, bits)
+        key = bits << self._shift | (self._node_base
+                                     + first * self._node_stride + count)
         value = self.memo.get(key)
         if value is None:
             ops.record_modmul()
@@ -203,25 +214,20 @@ class MaskedProductTable:
             self._pad_powers[count] = value
         return value
 
-    def _chunk_value(self, chunk: int, selected: int) -> int:
-        """The chunk's product value for selection mask ``selected``
-        (bit = 1 means that position's factor is the pad)."""
-        key = (chunk, selected)
+    def _chunk(self, chunk: int, selected: int) -> CGBECiphertext:
+        """The chunk's product for selection mask ``selected`` (bit = 1
+        means that position's factor is the pad)."""
+        key = selected << self._shift | chunk
         cached = self.memo.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        plan = self.plan
-        start = chunk * plan.chunk_factors
-        real_width = min(start + plan.chunk_factors,
-                         len(self._base_values)) - start
-        pad_extra = plan.chunk_factors - real_width
-        ones = (selected & ((1 << real_width) - 1)).bit_count() + pad_extra
-        include = ~selected & ((1 << real_width) - 1)
+        real, pad_extra, first, count = self._chunks[chunk]
+        ones = (selected & real).bit_count() + pad_extra
+        include = ~selected & real
         if include:
-            windows = self._chunk_windows[chunk]
-            acc = self._node(windows[0], len(windows), include)
+            acc = self._node(first, count, include)
             if ones:
                 ops.record_modmul()
                 acc = self._domain.mul(acc, self._pad_power(ones))
@@ -230,8 +236,10 @@ class MaskedProductTable:
             value = self._pad_plain
         else:
             value = self._domain.leave(self._pad_power(ones))
-        self.memo.put(key, value)
-        return value
+        result = CGBECiphertext(value=value, power=self.plan.chunk_factors,
+                                value_bits=self._chunk_bits)
+        self.memo.put(key, result)
+        return result
 
     # -- public API ---------------------------------------------------
     def chunk_ciphertexts(self, mask: int) -> list[CGBECiphertext]:
@@ -239,28 +247,21 @@ class MaskedProductTable:
 
         ``mask`` has one bit per plan position (``plan.factors`` bits,
         position 0 = bit 0); set bits select the pad.  Positions past the
-        base vector (the plan's padding tail) are implicitly pads.
+        base vector (the plan's padding tail) are implicitly pads.  Equal
+        masks return the same (immutable) ciphertext objects.
         """
-        plan = self.plan
-        bits = self._chunk_bits
         if self._overflows:
             # The paper-literal fold raises on its first boundary-crossing
             # multiply; with equal-size factors that is exactly the
             # "chunk does not fit" condition.
             raise OverflowError_(
-                f"product would need {bits} bits but the modulus has "
-                f"{self.params.modulus_bits}; split the aggregation "
-                f"(AggregationBudget.max_factors)")
-        chunk_mask = (1 << plan.chunk_factors) - 1
-        return [
-            CGBECiphertext(
-                value=self._chunk_value(
-                    chunk, (mask >> (chunk * plan.chunk_factors))
-                    & chunk_mask),
-                power=plan.chunk_factors,
-                value_bits=bits)
-            for chunk in range(plan.chunks_per_item)
-        ]
+                f"product would need {self._chunk_bits} bits but the "
+                f"modulus has {self.params.modulus_bits}; split the "
+                f"aggregation (AggregationBudget.max_factors)")
+        chunk_mask = self._chunk_mask
+        width = self.plan.chunk_factors
+        return [self._chunk(chunk, (mask >> (chunk * width)) & chunk_mask)
+                for chunk in range(len(self._chunks))]
 
     @property
     def table_entries(self) -> int:

@@ -4,7 +4,9 @@ A ball (Sec. 2.1, following Ma et al.) is the subgraph of ``G`` induced by
 all vertices within undirected distance ``r`` of the center ``u``.  Balls are
 the privacy-preserving processing unit of Prilo: each one is encrypted and
 shipped to the service provider, and every localized match is fully contained
-in at least one ball whose center it touches (Props. 1-2).
+in at least one ball whose center it touches (Props. 1-2).  A ball also
+carries the one per-ball statistic the Players test per query, the BF_t
+count (:attr:`Ball.heavy_neighbors`), memoised per graph epoch.
 """
 
 from __future__ import annotations
@@ -54,6 +56,39 @@ class Ball:
     @property
     def center_label(self) -> Label:
         return self.graph.label(self.center)
+
+    @property
+    def heavy_neighbors(self) -> int:
+        """Sec. 6.1's BF_t statistic: the neighbors of the center with at
+        least 3 distinct usable neighbor labels (labels other than their
+        own and the center's; the ``L`` sets of Alg. 4 lines 1-2).  A ball
+        bypasses BF iff this exceeds the threshold ``t``
+        (:func:`repro.core.trees.bf_threshold_exceeded` is the oracle).
+
+        Counted in full on first use and memoised on the ball per
+        ``graph.mutation_epoch``, as the graph memoises its sorted label
+        buckets, so every query's test is one comparison.
+        """
+        graph = self.graph
+        memo = self.__dict__.get("_heavy_memo")
+        if memo is not None and memo[0] == graph.mutation_epoch:
+            return memo[1]
+        label_of = graph.label
+        center_label = label_of(self.center)
+        heavy = 0
+        for u in graph.neighbors(self.center):
+            own = label_of(u)
+            if own == center_label:
+                continue
+            labels = set(map(label_of, graph.neighbors(u)))
+            labels.discard(own)
+            labels.discard(center_label)
+            if len(labels) >= 3:
+                heavy += 1
+        # A frozen dataclass: the memo goes in beside the fields, so
+        # equality and hash ignore it.
+        self.__dict__["_heavy_memo"] = (graph.mutation_epoch, heavy)
+        return heavy
 
     def __repr__(self) -> str:
         return (f"Ball(id={self.ball_id}, center={self.center!r}, "

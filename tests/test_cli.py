@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,55 @@ class TestParser:
             "unknown-subcommand"])
     def test_every_argparse_error_exits_usage(self, argv, capsys):
         assert "error:" in self.usage_error(argv, capsys)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestRealEntryPoint:
+    """Usage errors as a process sees them: in-process tests catch
+    argparse's ``SystemExit``, not what ``sys.exit(main())`` makes of it.
+    Exit 2 means "stale, rebuild the store" to scripts, so a usage error
+    exits 1, with the flag named on one line and no traceback."""
+
+    @staticmethod
+    def run_cli(argv, cwd) -> tuple[int, str]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=cwd, timeout=120)
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("argv, flag, prog", [
+        (["serve-batch", "slashdot", "--queue-bound", "0"],
+         "--queue-bound", "repro serve-batch"),
+        (["--scale", "0.05", "serve-batch", "slashdot", "--distinct", "0"],
+         "--distinct", "repro serve-batch"),
+        (["--scale", "0.05", "run", "dblp", "--size", "0"],
+         "--size", "repro run"),
+        (["--scale", "0.05", "--players", "0", "run", "slashdot"],
+         "--players", "repro"),
+        (["--scale", "0.05", "gateway", "slashdot", "--shards", "0"],
+         "--shards", "repro gateway"),
+    ], ids=["queue-bound", "distinct", "size", "players", "shards"])
+    def test_count_flag_below_one(self, argv, flag, prog, tmp_path):
+        code, err = self.run_cli(argv, tmp_path)
+        assert code == EXIT_USAGE, err
+        assert "Traceback" not in err
+        assert sum(f"{flag}:" in line for line in err.splitlines()) == 1
+        assert err.splitlines()[-1] == (
+            f"{prog}: error: argument {flag}: must be a positive int, "
+            f"got 0")
+
+    def test_unknown_flag(self, tmp_path):
+        code, err = self.run_cli(["serve-batch", "slashdot",
+                                  "--no-such-flag"], tmp_path)
+        assert code == EXIT_USAGE, err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            "unrecognized arguments: --no-such-flag")
 
 
 class TestExecution:

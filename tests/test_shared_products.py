@@ -48,14 +48,14 @@ def _flat_fold_bound(table: MaskedProductTable, mask: int) -> int:
     entries: one per non-identity window after the first, plus the pad."""
     plan = table.plan
     total = 0
-    for chunk, windows in enumerate(table._chunk_windows):
+    for chunk, (_, _, first, count) in enumerate(table._chunks):
         start = chunk * plan.chunk_factors
         real = min(start + plan.chunk_factors, plan.factors) - start
         selected = (mask >> start) & ((1 << plan.chunk_factors) - 1)
         include = ~selected & ((1 << real) - 1)
-        used = sum(1 for w in windows
-                   if (include >> (table._windows[w][0] - start))
-                   & ((1 << table._windows[w][1]) - 1))
+        bounds = table._offsets[first:first + count] + [start + real]
+        used = sum(1 for lo, hi in zip(bounds, bounds[1:])
+                   if (include >> (lo - start)) & ((1 << (hi - lo)) - 1))
         pads = (selected & ((1 << real) - 1)).bit_count() \
             + plan.chunk_factors - real
         total += max(used - 1, 0) + (1 if used and pads else 0)
@@ -101,6 +101,37 @@ class TestProductTree:
             assert ops.modmul - (_multi_bit_entries(table) - before) <= \
                 _flat_fold_bound(table, mask)
             assert len(table.memo) <= max_memo
+
+
+class TestTinyMemo:
+    @given(data=st.data(), max_memo=st.sampled_from([1, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_evicting_memo_equals_oracle_and_counts_every_lookup(
+            self, cgbe, pool, data, max_memo):
+        """Under a bound small enough that results and tree nodes evict
+        each other, every chunk still equals the fold, and each chunk
+        lookup is counted once, as a hit or a miss."""
+        params = cgbe.params
+        factors = data.draw(st.integers(1, 16))
+        chunk_factors = data.draw(st.integers(1, factors))
+        chunks = -(-factors // chunk_factors)
+        plan = ChunkPlan(factors=factors, chunk_factors=chunk_factors,
+                         chunks_per_item=chunks, summable=chunks == 1)
+        bases = [pool[i] for i in data.draw(st.lists(
+            st.integers(0, len(pool) - 2), min_size=factors,
+            max_size=factors))]
+        pad = pool[-1]
+        table = MaskedProductTable(params, bases, pad, plan, window=2,
+                                   max_memo=max_memo)
+        masks = data.draw(st.lists(st.integers(0, (1 << factors) - 1),
+                                   min_size=1, max_size=16))
+        masks += masks[:4]
+        for mask in masks:
+            assert table.chunk_ciphertexts(mask) == chunked_product(
+                params, [pad if mask >> p & 1 else bases[p]
+                         for p in range(factors)], pad, plan)
+            assert len(table.memo) <= max_memo
+        assert table.hits + table.misses == len(masks) * chunks
 
 
 class TestWeightedSum:

@@ -1,6 +1,8 @@
 """Tests for the generic encrypted-table pruning machinery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import decide_positive
 from repro.core.table_pruning import (
@@ -30,6 +32,33 @@ class TestBuildTable:
     def test_mismatched_lengths_rejected(self, cgbe):
         with pytest.raises(ValueError):
             PruneTable(start_label="B", keys=("a",), ciphertexts=[])
+
+    def test_duplicate_keys_rejected(self, cgbe):
+        c = cgbe.encrypt_one()
+        with pytest.raises(ValueError, match="distinct"):
+            PruneTable(start_label="B", keys=("a", "b", "a"),
+                       ciphertexts=[c, c, c])
+
+
+#: Features as the enumerators key them (label tuples), drawn from a
+#: universe wider than any one table, so most draws hold absent ones.
+_FEATURES = st.tuples(st.sampled_from("ABCDE"), st.integers(0, 6))
+
+
+class TestMaskByLookup:
+    @given(keys=st.lists(_FEATURES, unique=True, max_size=40),
+           features=st.sets(_FEATURES, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_key_scan(self, keys, features):
+        """The lookup mask is the mask of testing every key against the
+        ball's feature set, features absent from the table included."""
+        table = PruneTable(start_label="A", keys=tuple(keys),
+                           ciphertexts=[None] * len(keys))
+        scan = 0
+        for pos, key in enumerate(table.keys):
+            if key in features:
+                scan |= 1 << pos
+        assert table.mask_of(features) == scan
 
 
 class TestPlayerPrune:

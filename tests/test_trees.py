@@ -20,8 +20,10 @@ from repro.core.trees import (
     iter_center_trees,
     max_tree_count,
 )
+from repro.graph.ball import extract_ball
 from repro.graph.generators import fig3_graph, fig3_query, social_graph
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.io import ball_from_bytes, ball_to_bytes
+from repro.graph.labeled_graph import BallGraphView, LabeledGraph
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +308,50 @@ class TestThreshold:
         g = LabeledGraph.from_edges(labels, edges)
         assert bf_threshold_exceeded(g, 0, threshold=2)
         assert not bf_threshold_exceeded(g, 0, threshold=10)
+
+
+#: BF_t values of the per-ball test: negative (bypass all), the small
+#: counts the drawn centers reach, Sec. 6.1's default and one past any.
+_THRESHOLDS = (-1, 0, 1, 2, 15, 10 ** 6)
+
+
+class TestHeavyNeighbors:
+    """``Ball.heavy_neighbors > t`` is ``bf_threshold_exceeded`` for every
+    ``t``, on extracted balls and on decoded ones."""
+
+    @given(_rooted_graphs(), st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_count_decides_as_the_threshold_test(self, case, radius):
+        graph, _, _ = case
+        for ball_id, center in enumerate(graph.vertices()):
+            ball = extract_ball(graph, center, radius, ball_id=ball_id)
+            decoded = ball_from_bytes(ball_to_bytes(ball))
+            assert isinstance(decoded.graph, BallGraphView)
+            for b in (ball, decoded):
+                for t in _THRESHOLDS:
+                    assert (b.heavy_neighbors > t) == bf_threshold_exceeded(
+                        b.graph, b.center, t)
+
+    def test_on_generated_graph(self):
+        """The hubs of a generated graph fall on both sides of the small
+        ``t`` values."""
+        g = social_graph(150, 4, 0.3, 8, seed=6)
+        counts = set()
+        for center in sorted(g.vertices(), key=g.degree)[-30:]:
+            ball = extract_ball(g, center, 2)
+            for b in (ball, ball_from_bytes(ball_to_bytes(ball))):
+                counts.add(b.heavy_neighbors)
+                for t in _THRESHOLDS:
+                    assert (b.heavy_neighbors > t) == bf_threshold_exceeded(
+                        b.graph, b.center, t)
+        assert min(counts) <= 2 < max(counts)
+
+    def test_memo_follows_the_graph_epoch(self):
+        labels = {0: "R", 1: "A", 2: "B", 3: "C", 4: "D", 5: "E"}
+        graph = LabeledGraph.from_edges(labels, [(0, 1), (1, 2), (1, 3)])
+        ball = extract_ball(graph, 0, 2)
+        assert ball.heavy_neighbors == 0
+        ball.graph.add_vertex(4, "D")
+        ball.graph.add_edge(1, 4)
+        assert ball.heavy_neighbors == 1
+        assert bf_threshold_exceeded(ball.graph, 0, 0)
