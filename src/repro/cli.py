@@ -2,7 +2,6 @@
 
 Commands:
 
-* ``stats <dataset>``             -- Table 3-style statistics.
 * ``run <dataset>``               -- run one random query end to end and
                                      report matches, pruning, and timings.
 * ``serve-batch <dataset>``       -- serve a query batch through the
@@ -25,8 +24,6 @@ Commands:
 * ``trace summarize <path>``      -- per-role/per-phase latency histograms
                                      of a ``--trace`` JSONL file.
 * ``trace audit <path>``          -- re-run the leakage audit offline.
-* ``workloads``                   -- the ten LDBC BI workloads (Fig. 18).
-* ``prune <dataset>``             -- pruning-technique ablation (Fig. 2a).
 
 All commands accept ``--scale`` (dataset size multiplier) and ``--seed``.
 A store is tied to (dataset, scale, semantics, radii, seed): build and
@@ -53,34 +50,42 @@ leakage audit run once per command on every path.  When one invocation
 hits several conditions, :func:`combine_exit` picks the most severe
 under the lattice ``0 < 2 < 4 < 5 < 6 < 3 < 1`` (integrity trumps every
 verdict; only a usage error ranks above it).
+
+Every input is declared once, with its domain (:func:`_domain`), so a
+bad number exits 1 on one line naming the flag and never reaches
+library code; what no single flag can see (a shard id against
+``--shards``, a query's diameter against the served radii) raises
+:class:`UsageError`, which exits the same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from repro.core.twiglets import TWIGLET_HEIGHTS
 from repro.crypto import montgomery
 from repro.crypto.keys import DataOwnerKey
-from repro.framework.faults import MALICIOUS_KINDS, VALID_KINDS, ChaosPolicy
+from repro.framework.faults import (
+    INJECTABLE_KINDS,
+    MALICIOUS_KINDS,
+    VALID_KINDS,
+    ChaosPolicy,
+)
 from repro.framework.gateway import Gateway, GatewayChaos, GatewayError
 from repro.framework.placement import PlacementError, PlacementManifest
-from repro.framework.prilo import DeadlineExceeded, PriloConfig
+from repro.framework.prilo import DeadlineExceeded, Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.framework.roles import BallIntegrityError
 from repro.framework.server import QueryBatchEngine, QueryStatus
-from repro.framework.shard import (
-    ENGINE_CLASSES,
-    LocalCluster,
-    ShardError,
-    make_shard_specs,
-)
+from repro.framework.shard import LocalCluster, ShardError, make_shard_specs
 from repro.framework.verify import AnswerVerifier, VerificationError
-from repro.graph.query import Semantics
+from repro.graph.query import Query, Semantics
 from repro.storage import (
     ArtifactStore,
     DeltaError,
@@ -96,13 +101,8 @@ from repro.storage import (
     journal_key,
     walk_delta_chain,
 )
-from repro.workloads.datasets import DATASET_SPECS, load_dataset
-from repro.workloads.experiments import (
-    dataset_statistics,
-    ldbc_study,
-    pruning_study,
-)
-from repro.workloads.traffic import TrafficSpec, generate_traffic
+from repro.workloads.datasets import DATASET_SPECS, Dataset, load_dataset
+from repro.workloads.traffic import TrafficSpec, zipf_ranks
 
 #: Usage error or an exception no :data:`EXIT_TABLE` row names.
 EXIT_USAGE = 1
@@ -208,6 +208,50 @@ def _statuses_exit(report) -> int:
     return combine_exit(*(exit_code(o.status) for o in report.outcomes))
 
 
+class UsageError(Exception):
+    """Inputs that each parsed but do not fit together: :func:`main`
+    reports it as the command's argparse error (exit 1, one line)."""
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """The cross-flag checks that need no data: each names its flags."""
+    if args.command == "run" and args.players < 2:
+        raise UsageError(f"argument --players: run serves Prilo* (SSG, "
+                         f"Sec. 2.3), which needs at least 2, got "
+                         f"{args.players}")
+    if args.command == "serve-batch" and args.standing > args.distinct:
+        raise UsageError(f"argument --standing: must be at most --distinct "
+                         f"{args.distinct}, got {args.standing}")
+    if args.command == "gateway":
+        named = [("--kill-shard", args.kill_shard)] + [
+            ("--rogue-shard", shard) for shard in args.rogue_shard or ()]
+        for flag, shard in named:
+            if shard is not None and shard >= args.shards:
+                raise UsageError(f"argument {flag}: must be below --shards "
+                                 f"{args.shards}, got {shard}")
+
+
+def _queries(args: argparse.Namespace, dataset: Dataset, count: int,
+             radii: tuple[int, ...]) -> list[Query]:
+    """``count`` QGen queries of ``--size``/``--diameter``, checked for
+    what the flags' domains cannot see: QGen finds such a query, and each
+    query's diameter (QGen may fall back to a smaller one) is a ball
+    radius the engine serves (Prop. 1)."""
+    shape = f"--size {args.size} --diameter {args.diameter}"
+    try:
+        queries = dataset.random_queries(
+            count, size=args.size, diameter=args.diameter,
+            semantics=Semantics(args.semantics), seed=args.seed)
+    except RuntimeError as exc:  # QGen: no query of this shape
+        raise UsageError(f"{shape}: {exc}") from None
+    missed = sorted({query.diameter for query in queries} - set(radii))
+    if missed:
+        served = "the --store radii" if args.store else "the radii"
+        raise UsageError(f"{shape}: query diameter(s) {missed} "
+                         f"not among {served} {list(radii)}")
+    return queries
+
+
 def _chaos(args: argparse.Namespace) -> ChaosPolicy | None:
     """Build a :class:`ChaosPolicy` from ``--chaos-seed``/``--fault-rate``.
 
@@ -219,47 +263,17 @@ def _chaos(args: argparse.Namespace) -> ChaosPolicy | None:
     """
     seed = getattr(args, "chaos_seed", None)
     if seed is None and os.environ.get("REPRO_CHAOS_SEED"):
-        seed = int(os.environ["REPRO_CHAOS_SEED"])
+        try:
+            seed = _any_int(os.environ["REPRO_CHAOS_SEED"])
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"environment variable REPRO_CHAOS_SEED: "
+                             f"{exc}") from None
     rate = getattr(args, "fault_rate", None)
-    kinds = getattr(args, "chaos_kinds", None)
     if seed is None and not rate:
         return None
-    policy = ChaosPolicy(seed=seed if seed is not None else 0,
-                         fault_rate=rate if rate is not None else 0.1)
-    if kinds:
-        chosen = tuple(k.strip() for k in kinds.split(",") if k.strip())
-        bad = [k for k in chosen if k not in VALID_KINDS]
-        if bad:
-            raise SystemExit(f"unknown chaos kind(s) {bad}; "
-                             f"valid: {', '.join(VALID_KINDS)}")
-        policy = replace(policy, kinds=chosen)
-    return policy
-
-
-def _rogue(args: argparse.Namespace):
-    """Build the malicious-shard tier from ``--rogue-shard`` flags.
-
-    Returns ``(rogue_shards, rogue_policy)`` for
-    :func:`repro.framework.shard.make_shard_specs`.  The policy's kinds
-    default to every malicious kind (forge_result, drop_ball,
-    replay_stale); ``--rogue-kinds`` narrows them.  Rate 1.0: a rogue
-    shard lies on *every* verdict, the worst case for the verifier.
-    """
-    shards = tuple(getattr(args, "rogue_shard", None) or ())
-    if not shards:
-        return (), None
-    kinds = MALICIOUS_KINDS
-    chosen = getattr(args, "rogue_kinds", None)
-    if chosen:
-        kinds = tuple(k.strip() for k in chosen.split(",") if k.strip())
-        bad = [k for k in kinds if k not in MALICIOUS_KINDS]
-        if bad:
-            raise SystemExit(f"unknown rogue kind(s) {bad}; "
-                             f"valid: {', '.join(MALICIOUS_KINDS)}")
-    policy = ChaosPolicy(seed=getattr(args, "rogue_seed", 0) or 0,
-                         fault_rate=1.0,
-                         kinds=kinds)
-    return shards, policy
+    return ChaosPolicy(seed=seed if seed is not None else 0,
+                       fault_rate=rate if rate is not None else 0.1,
+                       kinds=getattr(args, "chaos_kinds", INJECTABLE_KINDS))
 
 
 def _config(args: argparse.Namespace, store=None) -> PriloConfig:
@@ -268,26 +282,13 @@ def _config(args: argparse.Namespace, store=None) -> PriloConfig:
                          r_bits=16 if args.modulus <= 1024 else 32,
                          seed=args.seed,
                          chaos=_chaos(args),
-                         deadline_ms=getattr(args, "deadline_ms", None),
-                         ball_budget=getattr(args, "ball_budget", None))
+                         deadline_ms=args.deadline_ms,
+                         ball_budget=args.ball_budget)
     if store is not None:
         # Ball ids are a function of (vertex order, radii): an engine
         # served from a store must address exactly the stored radii.
         config = replace(config, radii=store.radii)
     return config
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    row = dataset_statistics(load_dataset(args.dataset, scale=args.scale))
-    for key, value in row.items():
-        print(f"{key:>20}: {value}")
-    return 0
-
-
-def _open_store(args: argparse.Namespace):
-    if not getattr(args, "store", None):
-        return None
-    return ArtifactStore.open(args.store)
 
 
 def _open_journal(args: argparse.Namespace) -> RunJournal | None:
@@ -296,13 +297,13 @@ def _open_journal(args: argparse.Namespace) -> RunJournal | None:
     An existing journal file is only reused under an explicit
     ``--resume`` -- silently appending to a leftover journal would splice
     a previous invocation's checkpoints into this one."""
-    path = getattr(args, "journal", None)
-    if not path:
+    if not args.journal:
         return None
-    if os.path.exists(path) and not getattr(args, "resume", False):
-        raise SystemExit(f"journal {path} already exists; pass --resume to "
-                         f"continue it or choose a fresh path")
-    return RunJournal(path, journal_key(args.seed))
+    if os.path.exists(args.journal) and not args.resume:
+        raise UsageError(f"argument --journal: {args.journal} already "
+                         f"exists; pass --resume to continue it or choose "
+                         f"a fresh path")
+    return RunJournal(args.journal, journal_key(args.seed))
 
 
 def _tracer_for(args: argparse.Namespace):
@@ -342,9 +343,14 @@ def _finish_trace(args: argparse.Namespace) -> int:
         print(f"trace: {len(tracer.spans)} spans -> {path}")
     if not getattr(args, "leakage_audit", False):
         return 0
+    return _audit(tracer.spans)
+
+
+def _audit(spans) -> int:
+    """Print the leakage audit of ``spans``; its exit-code contribution."""
     from repro.observability import audit_spans
 
-    report = audit_spans(tracer.spans)
+    report = audit_spans(spans)
     print(report.summary_line())
     for violation in report.violations:
         print(f"  {violation}")
@@ -381,16 +387,14 @@ def _print_batch_counters(report) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale)
-    semantics = Semantics(args.semantics)
-    query = dataset.random_query(size=args.size, diameter=args.diameter,
-                                 semantics=semantics, seed=args.seed)
+    store = ArtifactStore.open(args.store) if args.store else None
+    config = _config(args, store)
+    query = _queries(args, dataset, 1, config.radii)[0]
     print(f"dataset: {dataset.graph}")
     print(f"query:   {query}")
-    store = _open_store(args)
     journal = _open_journal(args)
-    engine = PriloStar.setup(dataset.graph_for(semantics),
-                             _config(args, store), store=store,
-                             tracer=args.tracer)
+    engine = PriloStar.setup(dataset.graph_for(Semantics(args.semantics)),
+                             config, store=store, tracer=args.tracer)
     # One query is a batch of one: the batch engine owns admission,
     # deadlines, journal checkpointing and resume, so `run` reports and
     # exits exactly as serve-batch does.
@@ -429,16 +433,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_serve_batch(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale)
-    semantics = Semantics(args.semantics)
-    distinct = dataset.random_queries(args.distinct, size=args.size,
-                                      diameter=args.diameter,
-                                      semantics=semantics, seed=args.seed)
+    store = ArtifactStore.open(args.store) if args.store else None
+    config = _config(args, store)
+    distinct = _queries(args, dataset, args.distinct, config.radii)
     queries = [distinct[i % len(distinct)] for i in range(args.batch)]
-    store = _open_store(args)
     journal = _open_journal(args)
-    engine = ENGINE_CLASSES[args.engine].setup(
-        dataset.graph_for(semantics), _config(args, store), store=store,
-        tracer=args.tracer)
+    engine = Prilo.setup(dataset.graph_for(Semantics(args.semantics)),
+                         config, store=store, tracer=args.tracer)
     delta_code = 0
     try:
         with QueryBatchEngine(engine, journal=journal,
@@ -537,27 +538,12 @@ def cmd_trace_audit(args: argparse.Namespace) -> int:
     Same checker the in-process ``--leakage-audit`` runs, but over the
     deserialized span dicts -- so it also catches a trace file that was
     edited after the fact to include restricted data."""
-    from repro.observability import audit_spans, read_trace
+    from repro.observability import read_trace
 
     if not os.path.exists(args.path):
         print(f"FAILED: no trace at {args.path}")
         return EXIT_USAGE
-    _, spans = read_trace(args.path)
-    report = audit_spans(spans)
-    print(report.summary_line())
-    for violation in report.violations:
-        print(f"  {violation}")
-    return 0 if report.ok else EXIT_LEAKAGE
-
-
-def _parse_radii(text: str) -> tuple[int, ...]:
-    try:
-        radii = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad radii list {text!r}")
-    if not radii:
-        raise argparse.ArgumentTypeError("radii list is empty")
-    return radii
+    return _audit(read_trace(args.path)[1])
 
 
 def cmd_store_build(args: argparse.Namespace) -> int:
@@ -697,12 +683,6 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
 def cmd_gateway(args: argparse.Namespace) -> int:
     """Serve zipf many-tenant traffic through a local N-shard cluster."""
     dataset = load_dataset(args.dataset, scale=args.scale)
-    semantics = Semantics(args.semantics)
-    spec = TrafficSpec(count=args.count, tenants=args.tenants,
-                       size=args.size, diameter=args.diameter,
-                       semantics=semantics, seed=args.seed)
-    queries, ranks = generate_traffic(dataset, spec)
-    graph = dataset.graph_for(semantics)
     config = _config(args)
     if args.no_verify:
         config = replace(config, verify_serving=False)
@@ -712,6 +692,12 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         # the packs fix the ball address space (radii) the cluster uses.
         placement = PlacementManifest.read(args.store)
         config = replace(config, radii=placement.radii)
+    # The trace ``generate_traffic`` draws: zipf arrivals over the tenants.
+    spec = TrafficSpec(count=args.count, tenants=args.tenants,
+                       seed=args.seed)
+    tenants = _queries(args, dataset, spec.tenants, config.radii)
+    ranks = zipf_ranks(spec.count, spec.tenants, spec.skew, spec.seed)
+    queries = [tenants[rank] for rank in ranks]
     verifier = None
     if (placement is not None and placement.auth_root
             and config.verify_serving):
@@ -719,18 +705,21 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         # shards' engines run after forcing their pruning toggles.
         verifier = AnswerVerifier.from_placement(
             placement, seed=args.seed,
-            config=ENGINE_CLASSES[args.engine].effective_config(config))
+            config=Prilo.effective_config(config))
     chaos = None
     if args.kill_shard is not None or args.kill_seed is not None:
         chaos = GatewayChaos(kill_shard=args.kill_shard,
                              kill_after_verdicts=args.kill_after,
                              seed=args.kill_seed)
-    rogue_shards, rogue_policy = _rogue(args)
-    specs = make_shard_specs(graph, config, args.shards,
-                             engine=args.engine, store_root=args.store,
+    # Each --rogue-shard lies on every verdict (rate 1.0), the worst case
+    # for the verifier, with the --rogue-kinds lies.
+    specs = make_shard_specs(dataset.graph_for(Semantics(args.semantics)),
+                             config, args.shards, store_root=args.store,
                              journal_dir=args.journal_dir,
-                             rogue_shards=rogue_shards,
-                             rogue_policy=rogue_policy)
+                             rogue_shards=tuple(args.rogue_shard or ()),
+                             rogue_policy=ChaosPolicy(
+                                 seed=args.rogue_seed, fault_rate=1.0,
+                                 kinds=args.rogue_kinds))
     print(f"dataset: {dataset.graph}")
     print(f"traffic: {spec.count} queries over {spec.tenants} tenants "
           f"(zipf s={spec.skew}, seed {spec.seed}); "
@@ -784,48 +773,144 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     return _statuses_exit(report)
 
 
-def cmd_workloads(args: argparse.Namespace) -> int:
-    dataset = load_dataset("ldbc", scale=args.scale)
-    records = ldbc_study(dataset, Semantics(args.semantics),
-                         config=_config(args), seed=args.seed)
-    print(f"{'query':<6} {'cands':>6} {'PPCR':>6} {'mode':>7} "
-          f"{'SSG(s)':>9} {'RSG(s)':>9} {'speedup':>8}")
-    for r in records:
-        print(f"{r.workload:<6} {r.candidates:>6} {r.ppcr:>6.2f} "
-              f"{r.mode:>7} {r.ssg_seconds:>9.4f} {r.rsg_seconds:>9.4f} "
-              f"{min(r.scheduling_speedup, 100):>7.1f}x")
-    return 0
+def _domain(convert: Callable[[str], object], what: str,
+            accept: Callable[[object], bool], smallest: str):
+    """An argparse type: ``convert`` the text, then ``accept`` the value.
+    ``smallest`` is the least value it admits (a boundary-sweep edge)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.smallest = smallest
+    return parse
 
 
-def cmd_prune(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, scale=args.scale)
-    semantics = Semantics(args.semantics)
-    queries = dataset.random_queries(args.queries, size=args.size,
-                                     diameter=args.diameter,
-                                     semantics=semantics, seed=args.seed)
-    study = pruning_study(dataset, queries,
-                          methods=("neighbor", "path", "twiglet", "bf"),
-                          config=_config(args))
-    print(f"candidates: {study.candidates}")
-    print(f"{'method':<14} {'kept':>6} {'PPCR':>6} {'cost(s)':>9}")
-    for method in study.confusion:
-        counts = study.confusion[method]
-        print(f"{method:<14} {counts.tp + counts.fp:>6} "
-              f"{counts.ppcr:>6.2f} "
-              f"{study.total_cost.get(method, 0.0):>9.3f}")
-    return 0
+def _int_in(values: range):
+    return _domain(int, f"an int in {values[0]}..{values[-1]}",
+                   values.__contains__, str(values[0]))
+
+
+_any_int = _domain(int, "an int", lambda value: True, str(-2 ** 63))
+_positive_int = _domain(int, "a positive int", lambda value: value >= 1, "1")
+_non_negative_int = _domain(int, "a non-negative int",
+                            lambda value: value >= 0, "0")
+_fraction = _domain(float, "a fraction in [0, 1]",
+                    lambda value: 0 <= value <= 1, "0")
+_positive_float = _domain(float, "a positive number",
+                          lambda value: 0 < value < math.inf,
+                          str(math.ulp(0.0)))
+_radii = _domain(lambda text: tuple(map(int, text.split(","))),
+                 "a comma-separated list of positive ints",
+                 lambda radii: min(radii) >= 1, "1")
+#: CGBE modulus bits.  The floor is the smallest modulus that serves:
+#: ``ChunkPlan`` needs one q + r = 32-bit factor (16 + 16 at or below
+#: 1024 bits) beside 16 bits of headroom for 2^16 summed terms, so 49;
+#: at 48 `run` fails in aggregation.  The ceiling is the paper's 4096.
+_modulus_bits = _int_in(range(49, 4097))
+
+
+def _kinds(valid: tuple[str, ...], what: str):
+    """An argparse type: a comma-separated list drawn from ``valid``."""
+    def parse(text: str) -> tuple[str, ...]:
+        kinds = tuple(kind.strip() for kind in text.split(",")
+                      if kind.strip())
+        bad = [kind for kind in kinds if kind not in valid]
+        if bad or not kinds:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} kind(s) {bad}; valid: {', '.join(valid)}")
+        return kinds
+
+    return parse
+
+
+def _add_dataset(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("dataset", choices=sorted(DATASET_SPECS))
+
+
+def _add_semantics(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--semantics", default="hom",
+                        choices=[s.value for s in Semantics],
+                        help="query semantics, which also picks the graph "
+                             "variant (ssim uses the 64-label graph)")
+
+
+def _add_query_shape(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--size", type=_positive_int, default=8,
+                        help="query vertices |V_Q|")
+    parser.add_argument("--diameter", type=_positive_int, default=3,
+                        help="query diameter d_Q (QGen may fall back to a "
+                             "smaller one); must be a served ball radius")
+    _add_semantics(parser)
+
+
+def _add_count(parser: argparse.ArgumentParser, default: int,
+               help: str) -> None:
+    parser.add_argument("--count", type=_positive_int, default=default,
+                        help=help)
+
+
+def _add_shards(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--shards", type=_positive_int, default=4,
+                        help="shard count")
+
+
+def _add_store(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--store", default=None, metavar="DIR", help=help)
+
+
+def _add_serving_outputs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--queue-bound", type=_positive_int, default=None,
+                        metavar="N",
+                        help="admission bound: the first N queries are "
+                             "admitted and the rest shed as "
+                             "REJECTED(overload) (by the gateway, before "
+                             "any shard sees them)")
+    parser.add_argument("--json-summary", default=None, metavar="FILE",
+                        help="also write the run's summary as JSON")
+    parser.add_argument("--metrics-out", default=None, metavar="FILE",
+                        help="write a Prometheus text-exposition snapshot "
+                             "of the run (for a textfile collector)")
+
+
+def _add_admission_and_tracing(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--deadline-ms", type=_positive_float, default=None,
+                        metavar="MS",
+                        help="per-query wall-clock budget (on every shard "
+                             "under the gateway); an exceeded query aborts "
+                             "with partial state and the command exits 4")
+    parser.add_argument("--ball-budget", type=_positive_int, default=None,
+                        metavar="N",
+                        help="reject queries whose candidate ball count "
+                             "exceeds N (admission control; per shard "
+                             "under the gateway)")
+    parser.add_argument("--trace", nargs="?", const="trace.jsonl",
+                        default=None, metavar="FILE",
+                        help="write a role-scoped span trace as JSON "
+                             "lines (default file: trace.jsonl)")
+    parser.add_argument("--leakage-audit", action="store_true",
+                        help="diff the trace against the allowed-"
+                             "observation model; a query-dependent "
+                             "attribute in a dealer/player/sp span "
+                             "exits 5")
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--chaos-seed", type=int, default=None,
+    parser.add_argument("--chaos-seed", type=_any_int, default=None,
                         metavar="N",
                         help="enable seeded fault injection (chaos mode); "
                              "the same seed replays the same fault schedule")
-    parser.add_argument("--fault-rate", type=float, default=None,
+    parser.add_argument("--fault-rate", type=_fraction, default=None,
                         metavar="P",
                         help="per-decision fault probability in [0,1] "
                              "(default 0.1 when --chaos-seed is given)")
-    parser.add_argument("--chaos-kinds", default=None, metavar="K1,K2",
+    parser.add_argument("--chaos-kinds", type=_kinds(VALID_KINDS, "chaos"),
+                        default=INJECTABLE_KINDS, metavar="K1,K2",
                         help="comma-separated fault kinds to inject "
                              "(default: every injectable kind; add "
                              "kill_process to SIGKILL the process at a "
@@ -838,40 +923,11 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="continue an existing --journal file, "
                              "replaying its checkpoints instead of "
                              "recomputing them")
-    parser.add_argument("--deadline-ms", type=float, default=None,
-                        metavar="MS",
-                        help="per-query wall-clock budget; an exceeded "
-                             "query aborts with partial state and the "
-                             "command exits 4")
-    parser.add_argument("--ball-budget", type=int, default=None,
-                        metavar="N",
-                        help="reject queries whose candidate ball count "
-                             "exceeds N (admission control)")
-    parser.add_argument("--trace", nargs="?", const="trace.jsonl",
-                        default=None, metavar="FILE",
-                        help="write a role-scoped span trace as JSON "
-                             "lines (default file: trace.jsonl)")
-    parser.add_argument("--leakage-audit", action="store_true",
-                        help="diff the trace against the allowed-"
-                             "observation model; a query-dependent "
-                             "attribute in a dealer/player/sp span "
-                             "exits 5")
     # Test hook: injects a deliberately leaking dealer-scope span so CI
     # can prove the audit fails loudly.  Not for operators.
     parser.add_argument("--trace-taint", action="store_true",
                         help=argparse.SUPPRESS)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive int, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive int, got {value}")
-    return value
+    _add_admission_and_tracing(parser)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -885,62 +941,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _leaf(sub, name: str, func: Callable[[argparse.Namespace], int],
+          help: str | None = None) -> argparse.ArgumentParser:
+    """A runnable subcommand; :func:`main` reports a :class:`UsageError`
+    through its parser."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func, parser=parser)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro",
         description="Prilo/Prilo*: privacy preserving LGPQ processing")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="dataset size multiplier")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_any_int, default=0)
     parser.add_argument("--players", type=_positive_int, default=4,
                         help="number of Player servers (k)")
-    parser.add_argument("--modulus", type=int, default=1024,
+    parser.add_argument("--modulus", type=_modulus_bits, default=1024,
                         help="CGBE modulus bits (paper: 4096)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    datasets = sorted(DATASET_SPECS)
-    p_stats = sub.add_parser("stats", help="dataset statistics (Table 3)")
-    p_stats.add_argument("dataset", choices=datasets)
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_run = sub.add_parser("run", help="run one random query end to end")
-    p_run.add_argument("dataset", choices=datasets)
-    p_run.add_argument("--size", type=_positive_int, default=8)
-    p_run.add_argument("--diameter", type=int, default=3)
-    p_run.add_argument("--semantics", default="hom",
-                       choices=[s.value for s in Semantics])
-    p_run.add_argument("--store", default=None, metavar="DIR",
-                       help="cold-start from an artifact store built with "
-                            "the same dataset/scale/semantics/seed")
+    p_run = _leaf(sub, "run", cmd_run, "run one random query end to end")
+    _add_dataset(p_run)
+    _add_query_shape(p_run)
+    _add_store(p_run, "cold-start from an artifact store built with the "
+                      "same dataset/scale/semantics/seed")
     _add_execution_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
 
-    p_batch = sub.add_parser(
-        "serve-batch",
-        help="serve a query batch with cross-query CMM reuse")
-    p_batch.add_argument("dataset", choices=datasets)
-    p_batch.add_argument("--batch", type=int, default=8,
+    p_batch = _leaf(sub, "serve-batch", cmd_serve_batch,
+                    "serve a query batch with cross-query CMM reuse")
+    _add_dataset(p_batch)
+    p_batch.add_argument("--batch", type=_positive_int, default=8,
                          help="total queries to serve")
     p_batch.add_argument("--distinct", type=_positive_int, default=2,
                          help="distinct queries cycled through the batch")
-    p_batch.add_argument("--size", type=_positive_int, default=8)
-    p_batch.add_argument("--diameter", type=int, default=3)
-    p_batch.add_argument("--semantics", default="hom",
-                         choices=[s.value for s in Semantics])
-    p_batch.add_argument("--engine", default="prilo",
-                         choices=sorted(ENGINE_CLASSES))
-    p_batch.add_argument("--store", default=None, metavar="DIR")
-    p_batch.add_argument("--queue-bound", type=_positive_int, default=None,
+    _add_query_shape(p_batch)
+    _add_store(p_batch, "serve from an artifact store built with the "
+                        "same dataset/scale/semantics/seed")
+    _add_serving_outputs(p_batch)
+    p_batch.add_argument("--standing", type=_non_negative_int, default=0,
                          metavar="N",
-                         help="admission bound: queries past the first N "
-                              "are shed with REJECTED(overload)")
-    p_batch.add_argument("--json-summary", default=None, metavar="FILE",
-                         help="also write the batch summary as JSON")
-    p_batch.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="write a Prometheus text-exposition "
-                              "snapshot of the batch (for a textfile "
-                              "collector)")
-    p_batch.add_argument("--standing", type=int, default=0, metavar="N",
                          help="register the first N distinct queries as "
                               "standing queries (re-notified per applied "
                               "delta)")
@@ -949,189 +991,128 @@ def build_parser() -> argparse.ArgumentParser:
                               "through the live engine (exit 2 stale, "
                               "3 tampered)")
     _add_execution_flags(p_batch)
-    p_batch.set_defaults(func=cmd_serve_batch)
 
     p_store = sub.add_parser("store",
                              help="persistent offline artifact store")
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
-    p_build = store_sub.add_parser(
-        "build", help="run the offline outsourcing step into a directory")
-    p_build.add_argument("dataset", choices=datasets)
+    p_build = _leaf(store_sub, "build", cmd_store_build,
+                    "run the offline outsourcing step into a directory")
+    _add_dataset(p_build)
     p_build.add_argument("root", help="target directory (must be empty)")
-    p_build.add_argument("--radii", type=_parse_radii, default=(1, 2, 3, 4),
+    p_build.add_argument("--radii", type=_radii, default=(1, 2, 3, 4),
                          help="comma-separated ball radii (default 1,2,3,4)")
-    p_build.add_argument("--semantics", default="hom",
-                         choices=[s.value for s in Semantics],
-                         help="which graph variant to outsource "
-                              "(ssim uses the 64-label graph)")
-    p_build.add_argument("--twiglet-h", type=int, default=3)
+    _add_semantics(p_build)
+    p_build.add_argument("--twiglet-h", type=_int_in(TWIGLET_HEIGHTS),
+                         default=3,
+                         help="twiglet height h in 3..5 (Sec. 4.2)")
     p_build.add_argument("--no-twiglets", action="store_true",
                          help="skip the twiglet feature artifact")
-    p_build.set_defaults(func=cmd_store_build)
 
-    p_inspect = store_sub.add_parser("inspect",
-                                     help="print a store's manifest summary")
+    p_inspect = _leaf(store_sub, "inspect", cmd_store_inspect,
+                      "print a store's manifest summary")
     p_inspect.add_argument("root")
-    p_inspect.set_defaults(func=cmd_store_inspect)
 
-    p_verify = store_sub.add_parser(
-        "verify", help="checksum (and optionally decrypt) every artifact")
+    p_verify = _leaf(store_sub, "verify", cmd_store_verify,
+                     "checksum (and optionally decrypt) every artifact")
     p_verify.add_argument("root")
     p_verify.add_argument("--with-key", action="store_true",
                           help="also decrypt-authenticate every ball blob "
                                "with the seed-derived owner key")
-    p_verify.set_defaults(func=cmd_store_verify)
 
-    p_split = store_sub.add_parser(
-        "shard-split",
-        help="cut a store into N consistent-hash shard packs plus a "
-             "placement manifest (input to the gateway)")
+    p_split = _leaf(store_sub, "shard-split", cmd_store_shard_split,
+                    "cut a store into N consistent-hash shard packs plus "
+                    "a placement manifest (input to the gateway)")
     p_split.add_argument("root", help="source store directory")
     p_split.add_argument("out", help="target directory (must be empty)")
-    p_split.add_argument("--shards", type=_positive_int, default=4)
-    p_split.set_defaults(func=cmd_store_shard_split)
+    _add_shards(p_split)
 
-    p_mkdelta = store_sub.add_parser(
-        "make-delta",
-        help="synthesize a seeded update stream into an authenticated "
-             "delta log (input to apply-delta)")
-    p_mkdelta.add_argument("dataset", choices=datasets)
+    p_mkdelta = _leaf(store_sub, "make-delta", cmd_store_make_delta,
+                      "synthesize a seeded update stream into an "
+                      "authenticated delta log (input to apply-delta)")
+    _add_dataset(p_mkdelta)
     p_mkdelta.add_argument("log", help="delta log file (appended)")
-    p_mkdelta.add_argument("--semantics", default="hom",
-                           choices=[s.value for s in Semantics])
-    p_mkdelta.add_argument("--count", type=int, default=1,
-                           help="deltas to chain onto the log")
-    p_mkdelta.add_argument("--edge-fraction", type=float, default=0.01,
+    _add_semantics(p_mkdelta)
+    _add_count(p_mkdelta, 1, "deltas to chain onto the log")
+    p_mkdelta.add_argument("--edge-fraction", type=_fraction, default=0.01,
                            help="fraction of edges each delta rewires "
                                 "(delta i is drawn with seed 7 + i; --seed "
                                 "keys the log)")
-    p_mkdelta.set_defaults(func=cmd_store_make_delta)
 
-    p_apply = store_sub.add_parser(
-        "apply-delta",
-        help="replay a delta log into a store: incremental dirty-ball "
-             "maintenance (exit 2 stale, 3 tampered)")
+    p_apply = _leaf(store_sub, "apply-delta", cmd_store_apply_delta,
+                    "replay a delta log into a store: incremental "
+                    "dirty-ball maintenance (exit 2 stale, 3 tampered)")
     p_apply.add_argument("root", help="store directory to update")
-    p_apply.add_argument("dataset", choices=datasets)
+    _add_dataset(p_apply)
     p_apply.add_argument("log", help="delta log file to replay")
-    p_apply.add_argument("--semantics", default="hom",
-                         choices=[s.value for s in Semantics])
+    _add_semantics(p_apply)
     p_apply.add_argument("--inspect", action="store_true",
                          help="only summarize the log (non-destructive; "
                               "exits 3 if any record is tampered)")
-    p_apply.set_defaults(func=cmd_store_apply_delta)
 
     p_journal = sub.add_parser("journal",
                                help="write-ahead run journal tools")
     journal_sub = p_journal.add_subparsers(dest="journal_command",
                                            required=True)
-    p_jinspect = journal_sub.add_parser(
-        "inspect", help="record counts, last checkpoint, torn-tail and "
-                        "tamper report (non-destructive)")
-    p_jinspect.add_argument("path")
-    p_jinspect.set_defaults(func=cmd_journal_inspect)
+    _leaf(journal_sub, "inspect", cmd_journal_inspect,
+          "record counts, last checkpoint, torn-tail and tamper report "
+          "(non-destructive)").add_argument("path")
 
     p_trace = sub.add_parser("trace", help="span-trace tools")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_tsum = trace_sub.add_parser(
-        "summarize", help="per-role/per-phase latency histograms of a "
-                          "--trace JSONL file")
-    p_tsum.add_argument("path")
-    p_tsum.set_defaults(func=cmd_trace_summarize)
-    p_taudit = trace_sub.add_parser(
-        "audit", help="offline leakage audit of a trace file "
-                      "(exit 5 on a restricted-scope leak)")
-    p_taudit.add_argument("path")
-    p_taudit.set_defaults(func=cmd_trace_audit)
+    _leaf(trace_sub, "summarize", cmd_trace_summarize,
+          "per-role/per-phase latency histograms of a --trace JSONL "
+          "file").add_argument("path")
+    _leaf(trace_sub, "audit", cmd_trace_audit,
+          "offline leakage audit of a trace file (exit 5 on a "
+          "restricted-scope leak)").add_argument("path")
 
-    p_gw = sub.add_parser(
-        "gateway",
-        help="serve zipf many-tenant traffic through a local N-shard "
-             "cluster behind the scatter-gather gateway")
-    p_gw.add_argument("dataset", choices=datasets)
-    p_gw.add_argument("--shards", type=_positive_int, default=4)
-    p_gw.add_argument("--count", type=int, default=32,
-                      help="total queries in the traffic trace")
-    p_gw.add_argument("--tenants", type=int, default=8,
+    p_gw = _leaf(sub, "gateway", cmd_gateway,
+                 "serve zipf many-tenant traffic through a local N-shard "
+                 "cluster behind the scatter-gather gateway")
+    _add_dataset(p_gw)
+    _add_shards(p_gw)
+    _add_count(p_gw, 32, "total queries in the traffic trace")
+    p_gw.add_argument("--tenants", type=_positive_int, default=8,
                       help="distinct tenant queries the trace draws from")
-    p_gw.add_argument("--size", type=_positive_int, default=8)
-    p_gw.add_argument("--diameter", type=int, default=3)
-    p_gw.add_argument("--semantics", default="hom",
-                      choices=[s.value for s in Semantics])
-    p_gw.add_argument("--engine", default="prilo",
-                      choices=sorted(ENGINE_CLASSES))
-    p_gw.add_argument("--store", default=None, metavar="DIR",
-                      help="a `store shard-split` output directory: each "
-                           "shard cold-starts from its own pack; "
-                           "placement.json must name the fixed ring "
-                           "geometry (else exit 3)")
+    _add_query_shape(p_gw)
+    _add_store(p_gw, "a `store shard-split` output directory: each shard "
+                     "cold-starts from its own pack; placement.json must "
+                     "name the fixed ring geometry (else exit 3)")
     p_gw.add_argument("--journal-dir", default=None, metavar="DIR",
                       help="give each shard its own write-ahead journal "
                            "(shard-<i>.wal) under this directory")
-    p_gw.add_argument("--queue-bound", type=_positive_int, default=None,
-                      metavar="N",
-                      help="the fleet admits the first N queries of the "
-                           "trace and sheds the rest as REJECTED(overload) "
-                           "before any shard sees them")
-    p_gw.add_argument("--rogue-shard", type=int, action="append",
-                      default=None, metavar="K",
-                      help="malicious-SP chaos: shard K mutates its "
-                           "verdicts after the honest engine ran "
-                           "(repeatable; caught by the answer verifier, "
-                           "evicted, and its slice re-scattered)")
-    p_gw.add_argument("--rogue-kinds", default=None, metavar="K1,K2",
+    _add_serving_outputs(p_gw)
+    p_gw.add_argument("--rogue-shard", type=_non_negative_int,
+                      action="append", default=None, metavar="K",
+                      help="malicious-SP chaos: shard K (below --shards) "
+                           "mutates its verdicts after the honest engine "
+                           "ran (repeatable; caught by the answer "
+                           "verifier, evicted, and its slice re-scattered)")
+    p_gw.add_argument("--rogue-kinds", type=_kinds(MALICIOUS_KINDS, "rogue"),
+                      default=MALICIOUS_KINDS, metavar="K1,K2",
                       help="comma-separated malicious kinds for "
                            "--rogue-shard (default: forge_result,"
                            "drop_ball,replay_stale)")
-    p_gw.add_argument("--rogue-seed", type=int, default=0, metavar="S",
+    p_gw.add_argument("--rogue-seed", type=_any_int, default=0, metavar="S",
                       help="seed for the rogue shards' mutation schedule")
     p_gw.add_argument("--no-verify", action="store_true",
                       help="trust the shards: skip certificates and "
-                           "merge-time verification (PR 7 behavior; for "
-                           "overhead A/B only)")
-    p_gw.add_argument("--kill-shard", type=int, default=None, metavar="K",
-                      help="chaos: SIGKILL shard K mid-batch and recover "
-                           "by re-placing its slice onto survivors")
-    p_gw.add_argument("--kill-seed", type=int, default=None, metavar="S",
+                           "merge-time verification (for overhead A/B "
+                           "only)")
+    p_gw.add_argument("--kill-shard", type=_non_negative_int, default=None,
+                      metavar="K",
+                      help="chaos: SIGKILL shard K (below --shards) "
+                           "mid-batch and recover by re-placing its slice "
+                           "onto survivors")
+    p_gw.add_argument("--kill-seed", type=_any_int, default=None,
+                      metavar="S",
                       help="chaos: derive the victim from seed S instead "
                            "of naming it")
-    p_gw.add_argument("--kill-after", type=int, default=1, metavar="V",
+    p_gw.add_argument("--kill-after", type=_positive_int, default=1,
+                      metavar="V",
                       help="fire the kill after the victim's V-th verdict")
-    p_gw.add_argument("--deadline-ms", type=float, default=None,
-                      metavar="MS",
-                      help="per-query wall-clock budget on every shard; "
-                           "an exceeded slice exits 4")
-    p_gw.add_argument("--ball-budget", type=int, default=None, metavar="N",
-                      help="per-shard candidate-ball admission bound")
-    p_gw.add_argument("--json-summary", default=None, metavar="FILE",
-                      help="also write the gateway summary as JSON")
-    p_gw.add_argument("--metrics-out", default=None, metavar="FILE",
-                      help="write a Prometheus text-exposition snapshot "
-                           "of the gateway run (repro_verify_total "
-                           "counters et al.)")
-    p_gw.add_argument("--trace", nargs="?", const="trace.jsonl",
-                      default=None, metavar="FILE",
-                      help="write the gateway's role-scoped span trace")
-    p_gw.add_argument("--leakage-audit", action="store_true",
-                      help="audit the gateway trace against the allowed-"
-                           "observation model (exit 5 on a leak)")
-    p_gw.set_defaults(func=cmd_gateway)
-
-    p_work = sub.add_parser("workloads",
-                            help="LDBC BI workloads (Fig. 18)")
-    p_work.add_argument("--semantics", default="hom",
-                        choices=[s.value for s in Semantics])
-    p_work.set_defaults(func=cmd_workloads)
-
-    p_prune = sub.add_parser("prune", help="pruning ablation (Fig. 2a)")
-    p_prune.add_argument("dataset", choices=datasets)
-    p_prune.add_argument("--queries", type=int, default=3)
-    p_prune.add_argument("--size", type=_positive_int, default=8)
-    p_prune.add_argument("--diameter", type=int, default=3)
-    p_prune.add_argument("--semantics", default="hom",
-                         choices=[s.value for s in Semantics])
-    p_prune.set_defaults(func=cmd_prune)
+    _add_admission_and_tracing(p_gw)
     return parser
 
 
@@ -1140,7 +1121,10 @@ def main(argv: list[str] | None = None) -> int:
     args.tracer = _tracer_for(args)
     code = EXIT_USAGE
     try:
+        _check_flags(args)
         code = args.func(args)
+    except UsageError as exc:
+        args.parser.error(str(exc))
     except tuple(row.exc for row in EXIT_TABLE) as exc:
         code = exit_code(exc)
     finally:

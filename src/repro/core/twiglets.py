@@ -26,6 +26,9 @@ from repro.core.table_pruning import PruneTable, build_table
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 from repro.graph.query import Query
 
+#: The twiglet heights ``h`` Sec. 4.2 admits (3 <= h <= 5).
+TWIGLET_HEIGHTS = range(3, 6)
+
 
 @dataclass(frozen=True, order=True)
 class Twiglet:

@@ -45,9 +45,11 @@ class UserKeyring:
 
     @classmethod
     def generate(cls, modulus_bits: int = 2048, seed: int | None = None,
-                 owner_key: DataOwnerKey | None = None) -> "UserKeyring":
+                 owner_key: DataOwnerKey | None = None, *,
+                 q_bits: int = 32, r_bits: int = 32) -> "UserKeyring":
         return cls(
-            cgbe=CGBE.generate(modulus_bits=modulus_bits, seed=seed),
+            cgbe=CGBE.generate(modulus_bits=modulus_bits, q_bits=q_bits,
+                               r_bits=r_bits, seed=seed),
             enclave_key=StreamCipher.generate_key(
                 None if seed is None else seed + 1),
             owner_key=owner_key,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.bf_pruning import BFConfig
 from repro.core.retrieval import PlayerSequence, rsg_sequences
+from repro.core.twiglets import TWIGLET_HEIGHTS
 from repro.crypto.keys import UserKeyring
 from repro.crypto.ops import counting
 from repro.framework.faults import (
@@ -186,7 +187,7 @@ class PriloConfig:
                 f"ChaosPolicy(seed=7, fault_rate=0.1)")
         if self.use_ssg and self.k_players < 2:
             raise ValueError("SSG requires at least two players (Sec. 2.3)")
-        if not 3 <= self.twiglet_h <= 5:
+        if self.twiglet_h not in TWIGLET_HEIGHTS:
             raise ValueError("twiglet_h must be in 3..5 (Sec. 4.2)")
         if self.enumeration_limit < 1 or self.cmm_bound_bypass < 1:
             raise ValueError("enumeration bounds must be positive")
@@ -296,14 +297,9 @@ class Prilo:
                                store=store)
         if keyring is None:
             keyring = UserKeyring.generate(modulus_bits=config.modulus_bits,
-                                           seed=config.seed)
-            # Regenerate with the configured q/r sizes.
-            from repro.crypto.cgbe import CGBE
-
-            keyring.cgbe = CGBE.generate(modulus_bits=config.modulus_bits,
-                                         q_bits=config.q_bits,
-                                         r_bits=config.r_bits,
-                                         seed=config.seed)
+                                           seed=config.seed,
+                                           q_bits=config.q_bits,
+                                           r_bits=config.r_bits)
         self.user = User(keyring)
         self.owner.grant_key(self.user)
         self.index = self.owner.player_store()

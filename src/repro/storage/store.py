@@ -45,6 +45,7 @@ from typing import get_type_hints
 # by hard lookup; delete with its row at the re-pin (ROADMAP 1(a)).
 from repro.core.trees import enumerate_center_tree_encodings  # noqa: F401
 from repro.core.twiglets import (
+    TWIGLET_HEIGHTS,
     twiglet_from_jsonable,
     twiglet_to_jsonable,
     twiglets_from,
@@ -348,7 +349,9 @@ def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
 
 def _twiglet_entry(features) -> str:
     """One ball's ``twiglets.json`` value, encoded as the document holds it."""
-    return json.dumps(sorted(twiglet_to_jsonable(t) for t in features),
+    # No fork sorts first: from h = 4 a path and a fork can share a path.
+    ordered = sorted(features, key=lambda t: (t.path, t.fork or ()))
+    return json.dumps([twiglet_to_jsonable(t) for t in ordered],
                       separators=(",", ":"), sort_keys=True)
 
 
@@ -789,6 +792,9 @@ class ArtifactStore:
         ``twiglet_h=None`` skips the twiglet feature artifact.  Both packs
         are always written -- they are what cold starts need.
         """
+        if twiglet_h is not None and twiglet_h not in TWIGLET_HEIGHTS:
+            raise ValueError(f"twiglet_h must be None or in 3..5 (Sec. 4.2); "
+                             f"got {twiglet_h!r}")
         root = Path(root)
         if root.exists() and any(root.iterdir()):
             raise StoreUsageError(f"refusing to overwrite non-empty {root}")

@@ -95,6 +95,23 @@ class TestRoundtrip:
         with pytest.raises(StoreError, match="non-empty"):
             ArtifactStore.create(store.root, graph, RADII, key)
 
+    @pytest.mark.parametrize("h", [0, 2, 6, 9])
+    def test_create_refuses_twiglet_h_outside_sec_4_2(self, tmp_path, graph,
+                                                      key, h):
+        """A bad ``twiglet_h`` is refused before anything is written, so
+        the same empty target takes the corrected build."""
+        with pytest.raises(ValueError, match="twiglet_h must be None or "
+                                             "in 3..5"):
+            ArtifactStore.create(tmp_path, graph, RADII, key, twiglet_h=h)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("h", [None, 3, 4, 5])
+    def test_create_builds_every_admitted_twiglet_h(self, tmp_path, graph,
+                                                    key, h):
+        with ArtifactStore.create(tmp_path, graph, RADII, key,
+                                  twiglet_h=h) as built:
+            assert built.twiglet_h == h
+
 
 class TestStaleness:
     def test_fresh_store_passes(self, store, graph, key):

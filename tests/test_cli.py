@@ -1,9 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,13 +45,22 @@ from repro.storage import (
 )
 
 
+def usage_line(argv, capsys) -> str:
+    """Run ``main(argv)``; it must exit :data:`EXIT_USAGE` through
+    argparse, not 2 (:data:`EXIT_STALE`) and not with a traceback.
+    Returns the last line of standard error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
 class TestParser:
     def test_commands_registered(self):
         parser = build_parser()
-        for argv in (["stats", "dblp"],
-                     ["run", "dblp"],
-                     ["workloads"],
-                     ["prune", "dblp"],
+        for argv in (["run", "dblp"],
                      ["serve-batch", "dblp"],
                      ["store", "build", "dblp", "/tmp/x"],
                      ["store", "inspect", "/tmp/x"],
@@ -58,30 +71,18 @@ class TestParser:
     def test_unknown_dataset_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["stats", "nope"])
+            parser.parse_args(["run", "nope"])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @staticmethod
-    def usage_error(argv, capsys) -> str:
-        """Run ``main(argv)``; it must exit :data:`EXIT_USAGE` through
-        argparse, not 2 (:data:`EXIT_STALE`) and not with a traceback.
-        Returns the last line of standard error."""
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        return err.splitlines()[-1]
-
     @pytest.mark.parametrize("command", ["serve-batch", "gateway"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_queue_bound_below_one_is_a_usage_error(self, command, value,
                                                     capsys):
-        line = self.usage_error(["--scale", "0.05", command, "slashdot",
-                                 "--queue-bound", value], capsys)
+        line = usage_line(["--scale", "0.05", command, "slashdot",
+                           "--queue-bound", value], capsys)
         assert line == (f"repro {command}: error: argument --queue-bound: "
                         f"must be a positive int, got {value}")
 
@@ -93,7 +94,200 @@ class TestParser:
     ], ids=["bad-int", "unknown-flag", "nested-unknown-flag",
             "unknown-subcommand"])
     def test_every_argparse_error_exits_usage(self, argv, capsys):
-        assert "error:" in self.usage_error(argv, capsys)
+        assert "error:" in usage_line(argv, capsys)
+
+
+def leaves(parser=None, prefix=()):
+    """``(argv prefix, parser)`` of every runnable subcommand of
+    :func:`build_parser` -- ``(("store", "build"), <parser>)`` etc."""
+    parser = parser or build_parser()
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaves(child, (*prefix, name))
+
+
+def positionals(parser) -> list[str]:
+    """A placeholder argv for ``parser``'s positional arguments."""
+    return [action.choices[0] if action.choices else "x"
+            for action in parser._actions
+            if not action.option_strings
+            and not isinstance(action, argparse._SubParsersAction)]
+
+
+def numeric_flags(parser) -> list[str]:
+    """Options whose type is one of the CLI's declared numeric domains."""
+    return [action.option_strings[-1] for action in parser._actions
+            if action.option_strings
+            and hasattr(action.type, "smallest")]
+
+
+def names_flag(line: str, flag: str) -> bool:
+    """An argparse-style error line that names ``flag``."""
+    return "error:" in line and re.search(
+        rf"(?<![\w-]){re.escape(flag)}\b", line) is not None
+
+
+CLI_TREE = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+
+def add_argument_calls(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"]
+
+
+def bare_numeric_types(tree: ast.AST) -> list[tuple[int, str]]:
+    return [(call.lineno, keyword.value.id)
+            for call in add_argument_calls(tree)
+            for keyword in call.keywords
+            if keyword.arg == "type" and isinstance(keyword.value, ast.Name)
+            and keyword.value.id in ("int", "float")]
+
+
+def repeated_options(tree: ast.AST) -> list[str]:
+    counts = Counter(arg.value for call in add_argument_calls(tree)
+                     for arg in call.args
+                     if isinstance(arg, ast.Constant)
+                     and isinstance(arg.value, str)
+                     and arg.value.startswith("-"))
+    return sorted(option for option, count in counts.items() if count > 1)
+
+
+class TestDeclarations:
+    """Every input of ``cli.py`` is declared once, with a domain."""
+
+    def test_no_bare_numeric_type(self):
+        assert bare_numeric_types(CLI_TREE) == []
+        assert bare_numeric_types(ast.parse(
+            "p.add_argument('--n', type=int)\n"
+            "p.add_argument('--x', type=float)")) == [(1, "int"), (2, "float")]
+
+    def test_every_option_declared_once(self):
+        assert repeated_options(CLI_TREE) == []
+        assert repeated_options(ast.parse(
+            "a.add_argument('--size')\nb.add_argument('--size')")) == ["--size"]
+
+    def test_deleted_flag_and_subcommands_are_gone(self):
+        commands = {" ".join(prefix) for prefix, _ in leaves()}
+        assert not commands & {"stats", "workloads", "prune"}
+        flags = {flag for _, parser in leaves()
+                 for action in parser._actions
+                 for flag in action.option_strings}
+        assert "--engine" not in flags
+
+
+class TestDomainSweep:
+    """Every numeric flag of every subcommand, driven through ``main()``
+    with its domain's edges and the command body stubbed out: success,
+    or exit 1 with one stderr line naming the flag -- never a traceback.
+    A flag declared with a domain is swept the day it lands."""
+
+    EDGES = ("0", "-1", None, "abc", str(2 ** 63))  # None: the smallest
+
+    @staticmethod
+    def cases():
+        """``(argv before the value, argv after it, flag, its parser)``."""
+        root = build_parser()
+        for prefix, parser in leaves(root):
+            argv = [*prefix, *positionals(parser)]
+            for flag in numeric_flags(parser):
+                yield [*argv, flag], [], flag, parser
+            for flag in numeric_flags(root):
+                yield [flag], argv, flag, root
+
+    def test_every_flag_at_every_edge(self, monkeypatch, capsys):
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, lambda args: 0)
+        swept = set()
+        for before, after, flag, parser in self.cases():
+            action = next(a for a in parser._actions
+                          if flag in a.option_strings)
+            for edge in self.EDGES:
+                value = action.type.smallest if edge is None else edge
+                argv = [*before, value, *after]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, argv
+                if edge == "abc":
+                    assert code == EXIT_USAGE, argv
+                assert code in (0, EXIT_USAGE), argv
+                if code:
+                    assert sum(names_flag(line, flag)
+                               for line in err.splitlines()) == 1, (argv, err)
+                    assert names_flag(err.splitlines()[-1], flag), argv
+                swept.add(flag)
+        assert {"--modulus", "--kill-after", "--edge-fraction", "--radii",
+                "--twiglet-h", "--standing", "--rogue-shard"} <= swept
+
+
+class TestCrossFlagChecks:
+    """What no single flag's domain can see exits 1 on one line naming
+    the flags involved."""
+
+    BASE = ["--scale", "0.05"]
+
+    @pytest.mark.parametrize("argv, shape", [
+        (["run", "dblp", "--size", "1"], "--size 1 --diameter 3"),
+        (["run", "slashdot", "--diameter", "5"], "--size 8 --diameter 5"),
+        (["serve-batch", "slashdot", "--diameter", "6"],
+         "--size 8 --diameter 6"),
+    ], ids=["size-1", "run-diameter-5", "serve-batch-diameter-6"])
+    def test_query_diameter_is_a_served_radius(self, argv, shape, capsys):
+        line = usage_line([*self.BASE, *argv], capsys)
+        assert line.startswith(f"repro {argv[0]}: error: {shape}: query "
+                               f"diameter(s) [")
+        assert line.endswith("not among the radii [1, 2, 3, 4]")
+
+    def test_qgen_finds_no_query_of_the_shape(self, capsys):
+        line = usage_line([*self.BASE, "run", "slashdot", "--size", "8",
+                           "--diameter", "1"], capsys)
+        assert line.startswith("repro run: error: --size 8 --diameter 1: "
+                               "no connected induced subgraph")
+
+    def test_run_needs_two_players(self, capsys):
+        line = usage_line([*self.BASE, "--players", "1", "run", "dblp"],
+                          capsys)
+        assert line == ("repro run: error: argument --players: run serves "
+                        "Prilo* (SSG, Sec. 2.3), which needs at least 2, "
+                        "got 1")
+
+    @pytest.mark.parametrize("flag", ["--kill-shard", "--rogue-shard"])
+    def test_shard_ids_below_shards(self, flag, capsys):
+        line = usage_line([*self.BASE, "gateway", "slashdot", "--shards", "2",
+                           flag, "2", "--kill-seed", "1"], capsys)
+        assert line == (f"repro gateway: error: argument {flag}: must be "
+                        f"below --shards 2, got 2")
+
+    def test_standing_at_most_distinct(self, capsys):
+        line = usage_line([*self.BASE, "serve-batch", "slashdot",
+                           "--standing", "5", "--distinct", "2"], capsys)
+        assert line == ("repro serve-batch: error: argument --standing: "
+                        "must be at most --distinct 2, got 5")
+
+    def test_chaos_seed_from_the_environment_is_an_int(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "abc")
+        line = usage_line([*self.BASE, "run", "dblp"], capsys)
+        assert line == ("repro run: error: environment variable "
+                        "REPRO_CHAOS_SEED: expected an int, got 'abc'")
+
+    @pytest.mark.parametrize("flag, valid", [
+        ("--chaos-kinds", "kill_process"), ("--rogue-kinds", "drop_ball")])
+    def test_kinds_checked_without_chaos_on(self, flag, valid, capsys):
+        command = "run" if flag == "--chaos-kinds" else "gateway"
+        line = usage_line([command, "dblp", flag, f"{valid},nope"], capsys)
+        assert line.startswith(f"repro {command}: error: argument {flag}: "
+                               f"unknown ")
+        assert "['nope']; valid: " in line
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,8 +300,8 @@ class TestRealEntryPoint:
     exits 1, with the flag named on one line and no traceback."""
 
     @staticmethod
-    def run_cli(argv, cwd) -> tuple[int, str]:
-        env = dict(os.environ)
+    def run_cli(argv, cwd, **extra_env) -> tuple[int, str]:
+        env = {**os.environ, **extra_env}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
         proc = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
@@ -136,6 +330,58 @@ class TestRealEntryPoint:
             f"{prog}: error: argument {flag}: must be a positive int, "
             f"got 0")
 
+    #: One usage error per runnable subcommand, as a process.
+    LEAF_CASES = {
+        "run": (["--scale", "0.05", "run", "dblp", "--size", "1"], "--size"),
+        "serve-batch": (["serve-batch", "slashdot", "--batch", "0"],
+                        "--batch"),
+        "store build": (["store", "build", "dblp", "x", "--twiglet-h", "9"],
+                        "--twiglet-h"),
+        "store inspect": (["--seed", "abc", "store", "inspect", "x"],
+                          "--seed"),
+        "store verify": (["--scale", "0", "store", "verify", "x"],
+                         "--scale"),
+        "store shard-split": (["store", "shard-split", "x", "y",
+                               "--shards", "-1"], "--shards"),
+        "store make-delta": (["store", "make-delta", "dblp", "y",
+                              "--edge-fraction", "2"], "--edge-fraction"),
+        "store apply-delta": (["--players", "0", "store", "apply-delta", "x",
+                               "dblp", "y"], "--players"),
+        "journal inspect": (["--modulus", "0", "journal", "inspect", "x"],
+                            "--modulus"),
+        "trace summarize": (["--seed", "1.5", "trace", "summarize", "x"],
+                            "--seed"),
+        "trace audit": (["--scale", "nan", "trace", "audit", "x"],
+                        "--scale"),
+        "gateway": (["--scale", "0.05", "gateway", "slashdot",
+                     "--kill-shard", "9", "--kill-seed", "1"],
+                    "--kill-shard"),
+    }
+
+    def test_cases_cover_every_leaf(self):
+        assert set(self.LEAF_CASES) == {
+            " ".join(prefix) for prefix, _ in leaves()}
+
+    @pytest.mark.parametrize("leaf", sorted(LEAF_CASES))
+    def test_every_leaf_names_the_bad_flag(self, leaf, tmp_path):
+        argv, flag = self.LEAF_CASES[leaf]
+        code, err = self.run_cli(argv, tmp_path)
+        assert code == EXIT_USAGE, err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert sum(names_flag(line, flag) for line in lines) == 1, err
+        assert names_flag(lines[-1], flag), err
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_chaos_seed_variable(self, tmp_path):
+        code, err = self.run_cli(["--scale", "0.05", "run", "dblp"], tmp_path,
+                                 REPRO_CHAOS_SEED="abc")
+        assert code == EXIT_USAGE, err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "repro run: error: environment variable REPRO_CHAOS_SEED: "
+            "expected an int, got 'abc'")
+
     def test_unknown_flag(self, tmp_path):
         code, err = self.run_cli(["serve-batch", "slashdot",
                                   "--no-such-flag"], tmp_path)
@@ -146,11 +392,6 @@ class TestRealEntryPoint:
 
 
 class TestExecution:
-    def test_stats(self, capsys):
-        assert main(["--scale", "0.05", "stats", "dblp"]) == 0
-        out = capsys.readouterr().out
-        assert "vertices" in out
-
     def test_run(self, capsys):
         assert main(["--scale", "0.08", "--players", "2",
                      "run", "dblp", "--size", "4", "--diameter", "2"]) == 0
@@ -169,12 +410,20 @@ class TestExecution:
         assert main(argv) == 0
         assert " arith=python" in capsys.readouterr().out
 
-    def test_prune(self, capsys):
-        assert main(["--scale", "0.08", "--players", "2", "prune", "dblp",
-                     "--queries", "1", "--size", "4",
-                     "--diameter", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "twiglet" in out
+    def test_smallest_modulus_serves(self, capsys):
+        """``--modulus``'s floor is the smallest modulus that serves: one
+        bit less fails in CGBE aggregation, and the domain refuses it."""
+        smallest = cli._modulus_bits.smallest
+        for command in (["run", "dblp"], ["serve-batch", "dblp",
+                                          "--batch", "2", "--distinct", "1"]):
+            argv = ["--scale", "0.05", "--players", "2", "--modulus",
+                    smallest, *command, "--size", "4", "--diameter", "2"]
+            assert main(argv) == 0
+            assert "matches=" in capsys.readouterr().out
+        argv[argv.index(smallest)] = str(int(smallest) - 1)
+        assert usage_line(argv, capsys) == (
+            f"repro: error: argument --modulus: must be an int in "
+            f"{smallest}..4096, got {int(smallest) - 1}")
 
     def test_serve_batch(self, capsys):
         assert main(["--scale", "0.05", "--modulus", "512", "serve-batch",
@@ -289,8 +538,8 @@ class TestExitTable:
     def _raising(monkeypatch, exc):
         def stub(args):
             raise exc
-        monkeypatch.setattr(cli, "cmd_stats", stub)
-        return ["stats", "dblp"]
+        monkeypatch.setattr(cli, "cmd_store_inspect", stub)
+        return ["store", "inspect", "x"]
 
     @pytest.mark.parametrize("make, code, prefix", CASES)
     def test_row_through_main(self, monkeypatch, capsys, make, code,
@@ -534,6 +783,14 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert out.count("FAILED: refusing to overwrite non-empty") == 2
         assert [p.name for p in target.iterdir()] == ["keep.txt"]
+
+    def test_query_diameter_outside_the_store_radii(self, store_root,
+                                                     capsys):
+        line = usage_line([*self.BASE, "run", "slashdot", "--size", "4",
+                           "--diameter", "3", "--store", str(store_root)],
+                          capsys)
+        assert line == ("repro run: error: --size 4 --diameter 3: query "
+                        "diameter(s) [3] not among the --store radii [1, 2]")
 
     def test_gateway_refuses_a_fleet_that_cannot_start(self, store_root,
                                                        tmp_path, capsys):

@@ -85,3 +85,105 @@ def test_operations_exit_table_lists_the_code_table():
     assert produced <= documented
     for prefix in {row.prefix for row in EXIT_TABLE}:
         assert f"`{prefix}:" in text, f"operations.md: {prefix}"
+
+
+def test_operations_option_table_lists_the_parser():
+    """The option table in docs/operations.md names exactly the parser's
+    subcommands and flags."""
+    from repro.cli import build_parser
+    from tests.test_cli import leaves
+
+    text = (ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+    section = text.split("## Options", 1)[1].split("\n## ", 1)[0]
+    root = build_parser()
+    parsers = [root, *(parser for _, parser in leaves(root))]
+    flags = {flag for parser in parsers for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--")
+             and flag != "--help"}
+    assert set(re.findall(r"^\| `(--[a-z-]+)` \|", section,
+                          re.MULTILINE)) == flags
+    assert set(re.findall(r"^\| `([a-z][a-z -]*)` \|", section,
+                          re.MULTILINE)) == {
+        " ".join(prefix) for prefix, _ in leaves(root)}
+
+
+_SHELL_ENDS = {"|", "&&", ";", ">", "2>"}
+
+
+def _ci_commands() -> list[tuple[str, str]]:
+    """``python -m repro`` lines of ci.yml with ``\\`` continuations
+    joined and ``$ARGS`` / ``$FLAGS`` taken from the step's ``env:``
+    block (plain or ``>-`` folded scalars; no YAML library)."""
+    lines = (ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8").splitlines()
+    env: dict[str, str] = {}
+    commands = []
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if re.match(r"\s*- (name|uses):", line):
+            env = {}
+        var = re.match(r"(\s*)(ARGS|FLAGS): ?(.*)$", line)
+        if var:
+            indent, name, value = var.groups()
+            if value.startswith(">"):
+                folded = []
+                while (i + 1 < len(lines) and lines[i + 1].strip()
+                       and len(lines[i + 1]) - len(lines[i + 1].lstrip())
+                       > len(indent)):
+                    i += 1
+                    folded.append(lines[i].strip())
+                value = " ".join(folded)
+            env[name] = value
+        elif "python -m repro" in line:
+            while line.rstrip().endswith("\\"):
+                i += 1
+                line = line.rstrip()[:-1] + " " + lines[i].strip()
+            for name, value in env.items():
+                line = line.replace(f"${name}", value)
+            commands.append((f"ci.yml:{i + 1}", line))
+        i += 1
+    return commands
+
+
+def _markdown_commands(name: str) -> list[tuple[str, str]]:
+    """``python -m repro`` lines inside the fenced blocks of a doc."""
+    commands, fenced = [], False
+    lines = (ROOT / name).read_text(encoding="utf-8").splitlines()
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and "python -m repro" in line:
+            while line.rstrip().endswith("\\"):
+                i += 1
+                line = line.rstrip()[:-1] + " " + lines[i].strip()
+            commands.append((f"{name}:{i + 1}", line))
+        i += 1
+    return commands
+
+
+def test_documented_command_lines_parse():
+    """Every ``python -m repro`` line CI runs or the docs show parses
+    with today's parser and passes its cross-flag checks: no deleted
+    flag or subcommand, no value outside its domain."""
+    import shlex
+
+    from repro.cli import _check_flags, build_parser
+
+    commands = [*_ci_commands(), *_markdown_commands("README.md"),
+                *_markdown_commands("docs/operations.md")]
+    assert len(commands) > 40
+    for where, line in commands:
+        words = shlex.split(line.split("python -m repro", 1)[1],
+                            comments=True)
+        argv = []
+        for word in words:
+            if word in _SHELL_ENDS:
+                break
+            argv.append(word)
+        try:
+            _check_flags(build_parser().parse_args(argv))
+        except SystemExit:
+            raise AssertionError(f"{where}: {line.strip()}") from None

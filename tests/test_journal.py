@@ -13,13 +13,12 @@ import pickle
 import signal
 import subprocess
 import sys
-from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.cli import _chaos
+from repro.cli import main
 from repro.core.bf_pruning import BFConfig
 from repro.framework.executor import EvaluationShare, share_key
 from repro.framework.faults import (
@@ -958,7 +957,7 @@ class TestKillProcessChaos:
                  for i in range(64)]
         assert decisions == again
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, capsys):
         """``worker_crash`` / ``share_timeout`` went with the in-engine
         process pool: the policy and ``--chaos-kinds`` both refuse them
         and name the kinds that are valid."""
@@ -967,6 +966,8 @@ class TestKillProcessChaos:
             with pytest.raises(ValueError, match="choose from") as err:
                 ChaosPolicy(seed=1, fault_rate=0.5, kinds=(kind,))
             assert all(k in str(err.value) for k in VALID_KINDS)
-            with pytest.raises(SystemExit, match=f"valid: {valid}$"):
-                _chaos(Namespace(chaos_seed=1, fault_rate=0.5,
-                                 chaos_kinds=f"kill_process,{kind}"))
+            with pytest.raises(SystemExit) as exit_:
+                main(["run", "dblp", "--chaos-seed", "1", "--fault-rate",
+                      "0.5", "--chaos-kinds", f"kill_process,{kind}"])
+            assert exit_.value.code == 1
+            assert capsys.readouterr().err.endswith(f"valid: {valid}\n")
