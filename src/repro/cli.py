@@ -74,8 +74,8 @@ from repro.crypto.keys import DataOwnerKey
 from repro.framework.faults import (
     INJECTABLE_KINDS,
     MALICIOUS_KINDS,
-    VALID_KINDS,
     ChaosPolicy,
+    FaultKind,
 )
 from repro.framework.gateway import Gateway, GatewayChaos, GatewayError
 from repro.framework.placement import PlacementError, PlacementManifest
@@ -909,7 +909,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="P",
                         help="per-decision fault probability in [0,1] "
                              "(default 0.1 when --chaos-seed is given)")
-    parser.add_argument("--chaos-kinds", type=_kinds(VALID_KINDS, "chaos"),
+    parser.add_argument("--chaos-kinds",
+                        type=_kinds(INJECTABLE_KINDS
+                                    + (FaultKind.KILL_PROCESS,), "chaos"),
                         default=INJECTABLE_KINDS, metavar="K1,K2",
                         help="comma-separated fault kinds to inject "
                              "(default: every injectable kind; add "

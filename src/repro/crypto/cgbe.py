@@ -41,6 +41,7 @@ from functools import cached_property
 
 from repro.cache import LRU, CacheStats
 from repro.crypto import ops
+from repro.crypto.montgomery import domain_for
 from repro.crypto.prng import random_bits, seeded_rng
 
 # RFC 3526 MODP group primes (2048 / 3072 / 4096 bits).  These are safe
@@ -353,6 +354,8 @@ class CGBE:
         sizes generate a fresh probable prime (intended for tests, where
         small moduli keep the arithmetic fast).
         """
+        if q_bits > 63:  # the q-test reduces by q as one machine word
+            raise ValueError(f"q_bits={q_bits} > 63")
         rng = seeded_rng("cgbe-keygen", seed)
         if modulus_bits in _RFC3526_PRIMES:
             modulus = _RFC3526_PRIMES[modulus_bits]
@@ -418,11 +421,34 @@ class CGBE:
     def has_factor_q(self, ciphertext: CGBECiphertext) -> bool:
         """The user's violation test: is the decryption a multiple of q?
 
+        ``c`` times ``u = (g^x)^-power`` held as ``u * R`` comes out of
+        one Montgomery product plain, and only its residue mod ``q`` is
+        read (:mod:`repro.crypto.montgomery`).
+
         False positives occur with probability ~1/q per random blind
         (negligible at 32-bit q); false negatives cannot occur absent
         overflow.
         """
-        return self.decrypt(ciphertext) % self._params.q == 0
+        unblind = self._unblind.pow(ciphertext.power)
+        ops.record_modmul()
+        domain, handles = self._q_test
+        handle = handles.get(ciphertext.power)
+        if handle is None:
+            modulus = self._params.modulus
+            handle = domain.enter(unblind * domain.r_power(1) % modulus)
+            handles.put(ciphertext.power, handle)
+        return domain.residue(ciphertext.value, handle, self._params.q) == 0
+
+    @cached_property
+    def _q_test(self) -> tuple:
+        """The q-test's domain and ``u * R`` per power; local to the
+        process, so a pickle leaves it out."""
+        return domain_for(self._params.modulus), LRU(256)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_q_test", None)
+        return state
 
     # ------------------------------------------------------------------
     # homomorphic operations (service provider side; public params only)

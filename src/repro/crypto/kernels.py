@@ -23,9 +23,11 @@ bookkeeping, same overflow behavior.
 
 The products themselves run in the table's arithmetic domain
 (:mod:`repro.crypto.montgomery`: libcrypto's Montgomery form when it
-loads, plain ints otherwise).  A base or pad power enters the domain on
-its first multiplication and a chunk result leaves it once per
-``(chunk, mask)`` miss; nothing else crosses.
+loads, plain ints otherwise).  A base or the pad enters as it is on its
+first multiplication, so an entry or node over ``k`` bases carries
+``R^(1-k)``; one ``home`` constant per pad count pads a chunk and brings
+it back to ``R^0``, and the result is read out once per ``(chunk,
+mask)`` miss.  Nothing else crosses.
 
 Every kernel op reports into :mod:`repro.crypto.ops` so benchmark deltas
 are attributable op-by-op (modmul / modexp / table builds per phase).
@@ -105,9 +107,9 @@ class MaskedProductTable:
         modulus = params.modulus
         self._base_values = [c.value % modulus for c in bases]
         self._pad_plain = pad.value % modulus
-        # Window entries, tree nodes and pad powers are domain values.  A
-        # base enters on its first window entry (_entered[position]), the
-        # pad on its first power; only chunk results leave, as ints.
+        # Window entries, tree nodes, pad powers and homes are domain
+        # values.  A base enters on its first window entry (_entered[p]),
+        # the pad on its first power; only chunk results leave, as ints.
         self._domain = domain_for(modulus)
         self._entered: list[int | None] = [None] * len(bases)
         # Window layout: windows tile each chunk's position range and
@@ -130,7 +132,8 @@ class MaskedProductTable:
         # Lazily-filled subset tables: _tables[w][submask] = product of
         # the window's bases at submask's set bits (submask != 0).
         self._tables: list[dict[int, int]] = [{} for _ in self._offsets]
-        # Cached pad powers (c_one^k, k >= 1).  memo holds both the
+        # Cached pad powers (c_one^k, k >= 1) and homes (by pad count,
+        # see _home).  memo holds both the
         # finished per-(chunk, mask) ciphertexts and the product-tree
         # nodes (domain ints); one LRU bound covers both.  Keys are ints,
         # ``bits << _shift | id``: id = the chunk index for a result,
@@ -143,6 +146,7 @@ class MaskedProductTable:
         self._shift = (self._node_base + windows * self._node_stride
                        ).bit_length()
         self._pad_powers: dict[int, int] = {}
+        self._homes: dict[int, int] = {}
         self.memo: LRU[int | CGBECiphertext] = LRU(max_memo)
 
     # -- internals ----------------------------------------------------
@@ -214,6 +218,20 @@ class MaskedProductTable:
             self._pad_powers[count] = value
         return value
 
+    def _home(self, ones: int) -> int:
+        """``pad^ones * R^(chunk_factors - ones)``: times the product of a
+        chunk's other bases (``R^(1 - chunk_factors + ones)``) it is the
+        chunk's product at ``R^0``.  Uncounted, like a conversion."""
+        value = self._homes.get(ones)
+        if value is None:
+            domain = self._domain
+            if ones:
+                value = domain.mul(self._pad_power(ones), self._home(0))
+            else:
+                value = domain.enter(domain.r_power(self.plan.chunk_factors))
+            self._homes[ones] = value
+        return value
+
     def _chunk(self, chunk: int, selected: int) -> CGBECiphertext:
         """The chunk's product for selection mask ``selected`` (bit = 1
         means that position's factor is the pad)."""
@@ -227,15 +245,14 @@ class MaskedProductTable:
         ones = (selected & real).bit_count() + pad_extra
         include = ~selected & real
         if include:
-            acc = self._node(first, count, include)
-            if ones:
+            if ones:  # the pad multiply; bringing it home is free
                 ops.record_modmul()
-                acc = self._domain.mul(acc, self._pad_power(ones))
-            value = self._domain.leave(acc)
+            value = self._domain.leave(self._domain.mul(
+                self._node(first, count, include), self._home(ones)))
         elif ones == 1:  # chunk_factors >= 1, so an all-pad chunk has ones
             value = self._pad_plain
         else:
-            value = self._domain.leave(self._pad_power(ones))
+            value = self._domain.leave(self._home(ones))
         result = CGBECiphertext(value=value, power=self.plan.chunk_factors,
                                 value_bits=self._chunk_bits)
         self.memo.put(key, result)

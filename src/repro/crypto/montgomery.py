@@ -1,22 +1,29 @@
-"""Arithmetic domains for the SP kernel's modular products.
+"""Arithmetic domains for the SP kernel's products and the user's q-test.
 
 A *domain* fixes one modulus and computes in its own representation:
 ``enter(x)`` takes a reduced int in, ``mul(a, b)`` and ``pow(a, e)``
 compute on domain values, and ``leave(a)`` gives the reduced int back.
-:class:`repro.crypto.kernels.MaskedProductTable` keeps its window
-entries, product-tree nodes and pad powers as domain values and leaves
-only chunk results, so the conversions are paid once per entered factor
-and once per chunk, while every product in between stays in the domain.
+A value of residue ``x`` is ``x * R^e mod n`` (``R`` the domain's
+radix), and ``e`` follows from the value's factor count, never stored:
+
+* ``enter`` loads ``x`` as it is, so it carries ``R^0``;
+* ``mul`` of values carrying ``R^e1`` and ``R^e2`` carries ``R^(e1+e2-1)``;
+* so a product of ``k`` entered values carries ``R^(1-k)``.
+
+``leave`` reads a value carrying ``R^0``; a product of ``k`` entered
+values comes home by one ``mul`` with ``enter(r_power(k))`` (the kernel
+folds it into its pad multiply), so nothing converts back.
 
 Two domains, chosen by :func:`domain_for` alone:
 
-* :class:`LibcryptoDomain` -- values are OpenSSL ``BIGNUM`` handles in
-  Montgomery form, multiplied by ``BN_mod_mul_montgomery`` through stdlib
-  :mod:`ctypes`.  The library is the libcrypto CPython's own ``_hashlib``
-  links, loaded on first use.
-* :class:`PythonDomain` -- values are ints and ``mul`` is ``a * b % n``.
-  It serves only when libcrypto cannot be loaded or the modulus is even
-  (Montgomery reduction needs an odd one).
+* :class:`LibcryptoDomain` -- values are OpenSSL ``BIGNUM`` handles,
+  multiplied by ``BN_mod_mul_montgomery`` through stdlib :mod:`ctypes`;
+  ``R`` is libcrypto's Montgomery radix (a power of its word size).  The
+  library is the libcrypto CPython's own ``_hashlib`` links, loaded on
+  first use.
+* :class:`PythonDomain` -- values are ints, ``mul`` is ``a * b % n``
+  and ``R`` is 1.  It serves only when libcrypto cannot be loaded or
+  the modulus is even (Montgomery reduction needs an odd one).
 
 Both return the same ints: a domain changes the cost of a product, never
 its value.  There is no option to pick one; :func:`arithmetic` names what
@@ -24,10 +31,10 @@ this process selected.
 
 Handle ownership: every ``BIGNUM`` a libcrypto domain allocates comes
 from that domain's own ``BN_CTX`` and is released with it, and its
-``BN_MONT_CTX`` freed, when the domain is dropped.  A table owns its domain and
-never returns a domain value, so no handle outlives the table that made
-it.  A domain is used from one thread at a time, as all kernel crypto is
-(see :mod:`repro.crypto.ops`).
+``BN_MONT_CTX`` freed, when the domain is dropped.  A table (a ``CGBE``
+for its q-test) owns its domain and never returns a domain value, so no
+handle outlives its owner.  A domain is used from one thread at a time,
+as all kernel crypto is (see :mod:`repro.crypto.ops`).
 
 Layering: a leaf module (stdlib only).
 """
@@ -40,6 +47,7 @@ import weakref
 
 _P = ctypes.c_void_p
 _INT = ctypes.c_int
+_WORD = ctypes.c_uint64  # BN_ULONG on every 64-bit build
 
 #: ``name: (restype, argtypes)`` of every libcrypto call made here.  The
 #: default ``int`` restype would truncate 64-bit pointers.
@@ -55,8 +63,8 @@ _SIGNATURES = {
     "BN_MONT_CTX_set": (_INT, [_P, _P, _P]),
     "BN_MONT_CTX_free": (None, [_P]),
     "BN_to_montgomery": (_INT, [_P, _P, _P, _P]),
-    "BN_from_montgomery": (_INT, [_P, _P, _P, _P]),
     "BN_mod_mul_montgomery": (_INT, [_P, _P, _P, _P, _P]),
+    "BN_mod_word": (_WORD, [_P, _WORD]),
 }
 
 #: Where libcrypto is looked for: the 3.x and 1.1 sonames (Linux, macOS);
@@ -71,6 +79,9 @@ _SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1", "libcrypto.3.dylib",
 #: free.
 _SPARE_ARENAS = 8
 _spare_arenas: list[int] = []
+
+#: ``R^k mod n`` per ``(n, k)``, for the life of the process.
+_r_powers: dict[tuple[int, int], int] = {}
 
 
 class LibcryptoError(RuntimeError):
@@ -117,8 +128,8 @@ def arithmetic() -> str:
 
 
 class PythonDomain:
-    """Plain ints: the fallback, and the reference the tests compare
-    :class:`LibcryptoDomain` against."""
+    """Plain ints (``R`` is 1): the fallback, and the reference the tests
+    compare :class:`LibcryptoDomain` against."""
 
     name = "python"
 
@@ -137,9 +148,15 @@ class PythonDomain:
     def leave(self, a: int) -> int:
         return a
 
+    def r_power(self, k: int) -> int:
+        return 1
+
+    def residue(self, x: int, y: int, word: int) -> int:
+        return x * y % self.modulus % word
+
 
 class LibcryptoDomain:
-    """``BIGNUM`` handles in Montgomery form for one odd modulus.
+    """``BIGNUM`` handles for one odd modulus, Montgomery products.
 
     The handles come from the domain's own ``BN_CTX``, opened as one frame
     that stays open until the domain is dropped; that frame is the arena,
@@ -163,9 +180,9 @@ class LibcryptoDomain:
         self._mont_mul = lib.BN_mod_mul_montgomery
 
     def _open(self) -> None:
-        """The arena, the ``BN_MONT_CTX`` and the leave scratch, made on
-        first entry: a table that never multiplies (its share hit the CMM
-        cache) makes no libcrypto call at all."""
+        """The arena, the ``BN_MONT_CTX`` and the :meth:`residue`
+        scratch, made on first entry: a table that never multiplies (its
+        share hit the CMM cache) makes no libcrypto call at all."""
         lib = self._lib
         arena = (_spare_arenas.pop() if _spare_arenas
                  else _handle("BN_CTX_new", lib.BN_CTX_new()))
@@ -176,28 +193,25 @@ class LibcryptoDomain:
         self._arena = arena
         _check("BN_MONT_CTX_set", lib.BN_MONT_CTX_set(
             mont, self._bignum(self._modulus), arena))
-        self._scratch = self._new()
+        self._scratch = self._new(), self._new()
         self._buffer = ctypes.create_string_buffer(self._nbytes)
         self._mont = mont
 
     def _new(self) -> int:
         return _handle("BN_CTX_get", self._get(self._arena))
 
-    def _bignum(self, x: int) -> int:
+    def _bignum(self, x: int, handle: int | None = None) -> int:
         size = self._nbytes
-        handle = self._new()
+        handle = handle or self._new()
         _handle("BN_lebin2bn", self._lib.BN_lebin2bn(
             x.to_bytes(size, "little"), size, handle))
         return handle
 
     def enter(self, x: int) -> int:
-        """``x`` (``0 <= x < modulus``) in Montgomery form."""
+        """``x`` (``0 <= x < modulus``) as it is: it carries ``R^0``."""
         if self._mont is None:
             self._open()
-        handle = self._bignum(x)
-        _check("BN_to_montgomery", self._lib.BN_to_montgomery(
-            handle, handle, self._mont, self._arena))
-        return handle
+        return self._bignum(x)
 
     def mul(self, a: int, b: int) -> int:
         arena = self._arena
@@ -218,13 +232,34 @@ class LibcryptoDomain:
         return result
 
     def leave(self, a: int) -> int:
-        lib, scratch = self._lib, self._scratch
-        _check("BN_from_montgomery", lib.BN_from_montgomery(
-            scratch, a, self._mont, self._arena))
-        if lib.BN_bn2lebinpad(scratch, self._buffer,
-                              self._nbytes) != self._nbytes:
+        """The int ``a`` holds; ``a`` must carry ``R^0``."""
+        if self._lib.BN_bn2lebinpad(a, self._buffer,
+                                    self._nbytes) != self._nbytes:
             raise LibcryptoError("libcrypto BN_bn2lebinpad failed")
         return int.from_bytes(self._buffer, "little")
+
+    def r_power(self, k: int) -> int:
+        """``R^k mod modulus``; ``R mod modulus`` is libcrypto's own
+        Montgomery form of 1, read out as it is."""
+        value = _r_powers.get((self._modulus, k))
+        if value is None:
+            one = self.enter(1)
+            _check("BN_to_montgomery", self._lib.BN_to_montgomery(
+                one, one, self._mont, self._arena))
+            value = pow(self.leave(one), k, self._modulus)
+            _r_powers[self._modulus, k] = value
+        return value
+
+    def residue(self, x: int, y: int, word: int) -> int:
+        """``x * u mod modulus mod word`` for ``0 <= x < modulus`` and a
+        domain value ``y`` holding ``u`` carrying ``R^1`` (``word`` < 2^63)."""
+        plain, product = self._scratch
+        _check("BN_mod_mul_montgomery", self._mont_mul(
+            product, self._bignum(x, plain), y, self._mont, self._arena))
+        value = self._lib.BN_mod_word(product, word)
+        if value >> 63:
+            raise LibcryptoError("libcrypto BN_mod_word failed")
+        return value
 
 
 def _release(lib: ctypes.CDLL, arena: int, mont: int | None) -> None:

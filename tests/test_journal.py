@@ -960,12 +960,15 @@ class TestKillProcessChaos:
     def test_unknown_kind_rejected(self, capsys):
         """``worker_crash`` / ``share_timeout`` went with the in-engine
         process pool: the policy and ``--chaos-kinds`` both refuse them
-        and name the kinds that are valid."""
-        valid = ", ".join(VALID_KINDS)
-        for kind in ("made_up", "worker_crash", "share_timeout"):
-            with pytest.raises(ValueError, match="choose from") as err:
-                ChaosPolicy(seed=1, fault_rate=0.5, kinds=(kind,))
-            assert all(k in str(err.value) for k in VALID_KINDS)
+        and name the kinds that are valid.  ``--chaos-kinds`` refuses a
+        malicious-SP kind too: only a rogue shard's policy injects it."""
+        valid = ", ".join(INJECTABLE_KINDS + (FaultKind.KILL_PROCESS,))
+        for kind in ("made_up", "worker_crash", "share_timeout",
+                     FaultKind.FORGE_RESULT):
+            if kind not in VALID_KINDS:
+                with pytest.raises(ValueError, match="choose from") as err:
+                    ChaosPolicy(seed=1, fault_rate=0.5, kinds=(kind,))
+                assert all(k in str(err.value) for k in VALID_KINDS)
             with pytest.raises(SystemExit) as exit_:
                 main(["run", "dblp", "--chaos-seed", "1", "--fault-rate",
                       "0.5", "--chaos-kinds", f"kill_process,{kind}"])

@@ -6,12 +6,19 @@ exactly what plain ints compute.
   ``value_bits`` and the ``OverflowError_`` refusal, for random plans,
   windows and masks under the RFC 3526 2048- and 4096-bit primes and a
   ``generate_prime`` modulus.
+* The implied-exponent contract: a product of ``k`` entered values is
+  brought home by ``R^k``; a table's every pad count, at a modulus whose
+  width is no multiple of 64, equals the fold.
+* The user's q-test: ``has_factor_q`` equals ``decrypt % q == 0`` on
+  both domains.
 * Selection: a failed load or an even modulus gives the Python domain,
-  with the same values.
+  with the same values; this host's kernel and user compute on libcrypto.
 * Handles: entered lazily, freed when their table is dropped, and every
   failed libcrypto call raises.
 """
 
+import contextlib
+import copy
 import gc
 import random
 from unittest import mock
@@ -112,9 +119,86 @@ class TestValueIdentity:
         assert domain.name == "libcrypto"
         x, y = domain.enter(a), domain.enter(b)
         assert domain.leave(x) == a
-        assert domain.leave(domain.mul(x, y)) == a * b % modulus
-        assert domain.leave(domain.pow(x, exponent)) == \
+
+        def home(value, k):  # a product of k entered values carries R^(1-k)
+            return domain.leave(domain.mul(
+                value, domain.enter(domain.r_power(k))))
+
+        assert home(domain.mul(x, y), 2) == a * b % modulus
+        assert home(domain.pow(x, exponent), exponent) == \
             pow(a, exponent, modulus)
+
+
+@pytest.fixture(scope="module")
+def small_q():
+    """6-bit q and 7-bit r, so a product of 80 ciphertexts fits: under
+    the 2048-bit RFC 3526 prime and under a 1100-bit ``generate_prime``
+    modulus, whose width is no multiple of 64."""
+    return {bits: CGBE.generate(modulus_bits=bits, q_bits=6, r_bits=7,
+                                seed=3) for bits in (2048, 1100)}
+
+
+class TestImpliedExponent:
+    @pytest.mark.parametrize("patched", [False, True],
+                             ids=["native", "python"])
+    def test_every_pad_count_equals_the_fold(self, small_q, patched):
+        scheme = small_q[1100]
+        params = scheme.params
+        assert params.modulus_bits % 64
+        bases = [scheme.encrypt(m) for m in range(2, 12)]
+        pad = scheme.encrypt_one()
+        # One full chunk of 7 and one of 3 bases plus 4 tail pads.
+        plan = ChunkPlan(factors=10, chunk_factors=7, chunks_per_item=2,
+                         summable=False)
+        with python_domain() if patched else contextlib.nullcontext():
+            table = MaskedProductTable(params, bases, pad, plan)
+        assert table._domain.name == (
+            "python" if patched else montgomery.arithmetic())
+        rng = random.Random(11)
+        for ones in range(plan.chunk_factors + 1):  # pads in chunk 0
+            for _ in range(2):
+                pads = rng.sample(range(7), ones) + rng.sample(
+                    range(7, 10), rng.randint(0, 3))
+                mask = sum(1 << p for p in pads)
+                assert table.chunk_ciphertexts(mask) == chunked_product(
+                    params, [pad if mask >> p & 1 else bases[p]
+                             for p in range(plan.factors)], pad, plan)
+        assert set(table._homes) >= set(range(plan.chunk_factors + 1))
+
+
+class TestQTest:
+    @pytest.mark.parametrize("patched", [False, True],
+                             ids=["native", "python"])
+    @pytest.mark.parametrize("bits", [2048, 1100])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_has_factor_q_is_decrypt_mod_q(self, small_q, bits, patched,
+                                           data):
+        with python_domain() if patched else contextlib.nullcontext():
+            scheme = copy.copy(small_q[bits])  # a q-test domain of its own
+            assert scheme._q_test[0].name == (
+                "python" if patched else montgomery.arithmetic())
+        params, q = scheme.params, scheme.params.q
+        power = data.draw(st.integers(1, 80), label="power")
+        terms = data.draw(st.integers(1, 3), label="terms")
+        items = []
+        for _ in range(terms):
+            messages = data.draw(st.lists(st.sampled_from([1, q]),
+                                          min_size=power, max_size=power))
+            items.append((q in messages, CGBE.product(
+                params, [scheme.encrypt(m) for m in messages])))
+        fresh = [scheme.encrypt_one(), scheme.encrypt_q()]
+        total = CGBE.sum_(params, [c for _, c in items])
+        cases = [(False, fresh[0]), (True, fresh[1]), *items,
+                 (all(has_q for has_q, _ in items), total)]
+        for has_q, c in cases:
+            got = scheme.has_factor_q(c)
+            assert got == (scheme.decrypt(c) % q == 0)
+            assert got or not has_q  # no overflow: a q factor shows
+
+    def test_q_must_fit_a_word(self):
+        with pytest.raises(ValueError, match="q_bits=64"):
+            CGBE.generate(modulus_bits=1024, q_bits=64, r_bits=24, seed=1)
 
 
 class TestSelection:
@@ -131,6 +215,18 @@ class TestSelection:
         for mask in range(1 << 6):
             assert python.chunk_ciphertexts(mask) == \
                 native.chunk_ciphertexts(mask)
+
+    def test_this_host_computes_on_libcrypto(self, schemes, cgbe):
+        """The CI gate: the fallback is covered above with the loader
+        patched to fail, so the suite must not pass on it alone."""
+        assert montgomery.arithmetic() == "libcrypto"
+        params, pool = schemes[0]
+        plan = ChunkPlan(factors=2, chunk_factors=2, chunks_per_item=1,
+                         summable=True)
+        table = MaskedProductTable(params, pool[:2], pool[-1], plan)
+        assert isinstance(table._domain, montgomery.LibcryptoDomain)
+        assert isinstance(copy.copy(cgbe)._q_test[0],
+                          montgomery.LibcryptoDomain)
 
     def test_unloadable_library_is_none(self, monkeypatch):
         monkeypatch.setattr(montgomery, "_SONAMES", ("libnot-there.so.0",))
