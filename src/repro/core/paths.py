@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from repro.core.table_pruning import PruneTable, build_table
-from repro.core.twiglets import Twiglet, iter_twiglets_from, _key
+from repro.core.twiglets import Twiglet, twiglets_from, _key
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 from repro.graph.query import Query
 
@@ -28,18 +28,16 @@ def all_path_shapes(start_label: Label, alphabet: frozenset[Label],
         raise ValueError("path parameter h must be at least 3")
     start = _key(start_label)
     others = sorted(_key(l) for l in alphabet if _key(l) != start)
-    shapes: list[Twiglet] = []
-    for i in range(3, h + 1):
-        for tail in permutations(others, i - 1):
-            shapes.append(Twiglet(path=(start,) + tail))
-    return shapes
+    make = Twiglet._make
+    return [make(((start,) + tail, None)) for i in range(3, h + 1)
+            for tail in permutations(others, i - 1)]
 
 
 def paths_from(graph: LabeledGraph, start: Vertex, h: int,
                alphabet: frozenset[Label] | None = None) -> set[Twiglet]:
-    """The label paths present in ``graph`` from ``start`` (fork-free
-    subset of the twiglet DFS)."""
-    return {t for t in iter_twiglets_from(graph, start, h, alphabet)
+    """The label paths present in ``graph`` from ``start`` (the
+    fork-free members of :func:`twiglets_from`)."""
+    return {t for t in twiglets_from(graph, start, h, alphabet)
             if t.fork is None}
 
 

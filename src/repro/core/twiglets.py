@@ -18,9 +18,8 @@ exactly the nine rows of Table 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import NamedTuple
 
 from repro.core.table_pruning import PruneTable, build_table
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
@@ -30,22 +29,32 @@ from repro.graph.query import Query
 TWIGLET_HEIGHTS = range(3, 6)
 
 
-@dataclass(frozen=True, order=True)
-class Twiglet:
-    """One twiglet shape: the label path (start label first) and the
-    optional canonical (sorted) fork pair."""
-
+class _Shape(NamedTuple):
     path: tuple[str, ...]
     fork: tuple[str, str] | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.path) < 2:
+
+class Twiglet(_Shape):
+    """One twiglet shape: the label path (start label first) and the
+    optional canonical (sorted) fork pair.
+
+    A tuple, so hashing, equality and ordering run in C.  ``Twiglet(...)``
+    checks the shape; producers that are correct by construction build
+    through ``Twiglet._make``, which skips the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, path: tuple[str, ...],
+                fork: tuple[str, str] | None = None) -> "Twiglet":
+        if len(path) < 2:
             raise ValueError("twiglet path needs at least two labels")
-        labels = list(self.path) + list(self.fork or ())
+        labels = list(path) + list(fork or ())
         if len(set(labels)) != len(labels):
             raise ValueError("twiglet labels must be pairwise distinct")
-        if self.fork is not None and tuple(sorted(self.fork)) != self.fork:
+        if fork is not None and tuple(sorted(fork)) != fork:
             raise ValueError("fork pair must be in canonical sorted order")
+        return super().__new__(cls, path, fork)
 
     @property
     def num_labels(self) -> int:
@@ -77,78 +86,74 @@ def all_twiglet_shapes(start_label: Label, alphabet: frozenset[Label],
         raise ValueError("twiglet parameter h must be at least 3 (Sec. 4.2)")
     start = _key(start_label)
     others = sorted(_key(l) for l in alphabet if _key(l) != start)
+    make = Twiglet._make
     shapes: list[Twiglet] = []
     for i in range(3, h + 1):
         # Plain paths with i labels: start + (i-1) ordered distinct labels.
         for tail in permutations(others, i - 1):
-            shapes.append(Twiglet(path=(start,) + tail))
+            shapes.append(make(((start,) + tail, None)))
         # Forked twiglets with i+1 labels: path part of i-1 labels + pair.
+        # ``others`` is sorted, so every pair already is.
         for tail in permutations(others, i - 2):
             used = set(tail)
             rest = [l for l in others if l not in used]
             for pair in combinations(rest, 2):
-                shapes.append(Twiglet(path=(start,) + tail,
-                                      fork=tuple(sorted(pair))))
+                shapes.append(make(((start,) + tail, pair)))
     return shapes
 
 
 # ----------------------------------------------------------------------
 # membership: the twiglets actually present in a graph from a vertex
 # ----------------------------------------------------------------------
-def iter_twiglets_from(graph: LabeledGraph, start: Vertex, h: int,
-                       alphabet: frozenset[Label] | None = None,
-                       ) -> Iterator[Twiglet]:
-    """DFS enumeration (Alg. 5 line 3) of the twiglets of ``graph`` that
-    start at ``start``: undirected steps, pairwise-distinct labels, path
-    lengths ``3..h`` labels plus their forked extensions.
+def twiglets_from(graph: LabeledGraph, start: Vertex, h: int,
+                  alphabet: frozenset[Label] | None = None) -> set[Twiglet]:
+    """The deduplicated twiglet set ``R`` of Alg. 5 line 3: the twiglets
+    of ``graph`` that start at ``start`` -- undirected steps,
+    pairwise-distinct labels, path lengths ``3..h`` labels plus their
+    forked extensions.
 
-    ``alphabet`` restricts traversal to labels in ``Sigma_Q`` (others can
-    never appear in a table, so walking them is wasted work).
+    A DFS over label paths.  Each visited vertex's usable neighbour labels
+    are collected once; they give the forks from the path end, and at a
+    path of ``h - 1`` labels they give the final paths without visiting
+    the neighbours.  ``alphabet`` restricts traversal to labels in
+    ``Sigma_Q`` (others can never appear in a table, so walking them is
+    wasted work).
     """
     allowed = None if alphabet is None else {_key(l) for l in alphabet}
     start_key = _key(graph.label(start))
-    if allowed is not None and start_key not in allowed:
-        return
-
-    def usable(v: Vertex, used: set[str]) -> str | None:
-        key = _key(graph.label(v))
-        if key in used:
-            return None
-        if allowed is not None and key not in allowed:
-            return None
-        return key
-
-    def walk(v: Vertex, path: tuple[str, ...],
-             used: set[str]) -> Iterator[Twiglet]:
-        if 3 <= len(path) <= h:
-            yield Twiglet(path=path)
-        # Forks from the path end: i-twiglet has path part i-1 labels,
-        # 3 <= i <= h  =>  path part length 2..h-1.
-        if 2 <= len(path) <= h - 1:
-            fork_labels = set()
-            for child in graph.neighbors(v):
-                key = usable(child, used)
-                if key is not None:
-                    fork_labels.add(key)
-            for pair in combinations(sorted(fork_labels), 2):
-                yield Twiglet(path=path, fork=pair)
-        if len(path) >= h:
-            return
-        for child in graph.neighbors(v):
-            key = usable(child, used)
-            if key is None:
-                continue
-            used.add(key)
-            yield from walk(child, path + (key,), used)
-            used.discard(key)
-
-    yield from walk(start, (start_key,), {start_key})
-
-
-def twiglets_from(graph: LabeledGraph, start: Vertex, h: int,
-                  alphabet: frozenset[Label] | None = None) -> set[Twiglet]:
-    """The deduplicated twiglet set ``R`` of Alg. 5 line 3."""
-    return set(iter_twiglets_from(graph, start, h, alphabet))
+    found: set[Twiglet] = set()
+    if h < 3 or (allowed is not None and start_key not in allowed):
+        return found
+    add, make = found.add, Twiglet._make
+    label, neighbors = graph.label, graph.neighbors
+    last = h - 1
+    # An explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep every call's set alive
+    # until the cycle collector ran.
+    stack = [(start, (start_key,))]
+    while stack:
+        v, path = stack.pop()
+        steps = []
+        for child in neighbors(v):
+            key = repr(label(child))
+            if key not in path and (allowed is None or key in allowed):
+                steps.append((child, key))
+        keys = sorted({key for _, key in steps})
+        # Forks from the path end: an i-twiglet has a path part of i - 1
+        # labels, 3 <= i <= h  =>  path part length 2..h-1.
+        if len(path) >= 2:
+            for pair in combinations(keys, 2):
+                add(make((path, pair)))
+        if len(path) == last:
+            for key in keys:
+                add(make((path + (key,), None)))
+            continue
+        for child, key in steps:
+            longer = path + (key,)
+            if len(longer) >= 3:
+                add(make((longer, None)))
+            stack.append((child, longer))
+    return found
 
 
 def filter_twiglets(features: "set[Twiglet] | frozenset[Twiglet]",
@@ -169,13 +174,9 @@ def filter_twiglets(features: "set[Twiglet] | frozenset[Twiglet]",
             if set(t.path).union(t.fork or ()) <= allowed}
 
 
-def twiglet_to_jsonable(twiglet: Twiglet) -> list:
-    """Stable JSON form (used by the artifact store)."""
-    return [list(twiglet.path),
-            list(twiglet.fork) if twiglet.fork else None]
-
-
 def twiglet_from_jsonable(data: list) -> Twiglet:
+    """One twiglet as the artifact store reads it back: the bytes come
+    from disk, so the shape is checked."""
     path, fork = data
     return Twiglet(path=tuple(path), fork=tuple(fork) if fork else None)
 

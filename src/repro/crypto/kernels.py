@@ -107,9 +107,9 @@ class MaskedProductTable:
         modulus = params.modulus
         self._base_values = [c.value % modulus for c in bases]
         self._pad_plain = pad.value % modulus
-        # Window entries, tree nodes, pad powers and homes are domain
+        # Window entries, tree nodes, the pad and homes are domain
         # values.  A base enters on its first window entry (_entered[p]),
-        # the pad on its first power; only chunk results leave, as ints.
+        # the pad on its first home; only chunk results leave, as ints.
         self._domain = domain_for(modulus)
         self._entered: list[int | None] = [None] * len(bases)
         # Window layout: windows tile each chunk's position range and
@@ -132,8 +132,8 @@ class MaskedProductTable:
         # Lazily-filled subset tables: _tables[w][submask] = product of
         # the window's bases at submask's set bits (submask != 0).
         self._tables: list[dict[int, int]] = [{} for _ in self._offsets]
-        # Cached pad powers (c_one^k, k >= 1) and homes (by pad count,
-        # see _home).  memo holds both the
+        # The entered pad (on the first home that needs it) and homes (by
+        # pad count, see _home).  memo holds both the
         # finished per-(chunk, mask) ciphertexts and the product-tree
         # nodes (domain ints); one LRU bound covers both.  Keys are ints,
         # ``bits << _shift | id``: id = the chunk index for a result,
@@ -145,7 +145,7 @@ class MaskedProductTable:
         self._node_stride = windows + 1
         self._shift = (self._node_base + windows * self._node_stride
                        ).bit_length()
-        self._pad_powers: dict[int, int] = {}
+        self._pad: int | None = None
         self._homes: dict[int, int] = {}
         self.memo: LRU[int | CGBECiphertext] = LRU(max_memo)
 
@@ -207,17 +207,6 @@ class MaskedProductTable:
             self.memo.put(key, value)
         return value
 
-    def _pad_power(self, count: int) -> int:
-        value = self._pad_powers.get(count)
-        if value is None:
-            if count == 1:
-                value = self._domain.enter(self._pad_plain)
-            else:
-                ops.record_modexp()
-                value = self._domain.pow(self._pad_power(1), count)
-            self._pad_powers[count] = value
-        return value
-
     def _home(self, ones: int) -> int:
         """``pad^ones * R^(chunk_factors - ones)``: times the product of a
         chunk's other bases (``R^(1 - chunk_factors + ones)``) it is the
@@ -226,7 +215,13 @@ class MaskedProductTable:
         if value is None:
             domain = self._domain
             if ones:
-                value = domain.mul(self._pad_power(ones), self._home(0))
+                if self._pad is None:
+                    self._pad = domain.enter(self._pad_plain)
+                power = self._pad
+                if ones > 1:  # each pad power is read once, right here
+                    ops.record_modexp()
+                    power = domain.pow(power, ones)
+                value = domain.mul(power, self._home(0))
             else:
                 value = domain.enter(domain.r_power(self.plan.chunk_factors))
             self._homes[ones] = value

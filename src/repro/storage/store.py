@@ -47,7 +47,6 @@ from repro.core.trees import enumerate_center_tree_encodings  # noqa: F401
 from repro.core.twiglets import (
     TWIGLET_HEIGHTS,
     twiglet_from_jsonable,
-    twiglet_to_jsonable,
     twiglets_from,
 )
 from repro.crypto.keys import DataOwnerKey
@@ -350,9 +349,10 @@ def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
 def _twiglet_entry(features) -> str:
     """One ball's ``twiglets.json`` value, encoded as the document holds it."""
     # No fork sorts first: from h = 4 a path and a fork can share a path.
-    ordered = sorted(features, key=lambda t: (t.path, t.fork or ()))
-    return json.dumps([twiglet_to_jsonable(t) for t in ordered],
-                      separators=(",", ":"), sort_keys=True)
+    # A twiglet is a (path, fork) tuple, so it encodes as the JSON pair
+    # [path, fork] as it is.
+    return json.dumps(sorted(features, key=lambda t: (t.path, t.fork or ())),
+                      separators=(",", ":"))
 
 
 def _join_twiglets(twiglet_h: int | None, entries: dict[str, str]) -> str:

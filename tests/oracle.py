@@ -7,8 +7,12 @@ results are dataclasses, so ``==`` compares every value, ``power``,
 ``value_bits`` and the result shape at once.  Beside them, the set-based
 dual simulation the bitset fixpoint of ``repro.semantics.ssim`` must equal,
 and Alg. 1 walked in ``V_Q`` order (:func:`iter_projected_masks`), the
-recorded mask stream ``prepare_ball`` must equal.
+recorded mask stream ``prepare_ball`` must equal, and the vertex-by-vertex
+twiglet DFS (:func:`iter_twiglets_from`) the label-set walk of
+``twiglets_from`` must equal.
 """
+
+from itertools import combinations
 
 from repro.core.aggregation import aggregate_items, chunked_product
 from repro.core.encoding import encrypt_query_matrix
@@ -19,14 +23,13 @@ from repro.core.enumeration import (
     enumerate_cmms,
 )
 from repro.core.neighbors import neighbor_features
-from repro.core.paths import paths_from
 from repro.core.ssim_verification import (
     SsimBallVerdict,
     _pair_product,
     ssim_plan,
 )
 from repro.core.table_pruning import table_plan
-from repro.core.twiglets import twiglets_from
+from repro.core.twiglets import Twiglet
 from repro.core.verification import verification_plan, verify_ball
 from repro.framework.messages import EncryptedQueryMessage
 from repro.graph.query import QueryLabelView, Semantics
@@ -178,15 +181,61 @@ def oracle_table_prune(params, tables, ball, features, c_one):
     return aggregate_items(params, ball.ball_id, items, plan)
 
 
+def iter_twiglets_from(graph, start, h, alphabet=None):
+    """DFS enumeration (Alg. 5 line 3) of the twiglets of ``graph`` that
+    start at ``start``, one vertex at a time: undirected steps,
+    pairwise-distinct labels, path lengths ``3..h`` labels plus their
+    forked extensions, each built by the checked ``Twiglet``
+    constructor.  ``twiglets_from`` must equal its set and ``paths_from``
+    its fork-free members."""
+    allowed = None if alphabet is None else {repr(l) for l in alphabet}
+    start_key = repr(graph.label(start))
+    if allowed is not None and start_key not in allowed:
+        return
+
+    def usable(v, used):
+        key = repr(graph.label(v))
+        if key in used:
+            return None
+        if allowed is not None and key not in allowed:
+            return None
+        return key
+
+    def walk(v, path, used):
+        if 3 <= len(path) <= h:
+            yield Twiglet(path=path)
+        # Forks from the path end: i-twiglet has path part i-1 labels,
+        # 3 <= i <= h  =>  path part length 2..h-1.
+        if 2 <= len(path) <= h - 1:
+            fork_labels = set()
+            for child in graph.neighbors(v):
+                key = usable(child, used)
+                if key is not None:
+                    fork_labels.add(key)
+            for pair in combinations(sorted(fork_labels), 2):
+                yield Twiglet(path=path, fork=pair)
+        if len(path) >= h:
+            return
+        for child in graph.neighbors(v):
+            key = usable(child, used)
+            if key is None:
+                continue
+            used.add(key)
+            yield from walk(child, path + (key,), used)
+            used.discard(key)
+
+    yield from walk(start, (start_key,), {start_key})
+
+
 def oracle_pms(message, ball, twiglet_h):
     """``{method: result}`` for the tables ``message`` carries -- one
     ball's slice of what ``compute_pms_kernel`` returns."""
     graph, center, alphabet = ball.graph, ball.center, message.alphabet
+    twiglets = set(iter_twiglets_from(graph, center, twiglet_h, alphabet))
     methods = {
-        "twiglet": (message.twiglet_tables,
-                    lambda: twiglets_from(graph, center, twiglet_h, alphabet)),
+        "twiglet": (message.twiglet_tables, lambda: twiglets),
         "path": (message.path_tables,
-                 lambda: paths_from(graph, center, twiglet_h, alphabet)),
+                 lambda: {t for t in twiglets if t.fork is None}),
         "neighbor": (message.neighbor_tables,
                      lambda: neighbor_features(graph, center)),
     }

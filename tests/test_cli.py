@@ -755,6 +755,38 @@ class TestStoreCommands:
         assert "manifest.json: stale" in out
         assert "FAILED" in out
 
+    def test_incremental_apply_then_replay(self, store_root, tmp_path,
+                                           capsys):
+        """A pack this checkout builds and patches with a two-delta log:
+        no tree artifact, every record and blob cipher v2, a re-run that
+        applies nothing, and the log replayed under another seed's key
+        classified tampered (exit 3) without touching the pack."""
+        import shutil
+
+        pack, log = tmp_path / "pack", tmp_path / "deltas.log"
+        shutil.copytree(store_root, pack)
+        assert not (pack / "trees.json").exists()
+        apply = [*self.BASE, "store", "apply-delta", str(pack), "slashdot",
+                 str(log)]
+        assert main([*self.BASE, "store", "make-delta", "slashdot",
+                     str(log), "--count", "2", "--edge-fraction",
+                     "0.01"]) == 0
+        assert main(apply) == 0
+        assert not (pack / "trees.json").exists()
+        capsys.readouterr()
+        assert main([*self.BASE, "store", "verify", str(pack),
+                     "--with-key"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"ball records: \d+ v2, 0 v1;", out)
+        assert re.search(r"blob ciphers: [1-9]\d* v2, 0 v1$", out,
+                         re.MULTILINE)
+        assert main(apply) == 0
+        assert "2 already applied" in capsys.readouterr().out
+        manifest = (pack / "manifest.json").read_bytes()
+        assert main([*self.BASE, "--seed", "99", "store", "apply-delta",
+                     str(pack), "slashdot", str(log), "--inspect"]) == 3
+        assert (pack / "manifest.json").read_bytes() == manifest
+
     def test_run_with_store(self, store_root, capsys):
         assert main([*self.BASE, "run", "slashdot", "--size", "4",
                      "--diameter", "2", "--store", str(store_root)]) == 0

@@ -275,15 +275,18 @@ class TestHandles:
         # Construction makes no libcrypto call: the domain opens when a
         # product first needs a factor.
         assert table._domain._mont is None
-        assert table._entered == [None] * 8 and not table._pad_powers
+        assert table._entered == [None] * 8
+        assert table._pad is None and not table._homes
         table.chunk_ciphertexts(0b11111111)  # all pad: c_one^8, no base
         assert table._domain._mont is not None
         assert table._entered == [None] * 8
-        assert set(table._pad_powers) == {1, 8}
+        assert table._pad is not None and set(table._homes) == {0, 8}
+        pad = table._pad
         table.chunk_ciphertexts(0b11111100)  # bases 0 and 1, c_one^6
         assert [v is not None for v in table._entered] == \
             [True, True] + [False] * 6
-        assert set(table._pad_powers) == {1, 6, 8}
+        # One pad handle; its powers live only inside the homes.
+        assert table._pad == pad and set(table._homes) == {0, 6, 8}
 
     def test_a_lone_pad_is_never_entered(self, schemes):
         params, pool = schemes[0]
@@ -292,7 +295,8 @@ class TestHandles:
         table = MaskedProductTable(params, pool[:1], pool[-1], plan)
         [chunk] = table.chunk_ciphertexts(1)
         assert chunk.value == pool[-1].value
-        assert table._domain._mont is None and not table._pad_powers
+        assert table._domain._mont is None and table._pad is None
+        assert not table._homes
 
     def test_handles_freed_with_the_table(self, schemes):
         table = self.table(schemes)
