@@ -26,15 +26,17 @@ Production code reads the enumeration as a *recorded mask stream*:
 :func:`prepare_ball` runs Alg. 1 once per (ball,
 :func:`enumeration_signature`) and keeps the outcome as a
 :class:`PreparedBall`, the single input of hom / sub-iso verification.
-The stream is recorded in Alg. 1's order (``V_Q`` rows, each row's
-candidates in ``repr`` order), but the assignment tree is *walked* in a
-work order that places the center-label rows first, so the center cut
-fires as soon as they are placed, and then the narrowest rows: which
-assignments are leaves does not depend on the order rows are placed
-in, and each leaf carries its Alg. 1 rank, so the recorded order is
-restored by one sort.  Both orders read only ``V_Q``, the labels and
-the ball's label buckets.  :func:`iter_cmms` / :func:`enumerate_cmms`
-stay as the CMM-object reference.
+The stream is its distinct masks in Alg. 1's order (``V_Q`` rows, each
+row's candidates in ``repr`` order) with a CMM count each, but the
+assignment tree is *walked* in a work order that places the
+center-label rows first, so the center cut fires as soon as they are
+placed, and then the narrowest rows, one false-twin class per node:
+which assignments are leaves does not depend on the order rows are
+placed in, and each leaf carries the smallest Alg. 1 rank of its class
+product, so the recorded order is restored by one sort.  Both orders
+read only ``V_Q``, the labels and the ball's label buckets.
+:func:`iter_cmms` / :func:`enumerate_cmms` stay as the CMM-object
+reference.
 """
 
 from __future__ import annotations
@@ -87,37 +89,41 @@ def iter_cmms(query: Query, ball: Ball,
     if any(not candidates for candidates in cv.values()):
         return
     order = query.vertex_order
-    center = ball.center
-    center_label = ball.center_label
-    # rows_with_center_label[i] = does any row >= i carry the center label?
-    suffix_has_center_label = [False] * (len(order) + 1)
+    # suffix[i] = does any row >= i carry the center label?
+    suffix = [False] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        suffix_has_center_label[i] = (query.label(order[i]) == center_label
-                                      or suffix_has_center_label[i + 1])
+        suffix[i] = (query.label(order[i]) == ball.center_label
+                     or suffix[i + 1])
+    yield from _extend_cmms(order, cv, ball.center, suffix, injective,
+                            [], set(), 0, False)
 
-    assignment: list[Vertex] = []
-    used: set[Vertex] = set()
 
-    def extend(row: int, center_used: bool) -> Iterator[CandidateMappingMatrix]:
-        if row == len(order):
-            if center_used:  # Alg. 1 lines 11-12
-                yield CandidateMappingMatrix(query_order=order,
-                                             assignment=tuple(assignment))
-            return
-        if not center_used and not suffix_has_center_label[row]:
-            return  # label-based feasibility cut (still E_Q-independent)
-        for v in cv[order[row]]:
-            if injective and v in used:
-                continue
-            assignment.append(v)
-            if injective:
-                used.add(v)
-            yield from extend(row + 1, center_used or v == center)
-            assignment.pop()
-            if injective:
-                used.discard(v)
-
-    yield from extend(0, False)
+def _extend_cmms(order: tuple, cv: dict[Vertex, list[Vertex]],
+                 center: Vertex, suffix: list[bool], injective: bool,
+                 assignment: list[Vertex], used: set[Vertex], row: int,
+                 center_used: bool) -> Iterator[CandidateMappingMatrix]:
+    """:func:`iter_cmms`' recursion from ``row`` down.  Module level, its
+    state passed in: a nested generator would close over itself, a
+    reference cycle only the cyclic collector frees."""
+    if row == len(order):
+        if center_used:  # Alg. 1 lines 11-12
+            yield CandidateMappingMatrix(query_order=order,
+                                         assignment=tuple(assignment))
+        return
+    if not center_used and not suffix[row]:
+        return  # label-based feasibility cut (still E_Q-independent)
+    for v in cv[order[row]]:
+        if injective and v in used:
+            continue
+        assignment.append(v)
+        if injective:
+            used.add(v)
+        yield from _extend_cmms(order, cv, center, suffix, injective,
+                                assignment, used, row + 1,
+                                center_used or v == center)
+        assignment.pop()
+        if injective:
+            used.discard(v)
 
 
 def work_order(query: Query, ball: Ball,
@@ -140,18 +146,42 @@ def work_order(query: Query, ball: Ball,
                           key=lambda p: (len(cv[order[p]]), p))
 
 
-def _ranked_masks(query: Query, ball: Ball,
-                  cv: dict[Vertex, list[Vertex]], injective: bool,
-                  stop: int) -> tuple[list[int], list[int]]:
-    """Alg. 1 fused with Alg. 2's projection: the ranks and the masks
-    ``M_p`` (two parallel lists) of the CMMs :func:`iter_cmms` yields,
-    walked in :func:`work_order`, at most ``stop`` of them.
+def _twin_classes(candidates: list[Vertex],
+                  code: dict[Vertex, dict[Vertex, int]], center: Vertex,
+                  injective: bool) -> list[tuple[int, int, Vertex]]:
+    """``CV(u)`` grouped into false-twin classes, as ``(first index,
+    size, representative)`` in first-index order.
+
+    Two candidates are twins when their adjacency codes toward the union
+    of the candidate sets are equal (so, without self loops, they are not
+    adjacent to each other): swapping them is an automorphism of the
+    candidate-restricted ball, so every choice of class members gives one
+    ``M_p``.  The center is its own class (Alg. 1 lines 11-12 tell it
+    apart); under sub-iso every class is a singleton (footnote 3 tells
+    the members apart).
+    """
+    classes: dict[int | frozenset, list] = {}
+    for i, v in enumerate(candidates):
+        key = i if injective or v == center else frozenset(code[v].items())
+        classes.setdefault(key, [i, 0, v])[1] += 1
+    return [tuple(entry) for entry in classes.values()]
+
+
+def _mask_counts(query: Query, ball: Ball,
+                 cv: dict[Vertex, list[Vertex]], injective: bool,
+                 stop: int) -> tuple[dict[int, int], dict[int, int], int]:
+    """Alg. 1 fused with Alg. 2's projection, walked in :func:`work_order`
+    over :func:`_twin_classes`: per distinct mask ``M_p``, the smallest
+    Alg. 1 rank and the number of CMMs :func:`iter_cmms` yields with it,
+    plus their total -- cut short once it reaches ``stop``.
 
     ``rank`` is the CMM's position in Alg. 1's order, as a mixed-radix
     number over the ``V_Q`` rows (digit = index in ``CV(u)``); it grows
-    one term per placed row.  The feasibility cut: the level placing the
-    last center-label row, reached without the center, may place only
-    the center.
+    one term per placed row.  Each digit is monotone, so placing each
+    class's first member gives the smallest rank of the class product,
+    whose size (the product of the class sizes) is the leaf's CMM count.
+    The feasibility cut: the level placing the last center-label row,
+    reached without the center, may place only the center.
 
     ``M_p`` is packed as in :func:`repro.crypto.kernels.mask_of_pattern`:
     ``M_p[i][j]`` at ``pos(i, j) = i*(n-1) + (j if j < i else j - 1)``.
@@ -159,12 +189,14 @@ def _ranked_masks(query: Query, ball: Ball,
     shared by its whole subtree: one probe of a per-ball adjacency code
     (bit 1: ``v -> w``, bit 2: ``w -> v``) indexes the ready-made bits.
     """
+    first: dict[int, int] = {}
+    count: dict[int, int] = {}
     rows = [cv[u] for u in query.vertex_order]
     # The level that must place the center if no level above it did.
     cut = sum(query.label(u) == ball.center_label
               for u in query.vertex_order) - 1
     if cut < 0 or not all(rows):
-        return [], []
+        return first, count, 0
     n, center = len(rows), ball.center
     work = work_order(query, ball, cv)
     step = [1] * n  # Alg. 1 rank of one step along row p
@@ -179,49 +211,57 @@ def _ranked_masks(query: Query, ball: Ball,
                 code_v[w] = code_v.get(w, 0) | 1
                 code_w[v] = code_w.get(v, 0) | 2
 
-    def bit(i: int, j: int) -> int:
-        return 1 << (i * (n - 1) + (j if j < i else j - 1))
+    def code_bits(p: int, q: int) -> tuple[int, int, int, int]:
+        out = 1 << (p * (n - 1) + (q if q < p else q - 1))
+        into = 1 << (q * (n - 1) + (p if p < q else p - 1))
+        return 0, out, into, out | into
 
     # Per level, per row above: the bits of code 0..3 against it.
-    pair_bits = [[(0, bit(p, q), bit(q, p), bit(p, q) | bit(q, p))
-                  for q in work[:level]] for level, p in enumerate(work)]
-    level_rows = [rows[p] for p in work]
-    level_steps = [step[p] for p in work]
-    center_at = ((rows[work[cut]].index(center), center),)  # cut level
-    last = n - 1
-    placed: list[Vertex] = [None] * n
-    # Two int lists, not (rank, mask) tuples: ints are not tracked by the
-    # cyclic garbage collector, so the leaves add nothing for it to scan.
-    ranks: list[int] = []
-    masks: list[int] = []
+    pair_bits = [[code_bits(p, q) for q in work[:level]]
+                 for level, p in enumerate(work)]
+    labels = [query.label(u) for u in query.vertex_order]
+    classes = {label: _twin_classes(row, code, center, injective)
+               for label, row in zip(labels, rows)}
+    walk = ([classes[labels[p]] for p in work], [step[p] for p in work],
+            pair_bits, code, [None] * n, cut,
+            ((rows[work[cut]].index(center), 1, center),), n - 1, center,
+            injective, first, count, stop)
+    return first, count, _walk(walk, 0, 0, 0, 1, False, 0)
 
-    def extend(level: int, mask: int, rank: int, centered: bool) -> bool:
-        used = placed[:level] if injective else ()  # footnote 3
-        unit = level_steps[level]
-        for i, v in (enumerate(level_rows[level]) if centered or level != cut
-                     else center_at):
-            if v in used:
-                continue
-            code_v = code[v]
-            m = mask
-            for w, bits in zip(placed, pair_bits[level]):
-                c = code_v.get(w)
-                if c:
-                    m |= bits[c]
-            if level == last:
-                ranks.append(rank + i * unit)
-                masks.append(m)
-                if len(ranks) == stop:
-                    return True
-            else:
-                placed[level] = v
-                if extend(level + 1, m, rank + i * unit,
-                          centered or v == center):
-                    return True
-        return False
 
-    extend(0, 0, 0, False)
-    return ranks, masks
+def _walk(walk: tuple, level: int, mask: int, rank: int, size: int,
+          centered: bool, total: int) -> int:
+    """:func:`_mask_counts`' walk from ``level`` down, for a prefix of
+    ``size`` CMMs; returns ``total`` plus the CMMs it recorded.  Module
+    level, its state passed in ``walk``: a nested function would close
+    over itself, a reference cycle only the cyclic collector frees."""
+    (level_classes, steps, pair_bits, code, placed, cut, center_at, last,
+     center, injective, first, count, stop) = walk
+    used = placed[:level] if injective else ()  # footnote 3
+    unit = steps[level]
+    for i, members, v in (level_classes[level] if centered or level != cut
+                          else center_at):
+        if v in used:
+            continue
+        code_v = code[v]
+        m = mask
+        for w, bits in zip(placed, pair_bits[level]):
+            c = code_v.get(w)
+            if c:
+                m |= bits[c]
+        if level == last:
+            r, k = rank + i * unit, size * members
+            if r < first.setdefault(m, r):
+                first[m] = r
+            count[m] = count.get(m, 0) + k
+            total += k
+        else:
+            placed[level] = v
+            total = _walk(walk, level + 1, m, rank + i * unit,
+                          size * members, centered or v == center, total)
+        if total >= stop:
+            break
+    return total
 
 
 @dataclass(frozen=True)
@@ -233,10 +273,11 @@ class PreparedBall:
     ``masks`` holds the *distinct* projected matrices ``M_p`` of the
     ball's CMMs as packed off-diagonal selection masks
     (:func:`repro.crypto.kernels.mask_of_pattern` layout), in
-    first-appearance order; ``pattern_of_cmm`` maps each CMM, in Alg. 1's
-    enumeration order, to its index there.  It holds plain integers only
-    (no graph objects), so a :class:`~repro.framework.server.CMMCache`
-    can keep it across queries and ship it to worker processes.
+    first-appearance order; ``counts[i]`` is how many CMMs project to
+    ``masks[i]`` (they sum to ``enumerated``).  It holds plain integers
+    only (no graph objects), so a
+    :class:`~repro.framework.server.CMMCache` can keep it across queries
+    and ship it to worker processes.
     """
 
     ball_id: int
@@ -244,7 +285,7 @@ class PreparedBall:
     truncated: bool
     bound_bypassed: bool
     masks: tuple[int, ...]
-    pattern_of_cmm: tuple[int, ...]
+    counts: tuple[int, ...]
 
     @property
     def bypassed(self) -> bool:
@@ -252,8 +293,9 @@ class PreparedBall:
 
     @property
     def weight(self) -> int:
-        """Cache weight in CMM units (per-CMM index + distinct patterns)."""
-        return max(len(self.pattern_of_cmm) + len(self.masks), 1)
+        """Cache weight in CMM units (recorded CMMs + distinct patterns)."""
+        return max((0 if self.bypassed else self.enumerated)
+                   + len(self.masks), 1)
 
 
 def enumeration_signature(query: Query, *, enumeration_limit: int,
@@ -282,11 +324,13 @@ def prepare_ball(query: Query, ball: Ball, *, enumeration_limit: int,
     -- either way the ball is reported unpruned rather than risking an
     unsound verdict on a partial CMM set.
 
-    The tree is walked in :func:`work_order` and each CMM comes with its
-    Alg. 1 rank: ``pattern_of_cmm`` is the CMMs sorted by
-    rank, ``masks`` the distinct masks ordered by their smallest rank --
-    the stream Alg. 1's own order yields.  The work order reads the query's
-    labels and the ball's label buckets only, so two queries with equal
+    The tree is walked in :func:`work_order`, one false-twin class
+    (:func:`_twin_classes`) per node, and each leaf comes with the
+    smallest Alg. 1 rank and the CMM count of its class product:
+    ``masks`` are the distinct masks ordered by their smallest rank --
+    the stream Alg. 1's own order yields -- and ``counts`` their CMM
+    counts.  The work order and the classes read the query's labels and
+    the ball only, so two queries with equal
     :func:`enumeration_signature` still get the same stream.  The mask
     ignores the diagonal, but projections keep the diagonal 0 by
     construction, so mask equality and pattern equality coincide.
@@ -295,22 +339,18 @@ def prepare_ball(query: Query, ball: Ball, *, enumeration_limit: int,
     if count_cmm_upper_bound(query, ball, cv) > cmm_bound_bypass:
         return PreparedBall(ball_id=ball.ball_id, enumerated=0,
                             truncated=False, bound_bypassed=True,
-                            masks=(), pattern_of_cmm=())
-    ranks, masks = _ranked_masks(
+                            masks=(), counts=())
+    first, count, total = _mask_counts(
         query, ball, cv, injective=query.semantics is Semantics.SUB_ISO,
         stop=enumeration_limit + 1)
-    if len(ranks) > enumeration_limit:
+    if total > enumeration_limit:
         return PreparedBall(ball_id=ball.ball_id,
                             enumerated=enumeration_limit, truncated=True,
-                            bound_bypassed=False, masks=(),
-                            pattern_of_cmm=())
-    index_of: dict[int, int] = {}  # mask -> pattern index, insertion order
-    order = tuple([index_of.setdefault(masks[leaf], len(index_of))
-                   for leaf in sorted(range(len(ranks)),
-                                      key=ranks.__getitem__)])
-    return PreparedBall(ball_id=ball.ball_id, enumerated=len(order),
-                        truncated=False, bound_bypassed=False,
-                        masks=tuple(index_of), pattern_of_cmm=order)
+                            bound_bypassed=False, masks=(), counts=())
+    masks = tuple(sorted(first, key=first.__getitem__))
+    return PreparedBall(ball_id=ball.ball_id, enumerated=total,
+                        truncated=False, bound_bypassed=False, masks=masks,
+                        counts=tuple([count[mask] for mask in masks]))
 
 
 def enumerate_cmms(query: Query, ball: Ball,

@@ -181,9 +181,10 @@ def verify_ball_streaming(
     mask's chunk product is computed once per ball, out of ``multiexp``
     -- the query's :func:`verification_multiexp` table, shared across a
     share's balls; a call without one builds its own.  The summable
-    layout's sum then takes one term per CMM (the paper-literal sum needs
-    each pattern's multiplicity), the per-item layout ships the distinct
-    products -- :func:`aggregate_items` would drop the repeats anyway.
+    layout's sum weighs each product by its mask's CMM count (the
+    paper-literal sum over every CMM, as one
+    :func:`~repro.core.aggregation.weighted_sum`), the per-item layout
+    ships the distinct products.
 
     What is computed for which mask is a function of the ball's plaintext
     adjacency and the public label view only -- never of ciphertext
@@ -195,9 +196,8 @@ def verify_ball_streaming(
         multiexp = verification_multiexp(params, encrypted_matrix, c_one,
                                          plan)
     items = [multiexp.chunk_ciphertexts(mask) for mask in prepared.masks]
-    if plan.summable:
-        items = [items[index] for index in prepared.pattern_of_cmm]
-    return aggregate_items(params, prepared.ball_id, items, plan)
+    return aggregate_items(params, prepared.ball_id, items, plan,
+                           counts=list(prepared.counts))
 
 
 # Re-exported so framework code has one import site for the user-side test.

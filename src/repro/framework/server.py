@@ -78,8 +78,8 @@ class CMMCache(LRU[PreparedBall]):
     ``(ball_id, enumeration signature)``.
 
     The size bound is expressed in CMM units (``PreparedBall.weight``:
-    per-CMM index entries plus distinct patterns) rather than entry
-    count, so one giant ball cannot silently dominate memory.  Eviction
+    recorded CMMs plus distinct patterns) rather than entry count, so
+    one giant ball cannot silently dominate memory.  Eviction
     is :class:`~repro.cache.LRU`'s: least recently used first, never the
     entry being inserted, counted in its :class:`CacheStats` -- the
     schema every bounded cache reports through.

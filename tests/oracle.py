@@ -12,6 +12,7 @@ twiglet DFS (:func:`iter_twiglets_from`) the label-set walk of
 ``twiglets_from`` must equal.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from repro.core.aggregation import aggregate_items, chunked_product
@@ -146,28 +147,30 @@ def iter_projected_masks(query, ball, injective=False, cv=None):
 def reference_prepared_ball(query, ball, *, enumeration_limit,
                             cmm_bound_bypass):
     """The ``PreparedBall`` ``prepare_ball`` must return, recorded off
-    :func:`iter_projected_masks` in Alg. 1's order: bound bypass first,
-    truncation at the ``limit+1``-th CMM with ``enumerated == limit``,
-    distinct masks in first-appearance order."""
+    :func:`iter_projected_masks` CMM by CMM in Alg. 1's order: bound
+    bypass first, truncation at the ``limit+1``-th CMM with
+    ``enumerated == limit``, distinct masks in first-appearance order,
+    each with the number of CMMs that project to it."""
     def result(enumerated=0, truncated=False, bound_bypassed=False,
-               masks=(), pattern_of_cmm=()):
+               masks=(), counts=()):
         return PreparedBall(ball_id=ball.ball_id, enumerated=enumerated,
                             truncated=truncated,
                             bound_bypassed=bound_bypassed, masks=masks,
-                            pattern_of_cmm=pattern_of_cmm)
+                            counts=counts)
 
     cv = candidate_vertices(query, ball)
     if count_cmm_upper_bound(query, ball, cv) > cmm_bound_bypass:
         return result(bound_bypassed=True)
-    index_of, order = {}, []
+    stream = []
     for mask in iter_projected_masks(
             query, ball, injective=query.semantics is Semantics.SUB_ISO,
             cv=cv):
-        if len(order) >= enumeration_limit:
-            return result(enumerated=len(order), truncated=True)
-        order.append(index_of.setdefault(mask, len(index_of)))
-    return result(enumerated=len(order), masks=tuple(index_of),
-                  pattern_of_cmm=tuple(order))
+        if len(stream) >= enumeration_limit:
+            return result(enumerated=len(stream), truncated=True)
+        stream.append(mask)
+    counts = Counter(stream)  # insertion order = first appearance
+    return result(enumerated=len(stream), masks=tuple(counts),
+                  counts=tuple(counts.values()))
 
 
 def oracle_table_prune(params, tables, ball, features, c_one):

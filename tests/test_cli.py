@@ -682,7 +682,8 @@ class TestTracing:
                      "--metrics-out", str(metrics)]) == 0
         text = metrics.read_text()
         assert "# TYPE repro_batch_queries_total counter" in text
-        assert "repro_batch_queries_total 3" in text
+        assert re.search(r"^repro_batch_queries_total 3$", text, re.M)
+        assert re.search(r"^repro_span_seconds_count\{", text, re.M)
         assert "repro_message_bytes_total" in text
 
 

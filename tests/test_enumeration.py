@@ -1,24 +1,32 @@
 """Tests for Alg. 1 (candidate enumeration) and its obliviousness."""
 
+import gc
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.encoding import encrypt_query_matrix
 from repro.core.enumeration import (
     candidate_vertices,
     count_cmm_upper_bound,
     enumerate_cmms,
+    iter_cmms,
     prepare_ball,
     work_order,
 )
-from repro.core.verification import verification_plan
+from repro.core.verification import (
+    verification_plan,
+    verify_ball,
+    verify_ball_streaming,
+)
 from repro.crypto.cgbe import CGBE
-from repro.graph.ball import extract_ball
+from repro.graph.ball import BallIndex, extract_ball
 from repro.graph.io import ball_from_bytes, ball_to_bytes
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query import Query, QueryLabelView, Semantics
+from repro.workloads.datasets import load_dataset
 from tests.oracle import reference_prepared_ball
 
 LETTERS = "abc"
@@ -248,3 +256,112 @@ class TestWorkOrderWalk:
         bounds = {"enumeration_limit": 2000, "cmm_bound_bypass": 3000}
         assert prepare_ball(first, ball, **bounds) == \
             prepare_ball(second, ball, **bounds)
+
+
+@st.composite
+def twin_balls(draw):
+    """A ball around planted twins on one hub: same-label leaves (false
+    twins, which share a class), an adjacent same-label pair (true twins,
+    which must not) and a vertex wired and labeled like the center.  A
+    few random edges on top may break any of them."""
+    def wire(v, how):
+        return {"out": [(1, v)], "in": [(v, 1)],
+                "both": [(1, v), (v, 1)]}[how]
+
+    hows = st.sampled_from(["out", "in", "both"])
+    leaves = draw(st.integers(2, 4))
+    pair = [2 + leaves, 3 + leaves]
+    twin = 4 + leaves
+    labels = {0: "a", 1: "b", twin: "a"}
+    labels |= dict.fromkeys(range(2, 2 + leaves), draw(st.sampled_from(
+        LETTERS)))
+    labels |= dict.fromkeys(pair, draw(st.sampled_from(LETTERS)))
+    center_how, leaf_how, pair_how = (draw(hows) for _ in range(3))
+    edges = {*wire(0, center_how), *wire(twin, center_how),
+             (pair[0], pair[1]), (pair[1], pair[0])}
+    for v in range(2, 2 + leaves):
+        edges.update(wire(v, leaf_how))
+    for v in pair:
+        edges.update(wire(v, pair_how))
+    edges.update(draw(st.lists(st.tuples(
+        st.integers(0, twin), st.integers(0, twin)).filter(
+            lambda e: e[0] != e[1]), max_size=2)))
+    graph = LabeledGraph.from_edges(labels, sorted(edges))
+    ball = extract_ball(graph, 0, 2, ball_id=draw(st.integers(0, 9)))
+    return ball_from_bytes(ball_to_bytes(ball)) if draw(st.booleans()) \
+        else ball
+
+
+@pytest.fixture(scope="module")
+def schemes(cgbe):
+    """A scheme whose plans for 3..4 rows are summable and one whose
+    plans are per-item."""
+    small = CGBE.generate(modulus_bits=256, q_bits=24, r_bits=24, seed=5)
+    return {True: cgbe, False: small}
+
+
+class TestTwinClasses:
+    """``prepare_ball`` places one member per false-twin class and counts
+    the class product; the reference walks every CMM.  True twins and the
+    center's twin stay apart."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_planted_twins_equal_reference(self, data, schemes):
+        ball = data.draw(twin_balls())
+        semantics = data.draw(st.sampled_from(
+            [Semantics.HOM, Semantics.SUB_ISO]))
+        size = data.draw(st.integers(3, 4))
+        labels = (ball.center_label, *data.draw(st.lists(
+            st.sampled_from(LETTERS), min_size=size - 1,
+            max_size=size - 1)))
+        labels = data.draw(st.permutations(labels))
+        edges = {(data.draw(st.integers(0, u - 1)), u)
+                 for u in range(1, size)}
+        query = Query.from_edges(dict(enumerate(labels)), sorted(edges),
+                                 semantics=semantics,
+                                 vertex_order=tuple(range(size)))
+        view = QueryLabelView.of(query)
+        full = {"enumeration_limit": 10 ** 6, "cmm_bound_bypass": 10 ** 6}
+        total = reference_prepared_ball(view, ball, **full).enumerated
+        for limit in {1, max(total - 1, 1), max(total, 1), total + 1}:
+            bounds = {**full, "enumeration_limit": limit}
+            assert prepare_ball(view, ball, **bounds) == \
+                reference_prepared_ball(view, ball, **bounds)
+        prepared = prepare_ball(view, ball, **full)
+        cmms = enumerate_cmms(view, ball, injective=semantics is
+                              Semantics.SUB_ISO).cmms
+        for summable, scheme in schemes.items():
+            plan = verification_plan(scheme.params, view)
+            assert plan.summable is summable
+            fixed = (scheme.params, encrypt_query_matrix(scheme, query),
+                     scheme.encrypt_one())
+            assert verify_ball_streaming(*fixed, prepared, plan) == \
+                verify_ball(*fixed, ball, cmms, plan)
+
+
+class TestNoReferenceCycles:
+    def test_walks_leave_nothing_for_the_collector(self):
+        """Alg. 1's walks free their working state by reference count: a
+        nested function closing over itself would leave a cycle per call
+        for the cyclic collector."""
+        dataset = load_dataset("slashdot", scale=0.05)
+        view = QueryLabelView.of(dataset.random_queries(
+            1, size=5, diameter=2, seed=3)[0])
+        index = BallIndex(dataset.graph, (2,))
+        bounds = {"enumeration_limit": 10 ** 4, "cmm_bound_bypass": 10 ** 5}
+        balls = [index.ball(v, 2)
+                 for v in sorted(dataset.graph.vertices(), key=repr)
+                 if dataset.graph.label(v) in view.labels]
+        balls = [ball for ball in balls
+                 if prepare_ball(view, ball, **bounds).enumerated][:8]
+        assert len(balls) >= 4
+        gc.collect()
+        gc.disable()
+        try:
+            for ball in balls:
+                prepare_ball(view, ball, **bounds)
+                list(iter_cmms(view, ball))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -207,7 +207,7 @@ class TestSignatures:
 
 class TestPreparedVerdicts:
     """prepare_ball takes the two footnote-6 decisions (bound bypass,
-    truncation) and records the per-CMM pattern index."""
+    truncation) and records one CMM count per distinct pattern."""
 
     def _view(self, dataset):
         query = dataset.random_queries(1, size=4, diameter=2, seed=13)[0]
@@ -249,11 +249,10 @@ class TestPreparedVerdicts:
     def test_pattern_indices_cover_order(self, dataset):
         view = self._view(dataset)
         _, prepared = self._some_ball(dataset, view)
-        assert len(prepared.pattern_of_cmm) == prepared.enumerated
-        assert set(prepared.pattern_of_cmm) == set(range(len(
-            prepared.masks)))
-        assert prepared.weight == (len(prepared.pattern_of_cmm)
-                                   + len(prepared.masks))
+        assert sum(prepared.counts) == prepared.enumerated
+        assert len(prepared.counts) == len(prepared.masks)
+        assert all(count > 0 for count in prepared.counts)
+        assert prepared.weight == prepared.enumerated + len(prepared.masks)
 
 
 class TestOneEvaluationPath:
