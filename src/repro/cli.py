@@ -573,12 +573,6 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
         if pack.reason:
             line += f" ({pack.reason})"
         print(line)
-    line = (f"store version {report.version}; ball records: "
-            f"{report.records.get(2, 0)} v2, {report.records.get(1, 0)} v1")
-    if key is not None:
-        line += (f"; blob ciphers: {report.ciphers.get(2, 0)} v2, "
-                 f"{report.ciphers.get(1, 0)} v1")
-    print(line)
     print(f"{report.balls} balls indexed, "
           f"{report.decrypted} blobs decrypt-authenticated")
     if report.tampered:
@@ -699,8 +693,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     ranks = zipf_ranks(spec.count, spec.tenants, spec.skew, spec.seed)
     queries = [tenants[rank] for rank in ranks]
     verifier = None
-    if (placement is not None and placement.auth_root
-            and config.verify_serving):
+    if placement is not None and config.verify_serving:
         # Certificates bind the *effective* engine config, the view the
         # shards' engines run after forcing their pruning toggles.
         verifier = AnswerVerifier.from_placement(

@@ -293,9 +293,9 @@ class PreparedBall:
 
     @property
     def weight(self) -> int:
-        """Cache weight in CMM units (recorded CMMs + distinct patterns)."""
-        return max((0 if self.bypassed else self.enumerated)
-                   + len(self.masks), 1)
+        """Cache weight: the ints the entry stores (``masks`` plus
+        ``counts``), at least 1."""
+        return max(len(self.masks) + len(self.counts), 1)
 
 
 def enumeration_signature(query: Query, *, enumeration_limit: int,

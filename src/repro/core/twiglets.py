@@ -156,31 +156,6 @@ def twiglets_from(graph: LabeledGraph, start: Vertex, h: int,
     return found
 
 
-def filter_twiglets(features: "set[Twiglet] | frozenset[Twiglet]",
-                    alphabet: frozenset[Label]) -> set[Twiglet]:
-    """Restrict a full-alphabet twiglet set to ``Sigma_Q``.
-
-    Equals ``twiglets_from(graph, start, h, alphabet)`` when ``features``
-    is the unrestricted enumeration from the same start: a twiglet's
-    witness walk only visits vertices whose labels appear in the twiglet,
-    so restricting the DFS to ``Sigma_Q`` and filtering the full
-    enumeration by label membership select the same shapes (asserted in
-    ``tests/test_artifact_store.py``).  This is what lets the artifact
-    store precompute per-ball features once, offline, for every future
-    query alphabet.
-    """
-    allowed = {_key(l) for l in alphabet}
-    return {t for t in features
-            if set(t.path).union(t.fork or ()) <= allowed}
-
-
-def twiglet_from_jsonable(data: list) -> Twiglet:
-    """One twiglet as the artifact store reads it back: the bytes come
-    from disk, so the shape is checked."""
-    path, fork = data
-    return Twiglet(path=tuple(path), fork=tuple(fork) if fork else None)
-
-
 # ----------------------------------------------------------------------
 # user side: encrypted twiglet tables (Table 2)
 # ----------------------------------------------------------------------

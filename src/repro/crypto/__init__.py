@@ -5,9 +5,8 @@
   ciphertext-domain computation runs on.
 * :class:`~repro.crypto.stream_cipher.StreamCipher` -- a SHAKE-256
   keystream + HMAC-SHA-256 construction standing in for AES-256 (no
-  third-party crypto libraries are available offline; blobs the earlier
-  SHA-256-CTR version wrote still decrypt); used for ball data encryption
-  and the user -> enclave channel.
+  third-party crypto libraries are available offline); used for ball
+  data encryption and the user -> enclave channel.
 * :mod:`~repro.crypto.keys` -- key material containers for the three parties.
 """
 

@@ -9,12 +9,10 @@ ciphertext indistinguishable from random to parties without the key,
 tampering detected) match what the reproduction needs; see DESIGN.md for the
 substitution rationale.
 
-Every blob is ``nonce(16) || body || tag(32)``.  Two keystreams have
-written that layout: v2 (what :meth:`StreamCipher.encrypt` writes) is
-``shake_256(enc2_key || nonce)``, one C call per blob; v1 (packs written
-before it) is SHA-256 in counter mode, one hash per 32-byte block.  Each
-version has its own MAC key, so the tag that verifies says which keystream
-to apply: a pack patched by a later release holds both, blob by blob.
+Every blob is ``nonce(16) || body || tag(32)``: the body is the plaintext
+XORed with ``shake_256(enc_key || nonce)`` (one C call per blob), the tag
+an HMAC over ``nonce || body``.  Both keys are derived from the one
+32-byte key; the ``2`` in their labels is part of the format.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import os
 
 _NONCE_BYTES = 16
 _TAG_BYTES = 32
-_BLOCK_BYTES = 32  # SHA-256 output, the v1 keystream's block
 
 
 class AuthenticationError(ValueError):
@@ -40,7 +37,7 @@ def _xor(data: bytes, keystream: bytes) -> bytes:
 
 class StreamCipher:
     """SHAKE-256 keystream + HMAC-SHA-256, a stdlib-only AES-256-GCM
-    stand-in that still decrypts its SHA-256-CTR (v1) blobs."""
+    stand-in."""
 
     KEY_BYTES = 32
     TAG_BYTES = _TAG_BYTES
@@ -51,8 +48,6 @@ class StreamCipher:
                              f"got {len(key)}")
         self._enc_key = hashlib.sha256(b"enc2" + key).digest()
         self._mac_key = hashlib.sha256(b"mac2" + key).digest()
-        self._v1_enc_key = hashlib.sha256(b"enc" + key).digest()
-        self._v1_mac_key = hashlib.sha256(b"mac" + key).digest()
 
     @classmethod
     def generate_key(cls, seed: int | None = None) -> bytes:
@@ -66,19 +61,8 @@ class StreamCipher:
     def _keystream(self, nonce: bytes, length: int) -> bytes:
         return hashlib.shake_256(self._enc_key + nonce).digest(length)
 
-    def _v1_keystream(self, nonce: bytes, length: int) -> bytes:
-        """``sha256(v1_enc_key || nonce || ctr)`` per 32-byte block: the
-        shared prefix is hashed once and copied per block."""
-        prefix = hashlib.sha256(self._v1_enc_key + nonce)
-        blocks = []
-        for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
-            block = prefix.copy()
-            block.update(counter.to_bytes(8, "big"))
-            blocks.append(block.digest())
-        return b"".join(blocks)[:length]
-
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
-        """``nonce || ciphertext || tag``, always cipher v2.
+        """``nonce || ciphertext || tag``.
 
         A caller-supplied nonce makes ciphertexts reproducible in tests;
         production-style use leaves it None for a random nonce.
@@ -90,39 +74,28 @@ class StreamCipher:
         head = nonce + _xor(plaintext, self._keystream(nonce, len(plaintext)))
         return head + hmac.digest(self._mac_key, head, "sha256")
 
-    def verify(self, blob: bytes) -> int:
-        """The version whose tag verifies ``blob`` (v2 is tried first, so
-        a v2 blob costs one MAC); raises :class:`AuthenticationError`
-        when neither does.  The tag is ``blob[-32:]``: a verified tag
-        binds the exact ``nonce || ciphertext`` bytes under this key."""
+    def verify(self, blob: bytes) -> None:
+        """Raise :class:`AuthenticationError` unless ``blob``'s tag
+        verifies.  The tag is ``blob[-32:]``: a verified tag binds the
+        exact ``nonce || ciphertext`` bytes under this key."""
         if len(blob) < _NONCE_BYTES + _TAG_BYTES:
             raise AuthenticationError("ciphertext too short")
         head, tag = blob[:-_TAG_BYTES], blob[-_TAG_BYTES:]
-        if hmac.compare_digest(
+        if not hmac.compare_digest(
                 tag, hmac.digest(self._mac_key, head, "sha256")):
-            return 2
-        if hmac.compare_digest(
-                tag, hmac.digest(self._v1_mac_key, head, "sha256")):
-            return 1
-        raise AuthenticationError("MAC verification failed")
+            raise AuthenticationError("MAC verification failed")
 
-    def decrypt_verified(self, blob: bytes, version: int) -> bytes:
-        """The plaintext of a blob :meth:`verify` returned ``version``
-        for: the keystream alone, no second MAC."""
+    def decrypt_verified(self, blob: bytes) -> bytes:
+        """The plaintext of a blob :meth:`verify` accepted: the keystream
+        alone, no second MAC."""
         nonce = blob[:_NONCE_BYTES]
         body = blob[_NONCE_BYTES:-_TAG_BYTES]
-        keystream = self._keystream if version == 2 else self._v1_keystream
-        return _xor(body, keystream(nonce, len(body)))
-
-    def decrypt_versioned(self, blob: bytes) -> tuple[int, bytes]:
-        """``(version, plaintext)``: :meth:`verify`, then
-        :meth:`decrypt_verified`."""
-        version = self.verify(blob)
-        return version, self.decrypt_verified(blob, version)
+        return _xor(body, self._keystream(nonce, len(body)))
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify the tag, then decrypt; raises on tampering."""
-        return self.decrypt_versioned(blob)[1]
+        self.verify(blob)
+        return self.decrypt_verified(blob)
 
     @staticmethod
     def overhead_bytes() -> int:

@@ -140,7 +140,6 @@ def _compute_pm_share(enclave: Enclave,
                       balls: tuple[Ball, ...],
                       bf_config: BFConfig,
                       twiglet_h: int,
-                      twiglet_features: dict[int, frozenset] | None,
                       chaos: ChaosPolicy | None = None,
                       ) -> PmShareOutcome:
     started = time.perf_counter()
@@ -150,7 +149,6 @@ def _compute_pm_share(enclave: Enclave,
         pms, pm_costs, timings, fault_events = compute_pms_kernel(
             enclave, message, list(balls),
             bf_config=bf_config, twiglet_h=twiglet_h,
-            twiglet_features=twiglet_features,
             chaos=chaos, player_id=player)
     return PmShareOutcome(player=player,
                           wall_seconds=time.perf_counter() - started,
@@ -258,7 +256,6 @@ class BallExecutor:
                           shares: list[tuple[int, Enclave, tuple[Ball, ...]]],
                           *, bf_config: BFConfig,
                           twiglet_h: int,
-                          twiglet_features: dict[int, frozenset] | None = None,
                           ) -> list[PmShareOutcome]:
         """Compute every player's PM share; outcomes in share order.
 
@@ -268,7 +265,7 @@ class BallExecutor:
         chaos = self.faults.policy if self.faults.active else None
         outcomes = [
             _compute_pm_share(enclave, message, player, balls, bf_config,
-                              twiglet_h, twiglet_features, chaos)
+                              twiglet_h, chaos)
             for player, enclave, balls in shares
         ]
         for outcome in outcomes:

@@ -58,9 +58,9 @@ class PlacementError(RuntimeError):
 
 
 #: Placement key -> JSON type; ``_OPTIONAL`` keys may be absent (the
-#: default stands in).  ``auth`` is checked on its own: null or absent
-#: (a cut without an auth block), else an object of ``_AUTH_SHAPE``.
-_SHAPE = {"members": list, "vnodes": int, "salt": str, "shards": dict}
+#: default stands in).  ``auth`` holds exactly the ``_AUTH_SHAPE`` keys.
+_SHAPE = {"members": list, "vnodes": int, "salt": str, "shards": dict,
+          "auth": dict}
 _OPTIONAL = {"graph_digest": "", "radii": [], "balls": 0}
 _AUTH_SHAPE = {"root": str, "catalog": dict, "catalog_digest": str}
 
@@ -79,6 +79,13 @@ def _check_shape(payload) -> None:
     if payload.get("kind") != _PLACEMENT_KIND:
         raise PlacementError(
             f"not a placement manifest (kind={payload.get('kind')!r})")
+    if payload.get("auth") is None:
+        # A cut of a pack without an auth block: its answers could not be
+        # verified, so it is not served at all.
+        raise PlacementError(
+            "placement manifest has no auth block (written by an earlier "
+            "release); rebuild with `repro store build` and "
+            "`repro store shard-split`")
     for name, kind in {**_SHAPE, **{k: type(v) for k, v in
                                     _OPTIONAL.items()}}.items():
         if type(payload.get(name, _OPTIONAL.get(name))) is not kind:
@@ -91,7 +98,7 @@ def _check_shape(payload) -> None:
             f"{geometry!r} is not the fixed "
             f"{(DEFAULT_VNODES, DEFAULT_SALT)!r}")
     members, shards = payload["members"], payload["shards"]
-    auth = payload.get("auth")
+    auth = payload["auth"]
     if not (members and all(type(m) is int for m in members)
             and all(type(r) is int for r in payload.get("radii", ()))
             and shards.keys() == {str(m) for m in members}
@@ -101,9 +108,9 @@ def _check_shape(payload) -> None:
                     and info["dir"] not in ("", ".", "..")
                     and type(info["balls"]) is int
                     for info in shards.values())
-            and (auth is None or (type(auth) is dict and all(
-                type(value) is _AUTH_SHAPE.get(key)
-                for key, value in auth.items())))):
+            and auth.keys() == _AUTH_SHAPE.keys()
+            and all(type(auth[key]) is kind
+                    for key, kind in _AUTH_SHAPE.items())):
         raise PlacementError("malformed placement manifest: bad member, "
                              "radius, shard entry or auth block")
 
@@ -192,8 +199,8 @@ class PlacementManifest:
     balls: int = 0
     shard_dirs: dict[int, str] = field(default_factory=dict)
     shard_balls: dict[int, int] = field(default_factory=dict)
-    #: Merkle root of the source pack's auth block ("" for pre-PR8 cuts):
-    #: what the gateway's merge-time verifier checks certificates against.
+    #: Merkle root of the source pack's auth block: what the gateway's
+    #: merge-time verifier checks certificates against.
     auth_root: str = ""
     #: The committed candidate catalog ({radius: {label: [ball ids]}})
     #: and its owner-keyed digest; the verifier refuses the catalog when
@@ -225,14 +232,14 @@ class PlacementManifest:
                 "root": self.auth_root,
                 "catalog": self.catalog,
                 "catalog_digest": self.catalog_digest,
-            } if self.auth_root else None,
+            },
         }
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "PlacementManifest":
         _check_shape(payload)
         shards = payload["shards"]
-        auth = payload.get("auth") or {}
+        auth = payload["auth"]
         return cls(
             members=tuple(payload["members"]),
             graph_digest=payload.get("graph_digest", ""),
@@ -241,9 +248,9 @@ class PlacementManifest:
             shard_dirs={int(m): info["dir"] for m, info in shards.items()},
             shard_balls={int(m): info["balls"]
                          for m, info in shards.items()},
-            auth_root=auth.get("root", ""),
-            catalog=auth.get("catalog", {}),
-            catalog_digest=auth.get("catalog_digest", ""),
+            auth_root=auth["root"],
+            catalog=auth["catalog"],
+            catalog_digest=auth["catalog_digest"],
         )
 
     def write(self, root: str | Path) -> Path:

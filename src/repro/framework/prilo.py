@@ -290,8 +290,9 @@ class Prilo:
         #: Optional :class:`repro.storage.ArtifactStore` -- the persisted
         #: offline outsourcing output.  When set, the ball index and the
         #: Dealer's encrypted blobs load from disk (staleness-checked in
-        #: DataOwner) and twiglet pruning reuses the stored per-ball
-        #: feature sets.
+        #: DataOwner).  Twiglet pruning walks each candidate ball afresh
+        #: under the query's alphabet; the stored twiglet artifact is not
+        #: read.
         self.store = store
         self.owner = DataOwner(graph, config.radii, seed=config.seed,
                                store=store)
@@ -724,15 +725,10 @@ class Prilo:
             for player, share in zip(self.players, partition)
             if share
         ]
-        twiglet_features = None
-        if (self.store is not None and self.config.use_twiglet
-                and self.store.twiglet_h == self.config.twiglet_h):
-            twiglet_features = self.store.twiglet_features()
         outcomes = self.executor.compute_pm_shares(
             message, shares,
             bf_config=self.config.bf,
-            twiglet_h=self.config.twiglet_h,
-            twiglet_features=twiglet_features)
+            twiglet_h=self.config.twiglet_h)
         timings = metrics.timings
         for outcome in outcomes:
             merge_pms(pms, outcome.pms)

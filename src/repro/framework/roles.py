@@ -36,11 +36,7 @@ from repro.core.ssim_verification import (
     ssim_verify_ball,
 )
 from repro.core.table_pruning import player_table_prune, table_plan
-from repro.core.twiglets import (
-    build_twiglet_tables,
-    filter_twiglets,
-    twiglets_from,
-)
+from repro.core.twiglets import build_twiglet_tables, twiglets_from
 from repro.core.verification import (
     verification_multiexp,
     verification_plan,
@@ -195,10 +191,10 @@ class User:
 
     def __init__(self, keyring: UserKeyring) -> None:
         self.keyring = keyring
-        #: Decoded ``Sigma_Q`` slices (read-only views) keyed by ``(cipher
-        #: version, verified MAC tag, alphabet)``: a verified tag binds the
-        #: exact bytes under the user's key, and a re-encrypted ball gets
-        #: a new tag and misses, so nothing is ever invalidated.
+        #: Decoded ``Sigma_Q`` slices (read-only views) keyed by
+        #: ``(verified MAC tag, alphabet)``: a verified tag binds the exact
+        #: bytes under the user's key, and a re-encrypted ball gets a new
+        #: tag and misses, so nothing is ever invalidated.
         self.slices: LRU[Ball] = LRU(BALL_SLICE_MEMO_WEIGHT,
                                      weigh=_slice_weight)
 
@@ -364,12 +360,12 @@ class User:
 
         def open_ball(ball_id: int, blob: bytes) -> Ball:
             with decrypting:
-                version = cipher.verify(blob)
-            key = (version, blob[-StreamCipher.TAG_BYTES:], alphabet)
+                cipher.verify(blob)
+            key = (blob[-StreamCipher.TAG_BYTES:], alphabet)
             ball = self.slices.get(key)
             if ball is None:
                 with decrypting:
-                    payload = cipher.decrypt_verified(blob, version)
+                    payload = cipher.decrypt_verified(blob)
                 with decoding:
                     ball = ball_from_bytes(payload, labels=alphabet)
                 self.slices.put(key, ball)
@@ -575,7 +571,6 @@ def compute_pms_kernel(
     *,
     bf_config: BFConfig,
     twiglet_h: int,
-    twiglet_features: dict[int, frozenset] | None = None,
     chaos: ChaosPolicy | None = None,
     player_id: int = 0,
 ) -> tuple[PruningMessages, dict[int, float], PhaseTimings,
@@ -592,11 +587,6 @@ def compute_pms_kernel(
     degradation here is sound: BF pruning only ever removes provably
     spurious balls, so skipping it keeps strictly more candidates and the
     final match set is unchanged.
-
-    ``twiglet_features`` supplies precomputed *full-alphabet* per-ball
-    twiglet sets (the artifact store's offline output); they are
-    restricted to the query alphabet here, yielding exactly the set the
-    per-query DFS would enumerate.
     """
     injector = FaultInjector(chaos)
     pms = PruningMessages()
@@ -632,13 +622,8 @@ def compute_pms_kernel(
             timings.pm_bf += time.perf_counter() - bf_start
         if message.twiglet_tables:
             t_start = time.perf_counter()
-            if (twiglet_features is not None
-                    and ball.ball_id in twiglet_features):
-                features = filter_twiglets(twiglet_features[ball.ball_id],
-                                           message.alphabet)
-            else:
-                features = twiglets_from(ball.graph, ball.center, twiglet_h,
-                                         message.alphabet)
+            features = twiglets_from(ball.graph, ball.center, twiglet_h,
+                                     message.alphabet)
             pms.twiglet[ball.ball_id] = player_table_prune(
                 params, message.twiglet_tables, ball, features,
                 message.c_one, twiglet_plan,

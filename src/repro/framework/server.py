@@ -66,10 +66,10 @@ from repro.storage.store import graph_digest, plan_delta
 
 logger = logging.getLogger(__name__)
 
-#: Default CMM cache capacity, in CMM units (see ``PreparedBall.weight``).
-#: 512k units is ~a few hundred MB of tuple data at the paper's query
-#: sizes -- far above any tier-1 workload, so eviction only engages on
-#: serving workloads with genuinely large working sets.
+#: Default CMM cache capacity, in stored ints (``PreparedBall.weight``:
+#: one per distinct mask and one per count).  512k ints is tens of MB of
+#: tuple data -- far above any tier-1 workload, so eviction only engages
+#: on serving workloads with genuinely large working sets.
 DEFAULT_CMM_CACHE_WEIGHT = 512_000
 
 
@@ -77,9 +77,10 @@ class CMMCache(LRU[PreparedBall]):
     """Bounded LRU cache of :class:`PreparedBall` keyed by
     ``(ball_id, enumeration signature)``.
 
-    The size bound is expressed in CMM units (``PreparedBall.weight``:
-    recorded CMMs plus distinct patterns) rather than entry count, so
-    one giant ball cannot silently dominate memory.  Eviction
+    The size bound is expressed in stored ints (``PreparedBall.weight``:
+    the entry's distinct masks plus their counts) rather than entry
+    count, so one giant ball cannot silently dominate memory; a ball
+    whose CMMs collapse onto few masks weighs the masks it keeps.  Eviction
     is :class:`~repro.cache.LRU`'s: least recently used first, never the
     entry being inserted, counted in its :class:`CacheStats` -- the
     schema every bounded cache reports through.

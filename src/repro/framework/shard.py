@@ -145,8 +145,7 @@ class ShardServer:
                  if spec.store_root else None)
         engine_cls = ENGINE_CLASSES[spec.engine]
         self.engine = engine_cls.setup(spec.graph, spec.config, store=store)
-        if (store is not None and store.auth is not None
-                and spec.config.verify_serving):
+        if store is not None and spec.config.verify_serving:
             # Certify with the engine's *effective* config: engine
             # classes override pruning flags in setup(), and the
             # fingerprint must match what the gateway verifier derives

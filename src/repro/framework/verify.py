@@ -249,10 +249,6 @@ class AnswerVerifier:
         """Verifier straight off an (unsplit) :class:`ArtifactStore` --
         the single-shard / testing path."""
         auth = store.auth
-        if auth is None:
-            raise VerificationError(
-                FaultKind.FORGE_RESULT,
-                "store has no auth block (built before PR 8)")
         key = DataOwnerKey.generate(seed)
         vkey = auth_key(key)
         if catalog_digest(vkey, auth["catalog"]) != auth["catalog_digest"]:

@@ -7,10 +7,9 @@ Three formats:
   downloads from SNAP (plus the labels the paper adds).
 * JSON -- the canonical text form of a graph: wire queries, answers and the
   graph digest.
-* Ball record v2 -- the binary plaintext payload of encrypted balls (the
+* Ball record -- the binary plaintext payload of encrypted balls (the
   data owner encrypts serialized ball data before shipping it to the SP,
-  Sec. 2.3).  Earlier releases wrote JSON inside JSON there (v1); those
-  records stay readable through :func:`ball_from_bytes`.
+  Sec. 2.3).
 """
 
 from __future__ import annotations
@@ -129,9 +128,9 @@ def graph_from_json(text: str) -> LabeledGraph:
 
 
 # ----------------------------------------------------------------------
-# ball record v2 (layout: DESIGN.md section 9.1)
+# ball record (layout: DESIGN.md section 9.1)
 # ----------------------------------------------------------------------
-#: First byte 0x00: no JSON text (a v1 record) can start with it.
+#: First byte 0x00: no JSON text can start with it.
 _MAGIC = b"\x00BR2"
 #: magic | flags | ball_id | radius | vertices | edges | labels | center
 _HEADER = struct.Struct("<4sIqIIIII")
@@ -156,15 +155,9 @@ def _pack_texts(texts) -> bytes:
                     for part in (_LENGTH.pack(len(text)), text))
 
 
-def ball_record_version(data: bytes) -> int:
-    """Which ball record ``data`` starts like: 2 (binary) or 1 (the JSON
-    records of earlier releases, still readable)."""
-    return 2 if data[:4] == _MAGIC else 1
-
-
 def ball_to_bytes(ball: Ball) -> bytes:
     """The plaintext the data owner encrypts per ball (Sec. 2.3, step 1):
-    one v2 record, a pure function of the ball -- vertices in ``repr``
+    one record, a pure function of the ball -- vertices in ``repr``
     order, edges sorted by vertex-index pair."""
     graph = ball.graph
     order = sorted(graph.vertices(), key=repr)
@@ -230,8 +223,10 @@ def _label_slice(arrays, labels, center: int):
 
 
 def _ball_from_record(data: bytes, labels=None) -> Ball:
-    (_, flags, ball_id, radius, n_vertices, n_edges, n_labels,
+    (magic, flags, ball_id, radius, n_vertices, n_edges, n_labels,
      center) = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise BallDecodeError(f"not a ball record (magic {magic!r})")
     if flags & ~_TEXT_IDS:
         raise BallDecodeError(f"unknown flag bits {flags:#x}")
     table, pos = _literals(data, _HEADER.size, n_labels)
@@ -260,9 +255,7 @@ def _ball_from_record(data: bytes, labels=None) -> Ball:
 def ball_from_bytes(data: bytes, labels=None) -> Ball:
     """Inverse of :func:`ball_to_bytes`; :class:`BallDecodeError` on any
     malformed payload, raised here and by no later read of the ball's
-    :class:`BallGraphView`.  The v1 JSON records earlier releases wrote
-    stay readable for this release, by way of their v2 form: same vertex
-    and edge order, one decoded type.
+    :class:`BallGraphView`.
 
     ``labels`` (a set) keeps only the vertices carrying one of them, plus
     the center, and the edges among those: the query's ``Sigma_Q`` slice,
@@ -270,10 +263,4 @@ def ball_from_bytes(data: bytes, labels=None) -> Ball:
     validated either way, so the same bytes raise for every ``labels``.
     ``None`` keeps the whole ball."""
     with _decoding("ball payload"):
-        if ball_record_version(data) == 1:
-            payload = json.loads(data.decode("utf-8"))
-            data = ball_to_bytes(Ball(
-                graph=graph_from_json(payload["graph"]),
-                center=_parse_literal(payload["center"]),
-                radius=payload["radius"], ball_id=payload["ball_id"]))
         return _ball_from_record(data, labels)

@@ -8,7 +8,9 @@ ball packs (mmap cold start for Players and Dealer alike;
 ``encrypted_store()`` satisfies the same ``get(ball_id)`` protocol as the
 in-memory store, so a :class:`repro.framework.roles.Dealer` can be backed
 by either) and per-ball twiglet feature sets, under a versioned manifest
-with staleness and tamper detection.
+with staleness and tamper detection.  It opens only the layout it
+writes: a pack an earlier release wrote is stale, and ``repro store
+build`` regenerates it from the graph and the owner key.
 
 :class:`~repro.storage.journal.RunJournal` is the *online* durability
 counterpart: a write-ahead, CRC-framed, keyed-digest journal of batch

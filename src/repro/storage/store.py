@@ -12,23 +12,20 @@ Players re-enumerate per-ball pruning features on every query.
   ``mmap`` so a cold engine start touches only the balls a query
   actually visits;
 * **encrypted.pack** -- the Dealer's authenticated ciphertext blobs
-  (StreamCipher under the owner's ``sk``; cipher v2, with v1 blobs left
-  in a pack an earlier release wrote), same offset table;
+  (StreamCipher under the owner's ``sk``), same offset table;
 * **twiglets.json** -- per-ball *full-alphabet* twiglet feature sets
-  (Alg. 5 line 3's ``R``).  Online, a query restricts them to
-  ``Sigma_Q`` via :func:`repro.core.twiglets.filter_twiglets` -- provably
-  the same set the per-query DFS enumerates, for *any* future query
-  alphabet.  (The paper's CGBE-encrypted twiglet *tables* are per-query
-  user artifacts -- they consume the user's randomness -- so the
-  reusable offline piece is the Player-side feature extraction.)
+  (Alg. 5 line 3's ``R``), written and checksummed but not read online:
+  a query's Players walk ``twiglets_from(ball, Sigma_Q)`` afresh, which
+  is faster than restricting the stored full-alphabet set.
 
 The ``manifest.json`` keys everything by (graph digest, radii,
 ``twiglet_h``, owner-key fingerprint) and carries a sha256 per artifact
 file: :meth:`ArtifactStore.check` detects staleness (the graph or config
 changed under the store), :meth:`verify` detects tampering.  BF pruning
 (Sec. 4.1) stores nothing: its tree encodings follow the query's label
-codec.  A pack from an earlier release may list an unread tree artifact
-too; ``verify`` checks it, the first ``apply_delta`` drops it.
+codec.  :meth:`ArtifactStore.open` reads exactly the layout the writer
+writes; a manifest an earlier release wrote is :class:`StoreStale`
+(rebuild with ``repro store build``).
 """
 
 from __future__ import annotations
@@ -44,11 +41,7 @@ from typing import get_type_hints
 # ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves this import
 # by hard lookup; delete with its row at the re-pin (ROADMAP 1(a)).
 from repro.core.trees import enumerate_center_tree_encodings  # noqa: F401
-from repro.core.twiglets import (
-    TWIGLET_HEIGHTS,
-    twiglet_from_jsonable,
-    twiglets_from,
-)
+from repro.core.twiglets import TWIGLET_HEIGHTS, twiglets_from
 from repro.crypto.keys import DataOwnerKey
 from repro.crypto.stream_cipher import AuthenticationError
 from repro.storage.authenticate import (
@@ -62,12 +55,7 @@ from repro.framework.faults import FaultAction, FaultInjector, FaultKind
 from repro.framework.messages import EncryptedBallBlob
 from repro.graph.ball import Ball, BallIndex, extract_ball
 from repro.graph.delta import GraphDelta, dirty_ball_keys, touched_min_distances
-from repro.graph.io import (
-    ball_from_bytes,
-    ball_record_version,
-    ball_to_bytes,
-    graph_to_json,
-)
+from repro.graph.io import ball_from_bytes, ball_to_bytes, graph_to_json
 from repro.graph.labeled_graph import LabeledGraph
 from repro.observability.spans import NULL_TRACER
 
@@ -80,11 +68,11 @@ _ARTIFACTS = (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS)
 #: What a manifest says besides ``version`` / ``balls`` / ``checksums``.
 _FIELDS = ("graph_digest", "key_digest", "radii", "twiglet_h", "ball_ids",
            "auth")
-#: Written by every commit.  Version 2 packs may hold binary (v2) ball
-#: records; a reader dispatches per record, so a version-1 store patched
-#: by ``apply_delta`` becomes a version-2 store holding both kinds.
+#: Written by every commit.
 _VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+#: The one version :func:`_check_shape` reads: this release's own, fixed
+#: when the module loads.  Every lower one is an earlier release's.
+_READ_VERSION = _VERSION
 
 
 class StoreError(RuntimeError):
@@ -142,13 +130,6 @@ class VerifyReport:
     #: Blobs that decrypt-authenticated AND matched the plaintext pack
     #: during the keyed sweep (0 when no key was supplied).
     decrypted: int = 0
-    #: The manifest's format version.
-    version: int = 0
-    #: Ball record version -> how many ``balls.pack`` records carry it.
-    records: dict[int, int] = field(default_factory=dict)
-    #: Cipher version -> how many blobs of the keyed sweep it
-    #: authenticated (empty when no key was supplied).
-    ciphers: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -167,11 +148,6 @@ class VerifyReport:
         return {"ok": self.ok,
                 "balls": self.balls,
                 "decrypted": self.decrypted,
-                "version": self.version,
-                "records": {f"v{version}": count for version, count
-                            in sorted(self.records.items())},
-                "ciphers": {f"v{version}": count for version, count
-                            in sorted(self.ciphers.items())},
                 "packs": [p.as_dict() for p in self.packs]}
 
 
@@ -183,7 +159,7 @@ class DeltaApplyReport:
     had their pack bytes (and Merkle leaves) copied verbatim, only
     ``reencrypted`` balls paid encryption, a twiglet walk and a new leaf:
     the added balls plus the dirty balls whose record bytes changed (or
-    whose stored blob was not a v2 ciphertext of them).  Every surviving
+    whose stored blob does not decrypt to them).  Every surviving
     ball is one or the other, so ``reused == balls_after - reencrypted``;
     every dirty ball was re-extracted to decide.  The dynamic-update
     benchmark gates these counts against a record-by-record diff.
@@ -301,7 +277,9 @@ class _Pack:
         self._file = None
 
 
-#: Manifest key -> JSON type; ``_OPTIONAL`` keys may be null or absent.
+#: Manifest key -> JSON type; ``_OPTIONAL`` keys may be null or absent
+#: here (a null ``twiglet_h`` means no twiglet features; no ``ball_ids``
+#: or ``auth`` means an earlier release wrote the manifest).
 _SHAPE = {"version": int, "graph_digest": str, "key_digest": str,
           "radii": list, "balls": list, "checksums": dict,
           "twiglet_h": int, "ball_ids": dict, "auth": dict}
@@ -309,15 +287,31 @@ _OPTIONAL = ("twiglet_h", "ball_ids", "auth")
 _SLICE_TYPES = get_type_hints(PackSlice)
 
 
+def _earlier_release(manifest: dict) -> str | None:
+    """What marks a well-formed ``manifest`` as an earlier release's
+    layout, or ``None`` for the one this release writes."""
+    if manifest.get("auth") is None:
+        return "no auth block"
+    if manifest.get("ball_ids") is None:
+        return "no ball-id table"
+    if manifest["checksums"].keys() != set(_ARTIFACTS):
+        return f"checksums {sorted(manifest['checksums'])}"
+    return None
+
+
 def _check_shape(manifest) -> None:
     """Raise :class:`StoreError` unless the parsed ``manifest`` has the
-    shape every reader assumes (exit 3, not a traceback).  JSON decodes
-    to exact types, and ``type(x) is int`` also refuses ``true``."""
+    shape every reader assumes (exit 3, not a traceback), and
+    :class:`StoreStale` (exit 2) for a layout an earlier release wrote.
+    JSON decodes to exact types, and ``type(x) is int`` also refuses
+    ``true``."""
     if type(manifest) is not dict:
         raise StoreError("malformed manifest: not a JSON object")
-    if manifest.get("version") not in _READABLE_VERSIONS:
-        raise StoreError(
-            f"unsupported store version {manifest.get('version')!r}")
+    version = manifest.get("version")
+    if type(version) is not int or not 1 <= version <= _READ_VERSION:
+        raise StoreError(f"unsupported store version {version!r}")
+    if version < _READ_VERSION:
+        raise _stale_layout(f"store version {version}")
     for name, kind in _SHAPE.items():
         value = manifest.get(name)
         if type(value) is not kind and (value is not None
@@ -334,6 +328,14 @@ def _check_shape(manifest) -> None:
                     for name, digest in manifest["checksums"].items())):
         raise StoreError("malformed manifest: bad radius, ball entry or "
                          "checksum name")
+    reason = _earlier_release(manifest)
+    if reason is not None:
+        raise _stale_layout(reason)
+
+
+def _stale_layout(reason: str) -> StoreStale:
+    return StoreStale(f"store is stale: written by an earlier release "
+                      f"({reason}); rebuild with `repro store build`")
 
 
 def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
@@ -427,13 +429,13 @@ class _StoreWriter:
         self.leaves[ball_id] = leaf_digest(self._vkey, ball_id, blob)
 
     def is_current(self, blob: bytes, payload: bytes) -> bool:
-        """Whether ``blob`` is a current-version (v2) ciphertext of
-        exactly ``payload`` under this writer's key."""
+        """Whether ``blob`` authenticates under this writer's key and
+        decrypts to exactly ``payload``."""
         try:
-            return (self._cipher.verify(blob) == 2
-                    and self._cipher.decrypt_verified(blob, 2) == payload)
+            self._cipher.verify(blob)
         except AuthenticationError:
             return False
+        return self._cipher.decrypt_verified(blob) == payload
 
     def encrypt(self, ball: Ball, payload: bytes | None = None) -> None:
         """Put a freshly extracted ball in: serialize (unless ``payload``
@@ -541,9 +543,8 @@ class StoreBallIndex(BallIndex):
     def __init__(self, graph: LabeledGraph, radii: tuple[int, ...],
                  store: "ArtifactStore") -> None:
         # Stores that survived deltas pin their surviving balls to the
-        # originally assigned ids via the manifest's ball-id table; a
-        # freshly built (or pre-table) store falls back to the positional
-        # assignment, which the table reproduces exactly at create time.
+        # originally assigned ids via the manifest's ball-id table (at
+        # create time it records the positional assignment).
         super().__init__(graph, radii, ids=store.ball_id_map(graph))
         self._store = store
 
@@ -707,7 +708,6 @@ class ArtifactStore:
         }
         self._balls_pack = _Pack(self._root / _BALLS_PACK)
         self._encrypted_pack = _Pack(self._root / _ENCRYPTED_PACK)
-        self._twiglets: dict[int, frozenset] | None = None
 
     def _record(self, ball_id: int) -> tuple[bytes, bytes]:
         """One stored ball's raw ``(payload, blob)`` pack bytes."""
@@ -733,10 +733,10 @@ class ArtifactStore:
         return self._faults
 
     @property
-    def auth(self) -> dict | None:
+    def auth(self) -> dict:
         """The manifest's Merkle auth block (root, committed leaf table,
-        candidate catalog), or ``None`` for packs built before PR 8."""
-        return self._manifest.get("auth")
+        candidate catalog)."""
+        return self._manifest["auth"]
 
     @property
     def manifest_graph_digest(self) -> str:
@@ -911,8 +911,7 @@ class ArtifactStore:
         into the returned :class:`VerifyReport` so operators (and the
         ``repro store verify`` exit codes) see the whole picture.
         """
-        report = VerifyReport(balls=len(self._slices),
-                              version=self._manifest["version"])
+        report = VerifyReport(balls=len(self._slices))
         for name, expected in self._manifest["checksums"].items():
             path = self._root / name
             if not path.is_file():
@@ -935,32 +934,25 @@ class ArtifactStore:
                      and key_digest(key) != self._manifest["key_digest"])
 
         def present(name: str) -> bool:
-            return name in by_name and by_name[name].status != "missing"
+            return by_name[name].status != "missing"
 
-        if present(_BALLS_PACK):
-            for sl in self._slices.values():
-                version = ball_record_version(
-                    self._balls_pack.slice(sl.offset, 4))
-                report.records[version] = report.records.get(version, 0) + 1
         if (key is not None and not stale_key and present(_ENCRYPTED_PACK)
                 and present(_BALLS_PACK)):
             cipher = key.cipher()
-            auth = self._manifest.get("auth")
-            vkey = auth_key(key) if auth is not None else None
+            leaves = self.auth["leaves"]
+            vkey = auth_key(key)
             bad = 0
             first = ""
             for sl in self._slices.values():
                 plain, blob = self._record(sl.ball_id)
-                if auth is not None:
-                    committed = auth["leaves"].get(str(sl.ball_id))
-                    if committed != leaf_digest(vkey, sl.ball_id, blob):
-                        bad += 1
-                        first = first or (f"ball {sl.ball_id}: blob does "
-                                          f"not match its committed "
-                                          f"Merkle leaf")
-                        continue
+                if leaves.get(str(sl.ball_id)) != leaf_digest(
+                        vkey, sl.ball_id, blob):
+                    bad += 1
+                    first = first or (f"ball {sl.ball_id}: blob does not "
+                                      f"match its committed Merkle leaf")
+                    continue
                 try:
-                    version, payload = cipher.decrypt_versioned(blob)
+                    payload = cipher.decrypt(blob)
                 except AuthenticationError as exc:
                     # The only failure decrypt raises: a truncated or
                     # MAC-failing blob.  Anything else (an injected
@@ -976,7 +968,6 @@ class ArtifactStore:
                                       f"plaintext packs disagree")
                     continue
                 report.decrypted += 1
-                report.ciphers[version] = report.ciphers.get(version, 0) + 1
             if bad:
                 entry = by_name[_ENCRYPTED_PACK]
                 reason = f"{bad} blob(s) failed the keyed sweep; {first}"
@@ -1007,10 +998,9 @@ class ArtifactStore:
         if entries is not None:
             return entries
         checksums = self._manifest["checksums"]
-        for name in sorted({*_ARTIFACTS, *checksums}):
+        for name in _ARTIFACTS:
             path = self._root / name
-            if (name not in checksums or not path.is_file()
-                    or _file_digest(path) != checksums[name]):
+            if not path.is_file() or _file_digest(path) != checksums[name]:
                 raise StoreError(
                     f"{name} does not match the manifest's checksum; "
                     f"refusing to carry it forward (see `store verify`)")
@@ -1033,10 +1023,9 @@ class ArtifactStore:
         of the delta.  Clean balls keep their pack bytes, ball ids and
         Merkle leaves verbatim.  Dirty balls are re-extracted and
         serialized once; one whose fresh record equals the stored record,
-        held in a stored blob that verifies as cipher v2 and decrypts to
-        exactly those bytes, is then carried forward like a clean ball,
-        and only the others are re-encrypted (so an unchanged dirty ball
-        under an older cipher is still upgraded).  Removed vertices drop
+        held in a stored blob that authenticates and decrypts to exactly
+        those bytes, is then carried forward like a clean ball, and only
+        the others are re-encrypted.  Removed vertices drop
         their balls; added vertices get fresh ids past the historical
         maximum.  The auth block is patched by leaf replacement
         (:func:`updated_auth_block`) and the candidate catalog
@@ -1055,24 +1044,18 @@ class ArtifactStore:
         """
         self.check(graph=graph, key=key)
         if delta.is_empty:
-            auth = self.auth or {}
             n = len(self._slices)
             return DeltaApplyReport(
                 balls_before=n, balls_after=n, reused=n, reencrypted=0,
                 dirty_ball_ids=(), added_ball_ids=(), removed_ball_ids=(),
-                auth_root=auth.get("root", ""),
+                auth_root=self.auth["root"],
                 graph_digest=self._manifest["graph_digest"])
 
         # Refuse a damaged directory before the graph moves.
         twiglets = self._take_entries()
-        ids = self.ball_id_map(graph)
-        if ids is None:
-            ids = BallIndex(graph, self.radii).id_map()
-        plan = plan_delta(delta, graph, self.radii, ids)
+        plan = plan_delta(delta, graph, self.radii, self.ball_id_map(graph))
         key_by_id = {ball_id: k for k, ball_id in plan.ids.items()}
         dirty, removed = set(plan.dirty), set(plan.removed)
-
-        old_auth = self.auth
 
         catalog_rows: list[tuple[int, int, object]] = []
         reused = 0
@@ -1088,18 +1071,13 @@ class ArtifactStore:
                 payload, blob = self._record(ball_id)
                 if ball_id in dirty:
                     # Carried forward like a clean ball only when its
-                    # record is unchanged and its blob is a v2
-                    # ciphertext of it (an older cipher is upgraded).
+                    # record is unchanged and its blob decrypts to it.
                     ball = extract_ball(graph, center, radius,
                                         ball_id=ball_id)
                     fresh = ball_to_bytes(ball)
                     if fresh != payload or not writer.is_current(blob, fresh):
                         writer.encrypt(ball, fresh)
                         continue
-                if old_auth is None:
-                    # Pre-auth store: no committed leaf table to patch,
-                    # so digest the (unchanged) blob afresh.
-                    writer.commit_leaf(ball_id, blob)
                 writer.copy(old, payload, blob)
                 reused += 1
             for ball_id in plan.added:
@@ -1108,12 +1086,9 @@ class ArtifactStore:
                 writer.encrypt(extract_ball(graph, center, radius,
                                             ball_id=ball_id))
 
-        catalog = build_catalog(catalog_rows)
-        if old_auth is not None:
-            auth = updated_auth_block(key, old_auth, replaced=writer.leaves,
-                                      removed=plan.removed, catalog=catalog)
-        else:
-            auth = build_auth_block(key, writer.leaves, catalog)
+        auth = updated_auth_block(key, self.auth, replaced=writer.leaves,
+                                  removed=plan.removed,
+                                  catalog=build_catalog(catalog_rows))
 
         # Close the mmaps before their files are replaced.
         balls_before = len(self._slices)
@@ -1125,8 +1100,6 @@ class ArtifactStore:
             "auth": auth,
         }))
         self._entries = twiglets
-        # An earlier release's tree artifact, unlisted as of this commit.
-        (self._root / "trees.json").unlink(missing_ok=True)
 
         report = DeltaApplyReport(
             balls_before=balls_before,
@@ -1165,15 +1138,10 @@ class ArtifactStore:
             f"store:enc:{ball_id}",
             self._encrypted_pack.slice(sl.enc_offset, sl.enc_length))
 
-    def ball_id_map(self, graph: LabeledGraph
-                    ) -> dict[tuple, int] | None:
+    def ball_id_map(self, graph: LabeledGraph) -> dict[tuple, int]:
         """The manifest's ``(center, radius) -> ball id`` table, keyed by
-        live vertex objects; ``None`` for stores built before the table
-        existed (callers then use the positional assignment, which is
-        what the table recorded at create time anyway)."""
-        table = self._manifest.get("ball_ids")
-        if table is None:
-            return None
+        live vertex objects."""
+        table = self._manifest["ball_ids"]
         by_repr = {repr(v): v for v in graph.vertices()}
         ids: dict[tuple, int] = {}
         for center_repr, per_radius in table.items():
@@ -1201,20 +1169,6 @@ class ArtifactStore:
         held (encrypted on the fly from the live graph)."""
         return StoreEncryptedBalls(self, key=key,
                                    fallback_index=fallback_index)
-
-    def twiglet_features(self) -> dict[int, frozenset]:
-        """Per-ball full-alphabet twiglet sets (lazy-loaded once)."""
-        if self._twiglets is None:
-            path = self._root / _TWIGLETS
-            if not path.is_file():
-                raise StoreError(f"store has no twiglet artifact at {path}")
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            self._twiglets = {
-                int(ball_id): frozenset(twiglet_from_jsonable(item)
-                                        for item in items)
-                for ball_id, items in payload["balls"].items()
-            }
-        return self._twiglets
 
     def ball_ids(self) -> list[int]:
         """All stored ball ids, in pack (= generation) order."""
@@ -1298,16 +1252,16 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int) -> dict:
         shard_dirs[shard_id] = shard_dir.name
         shard_balls[shard_id] = len(entries)
 
-    auth = manifest.get("auth") or {}
+    auth = manifest["auth"]
     placement = PlacementManifest(
         members=ring.members,
         graph_digest=manifest["graph_digest"],
         radii=tuple(manifest["radii"]),
         balls=len(manifest["balls"]),
         shard_dirs=shard_dirs, shard_balls=shard_balls,
-        auth_root=auth.get("root", ""),
-        catalog=auth.get("catalog", {}),
-        catalog_digest=auth.get("catalog_digest", ""))
+        auth_root=auth["root"],
+        catalog=auth["catalog"],
+        catalog_digest=auth["catalog_digest"])
     placement.write(out_root)
     src.close()
     return placement.to_jsonable()

@@ -1,6 +1,8 @@
-"""The v1 ball record writer -- JSON inside JSON -- as ``repro.graph.io``
-had it until ball record v2 replaced it.  ``src/`` only *reads* v1 now;
-the writer lives on here as the oracle for the compatibility tests."""
+"""The v1 ball record -- JSON inside JSON -- as ``repro.graph.io`` wrote
+and read it until ball record v2 replaced it.  ``src/`` refuses v1 records
+now; this pair stays as an independent oracle: what a decoded graph
+answers and in which order it iterates, and what a v1 record looks like
+to the decoder that must refuse it."""
 
 import json
 
@@ -17,20 +19,11 @@ def ball_to_bytes_v1(ball) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def write_v1_stores(monkeypatch) -> None:
-    """Make ``ArtifactStore.create`` write what the previous release wrote:
-    v1 records under ``"version": 1``."""
-    from repro.storage import store as store_module
-
-    monkeypatch.setattr(store_module, "ball_to_bytes", ball_to_bytes_v1)
-    monkeypatch.setattr(store_module, "_VERSION", 1)
-
-
 def ball_from_bytes_v1(data: bytes):
-    """The v1 reader as ``repro.graph.io`` had it: a mutable graph grown by
-    ``LabeledGraph.from_edges`` in record order.  ``src/`` now decodes
-    every record into a ``BallGraphView``; this stays as the oracle for
-    what a decoded graph answers and in which order it iterates."""
+    """The v1 reader: a mutable graph grown by ``LabeledGraph.from_edges``
+    in record order.  ``src/`` decodes every record into a
+    ``BallGraphView``; this is the oracle for what a decoded graph answers
+    and in which order it iterates."""
     import ast
 
     from repro.graph.ball import Ball

@@ -11,7 +11,6 @@ import itertools
 import json
 import shutil
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.twiglets import filter_twiglets, twiglets_from
 from repro.crypto import stream_cipher
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.prilo_star import PriloStar
@@ -29,13 +27,12 @@ from repro.graph.io import graph_from_json, graph_to_json
 from repro.storage import (
     ArtifactStore,
     StoreError,
+    StoreStale,
     graph_digest,
     key_digest,
     shard_split,
 )
 from repro.workloads.datasets import load_dataset
-from tests.cipher_v1 import write_v1_ciphers
-from tests.legacy_store import TREES, make_legacy
 
 RADII = (2,)
 SEED = 3  # matches test_config so store key == engine owner key
@@ -232,17 +229,6 @@ class TestServingEquivalence:
             assert (backed.ball(center, RADII[0]).ball_id
                     == fresh.ball(center, RADII[0]).ball_id)
 
-    def test_twiglet_filter_equivalence(self, store, graph):
-        """Stored full-alphabet twiglets filtered to a query alphabet must
-        equal recomputing twiglets against that alphabet directly."""
-        features = store.twiglet_features()
-        index = BallIndex(graph, RADII)
-        alphabet = frozenset(list(graph.alphabet)[:4])
-        for center in list(graph.vertices())[:20]:
-            ball = index.ball(center, RADII[0])
-            assert (filter_twiglets(features[ball.ball_id], alphabet)
-                    == twiglets_from(ball.graph, ball.center, 3, alphabet))
-
     def test_store_backed_engine_answers_identically(self, store, dataset,
                                                      test_config):
         from dataclasses import replace
@@ -258,172 +244,54 @@ class TestServingEquivalence:
         assert backed.pm_per_method == plain.pm_per_method
 
 
-def _run(graph, config, store, query):
-    with PriloStar.setup(graph, config, store=store) as engine:
-        result = engine.run(query)
-    return (result.candidate_ids, result.pm_positive_ids,
-            result.verified_ids, result.match_ball_ids, result.num_matches)
+#: How each earlier release's manifest differs from the current one.
+_EARLIER_LAYOUTS = {
+    "version-1": lambda m: {**m, "version": 1},
+    "no-auth": lambda m: {k: v for k, v in m.items() if k != "auth"},
+    "null-auth": lambda m: {**m, "auth": None},
+    "no-ball-ids": lambda m: {k: v for k, v in m.items() if k != "ball_ids"},
+    "tree-artifact": lambda m: {**m, "bf": {}, "checksums": {
+        **m["checksums"], "trees.json": "0" * 64}},
+}
 
 
-class TestLegacyTreeArtifact:
-    """A pack written before the tree artifact went (``tests/
-    legacy_store.py`` writes that layout) keeps verifying and serving; the
-    first delta commits a manifest without it, then deletes the file."""
+class TestEarlierLayouts:
+    """A manifest an earlier release wrote is refused when opened, as
+    stale (CLI: ``STALE:`` exit 2): ``repro store build`` regenerates the
+    pack; nothing reads the old layout."""
 
-    @pytest.fixture()
-    def legacy(self, store, graph, tmp_path):
-        root = tmp_path / "legacy"
+    @pytest.fixture(params=sorted(_EARLIER_LAYOUTS))
+    def earlier(self, request, store, tmp_path):
+        root = tmp_path / "earlier"
         shutil.copytree(store.root, root)
-        make_legacy(root, graph)
+        manifest = json.loads((root / "manifest.json").read_text("utf-8"))
+        (root / "manifest.json").write_text(
+            json.dumps(_EARLIER_LAYOUTS[request.param](manifest)))
         return root
 
-    def test_verify_checks_the_tree_artifact(self, legacy, key):
-        report = ArtifactStore.open(legacy).verify(key)
-        assert report.ok and report.decrypted == report.balls
-        assert len(report.packs) == 4 and TREES in {
-            p.name for p in report.packs}
-        data = bytearray((legacy / TREES).read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        (legacy / TREES).write_bytes(bytes(data))
-        report = ArtifactStore.open(legacy).verify(key)
-        assert {p.name for p in report.tampered} == {TREES}
-        assert main(["--seed", str(SEED), "store", "verify", str(legacy),
-                     "--with-key"]) == 3
+    def test_open_raises_store_stale(self, earlier):
+        with pytest.raises(StoreStale, match="written by an earlier "
+                                             "release"):
+            ArtifactStore.open(earlier)
 
-    def test_serves_the_same_answers(self, legacy, store, dataset,
-                                     test_config):
-        config = replace(test_config, radii=RADII, seed=SEED)
-        query = dataset.random_queries(1, size=4, diameter=2, seed=21)[0]
-        with ArtifactStore.open(legacy) as old:
-            assert (_run(dataset.graph, config, old, query)
-                    == _run(dataset.graph, config, store, query))
-
-    def test_first_delta_drops_it_after_the_commit(self, legacy, store,
-                                                   graph, key, monkeypatch):
-        listed_at_unlink = []
-        unlink = Path.unlink
-
-        def spy(path, *args, **kwargs):
-            if path.name == TREES:
-                manifest = json.loads((path.parent / "manifest.json")
-                                      .read_text("utf-8"))
-                listed_at_unlink.append(TREES in manifest["checksums"])
-            return unlink(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "unlink", spy)
-        live = graph.copy()
-        with ArtifactStore.open(legacy) as old:
-            old.apply_delta(random_delta(live, edge_fraction=0.02, seed=5),
-                            live, key)
-            assert old.verify(key).ok
-            assert old._manifest.keys() == store._manifest.keys()
-            assert (old._manifest["checksums"].keys()
-                    == store._manifest["checksums"].keys())
-        assert listed_at_unlink == [False]
-        assert not (legacy / TREES).exists()
-
-    def test_shard_split_leaves_it_behind(self, legacy, key, tmp_path):
-        shard_split(legacy, tmp_path / "split", 2)
-        for shard in sorted((tmp_path / "split").glob("shard-*")):
-            assert not (shard / TREES).exists()
-            with ArtifactStore.open(shard) as piece:
-                assert "bf" not in piece._manifest
-                assert piece.verify(key).ok
-
-
-def _cipher_versions(store, key) -> dict[int, int]:
-    """Ball id -> the cipher version whose tag authenticates its blob."""
-    cipher = key.cipher()
-    return {ball_id: cipher.decrypt_versioned(
-        store.load_encrypted(ball_id))[0] for ball_id in store.ball_ids()}
-
-
-class TestCipherV1Pack:
-    """A pack whose blobs cipher v1 wrote (``tests/cipher_v1.py`` writes
-    them) keeps verifying and serving; ``apply_delta`` copies its clean
-    blobs verbatim, still v1, and writes the dirty and added ones as v2;
-    ``shard_split`` copies both kinds."""
-
-    @pytest.fixture(scope="class")
-    def v1_pack(self, graph, key, tmp_path_factory):
-        root = tmp_path_factory.mktemp("cipher-v1") / "store"
-        with pytest.MonkeyPatch.context() as patch:
-            write_v1_ciphers(patch)
-            ArtifactStore.create(root, graph, RADII, key,
-                                 twiglet_h=3).close()
-        return root
-
-    @pytest.fixture()
-    def mixed(self, v1_pack, graph, key, tmp_path):
-        """A copy of the v1 pack after one delta that dirties balls and
-        adds one: ``(root, report, blobs before, live graph)``."""
-        root = tmp_path / "mixed"
-        shutil.copytree(v1_pack, root)
-        live = graph.copy()
-        anchor = sorted(live.vertices(), key=repr)[3]
-        with ArtifactStore.open(root) as store:
-            before = {i: store.load_encrypted(i) for i in store.ball_ids()}
-            report = store.apply_delta(GraphDelta(
-                added_vertices=(("cipher-v2-vertex", live.label(anchor)),),
-                added_edges=(("cipher-v2-vertex", anchor),)), live, key)
-        return root, report, before, live
-
-    def test_verify_counts_every_blob_v1(self, v1_pack, key, capsys):
-        with ArtifactStore.open(v1_pack) as store:
-            balls = len(store)
-            report = store.verify(key)
-            assert _cipher_versions(store, key) == dict.fromkeys(
-                store.ball_ids(), 1)
-        assert report.ok and report.decrypted == balls
-        assert report.ciphers == {1: balls}
-        assert report.as_dict()["ciphers"] == {"v1": balls}
-        capsys.readouterr()
-        assert main(["--seed", str(SEED), "store", "verify", str(v1_pack),
-                     "--with-key"]) == 0
-        assert f"blob ciphers: 0 v2, {balls} v1" in capsys.readouterr().out
-
-    def test_serves_the_same_answers(self, v1_pack, store, dataset,
-                                     test_config):
-        config = replace(test_config, radii=RADII, seed=SEED)
-        query = dataset.random_queries(1, size=4, diameter=2, seed=21)[0]
-        with ArtifactStore.open(v1_pack) as old:
-            assert (_run(dataset.graph, config, old, query)
-                    == _run(dataset.graph, config, store, query))
-            assert not old.quarantined
-
-    def test_delta_keeps_clean_blobs_v1_and_writes_v2(self, mixed, key):
-        root, report, before, live = mixed
-        fresh = set(report.dirty_ball_ids) | set(report.added_ball_ids)
-        assert report.dirty and report.added
-        with ArtifactStore.open(root) as store:
-            clean = set(store.ball_ids()) - fresh
-            assert report.reused == len(clean) > 0
-            assert {i: store.load_encrypted(i) for i in clean} == {
-                i: before[i] for i in clean}
-            assert _cipher_versions(store, key) == {
-                i: 2 if i in fresh else 1 for i in store.ball_ids()}
-            verified = store.verify(key, graph=live, radii=RADII)
-        assert verified.ok
-        assert verified.ciphers == {1: len(clean), 2: len(fresh)}
-
-    def test_shard_split_copies_both_kinds(self, mixed, key, tmp_path):
-        root, report, _, _ = mixed
-        with ArtifactStore.open(root) as store:
-            blobs = {i: store.load_encrypted(i) for i in store.ball_ids()}
-            versions = _cipher_versions(store, key)
-        shard_split(root, tmp_path / "split", 2)
-        copied, counts = {}, {}
-        for shard in sorted((tmp_path / "split").glob("shard-*")):
-            with ArtifactStore.open(shard) as piece:
-                verified = piece.verify(key)
-                assert verified.ok and verified.decrypted == len(piece)
-                copied.update((i, piece.load_encrypted(i))
-                              for i in piece.ball_ids())
-            for version, count in verified.ciphers.items():
-                counts[version] = counts.get(version, 0) + count
-        assert copied == blobs
-        assert counts == {version: list(versions.values()).count(version)
-                          for version in (1, 2)}
+    def test_every_command_exits_stale(self, earlier, tmp_path, capsys):
+        for argv in (
+                ["store", "verify", str(earlier), "--with-key"],
+                ["store", "apply-delta", str(earlier), "slashdot",
+                 str(tmp_path / "deltas")],
+                ["store", "shard-split", str(earlier), str(tmp_path / "out"),
+                 "--shards", "2"],
+                ["--scale", "0.05", "run", "slashdot", "--size", "4",
+                 "--diameter", "2", "--store", str(earlier)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            stale = [line for line in out.splitlines()
+                     if line.startswith("STALE:")]
+            assert len(stale) == 1, argv
+            assert "written by an earlier release" in stale[0]
+            assert "Traceback" not in out + err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedManifest:
@@ -526,28 +394,17 @@ class TestMalformedManifest:
 # the Merkle leaves, root and catalog over the ciphertexts) were
 # re-recorded once more, by running the same steps, when cipher v2 (the
 # SHAKE-256 keystream) replaced SHA-256-CTR: every blob keeps its nonce and
-# length, and balls.pack / twiglets.json are unedited.  GOLDEN_R1_CIPHER_V1
-# keeps the v1 digests, which tests/cipher_v1.py's writer must reproduce.
+# length, and balls.pack / twiglets.json are unedited.
 # The post-delta ciphertext digests (encrypted.pack and manifest.json after
 # the deltas, the split's shard-N/encrypted.pack, shard-N/manifest.json and
 # placement.json) were re-recorded once more, by running the same steps,
 # when a delta stopped re-encrypting dirty balls whose record bytes did
 # not change: fewer nonces are drawn, and balls.pack / twiglets.json are
-# unedited.  The JSON documents alone (every manifest.json, including
-# GOLDEN_R1_CIPHER_V1's, every shard-N/manifest.json and placement.json)
+# unedited.  The JSON documents alone (every manifest.json, every
+# shard-N/manifest.json and placement.json)
 # were re-recorded once more, by running the same steps, when the writers
 # went from ``indent=1`` to compact separators: the same content in fewer
-# bytes.  balls.pack, encrypted.pack and twiglets.json are unedited, and
-# so is the legacy manifest digest, which tests/legacy_store.py still
-# writes with ``indent=1``.
-GOLDEN_R1_CIPHER_V1 = {
-    "balls.pack":
-        "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
-    "encrypted.pack":
-        "bf06e7e447c7626444b4a08f9857885c8e657db2312a1dbbd9a2345d6bbb4cab",
-    "manifest.json":
-        "e95334adb7493e206b7bcf12bc9b1e8addfb9757ed183257bfd8c709b193a231",
-}
+# bytes.  balls.pack, encrypted.pack and twiglets.json are unedited.
 GOLDEN_R1 = {
     "balls.pack":
         "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
@@ -703,27 +560,6 @@ class TestGoldenPackBytes:
         shard_split(root, tmp_path / "split", 2)
         _assert_golden(tmp_path / "split", GOLDEN_R1_SHARD_SPLIT,
                        GOLDEN_R1_SHARD_SPLIT_ARTIFACTS)
-
-    def test_legacy_helper_writes_the_earlier_layout(self, tmp_path, dblp,
-                                                     monkeypatch):
-        """The v1 cipher writer and ``make_legacy`` turn a fresh pack into
-        the earlier releases' byte for byte: its ciphertexts, manifest and
-        tree artifact hash to the digests those releases' goldens pinned
-        for this pack."""
-        root = tmp_path / "r1"
-        write_v1_ciphers(monkeypatch)
-        ArtifactStore.create(root, dblp, (1,), DataOwnerKey.generate(11),
-                             twiglet_h=3).close()
-        assert _digests(root) == {**GOLDEN_R1_CIPHER_V1,
-                                  **GOLDEN_R1_ARTIFACTS}
-        make_legacy(root, dblp)
-        assert _digests(root) == {
-            **GOLDEN_R1_CIPHER_V1, **GOLDEN_R1_ARTIFACTS,
-            "manifest.json":
-                "af4e266c518bf7d53c149eeb85ed88521f6ae64213d2752999f82fcf3142045a",
-            TREES:
-                "5f8cdb867ca05ef8f9ffb2270597e4a6c73ad3da727a4e5688dab1d7c0f13e41",
-        }
 
     def test_radius_2(self, tmp_path, dblp):
         ArtifactStore.create(tmp_path / "r2", dblp, (2,),

@@ -1,8 +1,9 @@
 """Ball record v2 (:func:`repro.graph.io.ball_to_bytes`, DESIGN.md 9.1):
 the byte format is pinned, it is a pure function of the ball, no byte
 string can make the decoder raise anything but ``BallDecodeError`` or
-size anything from a count it has not checked, and the v1 (JSON) records
-earlier releases wrote keep being served -- alone and mixed with v2.
+size anything from a count it has not checked, and what earlier releases
+wrote is refused: a v1 (JSON) record does not decode, and a version-1
+store is stale.
 
 The layout is spelled out here independently of ``src/`` on purpose --
 these tests are the format's second witness (little-endian)::
@@ -24,7 +25,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,22 +33,18 @@ from hypothesis import strategies as st
 import repro
 from repro.cli import main
 from repro.crypto.keys import DataOwnerKey
-from repro.framework.prilo import Prilo
 from repro.graph.ball import Ball, extract_ball
-from repro.graph.delta import random_delta
 from repro.graph.generators import fig3_graph
 from repro.graph.io import (
     BallDecodeError,
     ball_from_bytes,
-    ball_record_version,
     ball_to_bytes,
     graph_to_json,
 )
 from repro.graph.labeled_graph import LabeledGraph
-from repro.semantics.evaluate import find_matches
-from repro.storage import ArtifactStore, StoreError
+from repro.storage import ArtifactStore, StoreError, StoreStale
 from repro.workloads.datasets import load_dataset
-from tests.ball_v1 import ball_to_bytes_v1, write_v1_stores
+from tests.ball_v1 import ball_from_bytes_v1, ball_to_bytes_v1
 
 HEADER = struct.Struct("<4sIqIIIII")
 MAGIC = b"\x00BR2"
@@ -90,7 +86,6 @@ class TestLayout:
                           codes=(0, 1, 1), edges=((0, 1), (1, 2), (2, 0)),
                           center=0)
         assert ball_to_bytes(HAND_BALL) == expected
-        assert ball_record_version(expected) == 2
 
     def test_non_canonical_order_still_decodes(self):
         ball = ball_from_bytes(record())
@@ -107,8 +102,10 @@ class TestLayout:
         assert ball_to_bytes(ball) == data
 
     def test_v1_records_are_told_apart(self):
-        assert ball_record_version(ball_to_bytes_v1(HAND_BALL)) == 1
-        assert ball_from_bytes(ball_to_bytes_v1(HAND_BALL)) == HAND_BALL
+        """The JSON records earlier releases wrote lack the magic: a
+        typed error, not a decode."""
+        with pytest.raises(BallDecodeError, match="not a ball record"):
+            ball_from_bytes(ball_to_bytes_v1(HAND_BALL))
 
     @pytest.mark.parametrize("n", [0xFFFF, 0x10001], ids=["u16", "u32"])
     def test_index_width_follows_the_vertex_count(self, n):
@@ -166,7 +163,7 @@ class TestRoundTrip:
         assert graph_to_json(restored.graph) == graph_to_json(ball.graph)
         assert repr(restored.center) == repr(ball.center)
         # A v2-decoded graph iterates exactly as the v1-decoded one did.
-        legacy = ball_from_bytes(ball_to_bytes_v1(ball))
+        legacy = ball_from_bytes_v1(ball_to_bytes_v1(ball))
         assert list(restored.graph.vertices()) == list(legacy.graph.vertices())
         assert list(restored.graph.edges()) == list(legacy.graph.edges())
 
@@ -290,76 +287,28 @@ class TestFuzz:
 
 
 # ---------------------------------------------------------------------------
-# v1 stores keep serving; apply_delta leaves a mixed pack that still does
+# the store reads exactly its own version
 # ---------------------------------------------------------------------------
 RADII = (2,)
 SEED = 3  # matches test_config so store key == engine owner key
 
 
-def _plaintext_answers(graph, config, queries):
-    """What ``semantics.evaluate`` finds on balls extracted from the live
-    graph -- no store, no ciphertext."""
-    with Prilo.setup(graph, config) as engine:
-        return [sorted(graph_to_json(match)
-                       for ball in engine.candidate_balls(query)[1]
-                       for match in find_matches(query, ball))
-                for query in queries]
-
-
-def _served_answers(graph, config, store, queries):
-    with Prilo.setup(graph, config, store=store) as engine:
-        return [sorted(graph_to_json(match)
-                       for found in engine.run(query).matches.values()
-                       for match in found)
-                for query in queries]
-
-
 class TestV1Store:
-    def test_v1_store_serves_then_mixes_with_v2(self, tmp_path, dataset,
-                                                test_config, capsys):
-        key = DataOwnerKey.generate(SEED)
-        config = replace(test_config, radii=RADII)
-        graph = dataset.graph.copy()
-        queries = dataset.random_queries(2, size=4, diameter=RADII[0],
-                                         seed=13)
-        root = tmp_path / "v1"
+    def test_v1_store_is_stale(self, tmp_path, dataset, capsys):
+        """A version-1 manifest is an earlier release's: rebuild it."""
+        from repro.storage import store as store_module
+
         with pytest.MonkeyPatch.context() as patch:
-            write_v1_stores(patch)
-            ArtifactStore.create(root, graph, RADII, key,
-                                 twiglet_h=3).close()
-
-        with ArtifactStore.open(root) as store:
-            balls = len(store)
-            store.check(graph=graph, radii=RADII, key=key)
-            report = store.verify(key)
-            assert report.ok and report.decrypted == balls
-            assert (report.version, report.records) == (1, {1: balls})
-            answers = _served_answers(graph, config, store, queries)
-            assert answers == _plaintext_answers(graph, config, queries)
-            assert any(answers)
-            assert not store.quarantined
-        assert main(["--seed", str(SEED), "store", "verify", str(root),
-                     "--with-key"]) == 0
-        assert (f"store version 1; ball records: 0 v2, {balls} v1"
-                in capsys.readouterr().out)
-
-        with ArtifactStore.open(root) as store:
-            applied = store.apply_delta(
-                random_delta(graph, edge_fraction=0.02, seed=5), graph, key)
-            assert 0 < applied.reencrypted < balls
-            report = store.verify(key, graph=graph, radii=RADII)
-            assert report.ok and report.decrypted == balls
-            assert report.version == 2
-            assert report.records == {1: balls - applied.reencrypted,
-                                      2: applied.reencrypted}
-            mixed = _served_answers(graph, config, store, queries)
-            assert not store.quarantined
-        rebuilt = ArtifactStore.create(tmp_path / "rebuilt", graph, RADII,
-                                       key, twiglet_h=3)
-        with rebuilt:
-            assert rebuilt.verify(key).records == {2: balls}
-            assert mixed == _served_answers(graph, config, rebuilt, queries)
-        assert mixed == _plaintext_answers(graph, config, queries)
+            patch.setattr(store_module, "_VERSION", 1)
+            ArtifactStore.create(tmp_path / "v1", dataset.graph, RADII,
+                                 DataOwnerKey.generate(SEED),
+                                 twiglet_h=None).close()
+        with pytest.raises(StoreStale, match="store version 1"):
+            ArtifactStore.open(tmp_path / "v1")
+        capsys.readouterr()
+        assert main(["store", "verify", str(tmp_path / "v1")]) == 2
+        assert "STALE: store is stale: written by an earlier release" in \
+            capsys.readouterr().out
 
     def test_future_version_is_refused_by_name(self, tmp_path, dataset,
                                                monkeypatch):

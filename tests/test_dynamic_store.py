@@ -227,7 +227,7 @@ class TestReuseContract:
                 for k, i in ids.items():
                     payload, blob = store._record(i)
                     assert payload == _record_of(graph, k, i)
-                    assert cipher.decrypt_versioned(blob) == (2, payload)
+                    assert cipher.decrypt(blob) == payload
                 assert store.verify(key).ok
             rebuilt = ArtifactStore.create(Path(tmp) / "rebuilt", graph,
                                            radii, key, twiglet_h=3)
@@ -274,7 +274,7 @@ class TestReuseContract:
         assert store._record(target)[0] == payload
         fresh = store._record(target)[1]
         assert fresh not in (blob, wrong)
-        assert key.cipher().decrypt_versioned(fresh) == (2, payload)
+        assert key.cipher().decrypt(fresh) == payload
         assert store.verify(key).ok
         store.close()
 

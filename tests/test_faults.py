@@ -358,29 +358,6 @@ class TestStoreFaults:
         self._damaged_pack_is_quarantined(dataset, config, query_of, store,
                                           damage, "IndexError")
 
-    def test_json_preserving_ball_damage_is_quarantined(
-            self, dataset, config, query_of, tmp_path, monkeypatch):
-        """The v1 twin, against a v1 pack: rot that keeps ``balls.pack``
-        entries valid JSON but breaks a vertex repr (``literal_eval``
-        raises SyntaxError, not ValueError) -- it used to escape as a
-        traceback."""
-        from repro.crypto.keys import DataOwnerKey
-        from repro.storage import ArtifactStore
-        from tests.ball_v1 import write_v1_stores
-
-        write_v1_stores(monkeypatch)
-        store = ArtifactStore.create(
-            tmp_path / "v1-store", dataset.graph, self.RADII,
-            DataOwnerKey.generate(self.SEED), twiglet_h=3)
-        marker = b'{\\"vertices\\":[[\\"'
-
-        def damage(pack, sl):
-            at = pack.index(marker, sl.offset, sl.offset + sl.length)
-            pack[at + len(marker)] = ord("!")      # "12" -> "!2"
-
-        self._damaged_pack_is_quarantined(dataset, config, query_of, store,
-                                          damage, "SyntaxError")
-
     def test_stale_store_recompute_fallback(self, dataset, config, store):
         """A store found stale at setup is refused: serving wrong balls
         silently is worse than failing loudly, and there is no

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from repro.graph.io import (
 )
 from repro.graph.labeled_graph import LabeledGraph
 from repro.workloads.datasets import load_dataset
-from tests.ball_v1 import ball_to_bytes_v1
 
 
 class TestEdgeList:
@@ -132,13 +132,19 @@ class TestLiteralFastPath:
             literal_outcome(ast.literal_eval, text)
 
 
+#: The ball record header (DESIGN.md 9.1), field by field.
+_HEADER = struct.Struct("<4sIqIIIII")
+_FIELDS = ("magic", "flags", "ball_id", "radius", "vertices", "edges",
+           "labels", "center")
+
+
 class TestBallDecodeError:
     """Every malformed payload surfaces as the one typed error the store's
-    quarantine path (and any other caller) can catch.  These are the v1
-    (JSON) vectors, which ``ball_from_bytes`` still reads;
-    ``tests/test_ball_record.py`` holds their v2 counterparts."""
+    quarantine path (and any other caller) can catch.
+    ``tests/test_ball_record.py`` holds the record's exhaustive vectors;
+    these run over one real record."""
 
-    BALL = ball_to_bytes_v1(extract_ball(fig3_graph(), "v6", 2, ball_id=17))
+    BALL = ball_to_bytes(extract_ball(fig3_graph(), "v6", 2, ball_id=17))
 
     def test_is_a_value_error(self):
         assert issubclass(BallDecodeError, ValueError)
@@ -170,25 +176,22 @@ class TestBallDecodeError:
     def test_malformed_graph(self, graph_json):
         with pytest.raises(BallDecodeError):
             graph_from_json(graph_json)
-        payload = json.loads(self.BALL)
-        payload["graph"] = graph_json
-        with pytest.raises(BallDecodeError):
-            ball_from_bytes(json.dumps(payload).encode("utf-8"))
 
     @pytest.mark.parametrize("patch", [
-        {"center": "'nowhere'"}, {"center": "'v6"}, {"center": 6},
-        {"radius": -1}, {"radius": "2"}, {"radius": None}, {"graph": 7},
+        {"center": 99}, {"center": 2**32 - 1}, {"vertices": 2},
+        {"vertices": 2**20}, {"edges": 0}, {"edges": 2**20},
+        {"flags": 2},
     ])
     def test_malformed_ball_fields(self, patch):
-        payload = {**json.loads(self.BALL), **patch}
+        fields = dict(zip(_FIELDS, _HEADER.unpack_from(self.BALL)))
+        data = (_HEADER.pack(*{**fields, **patch}.values())
+                + self.BALL[_HEADER.size:])
         with pytest.raises(BallDecodeError):
-            ball_from_bytes(json.dumps(payload).encode("utf-8"))
+            ball_from_bytes(data)
 
     def test_missing_field_and_bad_bytes(self):
-        payload = json.loads(self.BALL)
-        del payload["center"]
-        for data in (json.dumps(payload).encode("utf-8"), b"\xff\xfe",
-                     b"", b"[1,2]"):
+        for data in (self.BALL[:_HEADER.size - 1], b"\xff\xfe", b"",
+                     b"[1,2]", json.dumps({"ball_id": 17}).encode()):
             with pytest.raises(BallDecodeError):
                 ball_from_bytes(data)
 

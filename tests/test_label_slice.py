@@ -2,7 +2,7 @@
 ``ball_from_bytes(data, labels=query.alphabet)`` keeps the vertices
 labeled in the query's alphabet, plus the center, and the edges among
 them, and ``find_matches`` on that slice answers what it answers on the
-whole ball -- for every semantics, for int-id, text-id and v1 records, and
+whole ball -- for every semantics, for int-id and text-id records, and
 for a center labeled outside the alphabet."""
 
 import random
@@ -16,7 +16,6 @@ from repro.graph.io import ball_from_bytes, ball_to_bytes, graph_to_json
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query import Query, Semantics
 from repro.semantics.evaluate import find_matches
-from tests.ball_v1 import ball_to_bytes_v1
 
 #: Six graph labels, three of them per query: with the two-letter
 #: ``random_world`` of ``test_pattern_dedup.py`` nearly nothing is sliced.
@@ -78,8 +77,7 @@ class TestSliceMatches:
     def test_find_matches_on_the_slice_is_find_matches(self, semantics,
                                                        seed):
         query, ball = slice_world(seed, semantics)
-        for data in (ball_to_bytes(ball), ball_to_bytes_v1(ball),
-                     ball_to_bytes(text_ids(ball))):
+        for data in (ball_to_bytes(ball), ball_to_bytes(text_ids(ball))):
             whole = ball_from_bytes(data)
             part = ball_from_bytes(data, labels=query.alphabet)
             assert_slice_of(part, whole, query.alphabet)
@@ -117,14 +115,11 @@ class TestSliceMatches:
         query = Query.from_edges({0: "a", 1: "b"}, [(0, 1)],
                                  semantics=semantics)
         ball = extract_ball(graph, 0, 2, ball_id=3)
-        for data in (ball_to_bytes(ball), ball_to_bytes_v1(ball)):
-            part = ball_from_bytes(data, labels=query.alphabet)
-            assert sorted(part.graph.vertices()) == [0, 1, 2, 4]
-            assert sorted(part.graph.edges()) == [(0, 1), (1, 2), (2, 0),
-                                                  (4, 2)]
-            assert part.center_label == "z"
-            assert find_matches(query, part) == find_matches(query, ball) \
-                == []
+        part = ball_from_bytes(ball_to_bytes(ball), labels=query.alphabet)
+        assert sorted(part.graph.vertices()) == [0, 1, 2, 4]
+        assert sorted(part.graph.edges()) == [(0, 1), (1, 2), (2, 0), (4, 2)]
+        assert part.center_label == "z"
+        assert find_matches(query, part) == find_matches(query, ball) == []
 
     def test_empty_alphabet_keeps_the_center_alone(self):
         ball = extract_ball(LabeledGraph.from_edges(

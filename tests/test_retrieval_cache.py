@@ -72,14 +72,12 @@ from repro.graph.labeled_graph import BallGraphView
 from repro.graph.query import Semantics
 from repro.semantics.evaluate import find_matches
 from repro.storage import ArtifactStore
-from tests.ball_v1 import ball_to_bytes_v1
 from tests.test_label_slice import slice_world, text_ids
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 KEY = DataOwnerKey.generate(11)
 RECORDS = {"int": ball_to_bytes,
-           "text": lambda ball: ball_to_bytes(text_ids(ball)),
-           "v1": ball_to_bytes_v1}
+           "text": lambda ball: ball_to_bytes(text_ids(ball))}
 
 
 @pytest.fixture(scope="module")

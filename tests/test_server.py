@@ -22,6 +22,8 @@ from repro.framework.server import (
     QueryBatchEngine,
     enumeration_signature,
 )
+from repro.graph.ball import extract_ball
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query import QueryLabelView, Semantics
 
 
@@ -158,6 +160,24 @@ class TestCMMCache:
         cache.prepare(view, balls[0], **kwargs)
         assert cache.last_build_seconds == 0.0
 
+    def test_twin_heavy_ball_weighs_its_masks(self):
+        """A star's leaves are false twins: its n^2 CMMs all project to one
+        mask, and the cache charges the two ints it keeps.  Two stars fit
+        a bound far below their CMM count; a third evicts one."""
+        view = QueryLabelView(labels=("a", "b", "b"), diameter=2,
+                              semantics=Semantics.HOM)
+        kwargs = dict(enumeration_limit=2000, cmm_bound_bypass=2000)
+        cache = CMMCache(max_weight=4)
+        for leaves in (6, 7, 8):
+            star = extract_ball(LabeledGraph.from_edges(
+                {0: "a", **dict.fromkeys(range(1, leaves + 1), "b")},
+                [(0, i) for i in range(1, leaves + 1)]), 0, 1,
+                ball_id=leaves)
+            prepared = cache.prepare(view, star, **kwargs)
+            assert (prepared.enumerated, len(prepared.masks),
+                    prepared.weight) == (leaves ** 2, 1, 2)
+        assert (len(cache), cache.weight, cache.stats.evictions) == (2, 4, 1)
+
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError, match="weight"):
             CMMCache(max_weight=0)
@@ -252,7 +272,7 @@ class TestPreparedVerdicts:
         assert sum(prepared.counts) == prepared.enumerated
         assert len(prepared.counts) == len(prepared.masks)
         assert all(count > 0 for count in prepared.counts)
-        assert prepared.weight == prepared.enumerated + len(prepared.masks)
+        assert prepared.weight == len(prepared.masks) + len(prepared.counts)
 
 
 class TestOneEvaluationPath:

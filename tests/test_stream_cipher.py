@@ -1,5 +1,6 @@
 """Tests for the stdlib authenticated stream cipher (AES-256 stand-in):
-cipher v2 written, v1 and v2 read."""
+one keystream and one MAC key; the blobs of the retired SHA-256-CTR
+cipher are refused."""
 
 import hashlib
 import hmac
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.stream_cipher import AuthenticationError, StreamCipher
-from tests.cipher_v1 import reference_encrypt_v1
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestAuthentication:
 
 
 def reference_encrypt_v2(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """Cipher v2 written directly from ``hashlib``: a SHAKE-256 keystream
+    """The cipher written directly from ``hashlib``: a SHAKE-256 keystream
     and an HMAC-SHA-256 tag, each under its own ``*2``-labelled key."""
     enc_key = hashlib.sha256(b"enc2" + key).digest()
     mac_key = hashlib.sha256(b"mac2" + key).digest()
@@ -88,10 +88,24 @@ def reference_encrypt_v2(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
                                    hashlib.sha256).digest()
 
 
+def reference_encrypt_v1(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """The retired cipher, SHA-256 in counter mode under ``enc``/``mac``
+    labelled keys: what packs written before the SHAKE-256 keystream
+    hold, kept here to show that none of it authenticates any more."""
+    enc_key = hashlib.sha256(b"enc" + key).digest()
+    mac_key = hashlib.sha256(b"mac" + key).digest()
+    stream = b"".join(
+        hashlib.sha256(enc_key + nonce + counter.to_bytes(8, "big")).digest()
+        for counter in range((len(plaintext) + 31) // 32))
+    body = bytes(p ^ k for p, k in zip(plaintext, stream))
+    return nonce + body + hmac.new(mac_key, nonce + body,
+                                   hashlib.sha256).digest()
+
+
 class TestByteStability:
     """The wire/pack format is frozen: same key, nonce and plaintext give
     the same ``nonce || body || tag`` bytes as on every earlier commit of
-    the same cipher version, and every v1 blob ever written decrypts."""
+    this cipher, and no blob the retired v1 cipher wrote authenticates."""
 
     NONCE = bytes(range(16))
     #: sha256(encrypt(pattern(n), NONCE)) under key seed 1.  Re-recorded
@@ -107,9 +121,9 @@ class TestByteStability:
         50_000:
             "f3af6eaed042aa6290ebcd082c875907fe1b1aee477bbd0dcf2744be4cbb0671",
     }
-    #: The same digests for cipher v1, recorded on the commit before the
-    #: wide-word XOR landed: what the v1 oracle writes, and what the
-    #: cipher must still decrypt.
+    #: The same digests for the retired cipher v1, recorded on the commit
+    #: before the wide-word XOR landed: what the v1 oracle writes, and
+    #: what the cipher must refuse.
     V1_VECTORS = {
         0: "0caf3dd7227022d98bea7bf7a8c53be525d35224875ab83b6403ef6a641b659b",
         1: "4669c71c588cdc56b44ac4910f0d4db382888614f7ffd1857379870d3bc2331d",
@@ -129,14 +143,15 @@ class TestByteStability:
     def test_known_answer(self, cipher, length):
         blob = cipher.encrypt(self.pattern(length), self.NONCE)
         assert hashlib.sha256(blob).hexdigest() == self.VECTORS[length]
-        assert cipher.decrypt_versioned(blob) == (2, self.pattern(length))
+        assert cipher.decrypt(blob) == self.pattern(length)
 
     @pytest.mark.parametrize("length", sorted(V1_VECTORS))
-    def test_v1_known_answer_still_decrypts(self, cipher, length):
+    def test_v1_known_answer_is_refused(self, cipher, length):
         blob = reference_encrypt_v1(StreamCipher.generate_key(seed=1),
                                     self.pattern(length), self.NONCE)
         assert hashlib.sha256(blob).hexdigest() == self.V1_VECTORS[length]
-        assert cipher.decrypt_versioned(blob) == (1, self.pattern(length))
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(blob)
 
     @given(st.binary(max_size=4096), st.binary(min_size=16, max_size=16),
            st.integers(0, 3))
@@ -150,11 +165,12 @@ class TestByteStability:
     @given(st.binary(max_size=4096), st.binary(min_size=16, max_size=16),
            st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
-    def test_decrypts_the_v1_reference(self, data, nonce, seed):
+    def test_refuses_the_v1_reference(self, data, nonce, seed):
         key = StreamCipher.generate_key(seed)
         blob = reference_encrypt_v1(key, data, nonce)
         assert len(blob) == len(StreamCipher(key).encrypt(data, nonce))
-        assert StreamCipher(key).decrypt_versioned(blob) == (1, data)
+        with pytest.raises(AuthenticationError):
+            StreamCipher(key).verify(blob)
 
     def test_leading_zero_bytes_survive(self, cipher):
         """The XOR runs on big integers; a body whose leading bytes XOR to
@@ -172,18 +188,16 @@ def _flip(blob: bytes, index: int) -> bytes:
 
 
 class TestCrossVersion:
-    """Each version's blobs are authenticated by their own tag only: no
-    mutation of a v1 or a v2 blob, and no splice of one version's body
-    with the other's tag, decrypts."""
+    """A blob is authenticated by its own tag only: no mutation of it, and
+    no splice of its body with the retired v1 cipher's tag (or back),
+    decrypts."""
 
     KEY = StreamCipher.generate_key(seed=1)
     NONCE = bytes(range(16))
     PLAIN = bytes(range(256)) * 4
 
-    @pytest.fixture(params=[1, 2])
-    def blob(self, request, cipher):
-        if request.param == 1:
-            return reference_encrypt_v1(self.KEY, self.PLAIN, self.NONCE)
+    @pytest.fixture()
+    def blob(self, cipher):
         return cipher.encrypt(self.PLAIN, self.NONCE)
 
     @pytest.mark.parametrize("mutate", [
@@ -207,17 +221,10 @@ class TestCrossVersion:
         with pytest.raises(AuthenticationError):
             cipher.verify(mutate(blob))
 
-    def test_verify_names_the_keystream_decrypt_verified_applies(
-            self, cipher, blob):
-        version = cipher.verify(blob)
-        assert (version, cipher.decrypt_verified(blob, version)) == \
-            cipher.decrypt_versioned(blob) == (version, self.PLAIN)
-        assert cipher.decrypt_verified(blob, 3 - version) != self.PLAIN
-
-    def test_wrong_key_rejected(self, blob):
-        other = StreamCipher(StreamCipher.generate_key(seed=2))
-        with pytest.raises(AuthenticationError):
-            other.decrypt(blob)
+    def test_decrypt_verified_is_decrypt_after_verify(self, cipher, blob):
+        cipher.verify(blob)
+        assert cipher.decrypt_verified(blob) == cipher.decrypt(blob) \
+            == self.PLAIN
 
     def test_body_under_the_other_versions_tag_rejected(self, cipher):
         v1 = reference_encrypt_v1(self.KEY, self.PLAIN, self.NONCE)

@@ -5,9 +5,7 @@ labels off each vertex's usable neighbour-label set; the oracle
 (``tests/oracle.py::iter_twiglets_from``) visits every vertex of every
 path.  Both must give the same set on any graph, for every admitted
 ``h``, with and without an alphabet.  Producers that skip the checked
-``Twiglet`` constructor must only ever build shapes it accepts, and the
-store's reader, which takes its shapes from disk, must keep refusing the
-ones it rejects.
+``Twiglet`` constructor must only ever build shapes it accepts.
 """
 
 import pytest
@@ -19,7 +17,6 @@ from repro.core.twiglets import (
     TWIGLET_HEIGHTS,
     Twiglet,
     all_twiglet_shapes,
-    twiglet_from_jsonable,
     twiglets_from,
 )
 from repro.graph.ball import extract_ball
@@ -95,22 +92,3 @@ class TestUncheckedProducersBuildValidShapes:
         for twiglet in twiglets_from(graph, start, h, alphabet):
             assert type(twiglet) is Twiglet
             assert _checked(twiglet) == twiglet
-
-
-class TestStoreReaderChecksShapes:
-    def test_round_trip(self):
-        twiglet = Twiglet(path=("'B'", "'A'"), fork=("'C'", "'D'"))
-        assert twiglet_from_jsonable([["'B'", "'A'"], ["'C'", "'D'"]]) \
-            == twiglet
-        assert twiglet_from_jsonable([["'B'", "'A'", "'C'"], None]) == \
-            Twiglet(path=("'B'", "'A'", "'C'"))
-
-    @pytest.mark.parametrize("data", [
-        [["a"], None],                   # a path of one label
-        [["a", "a", "b"], None],         # a repeated label
-        [["a", "b"], ["b", "c"]],        # a fork label on the path
-        [["a", "b"], ["d", "c"]],        # a fork out of canonical order
-    ], ids=["short", "repeat", "fork-repeat", "fork-order"])
-    def test_invalid_shapes_refused(self, data):
-        with pytest.raises(ValueError):
-            twiglet_from_jsonable(data)

@@ -197,15 +197,33 @@ class TestStoreAuth:
             # after a death must still prove against committed leaves.
             assert shard.auth == store.auth
 
-    def test_pre_pr8_placement_manifests_still_load(self, stores,
-                                                    tmp_path):
+    @pytest.mark.parametrize("auth", ["absent", None])
+    def test_placement_without_auth_is_refused(self, stores, tmp_path,
+                                               capsys, auth):
+        """A cut without an auth block could only be served unverified:
+        ``read`` refuses it, and ``gateway --store`` serves nothing."""
+        from repro.cli import main
+        from repro.framework.placement import PlacementError
+
         _, shards_dir = stores(Semantics.HOM)
         payload = json.loads((shards_dir / "placement.json").read_text())
-        payload.pop("auth")
+        if auth == "absent":
+            del payload["auth"]
+        else:
+            payload["auth"] = auth
         (tmp_path / "placement.json").write_text(json.dumps(payload))
-        legacy = PlacementManifest.read(tmp_path)
-        assert legacy.auth_root == ""
-        assert legacy.catalog == {}
+        with pytest.raises(PlacementError, match="no auth block"):
+            PlacementManifest.read(tmp_path)
+        capsys.readouterr()
+        assert main(["--scale", "0.02", "gateway", "slashdot", "--store",
+                     str(tmp_path), "--shards", "2", "--count", "2",
+                     "--tenants", "1", "--size", "4",
+                     "--diameter", "2"]) == 3
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "FAILED: placement manifest has no auth block (written by an "
+            "earlier release); rebuild with `repro store build` and "
+            "`repro store shard-split`"]
 
 
 # ---------------------------------------------------------------------------
