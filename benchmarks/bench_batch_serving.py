@@ -128,8 +128,7 @@ def store_study() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         root = tmp + "/store"
         started = time.perf_counter()
-        ArtifactStore.create(root, graph, config.radii, key,
-                             twiglet_h=None)
+        ArtifactStore.create(root, graph, config.radii, key)
         build_seconds = time.perf_counter() - started
 
         # Cold start: open, staleness-check, and materialize the Dealer's

@@ -98,8 +98,7 @@ def dynamic_update_study(tmp_dir) -> dict:
 
     # The pre-delta pack: built once, then incrementally maintained.
     graph = ds.graph.copy()
-    store = ArtifactStore.create(tmp / "incremental", graph, RADII, key,
-                                 twiglet_h=3)
+    store = ArtifactStore.create(tmp / "incremental", graph, RADII, key)
     balls_before = len(store.ball_id_map(graph))
     blobs_before = {ball_id: store.load_encrypted(ball_id)
                     for ball_id in store.ball_ids()}
@@ -124,7 +123,7 @@ def dynamic_update_study(tmp_dir) -> dict:
     rebuilt_graph = graph.copy()
     started = time.perf_counter()
     rebuilt = ArtifactStore.create(tmp / "rebuilt", rebuilt_graph, RADII,
-                                   key, twiglet_h=3)
+                                   key)
     rebuild_seconds = time.perf_counter() - started
 
     store.check(graph=graph, key=key)

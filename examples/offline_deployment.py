@@ -29,8 +29,7 @@ def main() -> None:
         root = Path(tmp) / "balls-store"
 
         # -- offline: extract, encrypt, persist --------------------------
-        ArtifactStore.create(root, graph, (2,), owner.key,
-                             twiglet_h=None).close()
+        ArtifactStore.create(root, graph, (2,), owner.key).close()
         pack_bytes = (root / "encrypted.pack").stat().st_size
 
         with ArtifactStore.open(root) as store:

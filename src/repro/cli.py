@@ -68,7 +68,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from repro.core.twiglets import TWIGLET_HEIGHTS
 from repro.crypto import montgomery
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.faults import (
@@ -550,9 +549,7 @@ def cmd_store_build(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale)
     graph = dataset.graph_for(Semantics(args.semantics))
     key = DataOwnerKey.generate(args.seed)
-    store = ArtifactStore.create(
-        args.root, graph, args.radii, key,
-        twiglet_h=None if args.no_twiglets else args.twiglet_h)
+    store = ArtifactStore.create(args.root, graph, args.radii, key)
     print(json.dumps(store.describe(), indent=2))
     return 0
 
@@ -784,11 +781,6 @@ def _domain(convert: Callable[[str], object], what: str,
     return parse
 
 
-def _int_in(values: range):
-    return _domain(int, f"an int in {values[0]}..{values[-1]}",
-                   values.__contains__, str(values[0]))
-
-
 _any_int = _domain(int, "an int", lambda value: True, str(-2 ** 63))
 _positive_int = _domain(int, "a positive int", lambda value: value >= 1, "1")
 _non_negative_int = _domain(int, "a non-negative int",
@@ -805,7 +797,8 @@ _radii = _domain(lambda text: tuple(map(int, text.split(","))),
 #: ``ChunkPlan`` needs one q + r = 32-bit factor (16 + 16 at or below
 #: 1024 bits) beside 16 bits of headroom for 2^16 summed terms, so 49;
 #: at 48 `run` fails in aggregation.  The ceiling is the paper's 4096.
-_modulus_bits = _int_in(range(49, 4097))
+_modulus_bits = _domain(int, "an int in 49..4096",
+                        range(49, 4097).__contains__, "49")
 
 
 def _kinds(valid: tuple[str, ...], what: str):
@@ -998,11 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--radii", type=_radii, default=(1, 2, 3, 4),
                          help="comma-separated ball radii (default 1,2,3,4)")
     _add_semantics(p_build)
-    p_build.add_argument("--twiglet-h", type=_int_in(TWIGLET_HEIGHTS),
-                         default=3,
-                         help="twiglet height h in 3..5 (Sec. 4.2)")
-    p_build.add_argument("--no-twiglets", action="store_true",
-                         help="skip the twiglet feature artifact")
 
     p_inspect = _leaf(store_sub, "inspect", cmd_store_inspect,
                       "print a store's manifest summary")

@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: Ring points contributed per member.  64 keeps the worst-case member
@@ -57,11 +57,10 @@ class PlacementError(RuntimeError):
     """Invalid ring parameters or a malformed placement manifest."""
 
 
-#: Placement key -> JSON type; ``_OPTIONAL`` keys may be absent (the
-#: default stands in).  ``auth`` holds exactly the ``_AUTH_SHAPE`` keys.
+#: Placement key -> JSON type.  ``auth`` holds exactly the
+#: ``_AUTH_SHAPE`` keys.
 _SHAPE = {"members": list, "vnodes": int, "salt": str, "shards": dict,
-          "auth": dict}
-_OPTIONAL = {"graph_digest": "", "radii": [], "balls": 0}
+          "graph_digest": str, "radii": list, "balls": int, "auth": dict}
 _AUTH_SHAPE = {"root": str, "catalog": dict, "catalog_digest": str}
 
 
@@ -86,9 +85,8 @@ def _check_shape(payload) -> None:
             "placement manifest has no auth block (written by an earlier "
             "release); rebuild with `repro store build` and "
             "`repro store shard-split`")
-    for name, kind in {**_SHAPE, **{k: type(v) for k, v in
-                                    _OPTIONAL.items()}}.items():
-        if type(payload.get(name, _OPTIONAL.get(name))) is not kind:
+    for name, kind in _SHAPE.items():
+        if type(payload.get(name)) is not kind:
             raise PlacementError(
                 f"malformed placement manifest: bad {name!r}")
     geometry = (payload["vnodes"], payload["salt"])
@@ -100,7 +98,7 @@ def _check_shape(payload) -> None:
     members, shards = payload["members"], payload["shards"]
     auth = payload["auth"]
     if not (members and all(type(m) is int for m in members)
-            and all(type(r) is int for r in payload.get("radii", ()))
+            and all(type(r) is int for r in payload["radii"])
             and shards.keys() == {str(m) for m in members}
             and all(type(info) is dict and info.keys() == {"dir", "balls"}
                     and type(info["dir"]) is str
@@ -194,19 +192,19 @@ class PlacementManifest:
     """
 
     members: tuple[int, ...]
-    graph_digest: str = ""
-    radii: tuple[int, ...] = ()
-    balls: int = 0
-    shard_dirs: dict[int, str] = field(default_factory=dict)
-    shard_balls: dict[int, int] = field(default_factory=dict)
+    graph_digest: str
+    radii: tuple[int, ...]
+    balls: int
+    shard_dirs: dict[int, str]
+    shard_balls: dict[int, int]
     #: Merkle root of the source pack's auth block: what the gateway's
     #: merge-time verifier checks certificates against.
-    auth_root: str = ""
+    auth_root: str
     #: The committed candidate catalog ({radius: {label: [ball ids]}})
     #: and its owner-keyed digest; the verifier refuses the catalog when
     #: the digest does not check out under the user's derived key.
-    catalog: dict = field(default_factory=dict)
-    catalog_digest: str = ""
+    catalog: dict
+    catalog_digest: str
 
     def ring(self) -> HashRing:
         return ring_for(self.members)
@@ -224,8 +222,8 @@ class PlacementManifest:
             "radii": list(self.radii),
             "balls": self.balls,
             "shards": {
-                str(m): {"dir": self.shard_dirs.get(m, f"shard-{m}"),
-                         "balls": self.shard_balls.get(m, 0)}
+                str(m): {"dir": self.shard_dirs[m],
+                         "balls": self.shard_balls[m]}
                 for m in self.members
             },
             "auth": {
@@ -242,9 +240,9 @@ class PlacementManifest:
         auth = payload["auth"]
         return cls(
             members=tuple(payload["members"]),
-            graph_digest=payload.get("graph_digest", ""),
-            radii=tuple(payload.get("radii", ())),
-            balls=payload.get("balls", 0),
+            graph_digest=payload["graph_digest"],
+            radii=tuple(payload["radii"]),
+            balls=payload["balls"],
             shard_dirs={int(m): info["dir"] for m, info in shards.items()},
             shard_balls={int(m): info["balls"]
                          for m, info in shards.items()},

@@ -291,8 +291,7 @@ class Prilo:
         #: offline outsourcing output.  When set, the ball index and the
         #: Dealer's encrypted blobs load from disk (staleness-checked in
         #: DataOwner).  Twiglet pruning walks each candidate ball afresh
-        #: under the query's alphabet; the stored twiglet artifact is not
-        #: read.
+        #: under the query's alphabet; the store holds no twiglets.
         self.store = store
         self.owner = DataOwner(graph, config.radii, seed=config.seed,
                                store=store)

@@ -7,10 +7,12 @@ hand-off, the *full* offline outsourcing output: plaintext + encrypted
 ball packs (mmap cold start for Players and Dealer alike;
 ``encrypted_store()`` satisfies the same ``get(ball_id)`` protocol as the
 in-memory store, so a :class:`repro.framework.roles.Dealer` can be backed
-by either) and per-ball twiglet feature sets, under a versioned manifest
-with staleness and tamper detection.  It opens only the layout it
-writes: a pack an earlier release wrote is stale, and ``repro store
-build`` regenerates it from the graph and the owner key.
+by either), under a versioned manifest with staleness and tamper
+detection.  It stores no pruning features: the Players walk a ball's
+twiglets under the query's alphabet at query time (Alg. 5 line 3).  It
+opens only the layout it writes: a pack in an older layout is stale,
+and ``repro store build`` regenerates it from the graph and the owner
+key.
 
 :class:`~repro.storage.journal.RunJournal` is the *online* durability
 counterpart: a write-ahead, CRC-framed, keyed-digest journal of batch

@@ -13,14 +13,16 @@ Players re-enumerate per-ball pruning features on every query.
   actually visits;
 * **encrypted.pack** -- the Dealer's authenticated ciphertext blobs
   (StreamCipher under the owner's ``sk``), same offset table;
-* **twiglets.json** -- per-ball *full-alphabet* twiglet feature sets
-  (Alg. 5 line 3's ``R``), written and checksummed but not read online:
-  a query's Players walk ``twiglets_from(ball, Sigma_Q)`` afresh, which
-  is faster than restricting the stored full-alphabet set.
+* **twiglets.json** -- always the empty document
+  ``{"balls":{},"h":null}``.  The store keeps no twiglet features: Alg. 5
+  line 3 computes a ball's twiglet set ``R`` at query time, and the
+  Players walk it under the query's alphabet afresh.  The file and its
+  checksum stay so that packs move between this release and the one
+  before it in both directions.
 
-The ``manifest.json`` keys everything by (graph digest, radii,
-``twiglet_h``, owner-key fingerprint) and carries a sha256 per artifact
-file: :meth:`ArtifactStore.check` detects staleness (the graph or config
+The ``manifest.json`` keys everything by (graph digest, radii, owner-key
+fingerprint) and carries a sha256 per artifact file:
+:meth:`ArtifactStore.check` detects staleness (the graph or config
 changed under the store), :meth:`verify` detects tampering.  BF pruning
 (Sec. 4.1) stores nothing: its tree encodings follow the query's label
 codec.  :meth:`ArtifactStore.open` reads exactly the layout the writer
@@ -38,10 +40,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
-# ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves this import
-# by hard lookup; delete with its row at the re-pin (ROADMAP 1(a)).
+# ledger pin: ``benchmarks/ledger/spans.py`` WRAP_TABLE resolves these
+# imports by hard lookup; delete with their rows at the re-pin (ROADMAP 2).
 from repro.core.trees import enumerate_center_tree_encodings  # noqa: F401
-from repro.core.twiglets import TWIGLET_HEIGHTS, twiglets_from
+from repro.core.twiglets import twiglets_from  # noqa: F401
 from repro.crypto.keys import DataOwnerKey
 from repro.crypto.stream_cipher import AuthenticationError
 from repro.storage.authenticate import (
@@ -66,8 +68,10 @@ _TWIGLETS = "twiglets.json"
 #: The files a manifest checksums, in the order a commit replaces them.
 _ARTIFACTS = (_BALLS_PACK, _ENCRYPTED_PACK, _TWIGLETS)
 #: What a manifest says besides ``version`` / ``balls`` / ``checksums``.
-_FIELDS = ("graph_digest", "key_digest", "radii", "twiglet_h", "ball_ids",
-           "auth")
+_FIELDS = ("graph_digest", "key_digest", "radii", "ball_ids", "auth")
+#: What every commit writes to ``twiglets.json``: the document of a pack
+#: that holds no twiglet features.
+_NO_TWIGLETS = '{"balls":{},"h":null}'
 #: Written by every commit.
 _VERSION = 2
 #: The one version :func:`_check_shape` reads: this release's own, fixed
@@ -157,7 +161,7 @@ class DeltaApplyReport:
 
     The incremental-maintenance contract in one record: ``reused`` balls
     had their pack bytes (and Merkle leaves) copied verbatim, only
-    ``reencrypted`` balls paid encryption, a twiglet walk and a new leaf:
+    ``reencrypted`` balls paid encryption and a new leaf:
     the added balls plus the dirty balls whose record bytes changed (or
     whose stored blob does not decrypt to them).  Every surviving
     ball is one or the other, so ``reused == balls_after - reencrypted``;
@@ -278,8 +282,9 @@ class _Pack:
 
 
 #: Manifest key -> JSON type; ``_OPTIONAL`` keys may be null or absent
-#: here (a null ``twiglet_h`` means no twiglet features; no ``ball_ids``
-#: or ``auth`` means an earlier release wrote the manifest).
+#: here (every commit writes a null twiglet height, an earlier release's
+#: default build wrote 3; no ``ball_ids`` or ``auth`` means an earlier
+#: release wrote the manifest).
 _SHAPE = {"version": int, "graph_digest": str, "key_digest": str,
           "radii": list, "balls": list, "checksums": dict,
           "twiglet_h": int, "ball_ids": dict, "auth": dict}
@@ -348,53 +353,27 @@ def _ball_id_table(ids: dict[tuple, int]) -> dict[str, dict[str, int]]:
     return table
 
 
-def _twiglet_entry(features) -> str:
-    """One ball's ``twiglets.json`` value, encoded as the document holds it."""
-    # No fork sorts first: from h = 4 a path and a fork can share a path.
-    # A twiglet is a (path, fork) tuple, so it encodes as the JSON pair
-    # [path, fork] as it is.
-    return json.dumps(sorted(features, key=lambda t: (t.path, t.fork or ())),
-                      separators=(",", ":"))
-
-
-def _join_twiglets(twiglet_h: int | None, entries: dict[str, str]) -> str:
-    """``twiglets.json`` from per-ball encoded entries: byte for byte
-    ``json.dumps({"balls": ..., "h": twiglet_h}, separators=(",", ":"),
-    sort_keys=True)`` of the decoded document, without re-encoding the
-    balls a commit did not touch."""
-    balls = ",".join(f"{json.dumps(ball_id)}:{entries[ball_id]}"
-                     for ball_id in sorted(entries))
-    return f'{{"balls":{{{balls}}},"h":{json.dumps(twiglet_h)}}}'
-
-
 class _StoreWriter:
     """THE place a store directory is laid out.
 
     Ball records are appended to both packs with their offsets tracked;
-    :meth:`commit` then writes ``twiglets.json``, the checksum set and --
-    last, as the commit point -- ``manifest.json``.  Every file goes
-    through temp-file + rename, but the three artifacts are renamed over
+    :meth:`commit` then writes the empty ``twiglets.json``, the checksum
+    set and -- last, as the commit point -- ``manifest.json``.  Every file
+    goes through temp-file + rename, but the three artifacts are renamed over
     the live ones *before* the manifest: a crash between those renames
     leaves new artifacts under the previous manifest, a hybrid whose
     checksums no longer match.  ``verify`` reports it tampered, and the
     next ``apply_delta`` or ``shard_split`` refuses it (their loader
     checks every checksum) instead of carrying it forward.
 
-    ``twiglets`` holds the twiglet artifact as ``ball id string ->
-    encoded entry`` (:func:`_twiglet_entry`), patched in place by
-    :meth:`encrypt`; ``twiglet_h`` is its ``h`` (``None``: no twiglet
-    features).  Callers decide *which* balls go in (:meth:`encrypt` a
-    fresh one, :meth:`copy` a stored one verbatim) and what the manifest
-    says about them.  Used as a context manager around the appends;
+    Callers decide *which* balls go in (:meth:`encrypt` a fresh one,
+    :meth:`copy` a stored one verbatim) and what the manifest says about
+    them.  Used as a context manager around the appends;
     ``commit`` follows the block.
     """
 
-    def __init__(self, root: Path, twiglet_h: int | None,
-                 twiglets: dict[str, str],
-                 key: DataOwnerKey | None = None) -> None:
+    def __init__(self, root: Path, key: DataOwnerKey | None = None) -> None:
         self._root = root
-        self.twiglet_h = twiglet_h
-        self.twiglets = twiglets
         self.entries: list[dict] = []
         #: Merkle leaves committed here: ball id -> leaf digest.
         self.leaves: dict[int, str] = {}
@@ -439,15 +418,11 @@ class _StoreWriter:
 
     def encrypt(self, ball: Ball, payload: bytes | None = None) -> None:
         """Put a freshly extracted ball in: serialize (unless ``payload``
-        already holds its record), encrypt, commit its Merkle leaf,
-        encode its twiglet entry."""
+        already holds its record), encrypt, commit its Merkle leaf."""
         if payload is None:
             payload = ball_to_bytes(ball)
         blob = self._cipher.encrypt(payload)
         self.commit_leaf(ball.ball_id, blob)
-        if self.twiglet_h is not None:
-            self.twiglets[str(ball.ball_id)] = _twiglet_entry(
-                twiglets_from(ball.graph, ball.center, self.twiglet_h))
         self.copy({"ball_id": ball.ball_id, "center": repr(ball.center),
                    "radius": ball.radius, "vertices": ball.size},
                   payload, blob)
@@ -457,12 +432,13 @@ class _StoreWriter:
         ``manifest`` holds the :data:`_FIELDS`; returns the manifest as
         written."""
         root = self._root
-        (root / (_TWIGLETS + ".tmp")).write_text(
-            _join_twiglets(self.twiglet_h, self.twiglets), encoding="utf-8")
+        (root / (_TWIGLETS + ".tmp")).write_text(_NO_TWIGLETS,
+                                                 encoding="utf-8")
         for name in _ARTIFACTS:
             os.replace(root / (name + ".tmp"), root / name)
         manifest = {**manifest,
                     "version": _VERSION,
+                    "twiglet_h": None,
                     "balls": self.entries,
                     "checksums": {name: _file_digest(root / name)
                                   for name in _ARTIFACTS}}
@@ -694,10 +670,10 @@ class ArtifactStore:
         self._tracer = NULL_TRACER
         self._quarantined: dict[str, str] = {}
         self._load_attempts: dict[str, int] = {}
-        #: The encoded twiglet entries of the generation this object
-        #: committed (``create`` / ``apply_delta``); ``None`` until then,
-        #: and while a commit is under way.  See :meth:`_take_entries`.
-        self._entries: dict[str, str] | None = None
+        #: Whether this object made the directory's last commit
+        #: (``create`` / ``apply_delta``); false while a commit is under
+        #: way.  See :meth:`_check_artifacts`.
+        self._committed = False
 
     def _bind(self, manifest: dict) -> None:
         """Point this object at the directory state ``manifest`` names."""
@@ -784,24 +760,18 @@ class ArtifactStore:
     @classmethod
     def create(cls, root: str | Path, graph: LabeledGraph,
                radii: tuple[int, ...], key: DataOwnerKey, *,
-               twiglet_h: int | None = 3,
+               twiglet_h=None,  # ledger pin: ignored; delete at the re-pin
                bf_config=None,  # ledger pin: ignored; delete at the re-pin
                ) -> "ArtifactStore":
-        """Run the full offline outsourcing step into ``root``.
-
-        ``twiglet_h=None`` skips the twiglet feature artifact.  Both packs
-        are always written -- they are what cold starts need.
-        """
-        if twiglet_h is not None and twiglet_h not in TWIGLET_HEIGHTS:
-            raise ValueError(f"twiglet_h must be None or in 3..5 (Sec. 4.2); "
-                             f"got {twiglet_h!r}")
+        """Run the full offline outsourcing step into ``root``: both packs
+        -- what cold starts need -- and the manifest."""
         root = Path(root)
         if root.exists() and any(root.iterdir()):
             raise StoreUsageError(f"refusing to overwrite non-empty {root}")
         root.mkdir(parents=True, exist_ok=True)
         index = BallIndex(graph, radii)
         catalog_rows: list[tuple[int, int, object]] = []
-        with _StoreWriter(root, twiglet_h, {}, key) as writer:
+        with _StoreWriter(root, key) as writer:
             for center in graph.vertices():
                 for radius in index.radii:
                     ball = index.ball(center, radius)
@@ -812,12 +782,11 @@ class ArtifactStore:
             "graph_digest": graph_digest(graph),
             "key_digest": key_digest(key),
             "radii": list(index.radii),
-            "twiglet_h": twiglet_h,
             "ball_ids": _ball_id_table(index.id_map()),
             "auth": build_auth_block(key, writer.leaves,
                                      build_catalog(catalog_rows)),
         }))
-        store._entries = writer.twiglets
+        store._committed = True
         return store
 
     # ------------------------------------------------------------------
@@ -856,10 +825,6 @@ class ArtifactStore:
     @property
     def radii(self) -> tuple[int, ...]:
         return tuple(self._manifest["radii"])
-
-    @property
-    def twiglet_h(self) -> int | None:
-        return self._manifest.get("twiglet_h")
 
     def __len__(self) -> int:
         return len(self._slices)
@@ -982,21 +947,20 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # incremental maintenance (dynamic graphs)
     # ------------------------------------------------------------------
-    def _take_entries(self) -> dict[str, str]:
-        """The twiglet entries a new commit starts from, taken out of this
-        object: it holds none again until that commit's manifest rename.
+    def _check_artifacts(self) -> None:
+        """Refuse to build a new commit on a damaged directory.
 
-        Entries this object committed itself are handed over as they
-        are.  Otherwise (a store bound by :meth:`open`, or one whose last
-        commit failed) the disk is loaded: every artifact the manifest
-        lists must match its checksum -- a delta or a split copies clean
-        records verbatim and checksums what it wrote, so it would carry
-        tampering forward under a fresh checksum -- and ``twiglets.json``
-        is then parsed once.
+        Every artifact the manifest lists must match its checksum: a
+        delta or a split copies clean records verbatim and checksums
+        what it wrote, so it would carry tampering forward under a fresh
+        checksum.  Skipped when this object made the last commit itself;
+        a store bound by :meth:`open`, or one whose last commit failed,
+        is checked.  The skip is cleared until the new commit's manifest
+        rename.
         """
-        entries, self._entries = self._entries, None
-        if entries is not None:
-            return entries
+        committed, self._committed = self._committed, False
+        if committed:
+            return
         checksums = self._manifest["checksums"]
         for name in _ARTIFACTS:
             path = self._root / name
@@ -1004,10 +968,6 @@ class ArtifactStore:
                 raise StoreError(
                     f"{name} does not match the manifest's checksum; "
                     f"refusing to carry it forward (see `store verify`)")
-        document = json.loads((self._root / _TWIGLETS).read_bytes())
-        return {ball_id: json.dumps(items, separators=(",", ":"),
-                                    sort_keys=True)
-                for ball_id, items in document["balls"].items()}
 
     def apply_delta(self, delta: GraphDelta, graph: LabeledGraph,
                     key: DataOwnerKey) -> DeltaApplyReport:
@@ -1038,9 +998,7 @@ class ArtifactStore:
         manifest.  It is detected, not repaired: ``verify`` reports the
         artifacts tampered, and a re-run (on this object or after
         :meth:`open`) raises :class:`StoreError` from the checksum check
-        of :meth:`_take_entries` instead of committing over it.
-        Only the balls this delta re-encrypts get their twiglet entries
-        encoded; the rest are joined in as committed.
+        of :meth:`_check_artifacts` instead of committing over it.
         """
         self.check(graph=graph, key=key)
         if delta.is_empty:
@@ -1052,19 +1010,17 @@ class ArtifactStore:
                 graph_digest=self._manifest["graph_digest"])
 
         # Refuse a damaged directory before the graph moves.
-        twiglets = self._take_entries()
+        self._check_artifacts()
         plan = plan_delta(delta, graph, self.radii, self.ball_id_map(graph))
         key_by_id = {ball_id: k for k, ball_id in plan.ids.items()}
         dirty, removed = set(plan.dirty), set(plan.removed)
 
         catalog_rows: list[tuple[int, int, object]] = []
         reused = 0
-        with _StoreWriter(self._root, self.twiglet_h, twiglets,
-                          key) as writer:
+        with _StoreWriter(self._root, key) as writer:
             for old in self._manifest["balls"]:
                 ball_id = old["ball_id"]
                 if ball_id in removed:
-                    twiglets.pop(str(ball_id), None)
                     continue
                 center, radius = key_by_id[ball_id]
                 catalog_rows.append((ball_id, radius, graph.label(center)))
@@ -1099,7 +1055,7 @@ class ArtifactStore:
             "ball_ids": _ball_id_table(plan.ids),
             "auth": auth,
         }))
-        self._entries = twiglets
+        self._committed = True
 
         report = DeltaApplyReport(
             balls_before=balls_before,
@@ -1188,7 +1144,6 @@ class ArtifactStore:
             "graph_digest": self._manifest["graph_digest"],
             "key_digest": self._manifest["key_digest"],
             "radii": list(self.radii),
-            "twiglet_h": self.twiglet_h,
             "balls": len(self._slices),
             "balls_per_radius": {str(r): n
                                  for r, n in sorted(per_radius.items())},
@@ -1201,9 +1156,9 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int) -> dict:
 
     ``out_root/shard-<i>/`` becomes a fully valid, independently
     verifiable :class:`ArtifactStore` holding exactly shard ``i``'s
-    placement slice (both packs re-packed with fresh offsets, twiglet
-    artifact subset, checksums recomputed); ``out_root/placement.json``
-    records the members (on the fixed ring geometry) and per-shard counts
+    placement slice (both packs re-packed with fresh offsets, checksums
+    recomputed); ``out_root/placement.json`` records the members (on the
+    fixed ring geometry) and per-shard counts
     (:class:`repro.framework.placement.PlacementManifest`).
 
     The manifests inherit the source's ``graph_digest``/``key_digest``/
@@ -1222,7 +1177,7 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int) -> dict:
     out_root = Path(out_root)
     if out_root.exists() and any(out_root.iterdir()):
         raise StoreUsageError(f"refusing to overwrite non-empty {out_root}")
-    twiglets = src._take_entries()
+    src._check_artifacts()
     out_root.mkdir(parents=True, exist_ok=True)
 
     manifest = src._manifest
@@ -1236,10 +1191,7 @@ def shard_split(root: str | Path, out_root: str | Path, shards: int) -> dict:
     for shard_id, entries in by_shard.items():
         shard_dir = out_root / f"shard-{shard_id}"
         shard_dir.mkdir()
-        owned = {str(e["ball_id"]) for e in entries}
-        with _StoreWriter(
-                shard_dir, src.twiglet_h,
-                {k: v for k, v in twiglets.items() if k in owned}) as writer:
+        with _StoreWriter(shard_dir) as writer:
             for entry in entries:
                 writer.copy(entry, *src._record(entry["ball_id"]))
         # ``auth`` is the *global* block, verbatim: a shard proves its

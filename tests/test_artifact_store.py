@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.twiglets import twiglets_from
 from repro.crypto import stream_cipher
 from repro.crypto.keys import DataOwnerKey
 from repro.framework.prilo_star import PriloStar
@@ -51,7 +52,7 @@ def key():
 @pytest.fixture(scope="module")
 def store(tmp_path_factory, graph, key):
     root = tmp_path_factory.mktemp("artifact-store") / "store"
-    return ArtifactStore.create(root, graph, RADII, key, twiglet_h=3)
+    return ArtifactStore.create(root, graph, RADII, key)
 
 
 class TestRoundtrip:
@@ -78,7 +79,6 @@ class TestRoundtrip:
     def test_open_equals_create(self, store, graph):
         reopened = ArtifactStore.open(store.root)
         assert reopened.radii == RADII
-        assert reopened.twiglet_h == 3
         assert len(reopened) == len(store)
         assert reopened.ball_ids() == store.ball_ids()
 
@@ -92,22 +92,26 @@ class TestRoundtrip:
         with pytest.raises(StoreError, match="non-empty"):
             ArtifactStore.create(store.root, graph, RADII, key)
 
-    @pytest.mark.parametrize("h", [0, 2, 6, 9])
-    def test_create_refuses_twiglet_h_outside_sec_4_2(self, tmp_path, graph,
-                                                      key, h):
-        """A bad ``twiglet_h`` is refused before anything is written, so
-        the same empty target takes the corrected build."""
-        with pytest.raises(ValueError, match="twiglet_h must be None or "
-                                             "in 3..5"):
-            ArtifactStore.create(tmp_path, graph, RADII, key, twiglet_h=h)
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("h", [None, 3, 4, 5])
     def test_create_builds_every_admitted_twiglet_h(self, tmp_path, graph,
-                                                    key, h):
-        with ArtifactStore.create(tmp_path, graph, RADII, key,
-                                  twiglet_h=h) as built:
-            assert built.twiglet_h == h
+                                                    key, store, h):
+        """Every ``twiglet_h`` an earlier release's ``create`` admitted
+        built a pack this release opens, verifies and reads as ``create``
+        builds it now; under ``None`` that pack is, byte for byte, what
+        ``create`` writes."""
+        root = tmp_path / "earlier"
+        ArtifactStore.create(root, graph, RADII, key).close()
+        written = {path.name: path.read_bytes() for path in root.iterdir()}
+        _as_earlier_build(root, h)
+        if h is None:
+            assert {path.name: path.read_bytes()
+                    for path in root.iterdir()} == written
+        with ArtifactStore.open(root) as opened:
+            assert opened.verify(key).ok
+            assert opened.ball_ids() == store.ball_ids()
+            ball_id = store.ball_ids()[0]
+            assert (set(opened.load_ball(ball_id).graph.edges())
+                    == set(store.load_ball(ball_id).graph.edges()))
 
 
 class TestStaleness:
@@ -244,6 +248,81 @@ class TestServingEquivalence:
         assert backed.pm_per_method == plain.pm_per_method
 
 
+def _as_earlier_build(root, h=3) -> None:
+    """Lay the pack at ``root`` out as an earlier release's ``store
+    build`` wrote it at twiglet height ``h`` (3 was its default, ``None``
+    its ``--no-twiglets``): every ball's full-alphabet twiglets at ``h`` in
+    twiglets.json, ``"twiglet_h": h`` in the manifest, and the checksum to
+    match."""
+    balls = {}
+    if h is not None:
+        with ArtifactStore.open(root) as store:
+            for ball_id in store.ball_ids():
+                ball = store.load_ball(ball_id)
+                # No fork sorts first, as that release sorted them.
+                balls[str(ball_id)] = sorted(
+                    twiglets_from(ball.graph, ball.center, h),
+                    key=lambda t: (t.path, t.fork or ()))
+        assert any(balls.values())
+    document = json.dumps({"balls": balls, "h": h}, separators=(",", ":"),
+                          sort_keys=True).encode("utf-8")
+    (root / "twiglets.json").write_bytes(document)
+    manifest = json.loads((root / "manifest.json").read_bytes())
+    manifest["twiglet_h"] = h
+    manifest["checksums"]["twiglets.json"] = hashlib.sha256(
+        document).hexdigest()
+    (root / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, separators=(",", ":")),
+        encoding="utf-8")
+
+
+class TestEarlierDefaultBuild:
+    """A pack an earlier release's default build wrote holds twiglet
+    features nothing reads: it opens, verifies and serves like a rebuilt
+    pack, and its next commit writes the empty twiglet document with a
+    null ``twiglet_h``."""
+
+    @pytest.fixture
+    def earlier(self, tmp_path, graph, key):
+        root = tmp_path / "earlier"
+        ArtifactStore.create(root, graph, RADII, key).close()
+        _as_earlier_build(root)
+        return root
+
+    def test_opens_verifies_and_answers_as_a_rebuild(
+            self, earlier, store, dataset, test_config, capsys):
+        assert main(["--seed", str(SEED), "store", "verify", str(earlier),
+                     "--with-key"]) == 0
+        assert "twiglets.json: ok" in capsys.readouterr().out
+        config = replace(test_config, radii=RADII, seed=SEED)
+        query = dataset.random_queries(1, size=4, diameter=2, seed=21)[0]
+        with ArtifactStore.open(earlier) as opened:
+            served = PriloStar.setup(dataset.graph, config,
+                                     store=opened).run(query)
+        rebuilt = PriloStar.setup(dataset.graph, config,
+                                  store=store).run(query)
+        assert served.match_ball_ids == rebuilt.match_ball_ids
+        assert served.verified_ids == rebuilt.verified_ids
+        assert served.pm_per_method == rebuilt.pm_per_method
+
+    def test_first_delta_and_split_write_no_twiglets(self, earlier, graph,
+                                                     key, tmp_path):
+        shard_split(earlier, tmp_path / "shards", 2)
+        live = graph.copy()
+        with ArtifactStore.open(earlier) as opened:
+            assert opened.apply_delta(random_delta(
+                live, edge_fraction=2.0 / live.num_edges, seed=5),
+                live, key).reencrypted > 0
+        for root in (earlier, tmp_path / "shards" / "shard-0",
+                     tmp_path / "shards" / "shard-1"):
+            assert (root / "twiglets.json").read_text("utf-8") == (
+                '{"balls":{},"h":null}')
+            manifest = json.loads((root / "manifest.json").read_bytes())
+            assert manifest["twiglet_h"] is None
+            with ArtifactStore.open(root) as opened:
+                assert opened.verify(key).ok
+
+
 #: How each earlier release's manifest differs from the current one.
 _EARLIER_LAYOUTS = {
     "version-1": lambda m: {**m, "version": 1},
@@ -375,16 +454,11 @@ class TestMalformedManifest:
             pass
 
 
-# sha256 of every file the store writes.  The ``*_ARTIFACTS`` digests
-# (twiglets.json) were recorded before the tree-enumeration kernel, the
-# O(1) label codec, the bulk bloom insert and the one directory writer
-# replaced their predecessors, and have not moved since.
-# The pack digests (balls.pack, encrypted.pack, manifest.json,
-# placement.json) were re-recorded once, by running the same steps, when
-# ball record v2 replaced the JSON ball payload: the record bytes, hence
-# the ciphertexts, Merkle leaves and roots, changed on purpose; nothing
-# derived from the balls' *content* did, which is what the artifact
-# digests staying put shows.  The manifests alone (manifest.json,
+# sha256 of every file the store writes.  The pack digests (balls.pack,
+# encrypted.pack, manifest.json, placement.json) were re-recorded once, by
+# running the same steps, when ball record v2 replaced the JSON ball
+# payload: the record bytes, hence the ciphertexts, Merkle leaves and
+# roots, changed on purpose.  The manifests alone (manifest.json,
 # shard-N/manifest.json) were re-recorded once more, by running the same
 # steps, when the tree artifact (trees.json) went: they no longer list
 # its checksum nor carry a "bf" key, and every other digest here is
@@ -394,28 +468,34 @@ class TestMalformedManifest:
 # the Merkle leaves, root and catalog over the ciphertexts) were
 # re-recorded once more, by running the same steps, when cipher v2 (the
 # SHAKE-256 keystream) replaced SHA-256-CTR: every blob keeps its nonce and
-# length, and balls.pack / twiglets.json are unedited.
+# length, and balls.pack is unedited.
 # The post-delta ciphertext digests (encrypted.pack and manifest.json after
 # the deltas, the split's shard-N/encrypted.pack, shard-N/manifest.json and
 # placement.json) were re-recorded once more, by running the same steps,
 # when a delta stopped re-encrypting dirty balls whose record bytes did
-# not change: fewer nonces are drawn, and balls.pack / twiglets.json are
-# unedited.  The JSON documents alone (every manifest.json, every
-# shard-N/manifest.json and placement.json)
-# were re-recorded once more, by running the same steps, when the writers
-# went from ``indent=1`` to compact separators: the same content in fewer
-# bytes.  balls.pack, encrypted.pack and twiglets.json are unedited.
+# not change: fewer nonces are drawn, and balls.pack is unedited.  The
+# JSON documents alone (every manifest.json, every shard-N/manifest.json
+# and placement.json) were re-recorded once more, by running the same
+# steps, when the writers went from ``indent=1`` to compact separators:
+# the same content in fewer bytes.
+# The twiglet documents and the manifests alone (twiglets.json,
+# manifest.json and their shard-N/ copies) were re-recorded once more
+# when the store stopped writing twiglet features: they are now the bytes
+# an earlier release wrote for a build without them (null ``twiglet_h``,
+# empty twiglets.json), and balls.pack, encrypted.pack and placement.json
+# are unedited.
+#: sha256 of ``{"balls":{},"h":null}``, the twiglets.json every commit
+#: writes.
+NO_TWIGLETS = (
+    "079f0958fb84e77325f23709e67d13f9b9f3286f15585245ba6ea0b7a4d698c7")
 GOLDEN_R1 = {
     "balls.pack":
         "98e5925c72288d576fdc3e28fcfcc00c0ec5570623c601ba04183a66af5cc595",
     "encrypted.pack":
         "cc748367c78751d9956ee06b75c0da18de8a0cf61d7b9416071d17f7e6e9a7a0",
     "manifest.json":
-        "d50722ce72aac6d67543c1d2c463749f19e7442a035eec7ba4deb3b941fd1a8f",
-}
-GOLDEN_R1_ARTIFACTS = {
-    "twiglets.json":
-        "634a99f33f0e76514a2866a4cdcfc0f582a998ba0e8eed32fe22549dbc95b3bf",
+        "fc785b2a7b65412ad70ef59354210bec372bff557581806eac0fc090ff3efc33",
+    "twiglets.json": NO_TWIGLETS,
 }
 GOLDEN_R1_AFTER_TWO_DELTAS = {
     "balls.pack":
@@ -423,11 +503,8 @@ GOLDEN_R1_AFTER_TWO_DELTAS = {
     "encrypted.pack":
         "7a216967f2780f2f503470e86204200dac2f1d7d068ce929948e5ac00f7e0d90",
     "manifest.json":
-        "66942c3315b03e99f3e18cf782e604971cc016731b847e4e7dc60f978b816116",
-}
-GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS = {
-    "twiglets.json":
-        "e0a975c8623c9f0ca4ec10dee94dcb493f0bf99364fabc9f8206feb11fd5da89",
+        "0565d85e0a2b66b5b183a60be6bb517b0f0a35cfbbe6485b1b37306f6581073d",
+    "twiglets.json": NO_TWIGLETS,
 }
 GOLDEN_R1_AFTER_VERTEX_CHURN = {
     "balls.pack":
@@ -435,11 +512,8 @@ GOLDEN_R1_AFTER_VERTEX_CHURN = {
     "encrypted.pack":
         "24972a2d6466d821a1e0908568a3e76094f548a9e7b44641225097f2de2a17d8",
     "manifest.json":
-        "d3aa748cc8ea390c9fca2e0aec79cb37cd20cb2f51f461be2058fbcd24214d5a",
-}
-GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS = {
-    "twiglets.json":
-        "35fdb84e3722b0335ba94693e837991f494c13a8034403411834b519522aed0e",
+        "7dd36a737c08233183706ab59f41af414415a19b026c1907d4e808d49f7e334b",
+    "twiglets.json": NO_TWIGLETS,
 }
 GOLDEN_R1_SHARD_SPLIT = {
     "placement.json":
@@ -449,19 +523,15 @@ GOLDEN_R1_SHARD_SPLIT = {
     "shard-0/encrypted.pack":
         "a323aacbe3723a64fcf13d67c0110c30858005d39bdb1bab15c032fa23f5187c",
     "shard-0/manifest.json":
-        "36c9f50ce82492edf814c3f9a3cde60ae6f5ed3d3a0a599e184ea56503ec8132",
+        "a4f188ec4df3c43123a59a95d4266082ddd30d74faa699755c7ff7deab733c8f",
     "shard-1/balls.pack":
         "33b58c2a8f739c18e8fb1729b022569967cbb74021a12fed049e46277dad058e",
     "shard-1/encrypted.pack":
         "189636d623f9349f27f2bc5273443bc8308940f39674c0b2a1413a3c83de46ea",
     "shard-1/manifest.json":
-        "dc52c17e2da73107c60f46279e2c8facf571949058d1009d40dd94cde8c48ffa",
-}
-GOLDEN_R1_SHARD_SPLIT_ARTIFACTS = {
-    "shard-0/twiglets.json":
-        "cd6227c7466a46a3a2bef9634a2c5da6010144204ad8830339d25acff53b1497",
-    "shard-1/twiglets.json":
-        "5789cc995d1a1862a0874dde5878e23b91efb6140a3a5dd6d69b39cecec424dc",
+        "d10e53e66cf6ede3d60ff89b6bd4388ae89a461079c625b06785fd7203a66ad9",
+    "shard-0/twiglets.json": NO_TWIGLETS,
+    "shard-1/twiglets.json": NO_TWIGLETS,
 }
 GOLDEN_R2 = {
     "balls.pack":
@@ -469,11 +539,8 @@ GOLDEN_R2 = {
     "encrypted.pack":
         "f21cce0270553fd4f83063f925be3ad4fbb0961e379ba5fcb8a70d53eeaaf7b2",
     "manifest.json":
-        "86e3e2268008c50459235b4e468a9480491bfe1ee1992cc7caf72c65b67da2cf",
-}
-GOLDEN_R2_ARTIFACTS = {
-    "twiglets.json":
-        "af1584142dc778cceca0248d913db2545c4804eba821334b47995f9a841ac740",
+        "c7cefa495fb306538055efca4a34af5c8a9136b1e0ddf7a2b2861f61f295474d",
+    "twiglets.json": NO_TWIGLETS,
 }
 
 
@@ -483,26 +550,17 @@ def _digests(root):
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def _assert_golden(root, packs, artifacts):
-    """``artifacts`` are the v1-era twiglets.json digests, checked on
-    their own so a re-recording of ``packs`` cannot move them."""
-    digests = _digests(root)
-    assert {name: digest for name, digest in digests.items()
-            if name.endswith("twiglets.json")} == artifacts
-    assert digests == {**packs, **artifacts}
-
-
 class TestGoldenPackBytes:
-    """dblp 0.03 under the CLI-default artifacts (``twiglet_h=3``): what
-    the offline step writes is pinned to the byte.
+    """dblp 0.03 as ``store build`` lays it out: what the offline step
+    writes is pinned to the byte.
 
     Re-recorded once for ball record v2 (``balls.pack``,
     ``encrypted.pack``, ``manifest.json`` and the split's
     ``placement.json`` changed because every record did), the
     manifests once more when the tree artifact went, the ciphertext
-    digests once more for cipher v2, and the JSON documents once more
-    for the compact manifest; the ``twiglets.json`` digests are the ones
-    recorded under the v1 payload and must stay so."""
+    digests once more for cipher v2, the JSON documents once more for
+    the compact manifest, and the twiglet documents and manifests once
+    more when the store stopped writing twiglet features."""
 
     @pytest.fixture(scope="class")
     def dblp(self):
@@ -521,16 +579,15 @@ class TestGoldenPackBytes:
     def test_radius_1_before_and_after_two_deltas(self, tmp_path, dblp):
         key = DataOwnerKey.generate(11)
         root = tmp_path / "r1"
-        store = ArtifactStore.create(root, dblp, (1,), key, twiglet_h=3)
+        store = ArtifactStore.create(root, dblp, (1,), key)
         try:
-            _assert_golden(root, GOLDEN_R1, GOLDEN_R1_ARTIFACTS)
+            assert _digests(root) == GOLDEN_R1
             live = dblp.copy()
             for seed in (5, 6):
                 delta = random_delta(
                     live, edge_fraction=2.0 / live.num_edges, seed=seed)
                 assert store.apply_delta(delta, live, key).reencrypted > 0
-            _assert_golden(root, GOLDEN_R1_AFTER_TWO_DELTAS,
-                           GOLDEN_R1_AFTER_TWO_DELTAS_ARTIFACTS)
+            assert _digests(root) == GOLDEN_R1_AFTER_TWO_DELTAS
             # One vertex out, one in under a label outside the alphabet:
             # dropped balls and fresh ids, while every ball whose record
             # did not change, dirty or not, keeps its record and
@@ -553,15 +610,13 @@ class TestGoldenPackBytes:
             assert report.reused == len(clean) > 0
             assert {i: store._record(i) for i in clean} == {
                 i: before[i] for i in clean}
-            _assert_golden(root, GOLDEN_R1_AFTER_VERTEX_CHURN,
-                           GOLDEN_R1_AFTER_VERTEX_CHURN_ARTIFACTS)
+            assert _digests(root) == GOLDEN_R1_AFTER_VERTEX_CHURN
         finally:
             store.close()
         shard_split(root, tmp_path / "split", 2)
-        _assert_golden(tmp_path / "split", GOLDEN_R1_SHARD_SPLIT,
-                       GOLDEN_R1_SHARD_SPLIT_ARTIFACTS)
+        assert _digests(tmp_path / "split") == GOLDEN_R1_SHARD_SPLIT
 
     def test_radius_2(self, tmp_path, dblp):
         ArtifactStore.create(tmp_path / "r2", dblp, (2,),
-                             DataOwnerKey.generate(11), twiglet_h=3).close()
-        _assert_golden(tmp_path / "r2", GOLDEN_R2, GOLDEN_R2_ARTIFACTS)
+                             DataOwnerKey.generate(11)).close()
+        assert _digests(tmp_path / "r2") == GOLDEN_R2

@@ -301,8 +301,7 @@ class TestV1Store:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(store_module, "_VERSION", 1)
             ArtifactStore.create(tmp_path / "v1", dataset.graph, RADII,
-                                 DataOwnerKey.generate(SEED),
-                                 twiglet_h=None).close()
+                                 DataOwnerKey.generate(SEED)).close()
         with pytest.raises(StoreStale, match="store version 1"):
             ArtifactStore.open(tmp_path / "v1")
         capsys.readouterr()
@@ -317,8 +316,7 @@ class TestV1Store:
 
         monkeypatch.setattr(store_module, "_VERSION", 3)
         ArtifactStore.create(tmp_path / "v3", dataset.graph, RADII,
-                             DataOwnerKey.generate(SEED),
-                             twiglet_h=None).close()
+                             DataOwnerKey.generate(SEED)).close()
         with pytest.raises(StoreError, match="unsupported store version 3"):
             ArtifactStore.open(tmp_path / "v3")
         assert main(["store", "verify", str(tmp_path / "v3")]) == 3

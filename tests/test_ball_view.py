@@ -341,7 +341,7 @@ class TestTouchedVerticesOnly:
         assert query.semantics is Semantics.HOM
         store = ArtifactStore.create(
             tmp_path / "pack", dataset.graph, self.RADII,
-            DataOwnerKey.generate(self.SEED), twiglet_h=None)
+            DataOwnerKey.generate(self.SEED))
         with store, Prilo.setup(dataset.graph, config,
                                 store=store) as engine:
             result = engine.run(query)

@@ -178,7 +178,20 @@ class TestDeclarations:
         flags = {flag for _, parser in leaves()
                  for action in parser._actions
                  for flag in action.option_strings}
-        assert "--engine" not in flags
+        assert not flags & {"--engine", "--twiglet-h", "--no-twiglets"}
+
+    @pytest.mark.parametrize("removed", [["--twiglet-h", "4"],
+                                         ["--no-twiglets"]])
+    def test_store_build_twiglet_flags_are_gone(self, removed, tmp_path,
+                                                capsys):
+        """The store writes no twiglet features, so ``store build`` takes
+        no twiglet height: a script that still passes one is told so on
+        one line, before anything is built."""
+        root = tmp_path / "pack"
+        assert usage_line(["store", "build", "dblp", str(root), *removed],
+                          capsys) == ("repro: error: unrecognized "
+                                      f"arguments: {' '.join(removed)}")
+        assert not root.exists()
 
 
 class TestDomainSweep:
@@ -226,7 +239,7 @@ class TestDomainSweep:
                     assert names_flag(err.splitlines()[-1], flag), argv
                 swept.add(flag)
         assert {"--modulus", "--kill-after", "--edge-fraction", "--radii",
-                "--twiglet-h", "--standing", "--rogue-shard"} <= swept
+                "--standing", "--rogue-shard"} <= swept
 
 
 class TestCrossFlagChecks:
@@ -335,8 +348,8 @@ class TestRealEntryPoint:
         "run": (["--scale", "0.05", "run", "dblp", "--size", "1"], "--size"),
         "serve-batch": (["serve-batch", "slashdot", "--batch", "0"],
                         "--batch"),
-        "store build": (["store", "build", "dblp", "x", "--twiglet-h", "9"],
-                        "--twiglet-h"),
+        "store build": (["store", "build", "dblp", "x", "--radii", "0"],
+                        "--radii"),
         "store inspect": (["--seed", "abc", "store", "inspect", "x"],
                           "--seed"),
         "store verify": (["--scale", "0", "store", "verify", "x"],

@@ -47,7 +47,7 @@ def key():
 
 
 def _build(root, graph, key):
-    return ArtifactStore.create(root, graph, RADII, key, twiglet_h=3)
+    return ArtifactStore.create(root, graph, RADII, key)
 
 
 def _config(test_config, pruning=False):
@@ -206,7 +206,7 @@ class TestReuseContract:
                              r_bits=24, radii=radii, seed=SEED)
         with tempfile.TemporaryDirectory() as tmp:
             store = ArtifactStore.create(Path(tmp) / "incremental", graph,
-                                         radii, key, twiglet_h=3)
+                                         radii, key)
             for step in range(data.draw(st.integers(1, 3))):
                 delta = data.draw(_delta_for(graph, step))
                 pre = graph.copy()
@@ -230,7 +230,7 @@ class TestReuseContract:
                     assert cipher.decrypt(blob) == payload
                 assert store.verify(key).ok
             rebuilt = ArtifactStore.create(Path(tmp) / "rebuilt", graph,
-                                           radii, key, twiglet_h=3)
+                                           radii, key)
             queries = _path_queries(graph, min(radii))
             with Prilo.setup(graph, config, store=store) as incremental, \
                     Prilo.setup(graph, config, store=rebuilt) as fresh:
@@ -245,8 +245,7 @@ class TestReuseContract:
         """A dirty ball whose record does not change is carried forward
         only when its stored blob is a v2 ciphertext of that record."""
         graph = dataset.graph.copy()
-        store = ArtifactStore.create(tmp_path / "store", graph, (1,), key,
-                                     twiglet_h=3)
+        store = ArtifactStore.create(tmp_path / "store", graph, (1,), key)
         # An edge from a neighbour of ``center`` to a vertex two or more
         # hops away dirties ball (center, 1) without changing its record.
         center, near, far = next(

@@ -230,8 +230,7 @@ class TestArchiveBackedDealer:
 
         engine = Prilo.setup(fig3_graph(), config)
         with ArtifactStore.create(tmp_path / "balls", engine.graph,
-                                  config.radii, engine.owner.key,
-                                  twiglet_h=None) as store:
+                                  config.radii, engine.owner.key) as store:
             engine.dealer = Dealer(store.encrypted_store())
             result = engine.run(fig3_query())
         assert result.num_matches == 1

@@ -292,7 +292,7 @@ class TestStoreFaults:
 
         return ArtifactStore.create(
             tmp_path / "store", dataset.graph, self.RADII,
-            DataOwnerKey.generate(self.SEED), twiglet_h=3)
+            DataOwnerKey.generate(self.SEED))
 
     def _config(self, config):
         return replace(config, radii=self.RADII, seed=self.SEED)

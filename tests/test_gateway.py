@@ -202,11 +202,20 @@ class TestPlacementManifest:
             members=(0, 1, 2), graph_digest="d",
             radii=(3,), balls=9,
             shard_dirs={m: f"shard-{m}" for m in (0, 1, 2)},
-            shard_balls={0: 3, 1: 3, 2: 3})
+            shard_balls={0: 3, 1: 3, 2: 3}, auth_root="ab",
+            catalog={"3": {"A": [1, 2]}}, catalog_digest="cd")
         manifest.write(tmp_path)
         loaded = PlacementManifest.read(tmp_path)
         assert loaded == manifest
         assert loaded.shard_of(17) == manifest.ring().owner_of(17)
+
+    def test_every_field_is_required(self):
+        """One layout: a placement built in code names its auth block as
+        the file does."""
+        with pytest.raises(TypeError, match="auth_root"):
+            PlacementManifest(
+                members=(0,), graph_digest="d", radii=(2,), balls=1,
+                shard_dirs={0: "shard-0"}, shard_balls={0: 1})
 
     def test_rejects_wrong_kind(self, tmp_path):
         (tmp_path / "placement.json").write_text(json.dumps({"kind": "x"}))
@@ -221,12 +230,14 @@ class TestPlacementManifest:
         old = PlacementManifest(
             members=(0, 1), graph_digest="old",
             radii=(2,), balls=2, shard_dirs={0: "shard-0", 1: "shard-1"},
-            shard_balls={0: 1, 1: 1})
+            shard_balls={0: 1, 1: 1}, auth_root="ab", catalog={},
+            catalog_digest="cd")
         new = PlacementManifest(
             members=(0, 1, 2), graph_digest="new",
             radii=(2,), balls=9,
             shard_dirs={m: f"shard-{m}" for m in (0, 1, 2)},
-            shard_balls={0: 3, 1: 3, 2: 3})
+            shard_balls={0: 3, 1: 3, 2: 3}, auth_root="ef", catalog={},
+            catalog_digest="gh")
         if previous:
             old.write(tmp_path)
 
@@ -288,6 +299,15 @@ class TestMalformedPlacement:
     def test_members_missing(self, tmp_path, capsys):
         self._write(tmp_path, {k: v for k, v in _PLACEMENT.items()
                                if k != "members"})
+        self._refused(tmp_path, capsys)
+
+    @pytest.mark.parametrize("name", ["graph_digest", "radii", "balls"])
+    def test_field_missing(self, tmp_path, capsys, name):
+        """No default stands in for a missing field: without ``radii`` the
+        cluster would pick its own ball address space, and without
+        ``graph_digest`` every honest shard would be evicted as forging."""
+        self._write(tmp_path, {k: v for k, v in _PLACEMENT.items()
+                               if k != name})
         self._refused(tmp_path, capsys)
 
     def test_members_not_ints(self, tmp_path, capsys):

@@ -13,11 +13,12 @@ ledger keeps resolving and calling what it names, and nothing else may
 use them.  Two rows name the cache-fed evaluation path that was folded
 into the one evaluation path; both span names keep being recorded
 through the table's ``evaluate_shares`` / ``verify_ball_streaming``
-rows.  ``store.py`` keeps the tree enumeration's import, which the
-table's ``store.tree_artifact`` row resolves (that span now records
-nothing: the store builds no tree artifact), and a ``bf_config``
-keyword of ``ArtifactStore.create`` that the ledger passes and the
-store ignores.
+rows.  ``store.py`` keeps the tree enumeration's and the twiglet walk's
+imports, which the table's ``store.tree_artifact`` and ``store.twiglet``
+rows resolve (both spans now record nothing: the store builds no tree
+artifact and writes no twiglet features), and the ``bf_config`` and
+``twiglet_h`` keywords of ``ArtifactStore.create`` that the ledger
+passes and the store ignores.
 
 The table is read, never edited: re-pinning it is a ``benchmark`` change
 of its own.
@@ -40,8 +41,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: (module, binding) -> (where it is searched, occurrences expected there).
 #: The executor pins are referenced nowhere under ``src/`` or ``tests/``
-#: but by their binding (and this file); the store pins occur in
-#: ``store.py`` exactly once each, as the import and as the keyword.
+#: but by their binding (and this file).  The store pins occur in
+#: ``store.py`` once each, as the import or the keyword, except
+#: ``twiglet_h``: it is also the manifest key that the reader admits
+#: (``_SHAPE``, ``_OPTIONAL``) and that every commit writes as null.
 PINS = {
     ("repro.framework.executor", "verify_prepared_kernel"):
         (("src", "tests"), {"src/repro/framework/executor.py": 1}),
@@ -51,7 +54,13 @@ PINS = {
         (("src/repro/storage/store.py",), {"src/repro/storage/store.py": 1}),
     ("repro.storage.store", "ArtifactStore.create.bf_config"):
         (("src/repro/storage/store.py",), {"src/repro/storage/store.py": 1}),
+    ("repro.storage.store", "twiglets_from"):
+        (("src/repro/storage/store.py",), {"src/repro/storage/store.py": 1}),
+    ("repro.storage.store", "ArtifactStore.create.twiglet_h"):
+        (("src/repro/storage/store.py",), {"src/repro/storage/store.py": 4}),
 }
+#: The keywords of ``ArtifactStore.create`` only the ledger passes.
+PINNED_KEYWORDS = ("bf_config", "twiglet_h")
 
 
 @pytest.mark.parametrize(
@@ -89,7 +98,7 @@ def test_pin_bindings_are_referenced_nowhere_else():
 
 
 def test_create_bf_config_has_no_caller_but_the_ledger():
-    """No code outside ``benchmarks/ledger/`` (and this file) passes the
+    """No code outside ``benchmarks/ledger/`` (and this file) passes a
     pinned keyword to ``create``."""
     callers = []
     for root in ("src", "tests", "examples", "benchmarks"):
@@ -101,13 +110,17 @@ def test_create_bf_config_has_no_caller_but_the_ledger():
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "create"
-                        and any(k.arg == "bf_config" for k in node.keywords)):
+                        and any(k.arg in PINNED_KEYWORDS
+                                for k in node.keywords)):
                     callers.append(f"{source.relative_to(REPO)}:{node.lineno}")
     assert callers == []
 
 
 def test_create_bf_config_is_inert(tmp_path, monkeypatch):
-    """``create`` writes the same bytes whatever the ledger passes."""
+    """``create`` writes the same bytes whatever the ledger passes: the
+    pinned keywords together, each ``twiglet_h`` the ledger or an earlier
+    release's ``store build`` passed, or neither.  Every pack has no
+    twiglet features and a null ``twiglet_h``."""
     from repro.core.bf_pruning import BFConfig
     from repro.crypto import stream_cipher
     from repro.crypto.keys import DataOwnerKey
@@ -116,19 +129,22 @@ def test_create_bf_config_is_inert(tmp_path, monkeypatch):
 
     graph = load_dataset("dblp", scale=0.03).graph
     written = []
-    for name, config in (("with", BFConfig()), ("without", None)):
+    for i, keywords in enumerate((
+            {}, {"twiglet_h": 3, "bf_config": BFConfig()},
+            {"twiglet_h": None}, {"twiglet_h": 4}, {"twiglet_h": 5})):
         counter = itertools.count()
         monkeypatch.setattr(stream_cipher, "os", SimpleNamespace(
             urandom=lambda n: hashlib.sha256(
                 b"pin-nonce:%d" % next(counter)).digest()[:n]))
-        ArtifactStore.create(tmp_path / name, graph, (1,),
-                             DataOwnerKey.generate(11), twiglet_h=3,
-                             bf_config=config).close()
+        ArtifactStore.create(tmp_path / str(i), graph, (1,),
+                             DataOwnerKey.generate(11), **keywords).close()
         written.append({path.name: path.read_bytes()
-                        for path in sorted((tmp_path / name).iterdir())})
-    assert written[0] == written[1]
+                        for path in sorted((tmp_path / str(i)).iterdir())})
+    assert all(files == written[0] for files in written)
     assert sorted(written[0]) == ["balls.pack", "encrypted.pack",
                                   "manifest.json", "twiglets.json"]
+    assert written[0]["twiglets.json"] == b'{"balls":{},"h":null}'
+    assert b'"twiglet_h":null' in written[0]["manifest.json"]
 
 
 def _names_loaded_by(module) -> set[str]:

@@ -344,8 +344,7 @@ class TestDeltaMisses:
         config = replace(test_config, radii=radii)
         graph = dataset.graph.copy()
         query = dataset.random_queries(1, size=4, diameter=2, seed=13)[0]
-        store = ArtifactStore.create(tmp_path / "live", graph, radii, key,
-                                     twiglet_h=None)
+        store = ArtifactStore.create(tmp_path / "live", graph, radii, key)
         with store, Prilo.setup(graph, config, store=store) as engine:
             server = QueryBatchEngine(engine, cache=CMMCache())
             before = server.serve([query]).results[0]
@@ -367,7 +366,7 @@ class TestDeltaMisses:
             assert slices.misses == len(stale) > 0
             assert slices.hits == len(retrieved) - len(stale)
             rebuilt_store = ArtifactStore.create(
-                tmp_path / "rebuilt", graph, radii, key, twiglet_h=None)
+                tmp_path / "rebuilt", graph, radii, key)
             with rebuilt_store, Prilo.setup(
                     graph, config, store=rebuilt_store) as rebuilt:
                 again = rebuilt.run(query)

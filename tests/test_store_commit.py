@@ -1,34 +1,27 @@
 """How a store commit is made (:class:`repro.storage.store._StoreWriter`).
 
-Contract under test: ``twiglets.json`` is joined from one encoded entry
-per ball and equals ``json.dumps`` of the whole document byte for byte;
-an object hands its committed entries to its next delta, and the result
-is the same directory a freshly opened store would write; a delta or a
-split never carries a damaged directory forward under a fresh checksum
--- it raises :class:`StoreError` (CLI ``FAILED:``, exit 3) instead.
+Contract under test: the object that made a commit skips re-hashing
+it before its next delta, and the result is the same directory a freshly
+opened store would write; a delta or a split never carries a damaged
+directory forward under a fresh checksum -- it raises
+:class:`StoreError` (CLI ``FAILED:``, exit 3) instead.
 """
 
 import hashlib
 import itertools
-import json
 import os
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.cli import EXIT_INTEGRITY, main
-from repro.core.twiglets import Twiglet
 from repro.crypto import stream_cipher
 from repro.crypto.keys import DataOwnerKey
 from repro.graph.delta import random_delta
 from repro.storage import ArtifactStore, StoreError, StoreStale, shard_split
-from repro.storage.store import _join_twiglets, _twiglet_entry
 
 RADII = (2,)
 SEED = 3
-COMPACT = {"separators": (",", ":"), "sort_keys": True}
 
 
 @pytest.fixture(scope="module")
@@ -48,50 +41,6 @@ def _delta(graph, seed):
 
 
 # ---------------------------------------------------------------------------
-# the join is json.dumps of the whole document
-# ---------------------------------------------------------------------------
-#: Twiglets hold label reprs; quotes, backslashes and non-ASCII labels
-#: make the JSON encoder escape them.
-_LABELS = st.one_of(st.text(max_size=4),
-                    st.sampled_from(['"', "\\", "é", "标签", "a'b\"c"]),
-                    st.integers(-5, 50)).map(repr)
-
-
-@st.composite
-def _features(draw):
-    """A ball's twiglet set: distinct label paths, each plain or forked."""
-    paths = draw(st.lists(
-        st.lists(_LABELS, min_size=2, max_size=3, unique=True).map(tuple),
-        max_size=4, unique=True))
-    features = set()
-    for path in paths:
-        spare = draw(st.lists(_LABELS.filter(lambda l: l not in path),
-                              max_size=2, unique=True))
-        fork = tuple(sorted(spare)) if len(spare) == 2 else None
-        features.add(Twiglet(path=path, fork=fork))
-    return frozenset(features)
-
-
-class TestJoinedBytes:
-    @settings(max_examples=150, deadline=None)
-    @given(balls=st.dictionaries(st.integers(0, 120), _features(),
-                                 max_size=12),
-           twiglet_h=st.sampled_from([None, 3, 4]))
-    @example(balls={9: frozenset(), 10: frozenset()}, twiglet_h=3)
-    @example(balls={}, twiglet_h=None)
-    def test_join_equals_json_dumps(self, balls, twiglet_h):
-        entries = {str(ball_id): _twiglet_entry(features)
-                   for ball_id, features in balls.items()}
-        document = {"h": twiglet_h, "balls": {
-            str(ball_id): sorted([list(t.path),
-                                  list(t.fork) if t.fork else None]
-                                 for t in features)
-            for ball_id, features in balls.items()}}
-        assert _join_twiglets(twiglet_h, entries) == json.dumps(document,
-                                                               **COMPACT)
-
-
-# ---------------------------------------------------------------------------
 # the committing object and a fresh open() write the same directory
 # ---------------------------------------------------------------------------
 def _pin_nonces(monkeypatch):
@@ -107,14 +56,15 @@ class TestHandOver:
     def test_committed_entries_equal_a_fresh_open(self, tmp_path, dataset,
                                                   key, monkeypatch):
         """Three deltas (the last one drops a vertex's balls) through the
-        creating object and through a fresh ``open()`` per delta leave
-        byte-identical directories."""
+        creating object, which skips the checksum pass, and through a
+        fresh ``open()`` per delta, which makes it, leave byte-identical
+        directories."""
         roots = {}
         for mode in ("held", "reopened"):
             _pin_nonces(monkeypatch)
             root = roots[mode] = tmp_path / mode
             live = dataset.graph.copy()
-            store = ArtifactStore.create(root, live, RADII, key, twiglet_h=3)
+            store = ArtifactStore.create(root, live, RADII, key)
             for seed in (5, 6, 7):
                 if mode == "reopened":
                     store.close()
@@ -132,13 +82,9 @@ class TestHandOver:
 # ---------------------------------------------------------------------------
 # damage is refused, not rolled forward
 # ---------------------------------------------------------------------------
-def _blank_one_twiglet_entry(root):
-    path = root / "twiglets.json"
-    document = json.loads(path.read_text("utf-8"))
-    ball_id = next(k for k, items in sorted(document["balls"].items())
-                   if items)
-    document["balls"][ball_id] = []
-    path.write_text(json.dumps(document, **COMPACT), encoding="utf-8")
+def _overwrite_twiglets(root):
+    (root / "twiglets.json").write_text('{"balls":{"0":[]},"h":3}',
+                                        encoding="utf-8")
 
 
 def _flip_pack_byte(root, name):
@@ -149,7 +95,7 @@ def _flip_pack_byte(root, name):
 
 
 TAMPERS = {
-    "twiglets.json": _blank_one_twiglet_entry,
+    "twiglets.json": _overwrite_twiglets,
     "balls.pack": lambda root: _flip_pack_byte(root, "balls.pack"),
     "encrypted.pack": lambda root: _flip_pack_byte(root, "encrypted.pack"),
 }
@@ -159,8 +105,7 @@ TAMPERS = {
 def tampered(request, tmp_path, dataset, key):
     """A closed store with one artifact damaged at rest."""
     root = tmp_path / "pack"
-    ArtifactStore.create(root, dataset.graph, RADII, key,
-                         twiglet_h=3).close()
+    ArtifactStore.create(root, dataset.graph, RADII, key).close()
     TAMPERS[request.param](root)
     with ArtifactStore.open(root) as store:
         assert [p.name for p in store.verify().tampered] == [request.param]
@@ -196,7 +141,7 @@ class TestRefuseDamageCli:
         root = tmp_path / "pack"
         assert main([*self.BASE, "store", "build", "dblp", str(root),
                      "--radii", "1"]) == 0
-        _blank_one_twiglet_entry(root)
+        _overwrite_twiglets(root)
         return root
 
     def test_apply_delta_exits_3(self, built, tmp_path, capsys):
@@ -231,10 +176,9 @@ class TestManifestRenameFails:
     def test_rerun_refuses_the_hybrid(self, tmp_path, dataset, key,
                                       monkeypatch):
         root = tmp_path / "pack"
-        # The creating object holds its committed entries: the failed
-        # commit must have dropped them.
-        store = ArtifactStore.create(root, dataset.graph, RADII, key,
-                                     twiglet_h=3)
+        # The creating object may skip the checksum pass: the failed
+        # commit must have cleared that.
+        store = ArtifactStore.create(root, dataset.graph, RADII, key)
         real_replace = os.replace
 
         def failing_replace(src, dst):
