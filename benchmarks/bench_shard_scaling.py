@@ -5,8 +5,11 @@ Two headline results for the sharded serving tier
 
 (a) *Scaling*: a fixed zipf tenant trace (see
     :mod:`repro.workloads.traffic`) served by 1/4/8-shard loopback
-    clusters vs. a single :class:`QueryBatchEngine` baseline.  Answers
-    must be byte-identical (``wire.answer_bytes``) at every shard count.
+    clusters vs. a single :class:`QueryBatchEngine` baseline.  Every
+    fleet serves a ``shard_split`` cut of one authenticated pack, one
+    cut per shard count, and its gateway verifies every verdict, as the
+    CLI's does.  Answers must be byte-identical (``wire.answer_bytes``)
+    at every shard count.
     The gate is on *critical-path* throughput -- baseline serve time over
     ``max(per-shard busy seconds)`` -- because the bench host is a
     single-core container: the shards' work is perfectly concurrent on
@@ -30,16 +33,22 @@ schedule.
 """
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 from _common import SCALE, bench_config, emit, format_row, write_bench_json
 
+from repro.crypto.keys import DataOwnerKey
 from repro.framework import wire
 from repro.framework.gateway import Gateway, GatewayChaos
+from repro.framework.placement import PlacementManifest
 from repro.framework.prilo import Prilo
 from repro.framework.server import QueryBatchEngine
 from repro.framework.shard import LocalCluster, make_shard_specs
+from repro.framework.verify import AnswerVerifier
 from repro.graph.query import Semantics
+from repro.storage import ArtifactStore, shard_split
 from repro.workloads.datasets import load_dataset
 from repro.workloads.traffic import TrafficSpec, generate_traffic
 
@@ -95,6 +104,33 @@ def _baseline(graph, config, queries):
     return cpu_seconds, wall_seconds, answers
 
 
+def _pack(workdir, graph, config) -> Path:
+    """The owner's authenticated pack of ``graph``, built once per study;
+    every fleet serves a shard-split cut of it."""
+    root = Path(workdir) / "pack"
+    ArtifactStore.create(root, graph, config.radii,
+                         DataOwnerKey.generate(config.seed)).close()
+    return root
+
+
+def _serve(pack: Path, graph, config, shards: int, queries, chaos=None):
+    """Serve ``queries`` through a verifying gateway over a
+    ``shards``-way cut of ``pack``; returns ``(report, wall_seconds)``,
+    the wall clock spanning fleet start to shutdown."""
+    cut = pack.parent / f"shards-{shards}"
+    shard_split(pack, cut, shards)
+    specs = make_shard_specs(graph, config, shards, engine="prilo",
+                             store_root=str(cut))
+    verifier = AnswerVerifier.from_placement(
+        PlacementManifest.read(cut), seed=config.seed,
+        config=Prilo.effective_config(config))
+    started = time.perf_counter()
+    with LocalCluster(specs) as cluster:
+        report = Gateway(cluster.handles, verifier=verifier,
+                         chaos=chaos).run(queries)
+    return report, time.perf_counter() - started
+
+
 def _check_identical(expected, report):
     assert report.completed == len(expected), (
         f"gateway lost queries: {report.completed}/{len(expected)}")
@@ -110,12 +146,11 @@ def scaling_study(seed: int = 0, shard_counts=SHARD_COUNTS) -> dict:
     baseline_cpu, baseline_wall, expected = _baseline(graph, config, queries)
 
     rows = []
-    for shards in shard_counts:
-        specs = make_shard_specs(graph, config, shards, engine="prilo")
-        started = time.perf_counter()
-        with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles).run(queries)
-        wall_seconds = time.perf_counter() - started
+    with tempfile.TemporaryDirectory() as workdir:
+        pack = _pack(workdir, graph, config)
+        runs = [(shards, *_serve(pack, graph, config, shards, queries))
+                for shards in shard_counts]
+    for shards, report, wall_seconds in runs:
         _check_identical(expected, report)
         critical = report.critical_path_seconds
         rows.append({
@@ -149,13 +184,11 @@ def chaos_study(seed: int = 0) -> dict:
     graph, config, queries, _ = _setup(seed)
     _, _, expected = _baseline(graph, config, queries)
 
-    specs = make_shard_specs(graph, config, CHAOS_SHARDS,
-                             engine="prilo")
-    with LocalCluster(specs) as cluster:
-        gateway = Gateway(cluster.handles,
-                          chaos=GatewayChaos(seed=seed,
-                                             kill_after_verdicts=2))
-        report = gateway.run(queries)
+    with tempfile.TemporaryDirectory() as workdir:
+        report, _ = _serve(_pack(workdir, graph, config), graph, config,
+                           CHAOS_SHARDS, queries,
+                           chaos=GatewayChaos(seed=seed,
+                                              kill_after_verdicts=2))
     _check_identical(expected, report)
     assert report.deaths, "chaos did not kill a shard"
     return {

@@ -15,7 +15,8 @@ Commands:
                                      incremental dirty-ball maintenance
                                      (exit 2 stale, 3 tampered).
 * ``gateway <dataset>``           -- serve zipf many-tenant traffic through
-                                     a local N-shard scatter-gather cluster
+                                     a local scatter-gather cluster over a
+                                     ``--store`` shard-split cut, verified
                                      (``--kill-shard``/``--kill-seed`` for
                                      chaos recovery runs, ``--rogue-shard``
                                      for the malicious-SP tier caught by
@@ -53,8 +54,8 @@ verdict; only a usage error ranks above it).
 
 Every input is declared once, with its domain (:func:`_domain`), so a
 bad number exits 1 on one line naming the flag and never reaches
-library code; what no single flag can see (a shard id against
-``--shards``, a query's diameter against the served radii) raises
+library code; what no single flag can see (a shard id against the
+served cut's shard count, a query's diameter against the served radii) raises
 :class:`UsageError`, which exits the same way.
 """
 
@@ -221,13 +222,6 @@ def _check_flags(args: argparse.Namespace) -> None:
     if args.command == "serve-batch" and args.standing > args.distinct:
         raise UsageError(f"argument --standing: must be at most --distinct "
                          f"{args.distinct}, got {args.standing}")
-    if args.command == "gateway":
-        named = [("--kill-shard", args.kill_shard)] + [
-            ("--rogue-shard", shard) for shard in args.rogue_shard or ()]
-        for flag, shard in named:
-            if shard is not None and shard >= args.shards:
-                raise UsageError(f"argument {flag}: must be below --shards "
-                                 f"{args.shards}, got {shard}")
 
 
 def _queries(args: argparse.Namespace, dataset: Dataset, count: int,
@@ -672,30 +666,30 @@ def cmd_store_apply_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_gateway(args: argparse.Namespace) -> int:
-    """Serve zipf many-tenant traffic through a local N-shard cluster."""
+    """Serve zipf many-tenant traffic through a local cluster, one
+    certifying shard per pack of a ``store shard-split`` cut."""
+    # ``read`` refuses a placement cut under another ring geometry; the
+    # cut fixes the fleet size and the ball address space (radii).
+    placement = PlacementManifest.read(args.store)
+    shards = len(placement.members)
+    named = [("--kill-shard", args.kill_shard)] + [
+        ("--rogue-shard", shard) for shard in args.rogue_shard or ()]
+    for flag, shard in named:
+        if shard is not None and shard >= shards:
+            raise UsageError(f"argument {flag}: must be below the "
+                             f"{shards} shard(s) of --store, got {shard}")
     dataset = load_dataset(args.dataset, scale=args.scale)
-    config = _config(args)
-    if args.no_verify:
-        config = replace(config, verify_serving=False)
-    placement = None
-    if args.store:
-        # ``read`` refuses a placement cut under another ring geometry;
-        # the packs fix the ball address space (radii) the cluster uses.
-        placement = PlacementManifest.read(args.store)
-        config = replace(config, radii=placement.radii)
+    config = replace(_config(args), radii=placement.radii)
     # The trace ``generate_traffic`` draws: zipf arrivals over the tenants.
     spec = TrafficSpec(count=args.count, tenants=args.tenants,
                        seed=args.seed)
     tenants = _queries(args, dataset, spec.tenants, config.radii)
     ranks = zipf_ranks(spec.count, spec.tenants, spec.skew, spec.seed)
     queries = [tenants[rank] for rank in ranks]
-    verifier = None
-    if placement is not None and config.verify_serving:
-        # Certificates bind the *effective* engine config, the view the
-        # shards' engines run after forcing their pruning toggles.
-        verifier = AnswerVerifier.from_placement(
-            placement, seed=args.seed,
-            config=Prilo.effective_config(config))
+    # Certificates bind the *effective* engine config, the view the
+    # shards' engines run after forcing their pruning toggles.
+    verifier = AnswerVerifier.from_placement(
+        placement, seed=args.seed, config=Prilo.effective_config(config))
     chaos = None
     if args.kill_shard is not None or args.kill_seed is not None:
         chaos = GatewayChaos(kill_shard=args.kill_shard,
@@ -704,7 +698,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     # Each --rogue-shard lies on every verdict (rate 1.0), the worst case
     # for the verifier, with the --rogue-kinds lies.
     specs = make_shard_specs(dataset.graph_for(Semantics(args.semantics)),
-                             config, args.shards, store_root=args.store,
+                             config, shards, store_root=args.store,
                              journal_dir=args.journal_dir,
                              rogue_shards=tuple(args.rogue_shard or ()),
                              rogue_policy=ChaosPolicy(
@@ -730,16 +724,15 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         print(f"deaths: shard(s) {report.deaths} died; "
               f"{report.re_dispatches} re-placement task(s); "
               f"survivors {list(report.final_members)}")
-    if report.verify_enabled:
-        print(f"verify: {report.proofs_checked} certificate(s) checked "
-              f"({report.proof_bytes} proof bytes, "
-              f"{report.verify_seconds:.3f}s); "
-              f"{report.forgeries_detected} forgery(ies) detected"
-              + (f"; evicted shard(s) {report.evictions}"
-                 if report.evictions else ""))
-        if report.forged:
-            print(f"FORGED: {report.forged} answer(s) withheld -- no "
-                  f"honest member left to re-cover the slice")
+    print(f"verify: {report.proofs_checked} certificate(s) checked "
+          f"({report.proof_bytes} proof bytes, "
+          f"{report.verify_seconds:.3f}s); "
+          f"{report.forgeries_detected} forgery(ies) detected"
+          + (f"; evicted shard(s) {report.evictions}"
+             if report.evictions else ""))
+    if report.forged:
+        print(f"FORGED: {report.forged} answer(s) withheld -- no "
+              f"honest member left to re-cover the slice")
     statuses = summary["statuses"]
     not_ok = [(i, s) for i, s in enumerate(statuses) if s != QueryStatus.OK]
     print(f"statuses: {statuses.count(QueryStatus.OK)}/{len(statuses)} ok"
@@ -841,13 +834,10 @@ def _add_count(parser: argparse.ArgumentParser, default: int,
                         help=help)
 
 
-def _add_shards(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=_positive_int, default=4,
-                        help="shard count")
-
-
-def _add_store(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--store", default=None, metavar="DIR", help=help)
+def _add_store(parser: argparse.ArgumentParser, help: str,
+               required: bool = False) -> None:
+    parser.add_argument("--store", required=required, metavar="DIR",
+                        help=help)
 
 
 def _add_serving_outputs(parser: argparse.ArgumentParser) -> None:
@@ -1008,7 +998,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "a placement manifest (input to the gateway)")
     p_split.add_argument("root", help="source store directory")
     p_split.add_argument("out", help="target directory (must be empty)")
-    _add_shards(p_split)
+    p_split.add_argument("--shards", type=_positive_int, default=4,
+                         help="shard count (the gateway's fleet size)")
 
     p_mkdelta = _leaf(store_sub, "make-delta", cmd_store_make_delta,
                       "synthesize a seeded update stream into an "
@@ -1051,27 +1042,30 @@ def build_parser() -> argparse.ArgumentParser:
           "restricted-scope leak)").add_argument("path")
 
     p_gw = _leaf(sub, "gateway", cmd_gateway,
-                 "serve zipf many-tenant traffic through a local N-shard "
-                 "cluster behind the scatter-gather gateway")
+                 "serve zipf many-tenant traffic through a local cluster, "
+                 "one shard per pack of a `store shard-split` cut, behind "
+                 "the verifying scatter-gather gateway")
     _add_dataset(p_gw)
-    _add_shards(p_gw)
     _add_count(p_gw, 32, "total queries in the traffic trace")
     p_gw.add_argument("--tenants", type=_positive_int, default=8,
                       help="distinct tenant queries the trace draws from")
     _add_query_shape(p_gw)
-    _add_store(p_gw, "a `store shard-split` output directory: each shard "
-                     "cold-starts from its own pack; placement.json must "
-                     "name the fixed ring geometry (else exit 3)")
+    _add_store(p_gw, "a `store shard-split` output directory: one shard "
+                     "per pack, each cold-starts from and certifies "
+                     "against its own pack; placement.json must name the "
+                     "fixed ring geometry and an auth block (else exit 3)",
+               required=True)
     p_gw.add_argument("--journal-dir", default=None, metavar="DIR",
                       help="give each shard its own write-ahead journal "
                            "(shard-<i>.wal) under this directory")
     _add_serving_outputs(p_gw)
     p_gw.add_argument("--rogue-shard", type=_non_negative_int,
                       action="append", default=None, metavar="K",
-                      help="malicious-SP chaos: shard K (below --shards) "
-                           "mutates its verdicts after the honest engine "
-                           "ran (repeatable; caught by the answer "
-                           "verifier, evicted, and its slice re-scattered)")
+                      help="malicious-SP chaos: shard K (below the cut's "
+                           "shard count) mutates its verdicts after the "
+                           "honest engine ran (repeatable; caught by the "
+                           "answer verifier, evicted, and its slice "
+                           "re-scattered)")
     p_gw.add_argument("--rogue-kinds", type=_kinds(MALICIOUS_KINDS, "rogue"),
                       default=MALICIOUS_KINDS, metavar="K1,K2",
                       help="comma-separated malicious kinds for "
@@ -1079,15 +1073,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "drop_ball,replay_stale)")
     p_gw.add_argument("--rogue-seed", type=_any_int, default=0, metavar="S",
                       help="seed for the rogue shards' mutation schedule")
-    p_gw.add_argument("--no-verify", action="store_true",
-                      help="trust the shards: skip certificates and "
-                           "merge-time verification (for overhead A/B "
-                           "only)")
     p_gw.add_argument("--kill-shard", type=_non_negative_int, default=None,
                       metavar="K",
-                      help="chaos: SIGKILL shard K (below --shards) "
-                           "mid-batch and recover by re-placing its slice "
-                           "onto survivors")
+                      help="chaos: SIGKILL shard K (below the cut's shard "
+                           "count) mid-batch and recover by re-placing its "
+                           "slice onto survivors")
     p_gw.add_argument("--kill-seed", type=_any_int, default=None,
                       metavar="S",
                       help="chaos: derive the victim from seed S instead "

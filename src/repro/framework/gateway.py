@@ -34,14 +34,14 @@ merge cross-checks instead of double-counting.  Re-dispatched tasks get
 fresh journal indices (``qid + wave << 20``) so survivor journals never
 see two different runs under one idempotency key.
 
-Trust model: with an :class:`~repro.framework.verify.AnswerVerifier`
-installed, shards are *untrusted* -- every OK verdict must carry a
-certificate proving its slice complete (against the owner-committed
-Merkle root + candidate catalog) and sound (keyed digests the SP cannot
-mint) before the merge sees it.  A shard caught forging is evicted and
-its task re-scattered to the honest survivors exactly like a death;
-when no honest member can re-cover the slice, the query is marked
-``FORGED`` and its answer withheld.  See
+Trust model: shards are *untrusted*.  The gateway's
+:class:`~repro.framework.verify.AnswerVerifier` requires every OK
+verdict to carry a certificate proving its slice complete (against the
+owner-committed Merkle root + candidate catalog) and sound (keyed
+digests the SP cannot mint) before the merge sees it.  A shard caught
+forging is evicted and its task re-scattered to the honest survivors
+exactly like a death; when no honest member can re-cover the slice, the
+query is marked ``FORGED`` and its answer withheld.  See
 :mod:`repro.framework.verify`.
 
 Metrics honesty: per-shard cache counters merge under shard-qualified
@@ -115,7 +115,7 @@ _JOURNAL_FIELDS = tuple(f.name for f in fields(JournalCounters))
 
 def check_verdict_shape(verdict: dict) -> None:
     """The one shape check every shard verdict passes before the merge
-    reads it, with or without a verifier: a status a shard may report, a
+    or the verifier reads it: a status a shard may report, a
     finite non-negative ``busy``, counter payloads of non-negative ints
     (``caches``, ``ops``, ``journal``), and -- on an OK verdict carrying
     a slice -- the slice shape the verifier also checks.  Anything else
@@ -320,11 +320,9 @@ class GatewayReport:
     re_dispatches: int = 0
     final_members: tuple[int, ...] = ()
     drain_summaries: dict[int, dict] = field(default_factory=dict)
-    #: Untrusted-shard serving: whether a verifier judged every OK
-    #: verdict, how many certificates checked out, how many forged
-    #: verdicts were caught (and their shards evicted), and what the
-    #: proofs cost (bytes on the wire, seconds at the merge).
-    verify_enabled: bool = False
+    #: Untrusted-shard serving: how many certificates checked out, how
+    #: many forged verdicts were caught (and their shards evicted), and
+    #: what the proofs cost (bytes on the wire, seconds at the merge).
     proofs_checked: int = 0
     forgeries_detected: int = 0
     evictions: list[int] = field(default_factory=list)
@@ -390,7 +388,6 @@ class GatewayReport:
             "journal": self.metrics.journal.as_dict(),
             "crypto_ops": self.metrics.ops.as_dict(),
             "verify": {
-                "enabled": self.verify_enabled,
                 "proofs_checked": self.proofs_checked,
                 "forgeries_detected": self.forgeries_detected,
                 "evictions": list(self.evictions),
@@ -416,8 +413,8 @@ class Gateway:
     """
 
     def __init__(self, handles, *,
+                 verifier,
                  chaos: GatewayChaos | None = None,
-                 verifier=None,
                  queue_bound: int | None = None,
                  tracer=None) -> None:
         handles = sorted(handles, key=lambda h: h.shard_id)
@@ -431,10 +428,9 @@ class Gateway:
             raise ValueError("queue_bound must be a positive int or None")
         self.handles = {h.shard_id: h for h in handles}
         self.chaos = chaos
-        #: An :class:`repro.framework.verify.AnswerVerifier` makes this
-        #: an *untrusted-shard* gateway: every OK verdict must carry a
-        #: certificate that checks out before its slice touches the
-        #: merge.  ``None`` keeps the PR 7 trusted-shard behavior.
+        #: The :class:`repro.framework.verify.AnswerVerifier` of the
+        #: served cut: every OK verdict must carry a certificate that
+        #: checks out before its slice touches the merge.
         self.verifier = verifier
         #: Admit the first N submissions of a batch; the rest are
         #: ``rejected(overload)`` and never reach a shard.
@@ -580,9 +576,9 @@ class Gateway:
         """Judge one verdict user-side before the merge sees it.
 
         Returns ``True`` when the slice may be absorbed.  Every verdict
-        passes :func:`check_verdict_shape` first.  With a verifier, OK
-        verdicts -- the only ones carrying answer slices -- must also
-        carry a certificate that checks out; a shard claiming overload/
+        passes :func:`check_verdict_shape` first.  OK verdicts -- the
+        only ones carrying answer slices -- must also carry a
+        certificate that checks out; a shard claiming overload/
         deadline contributes no answer bytes and can at worst fail the
         query loudly (availability, not integrity).
         """
@@ -591,8 +587,6 @@ class Gateway:
         except VerificationError as err:
             self._on_forgery(sid, task, err)
             return False
-        if self.verifier is None:
-            return True
         status = verdict.get("status", QueryStatus.OK)
         if status != QueryStatus.OK:
             return True
@@ -792,7 +786,6 @@ class Gateway:
             re_dispatches=self._re_dispatches,
             final_members=self._members,
             drain_summaries=drain_summaries,
-            verify_enabled=self.verifier is not None,
             proofs_checked=self._proofs_checked,
             forgeries_detected=self._forgeries,
             evictions=list(self._evicted),

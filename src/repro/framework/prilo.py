@@ -159,13 +159,6 @@ class PriloConfig:
     #: A query whose candidate set exceeds the budget is refused with
     #: :class:`BallBudgetExceeded` before any evaluation starts.
     ball_budget: int | None = None
-    #: Untrusted-shard serving: shards attach per-query result
-    #: certificates (Merkle completeness proof + keyed soundness
-    #: digests, :mod:`repro.framework.verify`) to every verdict, and the
-    #: gateway verifies them before merging.  A trust knob -- answers are
-    #: identical either way -- so it is deliberately *not* part of the
-    #: journal config fingerprint.
-    verify_serving: bool = True
 
     def __post_init__(self) -> None:
         # Eager validation with actionable messages: a bad value must fail
@@ -207,11 +200,6 @@ class PriloConfig:
             raise ValueError(
                 f"ball_budget must be an int >= 1 or None (unbounded); "
                 f"got {self.ball_budget!r}")
-        if not isinstance(self.verify_serving, bool):
-            raise ValueError(
-                f"verify_serving must be a bool (attach result "
-                f"certificates to shard verdicts); "
-                f"got {self.verify_serving!r}")
 
     def paper_crypto(self) -> "PriloConfig":
         """The exact Sec. 6.1 CGBE parameters (slower in pure Python)."""

@@ -11,11 +11,12 @@ so the shard evaluates only its partition -- and, on a re-placement pass
 after a peer died, only the orphaned balls that newly moved here.
 
 Shards never talk to each other.  Each holds the full public data graph
-(the SP-side view) plus, optionally, its own sliced
-:class:`~repro.storage.ArtifactStore` pack cut by ``store shard-split``;
-balls outside the pack fall back to live-graph extraction through
-:class:`~repro.storage.store.StoreMiss`, which is what makes re-placed
-orphans servable at all.
+(the SP-side view) plus its own sliced
+:class:`~repro.storage.ArtifactStore` pack cut by ``store shard-split``,
+and certifies every answer slice against the pack's committed auth
+block; balls outside the pack fall back to live-graph extraction
+through :class:`~repro.storage.store.StoreMiss`, which is what makes
+re-placed orphans servable at all.
 
 Process model: :class:`LocalCluster` forks one process per shard, each
 binding an ephemeral loopback port reported back over a pipe.  SIGKILL
@@ -105,8 +106,9 @@ class ShardSpec:
     shard_id: int
     graph: LabeledGraph
     config: PriloConfig
+    #: This shard's ``shard-<i>`` pack of a ``store shard-split`` cut.
+    store_root: str
     engine: str = "prilo"
-    store_root: str | None = None
     journal_path: str | None = None
     host: str = "127.0.0.1"
     port: int = 0
@@ -141,19 +143,16 @@ class ShardServer:
     # -- lifecycle ------------------------------------------------------
     def build_engine(self) -> None:
         spec = self.spec
-        store = (ArtifactStore.open(spec.store_root)
-                 if spec.store_root else None)
+        store = ArtifactStore.open(spec.store_root)
         engine_cls = ENGINE_CLASSES[spec.engine]
         self.engine = engine_cls.setup(spec.graph, spec.config, store=store)
-        if store is not None and spec.config.verify_serving:
-            # Certify with the engine's *effective* config: engine
-            # classes override pruning flags in setup(), and the
-            # fingerprint must match what the gateway verifier derives
-            # for the same engine choice.
-            self.certifier = Certifier(
-                store.auth, seed=spec.config.seed,
-                config=self.engine.config,
-                graph_digest=store.manifest_graph_digest)
+        # Certify with the engine's *effective* config: engine classes
+        # override pruning flags in setup(), and the fingerprint must
+        # match what the gateway verifier derives for the same engine
+        # choice.
+        self.certifier = Certifier(
+            store.auth, seed=spec.config.seed, config=self.engine.config,
+            graph_digest=store.manifest_graph_digest)
         if spec.journal_path:
             self.journal = RunJournal(spec.journal_path,
                                       journal_key(spec.config.seed))
@@ -251,7 +250,7 @@ class ShardServer:
                 query, index=int(request.get("jindex", qid)))
             busy = time.process_time() - cpu_started
             cert = None
-            if self.certifier is not None and outcome.result is not None:
+            if outcome.result is not None:
                 cert = self.certifier.certify(
                     qid=qid, shard_id=self.spec.shard_id, members=members,
                     prev_members=prev, result=outcome.result)
@@ -307,14 +306,12 @@ class ShardServer:
                 mutated["verified"] = [
                     b for b in mutated.get("verified", []) if b != dropped]
                 mutated.get("matches", {}).pop(str(dropped), None)
-                cert = mutated.get("cert")
-                if cert is not None and self.certifier is not None:
-                    # Proofs are public: the lazy shard *can* re-prove
-                    # the shrunken set.  Completeness vs. the committed
-                    # catalog is what catches it.
-                    cert["proof"] = (
-                        self.certifier.tree.prove(mutated["candidates"])
-                        if mutated["candidates"] else None)
+                # Proofs are public: the lazy shard *can* re-prove the
+                # shrunken set.  Completeness vs. the committed catalog
+                # is what catches it.
+                mutated["cert"]["proof"] = (
+                    self.certifier.tree.prove(mutated["candidates"])
+                    if mutated["candidates"] else None)
                 logger.warning("shard %d: ROGUE dropping ball %d from "
                                "q%d", self.spec.shard_id, dropped, qid)
                 return mutated
@@ -468,8 +465,7 @@ class LocalCluster:
 
 
 def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
-                     *, engine: str = "prilo",
-                     store_root: str | None = None,
+                     *, store_root: str, engine: str = "prilo",
                      journal_dir: str | None = None,
                      rogue_shards: tuple[int, ...] = (),
                      rogue_policy: ChaosPolicy | None = None,
@@ -477,10 +473,10 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
     """Specs for an N-shard loopback cluster over one graph/config.
 
     ``store_root`` names a ``store shard-split`` output directory; each
-    shard gets its ``shard-<i>`` pack.  ``journal_dir`` gives each shard
-    its own write-ahead journal file.  ``rogue_shards`` names the
-    members that get the malicious-SP mutation layer (``rogue_policy``),
-    everyone else serves honestly.
+    shard serves and certifies from its ``shard-<i>`` pack.
+    ``journal_dir`` gives each shard its own write-ahead journal file.
+    ``rogue_shards`` names the members that get the malicious-SP
+    mutation layer (``rogue_policy``), everyone else serves honestly.
     """
     from pathlib import Path
 
@@ -493,15 +489,13 @@ def make_shard_specs(graph: LabeledGraph, config: PriloConfig, shards: int,
         raise ValueError("rogue_shards named without a rogue_policy")
     specs = []
     for shard_id in range(shards):
-        store = None
-        if store_root is not None:
-            store = str(Path(store_root) / f"shard-{shard_id}")
         journal = None
         if journal_dir is not None:
             journal = str(Path(journal_dir) / f"shard-{shard_id}.wal")
         specs.append(ShardSpec(
-            shard_id=shard_id, graph=graph, config=config, engine=engine,
-            store_root=store, journal_path=journal,
+            shard_id=shard_id, graph=graph, config=config,
+            store_root=str(Path(store_root) / f"shard-{shard_id}"),
+            engine=engine, journal_path=journal,
             rogue=rogue_policy if shard_id in rogue_set else None))
     return specs
 

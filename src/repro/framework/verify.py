@@ -1,11 +1,10 @@
 """Per-query result certificates: the untrusted-shard serving contract.
 
-PR 7's gateway trusted its shards: whatever slice a shard returned was
-merged into the user's answer.  This module removes that trust.  Every
-shard verdict now travels with a *certificate* that the gateway (acting
-for the user, who holds the owner-derived keys) checks before the slice
-touches the merge -- the "verified user-side at decrypt time" step of
-the verifiable-graph-search setting (PAPERS.md).
+A gateway never trusts its shards.  Every shard verdict travels with a
+*certificate* that the gateway (acting for the user, who holds the
+owner-derived keys) checks before the slice touches the merge -- the
+"verified user-side at decrypt time" step of the verifiable-graph-search
+setting (PAPERS.md).  There is no unverified serving mode.
 
 A certificate proves two properties about one shard's slice of one
 query, against the Merkle root and candidate catalog the data owner
@@ -243,22 +242,6 @@ class AnswerVerifier:
                    vkey=vkey, jkey=journal_key(seed),
                    fingerprint=config_fingerprint(config,
                                                   placement.graph_digest))
-
-    @classmethod
-    def from_store(cls, store, *, seed: int, config) -> "AnswerVerifier":
-        """Verifier straight off an (unsplit) :class:`ArtifactStore` --
-        the single-shard / testing path."""
-        auth = store.auth
-        key = DataOwnerKey.generate(seed)
-        vkey = auth_key(key)
-        if catalog_digest(vkey, auth["catalog"]) != auth["catalog_digest"]:
-            raise VerificationError(
-                FaultKind.FORGE_RESULT,
-                "candidate catalog fails its keyed digest")
-        return cls(root_hex=auth["root"], catalog=auth["catalog"],
-                   vkey=vkey, jkey=journal_key(seed),
-                   fingerprint=config_fingerprint(
-                       config, store.manifest_graph_digest))
 
     @property
     def root_hex(self) -> str:

@@ -183,8 +183,7 @@ def verdict_payload(qid: int, shard_id: int, outcome, *,
     meaningful on hosts with fewer cores than shards (wall latency there
     includes scheduler wait, which grows with fleet size).
     ``cert`` attaches the shard's result certificate
-    (:class:`repro.framework.verify.Certifier`) for untrusted-shard
-    gateways.
+    (:class:`repro.framework.verify.Certifier`) to an answered query.
     """
     payload = {
         "t": "verdict",

@@ -57,6 +57,19 @@ def usage_line(argv, capsys) -> str:
     return err.splitlines()[-1]
 
 
+@pytest.fixture(scope="module")
+def cut(tmp_path_factory):
+    """A 2-shard ``store shard-split`` cut of slashdot at ``--scale 0.05
+    --modulus 512``, radii 1 and 2: the certified fleet every gateway
+    run here serves."""
+    root = tmp_path_factory.mktemp("cli-cut")
+    assert main(["--scale", "0.05", "--modulus", "512", "store", "build",
+                 "slashdot", str(root / "pack"), "--radii", "1,2"]) == 0
+    assert main(["store", "shard-split", str(root / "pack"),
+                 str(root / "shards"), "--shards", "2"]) == 0
+    return root / "shards"
+
+
 class TestParser:
     def test_commands_registered(self):
         parser = build_parser()
@@ -111,11 +124,17 @@ def leaves(parser=None, prefix=()):
 
 
 def positionals(parser) -> list[str]:
-    """A placeholder argv for ``parser``'s positional arguments."""
-    return [action.choices[0] if action.choices else "x"
-            for action in parser._actions
-            if not action.option_strings
-            and not isinstance(action, argparse._SubParsersAction)]
+    """A placeholder argv for ``parser``'s positional arguments and
+    required options."""
+    argv = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            continue
+        if not action.option_strings:
+            argv.append(action.choices[0] if action.choices else "x")
+        elif action.required:
+            argv += [action.option_strings[-1], "x"]
+    return argv
 
 
 def numeric_flags(parser) -> list[str]:
@@ -178,7 +197,23 @@ class TestDeclarations:
         flags = {flag for _, parser in leaves()
                  for action in parser._actions
                  for flag in action.option_strings}
-        assert not flags & {"--engine", "--twiglet-h", "--no-twiglets"}
+        assert not flags & {"--engine", "--twiglet-h", "--no-twiglets",
+                            "--no-verify"}
+
+    @pytest.mark.parametrize("removed", [["--no-verify"], ["--shards", "2"]])
+    def test_gateway_trust_and_fleet_flags_are_gone(self, removed, cut,
+                                                    capsys):
+        """Every gateway verifies, and its fleet is the cut's: a script
+        that still asks for trusted shards or a fleet size is told so on
+        one line."""
+        assert usage_line(["gateway", "slashdot", "--store", str(cut),
+                           *removed], capsys) == (
+            f"repro: error: unrecognized arguments: {' '.join(removed)}")
+
+    def test_gateway_needs_a_store(self, capsys):
+        assert usage_line(["gateway", "slashdot"], capsys) == (
+            "repro gateway: error: the following arguments are required: "
+            "--store")
 
     @pytest.mark.parametrize("removed", [["--twiglet-h", "4"],
                                          ["--no-twiglets"]])
@@ -274,11 +309,15 @@ class TestCrossFlagChecks:
                         "got 1")
 
     @pytest.mark.parametrize("flag", ["--kill-shard", "--rogue-shard"])
-    def test_shard_ids_below_shards(self, flag, capsys):
-        line = usage_line([*self.BASE, "gateway", "slashdot", "--shards", "2",
-                           flag, "2", "--kill-seed", "1"], capsys)
-        assert line == (f"repro gateway: error: argument {flag}: must be "
-                        f"below --shards 2, got 2")
+    def test_shard_ids_below_shards(self, flag, cut, capsys):
+        """The fleet is the cut's: a shard id at or above its member
+        count is one usage line, before any dataset is loaded."""
+        for shard in ("2", "3"):
+            line = usage_line([*self.BASE, "gateway", "slashdot", "--store",
+                               str(cut), flag, shard], capsys)
+            assert line == (f"repro gateway: error: argument {flag}: must "
+                            f"be below the 2 shard(s) of --store, got "
+                            f"{shard}")
 
     def test_standing_at_most_distinct(self, capsys):
         line = usage_line([*self.BASE, "serve-batch", "slashdot",
@@ -331,8 +370,8 @@ class TestRealEntryPoint:
          "--size", "repro run"),
         (["--scale", "0.05", "--players", "0", "run", "slashdot"],
          "--players", "repro"),
-        (["--scale", "0.05", "gateway", "slashdot", "--shards", "0"],
-         "--shards", "repro gateway"),
+        (["store", "shard-split", "x", "y", "--shards", "0"],
+         "--shards", "repro store shard-split"),
     ], ids=["queue-bound", "distinct", "size", "players", "shards"])
     def test_count_flag_below_one(self, argv, flag, prog, tmp_path):
         code, err = self.run_cli(argv, tmp_path)
@@ -366,9 +405,8 @@ class TestRealEntryPoint:
                             "--seed"),
         "trace audit": (["--scale", "nan", "trace", "audit", "x"],
                         "--scale"),
-        "gateway": (["--scale", "0.05", "gateway", "slashdot",
-                     "--kill-shard", "9", "--kill-seed", "1"],
-                    "--kill-shard"),
+        "gateway": (["--scale", "0.05", "gateway", "slashdot", "--store",
+                     "x", "--kill-shard", "-1"], "--kill-shard"),
     }
 
     def test_cases_cover_every_leaf(self):
@@ -446,14 +484,14 @@ class TestExecution:
         assert "served 3 queries" in out
         assert "CMM cache:" in out
 
-    def test_gateway_served_line_counts_completed_queries(self, tmp_path,
-                                                          capsys):
+    def test_gateway_served_line_counts_completed_queries(self, cut,
+                                                          tmp_path, capsys):
         """Under ``--queue-bound`` the ``served`` line counts completed
         queries out of the submitted ones; the JSON ``queries`` key stays
         the submitted count."""
         summary = tmp_path / "gateway.json"
         assert main(["--scale", "0.05", "--modulus", "512", "gateway",
-                     "slashdot", "--shards", "2", "--count", "4",
+                     "slashdot", "--store", str(cut), "--count", "4",
                      "--tenants", "2", "--size", "4", "--diameter", "2",
                      "--queue-bound", "1",
                      "--json-summary", str(summary)]) == 0
@@ -846,8 +884,8 @@ class TestStoreCommands:
         assert main([*self.BASE, "store", "shard-split", str(store_root),
                      str(shards), "--shards", "2"]) == 0
         gateway = ["gateway", "slashdot", "--store", str(shards),
-                   "--shards", "2", "--count", "2", "--tenants", "1",
-                   "--size", "4", "--diameter", "2"]
+                   "--count", "2", "--tenants", "1", "--size", "4",
+                   "--diameter", "2"]
         assert main([*self.BASE, *gateway]) == 0
         assert "statuses: 2/2 ok" in capsys.readouterr().out
         # the live graph moved on since the packs were cut

@@ -33,6 +33,7 @@ from repro.graph.query import Query, Semantics
 from repro.storage import (
     ArtifactStore,
     MerkleTree,
+    shard_split,
     verify_absent,
 )
 
@@ -295,6 +296,7 @@ class TestUpdatedAuth:
     def test_certified_serving_after_delta(self, tmp_path, dataset,
                                            test_config, key):
         from repro.framework import wire
+        from repro.framework.placement import PlacementManifest
         from repro.framework.server import QueryStatus
         from repro.framework.verify import AnswerVerifier, Certifier
 
@@ -316,8 +318,11 @@ class TestUpdatedAuth:
                                   graph_digest=store.manifest_graph_digest)
             cert = certifier.certify(qid=1, shard_id=0, members=[0],
                                      prev_members=None, result=result)
-            verifier = AnswerVerifier.from_store(store, seed=config.seed,
-                                                 config=engine.config)
+            # Shard 0 of a 1-shard cut owns every ball.
+            shard_split(tmp_path / "store", tmp_path / "cut", 1)
+            verifier = AnswerVerifier.from_placement(
+                PlacementManifest.read(tmp_path / "cut"), seed=config.seed,
+                config=engine.config)
         finally:
             engine.close()
         answer = wire.canonical_answer_of_result(result)

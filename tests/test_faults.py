@@ -137,7 +137,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(k_players=0), dict(k_players=True), dict(deadline_ms=0),
-        dict(ball_budget=0), dict(seed="0"), dict(verify_serving="yes"),
+        dict(ball_budget=0), dict(seed="0"),
     ])
     def test_eager_field_validation(self, bad):
         with pytest.raises(ValueError):

@@ -57,6 +57,7 @@ from repro.framework.shard import (
     make_shard_specs,
     run_shard,
 )
+from repro.framework.verify import AnswerVerifier
 from repro.graph.ball import extract_ball
 from repro.graph.query import Semantics
 from repro.observability.spans import Tracer
@@ -81,6 +82,24 @@ def dataset():
 def gw_config():
     return PriloConfig(k_players=2, modulus_bits=1024, q_bits=24,
                        r_bits=24, radii=(3,), seed=6)
+
+
+@pytest.fixture(scope="module")
+def fleet(dataset, gw_config, certified_cuts):
+    """``fleet(shards, semantics)``: the certified cut a gateway here
+    serves (shard specs plus the gateway's verifier), built once per
+    (semantics, shard count)."""
+    def cut(shards: int = 2, semantics: Semantics = Semantics.HOM):
+        return certified_cuts(dataset.graph_for(semantics), gw_config,
+                              shards)
+
+    return cut
+
+
+#: The verifier of a gateway whose fake shards never send a verdict it
+#: would judge.
+_UNUSED_VERIFIER = AnswerVerifier(root_hex="r", catalog={}, vkey=b"k",
+                                  jkey=b"j", fingerprint="f")
 
 
 def _baseline_answers(graph, config, queries, engine_cls=Prilo):
@@ -282,9 +301,8 @@ class TestMalformedPlacement:
 
         capsys.readouterr()
         assert main(["--scale", "0.02", "gateway", "slashdot", "--store",
-                     str(root), "--shards", "2", "--count", "2",
-                     "--tenants", "1", "--size", "4",
-                     "--diameter", "2"]) == 3
+                     str(root), "--count", "2", "--tenants", "1",
+                     "--size", "4", "--diameter", "2"]) == 3
         assert "FAILED: malformed placement manifest" in \
             capsys.readouterr().out
 
@@ -570,7 +588,7 @@ class TestLastShardNeverHangsTheGateway:
                 shard_id=0, host="127.0.0.1",
                 port=server.sockets[0].getsockname()[1])
             try:
-                await Gateway([handle]).serve(
+                await Gateway([handle], verifier=_UNUSED_VERIFIER).serve(
                     dataset.random_queries(2, size=5, seed=4))
             finally:
                 server.close()
@@ -784,12 +802,14 @@ class TestShardSplit:
 # Shard server protocol (in-process, no fork)
 # ---------------------------------------------------------------------------
 class TestShardServer:
-    def test_socket_round_trip(self, dataset, gw_config):
+    def test_socket_round_trip(self, dataset, gw_config, fleet):
         query = dataset.random_query(size=5, seed=4)
         baseline = _baseline_answers(dataset.graph, gw_config, [query])[0]
+        cut = fleet(1)
 
         async def main():
-            server = ShardServer(ShardSpec(0, dataset.graph, gw_config))
+            server = ShardServer(ShardSpec(0, dataset.graph, gw_config,
+                                           cut.shard_root()))
             await server.start()
             client = ShardClient(0, "127.0.0.1", server.port)
             try:
@@ -819,14 +839,18 @@ class TestShardServer:
             verdict["verified"], verdict["matches"])
         assert wire.answer_bytes(merged) == wire.answer_bytes(baseline)
         assert "caches" in verdict and "ops" in verdict
+        assert cut.verifier().verify_verdict(
+            qid=0, shard_id=0, members=[0], prev_members=None,
+            query=query, verdict=verdict) > 0
 
     def test_query_without_an_integer_qid_gets_an_error_frame(
-            self, dataset, gw_config):
+            self, dataset, gw_config, fleet):
         """...not a dropped connection: the shard keeps serving on it."""
         query = wire.query_to_jsonable(dataset.random_query(size=5, seed=4))
 
         async def main():
-            server = ShardServer(ShardSpec(0, dataset.graph, gw_config))
+            server = ShardServer(ShardSpec(0, dataset.graph, gw_config,
+                                           fleet(1).shard_root()))
             await server.start()
             client = ShardClient(0, "127.0.0.1", server.port)
             try:
@@ -901,7 +925,8 @@ class TestShardServer:
 
 
 class TestShardJournalLifecycle:
-    def test_close_closes_the_journal(self, dataset, gw_config, tmp_path):
+    def test_close_closes_the_journal(self, dataset, gw_config, fleet,
+                                      tmp_path):
         """The shard opens its journal, so the shard closes it: after
         ``close()`` the handle is released, nothing is left unsynced and
         replay sees every record (admission, per query a begin, its
@@ -911,6 +936,7 @@ class TestShardJournalLifecycle:
 
         async def main():
             server = ShardServer(ShardSpec(0, dataset.graph, gw_config,
+                                           fleet(1).shard_root(),
                                            journal_path=str(path)))
             await server.start()
             served = server.stream.serve_one(query, index=0)
@@ -933,14 +959,6 @@ class TestDigestInheritedThroughFork:
     shard's staleness check and journal fingerprint read the inherited
     memo, and no shard process serialises the graph for a digest."""
 
-    @pytest.fixture(scope="class")
-    def shards(self, dataset, gw_config, tmp_path_factory):
-        root = tmp_path_factory.mktemp("fork-digest")
-        ArtifactStore.create(root / "src", dataset.graph, (3,),
-                             DataOwnerKey.generate(gw_config.seed))
-        shard_split(root / "src", root / "shards", 2)
-        return root
-
     @staticmethod
     def _digests_only_in_the_parent(monkeypatch) -> list:
         """Make a digest computed in any other process raise; return the
@@ -957,20 +975,22 @@ class TestDigestInheritedThroughFork:
         monkeypatch.setattr(store_module, "graph_to_json", guarded)
         return digested
 
-    def _specs(self, dataset, gw_config, shards, wal):
+    def _specs(self, dataset, gw_config, cut, wal):
         # A copy: a graph object nobody has digested yet.
         return make_shard_specs(
             dataset.graph.copy(), gw_config, 2,
-            store_root=str(shards / "shards"), journal_dir=str(wal))
+            store_root=str(cut.root), journal_dir=str(wal))
 
-    def test_forked_shards_start_and_serve(self, dataset, gw_config, shards,
+    def test_forked_shards_start_and_serve(self, dataset, gw_config, fleet,
                                            tmp_path, monkeypatch):
         queries = dataset.random_queries(2, size=5, seed=4)
         expected = _baseline_answers(dataset.graph, gw_config, queries)
-        specs = self._specs(dataset, gw_config, shards, tmp_path)
+        cut = fleet(2)
+        specs = self._specs(dataset, gw_config, cut, tmp_path)
         digested = self._digests_only_in_the_parent(monkeypatch)
         with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles).run(queries)
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert [o.status for o in report.outcomes] == \
             [QueryStatus.OK] * len(queries)
         _assert_byte_identical(expected, report.answers)
@@ -978,11 +998,11 @@ class TestDigestInheritedThroughFork:
         assert report.metrics.journal.checkpoints_written > 0
 
     def test_without_the_warm_up_the_child_fails(self, dataset, gw_config,
-                                                 shards, tmp_path,
+                                                 fleet, tmp_path,
                                                  monkeypatch):
         """The negative control: the same shard, forked without the
         parent's digest, has to compute one -- and so cannot start."""
-        spec = self._specs(dataset, gw_config, shards, tmp_path)[0]
+        spec = self._specs(dataset, gw_config, fleet(2), tmp_path)[0]
         self._digests_only_in_the_parent(monkeypatch)
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -1030,11 +1050,10 @@ class TestShardStartFailure:
         assert not error.stale
         assert "shard 1 failed to start: StoreError" in str(error)
 
-    def test_child_that_dies_without_a_word(self, dataset, gw_config,
-                                            monkeypatch):
+    def test_child_that_dies_without_a_word(self, fleet, monkeypatch):
         monkeypatch.setattr("repro.framework.shard.run_shard",
                             lambda spec, conn: os._exit(3))
-        error = self._refused(make_shard_specs(dataset.graph, gw_config, 1))
+        error = self._refused(fleet(1).specs())
         assert not error.stale
         assert "shard 0 failed to start: exited before" in str(error)
 
@@ -1045,42 +1064,44 @@ class TestShardStartFailure:
 class TestGatewayEquivalence:
     @pytest.mark.parametrize("semantics", list(Semantics))
     def test_two_shards_match_plain_engine_with_pruning(self, dataset,
-                                                        gw_config,
+                                                        gw_config, fleet,
                                                         semantics):
         queries = dataset.random_queries(3, size=5, semantics=semantics,
                                          seed=4)
-        graph = dataset.graph_for(semantics)
-        expected = _baseline_answers(graph, gw_config, queries,
+        cut = fleet(2, semantics)
+        expected = _baseline_answers(cut.graph, gw_config, queries,
                                      engine_cls=PriloStar)
-        with LocalCluster(make_shard_specs(graph, gw_config, 2,
-                                           engine="prilo-star")) as cluster:
-            report = Gateway(cluster.handles).run(queries)
+        with LocalCluster(cut.specs(engine="prilo-star")) as cluster:
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier("prilo-star")).run(queries)
         assert [o.status for o in report.outcomes] == \
             [QueryStatus.OK] * len(queries)
         _assert_byte_identical(expected, report.answers)
 
     def test_one_and_four_shards_match_plain_engine(self, dataset,
-                                                    gw_config):
+                                                    gw_config, fleet):
         queries, _ = generate_traffic(
             dataset, TrafficSpec(count=6, tenants=3, size=5, seed=11))
         expected = _baseline_answers(dataset.graph, gw_config, queries)
         for shards in (1, 4):
-            specs = make_shard_specs(dataset.graph, gw_config, shards)
-            with LocalCluster(specs) as cluster:
-                report = Gateway(cluster.handles).run(queries)
+            cut = fleet(shards)
+            with LocalCluster(cut.specs()) as cluster:
+                report = Gateway(cluster.handles,
+                                 verifier=cut.verifier()).run(queries)
             _assert_byte_identical(expected, report.answers)
             assert report.shards == shards
             assert set(report.per_shard_busy) == set(range(shards))
             assert report.critical_path_seconds <= report.busy_seconds
 
     def test_shard_death_mid_batch_recovers_byte_identically(self, dataset,
-                                                             gw_config):
+                                                             gw_config,
+                                                             fleet):
         queries, _ = generate_traffic(
             dataset, TrafficSpec(count=8, tenants=3, size=5, seed=11))
         expected = _baseline_answers(dataset.graph, gw_config, queries)
-        specs = make_shard_specs(dataset.graph, gw_config, 4)
-        with LocalCluster(specs) as cluster:
-            gateway = Gateway(cluster.handles,
+        cut = fleet(4)
+        with LocalCluster(cut.specs()) as cluster:
+            gateway = Gateway(cluster.handles, verifier=cut.verifier(),
                               chaos=GatewayChaos(seed=42,
                                                  kill_after_verdicts=2))
             report = gateway.run(queries)
@@ -1091,26 +1112,22 @@ class TestGatewayEquivalence:
         _assert_byte_identical(expected, report.answers)
 
     def test_gateway_serves_from_split_store_with_journals(
-            self, dataset, gw_config, tmp_path):
+            self, dataset, gw_config, fleet, tmp_path):
         queries = dataset.random_queries(2, size=5, seed=4)
         expected = _baseline_answers(dataset.graph, gw_config, queries)
-        ArtifactStore.create(tmp_path / "src", dataset.graph, (3,),
-                             DataOwnerKey.generate(gw_config.seed))
-        shard_split(tmp_path / "src", tmp_path / "shards", 2)
-        specs = make_shard_specs(
-            dataset.graph, gw_config, 2,
-            store_root=str(tmp_path / "shards"),
-            journal_dir=str(tmp_path / "wal"))
+        cut = fleet(2)
+        specs = cut.specs(journal_dir=str(tmp_path / "wal"))
         (tmp_path / "wal").mkdir()
         with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles).run(queries)
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         _assert_byte_identical(expected, report.answers)
         assert report.metrics.journal.checkpoints_written > 0
         assert (tmp_path / "wal" / "shard-0.wal").exists()
         assert (tmp_path / "wal" / "shard-1.wal").exists()
 
     def test_queue_bound_admits_the_first_submissions(self, dataset,
-                                                      gw_config):
+                                                      gw_config, fleet):
         """The fleet admits once: under ``queue_bound=2`` exactly queries
         0 and 1 are served, byte-identical to the plain engine, and no
         shard ever sees a shed query."""
@@ -1118,10 +1135,10 @@ class TestGatewayEquivalence:
             dataset, TrafficSpec(count=6, tenants=3, size=5, seed=11))
         expected = _baseline_answers(dataset.graph, gw_config, queries[:2])
         tracer = Tracer()
-        with LocalCluster(make_shard_specs(dataset.graph, gw_config,
-                                           4)) as cluster:
-            report = Gateway(cluster.handles, queue_bound=2,
-                             tracer=tracer).run(queries)
+        cut = fleet(4)
+        with LocalCluster(cut.specs()) as cluster:
+            report = Gateway(cluster.handles, verifier=cut.verifier(),
+                             queue_bound=2, tracer=tracer).run(queries)
         assert [o.status for o in report.outcomes] == \
             [QueryStatus.OK] * 2 + [QueryStatus.REJECTED_OVERLOAD] * 4
         _assert_byte_identical(expected, report.answers[:2])
@@ -1140,10 +1157,11 @@ class TestGatewayEquivalence:
         handle = types.SimpleNamespace(shard_id=0, host="", port=0)
         for bound in (0, -1, True):
             with pytest.raises(ValueError, match="queue_bound"):
-                Gateway([handle], queue_bound=bound)
+                Gateway([handle], verifier=_UNUSED_VERIFIER,
+                        queue_bound=bound)
 
     def test_each_shard_journals_queries_in_routing_order(
-            self, dataset, gw_config, tmp_path):
+            self, dataset, gw_config, fleet, tmp_path):
         """One connection per shard and FIFO windows: every shard begins
         the queries in the gateway's signature-grouped routing order."""
         queries, _ = generate_traffic(
@@ -1156,10 +1174,11 @@ class TestGatewayEquivalence:
         order = [qid for indices in groups.values() for qid in indices]
         assert order != sorted(order), "the trace must regroup"
         (tmp_path / "wal").mkdir()
-        specs = make_shard_specs(dataset.graph, gw_config, 2,
-                                 journal_dir=str(tmp_path / "wal"))
-        with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles).run(queries)
+        cut = fleet(2)
+        with LocalCluster(cut.specs(
+                journal_dir=str(tmp_path / "wal"))) as cluster:
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert report.completed == len(queries)
         for shard_id in (0, 1):
             state = RunJournal(tmp_path / "wal" / f"shard-{shard_id}.wal",
@@ -1168,7 +1187,7 @@ class TestGatewayEquivalence:
 
     def test_rejects_degenerate_fleets(self):
         with pytest.raises(GatewayError):
-            Gateway([])
+            Gateway([], verifier=_UNUSED_VERIFIER)
 
     def test_chaos_rejects_unknown_victim(self):
         with pytest.raises(GatewayError):

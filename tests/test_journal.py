@@ -203,8 +203,7 @@ class TestKeysAndFingerprints:
     def test_fingerprint_ignores_scheduling_knobs(self, test_config):
         scheduled = replace(test_config,
                             chaos=ChaosPolicy(seed=1, fault_rate=0.5),
-                            deadline_ms=50.0, ball_budget=7,
-                            verify_serving=False)
+                            deadline_ms=50.0, ball_budget=7)
         assert (config_fingerprint(test_config, "g")
                 == config_fingerprint(scheduled, "g"))
 

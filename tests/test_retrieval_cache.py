@@ -60,12 +60,7 @@ from repro.framework.roles import (
     User,
 )
 from repro.framework.server import CMMCache, QueryBatchEngine
-from repro.framework.shard import (
-    LocalCluster,
-    ShardServer,
-    ShardSpec,
-    make_shard_specs,
-)
+from repro.framework.shard import LocalCluster, ShardServer, ShardSpec
 from repro.graph.delta import GraphDelta
 from repro.graph.io import ball_to_bytes
 from repro.graph.labeled_graph import BallGraphView
@@ -83,6 +78,16 @@ RECORDS = {"int": ball_to_bytes,
 @pytest.fixture(scope="module")
 def keyring(cgbe):
     return UserKeyring(cgbe=cgbe, enclave_key=bytes(32), owner_key=KEY)
+
+
+@pytest.fixture(scope="module")
+def fleet(dataset, test_config, certified_cuts):
+    """``fleet(shards)``: the certified cut a gateway here serves (shard
+    specs plus the gateway's verifier), built once per shard count."""
+    def cut(shards: int = 2):
+        return certified_cuts(dataset.graph, test_config, shards)
+
+    return cut
 
 
 class BlobDealer:
@@ -475,12 +480,14 @@ class TestObservability:
         assert [(s.attrs["decoded"], s.attrs["reused"])
                 for s in matching] == [(retrieved, 0), (0, retrieved)]
 
-    def test_gateway_verdicts_carry_the_memo(self, dataset, test_config):
+    def test_gateway_verdicts_carry_the_memo(self, dataset, test_config,
+                                             fleet):
         query = wire.query_to_jsonable(
             dataset.random_queries(2, size=4, diameter=2, seed=13)[0])
 
         async def serve_twice():
-            server = ShardServer(ShardSpec(0, dataset.graph, test_config))
+            server = ShardServer(ShardSpec(0, dataset.graph, test_config,
+                                           fleet(1).shard_root()))
             await server.start()
             client = ShardClient(0, "127.0.0.1", server.port)
             try:
@@ -519,12 +526,12 @@ class TestObservability:
                 assert recorded == memo.delta(before)
                 assert recorded.lookups > 0
 
-    def test_gateway_reports_the_fleet_decrypt_memo(self, dataset,
-                                                    test_config):
+    def test_gateway_reports_the_fleet_decrypt_memo(self, dataset, fleet):
         queries = dataset.random_queries(2, size=4, diameter=2, seed=13)
-        with LocalCluster(make_shard_specs(dataset.graph, test_config,
-                                           2)) as cluster:
-            report = Gateway(cluster.handles).run(queries)
+        cut = fleet()
+        with LocalCluster(cut.specs()) as cluster:
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert all(outcome.ok for outcome in report.outcomes)
         assert report.metrics.cache_totals()["decrypt"].lookups > 0
         assert any(name.startswith("decrypt@shard")

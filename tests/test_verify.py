@@ -41,7 +41,7 @@ from repro.framework.placement import PlacementManifest
 from repro.framework.prilo import Prilo, PriloConfig
 from repro.framework.prilo_star import PriloStar
 from repro.framework.server import QueryStatus
-from repro.framework.shard import LocalCluster, make_shard_specs
+from repro.framework.shard import LocalCluster
 from repro.framework.verify import (
     CERT_SCHEME,
     AnswerVerifier,
@@ -49,7 +49,7 @@ from repro.framework.verify import (
     VerificationError,
 )
 from repro.graph.query import Semantics
-from repro.storage import ArtifactStore, shard_split
+from repro.storage import ArtifactStore
 from repro.storage.authenticate import (
     AuthError,
     MerkleTree,
@@ -76,23 +76,35 @@ def vconfig():
 
 
 @pytest.fixture(scope="module")
-def stores(dataset, vconfig, tmp_path_factory):
-    """One authenticated store + 2-shard split per semantics, built
-    lazily and cached (ssim uses a different graph than hom/sub-iso)."""
-    cache: dict[Semantics, tuple] = {}
+def fleet(dataset, vconfig, certified_cuts):
+    """``fleet(semantics, shards)``: the certified cut a gateway here
+    serves (shard specs plus the gateway's verifier), built once per
+    (semantics, shard count); ssim uses another graph than hom/sub-iso."""
+    def cut(semantics: Semantics = Semantics.HOM, shards: int = 2):
+        return certified_cuts(dataset.graph_for(semantics), vconfig,
+                              shards)
+
+    return cut
+
+
+@pytest.fixture(scope="module")
+def stores(fleet):
+    """``stores(semantics)``: the authenticated pack, opened once, and
+    its 2-shard split directory."""
+    opened: dict[Semantics, tuple] = {}
 
     def build(semantics: Semantics):
-        if semantics not in cache:
-            graph = dataset.graph_for(semantics)
-            root = tmp_path_factory.mktemp(f"auth-{semantics.value}")
-            store = ArtifactStore.create(
-                root / "src", graph, vconfig.radii,
-                DataOwnerKey.generate(vconfig.seed))
-            shard_split(root / "src", root / "shards", 2)
-            cache[semantics] = (store, root / "shards")
-        return cache[semantics]
+        if semantics not in opened:
+            cut = fleet(semantics)
+            opened[semantics] = (ArtifactStore.open(cut.pack), cut.root)
+        return opened[semantics]
 
     return build
+
+
+#: The verifier of a gateway whose merge state is driven by hand.
+_UNUSED_VERIFIER = AnswerVerifier(root_hex="r", catalog={}, vkey=b"k",
+                                  jkey=b"j", fingerprint="f")
 
 
 def _baseline(graph, config, queries, engine_cls):
@@ -216,9 +228,8 @@ class TestStoreAuth:
             PlacementManifest.read(tmp_path)
         capsys.readouterr()
         assert main(["--scale", "0.02", "gateway", "slashdot", "--store",
-                     str(tmp_path), "--shards", "2", "--count", "2",
-                     "--tenants", "1", "--size", "4",
-                     "--diameter", "2"]) == 3
+                     str(tmp_path), "--count", "2", "--tenants", "1",
+                     "--size", "4", "--diameter", "2"]) == 3
         out = capsys.readouterr().out
         assert out.splitlines() == [
             "FAILED: placement manifest has no auth block (written by an "
@@ -231,8 +242,9 @@ class TestStoreAuth:
 # ---------------------------------------------------------------------------
 class TestCertificates:
     @pytest.fixture(scope="class")
-    def served(self, dataset, vconfig, stores):
-        """One honestly-certified verdict plus its verification context."""
+    def served(self, dataset, vconfig, stores, fleet):
+        """One honestly-certified verdict plus its verification context:
+        shard 0 of a 1-shard cut, which owns every ball."""
         store, _ = stores(Semantics.HOM)
         query = dataset.random_query(size=5, seed=4)
         engine = Prilo.setup(dataset.graph, vconfig, store=store)
@@ -243,8 +255,7 @@ class TestCertificates:
                                   graph_digest=store.manifest_graph_digest)
             cert = certifier.certify(qid=7, shard_id=0, members=[0],
                                      prev_members=None, result=result)
-            verifier = AnswerVerifier.from_store(store, seed=vconfig.seed,
-                                                 config=engine.config)
+            verifier = fleet(Semantics.HOM, 1).verifier()
         finally:
             engine.close()
         answer = wire.canonical_answer_of_result(result)
@@ -320,12 +331,11 @@ class TestCertificates:
                 query=served.query, verdict=verdict)
         assert err.value.kind == FaultKind.REPLAY_STALE
 
-    def test_config_fingerprint_mismatch_is_stale(self, served, stores,
+    def test_config_fingerprint_mismatch_is_stale(self, served, fleet,
                                                   vconfig):
-        store, _ = stores(Semantics.HOM)
-        other = AnswerVerifier.from_store(
-            store, seed=vconfig.seed,
-            config=replace(vconfig, radii=(2,)))
+        other = AnswerVerifier.from_placement(
+            PlacementManifest.read(fleet(Semantics.HOM, 1).root),
+            seed=vconfig.seed, config=replace(vconfig, radii=(2,)))
         with pytest.raises(VerificationError) as err:
             other.verify_verdict(qid=7, shard_id=0, members=[0],
                                  prev_members=None, query=served.query,
@@ -402,18 +412,17 @@ class TestCertificates:
         except VerificationError:
             pass
 
-    def test_tampered_catalog_is_refused_at_construction(self, stores,
+    def test_tampered_catalog_is_refused_at_construction(self, fleet,
                                                          vconfig):
-        store, _ = stores(Semantics.HOM)
-        broken = json.loads(json.dumps(store.auth))
-        radius = next(iter(broken["catalog"]))
-        label = next(iter(broken["catalog"][radius]))
-        broken["catalog"][radius][label] = []
-        fake_store = SimpleNamespace(
-            auth=broken, manifest_graph_digest=store.manifest_graph_digest)
+        placement = PlacementManifest.read(fleet(Semantics.HOM, 1).root)
+        broken = json.loads(json.dumps(placement.catalog))
+        radius = next(iter(broken))
+        label = next(iter(broken[radius]))
+        broken[radius][label] = []
         with pytest.raises(VerificationError) as err:
-            AnswerVerifier.from_store(fake_store, seed=vconfig.seed,
-                                      config=vconfig)
+            AnswerVerifier.from_placement(
+                replace(placement, catalog=broken), seed=vconfig.seed,
+                config=vconfig)
         assert err.value.kind == FaultKind.FORGE_RESULT
 
     def test_verifier_requires_an_auth_root(self):
@@ -464,26 +473,16 @@ class TestRogueGateway:
     @pytest.mark.parametrize("semantics", list(Semantics))
     @pytest.mark.parametrize("engine", ["prilo", "prilo-star"])
     def test_one_rogue_shard_recovers_byte_identically(
-            self, dataset, vconfig, stores, semantics, engine):
-        _, shards_dir = stores(semantics)
-        graph = dataset.graph_for(semantics)
-        engine_cls = ENGINES[engine]
+            self, dataset, vconfig, fleet, semantics, engine):
+        cut = fleet(semantics)
         queries = dataset.random_queries(3, size=5, semantics=semantics,
                                          seed=4)
-        expected = _baseline(graph, vconfig, queries, engine_cls)
-        placement = PlacementManifest.read(shards_dir)
-        verifier = AnswerVerifier.from_placement(
-            placement, seed=vconfig.seed,
-            config=engine_cls.effective_config(vconfig))
-        specs = make_shard_specs(
-            graph, vconfig, 2, engine=engine,
-            store_root=str(shards_dir), rogue_shards=(1,),
-            rogue_policy=ChaosPolicy(seed=5, fault_rate=1.0,
-                                     kinds=MALICIOUS_KINDS))
+        expected = _baseline(cut.graph, vconfig, queries, ENGINES[engine])
+        specs = cut.specs(engine, rogue_shards=(1,), rogue_policy=ChaosPolicy(
+            seed=5, fault_rate=1.0, kinds=MALICIOUS_KINDS))
         with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles, verifier=verifier).run(
-                queries)
-        assert report.verify_enabled
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier(engine)).run(queries)
         assert report.forgeries_detected > 0, \
             "the rogue shard must have been caught lying"
         assert report.evictions == [1]
@@ -495,21 +494,14 @@ class TestRogueGateway:
                 wire.answer_bytes(expected[i]), \
                 f"query {i}: recovered answer diverges from baseline"
 
-    def test_all_rogue_fleet_withholds_every_answer(self, dataset,
-                                                    vconfig, stores):
-        _, shards_dir = stores(Semantics.HOM)
+    def test_all_rogue_fleet_withholds_every_answer(self, dataset, fleet):
+        cut = fleet()
         queries = dataset.random_queries(2, size=5, seed=4)
-        verifier = AnswerVerifier.from_placement(
-            PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=Prilo.effective_config(vconfig))
-        specs = make_shard_specs(
-            dataset.graph, vconfig, 2, engine="prilo",
-            store_root=str(shards_dir), rogue_shards=(0, 1),
-            rogue_policy=ChaosPolicy(seed=5, fault_rate=1.0,
-                                     kinds=(FaultKind.FORGE_RESULT,)))
+        specs = cut.specs(rogue_shards=(0, 1), rogue_policy=ChaosPolicy(
+            seed=5, fault_rate=1.0, kinds=(FaultKind.FORGE_RESULT,)))
         with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles, verifier=verifier).run(
-                queries)
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert report.forged == len(queries)
         assert all(o.status == QueryStatus.FORGED
                    for o in report.outcomes)
@@ -520,11 +512,11 @@ class TestRogueGateway:
             "withheld queries must still terminate the batch"
 
     def test_malformed_ok_verdict_evicts_the_shard(self, dataset, vconfig,
-                                                   stores, monkeypatch):
+                                                   fleet, monkeypatch):
         """A shard whose OK verdicts are of the wrong shape is a forger:
         evicted, its slices re-served, the answers unchanged -- the
         gateway never dies on the raw exception."""
-        _, shards_dir = stores(Semantics.HOM)
+        cut = fleet()
         queries = dataset.random_queries(2, size=5, seed=4)
         expected = _baseline(dataset.graph, vconfig, queries, Prilo)
         request = ShardClient.request
@@ -537,15 +529,9 @@ class TestRogueGateway:
             return verdict
 
         monkeypatch.setattr(ShardClient, "request", malformed)
-        verifier = AnswerVerifier.from_placement(
-            PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=Prilo.effective_config(vconfig))
-        specs = make_shard_specs(dataset.graph, vconfig, 2,
-                                 engine="prilo",
-                                 store_root=str(shards_dir))
-        with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles, verifier=verifier).run(
-                queries)
+        with LocalCluster(cut.specs()) as cluster:
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert report.forgeries_detected > 0
         assert report.evictions == [1]
         assert report.forged == 0
@@ -554,19 +540,13 @@ class TestRogueGateway:
                 wire.answer_bytes(expected[i])
 
     def test_honest_fleet_passes_verification_with_zero_forgeries(
-            self, dataset, vconfig, stores):
-        _, shards_dir = stores(Semantics.HOM)
+            self, dataset, vconfig, fleet):
+        cut = fleet()
         queries = dataset.random_queries(2, size=5, seed=4)
         expected = _baseline(dataset.graph, vconfig, queries, Prilo)
-        verifier = AnswerVerifier.from_placement(
-            PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=Prilo.effective_config(vconfig))
-        specs = make_shard_specs(dataset.graph, vconfig, 2,
-                                 engine="prilo",
-                                 store_root=str(shards_dir))
-        with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles, verifier=verifier).run(
-                queries)
+        with LocalCluster(cut.specs()) as cluster:
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert report.forgeries_detected == 0
         assert report.proofs_checked >= len(queries)
         assert report.proof_bytes > 0
@@ -577,7 +557,7 @@ class TestRogueGateway:
 
 # ---------------------------------------------------------------------------
 # The counters the merge reads after the verifier (busy, caches, ops,
-# journal, status): one shape check, with or without --no-verify
+# journal, status): one shape check, before the certificate's
 # ---------------------------------------------------------------------------
 #: Wrong-shaped telemetry a rogue shard can put on an OK verdict; each one
 #: used to raise out of ``Gateway._absorb`` (or, for the status, withhold
@@ -608,7 +588,8 @@ _HONEST_VERDICT = {
 
 def _absorb_once(verdict: dict) -> None:
     """``Gateway._absorb`` on the merge state of a one-query batch."""
-    gateway = Gateway([SimpleNamespace(shard_id=0, host="", port=0)])
+    gateway = Gateway([SimpleNamespace(shard_id=0, host="", port=0)],
+                      verifier=_UNUSED_VERIFIER)
     gateway._states = [_QueryState()]
     gateway._busy = {0: 0.0}
     gateway._metrics = RunMetrics()
@@ -654,17 +635,14 @@ class TestTelemetryShape:
             check_verdict_shape(verdict)
         assert err.value.kind == FaultKind.FORGE_RESULT
 
-    @pytest.mark.parametrize("field,verify", [
-        ("busy", False), ("caches", True), ("journal", False),
-        ("ops", True), ("status", False),
-    ], ids=lambda v: v if isinstance(v, str)
-        else ("verified" if v else "no-verify"))
+    @pytest.mark.parametrize("field", sorted(_TELEMETRY_MUTATIONS),
+                             ids=lambda field: f"{field}-verified")
     def test_malformed_telemetry_evicts_the_shard(
-            self, dataset, vconfig, stores, monkeypatch, field, verify):
+            self, dataset, vconfig, fleet, monkeypatch, field):
         """Shard 1 puts wrong-shaped telemetry on its OK verdicts: it is
         evicted like a forger, its slices re-served, the answers equal
-        an honest run's byte for byte -- verifier or not."""
-        _, shards_dir = stores(Semantics.HOM)
+        an honest run's byte for byte."""
+        cut = fleet()
         queries = dataset.random_queries(2, size=5, seed=4)
         expected = _baseline(dataset.graph, vconfig, queries, Prilo)
         request = ShardClient.request
@@ -677,14 +655,9 @@ class TestTelemetryShape:
             return verdict
 
         monkeypatch.setattr(ShardClient, "request", rogue)
-        verifier = AnswerVerifier.from_placement(
-            PlacementManifest.read(shards_dir), seed=vconfig.seed,
-            config=Prilo.effective_config(vconfig)) if verify else None
-        specs = make_shard_specs(dataset.graph, vconfig, 2, engine="prilo",
-                                 store_root=str(shards_dir))
-        with LocalCluster(specs) as cluster:
-            report = Gateway(cluster.handles, verifier=verifier).run(
-                queries)
+        with LocalCluster(cut.specs()) as cluster:
+            report = Gateway(cluster.handles,
+                             verifier=cut.verifier()).run(queries)
         assert report.forgeries_detected > 0
         assert report.evictions == [1]
         assert [o.status for o in report.outcomes] == \
@@ -733,7 +706,7 @@ class TestVerifyMetrics:
         report = SimpleNamespace(summary=lambda: {
             "queries": 4, "shards": 2, "makespan_seconds": 0.5,
             "statuses": ["ok", "ok", "ok", "forged(result)"],
-            "verify": {"enabled": True, "proofs_checked": 9,
+            "verify": {"proofs_checked": 9,
                        "forgeries_detected": 2, "evictions": [1],
                        "forged_answers": 1, "proof_bytes": 1234,
                        "verify_seconds": 0.01}})
